@@ -460,8 +460,9 @@ let exp_fig5 () =
     (* ILP Waypoints: the WPO MILP under the standard (inverse-capacity)
        weight setting, as in the paper's WPO-with-fixed-weights MILP. *)
     let milp =
-      Wpo_milp.solve ~max_nodes:(if !full then 20_000 else 3_000) g inv_w
-        (Network.aggregate demands)
+      Wpo_milp.solve_ctx (Obs.Ctx.default ())
+        ~max_nodes:(if !full then 20_000 else 3_000)
+        g inv_w (Network.aggregate demands)
     in
     push
       (if milp.Wpo_milp.exact then "ILP-Waypoints" else "ILP-Waypoints(cap)")
@@ -478,8 +479,9 @@ let exp_fig5 () =
         .Local_search.weights
     in
     let milp2 =
-      Wpo_milp.solve ~max_nodes:(if !full then 20_000 else 3_000) g
-        (Weights.of_ints deep_w) (Network.aggregate demands)
+      Wpo_milp.solve_ctx (Obs.Ctx.default ())
+        ~max_nodes:(if !full then 20_000 else 3_000)
+        g (Weights.of_ints deep_w) (Network.aggregate demands)
     in
     (* Best joint setting any of our searches found. *)
     push "ILP-Joint*" (min (min deep milp2.Wpo_milp.mlu) joint.Joint.mlu)
@@ -510,11 +512,15 @@ let exp_milp () =
       let inst = Instances.Gap_instances.instance1 ~m in
       let net = inst.Instances.Gap_instances.network in
       let g = net.Network.graph in
-      let lwo = Uspr_milp.lwo g net.Network.demands in
+      let lwo = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) g net.Network.demands in
       let wpo =
-        Wpo_milp.solve g (Weights.unit g) net.Network.demands
+        Wpo_milp.solve_ctx (Obs.Ctx.default ()) g (Weights.unit g)
+          net.Network.demands
       in
-      let jm = Uspr_milp.joint ~max_combos:300 g net.Network.demands in
+      let jm =
+        Uspr_milp.joint_ctx (Obs.Ctx.default ()) ~max_combos:300 g
+          net.Network.demands
+      in
       let (_, _, brute), _ = Exact.joint ~weight_domain:[ 1; 3 ] g net.Network.demands in
       let lemma =
         Ecmp.mlu_of ~waypoints:inst.Instances.Gap_instances.joint_waypoints g
@@ -653,8 +659,8 @@ let exp_ablation () =
 
 (* Measures the move protocol the local searches live on: probe one
    weight change, evaluate, undo.  The baseline rebuilds the full ECMP
-   state per candidate (a fresh evaluator each time, i.e. what
-   Ecmp.make used to cost); the engine repairs only the destinations
+   state per candidate (a fresh evaluator each time, i.e. what a
+   one-shot evaluation costs); the engine repairs only the destinations
    the changed edge can affect.  Results land in BENCH_engine.json. *)
 let exp_engine () =
   section "Engine: incremental vs from-scratch single-weight-move evaluation";
@@ -1451,7 +1457,7 @@ let exp_lp () =
     let go warm =
       let stats = Engine.Stats.create () in
       let t0 = Engine.Mono.now () in
-      run ~warm ~stats;
+      run ~warm (Obs.Ctx.make ~stats ());
       (stats, Engine.Mono.now () -. t0)
     in
     let sw, wall_w = go true in
@@ -1483,18 +1489,18 @@ let exp_lp () =
       in
       milp_case
         (Printf.sprintf "I1(m=%d) USPR-LWO" m)
-        (fun ~warm ~stats ->
+        (fun ~warm ctx ->
           ignore
-            (Uspr_milp.lwo ~warm ~stats net.Network.graph net.Network.demands)))
+            (Uspr_milp.lwo_ctx ctx ~warm net.Network.graph net.Network.demands)))
     [ 2; 3 ];
   (let demands =
      Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed:1 ~flows_per_pair:2 abilene
    in
    let inv_w = Weights.inverse_capacity abilene in
    let max_nodes = if !full then 5_000 else 1_500 in
-   milp_case "Abilene WPO" (fun ~warm ~stats ->
+   milp_case "Abilene WPO" (fun ~warm ctx ->
        ignore
-         (Wpo_milp.solve ~max_nodes ~warm ~stats abilene inv_w
+         (Wpo_milp.solve_ctx ctx ~max_nodes ~warm abilene inv_w
             (Network.aggregate demands))));
   (* Basis reuse across nearly-identical LPs: re-solving the Abilene
      min-MLU LP under scaled demand matrices, cold each time vs chaining

@@ -475,16 +475,27 @@ let failures_cmd =
     let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
     Printf.printf "no-failure MLU %.4f; sweeping single link-pair failures:\n"
       joint.Joint.mlu;
-    List.iter
-      (fun o ->
+    let deployed =
+      {
+        Scenario.weights = joint.Joint.int_weights;
+        Scenario.waypoints = joint.Joint.waypoints;
+      }
+    in
+    let specs =
+      Scenario.generate
+        { Scenario.default_config with Scenario.include_baseline = false }
+        g
+    in
+    Array.iter
+      (fun (o : Scenario.outcome) ->
+        let e = List.hd o.Scenario.spec.Scenario.failed in
         Printf.printf "  %-8s -> %-8s  %s\n"
-          (Netgraph.Digraph.node_name g (Netgraph.Digraph.src g o.Failures.edge))
-          (Netgraph.Digraph.node_name g (Netgraph.Digraph.dst g o.Failures.edge))
-          (if o.Failures.disconnected > 0 then
-             Printf.sprintf "disconnects %d demands" o.Failures.disconnected
-           else Printf.sprintf "MLU %.4f" o.Failures.mlu))
-      (Failures.single_failures ~waypoints:joint.Joint.waypoints g
-         joint.Joint.weights demands)
+          (Netgraph.Digraph.node_name g (Netgraph.Digraph.src g e))
+          (Netgraph.Digraph.node_name g (Netgraph.Digraph.dst g e))
+          (if o.Scenario.static_disconnected > 0 then
+             Printf.sprintf "disconnects %d demands" o.Scenario.static_disconnected
+           else Printf.sprintf "MLU %.4f" o.Scenario.static_mlu))
+      (Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands specs)
   in
   Cmd.v
     (Cmd.info "failures" ~doc:"Single-link-failure sweep of an optimized setting")

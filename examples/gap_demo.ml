@@ -31,7 +31,9 @@ let () =
 
   (* Strategy 1: the optimal link weights alone (Lemma 3.6). *)
   let lwo_w = Option.get inst.Instances.Gap_instances.lwo_weights in
-  let loads = Ecmp.loads (Ecmp.make g lwo_w) net.Network.demands in
+  let loads =
+    Ecmp.loads (Engine.Evaluator.create g lwo_w) net.Network.demands
+  in
   Printf.printf "1. Optimal LWO alone: MLU = %.2f (paper: m/2 = %.1f)\n"
     (Ecmp.mlu g loads)
     (float_of_int m /. 2.);
@@ -53,7 +55,7 @@ let () =
   let loads =
     Ecmp.loads
       ~waypoints:inst.Instances.Gap_instances.joint_waypoints
-      (Ecmp.make g inst.Instances.Gap_instances.joint_weights)
+      (Engine.Evaluator.create g inst.Instances.Gap_instances.joint_weights)
       net.Network.demands
   in
   Printf.printf "\n3. Joint weights + waypoints (Lemma 3.5): MLU = %.2f\n"

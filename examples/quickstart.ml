@@ -47,10 +47,10 @@ let () =
     (Segments.count_waypoints joint.Joint.waypoints);
 
   (* 7. Inspect one routed demand: loads of its ECMP flow. *)
-  let ctx = Ecmp.make g joint.Joint.weights in
+  let ev = Engine.Evaluator.create g joint.Joint.weights in
   let d = demands.(0) in
-  let u = Ecmp.unit_load ctx ~src:d.Network.src ~dst:d.Network.dst in
+  let u = Engine.Evaluator.unit_load ev ~src:d.Network.src ~dst:d.Network.dst in
   Printf.printf "\ndemand %s->%s routes over %d links under the joint weights\n"
     (Netgraph.Digraph.node_name g d.Network.src)
     (Netgraph.Digraph.node_name g d.Network.dst)
-    (Array.length u.Ecmp.edges)
+    (Array.length u.Engine.Evaluator.edges)

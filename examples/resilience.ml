@@ -14,30 +14,41 @@ let () =
   Printf.printf "Abilene, optimized joint setting: MLU %.3f\n\n" joint.Joint.mlu;
 
   (* 1. Single-link failure sweep with the setting frozen. *)
-  let outcomes =
-    Failures.single_failures ~waypoints:joint.Joint.waypoints g
-      joint.Joint.weights demands
+  let deployed =
+    {
+      Scenario.weights = joint.Joint.int_weights;
+      Scenario.waypoints = joint.Joint.waypoints;
+    }
   in
-  let ok = List.filter (fun o -> o.Failures.disconnected = 0) outcomes in
-  let disconnecting = List.length outcomes - List.length ok in
-  let worst =
-    Failures.worst_case ~waypoints:joint.Joint.waypoints g joint.Joint.weights
-      demands
+  let specs =
+    Scenario.generate
+      { Scenario.default_config with Scenario.include_baseline = false }
+      g
+  in
+  let outcomes = Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands specs in
+  let disconnecting =
+    Array.fold_left
+      (fun acc o -> if o.Scenario.static_disconnected > 0 then acc + 1 else acc)
+      0 outcomes
   in
   Printf.printf
     "Failure sweep: %d link-pair failures, %d leave demands disconnected.\n"
-    (List.length outcomes) disconnecting;
-  (match worst.Failures.disconnected with
-  | 0 ->
-    Printf.printf "Worst surviving failure: %s -> %s, post-failure MLU %.3f\n\n"
-      (Netgraph.Digraph.node_name g (Netgraph.Digraph.src g worst.Failures.edge))
-      (Netgraph.Digraph.node_name g (Netgraph.Digraph.dst g worst.Failures.edge))
-      worst.Failures.mlu
-  | k ->
-    Printf.printf "Worst failure (%s -> %s) strands %d demands.\n\n"
-      (Netgraph.Digraph.node_name g (Netgraph.Digraph.src g worst.Failures.edge))
-      (Netgraph.Digraph.node_name g (Netgraph.Digraph.dst g worst.Failures.edge))
-      k);
+    (Array.length outcomes) disconnecting;
+  let report =
+    Scenario.summarize ~topology:"Abilene" ~nominal_mlu:joint.Joint.mlu outcomes
+  in
+  (match report.Scenario.worst_cases with
+  | [] -> ()
+  | (spec, mlu, disconnected) :: _ -> (
+    let e = List.hd spec.Scenario.failed in
+    let src = Netgraph.Digraph.node_name g (Netgraph.Digraph.src g e)
+    and dst = Netgraph.Digraph.node_name g (Netgraph.Digraph.dst g e) in
+    match disconnected with
+    | 0 ->
+      Printf.printf "Worst surviving failure: %s -> %s, post-failure MLU %.3f\n\n"
+        src dst mlu
+    | k ->
+      Printf.printf "Worst failure (%s -> %s) strands %d demands.\n\n" src dst k));
 
   (* 2. The traffic shifts: one hot pair triples.  Compare a full
         re-optimization against a churn-budgeted one. *)
@@ -63,7 +74,7 @@ let () =
     fresh.Joint.mlu fresh_churn.Reopt.weight_changes
     fresh_churn.Reopt.waypoint_changes;
   let budgeted =
-    Reopt.reoptimize ~ls_params ~max_weight_changes:3
+    Reopt.reoptimize_ctx (Obs.Ctx.default ()) ~ls_params ~max_weight_changes:3
       ~deployed_weights:joint.Joint.int_weights
       ~deployed_waypoints:joint.Joint.waypoints g shifted
   in

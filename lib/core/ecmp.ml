@@ -1,82 +1,19 @@
 open Netgraph
 
-exception Unroutable of int * int
-
-type sparse = { edges : int array; flows : float array }
-
-type dag = {
-  target : int;
-  dist : float array;
-  out_sp : int array array;
-  order : int array;
-}
-
-(* Since the lib/engine refactor this module is a thin shim: the DAG
-   construction, unit-flow propagation and caching all live in
-   {!Engine.Evaluator}, which is also what the optimizers drive
-   directly when they need incremental re-evaluation.  The shim keeps
-   the historical API (and exception) for the many one-shot callers. *)
-type ctx = { ev : Engine.Evaluator.t }
-
-let make ?stats graph weights =
-  if Array.length weights <> Digraph.edge_count graph then
-    invalid_arg "Ecmp.make: weight vector length mismatch";
-  { ev = Engine.Evaluator.create ?stats graph weights }
-
-let of_evaluator ev = { ev }
-
-let evaluator ctx = ctx.ev
-
-let graph ctx = Engine.Evaluator.graph ctx.ev
-
-let weights ctx = Engine.Evaluator.weights ctx.ev
-
-let dag ctx ~target =
-  let d = Engine.Evaluator.dag ctx.ev ~target in
-  {
-    target;
-    dist = d.Engine.Evaluator.dist;
-    out_sp = d.Engine.Evaluator.out_sp;
-    order = d.Engine.Evaluator.order;
-  }
-
-let unit_load ctx ~src ~dst =
-  match Engine.Evaluator.unit_load ctx.ev ~src ~dst with
-  | s -> { edges = s.Engine.Evaluator.edges; flows = s.Engine.Evaluator.flows }
-  | exception Engine.Evaluator.Unroutable (s, t) -> raise (Unroutable (s, t))
-
-let add_sparse acc s ~scale =
-  for i = 0 to Array.length s.edges - 1 do
-    acc.(s.edges.(i)) <- acc.(s.edges.(i)) +. (scale *. s.flows.(i))
-  done
-
-(* Ordered segment endpoints of a demand given its waypoints, skipping
-   degenerate hops. *)
-let segment_pairs src dst wps =
-  let rec go cur acc = function
-    | [] -> List.rev ((cur, dst) :: acc)
-    | w :: rest ->
-      if w = cur then go cur acc rest
-      else go w ((cur, w) :: acc) rest
-  in
-  let pairs = go src [] wps in
-  List.filter (fun (a, b) -> a <> b) pairs
-
-let loads ?waypoints ctx demands =
+let loads ?waypoints ev demands =
   (match waypoints with
   | Some w when Array.length w <> Array.length demands ->
     invalid_arg "Ecmp.loads: waypoints length mismatch"
   | _ -> ());
-  let acc = Array.make (Digraph.edge_count (graph ctx)) 0. in
+  let acc = Array.make (Digraph.edge_count (Engine.Evaluator.graph ev)) 0. in
   Array.iteri
     (fun i (d : Network.demand) ->
-      let wps =
-        match waypoints with Some w -> w.(i) | None -> []
-      in
+      let wps = match waypoints with Some w -> w.(i) | None -> [] in
       List.iter
         (fun (a, b) ->
-          add_sparse acc (unit_load ctx ~src:a ~dst:b) ~scale:d.Network.size)
-        (segment_pairs d.Network.src d.Network.dst wps))
+          Engine.Evaluator.add_unit ev ~src:a ~dst:b ~scale:d.Network.size
+            ~into:acc)
+        (Segments.segment_endpoints d wps))
     demands;
   acc
 
@@ -86,15 +23,15 @@ let utilizations g loads =
   Array.init (Digraph.edge_count g) (fun e -> loads.(e) /. Digraph.cap g e)
 
 let mlu_of ?waypoints g w demands =
-  let ctx = make g w in
-  mlu g (loads ?waypoints ctx demands)
+  mlu g (loads ?waypoints (Engine.Evaluator.create g w) demands)
 
 let max_es_flow_value g w ~src ~dst =
-  let ctx = make g w in
-  let u = unit_load ctx ~src ~dst in
+  let u = Engine.Evaluator.unit_load (Engine.Evaluator.create g w) ~src ~dst in
   let worst = ref 0. in
-  for i = 0 to Array.length u.edges - 1 do
-    let r = u.flows.(i) /. Digraph.cap g u.edges.(i) in
+  for i = 0 to Array.length u.Engine.Evaluator.edges - 1 do
+    let r =
+      u.Engine.Evaluator.flows.(i) /. Digraph.cap g u.Engine.Evaluator.edges.(i)
+    in
     if r > !worst then worst := r
   done;
   if !worst = 0. then infinity else 1. /. !worst

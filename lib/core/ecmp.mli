@@ -1,68 +1,19 @@
-(** ECMP flow evaluation (§2: ES-flows restricted to shortest paths).
+(** Demand-level ECMP helpers (§2: ES-flows restricted to shortest paths).
 
     Given a weight setting, traffic from [s] to [t] follows the
     shortest-path DAG towards [t] and splits evenly at every node over
-    all outgoing DAG links.
-
-    Since the lib/engine refactor this module is a thin shim over
-    {!Engine.Evaluator}: a {!ctx} wraps one evaluator, which owns all
-    caching (per-target DAGs and sparse unit-load vectors, computed
-    lazily and invalidated on weight changes).  The shim keeps the
-    historical one-shot API and exception; the optimizers drive the
-    evaluator directly through its incremental move protocol.  Every
-    delegated call is counted in the evaluator's {!Engine.Stats.t}
-    exactly as if made on the evaluator itself. *)
-
-exception Unroutable of int * int
-(** Raised when a demand's destination is unreachable from its source. *)
-
-type sparse = {
-  edges : int array;  (** touched edge ids, ascending *)
-  flows : float array;  (** load per touched edge for one flow unit *)
-}
-
-type dag = {
-  target : int;
-  dist : float array;  (** distance of every node to [target] *)
-  out_sp : int array array;  (** per node: outgoing shortest-path edges *)
-  order : int array;  (** nodes with finite distance, decreasing distance *)
-}
-
-type ctx
-
-val make : ?stats:Engine.Stats.t -> Netgraph.Digraph.t -> Weights.t -> ctx
-(** Builds a fresh underlying {!Engine.Evaluator} for the weight
-    setting; nothing is computed until first use.  [stats] is handed to
-    the evaluator (default: a private instance), so SPF rebuilds and
-    unit-load computations triggered through this shim are attributed
-    to the caller's counters. *)
-
-val of_evaluator : Engine.Evaluator.t -> ctx
-(** Wraps an existing evaluator (sharing its caches and stats). *)
-
-val evaluator : ctx -> Engine.Evaluator.t
-(** The underlying shared evaluation engine. *)
-
-val graph : ctx -> Netgraph.Digraph.t
-
-val weights : ctx -> Weights.t
-
-val dag : ctx -> target:int -> dag
-
-val unit_load : ctx -> src:int -> dst:int -> sparse
-(** The per-edge load of one unit of ECMP flow from [src] to [dst]
-    ([src = dst] yields the empty vector).
-    @raise Unroutable if [dst] is unreachable. *)
+    all outgoing DAG links.  The DAGs and unit flows themselves live in
+    {!Engine.Evaluator}; this module lifts them to whole demand lists
+    with waypoints, plus a few one-shot measurements.  Unroutable
+    demands raise {!Engine.Evaluator.Unroutable}. *)
 
 val loads :
-  ?waypoints:int list array -> ctx -> Network.demand array -> float array
-(** Per-edge load of the whole demand list; [waypoints.(i)] is the
-    ordered waypoint list of demand [i] (visited before the final
-    destination, §2.1).  Waypoints equal to the current segment head or
-    to a repeat of the previous one are skipped. *)
-
-val add_sparse : float array -> sparse -> scale:float -> unit
-(** [add_sparse acc v ~scale] accumulates [scale * v] into [acc]. *)
+  ?waypoints:int list array -> Engine.Evaluator.t -> Network.demand array ->
+  float array
+(** Per-edge load of the whole demand list under the evaluator's current
+    weights; [waypoints.(i)] is the ordered waypoint list of demand [i]
+    (visited before the final destination, §2.1).  Degenerate hops are
+    skipped as in {!Segments.segment_endpoints}.  Returns a fresh array. *)
 
 val mlu : Netgraph.Digraph.t -> float array -> float
 (** max over links of load / capacity. *)
@@ -72,7 +23,7 @@ val utilizations : Netgraph.Digraph.t -> float array -> float array
 val mlu_of :
   ?waypoints:int list array -> Netgraph.Digraph.t -> Weights.t ->
   Network.demand array -> float
-(** One-shot [mlu (loads ...)]. *)
+(** One-shot [mlu (loads ...)] on a fresh evaluator. *)
 
 val max_es_flow_value : Netgraph.Digraph.t -> Weights.t -> src:int -> dst:int -> float
 (** Size of the largest even-split ECMP flow from [src] to [dst] that

@@ -65,24 +65,27 @@ let lwo ?(weight_domain = [ 1; 2; 3 ]) ?(max_settings = 2_000_000)
    against an externally known bound (used by [joint]). *)
 let wpo_bb g weights demands ~ub =
   let n = Digraph.node_count g and m = Digraph.edge_count g in
-  let ctx = Ecmp.make g weights in
+  let ev = Engine.Evaluator.create g weights in
   let k = Array.length demands in
   let loads = Array.make m 0. in
   let best = ref ub and best_assign = ref None in
   let assign = Array.make k None in
-  let apply sign (s : Ecmp.sparse) scale =
-    for i = 0 to Array.length s.Ecmp.edges - 1 do
-      let e = s.Ecmp.edges.(i) in
-      loads.(e) <- loads.(e) +. (sign *. scale *. s.Ecmp.flows.(i))
+  let apply sign (s : Engine.Evaluator.sparse) scale =
+    for i = 0 to Array.length s.Engine.Evaluator.edges - 1 do
+      let e = s.Engine.Evaluator.edges.(i) in
+      loads.(e) <- loads.(e) +. (sign *. scale *. s.Engine.Evaluator.flows.(i))
     done
   in
   let partial_mlu () = Ecmp.mlu g loads in
   let segments d w =
     let s = d.Network.src and t = d.Network.dst in
     match w with
-    | None -> [ Ecmp.unit_load ctx ~src:s ~dst:t ]
+    | None -> [ Engine.Evaluator.unit_load ev ~src:s ~dst:t ]
     | Some wp ->
-      [ Ecmp.unit_load ctx ~src:s ~dst:wp; Ecmp.unit_load ctx ~src:wp ~dst:t ]
+      [
+        Engine.Evaluator.unit_load ev ~src:s ~dst:wp;
+        Engine.Evaluator.unit_load ev ~src:wp ~dst:t;
+      ]
   in
   let rec branch i =
     if partial_mlu () < !best -. 1e-12 then begin
@@ -103,7 +106,7 @@ let wpo_bb g weights demands ~ub =
         List.iter
           (fun opt ->
             match segments d opt with
-            | exception Ecmp.Unroutable _ -> ()
+            | exception Engine.Evaluator.Unroutable _ -> ()
             | segs ->
               List.iter (fun s -> apply 1. s d.Network.size) segs;
               assign.(i) <- opt;

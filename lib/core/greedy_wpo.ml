@@ -193,10 +193,7 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
   let add src dst scale into =
     Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
   in
-  let loads =
-    try Array.copy (Engine.Evaluator.loads ev)
-    with Engine.Evaluator.Unroutable (s, t) -> raise (Ecmp.Unroutable (s, t))
-  in
+  let loads = Array.copy (Engine.Evaluator.loads ev) in
   let ctx = make_ctx ~tracer ~clones:octx.Obs.Ctx.clones pool ev in
   let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
   let setting = Array.make (Array.length demands) [] in
@@ -274,10 +271,7 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
   let add src dst scale into =
     Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
   in
-  let loads =
-    try Array.copy (Engine.Evaluator.loads ev)
-    with Engine.Evaluator.Unroutable (s, t) -> raise (Ecmp.Unroutable (s, t))
-  in
+  let loads = Array.copy (Engine.Evaluator.loads ev) in
   let ctx = make_ctx ~tracer ~clones:octx.Obs.Ctx.clones pool ev in
   let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
   let initial_mlu = Engine.Evaluator.mlu_of_loads g loads in

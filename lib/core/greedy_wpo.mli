@@ -47,7 +47,7 @@ val optimize_ctx :
     [candidates_kept] stats counters, and candidate lists are built on
     the orchestrating domain, so pruned runs stay bit-identical across
     pool sizes too.
-    @raise Ecmp.Unroutable if a demand itself is unroutable (candidate
+    @raise Engine.Evaluator.Unroutable if a demand itself is unroutable (candidate
     waypoints that would make a segment unroutable are skipped). *)
 
 type multi_result = {

@@ -176,8 +176,3 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   in
   { weights; waypoints; mlu;
     churn = churn_between ~deployed_weights ~deployed_waypoints weights waypoints }
-
-let reoptimize ?stats ?ls_params ?max_weight_changes ?frozen_edges
-    ~deployed_weights ~deployed_waypoints g demands =
-  reoptimize_ctx (Obs.Ctx.make ?stats ()) ?ls_params ?max_weight_changes
-    ?frozen_edges ~deployed_weights ~deployed_waypoints g demands

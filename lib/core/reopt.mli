@@ -76,26 +76,3 @@ val reoptimize_ctx :
     {!Engine.Evaluator.Unroutable} is raised — callers sweeping failure
     scenarios should test reachability first (the scenario layer skips
     re-optimization for disconnecting failures). *)
-
-val reoptimize :
-  ?stats:Engine.Stats.t ->
-  ?ls_params:Local_search.params ->
-  ?max_weight_changes:int ->
-  ?frozen_edges:int list ->
-  deployed_weights:int array ->
-  deployed_waypoints:Segments.setting ->
-  Netgraph.Digraph.t ->
-  Network.demand array ->
-  result
-(** Deprecated optional-argument shim over {!reoptimize_ctx}.
-
-    [frozen_edges] (default none) marks failed links: they are pinned at
-    infinite weight for every evaluation — equivalent to removal, see
-    {!Engine.Evaluator.disable_edge} — and are never move candidates, so
-    the search re-optimizes the surviving topology.  The returned weight
-    vector keeps the deployed values on frozen edges (a failed link's
-    weight is unobservable), so they never count as churn.  Every demand
-    (segment) must remain routable without the frozen edges; otherwise
-    {!Engine.Evaluator.Unroutable} is raised — callers sweeping failure
-    scenarios should test reachability first (the scenario layer skips
-    re-optimization for disconnecting failures). *)

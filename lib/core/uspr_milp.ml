@@ -243,9 +243,6 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
   | Milp.Unbounded -> failwith "Uspr_milp.lwo: unbounded (internal)"
   | Milp.NoIncumbent -> failwith "Uspr_milp.lwo: node limit with no incumbent"
 
-let lwo ?wmax ?epsilon ?max_nodes ?warm ?stats g demands =
-  lwo_ctx (Obs.Ctx.make ?stats ()) ?wmax ?epsilon ?max_nodes ?warm g demands
-
 type joint_result = {
   setting : t;
   waypoints : Segments.setting;
@@ -297,7 +294,3 @@ let joint_ctx (octx : Obs.Ctx.t) ?wmax ?epsilon ?max_nodes ?candidates
   match !best with
   | Some (s, wps) -> { setting = s; waypoints = wps }
   | None -> assert false (* at least the all-direct assignment is tried *)
-
-let joint ?wmax ?epsilon ?max_nodes ?candidates ?max_combos ?stats g demands =
-  joint_ctx (Obs.Ctx.make ?stats ()) ?wmax ?epsilon ?max_nodes ?candidates
-    ?max_combos g demands

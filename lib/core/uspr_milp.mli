@@ -45,17 +45,6 @@ val lwo_ctx :
     metrics count [milp.nodes] and [milp.lp_solves].
     @raise Failure if some demand is unroutable. *)
 
-val lwo :
-  ?wmax:float ->
-  ?epsilon:float ->
-  ?max_nodes:int ->
-  ?warm:bool ->
-  ?stats:Engine.Stats.t ->
-  Netgraph.Digraph.t ->
-  Network.demand array ->
-  t
-(** Deprecated optional-argument shim over {!lwo_ctx}. *)
-
 type joint_result = {
   setting : t;
   waypoints : Segments.setting;
@@ -80,15 +69,3 @@ val joint_ctx :
     [milp.joint_assignments].
     @raise Invalid_argument when the assignment space exceeds
     [max_combos] — this is an exact reference for tiny instances only. *)
-
-val joint :
-  ?wmax:float ->
-  ?epsilon:float ->
-  ?max_nodes:int ->
-  ?candidates:int list ->
-  ?max_combos:int ->
-  ?stats:Engine.Stats.t ->
-  Netgraph.Digraph.t ->
-  Network.demand array ->
-  joint_result
-(** Deprecated optional-argument shim over {!joint_ctx}. *)

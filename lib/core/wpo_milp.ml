@@ -15,7 +15,7 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
   Obs.Ctx.span octx "milp:wpo" @@ fun () ->
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let k = Array.length demands in
-  let ctx = Ecmp.make g weights in
+  let ev = Engine.Evaluator.create g weights in
   let candidates =
     match candidates with Some c -> c | None -> List.init n Fun.id
   in
@@ -81,9 +81,11 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
             (fun seq ->
               let hops = Segments.segment_endpoints d seq in
               match
-                List.map (fun (a, b) -> Ecmp.unit_load ctx ~src:a ~dst:b) hops
+                List.map
+                  (fun (a, b) -> Engine.Evaluator.unit_load ev ~src:a ~dst:b)
+                  hops
               with
-              | exception Ecmp.Unroutable _ -> None
+              | exception Engine.Evaluator.Unroutable _ -> None
               | segs -> Some (seq, segs))
             all_seqs
         in
@@ -107,11 +109,13 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
           let zvar = offsets.(i) + oi in
           let coeff = Array.make m 0. in
           List.iter
-            (fun (s : Ecmp.sparse) ->
+            (fun (s : Engine.Evaluator.sparse) ->
               Array.iteri
                 (fun j e ->
-                  coeff.(e) <- coeff.(e) +. (demands.(i).Network.size *. s.Ecmp.flows.(j)))
-                s.Ecmp.edges)
+                  coeff.(e) <-
+                    coeff.(e)
+                    +. (demands.(i).Network.size *. s.Engine.Evaluator.flows.(j)))
+                s.Engine.Evaluator.edges)
             segs;
           for e = 0 to m - 1 do
             if coeff.(e) <> 0. then edge_rows.(e) <- (zvar, coeff.(e)) :: edge_rows.(e)
@@ -135,7 +139,7 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
       constrs = !constrs }
   in
   let integer_vars = List.init nz Fun.id in
-  let direct_mlu = Ecmp.mlu g (Ecmp.loads ctx demands) in
+  let direct_mlu = Ecmp.mlu g (Ecmp.loads ev demands) in
   (* Warm start from GreedyWPO (Algorithm 3): the branch and bound then
      acts as an exact verifier/improver and can never return a worse
      setting even when the node limit stops it early. *)
@@ -163,11 +167,13 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
         x.(offsets.(i) + oi) <- 1.;
         let _, segs = opts.(oi) in
         List.iter
-          (fun (s : Ecmp.sparse) ->
+          (fun (s : Engine.Evaluator.sparse) ->
             Array.iteri
               (fun j e ->
-                loads.(e) <- loads.(e) +. (demands.(i).Network.size *. s.Ecmp.flows.(j)))
-              s.Ecmp.edges)
+                loads.(e) <-
+                  loads.(e)
+                  +. (demands.(i).Network.size *. s.Engine.Evaluator.flows.(j)))
+              s.Engine.Evaluator.edges)
           segs)
       options;
     x.(uvar) <- Ecmp.mlu g loads;
@@ -211,11 +217,5 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
   | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent ->
     (* The direct routing is always feasible, so only a node-limit
        without incumbent can land here; fall back to it. *)
-    let mlu = Ecmp.mlu g (Ecmp.loads ctx demands) in
+    let mlu = Ecmp.mlu g (Ecmp.loads ev demands) in
     { waypoints = Array.make k []; mlu; exact = false; nodes_explored = max_nodes }
-
-
-let solve ?max_nodes ?candidates ?max_waypoints ?warm ?prune ?stats g weights
-    demands =
-  solve_ctx (Obs.Ctx.make ?stats ()) ?max_nodes ?candidates ?max_waypoints
-    ?warm ?prune g weights demands

@@ -46,17 +46,4 @@ val solve_ctx :
     ["milp:branch-and-bound"] nested inside, plus per-node ["milp:node"]
     and per-solve ["lp:solve"]/["lp:factor"] spans from the LP layer;
     the metrics count [milp.nodes] and [milp.lp_solves].
-    @raise Ecmp.Unroutable on an unroutable demand. *)
-
-val solve :
-  ?max_nodes:int ->
-  ?candidates:int list ->
-  ?max_waypoints:int ->
-  ?warm:bool ->
-  ?prune:Prune.spec ->
-  ?stats:Engine.Stats.t ->
-  Netgraph.Digraph.t ->
-  Weights.t ->
-  Network.demand array ->
-  t
-(** Deprecated optional-argument shim over {!solve_ctx}. *)
+    @raise Engine.Evaluator.Unroutable on an unroutable demand. *)

@@ -64,6 +64,34 @@ let validate cfg =
      || cfg.diurnal < 0
   then invalid_arg "Scenario.generate: negative scenario count"
 
+(* The reverse link of equal capacity, if one exists. *)
+let twin g e =
+  let u = Digraph.src g e and v = Digraph.dst g e in
+  Array.find_opt
+    (fun e' -> e' <> e && Digraph.dst g e' = u && Digraph.cap g e' = Digraph.cap g e)
+    (Digraph.out_edges g v)
+
+(* One single-failure case per link (per unordered twin pair with
+   [fail_pairs]) in edge-id order; the lowest member edge id leads. *)
+let failure_groups ~fail_pairs g =
+  let m = Digraph.edge_count g in
+  let seen = Array.make m false in
+  let out = ref [] in
+  for e = 0 to m - 1 do
+    if not seen.(e) then begin
+      seen.(e) <- true;
+      let removed =
+        match if fail_pairs then twin g e else None with
+        | Some e' when not seen.(e') ->
+          seen.(e') <- true;
+          [ e; e' ]
+        | _ -> [ e ]
+      in
+      out := removed :: !out
+    end
+  done;
+  List.rev !out
+
 (* Sampled unordered pairs of single-failure cases.  The RNG derives
    from the config seed only, so the sample is one fixed set no matter
    where generation runs. *)
@@ -111,7 +139,7 @@ let generate cfg g =
     cfg.srlgs;
   let singles =
     if cfg.single_failures then
-      List.map snd (Failures.failure_groups ~fail_pairs:cfg.fail_pairs g)
+      failure_groups ~fail_pairs:cfg.fail_pairs g
     else []
   in
   let fail_cases = singles @ cfg.srlgs @ sample_duals cfg singles in
@@ -621,14 +649,38 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(chunk = 4) ?(policies = [ Static ])
   Array.iteri (fun i kid -> Obs.Ctx.join ~key:specs.(i).id ~into:octx kid) kids;
   Array.map (function Some r -> r | None -> assert false) out
 
+(* The rebuild oracle for one spec: build the surviving subgraph, give
+   it fresh ECMP state and route every demand's segments on it. *)
+let rebuild_outcome ~deployed g demands spec =
+  let kept =
+    List.filter
+      (fun e -> not (List.mem e spec.failed))
+      (List.init (Digraph.edge_count g) Fun.id)
+  in
+  let g' =
+    Digraph.of_edges ~n:(Digraph.node_count g)
+      (List.map (fun e -> (Digraph.src g e, Digraph.dst g e, Digraph.cap g e)) kept)
+  in
+  let ev =
+    Engine.Evaluator.create g'
+      (Array.of_list (List.map (fun e -> float_of_int deployed.weights.(e)) kept))
+  in
+  let loads = Array.make (Digraph.edge_count g') 0. in
+  let disconnected = ref 0 in
+  Array.iteri
+    (fun i (d : Network.demand) ->
+      try
+        List.iter
+          (fun (a, b) ->
+            Engine.Evaluator.add_unit ev ~src:a ~dst:b ~scale:d.Network.size
+              ~into:loads)
+          (Segments.segment_endpoints d deployed.waypoints.(i))
+      with Engine.Evaluator.Unroutable _ -> incr disconnected)
+    (apply_shift spec.shift demands);
+  ((if !disconnected > 0 then nan else Ecmp.mlu g' loads), !disconnected)
+
 let static_sweep_rebuild ~deployed g demands specs =
-  let wf = Weights.of_ints deployed.weights in
-  Array.map
-    (fun s ->
-      let demands' = apply_shift s.shift demands in
-      Failures.rebuild_outcome ~waypoints:deployed.waypoints g wf demands'
-        ~removed:s.failed)
-    specs
+  Array.map (rebuild_outcome ~deployed g demands) specs
 
 (* ------------------------------------------------------------------ *)
 (* Report                                                              *)
@@ -659,9 +711,13 @@ type report = {
   worst_cases : (spec * float * int) list;
 }
 
-(* Severity key: any disconnection outranks any MLU, more disconnected
-   demands outrank fewer; nan never reaches a raw float compare. *)
-let sev_key d m = ((if d > 0 then 1 else 0), d, if Float.is_nan m then 0. else m)
+(* Total "how bad" order on (disconnected, mlu) rows: any disconnection
+   outranks any MLU, more disconnected demands outrank fewer, and among
+   connected rows MLUs compare numerically with a (defensive) nan above
+   every number. *)
+let compare_severity (d1, m1) (d2, m2) =
+  let key m = if Float.is_nan m then infinity else m in
+  if d1 > 0 || d2 > 0 then compare d1 d2 else Float.compare (key m1) (key m2)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -682,10 +738,9 @@ let summary_of ?vs policy rows =
       sum_w := !sum_w + wc;
       sum_wp := !sum_wp + wpc;
       if (not (Float.is_nan m)) && d = 0 then finite := m :: !finite;
-      let key = sev_key d m in
       match !worst with
-      | Some (bk, _) when compare key bk <= 0 -> ()
-      | _ -> worst := Some (key, i))
+      | Some (bk, _) when compare_severity (d, m) bk <= 0 -> ()
+      | _ -> worst := Some ((d, m), i))
     rows;
   let sorted = Array.of_list (List.rev !finite) in
   Array.sort compare sorted;
@@ -762,7 +817,7 @@ let summarize ~topology ~nominal_mlu outcomes =
     Array.to_list outcomes
     |> List.map (fun o -> (o.spec, o.static_mlu, o.static_disconnected))
     |> List.stable_sort (fun (_, m1, d1) (_, m2, d2) ->
-           compare (sev_key d2 m2) (sev_key d1 m1))
+           compare_severity (d2, m2) (d1, m1))
     |> List.filteri (fun i _ -> i < 5)
   in
   {

@@ -204,11 +204,11 @@ val static_sweep_rebuild :
   Te.Network.demand array ->
   spec array ->
   (float * int) array
-(** The rebuild oracle: evaluates the [Static] policy of every spec via
-    {!Te.Failures.rebuild_outcome} (fresh subgraph and ECMP state per
-    scenario).  Must agree with the static fields of {!sweep}; kept as
-    the test oracle and the baseline the robustness bench measures the
-    engine path against. *)
+(** The rebuild oracle: [(static_mlu, static_disconnected)] of every
+    spec, computed on a freshly built surviving subgraph with fresh ECMP
+    state per scenario.  Must agree with the static fields of
+    {!sweep_ctx}; kept as the test oracle and the baseline the
+    robustness bench measures the engine path against. *)
 
 (** {1 Report} *)
 
@@ -219,7 +219,9 @@ type summary = {
   worst_mlu : float;  (** worst finite MLU; [nan] if none *)
   worst_id : int;
       (** spec id of the most severe scenario (disconnections outrank
-          any MLU; ties keep the lowest id); [-1] if no scenarios *)
+          any MLU, more disconnected demands outrank fewer, a connected
+          [nan] MLU outranks every number; ties keep the lowest id);
+          [-1] if no scenarios *)
   mean_mlu : float;
   p50 : float;
   p95 : float;
@@ -237,7 +239,8 @@ type report = {
   scenario_count : int;
   summaries : summary list;  (** static first, then requested order *)
   worst_cases : (spec * float * int) list;
-      (** up to five most severe static outcomes: spec, MLU, disconnected *)
+      (** up to five most severe static outcomes (same order as
+          [worst_id]): spec, MLU, disconnected *)
 }
 
 val summarize :

@@ -9,21 +9,22 @@ type stream = {
 }
 
 let route ?(salt = 0) g weights streams =
-  let ctx = Te.Ecmp.make g weights in
+  let ev = Engine.Evaluator.create g weights in
   let loads = Array.make (Digraph.edge_count g) 0. in
   Array.iter
     (fun s ->
       let d = { Te.Network.src = s.src; dst = s.dst; size = s.rate } in
       List.iter
         (fun (a, b) ->
-          let dag = Te.Ecmp.dag ctx ~target:b in
-          if dag.Te.Ecmp.dist.(a) = infinity then raise (Te.Ecmp.Unroutable (a, b));
+          let dag = Engine.Evaluator.dag ev ~target:b in
+          if dag.Engine.Evaluator.dist.(a) = infinity then
+            raise (Engine.Evaluator.Unroutable (a, b));
           (* Walk from [a] to [b]; the hash picks one equal-cost next
              hop at every node.  Distances strictly decrease, so the
              walk terminates. *)
           let rec walk v =
             if v <> b then begin
-              let hops = dag.Te.Ecmp.out_sp.(v) in
+              let hops = dag.Engine.Evaluator.out_sp.(v) in
               let i =
                 Hashing.next_hop_index ~flow:s.flow ~node:v ~salt
                   ~choices:(Array.length hops)

@@ -18,7 +18,7 @@ type stream = {
 val route :
   ?salt:int -> Netgraph.Digraph.t -> Te.Weights.t -> stream array -> float array
 (** Per-edge load after hash-routing every stream.
-    @raise Te.Ecmp.Unroutable when a segment has no path. *)
+    @raise Engine.Evaluator.Unroutable when a segment has no path. *)
 
 val mlu :
   ?salt:int -> Netgraph.Digraph.t -> Te.Weights.t -> stream array -> float

