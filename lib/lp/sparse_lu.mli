@@ -6,7 +6,8 @@
     slots [0..n-1]).  [ftran] maps a row-indexed right-hand side to the
     position-indexed basic solution [B^-1 v]; [btran] maps
     position-indexed basic costs to the row-indexed dual vector
-    [B^-T g]. *)
+    [B^-T g].  The factors carry their own row and column permutations;
+    callers only ever see these two spaces. *)
 
 type t
 
@@ -34,3 +35,8 @@ val push_eta : t -> pos:int -> float array -> unit
 val eta_count : t -> int
 (** Number of etas accumulated since the last [factor]; the caller
     should refactorize once this grows past a few dozen. *)
+
+val nnz : t -> int
+(** Stored entries of L and U together, the diagonal counted once; the
+    eta file is not included.  Compare with the number of nonzeros in
+    the basis to read off the fill. *)

@@ -17,6 +17,14 @@ val aggregate : commodity array -> commodity array
     are summed in input occurrence order, so the result (and the LP
     column order derived from it) is deterministic. *)
 
+val build_mlu_lp : Netgraph.Digraph.t -> commodity array -> Linprog.Simplex.Sparse.t
+(** The min-MLU LP {!opt_mlu_lp} solves: variable 0 is the MLU, then one flow variable per (destination,
+    edge) over the sorted distinct destinations; one conservation row
+    per (destination, node other than it), then one capacity row per
+    edge.  The layout depends only on the graph and the destination
+    set, so a basis from one matrix warm-starts any matrix with the
+    same destinations. *)
+
 val opt_mlu_lp : Netgraph.Digraph.t -> commodity array -> float
 (** Exact minimum MLU via the LP
     [min U  s.t. flow conservation, sum_k f_k(e) <= U c(e)],
@@ -32,7 +40,7 @@ val opt_mlu_lp_warm :
   float * Linprog.Simplex.Sparse.basis
 (** Like {!opt_mlu_lp}, additionally returning the optimal simplex basis
     and accepting one from a previous solve of the same topology (and
-    same commodity pair set), so consecutive nearly-identical LPs — e.g.
+    same destination set), so consecutive nearly-identical LPs — e.g.
     demand-scaling sweeps — re-solve in a handful of pivots.  A stale
     basis never changes the result, only the iteration count. *)
 

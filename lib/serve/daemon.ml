@@ -41,7 +41,7 @@ type t = {
   mutable cur_setting : Segments.setting;  (* parallel to cur_demands *)
   mutable disconnected : int;
   mutable basis : Linprog.Simplex.Sparse.basis option;
-  mutable basis_key : (int * int) list;
+  mutable basis_key : int list;  (* sorted distinct destinations *)
   mutable lp_last : float;  (* nan until first solve *)
   mutable mlu : float;
   mutable seq : int;
@@ -127,11 +127,13 @@ let sync_commodities t =
 (* ------------------------------------------------------------------ *)
 
 (* Warm-basis min-MLU LP on the current matrix.  The basis is keyed by
-   the aggregated pair list: a delta that only changes sizes re-solves
-   warm (a handful of pivots); a pair appearing or vanishing re-solves
-   cold once.  Skipped while links are down — the LP is built on the
-   full graph, so its bound would not be a bound for the degraded
-   topology. *)
+   the LP's shape, the sorted distinct destinations: [Mcf.build_mlu_lp]
+   lays out rows and columns by destination only, so a delta that
+   changes sizes, or adds or drops a pair under a known destination,
+   re-solves warm (a handful of pivots); a destination appearing or
+   vanishing re-solves cold once.  Skipped while links are down — the
+   LP is built on the full graph, so its bound would not be a bound for
+   the degraded topology. *)
 let lp_bound t =
   if
     (not t.cfg.lp_bound)
@@ -140,8 +142,8 @@ let lp_bound t =
   then None
   else begin
     let key =
-      Array.to_list
-        (Array.map (fun d -> (d.Network.src, d.Network.dst)) t.cur_demands)
+      List.sort_uniq Int.compare
+        (Array.to_list (Array.map (fun d -> d.Network.dst) t.cur_demands))
     in
     let comms =
       Array.map

@@ -1,6 +1,7 @@
 (* LP-layer smoke: the sparse revised simplex against the dense tableau
-   oracle on random LPs and on a real min-MLU instance, plus warm-start
-   sanity.  Run with `dune build @lp-smoke'. *)
+   oracle on random LPs and on a real min-MLU instance, warm-start
+   sanity, and a fill gate on the basis factorization.  Run with
+   `dune build @lp-smoke'. *)
 
 open Linprog
 open Simplex
@@ -85,6 +86,38 @@ let () =
     fail "scaled MLU %.9g is not 1.25x the base %.9g" v2 v1;
   Printf.printf "Abilene min-MLU: base %.4f, 1.25x demands warm = cold = %.4f\n"
     v1 v2;
+  (* 3. Fill: the LU of an optimal min-MLU basis (Cost266, 20% of the
+     pairs, seeded as the repository benchmark draws them) must stay
+     within twice the basis nonzeros.  Counts only, no timing. *)
+  let g = Topology.Datasets.load "Cost266" in
+  let pairs = Te.Demand_gen.select_pairs ~seed:1 ~frac:0.2 g in
+  let st = Random.State.make [| 1; 0x7e5d |] in
+  let comms =
+    Mcf.aggregate
+      (Array.map
+         (fun (s, t) -> Mcf.commodity s t (0.5 +. Random.State.float st 1.))
+         pairs)
+  in
+  let p = Mcf.build_mlu_lp g comms in
+  (match Sparse.solve p with
+  | Sparse.Optimal { basis; _ } ->
+    let cols =
+      Array.map
+        (fun j ->
+          if j >= p.Sparse.ncols then ([| j - p.Sparse.ncols |], [| 1. |])
+          else
+            let s = p.Sparse.colp.(j) and e = p.Sparse.colp.(j + 1) in
+            (Array.sub p.Sparse.rowi s (e - s), Array.sub p.Sparse.vals s (e - s)))
+        basis.Sparse.head
+    in
+    let bnz = Array.fold_left (fun a (ri, _) -> a + Array.length ri) 0 cols in
+    (match Sparse_lu.factor ~n:p.Sparse.nrows cols with
+    | Some f ->
+      let lu = Sparse_lu.nnz f in
+      Printf.printf "Cost266 optimal basis: nnz(B) = %d, nnz(L+U) = %d\n" bnz lu;
+      if lu > 2 * bnz then fail "LU fill %d exceeds 2 x nnz(B) = %d" lu (2 * bnz)
+    | None -> fail "Cost266 optimal basis does not factor")
+  | _ -> fail "Cost266 min-MLU LP not optimal");
   if !failures = 0 then print_endline "lp-smoke OK"
   else begin
     Printf.printf "lp-smoke FAILED (%d)\n" !failures;

@@ -148,9 +148,10 @@ let fixture =
      let weights = Weights.round_to_range ~wmax:16 (Weights.inverse_capacity g) in
      (g, demands, weights))
 
-let make_daemon ?(cfg_f = fun c -> c) ?(pool = Par.Pool.sequential) () =
+let make_daemon ?(cfg_f = fun c -> c) ?(pool = Par.Pool.sequential)
+    ?(stats = Engine.Stats.create ()) () =
   let g, demands, weights = Lazy.force fixture in
-  let ctx = Obs.Ctx.make ~stats:(Engine.Stats.create ()) ~pool () in
+  let ctx = Obs.Ctx.make ~stats ~pool () in
   let cfg =
     cfg_f
       {
@@ -330,6 +331,51 @@ let test_daemon_set_matrix_and_delta_remove () =
   let _, demands, _ = Serve.Daemon.state d in
   Alcotest.(check int) "state agrees" 1 (Array.length demands)
 
+let test_daemon_lp_warm_by_destination () =
+  (* The LP's layout depends only on the destination set, so dropping a
+     pair whose destination other pairs still use must re-solve warm —
+     and land on the cold optimum. *)
+  let stats = Engine.Stats.create () in
+  let d = make_daemon ~stats () in
+  let g, _, _ = Lazy.force fixture in
+  let change (dm : Network.demand) size =
+    Printf.sprintf
+      "{\"ev\":\"delta\",\"changes\":[{\"src\":%d,\"dst\":%d,\"size\":%.17g}]}"
+      dm.Network.src dm.Network.dst size
+  in
+  let _, demands, _ = Serve.Daemon.state d in
+  ignore (must_respond d (change demands.(0) (1.1 *. demands.(0).Network.size)));
+  Alcotest.(check int) "first update solves cold" 0 stats.Engine.Stats.lp_warm_solves;
+  let _, demands, _ = Serve.Daemon.state d in
+  let shares_dst (dm : Network.demand) =
+    Array.exists
+      (fun (o : Network.demand) ->
+        o.Network.dst = dm.Network.dst && o.Network.src <> dm.Network.src)
+      demands
+  in
+  let victim =
+    match List.find_opt shares_dst (Array.to_list demands) with
+    | Some dm -> dm
+    | None -> Alcotest.fail "fixture has no shared destination"
+  in
+  let r = must_respond d (change victim 0.) in
+  Alcotest.(check int) "one pair fewer" (Array.length demands - 1)
+    (int_field "demands" r);
+  Alcotest.(check int) "pair removal solves warm" 1 stats.Engine.Stats.lp_warm_solves;
+  let _, demands, _ = Serve.Daemon.state d in
+  let cold =
+    Mcf.opt_mlu_lp g
+      (Array.map
+         (fun (dm : Network.demand) ->
+           Mcf.commodity dm.Network.src dm.Network.dst dm.Network.size)
+         demands)
+  in
+  let warm = float_field "lp_bound" r in
+  Alcotest.(check bool)
+    (Printf.sprintf "warm %.17g = cold %.17g" warm cold)
+    true
+    (abs_float (warm -. cold) <= 1e-9 *. abs_float cold)
+
 let test_daemon_quit () =
   let d = make_daemon () in
   let r = must_respond d "{\"ev\":\"quit\"}" in
@@ -382,6 +428,8 @@ let () =
           Alcotest.test_case "link flap" `Quick test_daemon_link_flap;
           Alcotest.test_case "set-matrix and delta-remove" `Quick
             test_daemon_set_matrix_and_delta_remove;
+          Alcotest.test_case "LP warm across pair removal" `Quick
+            test_daemon_lp_warm_by_destination;
           Alcotest.test_case "quit" `Quick test_daemon_quit;
         ] );
       ( "replay",
