@@ -2,14 +2,13 @@ open Netgraph
 
 type mode = Centrality | Coverage | Reach
 
-type spec = { mode : mode; k : int; threshold : float }
+type spec = { mode : mode; k : int }
 
 let default_k = 16
 
-let spec ?(mode = Centrality) ?(threshold = 0.) k =
+let spec ?(mode = Centrality) k =
   if k < 1 then invalid_arg "Prune.spec: k >= 1";
-  if threshold < 0. then invalid_arg "Prune.spec: threshold >= 0";
-  { mode; k; threshold }
+  { mode; k }
 
 let mode_name = function
   | Centrality -> "centrality"
@@ -31,7 +30,6 @@ type t = {
   ev : Engine.Evaluator.t;
   n : int;
   no_op : bool;
-  mlu0 : float; (* MLU of the prepare-time loads *)
   util : float array; (* prepare-time per-edge utilization *)
   pool : int array; (* middlepoint pool, best score first *)
   nf : float array; (* scratch node-flow row *)
@@ -85,10 +83,9 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
   let caps = Digraph.caps g in
   let loads = Engine.Evaluator.loads ev in
   let util = Array.init m (fun e -> loads.(e) /. caps.(e)) in
-  let mlu0 = Engine.Evaluator.mlu_of_loads g loads in
   let no_op = spec.k >= n && spec.mode <> Reach in
   let t =
-    { spec; g; ev; n; no_op; mlu0; util; pool = [||];
+    { spec; g; ev; n; no_op; util; pool = [||];
       nf = Array.make n 0.; u_dir = Hashtbl.create 64;
       memo = Hashtbl.create 64 }
   in
@@ -228,10 +225,6 @@ let candidates t ~src ~dst =
         done;
         Array.of_list !ws
       end
-      else if
-        t.spec.mode = Reach && t.spec.threshold > 0.
-        && direct_hotness t ~src ~dst < t.spec.threshold *. t.mlu0
-      then [||] (* cold direct route: rerouting cannot lower the max *)
       else begin
         match Engine.Evaluator.node_flows t.ev ~src ~dst ~into:t.nf with
         | exception Engine.Evaluator.Unroutable _ -> [||]

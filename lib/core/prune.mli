@@ -20,10 +20,7 @@
        reduced further — waypoints the pair cannot use are dropped
        (cannot reach [dst]; on {e every} shortest src-dst path already,
        where routing via the waypoint provably reproduces the direct
-       ECMP split), [Reach] mode additionally empties the list of
-       commodities whose direct route touches no edge hotter than
-       [threshold] times the initial MLU, and the surviving list is
-       capped at [k];}
+       ECMP split), and the surviving list is capped at [k];}
     {- an {b exact scan skip}: with the commodity's own flow removed,
        the residual MLU is a lower bound on every candidate's
        utilization, so when it already fails the greedy's strict
@@ -49,20 +46,15 @@ type mode =
 type spec = {
   mode : mode;
   k : int;  (** pool size and per-commodity candidate cap *)
-  threshold : float;
-      (** [Reach] only: a commodity whose direct route's hottest edge
-          sits below [threshold *. initial_mlu] gets an empty candidate
-          list (rerouting it cannot lower the initial maximum).  The
-          default is [0.] — disabled. *)
 }
 
 val default_k : int
 (** The default pool size (16) used by the CLI when [--prune] is given
     a non-positive value and by the bench experiment. *)
 
-val spec : ?mode:mode -> ?threshold:float -> int -> spec
-(** [spec k] with mode [Centrality] and threshold [0.].
-    @raise Invalid_argument if [k < 1] or [threshold < 0]. *)
+val spec : ?mode:mode -> int -> spec
+(** [spec k] with mode [Centrality].
+    @raise Invalid_argument if [k < 1]. *)
 
 val mode_name : mode -> string
 

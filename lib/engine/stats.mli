@@ -155,6 +155,11 @@ val add_time : t -> string -> float -> unit
 val timers : t -> (string * float) list
 (** Accumulated seconds per phase, sorted by phase name. *)
 
+val counters : t -> (string * int) list
+(** Every integer counter by field name, in declaration order
+    ([worker_evals] excluded: it is an array).  [par_jobs] is a maximum,
+    not a sum. *)
+
 val full_rebuild_fraction : t -> float
 (** [full_spf / (full_spf + incr_spf)]; [nan] before any SPF work. *)
 

@@ -172,7 +172,30 @@ let test_metrics_absorb_stats () =
   Alcotest.(check int) "counter preserved" 2
     (List.assoc "engine.scenarios" (Obs.Metrics.counters m));
   Alcotest.(check (float 1e-9)) "timer becomes gauge" 0.25
-    (List.assoc "engine.time.phase:solve" (Obs.Metrics.gauges m))
+    (List.assoc "engine.time.phase:solve" (Obs.Metrics.gauges m));
+  (* Every Stats counter but the par_jobs maximum lands as engine.*. *)
+  let s =
+    { (Engine.Stats.create ()) with
+      Engine.Stats.evaluations = 1; full_spf = 1; incr_spf = 1;
+      spf_nodes_touched = 1; dag_hits = 1; dag_misses = 1; unit_hits = 1;
+      unit_misses = 1; unit_carried = 1; weight_updates = 1;
+      dirty_dests = 1; clean_dests = 1; commits = 1; undos = 1;
+      scenarios = 1; edges_disabled = 1; par_regions = 1; par_tasks = 1;
+      par_jobs = 1; candidates_pruned = 1; candidates_kept = 1;
+      clone_syncs = 1; clone_copies = 1; milp_nodes = 1; lp_solves = 1;
+      lp_pivots = 1; lp_warm_solves = 1; lp_cycle_limits = 1 }
+  in
+  Alcotest.(check bool) "fixture sets every counter" true
+    (List.for_all (fun (_, v) -> v = 1) (Engine.Stats.counters s));
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.absorb_stats m s;
+  let absorbed = Obs.Metrics.counters m in
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check (option int)) ("engine." ^ name)
+        (if name = "par_jobs" then None else Some 1)
+        (List.assoc_opt ("engine." ^ name) absorbed))
+    (Engine.Stats.counters s)
 
 (* ------------------------------------------------------------------ *)
 (* Ctx                                                                 *)
@@ -357,6 +380,38 @@ let test_export_run_summary () =
     [ "\"schema\": \"run-summary/1\""; "\"phases\""; "\"solve\"";
       "\"phase_coverage\""; "\"engine.evaluations\"" ]
 
+(* A bench record round-trips through the strict serve parser: keys in
+   order, JSON string escaping, nan as null. *)
+let test_export_envelope () =
+  let tricky = "q\"b\\c\001\xc3\xa9" in
+  let record =
+    [ Obs.Attr.float "x" nan; Obs.Attr.str "s" tricky; Obs.Attr.int "n" 3;
+      Obs.Attr.bool "ok" true;
+      ("xs", Obs.Attr.List [ Obs.Attr.Str "a"; Obs.Attr.Float 0.1 ]) ]
+  in
+  let env =
+    Obs.Export.envelope ~schema:"bench/test/1" ~phases:[ ("p", 0.5) ]
+      [ record ]
+  in
+  let module J = Serve.Sjson in
+  match J.parse env with
+  | Error e -> Alcotest.fail e
+  | Ok (J.Obj top) -> (
+    Alcotest.(check (list string)) "envelope keys"
+      [ "schema"; "git_rev"; "host_cores"; "phases"; "records" ]
+      (List.map fst top);
+    match List.assoc "records" top with
+    | J.Arr [ J.Obj fields ] ->
+      Alcotest.(check (list string)) "record keys" (List.map fst record)
+        (List.map fst fields);
+      Alcotest.(check bool) "nan is null" true (List.assoc "x" fields = J.Null);
+      Alcotest.(check (option string)) "string escaping" (Some tricky)
+        (J.to_string (List.assoc "s" fields));
+      Alcotest.(check bool) "list and floats" true
+        (List.assoc "xs" fields = J.Arr [ J.Str "a"; J.Num 0.1 ])
+    | _ -> Alcotest.fail "expected one record")
+  | Ok _ -> Alcotest.fail "expected an object"
+
 let () =
   Alcotest.run "obs"
     [
@@ -399,5 +454,6 @@ let () =
         [
           Alcotest.test_case "trace lines" `Quick test_export_trace_lines;
           Alcotest.test_case "run summary" `Quick test_export_run_summary;
+          Alcotest.test_case "bench envelope" `Quick test_export_envelope;
         ] );
     ]
