@@ -272,7 +272,9 @@ let escape s =
   Buffer.add_char buf '"';
   Buffer.contents buf
 
-(* Matches Obs.Metrics.json_float: determinism over prettiness. *)
+(* Obs.Export's float rendering ([%.17g], [nan] as [null], infinities as
+   [±1e999]), with integral values printed without a fraction:
+   determinism over prettiness. *)
 let render_float f =
   if Float.is_nan f then "null"
   else if f = infinity then "1e999"
