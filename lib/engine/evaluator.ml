@@ -26,10 +26,12 @@ type metrics = { mutable mlu : float; mutable phi : float }
      the graph CSR row offsets so each row can be rebuilt on its own),
      and the decreasing-distance propagation order.  Immutable once
      filled.
-   - [urow]: one destination's unit-flow cache.  Entries for source s
-     live at [u_off.(s) .. u_off.(s)+u_len.(s)) in the bump-allocated
-     u_edges/u_flows storage; [u_stamp.(s) = u_gen] marks s as
-     materialized, so invalidating the whole row is one counter bump.
+   - [urow]: one destination's unit-flow cache, filled lazily by the
+     segment lookups ([add_unit], [unit_load]); loads never read it.
+     Entries for source s live at [u_off.(s) .. u_off.(s)+u_len.(s)) in
+     the bump-allocated u_edges/u_flows storage; [u_stamp.(s) = u_gen]
+     marks s as materialized, so invalidating the whole row is one
+     counter bump.  A repair drops the row; the next lookup rebuilds it.
    - [fvec]: one destination's cached load contribution (m floats).
 
    All three come from per-evaluator grow-only pools.  An object may be
@@ -144,7 +146,6 @@ type t = {
      length n) *)
   ord_stamp : int array;
   row_stamp : int array;
-  taint_stamp : int array;
   ord_scratch : int array;
   row_scratch : int array;
   ord_surv : int array;
@@ -222,7 +223,6 @@ let create ?(stats = Stats.create ()) ?(probe = Probe.null) graph weights =
     touched = Array.make m 0;
     ord_stamp = Array.make n 0;
     row_stamp = Array.make n 0;
-    taint_stamp = Array.make n 0;
     ord_scratch = Array.make n 0;
     row_scratch = Array.make n 0;
     ord_surv = Array.make n 0;
@@ -312,7 +312,6 @@ let copy ?stats t =
     touched = Array.make m 0;
     ord_stamp = Array.make n 0;
     row_stamp = Array.make n 0;
-    taint_stamp = Array.make n 0;
     ord_scratch = Array.make n 0;
     row_scratch = Array.make n 0;
     ord_surv = Array.make n 0;
@@ -612,18 +611,14 @@ let dag_repair t nfd old edge =
   let odist = old.fdist and ndist = nfd.fdist in
   Array.blit old.sp_col 0 nfd.sp_col 0 t.m;
   Array.blit old.sp_cnt 0 nfd.sp_cnt 0 n;
-  (* distance-changed nodes (infinity = infinity compares equal); they
-     also seed the taint marks read by the unit-flow carry in
-     [apply_weight] — a distance change reorders the node in forder, so
-     any flow through it may accumulate in a different float order *)
+  (* distance-changed nodes (infinity = infinity compares equal) *)
   t.scratch_gen <- t.scratch_gen + 1;
   let gen = t.scratch_gen in
-  let stamp = t.ord_stamp and ch = t.ord_scratch and ts = t.taint_stamp in
+  let stamp = t.ord_stamp and ch = t.ord_scratch in
   let nch = ref 0 in
   for v = 0 to n - 1 do
     if odist.(v) <> ndist.(v) then begin
       stamp.(v) <- gen;
-      ts.(v) <- gen;
       ch.(!nch) <- v;
       incr nch
     end
@@ -654,21 +649,7 @@ let dag_repair t nfd old edge =
      incr nrows
    end);
   for k = 0 to !nrows - 1 do
-    let v = rows.(k) in
-    fill_row t nfd v;
-    (* a rebuilt row whose content actually differs taints the node *)
-    if ts.(v) <> gen then begin
-      let cnt = nfd.sp_cnt.(v) in
-      if cnt <> old.sp_cnt.(v) then ts.(v) <- gen
-      else begin
-        let base = t.g_out_row.(v) in
-        let i = ref 0 in
-        while !i < cnt && nfd.sp_col.(base + !i) = old.sp_col.(base + !i) do
-          incr i
-        done;
-        if !i < cnt then ts.(v) <- gen
-      end
-    end
+    fill_row t nfd rows.(k)
   done;
   (* surviving old order, then the still-finite changed nodes sorted *)
   let surv = t.ord_surv in
@@ -713,29 +694,7 @@ let dag_repair t nfd old edge =
     incr j;
     incr k
   done;
-  nfd.forder_len <- !k;
-  (* Taint propagation in increasing-distance order (DAG successors are
-     processed first): a source left unmarked provably keeps
-     bit-identical unit flows — its whole flow cone saw no distance or
-     row change, so the splits, the reached set AND the relative
-     propagation order (all cone nodes are merge survivors) are the
-     same, float op for float op. *)
-  let orow = t.g_out_row and gdst = t.g_dst in
-  for k = nfd.forder_len - 1 downto 0 do
-    let v = out.(k) in
-    if ts.(v) <> gen then begin
-      let base = orow.(v) in
-      let cnt = nfd.sp_cnt.(v) in
-      let i = ref 0 in
-      while !i < cnt do
-        if ts.(gdst.(nfd.sp_col.(base + !i))) = gen then begin
-          ts.(v) <- gen;
-          i := cnt
-        end
-        else incr i
-      done
-    end
-  done
+  nfd.forder_len <- !k
 
 let fdag_for t dest =
   let fd = t.dags.(dest) in
@@ -922,6 +881,8 @@ let set_commodities t commodities =
     (fun (src, dst, size) ->
       if src < 0 || src >= n || dst < 0 || dst >= n then
         invalid_arg "Evaluator.set_commodities: endpoint outside the graph";
+      if not (size >= 0. && size < infinity) then
+        invalid_arg "Evaluator.set_commodities: size must be finite and >= 0";
       if src <> dst then buckets.(dst) <- (src, size) :: buckets.(dst))
     commodities;
   let active = ref [] in
@@ -952,31 +913,52 @@ let set_commodities t commodities =
   t.commod_gen <- t.commod_gen + 1;
   t.sync_src_uid <- -1
 
-(* Rebuilds one destination's load-contribution vector.  The stamp
-   check is inlined and [compute_unit_into] is called raw so the whole
-   rebuild is covered by a single hot_units timer pair instead of one
-   clock read per commodity. *)
+(* Rebuilds one destination's load-contribution vector in one sweep
+   down its DAG.  ECMP splitting is linear, so seeding every commodity's
+   size at its source and pushing each node's whole inflow evenly over
+   its shortest-path out-edges, in decreasing-distance order, loads the
+   edges with all the demand towards [dest] at once.  Each edge leaves
+   exactly one node, so its load is written once.  Every source is
+   checked before [node_flow] is touched: an [Unroutable] leaves the
+   scratch clean.  The sweep leaves every [node_flow] entry it touched
+   back at zero. *)
 let dest_contribution t dest =
   let dl = t.dest_loads.(dest) in
   if dl != no_fvec then dl
   else begin
     let t0 = Mono.now () in
+    let fd = fdag_for t dest in
+    let dist = fd.fdist in
+    let srcs = t.bd_src.(dest) and sizes = t.bd_size.(dest) in
+    for i = 0 to Array.length srcs - 1 do
+      if dist.(srcs.(i)) = infinity then raise (Unroutable (srcs.(i), dest))
+    done;
+    let nf = t.node_flow in
+    for i = 0 to Array.length srcs - 1 do
+      let s = srcs.(i) in
+      nf.(s) <- nf.(s) +. sizes.(i)
+    done;
     let dl = fvec_alloc t in
     let v = dl.fv in
     Array.fill v 0 t.m 0.;
-    let ur = ensure_urow t dest in
-    let srcs = t.bd_src.(dest) and sizes = t.bd_size.(dest) in
-    for i = 0 to Array.length srcs - 1 do
-      let src = srcs.(i) in
-      let size = sizes.(i) in
-      if ur.u_stamp.(src) = ur.u_gen then
-        t.stats.Stats.unit_hits <- t.stats.Stats.unit_hits + 1
-      else compute_unit_into t ur src dest;
-      let off = ur.u_off.(src) and len = ur.u_len.(src) in
-      let ue = ur.u_edges and uf = ur.u_flows in
-      for j = off to off + len - 1 do
-        v.(ue.(j)) <- v.(ue.(j)) +. (size *. uf.(j))
-      done
+    let gdst = t.g_dst and orow = t.g_out_row in
+    for k = 0 to fd.forder_len - 1 do
+      let u = fd.forder.(k) in
+      let f = nf.(u) in
+      if f > 0. then begin
+        nf.(u) <- 0.;
+        if u <> dest then begin
+          let lo = orow.(u) in
+          let hi = lo + fd.sp_cnt.(u) in
+          let share = f /. float_of_int (hi - lo) in
+          for i = lo to hi - 1 do
+            let e = fd.sp_col.(i) in
+            v.(e) <- share;
+            let x = gdst.(e) in
+            nf.(x) <- nf.(x) +. share
+          done
+        end
+      end
     done;
     t.dest_loads.(dest) <- dl;
     let ht = Stats.hot_times t.stats in
@@ -1170,33 +1152,9 @@ let apply_weight t edge new_w =
         ht.(Stats.hot_spf_incr) <-
           ht.(Stats.hot_spf_incr) +. (Mono.now () -. t0);
         t.dags.(dest) <- nfd;
-        (* Fresh unit-flow row, carrying over the cached entries of
-           sources the repair's taint pass proved unaffected: their
-           recomputation would reproduce the same bits, so the blits
-           replace it outright. *)
-        let our = t.urows.(dest) in
-        let nur = urow_alloc t in
-        if our != no_urow then begin
-          let ts = t.taint_stamp and gen = t.scratch_gen in
-          let og = our.u_gen and ng = nur.u_gen in
-          let ost = our.u_stamp in
-          let carried = ref 0 in
-          for s = 0 to t.n - 1 do
-            if ost.(s) = og && ts.(s) <> gen then begin
-              let len = our.u_len.(s) in
-              urow_reserve nur (nur.u_used + len);
-              Array.blit our.u_edges our.u_off.(s) nur.u_edges nur.u_used len;
-              Array.blit our.u_flows our.u_off.(s) nur.u_flows nur.u_used len;
-              nur.u_off.(s) <- nur.u_used;
-              nur.u_len.(s) <- len;
-              nur.u_stamp.(s) <- ng;
-              nur.u_used <- nur.u_used + len;
-              incr carried
-            end
-          done;
-          st.Stats.unit_carried <- st.Stats.unit_carried + !carried
-        end;
-        t.urows.(dest) <- nur;
+        (* the unit-flow row is rebuilt lazily, on the next segment
+           lookup towards [dest] *)
+        t.urows.(dest) <- no_urow;
         if Array.length t.bd_src.(dest) > 0 then begin
           t.dest_loads.(dest) <- no_fvec;
           t.loads_valid <- false

@@ -2,17 +2,20 @@
 
     An evaluator owns the ECMP shortest-path state of one
     [(graph, weights)] pair: per-destination shortest-path DAGs, the
-    memoized sparse unit-load vectors derived from them, and — once a
-    commodity list is attached — the per-destination and aggregate link
-    loads.  All optimizers evaluate candidate weight settings through
+    memoized sparse unit-load vectors derived from them for segment
+    lookups, and — once a commodity list is attached — the
+    per-destination and aggregate link loads, each destination's
+    computed by one sweep of its DAG.  All optimizers evaluate candidate weight settings through
     this one service instead of rebuilding the state from scratch.
 
     The point of the engine is the {e incremental} path: after
     {!set_weight} only the destinations whose distance-to-target arrays
     can actually change (decided from the changed edge's endpoint
     distances) are repaired, through the restricted Dijkstra of
-    {!Netgraph.Paths.dijkstra_update_to}; every other destination keeps
-    its DAG, its memoized unit flows and its cached load contribution.
+    {!Netgraph.Paths.dijkstra_update_to} and drop their unit flows and
+    load contribution, rebuilt on next use; every other destination
+    keeps its DAG, its memoized unit flows and its cached load
+    contribution.
     A trail of uncommitted weight changes supports the local-search move
     protocol: probe with [set_weight], read {!evaluate}, then either
     {!commit} the move or {!undo} it (which repairs the state back the
@@ -118,14 +121,19 @@ val add_unit : t -> src:int -> dst:int -> scale:float -> into:float array -> uni
 val set_commodities : t -> (int * int * float) array -> unit
 (** Attaches the [(src, dst, size)] flows whose aggregate link loads
     {!loads} / {!mlu} / {!phi} report.  Waypointed demands are expressed
-    by listing each segment as its own commodity.  Resets the load
-    caches but keeps all shortest-path state. *)
+    by listing each segment as its own commodity.  A size of 0 is
+    legal and loads nothing.  Resets the load caches but keeps all
+    shortest-path state.
+    @raise Invalid_argument if an endpoint lies outside the graph or a
+    size is NaN, infinite or negative; the evaluator is then unchanged. *)
 
 val loads : t -> float array
 (** Aggregate per-edge load of the attached commodities under the
     current weights.  The returned array is the evaluator's internal
-    buffer — copy it before mutating.
-    @raise Unroutable if some commodity is unroutable. *)
+    buffer — copy it before mutating.  Agrees with the size-scaled sum
+    of {!add_unit} rows to rounding, not bit for bit.
+    @raise Unroutable for the first unroutable source, in arrival
+    order, of the lowest destination that has one. *)
 
 val mlu : t -> float
 (** Max over links of load / capacity. *)

@@ -7,7 +7,6 @@ type t = {
   mutable dag_misses : int;
   mutable unit_hits : int;
   mutable unit_misses : int;
-  mutable unit_carried : int;
   mutable weight_updates : int;
   mutable dirty_dests : int;
   mutable clean_dests : int;
@@ -55,7 +54,6 @@ let create () =
     dag_misses = 0;
     unit_hits = 0;
     unit_misses = 0;
-    unit_carried = 0;
     weight_updates = 0;
     dirty_dests = 0;
     clean_dests = 0;
@@ -93,7 +91,6 @@ let reset s =
   s.dag_misses <- 0;
   s.unit_hits <- 0;
   s.unit_misses <- 0;
-  s.unit_carried <- 0;
   s.weight_updates <- 0;
   s.dirty_dests <- 0;
   s.clean_dests <- 0;
@@ -171,7 +168,6 @@ let merge ~into s =
   into.dag_misses <- into.dag_misses + s.dag_misses;
   into.unit_hits <- into.unit_hits + s.unit_hits;
   into.unit_misses <- into.unit_misses + s.unit_misses;
-  into.unit_carried <- into.unit_carried + s.unit_carried;
   into.weight_updates <- into.weight_updates + s.weight_updates;
   into.dirty_dests <- into.dirty_dests + s.dirty_dests;
   into.clean_dests <- into.clean_dests + s.clean_dests;
@@ -235,7 +231,6 @@ let counters s =
     ("incr_spf", s.incr_spf); ("spf_nodes_touched", s.spf_nodes_touched);
     ("dag_hits", s.dag_hits); ("dag_misses", s.dag_misses);
     ("unit_hits", s.unit_hits); ("unit_misses", s.unit_misses);
-    ("unit_carried", s.unit_carried);
     ("weight_updates", s.weight_updates); ("dirty_dests", s.dirty_dests);
     ("clean_dests", s.clean_dests); ("commits", s.commits);
     ("undos", s.undos); ("scenarios", s.scenarios);

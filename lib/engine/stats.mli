@@ -17,12 +17,13 @@ type t = {
       (** nodes re-settled by incremental repairs *)
   mutable dag_hits : int;  (** destination DAG served from cache *)
   mutable dag_misses : int;  (** destination DAG had to be (re)built *)
-  mutable unit_hits : int;  (** memoized unit-flow vector reused *)
-  mutable unit_misses : int;  (** unit-flow vector recomputed *)
-  mutable unit_carried : int;
-      (** unit-flow vector carried across a repair untouched: the taint
-          pass proved the source's flow cone saw no distance or DAG-row
-          change, so the cached entries are bit-identical *)
+  mutable unit_hits : int;
+      (** segment lookup ({!Evaluator.add_unit}, {!Evaluator.unit_load})
+          served from the memoized unit-flow row *)
+  mutable unit_misses : int;
+      (** segment lookup that had to compute its unit-flow row; the
+          commodity load sweep never builds unit rows, so neither
+          counter moves on the probe path *)
   mutable weight_updates : int;  (** single-weight [set_weight] calls *)
   mutable dirty_dests : int;
       (** destinations invalidated by weight updates *)

@@ -32,27 +32,28 @@ let instance seed =
   in
   (g, w, demands, st)
 
-let fresh_loads g w demands =
-  let ev = Engine.Evaluator.create g w in
-  Engine.Evaluator.set_commodities ev demands;
-  Array.copy (Engine.Evaluator.loads ev)
+let oracle_loads ?waypoints g w demands =
+  Ecmp_oracle.loads ?waypoints (Ecmp_oracle.make g w) demands
+
+let check_loads msg expected actual =
+  Array.iteri
+    (fun e x -> checkf (Printf.sprintf "%s: load edge %d" msg e) x actual.(e))
+    expected
 
 let check_matches_scratch ~msg g ev expected_w demands =
   Alcotest.(check bool)
     (msg ^ ": weights in sync") true
     (Engine.Evaluator.weights ev = expected_w);
   let incr = Engine.Evaluator.loads ev in
-  let scratch = fresh_loads g expected_w demands in
-  Array.iteri
-    (fun e x -> checkf (Printf.sprintf "%s: load edge %d" msg e) x incr.(e))
-    scratch;
+  let scratch = oracle_loads g expected_w demands in
+  check_loads msg scratch incr;
   checkf (msg ^ ": mlu")
     (Engine.Evaluator.mlu_of_loads g scratch)
     (fst (Engine.Evaluator.evaluate ev))
 
 (* The tentpole property: after any sequence of committed updates,
    probed-and-undone updates and bulk rewrites, the evaluator reports
-   the same loads and MLU as a from-scratch Ecmp build (within 1e-9). *)
+   the same loads and MLU as the naive oracle (within 1e-9). *)
 let test_equivalence_under_perturbations () =
   for seed = 1 to 6 do
     let g, w0, demands, st = instance seed in
@@ -272,8 +273,7 @@ let test_undo_after_commodity_swap () =
   Engine.Evaluator.set_weight ev ~edge:1 55.;
   Engine.Evaluator.set_commodities ev half;
   Engine.Evaluator.undo ev;
-  let scratch = fresh_loads g w0 half in
-  Array.iteri (fun e x -> checkf "post-swap load" x (Engine.Evaluator.loads ev).(e)) scratch
+  check_loads "post-swap" (oracle_loads g w0 half) (Engine.Evaluator.loads ev)
 
 (* The restricted Dijkstra repair must agree exactly with a fresh
    reversed Dijkstra after both weight increases and decreases. *)
@@ -534,6 +534,133 @@ let test_failure_sweep_alloc_free () =
       Alcotest.(check bool) "some failure disconnects nothing" true
         (Array.exists (fun b -> b) safe)
 
+(* --------------------------------------------------------------- *)
+(* Differential checks against the naive oracle                      *)
+(* --------------------------------------------------------------- *)
+
+let engine_loads g w commodities =
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev commodities;
+  Array.copy (Engine.Evaluator.loads ev)
+
+(* A 3x3 bidirectional grid with unit weights: every corner-to-corner
+   pair splits over six equal-cost paths, and the duplicate (src, dst)
+   commodities must add up exactly like one commodity of their summed
+   size. *)
+let test_oracle_ties_and_duplicates () =
+  let id r c = (3 * r) + c in
+  let links = ref [] in
+  for r = 0 to 2 do
+    for c = 0 to 2 do
+      if c < 2 then
+        links := (id r c, id r (c + 1), 10.) :: (id r (c + 1), id r c, 10.) :: !links;
+      if r < 2 then
+        links := (id r c, id (r + 1) c, 10.) :: (id (r + 1) c, id r c, 10.) :: !links
+    done
+  done;
+  let g = Digraph.of_edges ~n:9 (List.rev !links) in
+  let w = Weights.unit g in
+  let commodities =
+    [| (0, 8, 3.); (2, 6, 1.); (0, 8, 2.); (8, 0, 4.); (1, 7, 1.); (0, 8, 0.5) |]
+  in
+  let live = engine_loads g w commodities in
+  check_loads "grid ties" (oracle_loads g w commodities) live;
+  let merged = [| (0, 8, 5.5); (2, 6, 1.); (8, 0, 4.); (1, 7, 1.) |] in
+  check_loads "duplicates = merged" (oracle_loads g w merged) live;
+  (* random integer-weight instances (ties are common with weights 1..10)
+     plus duplicated commodities *)
+  for seed = 1 to 12 do
+    let g, w, demands, _ = instance seed in
+    let dups = Array.append demands (Array.sub demands 0 2) in
+    check_loads
+      (Printf.sprintf "seed %d duplicates" seed)
+      (oracle_loads g w dups) (engine_loads g w dups)
+  done
+
+(* Waypointed demands, including waypoints equal to an endpoint or
+   repeated: the segment commodities installed through [set_commodities]
+   (one sweep per destination) and the per-pair unit rows summed by
+   [Ecmp.loads] must both match the oracle's own segment expansion. *)
+let test_oracle_waypoints () =
+  for seed = 1 to 12 do
+    let g, w, demands, st = instance seed in
+    let n = Digraph.node_count g in
+    let wps =
+      Array.map
+        (fun (s, t, _) ->
+          match Random.State.int st 5 with
+          | 0 -> []
+          | 1 -> [ s ]
+          | 2 -> [ Random.State.int st n; t ]
+          | 3 ->
+            let x = Random.State.int st n in
+            [ x; x ]
+          | _ -> [ Random.State.int st n; Random.State.int st n ])
+        demands
+    in
+    let expected = oracle_loads ~waypoints:wps g w demands in
+    let net = Array.map (fun (s, t, size) -> Network.demand s t size) demands in
+    let segs =
+      Array.map
+        (fun (d : Network.demand) -> (d.src, d.dst, d.size))
+        (Segments.expand net wps)
+    in
+    let msg = Printf.sprintf "seed %d waypoints" seed in
+    check_loads (msg ^ " (sweep)") expected (engine_loads g w segs);
+    check_loads (msg ^ " (unit rows)") expected
+      (Ecmp.loads ~waypoints:wps (Engine.Evaluator.create g w) net)
+  done
+
+(* --------------------------------------------------------------- *)
+(* Commodity validation and error paths                              *)
+(* --------------------------------------------------------------- *)
+
+let diamond () =
+  Digraph.of_edges ~n:4 [ (0, 1, 10.); (1, 3, 10.); (0, 2, 10.); (2, 3, 10.) ]
+
+(* A rejected commodity set leaves the evaluator's loads as they were. *)
+let rejects_size size () =
+  let g = diamond () in
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  Engine.Evaluator.set_commodities ev [| (0, 3, 2.) |];
+  let before = Array.copy (Engine.Evaluator.loads ev) in
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "Evaluator.set_commodities: size must be finite and >= 0")
+    (fun () -> Engine.Evaluator.set_commodities ev [| (1, 3, 1.); (0, 3, size) |]);
+  Alcotest.(check bool) "loads unchanged" true
+    (Engine.Evaluator.loads ev = before)
+
+let test_zero_size_loads_nothing () =
+  let g = diamond () in
+  let w = Weights.unit g in
+  let zero = engine_loads g w [| (0, 3, 0.) |] in
+  Alcotest.(check bool) "all zero" true (Array.for_all (fun x -> x = 0.) zero);
+  check_loads "zero beside a real commodity"
+    (oracle_loads g w [| (1, 3, 2.) |])
+    (engine_loads g w [| (0, 3, 0.); (1, 3, 2.) |])
+
+(* Destination 3 has routable sources 0 and 1 followed by sources 4 and
+   5, which cannot reach it.  [loads] names the first unroutable source
+   in arrival order, and the early raise must leave no flow behind: the
+   routable set installed next must match the oracle exactly. *)
+let test_unroutable_leaves_scratch_clean () =
+  let g =
+    Digraph.of_edges ~n:6
+      [ (0, 1, 10.); (1, 3, 10.); (0, 2, 10.); (2, 3, 10.); (3, 0, 10.);
+        (3, 4, 10.); (3, 5, 10.) ]
+  in
+  let w = Weights.unit g in
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev
+    [| (0, 3, 2.); (1, 3, 1.); (4, 3, 1.); (5, 3, 1.) |];
+  Alcotest.check_raises "first unroutable pair"
+    (Engine.Evaluator.Unroutable (4, 3))
+    (fun () -> ignore (Engine.Evaluator.loads ev));
+  let routable = [| (0, 3, 2.); (1, 3, 1.) |] in
+  Engine.Evaluator.set_commodities ev routable;
+  check_loads "after the raise" (oracle_loads g w routable)
+    (Engine.Evaluator.loads ev)
+
 let () =
   Alcotest.run "engine"
     [
@@ -552,6 +679,23 @@ let () =
           Alcotest.test_case "clone cache" `Quick test_clone_cache;
           Alcotest.test_case "link-flap round trip" `Quick
             test_link_flap_round_trip;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "ECMP ties and duplicate commodities" `Quick
+            test_oracle_ties_and_duplicates;
+          Alcotest.test_case "waypoint segments" `Quick test_oracle_waypoints;
+        ] );
+      ( "commodities",
+        [
+          Alcotest.test_case "rejects NaN size" `Quick (rejects_size Float.nan);
+          Alcotest.test_case "rejects infinite size" `Quick
+            (rejects_size infinity);
+          Alcotest.test_case "rejects negative size" `Quick (rejects_size (-1.));
+          Alcotest.test_case "zero size loads nothing" `Quick
+            test_zero_size_loads_nothing;
+          Alcotest.test_case "unroutable leaves scratch clean" `Quick
+            test_unroutable_leaves_scratch_clean;
         ] );
       ( "incremental spf",
         [

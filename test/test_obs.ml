@@ -178,7 +178,7 @@ let test_metrics_absorb_stats () =
     { (Engine.Stats.create ()) with
       Engine.Stats.evaluations = 1; full_spf = 1; incr_spf = 1;
       spf_nodes_touched = 1; dag_hits = 1; dag_misses = 1; unit_hits = 1;
-      unit_misses = 1; unit_carried = 1; weight_updates = 1;
+      unit_misses = 1; weight_updates = 1;
       dirty_dests = 1; clean_dests = 1; commits = 1; undos = 1;
       scenarios = 1; edges_disabled = 1; par_regions = 1; par_tasks = 1;
       par_jobs = 1; candidates_pruned = 1; candidates_kept = 1;
