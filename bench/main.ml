@@ -1360,22 +1360,25 @@ let lp_instances abilene =
    LP result, so node counts and MLU must match; only pivots differ. *)
 let milp_case (name, solve) =
   let go warm =
-    let stats = Engine.Stats.create () in
-    let mlu, wall = timed (fun () -> solve warm (Obs.Ctx.make ~stats ())) in
-    (stats, mlu, wall)
+    let ctx = Obs.Ctx.make () in
+    let mlu, wall = timed (fun () -> solve warm ctx) in
+    let nodes =
+      List.assoc "milp.nodes" (Obs.Metrics.counters ctx.Obs.Ctx.metrics)
+    in
+    (ctx.Obs.Ctx.stats, nodes, mlu, wall)
   in
-  let sw, mlu_w, wall_w = go true in
-  let sc, mlu_c, wall_c = go false in
+  let sw, nodes_w, mlu_w, wall_w = go true in
+  let sc, nodes_c, mlu_c, wall_c = go false in
   let open Engine.Stats in
   [ A.str "instance" name; A.str "kind" "milp-warm-start";
-    A.int "nodes" sw.milp_nodes; A.int "lp_solves" sw.lp_solves;
+    A.int "nodes" nodes_w; A.int "lp_solves" sw.lp_solves;
     A.int "warm_pivots" sw.lp_pivots; A.int "cold_pivots" sc.lp_pivots;
     A.float "pivot_ratio"
       (float_of_int sw.lp_pivots /. float_of_int (max 1 sc.lp_pivots));
     A.bool "warm_fewer_pivots" (sw.lp_pivots < sc.lp_pivots);
     A.float "warm_wall_seconds" wall_w; A.float "cold_wall_seconds" wall_c;
     A.bool "_warm_cold_agree"
-      (sw.milp_nodes = sc.milp_nodes && agree mlu_w mlu_c) ]
+      (nodes_w = nodes_c && agree mlu_w mlu_c) ]
 
 (* The branch-and-bound cases: USPR-LWO on two gap instances, and the
    WPO MILP on Abilene under inverse-capacity weights. *)
@@ -1537,11 +1540,10 @@ let obs =
 
 (* The Prune preprocessing pass: the quality-vs-k curve of GreedyWPO on
    the Figure 4 suite (objective delta vs the unpruned scan, candidates
-   scanned, wall time), the pool-mode comparison at the default k, and
-   the scale demonstration — a completed pruned run on the largest
-   zoo-ladder topology, against the unpruned scan cost measured on a
-   demand prefix and extrapolated (running it in full would dwarf the
-   harness; the record says so). *)
+   scanned, wall time) and the scale demonstration — a completed pruned
+   run on the largest zoo-ladder topology, against the unpruned scan
+   cost measured on a demand prefix and extrapolated (running it in full
+   would dwarf the harness; the record says so). *)
 let pruned_wpo ?prune pool g w demands =
   let stats = Engine.Stats.create () in
   let r, wall =
@@ -1558,11 +1560,11 @@ let prune_quality pool name =
   let base, base_scanned, _, base_wall = pruned_wpo pool g w demands in
   let ks = if !full then [ 4; 8; 16; 32; 64 ] else [ 4; 8; 16; 32 ] in
   List.map
-    (fun (mode, k) ->
+    (fun k ->
       let r, scanned, st, wall =
-        pruned_wpo ~prune:(Prune.spec ~mode k) pool g w demands
+        pruned_wpo ~prune:(Prune.spec k) pool g w demands
       in
-      [ A.str "topology" name; A.str "mode" (Prune.mode_name mode); A.int "k" k;
+      [ A.str "topology" name; A.str "mode" "centrality"; A.int "k" k;
         A.float "mlu" r.Greedy_wpo.mlu;
         A.float "unpruned_mlu" base.Greedy_wpo.mlu;
         A.float "objective_delta_pct"
@@ -1575,8 +1577,7 @@ let prune_quality pool name =
         A.int "candidates_kept" st.Engine.Stats.candidates_kept;
         A.float "wall_seconds" wall;
         A.float "unpruned_wall_seconds" base_wall ])
-    (List.map (fun k -> (Prune.Centrality, k)) ks
-    @ [ (Prune.Coverage, Prune.default_k); (Prune.Reach, Prune.default_k) ])
+    ks
 
 (* The unpruned scan cost is measured on a demand prefix and
    extrapolated linearly (each demand scans n-2 candidates regardless
@@ -1625,7 +1626,7 @@ let prune_default rs =
     rs
 
 let prune =
-  { title = "Candidate pruning: quality vs k, pool modes, scale";
+  { title = "Candidate pruning: quality vs k, scale";
     bench = "prune"; version = 1;
     fields =
       [ A.str "prune_mode" "centrality"; A.int "prune_k" Prune.default_k ];

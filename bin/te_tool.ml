@@ -97,9 +97,11 @@ let evals_arg =
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"Print the evaluation engine's counters and timers \
+         ~doc:"Print the per-phase wall times and the run's metrics \
+               after the run: the engine counters and timers \
                (evaluations, full vs. incremental SPF rebuilds, cache \
-               hits, parallel efficiency) after the run.")
+               hits, parallel wall and busy time) and the solver \
+               metrics, under the names run-summary/1 exports.")
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -134,13 +136,14 @@ let summary_arg =
                efficiency.")
 
 (* One run context per CLI invocation: the worker pool from --jobs, and
-   a live tracer exactly when --trace/--summary needs one (otherwise the
-   noop tracer, whose probes cost one load+branch).  [f] solves and
-   prints its result; engine stats, the trace file and the summary
-   follow in that order. *)
+   a live tracer exactly when --stats/--trace/--summary needs one
+   (otherwise the noop tracer, whose probes cost one load+branch).  [f]
+   solves and prints its result; the phase times and metrics, the trace
+   file and the summary follow in that order. *)
 let with_ctx ~jobs ~stats ~trace ~summary f =
   let tracer =
-    if trace <> None || summary then Obs.Tracer.create () else Obs.Tracer.noop
+    if stats || trace <> None || summary then Obs.Tracer.create ()
+    else Obs.Tracer.noop
   in
   let ctx, wall =
     with_pool jobs (fun pool ->
@@ -149,7 +152,12 @@ let with_ctx ~jobs ~stats ~trace ~summary f =
         f ctx;
         (ctx, Engine.Mono.now () -. t0))
   in
-  if stats then Format.printf "%a@." Engine.Stats.pp ctx.Obs.Ctx.stats;
+  if stats then begin
+    List.iter
+      (fun (name, dt) -> Printf.printf "phase %-22s %.6f s\n" name dt)
+      (Obs.Tracer.phase_totals tracer);
+    Format.printf "%a@." Obs.Metrics.pp (Obs.Export.run_metrics ctx)
+  end;
   (match trace with
   | Some path ->
     Obs.Export.write_trace ~path tracer;
@@ -279,22 +287,9 @@ let prune_arg =
                default).  Off when omitted — results are then \
                byte-identical to runs without the flag.")
 
-let prune_mode_arg =
-  Arg.(value & opt string "centrality" & info [ "prune-mode" ] ~docv:"MODE"
-         ~doc:"Middlepoint pool selection under --prune: centrality (top-K \
-               ECMP betweenness), coverage (greedy marginal group \
-               coverage), or reach (per-demand filters only).")
-
-let prune_spec_of k mode =
-  match k with
+let prune_spec_of = function
   | None -> None
-  | Some k -> (
-    let k = if k <= 0 then Prune.default_k else k in
-    match Prune.mode_of_string mode with
-    | Ok mode -> Some (Prune.spec ~mode k)
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2)
+  | Some k -> Some (Prune.spec (if k <= 0 then Prune.default_k else k))
 
 let passes_arg =
   Arg.(value & opt int 1 & info [ "passes" ] ~docv:"N"
@@ -305,19 +300,18 @@ let passes_arg =
    command: each registered builder applies only the fields its
    algorithm uses. *)
 let config_term =
-  Term.(const (fun seed evals restarts passes full_pipeline prune prune_mode
-                   wsetting ->
+  Term.(const (fun seed evals restarts passes full_pipeline prune wsetting ->
             {
               Solver.seed;
               evals;
               restarts;
               passes;
               full_pipeline;
-              prune = prune_spec_of prune prune_mode;
+              prune = prune_spec_of prune;
               weights = (fun g -> weights_of g wsetting);
             })
         $ seed_arg $ evals_arg $ restarts_arg $ passes_arg $ full_pipeline_arg
-        $ prune_arg $ prune_mode_arg $ weights_arg)
+        $ prune_arg $ weights_arg)
 
 (* Every algorithm command resolves its solver through the registry —
    the historical lwo/wpo/joint commands are aliases for `solve --alg'
@@ -650,9 +644,9 @@ let robust_cmd =
 (* exact *)
 let exact_cmd =
   let run alg topo file seed kind flows wsetting i m max_nodes cold prune
-      prune_mode stats trace summary =
+      stats trace summary =
     let warm = not cold in
-    let prune = prune_spec_of prune prune_mode in
+    let prune = prune_spec_of prune in
     with_ctx ~jobs:1 ~stats ~trace ~summary (fun ctx ->
         match alg with
         | "wpo" ->
@@ -736,7 +730,7 @@ let exact_cmd =
              pivot effort alongside the engine counters.")
     Term.(const run $ alg_arg $ topo_arg $ file_arg $ seed_arg $ demands_arg
           $ flows_arg $ weights_arg $ instance_arg $ exact_m_arg
-          $ max_nodes_arg $ cold_arg $ prune_arg $ prune_mode_arg $ stats_arg
+          $ max_nodes_arg $ cold_arg $ prune_arg $ stats_arg
           $ trace_arg $ summary_arg)
 
 (* replay *)

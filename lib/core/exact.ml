@@ -133,9 +133,6 @@ let lwo_ctx (ctx : Obs.Ctx.t) ?weight_domain ?max_settings ?allow_truncate g
       Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:meta.visited "exact.settings";
       (r, meta))
 
-let wpo_ctx (ctx : Obs.Ctx.t) g weights demands =
-  Obs.Ctx.span ctx "exact:wpo" (fun () -> wpo g weights demands)
-
 let joint ?(weight_domain = [ 1; 2; 3 ]) ?(max_settings = 2_000_000)
     ?allow_truncate g demands =
   let m = Digraph.edge_count g in

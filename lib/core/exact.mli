@@ -60,8 +60,8 @@ val joint :
 (** {2 Context-taking entry points}
 
     Same computations under an {!Obs.Ctx.t}: each records one root span
-    (["exact:lwo"], ["exact:wpo"], ["exact:joint"]) and the enumerators
-    count visited settings in the [exact.settings] metric. *)
+    (["exact:lwo"], ["exact:joint"]) and counts visited settings in the
+    [exact.settings] metric. *)
 
 val lwo_ctx :
   Obs.Ctx.t ->
@@ -71,13 +71,6 @@ val lwo_ctx :
   Netgraph.Digraph.t ->
   Network.demand array ->
   (int array * float) * enum_meta
-
-val wpo_ctx :
-  Obs.Ctx.t ->
-  Netgraph.Digraph.t ->
-  Weights.t ->
-  Network.demand array ->
-  int option array * float
 
 val joint_ctx :
   Obs.Ctx.t ->

@@ -42,7 +42,8 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init ?basis g
   let lp =
     Obs.Ctx.span ctx "grad:lp" (fun () -> Mcf.opt_mlu_lp_warm_ext ?basis g comms)
   in
-  Engine.Stats.record_lp_solve ctx.Obs.Ctx.stats ~pivots:lp.Mcf.pivots;
+  Engine.Stats.record_lp ctx.Obs.Ctx.stats ~solves:1 ~pivots:lp.Mcf.pivots
+    ~warm:0;
   let necessary = lp.Mcf.edge_flows in
   let nc_max = Array.fold_left max 0. necessary in
   let nc_sum = Array.fold_left ( +. ) 0. necessary in

@@ -58,7 +58,7 @@ val optimize_ctx :
     vector.  [basis] warm-starts the necessary-capacity LP from a
     previous solve of the same topology (e.g. an earlier backend run or
     a serving loop's incumbent basis); the solve lands in the context's
-    stats via [Engine.Stats.record_lp_solve].  The context's tracer
+    stats via [Engine.Stats.record_lp].  The context's tracer
     records one ["grad:descent"] span with per-checkpoint
     ["grad:checkpoint"] events; the deadline is honored at checkpoint
     granularity.  @raise Failure if some demand is not routable (the LP

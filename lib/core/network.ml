@@ -59,6 +59,3 @@ let is_routable t =
   Array.for_all
     (fun d -> (Paths.reachable t.graph ~source:d.src).(d.dst))
     t.demands
-
-let pp_demand ppf d =
-  Format.fprintf ppf "%d->%d:%g" d.src d.dst d.size

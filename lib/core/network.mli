@@ -44,4 +44,3 @@ val split_demands : parts:int -> demand array -> demand array
 val is_routable : t -> bool
 (** Every demand's destination reachable from its source? *)
 
-val pp_demand : Format.formatter -> demand -> unit

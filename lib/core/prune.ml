@@ -1,28 +1,12 @@
 open Netgraph
 
-type mode = Centrality | Coverage | Reach
-
-type spec = { mode : mode; k : int }
+type spec = { k : int }
 
 let default_k = 16
 
-let spec ?(mode = Centrality) k =
+let spec k =
   if k < 1 then invalid_arg "Prune.spec: k >= 1";
-  { mode; k }
-
-let mode_name = function
-  | Centrality -> "centrality"
-  | Coverage -> "coverage"
-  | Reach -> "reach"
-
-let mode_of_string = function
-  | "centrality" -> Ok Centrality
-  | "coverage" -> Ok Coverage
-  | "reach" -> Ok Reach
-  | other ->
-    Error
-      (Printf.sprintf "unknown prune mode %S (centrality|coverage|reach)"
-         other)
+  { k }
 
 type t = {
   spec : spec;
@@ -30,10 +14,8 @@ type t = {
   ev : Engine.Evaluator.t;
   n : int;
   no_op : bool;
-  util : float array; (* prepare-time per-edge utilization *)
   pool : int array; (* middlepoint pool, best score first *)
   nf : float array; (* scratch node-flow row *)
-  u_dir : (int * int, float) Hashtbl.t; (* pair -> direct-route max util *)
   memo : (int * int, int array) Hashtbl.t; (* pair -> pruned candidates *)
 }
 
@@ -44,26 +26,6 @@ type t = {
    nodes is result-preserving.  The tolerance only tolerates float
    accumulation noise of the throughflow sum. *)
 let on_every_path nf w = nf.(w) >= 1. -. 1e-9
-
-(* Direct-route hotness of a pair: the max prepare-time utilization over
-   the edges its ECMP unit flow touches.  [neg_infinity] when the pair
-   is unroutable or a self-loop. *)
-let direct_hotness t ~src ~dst =
-  match Hashtbl.find_opt t.u_dir (src, dst) with
-  | Some u -> u
-  | None ->
-    let u =
-      if src = dst then neg_infinity
-      else
-        match Engine.Evaluator.unit_load t.ev ~src ~dst with
-        | exception Engine.Evaluator.Unroutable _ -> neg_infinity
-        | sp ->
-          Array.fold_left
-            (fun acc e -> if t.util.(e) > acc then t.util.(e) else acc)
-            neg_infinity sp.Engine.Evaluator.edges
-    in
-    Hashtbl.add t.u_dir (src, dst) u;
-    u
 
 (* Deterministic score order: strictly larger score first, node id
    breaking ties. *)
@@ -79,16 +41,9 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
   let tracer = octx.Obs.Ctx.tracer in
   let tok = Obs.Tracer.start tracer "prune:prepare" in
   let g = Engine.Evaluator.graph ev in
-  let n = Digraph.node_count g and m = Digraph.edge_count g in
-  let caps = Digraph.caps g in
-  let loads = Engine.Evaluator.loads ev in
-  let util = Array.init m (fun e -> loads.(e) /. caps.(e)) in
-  let no_op = spec.k >= n && spec.mode <> Reach in
-  let t =
-    { spec; g; ev; n; no_op; util; pool = [||];
-      nf = Array.make n 0.; u_dir = Hashtbl.create 64;
-      memo = Hashtbl.create 64 }
-  in
+  let n = Digraph.node_count g in
+  let no_op = spec.k >= n in
+  let nf = Array.make n 0. in
   let pool =
     if no_op then Array.init n Fun.id
     else begin
@@ -105,107 +60,28 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
             Hashtbl.add sizes key d.Network.size;
             keys := key :: !keys)
         demands;
-      let pairs =
-        Array.of_list
-          (List.rev_map (fun (s, d) -> (s, d, Hashtbl.find sizes (s, d)))
-             !keys)
-      in
-      let npairs = Array.length pairs in
-      (* ECMP-betweenness scores off the cached destination DAGs.  The
-         coverage variant needs every pair's throughflow row; centrality
-         and reach only need the running sum. *)
-      let keep_rows = spec.mode = Coverage in
-      let rows = if keep_rows then Array.make npairs [||] else [||] in
-      let weight = Array.make npairs 0. in
+      (* ECMP-betweenness scores off the cached destination DAGs. *)
       let score = Array.make n 0. in
-      Array.iteri
-        (fun p (src, dst, size) ->
-          match Engine.Evaluator.node_flows ev ~src ~dst ~into:t.nf with
+      List.iter
+        (fun (src, dst) ->
+          match Engine.Evaluator.node_flows ev ~src ~dst ~into:nf with
           | exception Engine.Evaluator.Unroutable _ -> ()
           | () ->
-            let w_p =
-              match spec.mode with
-              | Coverage ->
-                (* Focus the pool on bottleneck-crossing flow: weight
-                   each pair by how hot its direct route runs. *)
-                size *. Float.max 0. (direct_hotness t ~src ~dst)
-              | Centrality | Reach -> size
-            in
-            weight.(p) <- w_p;
+            let size = Hashtbl.find sizes (src, dst) in
             for w = 0 to n - 1 do
               if w <> src && w <> dst then
-                score.(w) <- score.(w) +. (w_p *. t.nf.(w))
-            done;
-            if keep_rows then rows.(p) <- Array.copy t.nf)
-        pairs;
+                score.(w) <- score.(w) +. (size *. nf.(w))
+            done)
+        (List.rev !keys);
       let by_score = Array.init n Fun.id in
       sort_by_score score by_score;
-      match spec.mode with
-      | Reach -> by_score (* no pool restriction; order feeds the cap *)
-      | Centrality -> Array.sub by_score 0 (min spec.k n)
-      | Coverage ->
-        (* Greedy marginal coverage: each pick is the node adding the
-           most not-yet-covered demand-weighted throughflow, so nodes
-           sitting on the same bottleneck paths as earlier picks are
-           penalized by exactly the flow those picks already cover. *)
-        let k = min spec.k n in
-        let chosen = Array.make n false in
-        let covered = Array.make npairs 0. in
-        let picks = ref [] and npicks = ref 0 in
-        (try
-           while !npicks < k do
-             let best = ref (-1) and best_gain = ref 0. in
-             for w = 0 to n - 1 do
-               if not chosen.(w) then begin
-                 let gain = ref 0. in
-                 for p = 0 to npairs - 1 do
-                   if weight.(p) > 0. && Array.length rows.(p) = n then begin
-                     let src, dst, _ = pairs.(p) in
-                     if w <> src && w <> dst then
-                       gain :=
-                         !gain
-                         +. weight.(p)
-                            *. Float.min rows.(p).(w) (1. -. covered.(p))
-                   end
-                 done;
-                 if !gain > !best_gain then begin
-                   best_gain := !gain;
-                   best := w
-                 end
-               end
-             done;
-             if !best < 0 then raise Exit;
-             chosen.(!best) <- true;
-             picks := !best :: !picks;
-             incr npicks;
-             for p = 0 to npairs - 1 do
-               if weight.(p) > 0. && Array.length rows.(p) = n then begin
-                 let src, dst, _ = pairs.(p) in
-                 if !best <> src && !best <> dst then
-                   covered.(p) <-
-                     Float.min 1. (covered.(p) +. rows.(p).(!best))
-               end
-             done
-           done
-         with Exit -> ());
-        (* Marginal gains exhausted before k picks: pad from the plain
-           centrality order so the pool size is still min k n. *)
-        let picks = Array.of_list (List.rev !picks) in
-        let pad = ref [] in
-        Array.iter
-          (fun w ->
-            if (not chosen.(w)) && Array.length picks + List.length !pad < k
-            then pad := w :: !pad)
-          by_score;
-        Array.append picks (Array.of_list (List.rev !pad))
+      Array.sub by_score 0 spec.k
     end
   in
-  let t = { t with pool } in
-  Obs.Tracer.attr tracer tok (Obs.Attr.str "mode" (mode_name spec.mode));
   Obs.Tracer.attr tracer tok (Obs.Attr.int "k" spec.k);
   Obs.Tracer.attr tracer tok (Obs.Attr.int "pool" (Array.length pool));
   Obs.Tracer.finish tracer tok;
-  t
+  { spec; g; ev; n; no_op; pool; nf; memo = Hashtbl.create 64 }
 
 let pool t = Array.copy t.pool
 

@@ -12,10 +12,7 @@
        passing through it, read straight off the engine's cached
        per-destination SPF DAGs ({!Engine.Evaluator.node_flows}), so
        scoring performs no SPF run beyond what computing the loads
-       already did.  [Centrality] keeps the top-k scorers; [Coverage]
-       picks k nodes greedily by {e marginal} covered flow (each pick
-       discounts the commodities it already covers, penalizing redundant
-       candidates that sit on the same bottleneck paths);}
+       already did — and the top-k scorers form the pool;}
     {- a {b per-commodity filter}: for each (src, dst) pair the pool is
        reduced further — waypoints the pair cannot use are dropped
        (cannot reach [dst]; on {e every} shortest src-dst path already,
@@ -29,50 +26,33 @@
 
     Pruning is off by default everywhere ([?prune = None]); every
     solver's output without it is byte-identical to previous releases.
-    With [k >= n] in [Centrality]/[Coverage] mode the pass is a
-    documented no-op — the full ascending candidate list — so unpruned
-    results are reproduced byte-identically (asserted by the test
-    suite).  All candidate lists are built by the orchestrating domain
-    from one evaluator, so pruned runs keep the bit-identical-across-
-    [--jobs] guarantee. *)
+    With [k >= n] the pass is a documented no-op — the full ascending
+    candidate list — so unpruned results are reproduced byte-identically
+    (asserted by the test suite).  All candidate lists are built by the
+    orchestrating domain from one evaluator, so pruned runs keep the
+    bit-identical-across-[--jobs] guarantee. *)
 
-type mode =
-  | Centrality  (** top-k pool by ECMP-betweenness score *)
-  | Coverage  (** greedy marginal group-coverage pool of size k *)
-  | Reach
-      (** no global pool restriction: per-commodity filters plus the
-          score-ordered cap at [k] only *)
-
-type spec = {
-  mode : mode;
-  k : int;  (** pool size and per-commodity candidate cap *)
-}
+type spec = { k : int  (** pool size and per-commodity candidate cap *) }
 
 val default_k : int
 (** The default pool size (16) used by the CLI when [--prune] is given
     a non-positive value and by the bench experiment. *)
 
-val spec : ?mode:mode -> int -> spec
-(** [spec k] with mode [Centrality].
-    @raise Invalid_argument if [k < 1]. *)
-
-val mode_name : mode -> string
-
-val mode_of_string : string -> (mode, string) result
-(** Inverse of {!mode_name}; [Error] carries a usage message. *)
+val spec : int -> spec
+(** @raise Invalid_argument if [k < 1]. *)
 
 type t
 (** A prepared pruner: global scores, the pool, and the per-pair
     candidate cache.  Bound to the evaluator it was prepared from (same
-    weights, prepare-time loads); use only from the domain that owns
+    weights); use only from the domain that owns
     that evaluator. *)
 
 val prepare :
   Obs.Ctx.t -> spec -> Engine.Evaluator.t -> Network.demand array -> t
 (** Scores middlepoints and selects the pool for [demands] under the
-    evaluator's current weights and commodity loads.  The evaluator must
-    already have its commodities attached.  Records one
-    ["prune:prepare"] span (attrs: mode, k, pool size) on the context's
+    evaluator's current weights.  The evaluator must already have its
+    commodities attached.  Records one
+    ["prune:prepare"] span (attrs: k, pool size) on the context's
     tracer.  Unroutable pairs contribute no score and are skipped. *)
 
 val pool : t -> int array
@@ -80,7 +60,7 @@ val pool : t -> int array
 
 val no_op : t -> bool
 (** [true] when the spec guarantees byte-identical results
-    ([k >= n] in [Centrality]/[Coverage] mode): {!candidates} then
+    ([k >= n]): {!candidates} then
     returns the full ascending list and only the exact scan skip
     remains active. *)
 

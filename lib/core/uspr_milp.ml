@@ -227,13 +227,11 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
      | Milp.Solution sol -> sol.Milp.nodes_explored
      | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent -> max_nodes
    in
-   Engine.Stats.record_milp octx.Obs.Ctx.stats ~nodes
-     ~lp_solves:effort.Milp.lp_solves ~lp_pivots:effort.Milp.lp_pivots
-     ~warm_solves:effort.Milp.warm_solves
-     ~cycle_limits:effort.Milp.cycle_limits;
+   Engine.Stats.record_lp octx.Obs.Ctx.stats ~solves:effort.Milp.lp_solves
+     ~pivots:effort.Milp.lp_pivots ~warm:effort.Milp.warm_solves;
    Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:nodes "milp.nodes";
-   Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:effort.Milp.lp_solves
-     "milp.lp_solves");
+   Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:effort.Milp.cycle_limits
+     "milp.cycle_limits");
   match result with
   | Milp.Solution s ->
     let weights = Array.init m (fun e -> s.Milp.point.(wvar e)) in

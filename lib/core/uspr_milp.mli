@@ -38,11 +38,11 @@ val lwo_ctx :
     point.  Demands are aggregated per pair first.  [wmax] defaults to
     [4 n]; [epsilon] (the unique-path margin) to [0.1]; [max_nodes] to
     [20_000].  [warm] (default true) toggles parent-basis warm starts
-    inside the branch and bound.  The context's stats receive MILP
-    node / LP effort counters; the tracer records one ["milp:lwo"] root
+    inside the branch and bound.  The context's stats receive the
+    LP effort counters; the tracer records one ["milp:lwo"] root
     span with ["milp:branch-and-bound"] plus the LP layer's
     ["milp:node"]/["lp:solve"]/["lp:factor"] spans nested inside; the
-    metrics count [milp.nodes] and [milp.lp_solves].
+    metrics count [milp.nodes] and [milp.cycle_limits].
     @raise Failure if some demand is unroutable. *)
 
 type joint_result = {

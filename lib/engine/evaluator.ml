@@ -326,8 +326,6 @@ let weights t = t.weights
 
 let stats t = t.stats
 
-let set_probe t probe = t.probe <- probe
-
 let trail_length t = t.tr_len
 
 (* ------------------------------------------------------------------ *)
@@ -968,6 +966,8 @@ let dest_contribution t dest =
 
 let loads t =
   if not t.loads_valid then begin
+    let ht = Stats.hot_times t.stats in
+    let units0 = ht.(Stats.hot_units) in
     let t0 = Mono.now () in
     (* Re-summing cached per-destination vectors in a fixed order keeps
        the aggregate deterministic and drift-free across long
@@ -984,8 +984,10 @@ let loads t =
       done
     done;
     t.loads_valid <- true;
-    let ht = Stats.hot_times t.stats in
-    ht.(Stats.hot_loads) <- ht.(Stats.hot_loads) +. (Mono.now () -. t0)
+    (* Only the re-sum: the sweeps above already timed themselves. *)
+    let sweeps = ht.(Stats.hot_units) -. units0 in
+    ht.(Stats.hot_loads) <-
+      ht.(Stats.hot_loads) +. (Mono.now () -. t0 -. sweeps)
   end;
   t.loads_buf
 

@@ -76,11 +76,6 @@ val weights : t -> float array
 
 val stats : t -> Stats.t
 
-val set_probe : t -> Probe.t -> unit
-(** Replaces the span probe installed at {!create} time.  Install
-    {!Probe.null} to stop tracing; only ever call from the domain that
-    owns the evaluator. *)
-
 (** {1 Shortest-path state} *)
 
 val dag : t -> target:int -> dag

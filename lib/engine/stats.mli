@@ -1,10 +1,13 @@
 (** Instrumentation for the shared evaluation engine.
 
-    A [Stats.t] is a passive bag of counters and wall-clock timers that
-    an {!Evaluator} (and the heuristics driving it) increments as it
-    works.  One instance can be threaded through a whole optimization
-    run to account for every shortest-path rebuild and cache hit it
-    performed; [merge] folds per-stage instances into a run total. *)
+    A [Stats.t] is a passive record of typed counters and hot-phase
+    timers that an {!Evaluator} (and the heuristics driving it)
+    increments as it works; the evaluator's inner loops update it
+    without allocating.  One instance can be threaded through a whole
+    optimization run to account for every shortest-path rebuild and
+    cache hit it performed; [merge] folds per-stage instances into a run
+    total.  Every other quantity lives in [Obs.Metrics], which absorbs
+    these fields under [engine.*] names for export and printing. *)
 
 type t = {
   mutable evaluations : int;
@@ -31,8 +34,6 @@ type t = {
       (** built destinations proven untouched by a weight update *)
   mutable commits : int;
   mutable undos : int;
-  mutable scenarios : int;
-      (** robustness scenarios evaluated ({!record_scenario}) *)
   mutable edges_disabled : int;
       (** links failed through {!Evaluator.disable_edge} *)
   mutable par_regions : int;
@@ -65,31 +66,25 @@ type t = {
           a slot, topology change, or a weight diff past the sync
           cutoff); [syncs / (syncs + copies)] is the clone-amortization
           ratio *)
-  mutable milp_nodes : int;  (** branch-and-bound nodes explored *)
   mutable lp_solves : int;  (** LP (relaxation) solves *)
   mutable lp_pivots : int;  (** total simplex iterations *)
   mutable lp_warm_solves : int;
       (** LP solves warm-started from a previous basis *)
-  mutable lp_cycle_limits : int;
-      (** LP solves abandoned on the typed [CycleLimit] outcome *)
-  timer_tbl : (string, float) Hashtbl.t;
-      (** accumulated monotonic-clock seconds per phase; use {!time} /
-          {!add_time} / {!timers} rather than touching this directly *)
   hot : float array;
-      (** flat accumulators for the engine's hot phases (see
-          {!hot_spf_full} and friends); folded back under the usual
-          phase names by {!timers} / {!pp} / {!to_json} *)
+      (** monotonic-clock seconds per hot phase, indexed by
+          {!hot_spf_full} and friends; named by {!timers} *)
 }
 
 (** {1 Hot-phase timer slots}
 
-    [Stats.time] closes over its thunk and the hashtable boxes every
-    accumulated float, so the evaluator's allocation-free inner loops
-    instead accumulate durations straight into [hot]:
+    The evaluator's allocation-free inner loops accumulate durations
+    straight into [hot]:
     {[ let ht = Stats.hot_times s in
        ht.(Stats.hot_units) <- ht.(Stats.hot_units) +. dt ]}
-    (a float-array store never boxes).  The slots surface in {!timers}
-    under the same names the hashtable path would use. *)
+    (a float-array store never boxes).  [loads] counts only the re-sum
+    of the cached per-destination vectors, not the [units] sweeps that
+    refill them; a [units] sweep still includes any [spf_full] build it
+    triggers. *)
 
 val hot_spf_full : int
 val hot_spf_incr : int
@@ -106,11 +101,6 @@ val reset : t -> unit
 val merge : into:t -> t -> unit
 (** Adds every counter and timer of the second argument into [into]. *)
 
-val time : t -> string -> (unit -> 'a) -> 'a
-(** [time s phase f] runs [f] and adds its duration to the accumulator
-    named [phase].  Durations come from {!Mono.now}, so they cannot go
-    negative under NTP wall-clock adjustments. *)
-
 (** {1 Parallel search instrumentation} *)
 
 val record_parallel : t -> jobs:int -> tasks:int -> wall:float -> busy:float -> unit
@@ -121,51 +111,25 @@ val record_parallel : t -> jobs:int -> tasks:int -> wall:float -> busy:float -> 
 val record_worker_evals : t -> worker:int -> int -> unit
 (** Adds candidate evaluations to worker slot [worker]'s counter. *)
 
-val record_scenario : t -> unit
-(** Counts one robustness scenario evaluated (the granularity
-    [lib/scenario] sweeps budget by). *)
-
 val record_pruning : t -> pruned:int -> kept:int -> unit
 (** Accounts one pruned candidate-list construction: [pruned] candidates
     removed before the scan, [kept] handed to it.
     @raise Invalid_argument on a negative count. *)
 
-(** {1 LP / MILP effort} *)
-
-val record_milp :
-  t ->
-  nodes:int ->
-  lp_solves:int ->
-  lp_pivots:int ->
-  warm_solves:int ->
-  cycle_limits:int ->
-  unit
-(** Accounts one branch-and-bound run: nodes explored plus the LP effort
-    its relaxations consumed (the caller forwards [Milp.effort]). *)
-
-val record_lp_solve : t -> pivots:int -> unit
-(** Accounts one standalone LP solve of [pivots] simplex iterations. *)
+val record_lp : t -> solves:int -> pivots:int -> warm:int -> unit
+(** Accounts LP effort: [solves] LP solves taking [pivots] simplex
+    iterations in total, [warm] of them warm-started from a previous
+    basis.  A branch and bound forwards its [Milp.effort]. *)
 
 val parallel_efficiency : t -> float
 (** [par_busy / (par_wall * par_jobs)]: 1.0 means every worker was busy
     for the whole wall-clock of every fan-out; [nan] before any
     {!record_parallel}. *)
 
-val add_time : t -> string -> float -> unit
-
 val timers : t -> (string * float) list
-(** Accumulated seconds per phase, sorted by phase name. *)
+(** The nonzero hot-phase seconds by phase name, sorted by name. *)
 
 val counters : t -> (string * int) list
 (** Every integer counter by field name, in declaration order
     ([worker_evals] excluded: it is an array).  [par_jobs] is a maximum,
     not a sum. *)
-
-val full_rebuild_fraction : t -> float
-(** [full_spf / (full_spf + incr_spf)]; [nan] before any SPF work. *)
-
-val pp : Format.formatter -> t -> unit
-
-val to_json : t -> string
-(** One-line JSON object with every counter and timer (no trailing
-    newline); used by the bench harness's machine-readable output. *)

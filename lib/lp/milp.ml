@@ -18,16 +18,6 @@ type effort = {
   cycle_limits : int;
 }
 
-let no_effort =
-  {
-    lp_solves = 0;
-    lp_pivots = 0;
-    warm_solves = 0;
-    warm_pivots = 0;
-    cold_pivots = 0;
-    cycle_limits = 0;
-  }
-
 (* A node is a set of branching bound overrides on the shared sparse
    problem, plus the parent's optimal basis for warm starting and the
    parent relaxation value as the best-bound key.  Branching on bounds

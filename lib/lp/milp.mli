@@ -30,8 +30,6 @@ type effort = {
   cycle_limits : int;  (** nodes dropped on {!Simplex.Sparse.CycleLimit} *)
 }
 
-val no_effort : effort
-
 val solve :
   ?max_nodes:int ->
   ?int_tol:float ->

@@ -896,13 +896,3 @@ let check_feasible ?(tol = 1e-6) p x =
          | Ge -> lhs >= c.rhs -. tol
          | Eq -> abs_float (lhs -. c.rhs) <= tol)
        p.constrs
-
-let pp_result ppf = function
-  | Infeasible -> Format.fprintf ppf "infeasible"
-  | Unbounded -> Format.fprintf ppf "unbounded"
-  | Optimal { value; solution } ->
-    Format.fprintf ppf "optimal %g @[<h>[%a]@]" value
-      (Format.pp_print_array
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-         (fun ppf v -> Format.fprintf ppf "%g" v))
-      solution

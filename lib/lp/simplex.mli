@@ -59,8 +59,6 @@ val solve : ?max_iters:int -> problem -> result
 val check_feasible : ?tol:float -> problem -> float array -> bool
 (** Does the point satisfy every constraint and non-negativity? *)
 
-val pp_result : Format.formatter -> result -> unit
-
 (** The original dense two-phase tableau simplex, kept as a test oracle
     for the fuzz suite and for debugging.  Same semantics as the
     top-level entry points had before the sparse rewrite. *)

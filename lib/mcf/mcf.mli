@@ -65,7 +65,7 @@ val opt_mlu_lp_warm_ext :
   warm_solve
 (** {!opt_mlu_lp_warm} with the solve effort exposed: [pivots] is the
     simplex iteration count (callers tracking engine statistics record
-    it via [Engine.Stats.record_lp_solve]) and [warm] reports whether a
+    it via [Engine.Stats.record_lp]) and [warm] reports whether a
     starting basis was supplied.  Serving loops use this to prove that
     basis reuse across a demand-delta stream actually cuts pivots. *)
 

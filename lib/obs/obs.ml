@@ -495,6 +495,18 @@ module Metrics = struct
       go 0. 0. h.buckets
     end
 
+  let pp ppf t =
+    Format.fprintf ppf "@[<v>metrics:";
+    let line fmt (k, v) = Format.fprintf ppf fmt k v in
+    List.iter (line "@,  %-28s %d") (counters t);
+    List.iter (line "@,  %-28s %.6f") (gauges t);
+    List.iter
+      (fun (k, h) ->
+        Format.fprintf ppf "@,  %-28s n=%d p50=%g p99=%g max=%g" k h.n
+          (hist_quantile h 0.5) (hist_quantile h 0.99) h.max)
+      (histograms t);
+    Format.fprintf ppf "@]"
+
   let to_json t =
     let hist h =
       Json.obj
@@ -546,9 +558,7 @@ module Ctx = struct
 
   let span t ?attrs name f = Tracer.with_span t.tracer ?attrs name f
 
-  let phase t name f =
-    Tracer.with_span t.tracer name (fun () ->
-        Stats.time t.stats ("phase:" ^ name) f)
+  let phase t name f = Tracer.with_span t.tracer name f
 
   let probe t = Tracer.probe t.tracer
 
@@ -666,15 +676,18 @@ module Export = struct
       (trace_lines ?times t);
     close_out oc
 
+  let run_metrics (ctx : Ctx.t) =
+    let m = Metrics.create () in
+    Metrics.merge ~into:m ctx.Ctx.metrics;
+    Metrics.absorb_stats m ctx.Ctx.stats;
+    Metrics.absorb_pool m ctx.Ctx.pool;
+    m
+
   let run_summary ?wall ?(extra = []) (ctx : Ctx.t) =
     let phases = Tracer.phase_totals ctx.Ctx.tracer in
     let phase_sum = List.fold_left (fun a (_, d) -> a +. d) 0. phases in
     let wall = match wall with Some w -> w | None -> phase_sum in
     let coverage = if wall > 0. then phase_sum /. wall else nan in
-    let m = Metrics.create () in
-    Metrics.merge ~into:m ctx.Ctx.metrics;
-    Metrics.absorb_stats m ctx.Ctx.stats;
-    Metrics.absorb_pool m ctx.Ctx.pool;
     Json.obj
       ((("schema", json_str "run-summary/1") :: provenance ())
       @ [ ("jobs", string_of_int (Ctx.jobs ctx));
@@ -686,10 +699,7 @@ module Export = struct
             Json.float (Stats.parallel_efficiency ctx.Ctx.stats) );
           ("spans", string_of_int (Tracer.span_count ctx.Ctx.tracer));
           ("spans_dropped", string_of_int (Tracer.dropped ctx.Ctx.tracer));
-          ("metrics", Metrics.to_json m) ]
+          ("metrics", Metrics.to_json (run_metrics ctx)) ]
       @ extra)
     ^ "\n"
-
-  let write_run_summary ?wall ?extra ~path ctx =
-    write path (run_summary ?wall ?extra ctx)
 end

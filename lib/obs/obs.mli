@@ -10,7 +10,10 @@
       the {!Tracer.noop} value: every instrumented site reduces to a
       tag test, no closure is allocated on the fast path.
     - {!Metrics}: counters / gauges / histograms with a deterministic
-      merge, superseding ad-hoc additions to [Engine.Stats].
+      merge.  Every quantity has one home: the evaluator's hot-loop
+      counters and timers stay in the typed [Engine.Stats] record, and
+      everything else is a named metric; {!Export.run_metrics} absorbs
+      the former as [engine.*] for export and printing.
     - {!Ctx}: the run context every solver entry point takes — stats,
       tracer, metrics, worker pool, RNG seed and an optional deadline —
       replacing the [?stats ?jobs ?seed] optional-argument sprawl.
@@ -110,7 +113,7 @@ module Tracer : sig
       [noop]) is a no-op. *)
 
   val probe : t -> Engine.Probe.t
-  (** A probe for {!Engine.Evaluator.set_probe} feeding this buffer.
+  (** A probe for {!Engine.Evaluator.create} feeding this buffer.
       {!Engine.Probe.null} unless the tracer is live {e and} was
       created with [~engine_detail:true]. *)
 
@@ -163,10 +166,10 @@ module Metrics : sig
       for any scale). *)
 
   val absorb_stats : t -> Engine.Stats.t -> unit
-  (** Imports every {!Engine.Stats.counters} entry except the
-      [par_jobs] maximum as an [engine.*] counter, and
-      every accumulated timer as an [engine.time.*] gauge, so one
-      metrics view covers both worlds. *)
+  (** Imports every nonzero {!Engine.Stats.counters} entry except the
+      [par_jobs] maximum as an [engine.*] counter, the parallel wall and
+      busy seconds as [engine.par_*] gauges, and every hot-phase timer
+      as an [engine.time.*] gauge. *)
 
   val absorb_pool : t -> Par.Pool.t -> unit
   (** Imports the pool's scheduler counters (steals, parks, regions,
@@ -198,6 +201,10 @@ module Metrics : sig
       the decade bucket holding the rank, clamped to the exact
       [[min, max]] envelope (so it is exact for [n <= 1] and never
       infinite).  [nan] when the histogram is empty. *)
+
+  val pp : Format.formatter -> t -> unit
+  (** One line per counter, gauge and histogram (count and estimated
+      p50 / p99), sorted by name under a [metrics:] header. *)
 
   val to_json : t -> string
   (** One-line JSON object [{"counters":{...},"gauges":{...},
@@ -250,9 +257,9 @@ module Ctx : sig
   (** {!Tracer.with_span} on the context's tracer. *)
 
   val phase : t -> string -> (unit -> 'a) -> 'a
-  (** A root-level phase: a span {e and} an {!Engine.Stats.time}
-      accumulator of the same name, so phase totals survive even when
-      tracing is off. *)
+  (** A root-level phase span; {!Tracer.phase_totals} reads the
+      per-phase wall times back.  Nothing is timed under the noop
+      tracer. *)
 
   val probe : t -> Engine.Probe.t
 
@@ -299,14 +306,16 @@ module Export : sig
 
   val write_trace : ?times:bool -> path:string -> Tracer.t -> unit
 
+  val run_metrics : Ctx.t -> Metrics.t
+  (** The run's one metrics view: the context's metrics plus
+      {!Metrics.absorb_stats} and {!Metrics.absorb_pool}.  A fresh
+      value; the context is not modified. *)
+
   val run_summary :
     ?wall:float -> ?extra:(string * string) list -> Ctx.t -> string
   (** The [run-summary/1] digest of a finished run: provenance, jobs,
       wall seconds ([wall] defaults to the sum of root-span times),
-      per-phase seconds with their coverage of the wall time, engine
-      counters and timers, parallel efficiency, metrics, span/drop
-      counts.  [extra] appends pre-rendered JSON fields. *)
-
-  val write_run_summary :
-    ?wall:float -> ?extra:(string * string) list -> path:string -> Ctx.t -> unit
+      per-phase seconds with their coverage of the wall time, parallel
+      efficiency, span/drop counts and {!run_metrics}.  [extra] appends
+      pre-rendered JSON fields. *)
 end

@@ -500,25 +500,6 @@ let chunks ~chunk n =
       let start = i * chunk in
       (start, min chunk (n - start)))
 
-let map_chunked t ~chunk ~tasks f =
-  let blocks = chunks ~chunk tasks in
-  let per_block =
-    map t ~tasks:(Array.length blocks) (fun ~worker b ->
-        let start, len = blocks.(b) in
-        Array.init len (fun j -> f ~worker (start + j)))
-  in
-  if tasks = 0 then [||]
-  else begin
-    (* blocks are never empty, so the first element seeds the array *)
-    let out = Array.make tasks per_block.(0).(0) in
-    Array.iteri
-      (fun b block ->
-         let start, _ = blocks.(b) in
-         Array.blit block 0 out start (Array.length block))
-      per_block;
-    out
-  end
-
 type metrics = {
   steals : int;
   steal_races : int;

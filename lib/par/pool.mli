@@ -116,17 +116,6 @@ val chunks : chunk:int -> int -> (int * int) array
     identical for every [--jobs] value.
     @raise Invalid_argument if [chunk < 1] or [n < 0]. *)
 
-val map_chunked :
-  t -> chunk:int -> tasks:int -> (worker:int -> int -> 'a) -> 'a array
-(** {!chunks} composed with {!map}: fans [0 .. tasks-1] out in
-    [chunk]-sized blocks and returns the per-task results in task-index
-    order.  One worker processes a whole block consecutively (so
-    worker-indexed scratch stays warm along a block), but the block
-    decomposition — and therefore any within-block state reuse — depends
-    only on [chunk] and [tasks], never on the pool size.  Same
-    determinism contract as {!map}: results must depend only on the task
-    index. *)
-
 (** Scheduler counters, cumulative since pool creation.  Cheap to read
     (atomic loads); meant for observability, not control flow. *)
 type metrics = {

@@ -572,8 +572,6 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(chunk = 4) ?(policies = [ Static ])
       cur_demands.(worker) <- demands'
     end;
     spec_demands.(i) <- cur_demands.(worker);
-    let wstats = Engine.Evaluator.stats ev in
-    Engine.Stats.record_scenario wstats;
     List.iter (fun e -> Engine.Evaluator.disable_edge ev ~edge:e) spec.failed;
     let static_disconnected = ref 0 and topo_disconnected = ref 0 in
     Array.iteri

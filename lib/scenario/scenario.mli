@@ -177,7 +177,7 @@ val sweep_ctx :
 (** The context-taking entry point: evaluates every spec, in id order.
     [policies] defaults to [[Static]]; the static fields of each
     outcome are computed regardless.  [chunk] (default 4) sizes the
-    streaming blocks handed to {!Par.Pool.map_chunked}; results are
+    streaming blocks cut by {!Par.Pool.chunks}; results are
     bit-identical for every pool size and [chunk].  [reopt_evals]
     (default 400) is the per-scenario search budget of [Reweight]; its
     local-search seed derives from the spec id, never from scheduling.
@@ -195,8 +195,7 @@ val sweep_ctx :
     surviving topology allows (its count is [topo_disconnected]);
     [Reweight] keeps the deployed waypoints and is skipped (reported
     disconnected) when the deployed segments are broken.  The context's
-    stats accumulate engine counters from all workers, one
-    {!Engine.Stats.record_scenario} tick per spec. *)
+    stats accumulate engine counters from all workers. *)
 
 val static_sweep_rebuild :
   deployed:deployed ->

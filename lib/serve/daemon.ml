@@ -153,11 +153,8 @@ let lp_bound t =
     let basis = if key = t.basis_key then t.basis else None in
     match Mcf.opt_mlu_lp_warm_ext ?basis t.g comms with
     | r ->
-      let stats = t.ctx.Obs.Ctx.stats in
-      Engine.Stats.record_lp_solve stats ~pivots:r.Mcf.pivots;
-      if r.Mcf.warm then
-        stats.Engine.Stats.lp_warm_solves <-
-          stats.Engine.Stats.lp_warm_solves + 1;
+      Engine.Stats.record_lp t.ctx.Obs.Ctx.stats ~solves:1 ~pivots:r.Mcf.pivots
+        ~warm:(Bool.to_int r.Mcf.warm);
       t.basis <- Some r.Mcf.basis;
       t.basis_key <- key;
       t.lp_last <- r.Mcf.value;

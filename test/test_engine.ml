@@ -329,8 +329,8 @@ let test_local_search_incremental_stats () =
   Alcotest.(check bool) "incremental SPF used" true
     (stats.Engine.Stats.incr_spf > 0);
   Alcotest.(check bool) "search improved" true (r.Local_search.mlu < 2.);
-  let frac = Engine.Stats.full_rebuild_fraction stats in
-  Alcotest.(check bool) "full-rebuild fraction < 1/2" true (frac < 0.5)
+  Alcotest.(check bool) "full rebuilds < incremental repairs" true
+    (stats.Engine.Stats.full_spf < stats.Engine.Stats.incr_spf)
 
 (* Ecmp's demand-level loads agree with the engine's unit flows. *)
 let test_ecmp_shim () =
@@ -343,20 +343,22 @@ let test_ecmp_shim () =
   let el = Engine.Evaluator.unit_load ev ~src:0 ~dst:3 in
   checkf "engine agrees" 0.5 el.Engine.Evaluator.flows.(0)
 
-let test_stats_merge_and_json () =
+let test_stats_merge () =
   let a = Engine.Stats.create () and b = Engine.Stats.create () in
   a.Engine.Stats.full_spf <- 2;
   b.Engine.Stats.full_spf <- 3;
   b.Engine.Stats.incr_spf <- 7;
-  Engine.Stats.add_time b "spf_incr" 0.5;
+  b.Engine.Stats.par_jobs <- 4;
+  let hb = Engine.Stats.hot_times b in
+  hb.(Engine.Stats.hot_spf_incr) <- 0.5;
   Engine.Stats.merge ~into:a b;
   Alcotest.(check int) "merged full" 5 a.Engine.Stats.full_spf;
   Alcotest.(check int) "merged incr" 7 a.Engine.Stats.incr_spf;
-  checkf "merged timer" 0.5 (List.assoc "spf_incr" (Engine.Stats.timers a));
-  let j = Engine.Stats.to_json a in
-  Alcotest.(check bool) "json has counters" true
-    (String.length j > 0 && j.[0] = '{');
-  checkf "fraction" (5. /. 12.) (Engine.Stats.full_rebuild_fraction a)
+  Alcotest.(check int) "par_jobs is a maximum" 4 a.Engine.Stats.par_jobs;
+  checkf "merged hot timer" 0.5
+    (Engine.Stats.hot_times a).(Engine.Stats.hot_spf_incr);
+  Alcotest.(check (list string)) "only nonzero timers are named"
+    [ "spf_incr" ] (List.map fst (Engine.Stats.timers a))
 
 (* ------------------------------------------------------------------ *)
 (* Allocation discipline                                               *)
@@ -710,7 +712,7 @@ let () =
             test_local_search_incremental_stats;
         ] );
       ( "stats",
-        [ Alcotest.test_case "merge and json" `Quick test_stats_merge_and_json ] );
+        [ Alcotest.test_case "merge" `Quick test_stats_merge ] );
       ( "allocation",
         [
           Alcotest.test_case "probe loop allocation-free" `Quick

@@ -255,11 +255,13 @@ let test_warm_solve_stats () =
   let comms = [| Mcf.commodity 0 1 2. |] in
   let stats = Engine.Stats.create () in
   let r = Mcf.opt_mlu_lp_warm_ext g comms in
-  Engine.Stats.record_lp_solve stats ~pivots:r.Mcf.pivots;
+  let record (r : Mcf.warm_solve) =
+    Engine.Stats.record_lp stats ~solves:1 ~pivots:r.Mcf.pivots
+      ~warm:(Bool.to_int r.Mcf.warm)
+  in
+  record r;
   let r2 = Mcf.opt_mlu_lp_warm_ext ~basis:r.Mcf.basis g comms in
-  Engine.Stats.record_lp_solve stats ~pivots:r2.Mcf.pivots;
-  if r2.Mcf.warm then
-    stats.Engine.Stats.lp_warm_solves <- stats.Engine.Stats.lp_warm_solves + 1;
+  record r2;
   checkf6 "same objective" r.Mcf.value r2.Mcf.value;
   Alcotest.(check int) "two solves" 2 stats.Engine.Stats.lp_solves;
   Alcotest.(check int) "one warm" 1 stats.Engine.Stats.lp_warm_solves;

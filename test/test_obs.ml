@@ -164,15 +164,14 @@ let test_metrics_merge () =
 
 let test_metrics_absorb_stats () =
   let s = Engine.Stats.create () in
-  Engine.Stats.record_scenario s;
-  Engine.Stats.record_scenario s;
-  Engine.Stats.add_time s "phase:solve" 0.25;
+  s.Engine.Stats.evaluations <- 2;
+  (Engine.Stats.hot_times s).(Engine.Stats.hot_units) <- 0.25;
   let m = Obs.Metrics.create () in
   Obs.Metrics.absorb_stats m s;
   Alcotest.(check int) "counter preserved" 2
-    (List.assoc "engine.scenarios" (Obs.Metrics.counters m));
+    (List.assoc "engine.evaluations" (Obs.Metrics.counters m));
   Alcotest.(check (float 1e-9)) "timer becomes gauge" 0.25
-    (List.assoc "engine.time.phase:solve" (Obs.Metrics.gauges m));
+    (List.assoc "engine.time.units" (Obs.Metrics.gauges m));
   (* Every Stats counter but the par_jobs maximum lands as engine.*. *)
   let s =
     { (Engine.Stats.create ()) with
@@ -180,10 +179,10 @@ let test_metrics_absorb_stats () =
       spf_nodes_touched = 1; dag_hits = 1; dag_misses = 1; unit_hits = 1;
       unit_misses = 1; weight_updates = 1;
       dirty_dests = 1; clean_dests = 1; commits = 1; undos = 1;
-      scenarios = 1; edges_disabled = 1; par_regions = 1; par_tasks = 1;
+      edges_disabled = 1; par_regions = 1; par_tasks = 1;
       par_jobs = 1; candidates_pruned = 1; candidates_kept = 1;
-      clone_syncs = 1; clone_copies = 1; milp_nodes = 1; lp_solves = 1;
-      lp_pivots = 1; lp_warm_solves = 1; lp_cycle_limits = 1 }
+      clone_syncs = 1; clone_copies = 1; lp_solves = 1;
+      lp_pivots = 1; lp_warm_solves = 1 }
   in
   Alcotest.(check bool) "fixture sets every counter" true
     (List.for_all (fun (_, v) -> v = 1) (Engine.Stats.counters s));
@@ -206,12 +205,7 @@ let test_ctx_phase () =
   let r = Obs.Ctx.phase ctx "load" (fun () -> 42) in
   Alcotest.(check int) "phase returns" 42 r;
   Alcotest.(check (list string)) "root span recorded" [ "load" ]
-    (List.map fst (Obs.Tracer.phase_totals ctx.Obs.Ctx.tracer));
-  (* the Stats timer survives even with a noop tracer *)
-  let plain = Obs.Ctx.make () in
-  ignore (Obs.Ctx.phase plain "solve" (fun () -> 1));
-  Alcotest.(check bool) "stats timer without tracer" true
-    (List.mem_assoc "phase:solve" (Engine.Stats.timers plain.Obs.Ctx.stats))
+    (List.map fst (Obs.Tracer.phase_totals ctx.Obs.Ctx.tracer))
 
 let test_ctx_deadline () =
   Alcotest.(check bool) "no deadline never expires" false
@@ -380,6 +374,35 @@ let test_export_run_summary () =
     [ "\"schema\": \"run-summary/1\""; "\"phases\""; "\"solve\"";
       "\"phase_coverage\""; "\"engine.evaluations\"" ]
 
+(* Each quantity is exported under exactly one name: the MILP's node
+   count and the sweep's case count live in Metrics, LP solves in
+   Engine.Stats (absorbed as engine.lp_solves). *)
+let test_export_one_home () =
+  let g, demands = Lazy.force fixture in
+  let ctx = Obs.Ctx.make () in
+  ignore
+    (Wpo_milp.solve_ctx ctx ~max_nodes:50 g (Weights.inverse_capacity g)
+       (Array.sub demands 0 6));
+  let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
+  let deployed =
+    { Scenario.weights = joint.Joint.int_weights;
+      Scenario.waypoints = joint.Joint.waypoints }
+  in
+  let specs =
+    Scenario.generate
+      { Scenario.default_config with Scenario.seed = 7; Scenario.jitters = 2 }
+      g
+  in
+  ignore (Scenario.sweep_ctx ctx ~deployed g demands specs);
+  let s = Obs.Export.run_summary ctx in
+  let has name = contains ~sub:(Printf.sprintf "%S:" name) s in
+  List.iter
+    (fun name -> Alcotest.(check bool) ("has " ^ name) true (has name))
+    [ "milp.nodes"; "scn.cases"; "engine.lp_solves" ];
+  List.iter
+    (fun name -> Alcotest.(check bool) ("no " ^ name) false (has name))
+    [ "engine.milp_nodes"; "engine.scenarios"; "milp.lp_solves" ]
+
 (* A bench record round-trips through the strict serve parser: keys in
    order, JSON string escaping, nan as null. *)
 let test_export_envelope () =
@@ -454,6 +477,8 @@ let () =
         [
           Alcotest.test_case "trace lines" `Quick test_export_trace_lines;
           Alcotest.test_case "run summary" `Quick test_export_run_summary;
+          Alcotest.test_case "one home per quantity" `Quick
+            test_export_one_home;
           Alcotest.test_case "bench envelope" `Quick test_export_envelope;
         ] );
     ]

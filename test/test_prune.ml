@@ -1,6 +1,6 @@
 (* Properties of the Prune candidate-preprocessing pass.
 
-   - no-op reproduction: [k = n] in Centrality mode must reproduce the
+   - no-op reproduction: [k = n] must reproduce the
      unpruned GreedyWPO and JOINT results byte-identically (same
      waypoints, same MLU) — pruning off by default means off-by-one
      pool bugs would silently change published numbers, so the no-op
@@ -8,11 +8,10 @@
    - parallel determinism: a pruned run is bit-identical across pool
      sizes, like every other solver result in this repo.
    - seeded fuzz: on random topologies a generous pool (k >= n/2) stays
-     within a (1 + eps) factor of the unpruned objective, for every
-     pool mode.
-   - filter safety on the Figure 4 suite: the per-commodity filters of
-     Reach mode (reachability, on-every-shortest-path) never drop the
-     waypoint the unpruned greedy actually picked.
+     within a (1 + eps) factor of the unpruned objective.
+   - filter safety on the Figure 4 suite: the per-commodity filters
+     (reachability, on-every-shortest-path) never drop a waypoint the
+     unpruned greedy actually picked from the pool.
    - counters: pruned runs report their effectiveness through
      Stats.candidates_pruned/kept; unpruned runs report zero.
    - MILP: the no-op spec leaves the exact WPO MILP untouched. *)
@@ -91,63 +90,47 @@ let test_jobs_determinism () =
   let g = Topology.Datasets.load "Germany50" in
   let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:3 g in
   let w = Weights.inverse_capacity g in
-  List.iter
-    (fun mode ->
-      let prune = Prune.spec ~mode 8 in
-      let seq = wpo ~prune g w demands in
-      let pool = Par.Pool.create ~eager_wake:true ~jobs:4 () in
-      let par =
-        Fun.protect
-          ~finally:(fun () -> Par.Pool.shutdown pool)
-          (fun () -> wpo ~prune ~pool g w demands)
-      in
-      let ctx = Prune.mode_name mode in
-      Alcotest.(check bool) (ctx ^ ": waypoints") true
-        (par.Greedy_wpo.waypoints = seq.Greedy_wpo.waypoints);
-      Alcotest.(check (float 0.)) (ctx ^ ": mlu") seq.Greedy_wpo.mlu
-        par.Greedy_wpo.mlu)
-    [ Prune.Centrality; Prune.Coverage; Prune.Reach ]
+  let prune = Prune.spec 8 in
+  let seq = wpo ~prune g w demands in
+  let pool = Par.Pool.create ~eager_wake:true ~jobs:4 () in
+  let par =
+    Fun.protect
+      ~finally:(fun () -> Par.Pool.shutdown pool)
+      (fun () -> wpo ~prune ~pool g w demands)
+  in
+  Alcotest.(check bool) "waypoints" true
+    (par.Greedy_wpo.waypoints = seq.Greedy_wpo.waypoints);
+  Alcotest.(check (float 0.)) "mlu" seq.Greedy_wpo.mlu par.Greedy_wpo.mlu
 
 (* ------------------------------------------------------------------ *)
 (* Seeded fuzz: a generous pool stays near the unpruned objective      *)
 (* ------------------------------------------------------------------ *)
 
 let test_fuzz_quality () =
-  (* Reach keeps every commodity's own filtered list, so its bound is
-     tight.  The global pools can miss a detour node that carries no
+  (* The global pool can miss a detour node that carries no
      shortest-path flow at all — exactly the node a tiny congested
-     instance sometimes needs — so their guardrail is looser; on the
-     20 seeds the observed worst case is 1.61x (seed 9, 17 nodes). *)
-  let eps = function
-    | Prune.Reach -> 0.25
-    | Prune.Centrality | Prune.Coverage -> 0.75
-  in
+     instance sometimes needs — so the guardrail is loose; on the 20
+     seeds the observed worst case is 1.61x (seed 9, 17 nodes). *)
+  let eps = 0.75 in
   for seed = 1 to 20 do
     let g, demands = random_instance seed in
     let n = Digraph.node_count g in
     let w = Weights.inverse_capacity g in
     let base = wpo g w demands in
-    List.iter
-      (fun mode ->
-        let k = max 1 (n / 2) in
-        let pruned = wpo ~prune:(Prune.spec ~mode k) g w demands in
-        let bound = (1. +. eps mode) *. base.Greedy_wpo.mlu in
-        if pruned.Greedy_wpo.mlu > bound then
-          Alcotest.failf "seed %d %s: pruned MLU %.4f > (1+%.2f) x %.4f" seed
-            (Prune.mode_name mode) pruned.Greedy_wpo.mlu (eps mode)
-            base.Greedy_wpo.mlu)
-      [ Prune.Centrality; Prune.Coverage; Prune.Reach ]
+    let pruned = wpo ~prune:(Prune.spec (max 1 (n / 2))) g w demands in
+    if pruned.Greedy_wpo.mlu > (1. +. eps) *. base.Greedy_wpo.mlu then
+      Alcotest.failf "seed %d: pruned MLU %.4f > (1+%.2f) x %.4f" seed
+        pruned.Greedy_wpo.mlu eps base.Greedy_wpo.mlu
   done
 
 (* ------------------------------------------------------------------ *)
-(* Reach filters never drop the unpruned greedy's pick (fig4 suite)    *)
+(* The filters never drop the unpruned greedy's pick (fig4 suite)      *)
 (* ------------------------------------------------------------------ *)
 
 let test_filters_keep_pick () =
   List.iter
     (fun name ->
       let g = Topology.Datasets.load name in
-      let n = Digraph.node_count g in
       let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:1 g in
       let w = Weights.inverse_capacity g in
       let base = wpo g w demands in
@@ -157,20 +140,21 @@ let test_filters_keep_pick () =
       Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
       ignore (Engine.Evaluator.loads ev);
       let p =
-        Prune.prepare (Obs.Ctx.make ()) (Prune.spec ~mode:Prune.Reach n) ev
+        Prune.prepare (Obs.Ctx.make ()) (Prune.spec Prune.default_k) ev
           demands
       in
+      let pool = Prune.pool p in
       Array.iteri
         (fun i -> function
-          | None -> ()
-          | Some pick ->
+          | Some pick when Array.mem pick pool ->
             let d = demands.(i) in
             let cands =
               Prune.candidates p ~src:d.Network.src ~dst:d.Network.dst
             in
             if not (Array.exists (( = ) pick) cands) then
               Alcotest.failf "%s: demand %d->%d lost its pick %d" name
-                d.Network.src d.Network.dst pick)
+                d.Network.src d.Network.dst pick
+          | _ -> ())
         base.Greedy_wpo.waypoints)
     Topology.Datasets.fig4_names
 
@@ -233,7 +217,7 @@ let () =
         [
           Alcotest.test_case "fuzz k>=n/2 within 1+eps" `Quick
             test_fuzz_quality;
-          Alcotest.test_case "reach filters keep the pick" `Quick
+          Alcotest.test_case "filters keep the pick" `Quick
             test_filters_keep_pick;
         ] );
       ( "stats",
