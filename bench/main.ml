@@ -1015,10 +1015,11 @@ let parallel_sweep name =
   let measure pool =
     let m0 = Par.Pool.metrics pool in
     let ws = Engine.Stats.create () and ls = Engine.Stats.create () in
+    let wm = Obs.Metrics.create () in
     let wpo, wpo_wall =
       timed (fun () ->
-          Greedy_wpo.optimize_ctx (Obs.Ctx.make ~stats:ws ~pool ()) g inv_w
-            demands)
+          Greedy_wpo.optimize_ctx (Obs.Ctx.make ~stats:ws ~metrics:wm ~pool ())
+            g inv_w demands)
     in
     let heur, ls_wall =
       timed (fun () ->
@@ -1027,23 +1028,25 @@ let parallel_sweep name =
     in
     ( (wpo.Greedy_wpo.waypoints, wpo.Greedy_wpo.mlu, heur.Local_search.weights,
        heur.Local_search.mlu, heur.Local_search.evals),
-      (ws, wpo_wall, ls, ls_wall, m0, Par.Pool.metrics pool) )
+      (ws, wm, wpo_wall, ls, ls_wall, m0, Par.Pool.metrics pool) )
   in
   let runs =
     List.map (fun jobs -> (jobs, Par.Pool.with_pool ~jobs measure)) [ 1; 2; 4; 8 ]
   in
-  let ref_result, (_, base_wpo, _, base_ls, _, _) = snd (List.hd runs) in
+  let ref_result, (_, _, base_wpo, _, base_ls, _, _) = snd (List.hd runs) in
   List.map
-    (fun (jobs, (result, (ws, wpo_wall, ls, ls_wall, m0, m1))) ->
+    (fun (jobs, (result, (ws, wm, wpo_wall, ls, ls_wall, m0, m1))) ->
       let open Engine.Stats in
-      let tasks = ws.par_tasks + ls.par_tasks in
+      let tasks = m1.Par.Pool.tasks - m0.Par.Pool.tasks in
+      let wall = m1.Par.Pool.wall_seconds -. m0.Par.Pool.wall_seconds in
+      let busy = m1.Par.Pool.busy_seconds -. m0.Par.Pool.busy_seconds in
       let overhead_us =
-        if tasks = 0 then 0.
-        else
-          (ws.par_wall +. ls.par_wall -. ws.par_busy -. ls.par_busy)
-          /. float_of_int tasks *. 1e6
+        if tasks = 0 then 0. else (wall -. busy) /. float_of_int tasks *. 1e6
       in
-      let scanned = Array.fold_left ( + ) 0 ws.worker_evals in
+      let efficiency =
+        if wall <= 0. then nan else busy /. (wall *. float_of_int jobs)
+      in
+      let scanned = Obs.Metrics.counter wm "wpo.scanned" in
       let syncs = ws.clone_syncs + ls.clone_syncs in
       let copies = ws.clone_copies + ls.clone_copies in
       [ A.str "topology" name; A.int "jobs" jobs;
@@ -1062,7 +1065,7 @@ let parallel_sweep name =
         A.float "clone_amortization"
           (if syncs + copies = 0 then 0.
            else float_of_int syncs /. float_of_int (syncs + copies));
-        A.float "efficiency" (parallel_efficiency ls) ])
+        A.float "efficiency" efficiency ])
     runs
 
 (* Sync-vs-copy on a warm Germany50 clone, two regimes.  Steady state:
@@ -1362,9 +1365,7 @@ let milp_case (name, solve) =
   let go warm =
     let ctx = Obs.Ctx.make () in
     let mlu, wall = timed (fun () -> solve warm ctx) in
-    let nodes =
-      List.assoc "milp.nodes" (Obs.Metrics.counters ctx.Obs.Ctx.metrics)
-    in
+    let nodes = Obs.Metrics.counter ctx.Obs.Ctx.metrics "milp.nodes" in
     (ctx.Obs.Ctx.stats, nodes, mlu, wall)
   in
   let sw, nodes_w, mlu_w, wall_w = go true in
@@ -1545,13 +1546,14 @@ let obs =
    cost measured on a demand prefix and extrapolated (running it in full
    would dwarf the harness; the record says so). *)
 let pruned_wpo ?prune pool g w demands =
-  let stats = Engine.Stats.create () in
+  let ctx = Obs.Ctx.make ~pool () in
   let r, wall =
-    timed (fun () ->
-        Greedy_wpo.optimize_ctx (Obs.Ctx.make ~stats ~pool ()) ?prune g w
-          demands)
+    timed (fun () -> Greedy_wpo.optimize_ctx ctx ?prune g w demands)
   in
-  (r, Array.fold_left ( + ) 0 stats.Engine.Stats.worker_evals, stats, wall)
+  ( r,
+    Obs.Metrics.counter ctx.Obs.Ctx.metrics "wpo.scanned",
+    ctx.Obs.Ctx.stats,
+    wall )
 
 let prune_quality pool name =
   let g = Topology.Datasets.load name in

@@ -499,7 +499,7 @@ let failures_cmd =
 (* robust *)
 let robust_cmd =
   let run topo file seed kind flows evals jobs stats trace summary policies_s
-      dual scales_s jitter hotspots diurnal cross chunk reopt_evals out =
+      dual scales_s jitter hotspots diurnal cross reopt_evals out =
     let policies =
       try Scenario.policies_of_string policies_s
       with Invalid_argument m ->
@@ -560,8 +560,8 @@ let robust_cmd =
         let specs = Scenario.generate cfg g in
         let outcomes =
           Obs.Ctx.phase ctx "sweep" (fun () ->
-              Scenario.sweep_ctx ctx ~chunk ~policies ~reopt_evals ~deployed g
-                demands specs)
+              Scenario.sweep_ctx ctx ~policies ~reopt_evals ~deployed g demands
+                specs)
         in
         let report = Scenario.summarize ~topology:topo ~nominal_mlu outcomes in
         let json = Scenario.report_to_json g report in
@@ -616,11 +616,6 @@ let robust_cmd =
            ~doc:"Take the full failure x demand-shift product instead of \
                  varying one axis at a time.")
   in
-  let chunk_arg =
-    Arg.(value & opt int 4 & info [ "chunk" ] ~docv:"N"
-           ~doc:"Scenarios per streaming block; results are bit-identical \
-                 for every value, only locality changes.")
-  in
   let reopt_evals_arg =
     Arg.(value & opt int 400 & info [ "reopt-evals" ]
            ~doc:"Per-scenario search budget of the reweight policy.")
@@ -639,7 +634,7 @@ let robust_cmd =
     Term.(const run $ topo_arg $ file_arg $ seed_arg $ demands_arg $ flows_arg
           $ evals_arg $ jobs_arg $ stats_arg $ trace_arg $ summary_arg
           $ policies_arg $ dual_arg $ scales_arg $ jitter_arg $ hotspots_arg
-          $ diurnal_arg $ cross_arg $ chunk_arg $ reopt_evals_arg $ out_arg)
+          $ diurnal_arg $ cross_arg $ reopt_evals_arg $ out_arg)
 
 (* exact *)
 let exact_cmd =

@@ -66,6 +66,7 @@ type scan_ctx = {
   bufs : float array array; (* per-worker private load buffer *)
   main_stats : Engine.Stats.t;
   tracer : Obs.Tracer.t;
+  metrics : Obs.Metrics.t;
 }
 
 (* Clones come from the context's persistent cache, on the calling
@@ -74,20 +75,20 @@ type scan_ctx = {
    evaluator.  Slots already populated by an earlier fan-out (a previous
    greedy run, or the local search sharing the same context) are
    delta-synced instead of recopied. *)
-let make_ctx ?(tracer = Obs.Tracer.noop) ?clones pool ev =
+let make_ctx (octx : Obs.Ctx.t) ev =
   let g = Engine.Evaluator.graph ev in
   let m = Digraph.edge_count g in
+  let pool = octx.Obs.Ctx.pool in
   let par = Par.Pool.parallelism pool in
-  let evs = Array.make par ev in
-  for w = 1 to par - 1 do
-    evs.(w) <-
-      (match clones with
-      | Some cache -> Engine.Evaluator.Clones.get cache ~worker:w ~src:ev
-      | None -> Engine.Evaluator.copy ev)
-  done;
+  let evs =
+    Array.init par (fun w ->
+        if w = 0 then ev
+        else Engine.Evaluator.Clones.get octx.Obs.Ctx.clones ~worker:w ~src:ev)
+  in
   { g; m; caps = Digraph.caps g; pool; evs;
     bufs = Array.init par (fun _ -> Array.make m 0.);
-    main_stats = Engine.Evaluator.stats ev; tracer }
+    main_stats = Engine.Evaluator.stats ev; tracer = octx.Obs.Ctx.tracer;
+    metrics = octx.Obs.Ctx.metrics }
 
 (* Clones persist in the cache across fan-outs, so their counters are
    folded into the run total and reset — leaving them live would
@@ -114,10 +115,8 @@ let scan_candidates ctx ~loads ~add_cand cands =
     let scan_tok = Obs.Tracer.start ctx.tracer "wpo:scan" in
     Obs.Tracer.attr ctx.tracer scan_tok (Obs.Attr.int "candidates" ncand);
     let ch = Par.Pool.chunks ~chunk:scan_chunk ncand in
-    let wall0 = Engine.Mono.now () in
     let per_chunk =
       Par.Pool.map ctx.pool ~tasks:(Array.length ch) (fun ~worker ci ->
-          let t0 = Engine.Mono.now () in
           let start, len = ch.(ci) in
           let ev = ctx.evs.(worker) and buf = ctx.bufs.(worker) in
           let best = ref None and nev = ref 0 in
@@ -136,25 +135,21 @@ let scan_candidates ctx ~loads ~add_cand cands =
               | Some (bu, _) when bu <= !u -> ()
               | _ -> best := Some (!u, j))
           done;
-          (!best, !nev, worker, Engine.Mono.now () -. t0))
+          (!best, !nev))
     in
-    let wall = Engine.Mono.now () -. wall0 in
-    let busy = ref 0. and best = ref None in
+    let scanned = ref 0 and best = ref None in
     (* Chunks reduce in index order and ties keep the earlier chunk, so
        the winner is the global first-of-the-minima regardless of which
        worker scored which chunk. *)
     Array.iter
-      (fun (b, nev, worker, dt) ->
-        busy := !busy +. dt;
-        if nev > 0 then
-          Engine.Stats.record_worker_evals ctx.main_stats ~worker nev;
+      (fun (b, nev) ->
+        scanned := !scanned + nev;
         match (b, !best) with
         | None, _ -> ()
         | Some _, None -> best := b
         | Some (u, _), Some (bu, _) -> if u < bu then best := b)
       per_chunk;
-    Engine.Stats.record_parallel ctx.main_stats ~jobs:(Array.length ctx.evs)
-      ~tasks:(Array.length ch) ~wall ~busy:!busy;
+    if !scanned > 0 then Obs.Metrics.incr ctx.metrics ~by:!scanned "wpo.scanned";
     Obs.Tracer.finish ctx.tracer scan_tok;
     !best
   end
@@ -184,7 +179,7 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     weights demands =
   if rounds < 1 then invalid_arg "Greedy_wpo.optimize_multi: rounds >= 1";
   let n = Digraph.node_count g in
-  let pool = octx.Obs.Ctx.pool and tracer = octx.Obs.Ctx.tracer in
+  let tracer = octx.Obs.Ctx.tracer in
   let ev =
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
       ~probe:(Obs.Ctx.probe octx) g weights
@@ -194,7 +189,7 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
   in
   let loads = Array.copy (Engine.Evaluator.loads ev) in
-  let ctx = make_ctx ~tracer ~clones:octx.Obs.Ctx.clones pool ev in
+  let ctx = make_ctx octx ev in
   let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
   let setting = Array.make (Array.length demands) [] in
   let indices = order_indices order demands in
@@ -262,7 +257,7 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     weights demands =
   if passes < 1 then invalid_arg "Greedy_wpo.optimize: passes >= 1";
   let n = Digraph.node_count g in
-  let pool = octx.Obs.Ctx.pool and tracer = octx.Obs.Ctx.tracer in
+  let tracer = octx.Obs.Ctx.tracer in
   let ev =
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
       ~probe:(Obs.Ctx.probe octx) g weights
@@ -272,7 +267,7 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
   in
   let loads = Array.copy (Engine.Evaluator.loads ev) in
-  let ctx = make_ctx ~tracer ~clones:octx.Obs.Ctx.clones pool ev in
+  let ctx = make_ctx octx ev in
   let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
   let initial_mlu = Engine.Evaluator.mlu_of_loads g loads in
   let waypoints = Array.make (Array.length demands) None in

@@ -219,10 +219,8 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
     in
     Obs.Tracer.attr tracer round_tok
       (Obs.Attr.int "probes" (Array.length probes));
-    let wall0 = Engine.Mono.now () in
     let probe_results =
       Par.Pool.map pool ~tasks:(Array.length probes) (fun ~worker i ->
-          let t0 = Engine.Mono.now () in
           let evw = clones.(worker) and c = cells.(worker) in
           if worker > 0 && synced.(worker) <> !version then begin
             Engine.Evaluator.sync_weights evw shadow;
@@ -234,23 +232,11 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
           Engine.Evaluator.evaluate_into evw c;
           let loads = Array.copy (Engine.Evaluator.loads evw) in
           Engine.Evaluator.undo evw;
-          ( (c.Engine.Evaluator.mlu, c.Engine.Evaluator.phi, loads),
-            worker,
-            Engine.Mono.now () -. t0 ))
+          (c.Engine.Evaluator.mlu, c.Engine.Evaluator.phi, loads))
     in
     Obs.Tracer.finish tracer round_tok;
-    if Array.length probes > 0 then begin
+    if Array.length probes > 0 then
       Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.rounds";
-      let busy = ref 0. in
-      Array.iter
-        (fun (_, worker, dt) ->
-          busy := !busy +. dt;
-          Engine.Stats.record_worker_evals (Engine.Evaluator.stats ev) ~worker 1)
-        probe_results;
-      Engine.Stats.record_parallel (Engine.Evaluator.stats ev) ~jobs:par
-        ~tasks:(Array.length probes) ~wall:(Engine.Mono.now () -. wall0)
-        ~busy:!busy
-    end;
     evals := !sim;
     (* Phase C: replay the tracker updates in candidate order, exactly
        as the sequential loop would have. *)
@@ -262,7 +248,7 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
           match src with
           | `Memo r -> r
           | `Probe key ->
-            let r, _, _ = probe_results.(!next_probe) in
+            let r = probe_results.(!next_probe) in
             incr next_probe;
             if Hashtbl.length memo < 200_000 then Hashtbl.replace memo key r;
             r
@@ -360,8 +346,6 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(restarts = 1) ?params ?init g demands =
   if restarts = 1 then run_single ctx ~params ?init g demands
   else begin
     let pool = ctx.Obs.Ctx.pool in
-    let wall0 = Engine.Mono.now () in
-    let jobs = Par.Pool.parallelism pool in
     (* Each restart gets a forked context: a private Stats.t (a shared
        one would race across domains) and a detached span buffer; both
        merge back in restart order, so stats totals and the exported
@@ -369,23 +353,15 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(restarts = 1) ?params ?init g demands =
     let kids = Array.init restarts (fun _ -> Obs.Ctx.fork ctx) in
     let runs =
       Par.Pool.map pool ~tasks:restarts (fun ~worker:_ r ->
-          let t0 = Engine.Mono.now () in
-          let res =
-            run_single kids.(r) ~params:(restart_seed params r) ?init g demands
-          in
-          (res, Engine.Mono.now () -. t0))
+          run_single kids.(r) ~params:(restart_seed params r) ?init g demands)
     in
-    let wall = Engine.Mono.now () -. wall0 in
-    let busy = Array.fold_left (fun acc (_, dt) -> acc +. dt) 0. runs in
     for r = 0 to restarts - 1 do
       Obs.Ctx.join ~key:r ~into:ctx kids.(r)
     done;
-    Engine.Stats.record_parallel ctx.Obs.Ctx.stats ~jobs ~tasks:restarts ~wall
-      ~busy;
     (* Best MLU wins; ties keep the lowest restart index. *)
     let best = ref None in
     Array.iter
-      (fun (res, _) ->
+      (fun res ->
         match !best with
         | Some b when b.mlu <= res.mlu -> ()
         | _ -> best := Some res)

@@ -13,12 +13,6 @@ type t = {
   mutable commits : int;
   mutable undos : int;
   mutable edges_disabled : int;
-  mutable par_regions : int;
-  mutable par_tasks : int;
-  mutable par_jobs : int;
-  mutable par_wall : float;
-  mutable par_busy : float;
-  mutable worker_evals : int array;
   mutable candidates_pruned : int;
   mutable candidates_kept : int;
   mutable clone_syncs : int;
@@ -54,12 +48,6 @@ let create () =
     commits = 0;
     undos = 0;
     edges_disabled = 0;
-    par_regions = 0;
-    par_tasks = 0;
-    par_jobs = 0;
-    par_wall = 0.;
-    par_busy = 0.;
-    worker_evals = [||];
     candidates_pruned = 0;
     candidates_kept = 0;
     clone_syncs = 0;
@@ -87,12 +75,6 @@ let reset s =
   s.commits <- 0;
   s.undos <- 0;
   s.edges_disabled <- 0;
-  s.par_regions <- 0;
-  s.par_tasks <- 0;
-  s.par_jobs <- 0;
-  s.par_wall <- 0.;
-  s.par_busy <- 0.;
-  s.worker_evals <- [||];
   s.candidates_pruned <- 0;
   s.candidates_kept <- 0;
   s.clone_syncs <- 0;
@@ -101,13 +83,6 @@ let reset s =
   s.lp_pivots <- 0;
   s.lp_warm_solves <- 0;
   Array.fill s.hot 0 (Array.length s.hot) 0.
-
-let record_parallel s ~jobs ~tasks ~wall ~busy =
-  s.par_regions <- s.par_regions + 1;
-  s.par_tasks <- s.par_tasks + tasks;
-  if jobs > s.par_jobs then s.par_jobs <- jobs;
-  s.par_wall <- s.par_wall +. wall;
-  s.par_busy <- s.par_busy +. busy
 
 let record_lp s ~solves ~pivots ~warm =
   s.lp_solves <- s.lp_solves + solves;
@@ -119,19 +94,6 @@ let record_pruning s ~pruned ~kept =
     invalid_arg "Stats.record_pruning: negative count";
   s.candidates_pruned <- s.candidates_pruned + pruned;
   s.candidates_kept <- s.candidates_kept + kept
-
-let record_worker_evals s ~worker n =
-  if worker < 0 then invalid_arg "Stats.record_worker_evals: negative worker";
-  if worker >= Array.length s.worker_evals then begin
-    let grown = Array.make (worker + 1) 0 in
-    Array.blit s.worker_evals 0 grown 0 (Array.length s.worker_evals);
-    s.worker_evals <- grown
-  end;
-  s.worker_evals.(worker) <- s.worker_evals.(worker) + n
-
-let parallel_efficiency s =
-  if s.par_regions = 0 || s.par_jobs = 0 || s.par_wall <= 0. then nan
-  else s.par_busy /. (s.par_wall *. float_of_int s.par_jobs)
 
 let merge ~into s =
   into.evaluations <- into.evaluations + s.evaluations;
@@ -148,11 +110,6 @@ let merge ~into s =
   into.commits <- into.commits + s.commits;
   into.undos <- into.undos + s.undos;
   into.edges_disabled <- into.edges_disabled + s.edges_disabled;
-  into.par_regions <- into.par_regions + s.par_regions;
-  into.par_tasks <- into.par_tasks + s.par_tasks;
-  if s.par_jobs > into.par_jobs then into.par_jobs <- s.par_jobs;
-  into.par_wall <- into.par_wall +. s.par_wall;
-  into.par_busy <- into.par_busy +. s.par_busy;
   into.candidates_pruned <- into.candidates_pruned + s.candidates_pruned;
   into.candidates_kept <- into.candidates_kept + s.candidates_kept;
   into.clone_syncs <- into.clone_syncs + s.clone_syncs;
@@ -160,8 +117,6 @@ let merge ~into s =
   into.lp_solves <- into.lp_solves + s.lp_solves;
   into.lp_pivots <- into.lp_pivots + s.lp_pivots;
   into.lp_warm_solves <- into.lp_warm_solves + s.lp_warm_solves;
-  Array.iteri (fun w n -> if n <> 0 then record_worker_evals into ~worker:w n)
-    s.worker_evals;
   for i = 0 to Array.length s.hot - 1 do
     into.hot.(i) <- into.hot.(i) +. s.hot.(i)
   done
@@ -179,8 +134,6 @@ let counters s =
     ("weight_updates", s.weight_updates); ("dirty_dests", s.dirty_dests);
     ("clean_dests", s.clean_dests); ("commits", s.commits);
     ("undos", s.undos); ("edges_disabled", s.edges_disabled);
-    ("par_regions", s.par_regions);
-    ("par_tasks", s.par_tasks); ("par_jobs", s.par_jobs);
     ("candidates_pruned", s.candidates_pruned);
     ("candidates_kept", s.candidates_kept);
     ("clone_syncs", s.clone_syncs); ("clone_copies", s.clone_copies);

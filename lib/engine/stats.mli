@@ -36,18 +36,6 @@ type t = {
   mutable undos : int;
   mutable edges_disabled : int;
       (** links failed through {!Evaluator.disable_edge} *)
-  mutable par_regions : int;
-      (** parallel fan-outs (one per {!record_parallel} call) *)
-  mutable par_tasks : int;  (** tasks dispatched across all fan-outs *)
-  mutable par_jobs : int;  (** largest worker count used by any fan-out *)
-  mutable par_wall : float;
-      (** wall-clock seconds spent inside parallel fan-outs *)
-  mutable par_busy : float;
-      (** per-worker busy seconds summed over all fan-outs *)
-  mutable worker_evals : int array;
-      (** candidate evaluations per worker slot; grown on demand by
-          {!record_worker_evals} (scheduling-dependent attribution —
-          instrumentation only, never part of a deterministic result) *)
   mutable candidates_pruned : int;
       (** waypoint candidates removed before the scan by a candidate
           preprocessing pass (pool restriction, per-commodity filters,
@@ -101,16 +89,6 @@ val reset : t -> unit
 val merge : into:t -> t -> unit
 (** Adds every counter and timer of the second argument into [into]. *)
 
-(** {1 Parallel search instrumentation} *)
-
-val record_parallel : t -> jobs:int -> tasks:int -> wall:float -> busy:float -> unit
-(** Accounts one parallel fan-out: [jobs] workers processed [tasks]
-    tasks, the caller waited [wall] seconds, and the workers' summed
-    task time was [busy] seconds. *)
-
-val record_worker_evals : t -> worker:int -> int -> unit
-(** Adds candidate evaluations to worker slot [worker]'s counter. *)
-
 val record_pruning : t -> pruned:int -> kept:int -> unit
 (** Accounts one pruned candidate-list construction: [pruned] candidates
     removed before the scan, [kept] handed to it.
@@ -121,15 +99,8 @@ val record_lp : t -> solves:int -> pivots:int -> warm:int -> unit
     iterations in total, [warm] of them warm-started from a previous
     basis.  A branch and bound forwards its [Milp.effort]. *)
 
-val parallel_efficiency : t -> float
-(** [par_busy / (par_wall * par_jobs)]: 1.0 means every worker was busy
-    for the whole wall-clock of every fan-out; [nan] before any
-    {!record_parallel}. *)
-
 val timers : t -> (string * float) list
 (** The nonzero hot-phase seconds by phase name, sorted by name. *)
 
 val counters : t -> (string * int) list
-(** Every integer counter by field name, in declaration order
-    ([worker_evals] excluded: it is an array).  [par_jobs] is a maximum,
-    not a sum. *)
+(** Every integer counter by field name, in declaration order. *)

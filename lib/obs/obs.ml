@@ -408,13 +408,7 @@ module Metrics = struct
 
   let absorb_stats t (s : Stats.t) =
     let add name v = if v <> 0 then incr t ~by:v ("engine." ^ name) in
-    List.iter
-      (fun (name, v) -> if name <> "par_jobs" then add name v)
-      (Stats.counters s);
-    add "worker_evals_total"
-      (Array.fold_left ( + ) 0 s.Stats.worker_evals);
-    if s.Stats.par_wall > 0. then gauge t "engine.par_wall" s.Stats.par_wall;
-    if s.Stats.par_busy > 0. then gauge t "engine.par_busy" s.Stats.par_busy;
+    List.iter (fun (name, v) -> add name v) (Stats.counters s);
     List.iter
       (fun (name, secs) -> gauge t ("engine.time." ^ name) secs)
       (Stats.timers s)
@@ -433,8 +427,13 @@ module Metrics = struct
     add "regions" s.Par.Pool.regions;
     add "tasks" s.Par.Pool.tasks;
     add "max_region" s.Par.Pool.max_region;
-    if s.Par.Pool.park_seconds > 0. then
-      gauge t "sched.park_seconds" s.Par.Pool.park_seconds
+    let secs name v = if v > 0. then gauge t ("sched." ^ name) v in
+    secs "park_seconds" s.Par.Pool.park_seconds;
+    secs "busy_seconds" s.Par.Pool.busy_seconds;
+    secs "wall_seconds" s.Par.Pool.wall_seconds
+
+  let counter t name =
+    match Hashtbl.find_opt t.c name with Some r -> !r | None -> 0
 
   let counters t =
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.c []
@@ -683,6 +682,15 @@ module Export = struct
     Metrics.absorb_pool m ctx.Ctx.pool;
     m
 
+  (* Busy over wall times jobs across every scheduled region; [nan]
+     (exported as null) when the pool never scheduled one. *)
+  let parallel_efficiency pool =
+    let m = Par.Pool.metrics pool in
+    if m.Par.Pool.wall_seconds <= 0. then nan
+    else
+      m.Par.Pool.busy_seconds
+      /. (m.Par.Pool.wall_seconds *. float_of_int (Par.Pool.jobs pool))
+
   let run_summary ?wall ?(extra = []) (ctx : Ctx.t) =
     let phases = Tracer.phase_totals ctx.Ctx.tracer in
     let phase_sum = List.fold_left (fun a (_, d) -> a +. d) 0. phases in
@@ -695,8 +703,7 @@ module Export = struct
           ("phases", phases_json phases);
           ("phase_seconds", Json.float phase_sum);
           ("phase_coverage", Json.float coverage);
-          ( "parallel_efficiency",
-            Json.float (Stats.parallel_efficiency ctx.Ctx.stats) );
+          ("parallel_efficiency", Json.float (parallel_efficiency ctx.Ctx.pool));
           ("spans", string_of_int (Tracer.span_count ctx.Ctx.tracer));
           ("spans_dropped", string_of_int (Tracer.dropped ctx.Ctx.tracer));
           ("metrics", Metrics.to_json (run_metrics ctx)) ]

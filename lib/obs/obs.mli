@@ -166,20 +166,22 @@ module Metrics : sig
       for any scale). *)
 
   val absorb_stats : t -> Engine.Stats.t -> unit
-  (** Imports every nonzero {!Engine.Stats.counters} entry except the
-      [par_jobs] maximum as an [engine.*] counter, the parallel wall and
-      busy seconds as [engine.par_*] gauges, and every hot-phase timer
-      as an [engine.time.*] gauge. *)
+  (** Imports every nonzero {!Engine.Stats.counters} entry as an
+      [engine.*] counter and every hot-phase timer as an [engine.time.*]
+      gauge. *)
 
   val absorb_pool : t -> Par.Pool.t -> unit
   (** Imports the pool's scheduler counters (steals, parks, regions,
-      tasks, park time) as [sched.*] counters/gauges.  They are
-      cumulative since pool creation and inherently
-      scheduling-dependent, so this is only called on summary export —
-      never into a context's live metrics, whose JSON stays
-      jobs-invariant. *)
+      tasks) as [sched.*] counters and its park, busy and wall seconds
+      as [sched.*] gauges.  They are cumulative since pool creation and
+      inherently scheduling-dependent, so this is only called on
+      summary export — never into a context's live metrics, whose JSON
+      stays jobs-invariant. *)
 
   val merge : into:t -> t -> unit
+
+  val counter : t -> string -> int
+  (** The named counter's value; [0] if it never moved. *)
 
   val counters : t -> (string * int) list
   (** Sorted by name; likewise {!gauges} / {!histograms}. *)
@@ -315,7 +317,8 @@ module Export : sig
     ?wall:float -> ?extra:(string * string) list -> Ctx.t -> string
   (** The [run-summary/1] digest of a finished run: provenance, jobs,
       wall seconds ([wall] defaults to the sum of root-span times),
-      per-phase seconds with their coverage of the wall time, parallel
-      efficiency, span/drop counts and {!run_metrics}.  [extra] appends
-      pre-rendered JSON fields. *)
+      per-phase seconds with their coverage of the wall time, the
+      pool's parallel efficiency (busy over wall times jobs, [null] when
+      no region was scheduled), span/drop counts and {!run_metrics}.
+      [extra] appends pre-rendered JSON fields. *)
 end

@@ -2,9 +2,9 @@
 
    One Chase–Lev deque of task indices per worker slot (slot 0 is the
    submitting caller).  A fan-out publishes a region descriptor, seeds
-   the caller's deque with the ready task indices, and bumps the
-   submission epoch; workers claim indices by popping their own deque
-   or stealing from another slot's top, both lock-free.  The pool
+   the caller's deque with every task index, and bumps the submission
+   epoch; workers claim indices by popping their own deque or stealing
+   from another slot's top, both lock-free.  The pool
    mutex/condvars exist only to park idle workers between regions and
    to wake the caller at region completion.
 
@@ -97,13 +97,10 @@ module Deque = struct
 end
 
 (* One fan-out.  [r_run] never raises (exceptions are recorded
-   out-of-band by the wrappers in [map]/[run_graph]).  [r_deps] /
-   [r_children] are [||] for dependency-free regions. *)
+   out-of-band by the wrapper in [map]). *)
 type region = {
   r_total : int;
   r_run : int -> int -> unit;          (* worker slot -> task index *)
-  r_deps : int Atomic.t array;         (* remaining-dependency counts *)
-  r_children : int array array;        (* task -> dependent tasks *)
   r_done : int Atomic.t;
 }
 
@@ -128,6 +125,8 @@ type t = {
   m_tasks : int Atomic.t;
   m_max_region : int Atomic.t;
   park_time : float array;             (* per-slot; only slot w writes w *)
+  busy_time : float array;             (* per-slot task seconds, likewise *)
+  mutable wall_time : float;           (* region seconds; caller-written *)
   mutable domains : unit Domain.t list;
 }
 
@@ -170,33 +169,14 @@ let try_get t worker =
     !found
   end
 
-(* Run a claimed task: execute, release dependents onto this worker's
-   own deque, then retire it.  The dependency release is an atomic
-   decrement, so a dependent's executor observes all memory effects of
-   its dependencies; the completion counter's RMW chain gives the
-   caller a happens-before edge to every task's writes. *)
+(* Run a claimed task, timing it into this slot's busy cell, then
+   retire it.  The completion counter's RMW chain gives the caller a
+   happens-before edge to every task's writes, the busy cells
+   included. *)
 let exec t r worker task =
+  let t0 = Engine.Mono.now () in
   r.r_run worker task;
-  if Array.length r.r_children > 0 then begin
-    let ch = r.r_children.(task) in
-    let released = ref 0 in
-    for k = 0 to Array.length ch - 1 do
-      let c = ch.(k) in
-      if Atomic.fetch_and_add r.r_deps.(c) (-1) = 1 then begin
-        Deque.push t.deques.(worker) c;
-        incr released
-      end
-    done;
-    (* Parked workers missed these pushes (no epoch bump): hand them
-       out.  Racing a worker that is just deciding to park is benign —
-       this worker keeps the tasks in its own deque and runs them. *)
-    if t.wake && !released > 0 && Atomic.get t.parked > 0 then begin
-      Mutex.lock t.mutex;
-      let k = min (Atomic.get t.parked) !released in
-      for _ = 1 to k do Condition.signal t.work done;
-      Mutex.unlock t.mutex
-    end
-  end;
+  t.busy_time.(worker) <- t.busy_time.(worker) +. (Engine.Mono.now () -. t0);
   if Atomic.fetch_and_add r.r_done 1 = r.r_total - 1 then begin
     (* Last task of the region: wake the caller if it may be parked.
        [waiting] is written (SC) by the caller before it re-checks
@@ -291,6 +271,8 @@ let create ?eager_wake ~jobs () =
     m_tasks = Atomic.make 0;
     m_max_region = Atomic.make 0;
     park_time = Array.make jobs 0.;
+    busy_time = Array.make jobs 0.;
+    wall_time = 0.;
     domains = [];
   } in
   if jobs > 1 then
@@ -354,80 +336,45 @@ let caller_drive t r =
     end
   done
 
-(* Shared submission path.  [run] must not raise.  [deps] is [||] for
-   plain fan-outs; otherwise [deps.(i)] lists tasks that must retire
-   before [i] runs, each < i. *)
-let execute t ~tasks ?(deps = [||]) run =
-  if tasks > 0 then begin
-    if t.n_jobs = 1
-       || Atomic.get t.stopping
-       || not (Atomic.compare_and_set t.busy 0 1) then
-      (* Sequential pool, post-shutdown, or nested inside a running
-         task: run inline as slot 0.  Dependencies only point backwards,
-         so ascending order satisfies them.  This path touches no
-         scheduler state (the [jobs = 1] probe loops stay
-         allocation-free and lock-free). *)
-      for i = 0 to tasks - 1 do run 0 i done
-    else begin
-      let r_deps, r_children =
-        if Array.length deps = 0 then ([||], [||])
-        else begin
-          let nchildren = Array.make tasks 0 in
-          Array.iter
-            (List.iter (fun d -> nchildren.(d) <- nchildren.(d) + 1))
-            deps;
-          let children =
-            Array.init tasks (fun d -> Array.make nchildren.(d) 0) in
-          let fill = Array.make tasks 0 in
-          Array.iteri
-            (fun i ds ->
-               List.iter
-                 (fun d ->
-                    children.(d).(fill.(d)) <- i;
-                    fill.(d) <- fill.(d) + 1)
-                 ds)
-            deps;
-          (Array.map (fun ds -> Atomic.make (List.length ds)) deps, children)
-        end
-      in
-      let r = { r_total = tasks; r_run = run; r_deps; r_children;
-                r_done = Atomic.make 0 } in
-      (* Publish the region before any of its indices become claimable
-         (the claim-first protocol depends on this order), then seed the
-         caller's deque highest-index-first so slot 0 pops ascending. *)
-      Atomic.set t.region (Some r);
-      let ready = ref 0 in
-      if Array.length r_deps = 0 then begin
-        for i = tasks - 1 downto 0 do Deque.push t.deques.(0) i done;
-        ready := tasks
-      end
-      else
-        for i = tasks - 1 downto 0 do
-          if Atomic.get r_deps.(i) = 0 then begin
-            Deque.push t.deques.(0) i;
-            incr ready
-          end
-        done;
-      Atomic.incr t.m_regions;
-      ignore (Atomic.fetch_and_add t.m_tasks tasks);
-      if tasks > Atomic.get t.m_max_region then
-        Atomic.set t.m_max_region tasks;
-      Atomic.incr t.epoch;
-      (* Unpark just enough workers for the initially-ready tasks (the
-         caller takes one itself); dependency releases wake more later.
-         [parked] is exact under the mutex: a worker still deciding
-         whether to park re-checks the epoch we just bumped.  A
-         single-core pool skips the wakeups entirely (see [create]). *)
-      if t.wake then begin
-        Mutex.lock t.mutex;
-        let k = min (Atomic.get t.parked) (min (tasks - 1) !ready) in
-        for _ = 1 to k do Condition.signal t.work done;
-        Mutex.unlock t.mutex
-      end;
-      caller_drive t r;
-      Atomic.set t.region None;
-      Atomic.set t.busy 0
-    end
+(* Shared submission path for a region of [tasks >= 1] tasks.  [run]
+   must not raise. *)
+let execute t ~tasks run =
+  if t.n_jobs = 1
+     || Atomic.get t.stopping
+     || not (Atomic.compare_and_set t.busy 0 1) then
+    (* Sequential pool, post-shutdown, or nested inside a running
+       task: run inline as slot 0.  This path touches no scheduler
+       state and reads no clock (the [jobs = 1] probe loops stay
+       allocation-free and lock-free). *)
+    for i = 0 to tasks - 1 do run 0 i done
+  else begin
+    let wall0 = Engine.Mono.now () in
+    let r = { r_total = tasks; r_run = run; r_done = Atomic.make 0 } in
+    (* Publish the region before any of its indices become claimable
+       (the claim-first protocol depends on this order), then seed the
+       caller's deque highest-index-first so slot 0 pops ascending. *)
+    Atomic.set t.region (Some r);
+    for i = tasks - 1 downto 0 do Deque.push t.deques.(0) i done;
+    Atomic.incr t.m_regions;
+    ignore (Atomic.fetch_and_add t.m_tasks tasks);
+    if tasks > Atomic.get t.m_max_region then
+      Atomic.set t.m_max_region tasks;
+    Atomic.incr t.epoch;
+    (* Unpark just enough workers for the region (the caller takes one
+       task itself).  [parked] is exact under the mutex: a worker
+       still deciding whether to park re-checks the epoch we just
+       bumped.  A single-core pool skips the wakeups entirely (see
+       [create]). *)
+    if t.wake then begin
+      Mutex.lock t.mutex;
+      let k = min (Atomic.get t.parked) (tasks - 1) in
+      for _ = 1 to k do Condition.signal t.work done;
+      Mutex.unlock t.mutex
+    end;
+    caller_drive t r;
+    t.wall_time <- t.wall_time +. (Engine.Mono.now () -. wall0);
+    Atomic.set t.region None;
+    Atomic.set t.busy 0
   end
 
 (* Record the lowest-index failure; every task still runs. *)
@@ -462,36 +409,6 @@ let map (type a) t ~tasks (f : worker:int -> int -> a) : a array =
       Array.init tasks (fun i -> (Obj.obj (Array.unsafe_get results i) : a))
   end
 
-let run_graph t ~tasks ~deps f =
-  if tasks < 0 then invalid_arg "Par.Pool.run_graph: negative task count";
-  if Array.length deps <> tasks then
-    invalid_arg "Par.Pool.run_graph: deps length must equal tasks";
-  Array.iteri
-    (fun i ds ->
-       List.iter
-         (fun d ->
-            if d < 0 || d >= i then
-              invalid_arg
-                "Par.Pool.run_graph: dependencies must name earlier tasks")
-         ds)
-    deps;
-  if tasks > 0 then begin
-    let err : (int * exn) option Atomic.t = Atomic.make None in
-    let run worker i =
-      match f ~worker i with
-      | () -> ()
-      | exception e -> record_exn err i e
-    in
-    execute t ~tasks ~deps run;
-    match Atomic.get err with
-    | Some (_, e) -> raise e
-    | None -> ()
-  end
-
-let map_reduce t ~tasks ~map:f ~init ~reduce =
-  let rs = map t ~tasks f in
-  Array.fold_left reduce init rs
-
 let chunks ~chunk n =
   if chunk < 1 then invalid_arg "Par.Pool.chunks: chunk must be >= 1";
   if n < 0 then invalid_arg "Par.Pool.chunks: negative size";
@@ -508,6 +425,8 @@ type metrics = {
   regions : int;
   tasks : int;
   max_region : int;
+  busy_seconds : float;
+  wall_seconds : float;
 }
 
 let metrics t = {
@@ -518,4 +437,6 @@ let metrics t = {
   regions = Atomic.get t.m_regions;
   tasks = Atomic.get t.m_tasks;
   max_region = Atomic.get t.m_max_region;
+  busy_seconds = Array.fold_left ( +. ) 0. t.busy_time;
+  wall_seconds = t.wall_time;
 }

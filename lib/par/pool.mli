@@ -21,10 +21,10 @@
     slots.  The intended pattern is one cloned evaluator (and scratch
     buffer) per worker slot, immutable shared inputs, and results
     published only through the returned array.  All scheduler handoffs
-    (publication of the task region, claiming an index, dependency
-    release, the caller reading results after completion) go through
-    OCaml [Atomic] operations, which establish the happens-before edges
-    between a worker's last write and any later reader.
+    (publication of the task region, claiming an index, the caller
+    reading results after completion) go through OCaml [Atomic]
+    operations, which establish the happens-before edges between a
+    worker's last write and any later reader.
 
     Nesting: a [map] issued from inside a running task executes inline
     on the calling worker and presents worker index 0 to its tasks.
@@ -38,13 +38,13 @@ val create : ?eager_wake:bool -> jobs:int -> unit -> t
     valid degenerate pool that runs every task inline and touches no
     synchronization on {!map}.
 
-    [eager_wake] controls whether submissions and dependency releases
-    unpark sleeping workers.  It defaults to [true] exactly when the
-    host has more than one core: on a single-core host a woken worker
-    only timeslices against the caller, so the pool keeps workers
-    parked and the caller drives every region alone — same results
-    (the task decomposition never depends on who runs a task), none of
-    the unpark/steal/park overhead.  Pass [~eager_wake:true] to force
+    [eager_wake] controls whether submissions unpark sleeping workers.
+    It defaults to [true] exactly when the host has more than one
+    core: on a single-core host a woken worker only timeslices against
+    the caller, so the pool keeps workers parked and the caller drives
+    every region alone — same results (the task decomposition never
+    depends on who runs a task), none of the unpark/steal/park
+    overhead.  Pass [~eager_wake:true] to force
     real cross-domain scheduling anyway — the race tests do, so the
     deque protocol is exercised even on one core.
     @raise Invalid_argument if [jobs < 1]. *)
@@ -82,32 +82,6 @@ val map : t -> tasks:int -> (worker:int -> int -> 'a) -> 'a array
     the caller.  Results land in a single pre-sized array; the only
     per-region allocations are that array and the region descriptor. *)
 
-val run_graph :
-  t -> tasks:int -> deps:int list array -> (worker:int -> int -> unit) -> unit
-(** [run_graph t ~tasks ~deps f] runs [f ~worker i] for every
-    [i < tasks], where task [i] starts only after every task in
-    [deps.(i)] has finished.  Dependencies must name {e earlier} tasks
-    ([deps.(i)] ⊆ [0 .. i-1]), which makes the graph acyclic by
-    construction and lets the inline ([jobs = 1] / nested) path run
-    tasks in ascending index order.  Completed tasks release their
-    dependents onto the finishing worker's own deque, so multi-stage
-    work pipelines without a barrier between stages: a stage-2 task
-    whose stage-1 input is ready runs even while other stage-1 tasks
-    are still in flight.  Dependency release is an atomic counter
-    decrement, so a dependent observes all memory effects of its
-    dependencies.  Exceptions behave as in {!map}: every task whose
-    dependencies completed still runs, and the lowest-index failure is
-    re-raised.
-    @raise Invalid_argument if [Array.length deps <> tasks] or some
-    dependency is not an earlier task index. *)
-
-val map_reduce :
-  t -> tasks:int -> map:(worker:int -> int -> 'a) ->
-  init:'b -> reduce:('b -> 'a -> 'b) -> 'b
-(** [map] followed by an in-order (task index 0, 1, ...) left fold on
-    the caller.  The fixed fold order makes the reduction deterministic
-    even for non-commutative [reduce]. *)
-
 val chunks : chunk:int -> int -> (int * int) array
 (** [chunks ~chunk n] splits [0 .. n-1] into [(start, len)] blocks of
     [chunk] items (the last one possibly shorter).  The decomposition
@@ -116,8 +90,9 @@ val chunks : chunk:int -> int -> (int * int) array
     identical for every [--jobs] value.
     @raise Invalid_argument if [chunk < 1] or [n < 0]. *)
 
-(** Scheduler counters, cumulative since pool creation.  Cheap to read
-    (atomic loads); meant for observability, not control flow. *)
+(** Scheduler counters, cumulative since pool creation.  Cheap to read;
+    meant for observability, not control flow.  Every field is
+    scheduling-dependent, so none belongs in a deterministic result. *)
 type metrics = {
   steals : int;          (** tasks claimed from another slot's deque *)
   steal_races : int;     (** CAS retries lost while stealing *)
@@ -126,9 +101,12 @@ type metrics = {
   regions : int;         (** fan-outs submitted to the scheduler *)
   tasks : int;           (** tasks submitted across all regions *)
   max_region : int;      (** largest single region (task count) *)
+  busy_seconds : float;  (** task run time summed over every worker slot *)
+  wall_seconds : float;  (** caller wall time inside scheduled regions *)
 }
 
 val metrics : t -> metrics
 (** Snapshot of the scheduler counters.  The [jobs = 1] pool (and the
-    inline nested path) never touches the scheduler, so its metrics
-    stay zero. *)
+    inline nested path) never touches the scheduler or reads a clock,
+    so its metrics stay zero.  [busy_seconds /. (wall_seconds *. jobs)]
+    is the pool's parallel efficiency. *)

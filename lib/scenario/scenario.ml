@@ -486,7 +486,7 @@ let run_policy ~(kctx : Obs.Ctx.t) ~g ~deployed ~reopt_evals ~spec ~demands'
       }
     end
 
-let sweep_ctx (octx : Obs.Ctx.t) ?(chunk = 4) ?(policies = [ Static ])
+let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
     ?(reopt_evals = 400) ~deployed g demands specs =
   if Array.length deployed.weights <> Digraph.edge_count g then
     invalid_arg "Scenario.sweep: deployed weight length mismatch";
@@ -527,125 +527,78 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(chunk = 4) ?(policies = [ Static ])
      grafted back in spec order: the trace and metrics are a pure
      function of the spec list, never of worker scheduling. *)
   let kids = Array.map (fun _ -> Obs.Ctx.fork octx) specs in
-  let nspec = Array.length specs in
-  (* The sweep is a two-stage task graph, not one flat map.  Stage A
-     (one task per chunk of specs) runs the static probes — commodity
-     streaming, failure injection, reachability, static MLU — on the
-     worker's own clone and records the outcome in per-spec arrays.
-     Stage B (one task per spec, depending only on its own chunk's
-     stage-A task) runs the re-optimization policies, which build their
-     own evaluators from the spec's forked context.  The scheduler
-     pipelines the stages: policies of early chunks overlap the static
-     probes of later chunks instead of waiting at a full-sweep barrier.
-     Every per-spec cell is written by exactly one stage-A task and read
-     by the one stage-B task that depends on it, so the decomposition
-     stays schedule-independent. *)
-  let ch = Par.Pool.chunks ~chunk nspec in
-  let nch = Array.length ch in
-  let static_disc = Array.make nspec 0 in
-  let topo_disc = Array.make nspec 0 in
-  let static_mlu_arr = Array.make nspec nan in
-  let spec_demands = Array.make nspec demands in
-  let case_toks = Array.make nspec (-1) in
-  let out = Array.make nspec None in
-  let probe_spec ~worker i =
-    let spec = specs.(i) in
-    let kctx = kids.(i) in
-    let tracer = kctx.Obs.Ctx.tracer in
-    (* The scn:case span opens here and closes at the end of the spec's
-       stage-B task, so policy spans nest under it exactly as they did
-       under the flat map.  The kid buffer is touched by the spec's two
-       tasks only, and the dependency edge orders them. *)
-    let tok = Obs.Tracer.start tracer "scn:case" in
-    Obs.Tracer.attr tracer tok (Obs.Attr.int "spec" spec.id);
-    case_toks.(i) <- tok;
-    Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.cases";
-    let ev = evs.(worker) in
-    (* Attach this scenario's demand matrix — skipped when the worker's
-       commodities already encode it (the whole point of chunked
-       streaming: consecutive same-shift scenarios share every load
-       cache).  Must happen while the undo trail is empty. *)
-    if cur_shift.(worker) <> spec.shift then begin
-      let demands' = apply_shift spec.shift demands in
-      Engine.Evaluator.set_commodities ev (commodities_for demands' segs);
-      cur_shift.(worker) <- spec.shift;
-      cur_demands.(worker) <- demands'
-    end;
-    spec_demands.(i) <- cur_demands.(worker);
-    List.iter (fun e -> Engine.Evaluator.disable_edge ev ~edge:e) spec.failed;
-    let static_disconnected = ref 0 and topo_disconnected = ref 0 in
-    Array.iteri
-      (fun di (d : Network.demand) ->
-        if
-          not
-            (List.for_all
-               (fun (a, b) -> Engine.Evaluator.reachable ev ~src:a ~dst:b)
-               segs.(di))
-        then incr static_disconnected;
-        if
-          not
-            (Engine.Evaluator.reachable ev ~src:d.Network.src
-               ~dst:d.Network.dst)
-        then incr topo_disconnected)
-      demands;
-    static_mlu_arr.(i) <-
-      (if !static_disconnected > 0 then nan
-       else begin
-         let c = cells.(worker) in
-         Engine.Evaluator.evaluate_into ev c;
-         c.Engine.Evaluator.mlu
-       end);
-    Engine.Evaluator.undo ev;
-    static_disc.(i) <- !static_disconnected;
-    topo_disc.(i) <- !topo_disconnected;
-    if !static_disconnected > 0 then
-      Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.disconnected"
+  (* One task per spec: its static probe on the worker's own clone
+     (commodity streaming, failure injection, reachability, static MLU),
+     then the re-optimization policies, which build their own evaluators
+     from the spec's forked context.  Workers claim runs of neighbouring
+     specs (the caller from the front, thieves from the back), so
+     same-shift specs mostly find their demand matrix already
+     attached. *)
+  let out =
+    Par.Pool.map pool ~tasks:(Array.length specs) (fun ~worker i ->
+      let spec = specs.(i) in
+      let kctx = kids.(i) in
+      Obs.Ctx.span kctx ~attrs:[ Obs.Attr.int "spec" spec.id ] "scn:case"
+      @@ fun () ->
+      Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.cases";
+      let ev = evs.(worker) in
+      (* Attach this scenario's demand matrix — skipped when the
+         worker's commodities already encode it.  Must happen while the
+         undo trail is empty. *)
+      if cur_shift.(worker) <> spec.shift then begin
+        let demands' = apply_shift spec.shift demands in
+        Engine.Evaluator.set_commodities ev (commodities_for demands' segs);
+        cur_shift.(worker) <- spec.shift;
+        cur_demands.(worker) <- demands'
+      end;
+      let demands' = cur_demands.(worker) in
+      List.iter (fun e -> Engine.Evaluator.disable_edge ev ~edge:e) spec.failed;
+      let static_disconnected = ref 0 and topo_disconnected = ref 0 in
+      Array.iteri
+        (fun di (d : Network.demand) ->
+          if
+            not
+              (List.for_all
+                 (fun (a, b) -> Engine.Evaluator.reachable ev ~src:a ~dst:b)
+                 segs.(di))
+          then incr static_disconnected;
+          if
+            not
+              (Engine.Evaluator.reachable ev ~src:d.Network.src
+                 ~dst:d.Network.dst)
+          then incr topo_disconnected)
+        demands;
+      let static_mlu =
+        if !static_disconnected > 0 then nan
+        else begin
+          let c = cells.(worker) in
+          Engine.Evaluator.evaluate_into ev c;
+          c.Engine.Evaluator.mlu
+        end
+      in
+      Engine.Evaluator.undo ev;
+      if !static_disconnected > 0 then
+        Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.disconnected";
+      {
+        spec;
+        static_disconnected = !static_disconnected;
+        topo_disconnected = !topo_disconnected;
+        static_mlu;
+        policies =
+          List.map
+            (run_policy ~kctx ~g ~deployed ~reopt_evals ~spec ~demands'
+               ~static_disconnected:!static_disconnected
+               ~topo_disconnected:!topo_disconnected ~static_mlu)
+            policies;
+      })
   in
-  let policy_spec i =
-    let spec = specs.(i) in
-    let kctx = kids.(i) in
-    let static_mlu = static_mlu_arr.(i) in
-    let pol =
-      List.map
-        (run_policy ~kctx ~g ~deployed ~reopt_evals ~spec
-           ~demands':spec_demands.(i)
-           ~static_disconnected:static_disc.(i)
-           ~topo_disconnected:topo_disc.(i) ~static_mlu)
-        policies
-    in
-    Obs.Tracer.finish kctx.Obs.Ctx.tracer case_toks.(i);
-    out.(i) <-
-      Some
-        {
-          spec;
-          static_disconnected = static_disc.(i);
-          topo_disconnected = topo_disc.(i);
-          static_mlu;
-          policies = pol;
-        }
-  in
-  let deps = Array.make (nch + nspec) [] in
-  Array.iteri
-    (fun ci (start, len) ->
-      for i = start to start + len - 1 do
-        deps.(nch + i) <- [ ci ]
-      done)
-    ch;
-  Par.Pool.run_graph pool ~tasks:(nch + nspec) ~deps (fun ~worker t ->
-      if t < nch then begin
-        let start, len = ch.(t) in
-        for i = start to start + len - 1 do
-          probe_spec ~worker i
-        done
-      end
-      else policy_spec (t - nch));
   for w = 1 to par - 1 do
     let ws = Engine.Evaluator.stats evs.(w) in
     Engine.Stats.merge ~into:octx.Obs.Ctx.stats ws;
     Engine.Stats.reset ws
   done;
   Array.iteri (fun i kid -> Obs.Ctx.join ~key:specs.(i).id ~into:octx kid) kids;
-  Array.map (function Some r -> r | None -> assert false) out
+  out
 
 (* The rebuild oracle for one spec: build the surviving subgraph, give
    it fresh ECMP state and route every demand's segments on it. *)
@@ -837,7 +790,7 @@ let jfloat f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 let report_to_json g r =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\"schema\": \"robustness-report/1\"";
-  Buffer.add_string b (Printf.sprintf ", \"topology\": %S" r.topology);
+  Buffer.add_string b (", \"topology\": " ^ Obs.Export.json_str r.topology);
   Buffer.add_string b (Printf.sprintf ", \"nominal_mlu\": %s" (jfloat r.nominal_mlu));
   Buffer.add_string b (Printf.sprintf ", \"scenarios\": %d" r.scenario_count);
   Buffer.add_string b ", \"policies\": [";
@@ -846,12 +799,12 @@ let report_to_json g r =
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
         (Printf.sprintf
-           "{\"policy\": %S, \"scenarios\": %d, \"disconnected_scenarios\": \
+           "{\"policy\": %s, \"scenarios\": %d, \"disconnected_scenarios\": \
             %d, \"worst_mlu\": %s, \"worst_scenario\": %d, \"mean_mlu\": %s, \
             \"p50\": %s, \"p95\": %s, \"p99\": %s, \"cvar95\": %s, \
             \"mean_weight_changes\": %s, \"mean_waypoint_changes\": %s, \
             \"delta_worst_vs_static\": %s, \"delta_mean_vs_static\": %s}"
-           (policy_name s.policy) s.scenarios s.disconnected_scenarios
+           (Obs.Export.json_str (policy_name s.policy)) s.scenarios s.disconnected_scenarios
            (jfloat s.worst_mlu) s.worst_id (jfloat s.mean_mlu) (jfloat s.p50)
            (jfloat s.p95) (jfloat s.p99) (jfloat s.cvar95)
            (jfloat s.mean_weight_changes) (jfloat s.mean_waypoint_changes)
@@ -863,8 +816,8 @@ let report_to_json g r =
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
         (Printf.sprintf
-           "{\"id\": %d, \"label\": %S, \"mlu\": %s, \"disconnected\": %d}"
-           sp.id (spec_label g sp) (jfloat mlu) disc))
+           "{\"id\": %d, \"label\": %s, \"mlu\": %s, \"disconnected\": %d}"
+           sp.id (Obs.Export.json_str (spec_label g sp)) (jfloat mlu) disc))
     r.worst_cases;
   Buffer.add_string b "]}";
   Buffer.contents b

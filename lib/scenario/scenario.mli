@@ -11,8 +11,8 @@
     policies, and distill the results into a robustness report.
 
     Evaluation streams through the incremental engine: scenarios fan out
-    over a {!Par.Pool} in fixed-size chunks, each worker probing its own
-    {!Engine.Evaluator.copy} clone.  A failed link is an
+    over a {!Par.Pool}, one task per scenario, each worker probing its
+    own {!Engine.Evaluator.copy} clone.  A failed link is an
     {!Engine.Evaluator.disable_edge} (infinite weight) probed and undone
     through the move protocol, so consecutive scenarios on a worker
     share every shortest-path DAG, unit-flow vector and load cache the
@@ -21,7 +21,7 @@
     Determinism: every scenario's outcome is a pure function of its
     {!spec} (all randomness is fixed into the spec at generation time),
     and specs are evaluated independently, so sweep results are
-    bit-identical for every pool size and chunking.  Reports contain no
+    bit-identical for every pool size.  Reports contain no
     timings for the same reason. *)
 
 (** {1 Scenario grammar} *)
@@ -166,7 +166,6 @@ type outcome = {
 
 val sweep_ctx :
   Obs.Ctx.t ->
-  ?chunk:int ->
   ?policies:policy list ->
   ?reopt_evals:int ->
   deployed:deployed ->
@@ -176,9 +175,8 @@ val sweep_ctx :
   outcome array
 (** The context-taking entry point: evaluates every spec, in id order.
     [policies] defaults to [[Static]]; the static fields of each
-    outcome are computed regardless.  [chunk] (default 4) sizes the
-    streaming blocks cut by {!Par.Pool.chunks}; results are
-    bit-identical for every pool size and [chunk].  [reopt_evals]
+    outcome are computed regardless; results are bit-identical for
+    every pool size.  [reopt_evals]
     (default 400) is the per-scenario search budget of [Reweight]; its
     local-search seed derives from the spec id, never from scheduling.
 

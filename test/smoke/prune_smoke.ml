@@ -15,13 +15,12 @@ let check name ok =
     Printf.printf "  FAIL %s\n%!" name
   end
 
-let scanned (st : Engine.Stats.t) =
-  Array.fold_left ( + ) 0 st.Engine.Stats.worker_evals
+let scanned (ctx : Obs.Ctx.t) =
+  Obs.Metrics.counter ctx.Obs.Ctx.metrics "wpo.scanned"
 
 let run ?prune ?pool g w demands =
-  let stats = Engine.Stats.create () in
-  let ctx = Obs.Ctx.make ~stats ?pool () in
-  (Greedy_wpo.optimize_ctx ctx ?prune g w demands, stats)
+  let ctx = Obs.Ctx.make ?pool () in
+  (Greedy_wpo.optimize_ctx ctx ?prune g w demands, ctx)
 
 let () =
   let g = Topology.Datasets.load "Germany50" in
@@ -34,14 +33,14 @@ let () =
   in
   let w = Weights.inverse_capacity g in
   Printf.printf "prune smoke: Germany50, %d demands\n%!" (Array.length demands);
-  let base, base_st = run g w demands in
+  let base, base_ctx = run g w demands in
   let noop, _ = run ~prune:(Prune.spec n) g w demands in
   check "k=n no-op byte-identical"
     (noop.Greedy_wpo.waypoints = base.Greedy_wpo.waypoints
     && noop.Greedy_wpo.mlu = base.Greedy_wpo.mlu);
-  let pruned, pruned_st = run ~prune:(Prune.spec Prune.default_k) g w demands in
+  let pruned, pruned_ctx = run ~prune:(Prune.spec Prune.default_k) g w demands in
   let reduction =
-    float_of_int (scanned base_st) /. float_of_int (max 1 (scanned pruned_st))
+    float_of_int (scanned base_ctx) /. float_of_int (max 1 (scanned pruned_ctx))
   in
   let delta =
     (pruned.Greedy_wpo.mlu -. base.Greedy_wpo.mlu) /. base.Greedy_wpo.mlu
@@ -51,8 +50,8 @@ let () =
   check "scan reduction >= 5x" (reduction >= 5.);
   check "objective delta <= 1%" (delta <= 0.01);
   check "pruning counters populated"
-    (pruned_st.Engine.Stats.candidates_pruned > 0
-    && pruned_st.Engine.Stats.candidates_kept > 0);
+    (pruned_ctx.Obs.Ctx.stats.Engine.Stats.candidates_pruned > 0
+    && pruned_ctx.Obs.Ctx.stats.Engine.Stats.candidates_kept > 0);
   let par, _ =
     Par.Pool.with_pool ~jobs:4 (fun pool ->
         run ~prune:(Prune.spec Prune.default_k) ~pool g w demands)

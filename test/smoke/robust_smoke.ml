@@ -1,6 +1,6 @@
 (* Robustness-sweep smoke: generates a mixed failure x demand-shift
    scenario grid on Abilene, sweeps it under all three policies at
-   jobs = 1 and jobs = 4 (and two chunkings), and fails loudly unless
+   jobs = 1 and jobs = 4, and fails loudly unless
    the outcomes — and the serialized report bytes — are identical, and
    the static outcomes agree with the rebuild oracle.  Run with
    `dune build @robust-smoke'. *)
@@ -45,17 +45,14 @@ let () =
   Printf.printf "robust smoke: Abilene, %d scenarios, jobs 1 vs 4\n%!"
     (Array.length specs);
   let policies = Scenario.policies_of_string "static,repair,reweight:3" in
-  let run ~chunk pool =
-    Scenario.sweep_ctx (Obs.Ctx.make ~pool ()) ~chunk ~policies ~reopt_evals:60 ~deployed g demands
+  let run pool =
+    Scenario.sweep_ctx (Obs.Ctx.make ~pool ()) ~policies ~reopt_evals:60 ~deployed g demands
       specs
   in
-  let seq = run ~chunk:4 Par.Pool.sequential in
-  let par = Par.Pool.with_pool ~jobs:4 (run ~chunk:4) in
+  let seq = run Par.Pool.sequential in
+  let par = Par.Pool.with_pool ~jobs:4 run in
   (* compare, not (=): disconnected outcomes carry nan MLUs. *)
   check "sweep bit-identical jobs 1 vs 4" (compare seq par = 0);
-  let chunk1 = run ~chunk:1 Par.Pool.sequential in
-  let chunk9 = run ~chunk:9 Par.Pool.sequential in
-  check "sweep independent of chunking" (compare seq chunk1 = 0 && compare seq chunk9 = 0);
   let json out =
     Scenario.report_to_json g
       (Scenario.summarize ~topology:"Abilene" ~nominal_mlu:joint.Joint.mlu out)

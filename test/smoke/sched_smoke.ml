@@ -2,9 +2,9 @@
    work-stealing runtime.  Every region mixes one task two orders of
    magnitude more expensive than the rest, so at jobs > 1 the cheap
    tasks are stolen off the submitting worker's deque while it grinds
-   the big one — the configuration most likely to expose a deque or
-   release-edge bug as a wrong (schedule-dependent) result.  Repeats
-   the race many times and fails loudly on the first byte mismatch.
+   the big one — the configuration most likely to expose a deque bug
+   as a wrong (schedule-dependent) result.  Repeats the race many
+   times and fails loudly on the first byte mismatch.
    Run with `dune build @sched-smoke'. *)
 
 let failures = ref 0
@@ -31,7 +31,6 @@ let () =
   let expected = Array.init tasks (fun i -> burn (cost i) + (i * 17)) in
   Printf.printf "sched smoke: %d rounds of %d skewed tasks, jobs 1 vs 4\n%!"
     rounds tasks;
-  (* map: flat skewed region. *)
   Par.Pool.with_pool ~eager_wake:true ~jobs:4 (fun pool ->
       let ok = ref true in
       for _ = 1 to rounds do
@@ -41,28 +40,6 @@ let () =
         if got <> expected then ok := false
       done;
       check "skewed map byte-identical" !ok);
-  (* run_graph: two-stage pipeline with skewed stage-A costs; the join
-     value is only right if every release edge ordered its stages. *)
-  let items = 12 in
-  let seq = Array.make items 0 in
-  for i = 0 to items - 1 do
-    seq.(i) <- burn (cost i) + i + 1
-  done;
-  Par.Pool.with_pool ~eager_wake:true ~jobs:4 (fun pool ->
-      let ok = ref true in
-      for _ = 1 to rounds do
-        let acc = Array.make (2 * items) 0 in
-        let deps =
-          Array.init (2 * items) (fun t -> if t < items then [] else [ t - items ])
-        in
-        Par.Pool.run_graph pool ~tasks:(2 * items) ~deps (fun ~worker:_ t ->
-            if t < items then acc.(t) <- burn (cost t) + t + 1
-            else acc.(t) <- (acc.(t - items) * 3) + 1);
-        for i = 0 to items - 1 do
-          if acc.(items + i) <> (seq.(i) * 3) + 1 then ok := false
-        done
-      done;
-      check "skewed pipeline byte-identical" !ok);
   if !failures > 0 then begin
     Printf.printf "sched smoke: %d failure(s)\n" !failures;
     exit 1

@@ -348,13 +348,11 @@ let test_stats_merge () =
   a.Engine.Stats.full_spf <- 2;
   b.Engine.Stats.full_spf <- 3;
   b.Engine.Stats.incr_spf <- 7;
-  b.Engine.Stats.par_jobs <- 4;
   let hb = Engine.Stats.hot_times b in
   hb.(Engine.Stats.hot_spf_incr) <- 0.5;
   Engine.Stats.merge ~into:a b;
   Alcotest.(check int) "merged full" 5 a.Engine.Stats.full_spf;
   Alcotest.(check int) "merged incr" 7 a.Engine.Stats.incr_spf;
-  Alcotest.(check int) "par_jobs is a maximum" 4 a.Engine.Stats.par_jobs;
   checkf "merged hot timer" 0.5
     (Engine.Stats.hot_times a).(Engine.Stats.hot_spf_incr);
   Alcotest.(check (list string)) "only nonzero timers are named"

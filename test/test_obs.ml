@@ -172,15 +172,14 @@ let test_metrics_absorb_stats () =
     (List.assoc "engine.evaluations" (Obs.Metrics.counters m));
   Alcotest.(check (float 1e-9)) "timer becomes gauge" 0.25
     (List.assoc "engine.time.units" (Obs.Metrics.gauges m));
-  (* Every Stats counter but the par_jobs maximum lands as engine.*. *)
+  (* Every Stats counter lands as engine.*. *)
   let s =
     { (Engine.Stats.create ()) with
       Engine.Stats.evaluations = 1; full_spf = 1; incr_spf = 1;
       spf_nodes_touched = 1; dag_hits = 1; dag_misses = 1; unit_hits = 1;
       unit_misses = 1; weight_updates = 1;
       dirty_dests = 1; clean_dests = 1; commits = 1; undos = 1;
-      edges_disabled = 1; par_regions = 1; par_tasks = 1;
-      par_jobs = 1; candidates_pruned = 1; candidates_kept = 1;
+      edges_disabled = 1; candidates_pruned = 1; candidates_kept = 1;
       clone_syncs = 1; clone_copies = 1; lp_solves = 1;
       lp_pivots = 1; lp_warm_solves = 1 }
   in
@@ -191,8 +190,7 @@ let test_metrics_absorb_stats () =
   let absorbed = Obs.Metrics.counters m in
   List.iter
     (fun (name, _) ->
-      Alcotest.(check (option int)) ("engine." ^ name)
-        (if name = "par_jobs" then None else Some 1)
+      Alcotest.(check (option int)) ("engine." ^ name) (Some 1)
         (List.assoc_opt ("engine." ^ name) absorbed))
     (Engine.Stats.counters s)
 
@@ -325,9 +323,8 @@ let test_trace_jobs_scenario () =
   let cfg = { Scenario.default_config with Scenario.seed = 7; Scenario.jitters = 2 } in
   let specs = Scenario.generate cfg g in
   check_jobs_invariant "scenario sweep" (fun ctx ->
-      Scenario.sweep_ctx ctx ~chunk:3
-        ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g demands
-        specs)
+      Scenario.sweep_ctx ctx ~policies:[ Scenario.Static; Scenario.Repair ]
+        ~deployed g demands specs)
 
 (* ------------------------------------------------------------------ *)
 (* Export                                                              *)

@@ -33,25 +33,6 @@ let test_map_order () =
         0 (Array.length empty))
     jobs_grid
 
-(* The reduction is deliberately non-commutative and non-associative
-   (base-100 digit append): any deviation from a strict left fold in
-   task index order changes the value. *)
-let test_map_reduce_order () =
-  let expected = Array.fold_left (fun b a -> (b * 100) + a) 7 (Array.init 9 Fun.id) in
-  List.iter
-    (fun jobs ->
-      let got =
-        Par.Pool.with_pool ~eager_wake:true ~jobs (fun pool ->
-            Par.Pool.map_reduce pool ~tasks:9
-              ~map:(fun ~worker:_ i -> i)
-              ~init:7
-              ~reduce:(fun b a -> (b * 100) + a))
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "map_reduce order at jobs=%d" jobs)
-        expected got)
-    jobs_grid
-
 (* Every task runs even when some raise, and the exception surfaced to
    the caller is the lowest-index one — independent of scheduling. *)
 let test_exception_propagation () =
@@ -80,7 +61,8 @@ let test_exception_propagation () =
 (* A map issued from inside a running task executes inline on the
    issuing domain (worker 0 view), so pool-using code can call
    pool-using code without deadlock — and [parallelism] reports 1 so
-   callers skip building clones for it. *)
+   callers skip building clones for it.  The tasks return what they saw
+   and the caller asserts: Alcotest's output is not domain-safe. *)
 let test_nested_map_inline () =
   Par.Pool.with_pool ~eager_wake:true ~jobs:3 (fun pool ->
       Alcotest.(check int) "parallelism when idle" 3 (Par.Pool.parallelism pool);
@@ -91,15 +73,18 @@ let test_nested_map_inline () =
                    Par.Pool.parallelism pool)).(0)
             in
             let inner =
-              Par.Pool.map pool ~tasks:5 (fun ~worker:w j ->
-                  Alcotest.(check int) "nested tasks present worker 0" 0 w;
-                  (i * 10) + j)
+              Par.Pool.map pool ~tasks:5 (fun ~worker:w j -> (w, (i * 10) + j))
             in
-            (inner_par, Array.fold_left ( + ) 0 inner))
+            ( inner_par,
+              Array.map fst inner,
+              Array.fold_left (fun a (_, v) -> a + v) 0 inner ))
       in
       Array.iteri
-        (fun i (inner_par, sum) ->
+        (fun i (inner_par, workers, sum) ->
           Alcotest.(check int) "nested parallelism is 1" 1 inner_par;
+          Array.iter
+            (Alcotest.(check int) "nested tasks present worker 0" 0)
+            workers;
           Alcotest.(check int) "nested sum" ((i * 50) + 10) sum)
         outer)
 
@@ -181,59 +166,6 @@ let test_nested_map_determinism () =
         true (run jobs = expect))
     jobs_grid
 
-(* ------------------------------------------------------------------ *)
-(* Dependency graphs                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-item diamond a -> (b, c) -> d, laid out stage-major so every
-   dependency points at a lower task index.  The join cell is only
-   correct if both branches saw the fully-written source cell —
-   i.e. if the scheduler's release edges really order the stages. *)
-let test_run_graph_diamond () =
-  let items = 5 in
-  let tasks = items * 4 in
-  List.iter
-    (fun jobs ->
-      Par.Pool.with_pool ~eager_wake:true ~jobs (fun pool ->
-          let acc = Array.make tasks 0 in
-          let deps =
-            Array.init tasks (fun t ->
-                let i = t mod items in
-                match t / items with
-                | 0 -> []
-                | 1 | 2 -> [ i ]
-                | _ -> [ items + i; (2 * items) + i ])
-          in
-          Par.Pool.run_graph pool ~tasks ~deps (fun ~worker:_ t ->
-              let i = t mod items in
-              acc.(t) <-
-                (match t / items with
-                | 0 -> i + 1
-                | 1 -> acc.(i) * 2
-                | 2 -> acc.(i) + 10
-                | _ -> acc.(items + i) + acc.((2 * items) + i)));
-          for i = 0 to items - 1 do
-            Alcotest.(check int)
-              (Printf.sprintf "diamond join i=%d jobs=%d" i jobs)
-              ((3 * (i + 1)) + 10)
-              acc.((3 * items) + i)
-          done))
-    jobs_grid
-
-let test_run_graph_validation () =
-  Par.Pool.with_pool ~eager_wake:true ~jobs:2 (fun pool ->
-      (match
-         Par.Pool.run_graph pool ~tasks:3 ~deps:[| [] |] (fun ~worker:_ _ -> ())
-       with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "expected Invalid_argument on deps length");
-      (match
-         Par.Pool.run_graph pool ~tasks:2 ~deps:[| []; [ 1 ] |]
-           (fun ~worker:_ _ -> ())
-       with
-      | exception Invalid_argument _ -> ()
-      | () -> Alcotest.fail "expected Invalid_argument on non-earlier dep"))
-
 let test_scheduler_metrics () =
   Par.Pool.with_pool ~eager_wake:true ~jobs:3 (fun pool ->
       let m0 = Par.Pool.metrics pool in
@@ -251,6 +183,31 @@ let test_scheduler_metrics () =
         "counters non-negative" true
         (m1.Par.Pool.steals >= 0 && m1.Par.Pool.parks >= 0
         && m1.Par.Pool.park_seconds >= 0.))
+
+(* The pool times its own scheduled regions: busy task seconds and
+   region wall seconds grow with a scheduled map, while the inline
+   [jobs = 1] path reads no clock and touches no counter. *)
+let test_pool_accounting () =
+  let n = 16 in
+  Par.Pool.with_pool ~eager_wake:true ~jobs:2 (fun pool ->
+      let m0 = Par.Pool.metrics pool in
+      ignore (Par.Pool.map pool ~tasks:n (fun ~worker:_ i -> burn (20_000 + i)));
+      let m1 = Par.Pool.metrics pool in
+      Alcotest.(check bool) "busy seconds > 0" true
+        (m1.Par.Pool.busy_seconds > m0.Par.Pool.busy_seconds);
+      Alcotest.(check bool) "wall seconds > 0" true
+        (m1.Par.Pool.wall_seconds > m0.Par.Pool.wall_seconds);
+      Alcotest.(check int) "tasks grew by n" (m0.Par.Pool.tasks + n)
+        m1.Par.Pool.tasks);
+  let seq = Par.Pool.sequential in
+  ignore (Par.Pool.map seq ~tasks:n (fun ~worker:_ i -> burn (20_000 + i)));
+  let m = Par.Pool.metrics seq in
+  Alcotest.(check bool) "sequential pool metrics stay zero" true
+    (m.Par.Pool.steals = 0 && m.Par.Pool.steal_races = 0
+    && m.Par.Pool.parks = 0 && m.Par.Pool.park_seconds = 0.
+    && m.Par.Pool.regions = 0 && m.Par.Pool.tasks = 0
+    && m.Par.Pool.max_region = 0 && m.Par.Pool.busy_seconds = 0.
+    && m.Par.Pool.wall_seconds = 0.)
 
 let test_chunks () =
   Alcotest.(check bool)
@@ -425,6 +382,26 @@ let test_restarts_no_worse () =
     "restarts=3 <= restarts=1" true
     (three.Local_search.mlu <= one.Local_search.mlu)
 
+(* run-summary/1 reads its parallel efficiency off the pool: null when
+   nothing was scheduled, busy / (wall * jobs) otherwise. *)
+let test_summary_efficiency () =
+  let g, demands = te_instance () in
+  let params = { Local_search.default_params with max_evals = 120; seed = 3 } in
+  let efficiency pool =
+    let ctx = Obs.Ctx.make ~pool () in
+    ignore (Local_search.optimize_ctx ctx ~params g demands : Local_search.result);
+    match Serve.Sjson.parse (Obs.Export.run_summary ~wall:1. ctx) with
+    | Error e -> Alcotest.fail e
+    | Ok j -> Option.get (Serve.Sjson.member "parallel_efficiency" j)
+  in
+  Alcotest.(check bool) "null at jobs=1" true
+    (efficiency Par.Pool.sequential = Serve.Sjson.Null);
+  match Par.Pool.with_pool ~eager_wake:true ~jobs:2 efficiency with
+  | Serve.Sjson.Num e ->
+    Alcotest.(check bool) "finite and positive at jobs=2" true
+      (Float.is_finite e && e > 0.)
+  | _ -> Alcotest.fail "parallel_efficiency not a number at jobs=2"
+
 (* ------------------------------------------------------------------ *)
 (* Exact enumeration metadata                                          *)
 (* ------------------------------------------------------------------ *)
@@ -463,8 +440,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map preserves task order" `Quick test_map_order;
-          Alcotest.test_case "map_reduce folds in order" `Quick
-            test_map_reduce_order;
           Alcotest.test_case "lowest-index exception wins" `Quick
             test_exception_propagation;
           Alcotest.test_case "nested maps run inline" `Quick
@@ -478,13 +453,10 @@ let () =
             test_nested_map_determinism;
           Alcotest.test_case "scheduler metrics" `Quick
             test_scheduler_metrics;
-        ] );
-      ( "graph",
-        [
-          Alcotest.test_case "diamond dependencies" `Quick
-            test_run_graph_diamond;
-          Alcotest.test_case "dependency validation" `Quick
-            test_run_graph_validation;
+          Alcotest.test_case "pool accounts its own regions" `Quick
+            test_pool_accounting;
+          Alcotest.test_case "run summary parallel efficiency" `Quick
+            test_summary_efficiency;
         ] );
       ( "evaluator clones",
         [ Alcotest.test_case "copy isolation" `Quick test_copy_isolation ] );

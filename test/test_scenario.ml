@@ -1,6 +1,6 @@
 (* Tests for lib/scenario: the generator grammar is deterministic and
    validated, demand shifts are pure, and — the load-bearing contract —
-   sweep results are bit-identical for every pool size and chunking and
+   sweep results are bit-identical for every pool size and
    agree with the rebuild oracle on every static outcome. *)
 
 open Netgraph
@@ -219,34 +219,26 @@ let test_sweep_scheduling_independent () =
   let g, demands, deployed = Lazy.force fixture in
   let specs = small_specs g in
   let policies = [ Scenario.Static; Scenario.Repair; Scenario.Reweight 3 ] in
-  let run ~chunk pool =
-    Scenario.sweep_ctx (Obs.Ctx.make ~pool ()) ~chunk ~policies ~reopt_evals:60 ~deployed g demands
+  let run pool =
+    Scenario.sweep_ctx (Obs.Ctx.make ~pool ()) ~policies ~reopt_evals:60 ~deployed g demands
       specs
   in
-  let reference = run ~chunk:4 Par.Pool.sequential in
+  let reference = run Par.Pool.sequential in
   (* compare (not (=)) so nan = nan: outcomes carry nan MLUs. *)
   List.iter
     (fun jobs ->
-      let out = Par.Pool.with_pool ~jobs (run ~chunk:4) in
+      let out = Par.Pool.with_pool ~jobs run in
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical at jobs=%d" jobs)
         true
         (compare out reference = 0))
     [ 2; 4 ];
-  List.iter
-    (fun chunk ->
-      let out = run ~chunk Par.Pool.sequential in
-      Alcotest.(check bool)
-        (Printf.sprintf "bit-identical at chunk=%d" chunk)
-        true
-        (compare out reference = 0))
-    [ 1; 3; 17 ];
   (* And so is the serialized report — the artifact the CLI emits. *)
   let json out =
     Scenario.report_to_json g
       (Scenario.summarize ~topology:"Abilene" ~nominal_mlu:1. out)
   in
-  let j4 = Par.Pool.with_pool ~jobs:4 (fun p -> json (run ~chunk:4 p)) in
+  let j4 = Par.Pool.with_pool ~jobs:4 (fun p -> json (run p)) in
   Alcotest.(check string) "report bytes identical across jobs" (json reference)
     j4
 
@@ -335,6 +327,45 @@ let test_summarize () =
   Alcotest.(check bool) "json carries the schema" true
     (String.length json > 0
     && String.sub json 0 33 = "{\"schema\": \"robustness-report/1\"," )
+
+(* Node and topology names outside printable ASCII (and with quotes)
+   must still yield a report that strict JSON parsers accept, with every
+   string round-tripping. *)
+let test_report_json_escapes () =
+  let names = [| "Z\xc3\xbcrich"; "Gen\xc3\xa8ve"; "Bern \"HQ\"" |] in
+  let g =
+    Digraph.of_edges ~names ~n:3
+      [ (0, 1, 10.); (1, 0, 10.); (1, 2, 10.); (2, 1, 10.); (0, 2, 10.);
+        (2, 0, 10.) ]
+  in
+  let demands = [| Network.demand 0 2 4.; Network.demand 1 0 3. |] in
+  let deployed =
+    { Scenario.weights = Array.make (Digraph.edge_count g) 1;
+      Scenario.waypoints = Segments.none demands }
+  in
+  let topology = "Schweiz \"CH\" \xc3\xa9t\xc3\xa9" in
+  let r =
+    Scenario.summarize ~topology ~nominal_mlu:1.
+      (Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands
+         (Scenario.generate Scenario.default_config g))
+  in
+  match Serve.Sjson.parse (Scenario.report_to_json g r) with
+  | Error e -> Alcotest.fail ("report is not JSON: " ^ e)
+  | Ok j ->
+    let str k o = Option.bind (Serve.Sjson.member k o) Serve.Sjson.to_string in
+    Alcotest.(check (option string)) "topology round-trips" (Some topology)
+      (str "topology" j);
+    let cases =
+      Option.value ~default:[]
+        (Option.bind (Serve.Sjson.member "worst_cases" j) Serve.Sjson.to_list)
+    in
+    Alcotest.(check int) "every worst case rendered"
+      (List.length r.Scenario.worst_cases) (List.length cases);
+    List.iter2
+      (fun (sp, _, _) c ->
+        Alcotest.(check (option string)) "label round-trips"
+          (Some (Scenario.spec_label g sp)) (str "label" c))
+      r.Scenario.worst_cases cases
 
 (* ------------------------------------------------------------------ *)
 (* Single-failure what-ifs on small graphs (the te-tool failures view)  *)
@@ -535,7 +566,9 @@ let () =
           Alcotest.test_case "policy semantics" `Quick test_sweep_policies;
         ] );
       ( "report",
-        [ Alcotest.test_case "summarize + json" `Quick test_summarize ] );
+        [ Alcotest.test_case "summarize + json" `Quick test_summarize;
+          Alcotest.test_case "json escapes names" `Quick
+            test_report_json_escapes ] );
       ( "failures",
         [
           Alcotest.test_case "twin" `Quick test_twin;
