@@ -34,7 +34,16 @@ let load_topology name file =
 
 let load_graph name file = fst (load_topology name file)
 
+(* A count option below 1 is a usage error: exit 2 with a message, not
+   an uncaught [Invalid_argument] from deep inside a solver. *)
+let at_least_one flag v =
+  if v < 1 then begin
+    Printf.eprintf "--%s must be >= 1\n" flag;
+    exit 2
+  end
+
 let make_demands ?(file_demands = []) g ~seed ~kind ~flows =
+  at_least_one "flows" flows;
   match (kind, file_demands) with
   | "file", [] ->
     Printf.eprintf "--demands file requires an SNDLib file with a DEMANDS section\n";
@@ -118,10 +127,7 @@ let restarts_arg =
 (* Runs [f] inside a pool of [jobs] worker domains.  jobs = 1 uses the
    shared sequential pool, so no domain is ever spawned. *)
 let with_pool jobs f =
-  if jobs < 1 then begin
-    Printf.eprintf "--jobs must be >= 1\n";
-    exit 2
-  end;
+  at_least_one "jobs" jobs;
   if jobs = 1 then f Par.Pool.sequential else Par.Pool.with_pool ~jobs f
 
 let trace_arg =
@@ -301,6 +307,8 @@ let passes_arg =
    algorithm uses. *)
 let config_term =
   Term.(const (fun seed evals restarts passes full_pipeline prune wsetting ->
+            at_least_one "restarts" restarts;
+            at_least_one "passes" passes;
             {
               Solver.seed;
               evals;

@@ -36,34 +36,34 @@ let order_indices order demands =
   indices
 
 (* The greedy never changes weights, so the engine's DAG and unit-flow
-   caches persist for the whole run; only the load vector is private
-   (the search trials waypoint insertions by patching a copy).  All
-   segment arithmetic goes through [Evaluator.add_unit], which
-   accumulates straight from the engine's flat cached entries — no
-   sparse views are ever materialized on the scan path. *)
+   caches persist for the whole run.  The running load vector is the
+   only mutable state, and scoring a candidate never writes it:
+   [Evaluator.segment_peak] walks the candidate's two cached unit rows
+   against the loads, and the candidate's MLU is the larger of that
+   peak and the demand's residual MLU (computed once per demand).  This
+   is the dense splice-and-scan bit for bit, because a candidate only
+   adds non-negative load (DESIGN.md, "Scoring a candidate"). *)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel candidate scan                                             *)
 (* ------------------------------------------------------------------ *)
 
-type candidate = Drop | Way of int
+(* A candidate is a waypoint id; [drop] stands for the direct route. *)
+let drop = -1
 
-(* Candidates are scanned in fixed-size chunks so the work decomposition
-   (and any float accumulation inside a task) is independent of the
-   worker count — one leg of the [--jobs N] ≡ [--jobs 1] bit-identity
-   guarantee.  The other leg: every candidate is scored on a pristine
-   copy of the round's base loads, so its utilization depends only on
-   the candidate itself, never on which candidates were tried before it
-   on the same buffer. *)
-let scan_chunk = 4
+(* Candidates are scanned in fixed-size chunks, so the work
+   decomposition is independent of the worker count, and each one is
+   scored from read-only inputs alone, so the argmin is the same for
+   every pool size ([--jobs N] ≡ [--jobs 1]).  A candidate costs a walk
+   of a few dozen row entries; 32 keeps a Germany50 scan (48
+   candidates) in two tasks, where smaller chunks lose more to task
+   overhead at [jobs >= 2] than they gain. *)
+let scan_chunk = 32
 
 type scan_ctx = {
-  g : Digraph.t;
-  m : int;
-  caps : float array; (* borrowed from the graph's CSR storage *)
   pool : Par.Pool.t;
   evs : Engine.Evaluator.t array; (* slot 0 is the main evaluator *)
-  bufs : float array array; (* per-worker private load buffer *)
+  peaks : float array array; (* per-worker [segment_peak] result cell *)
   main_stats : Engine.Stats.t;
   tracer : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
@@ -76,8 +76,6 @@ type scan_ctx = {
    greedy run, or the local search sharing the same context) are
    delta-synced instead of recopied. *)
 let make_ctx (octx : Obs.Ctx.t) ev =
-  let g = Engine.Evaluator.graph ev in
-  let m = Digraph.edge_count g in
   let pool = octx.Obs.Ctx.pool in
   let par = Par.Pool.parallelism pool in
   let evs =
@@ -85,8 +83,7 @@ let make_ctx (octx : Obs.Ctx.t) ev =
         if w = 0 then ev
         else Engine.Evaluator.Clones.get octx.Obs.Ctx.clones ~worker:w ~src:ev)
   in
-  { g; m; caps = Digraph.caps g; pool; evs;
-    bufs = Array.init par (fun _ -> Array.make m 0.);
+  { pool; evs; peaks = Array.init par (fun _ -> [| 0. |]);
     main_stats = Engine.Evaluator.stats ev; tracer = octx.Obs.Ctx.tracer;
     metrics = octx.Obs.Ctx.metrics }
 
@@ -100,85 +97,102 @@ let merge_clone_stats ctx =
     Engine.Stats.reset cs
   done
 
-(* Returns the strict (utilization, candidate index) argmin — the first
-   candidate among those of minimal utilization — or [None] if no
-   candidate is routable.  [add_cand ev buf c] accumulates the segment
-   loads candidate [c] would place onto [buf] (via
-   [Evaluator.add_unit] on the worker's own evaluator); candidates
-   raising [Unroutable] are skipped. *)
-let scan_candidates ctx ~loads ~add_cand cands =
-  let ncand = Array.length cands in
+(* Returns the strict (MLU, candidate index) argmin — the first
+   candidate among those of minimal MLU — or [None] if no candidate is
+   routable.  Candidate [vias.(j)] routes [size] from [src] over that
+   waypoint (or directly, for [drop]) to [dst] on top of [loads], whose
+   MLU is [residual]; candidates raising [Unroutable] are skipped. *)
+let scan_candidates ctx ~loads ~residual ~src ~dst ~size vias =
+  let ncand = Array.length vias in
   if ncand = 0 then None
   else begin
-    (* The scan span is recorded by the orchestrating domain (workers
-       never touch the buffer), so the trace is jobs-independent. *)
+    (* The scan span is recorded by the orchestrating domain, so the
+       trace is jobs-independent. *)
     let scan_tok = Obs.Tracer.start ctx.tracer "wpo:scan" in
     Obs.Tracer.attr ctx.tracer scan_tok (Obs.Attr.int "candidates" ncand);
     let ch = Par.Pool.chunks ~chunk:scan_chunk ncand in
     let per_chunk =
       Par.Pool.map ctx.pool ~tasks:(Array.length ch) (fun ~worker ci ->
           let start, len = ch.(ci) in
-          let ev = ctx.evs.(worker) and buf = ctx.bufs.(worker) in
-          let best = ref None and nev = ref 0 in
+          let ev = ctx.evs.(worker) and out = ctx.peaks.(worker) in
+          let best_u = ref infinity and best_j = ref (-1) and nev = ref 0 in
           for j = start to start + len - 1 do
-            Array.blit loads 0 buf 0 ctx.m;
-            match add_cand ev buf cands.(j) with
+            match
+              Engine.Evaluator.segment_peak ev ~src ~via:vias.(j) ~dst
+                ~scale:size ~base:loads ~out
+            with
             | exception Engine.Evaluator.Unroutable _ -> ()
             | () ->
               incr nev;
-              let u = ref 0. in
-              for e = 0 to ctx.m - 1 do
-                let r = buf.(e) /. ctx.caps.(e) in
-                if r > !u then u := r
-              done;
-              (match !best with
-              | Some (bu, _) when bu <= !u -> ()
-              | _ -> best := Some (!u, j))
+              let u = if out.(0) > residual then out.(0) else residual in
+              if !best_j < 0 || u < !best_u then begin
+                best_u := u;
+                best_j := j
+              end
           done;
-          (!best, !nev))
+          (!best_u, !best_j, !nev))
     in
-    let scanned = ref 0 and best = ref None in
+    let scanned = ref 0 and best_u = ref infinity and best_j = ref (-1) in
     (* Chunks reduce in index order and ties keep the earlier chunk, so
        the winner is the global first-of-the-minima regardless of which
        worker scored which chunk. *)
     Array.iter
-      (fun (b, nev) ->
+      (fun (u, j, nev) ->
         scanned := !scanned + nev;
-        match (b, !best) with
-        | None, _ -> ()
-        | Some _, None -> best := b
-        | Some (u, _), Some (bu, _) -> if u < bu then best := b)
+        if j >= 0 && (!best_j < 0 || u < !best_u) then begin
+          best_u := u;
+          best_j := j
+        end)
       per_chunk;
     if !scanned > 0 then Obs.Metrics.incr ctx.metrics ~by:!scanned "wpo.scanned";
     Obs.Tracer.finish ctx.tracer scan_tok;
-    !best
+    if !best_j < 0 then None else Some (!best_u, !best_j)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Multi-round greedy (one more waypoint per round)                    *)
-(* ------------------------------------------------------------------ *)
+(* The scan's candidate list: [drop] first when [with_drop], then the
+   waypoints of [ws], in order, other than [src], [dst] and [cur]. *)
+let candidates ~with_drop ~src ~dst ~cur ws =
+  let keep w = w <> src && w <> dst && w <> cur in
+  let first = Bool.to_int with_drop in
+  let k = Array.fold_left (fun k w -> if keep w then k + 1 else k) first ws in
+  let out = Array.make k drop in
+  let j = ref first in
+  Array.iter
+    (fun w ->
+      if keep w then begin
+        out.(!j) <- w;
+        incr j
+      end)
+    ws;
+  out
 
 (* Pruned candidate-list construction, shared by both greedies: the
    exact residual-MLU bound first (an empty scan is provably identical
    to scanning and rejecting every candidate), then the preprocessing
-   pass's per-pair list.  [full] is the size the unpruned list would
-   have had; the difference feeds the effectiveness counters.  All of
-   this runs on the orchestrating domain, so pruned runs keep the
-   bit-identical-across-jobs guarantee. *)
-let pruned_cands ctx p ~loads ~u_min ~src ~dst ~full ~wrap =
+   pass's per-pair list, turned into the scan's list by [vias].  [full]
+   is the size the unpruned list would have had; the difference feeds
+   the effectiveness counters.  All of this runs on the orchestrating
+   domain, so pruned runs keep the bit-identical-across-jobs
+   guarantee. *)
+let pruned_cands ctx p ~residual ~u_min ~src ~dst ~full ~vias =
   let cands =
-    if Prune.scan_skippable p ~loads ~u_min then [||]
-    else wrap (Prune.candidates p ~src ~dst)
+    if Prune.scan_skippable ~residual_mlu:residual ~u_min then [||]
+    else vias (Prune.candidates p ~src ~dst)
   in
   Engine.Stats.record_pruning ctx.main_stats
     ~pruned:(max 0 (full - Array.length cands))
     ~kept:(Array.length cands);
   cands
 
+(* ------------------------------------------------------------------ *)
+(* Multi-round greedy (one more waypoint per round)                    *)
+(* ------------------------------------------------------------------ *)
+
 let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     weights demands =
   if rounds < 1 then invalid_arg "Greedy_wpo.optimize_multi: rounds >= 1";
   let n = Digraph.node_count g in
+  let nodes = Array.init n Fun.id in
   let tracer = octx.Obs.Ctx.tracer in
   let ev =
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
@@ -208,36 +222,27 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
           match List.rev setting.(i) with w :: _ -> w | [] -> d.Network.src
         in
         if anchor <> d.Network.dst then begin
-          add anchor d.Network.dst (-.size) loads;
+          let dst = d.Network.dst in
+          add anchor dst (-.size) loads;
+          let residual = Engine.Evaluator.mlu_of_loads g loads in
+          let vias = candidates ~with_drop:false ~src:anchor ~dst ~cur:drop in
           let cands =
             match pruner with
-            | None ->
-              let ways = ref [] in
-              for w = n - 1 downto 0 do
-                if w <> anchor && w <> d.Network.dst then ways := Way w :: !ways
-              done;
-              Array.of_list !ways
+            | None -> vias nodes
             | Some p ->
-              pruned_cands ctx p ~loads ~u_min:!u_min ~src:anchor
-                ~dst:d.Network.dst ~full:(n - 2)
-                ~wrap:(Array.map (fun w -> Way w))
+              pruned_cands ctx p ~residual ~u_min:!u_min ~src:anchor ~dst
+                ~full:(n - 2) ~vias
           in
-          let add_cand ev buf = function
-            | Way w ->
-              Engine.Evaluator.add_unit ev ~src:anchor ~dst:w ~scale:size
-                ~into:buf;
-              Engine.Evaluator.add_unit ev ~src:w ~dst:d.Network.dst
-                ~scale:size ~into:buf
-            | Drop -> assert false
-          in
-          match scan_candidates ctx ~loads ~add_cand cands with
+          match
+            scan_candidates ctx ~loads ~residual ~src:anchor ~dst ~size cands
+          with
           | Some (u, j) when u < !u_min -. 1e-12 ->
-            let w = match cands.(j) with Way w -> w | Drop -> assert false in
+            let w = cands.(j) in
             setting.(i) <- setting.(i) @ [ w ];
             u_min := u;
             add anchor w size loads;
-            add w d.Network.dst size loads
-          | _ -> add anchor d.Network.dst size loads
+            add w dst size loads
+          | _ -> add anchor dst size loads
         end)
       indices;
     let u = Engine.Evaluator.mlu_of_loads g loads in
@@ -257,6 +262,7 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     weights demands =
   if passes < 1 then invalid_arg "Greedy_wpo.optimize: passes >= 1";
   let n = Digraph.node_count g in
+  let nodes = Array.init n Fun.id in
   let tracer = octx.Obs.Ctx.tracer in
   let ev =
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
@@ -295,48 +301,26 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
         let d = demands.(i) in
         let size = d.Network.size in
         add_segments i (-.size);
+        let residual = Engine.Evaluator.mlu_of_loads g loads in
+        let src = d.Network.src and dst = d.Network.dst in
+        let cur = Option.value waypoints.(i) ~default:drop in
         (* On improvement passes, also consider dropping the waypoint. *)
-        let drop = pass > 1 && waypoints.(i) <> None in
+        let with_drop = pass > 1 && cur <> drop in
+        let vias = candidates ~with_drop ~src ~dst ~cur in
         let cands =
           match pruner with
-          | None ->
-            let ways = ref [] in
-            for w = n - 1 downto 0 do
-              if w <> d.Network.src && w <> d.Network.dst && Some w <> waypoints.(i)
-              then ways := Way w :: !ways
-            done;
-            if drop then Array.of_list (Drop :: !ways)
-            else Array.of_list !ways
+          | None -> vias nodes
           | Some p ->
             let full =
               n - 2
-              - (if waypoints.(i) <> None then 1 else 0)
-              + (if drop then 1 else 0)
+              - (if cur <> drop then 1 else 0)
+              + (if with_drop then 1 else 0)
             in
-            pruned_cands ctx p ~loads ~u_min:!u_min ~src:d.Network.src
-              ~dst:d.Network.dst ~full ~wrap:(fun ws ->
-                let ways = ref [] in
-                for j = Array.length ws - 1 downto 0 do
-                  if Some ws.(j) <> waypoints.(i) then
-                    ways := Way ws.(j) :: !ways
-                done;
-                if drop then Array.of_list (Drop :: !ways)
-                else Array.of_list !ways)
+            pruned_cands ctx p ~residual ~u_min:!u_min ~src ~dst ~full ~vias
         in
-        let add_cand ev buf = function
-          | Drop ->
-            Engine.Evaluator.add_unit ev ~src:d.Network.src ~dst:d.Network.dst
-              ~scale:size ~into:buf
-          | Way w ->
-            Engine.Evaluator.add_unit ev ~src:d.Network.src ~dst:w ~scale:size
-              ~into:buf;
-            Engine.Evaluator.add_unit ev ~src:w ~dst:d.Network.dst ~scale:size
-              ~into:buf
-        in
-        (match scan_candidates ctx ~loads ~add_cand cands with
+        (match scan_candidates ctx ~loads ~residual ~src ~dst ~size cands with
         | Some (u, j) when u < !u_min -. 1e-12 ->
-          waypoints.(i) <-
-            (match cands.(j) with Drop -> None | Way w -> Some w)
+          waypoints.(i) <- (if cands.(j) = drop then None else Some cands.(j))
         | _ -> ());
         add_segments i size;
         u_min := Engine.Evaluator.mlu_of_loads g loads)

@@ -35,7 +35,8 @@ val optimize_ctx :
 
     [pool] parallelizes the per-demand candidate scan: the waypoint grid
     is partitioned into fixed-size chunks, each worker scores its chunk
-    on a private {!Engine.Evaluator.copy} clone and load buffer, and the
+    on a private {!Engine.Evaluator.copy} clone against the shared
+    read-only loads ({!Engine.Evaluator.segment_peak}), and the
     per-chunk argmins reduce in chunk-index order — the result is
     bit-identical for every pool size (asserted by the test suite).
 

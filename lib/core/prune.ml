@@ -10,7 +10,6 @@ let spec k =
 
 type t = {
   spec : spec;
-  g : Digraph.t;
   ev : Engine.Evaluator.t;
   n : int;
   no_op : bool;
@@ -81,7 +80,7 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
   Obs.Tracer.attr tracer tok (Obs.Attr.int "k" spec.k);
   Obs.Tracer.attr tracer tok (Obs.Attr.int "pool" (Array.length pool));
   Obs.Tracer.finish tracer tok;
-  { spec; g; ev; n; no_op; pool; nf; memo = Hashtbl.create 64 }
+  { spec; ev; n; no_op; pool; nf; memo = Hashtbl.create 64 }
 
 let pool t = Array.copy t.pool
 
@@ -126,5 +125,4 @@ let candidates t ~src ~dst =
     Hashtbl.add t.memo (src, dst) c;
     c
 
-let scan_skippable t ~loads ~u_min =
-  Engine.Evaluator.mlu_of_loads t.g loads >= u_min -. 1e-12
+let scan_skippable ~residual_mlu ~u_min = residual_mlu >= u_min -. 1e-12

@@ -70,9 +70,9 @@ val candidates : t -> src:int -> dst:int -> int array
     not mutate).  Multi-round greedies pass the current segment anchor
     as [src]. *)
 
-val scan_skippable : t -> loads:float array -> u_min:float -> bool
-(** The exact residual bound: [loads] must be the per-edge loads with
-    the commodity under scan already removed.  When the residual MLU is
+val scan_skippable : residual_mlu:float -> u_min:float -> bool
+(** The exact residual bound: [residual_mlu] must be the MLU of the
+    loads with the commodity under scan already removed.  When it is
     [>= u_min -. 1e-12], no candidate (each only adds load) can pass the
     greedy's strict improvement test, so skipping the scan cannot change
     the result. *)

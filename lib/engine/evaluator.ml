@@ -868,6 +868,61 @@ let add_unit t ~src ~dst ~scale ~into =
     into.(ue.(j)) <- into.(ue.(j)) +. (scale *. uf.(j))
   done
 
+(* Both rows are ascending and duplicate-free, so one merge pass visits
+   their union; an edge on both gets [(base + s*a) + s*b], the order in
+   which two [add_unit] calls accumulate it.  The rows are read only
+   after both lookups: the second may regrow a row the first returned. *)
+let segment_peak t ~src ~via ~dst ~scale ~base ~out =
+  if not (scale >= 0.) then
+    invalid_arg "Evaluator.segment_peak: scale must be >= 0";
+  let cap = t.g_cap in
+  let peak = ref 0. in
+  if via < 0 then begin
+    let ur = ensure_urow t dst in
+    unit_entry t ur src dst;
+    let off = ur.u_off.(src) in
+    let ue = ur.u_edges and uf = ur.u_flows in
+    for j = off to off + ur.u_len.(src) - 1 do
+      let e = ue.(j) in
+      let r = (base.(e) +. (scale *. uf.(j))) /. cap.(e) in
+      if r > !peak then peak := r
+    done
+  end
+  else begin
+    let ur1 = ensure_urow t via in
+    unit_entry t ur1 src via;
+    let ur2 = ensure_urow t dst in
+    unit_entry t ur2 via dst;
+    let ue1 = ur1.u_edges and uf1 = ur1.u_flows in
+    let ue2 = ur2.u_edges and uf2 = ur2.u_flows in
+    let i = ref ur1.u_off.(src) and j = ref ur2.u_off.(via) in
+    let hi1 = !i + ur1.u_len.(src) and hi2 = !j + ur2.u_len.(via) in
+    while !i < hi1 || !j < hi2 do
+      let e1 = if !i < hi1 then ue1.(!i) else max_int in
+      let e2 = if !j < hi2 then ue2.(!j) else max_int in
+      let r =
+        if e1 < e2 then begin
+          let x = base.(e1) +. (scale *. uf1.(!i)) in
+          incr i;
+          x /. cap.(e1)
+        end
+        else if e2 < e1 then begin
+          let x = base.(e2) +. (scale *. uf2.(!j)) in
+          incr j;
+          x /. cap.(e2)
+        end
+        else begin
+          let x = base.(e1) +. (scale *. uf1.(!i)) +. (scale *. uf2.(!j)) in
+          incr i;
+          incr j;
+          x /. cap.(e1)
+        end
+      in
+      if r > !peak then peak := r
+    done
+  end;
+  out.(0) <- !peak
+
 (* ------------------------------------------------------------------ *)
 (* Commodities and loads                                               *)
 (* ------------------------------------------------------------------ *)

@@ -111,6 +111,22 @@ val add_unit : t -> src:int -> dst:int -> scale:float -> into:float array -> uni
     Identical float accumulation order to the [unit_load]-based loop it
     replaces.  @raise Unroutable if [dst] is unreachable from [src]. *)
 
+val segment_peak :
+  t -> src:int -> via:int -> dst:int -> scale:float -> base:float array ->
+  out:float array -> unit
+(** [segment_peak t ~src ~via ~dst ~scale ~base ~out] writes to
+    [out.(0)] the peak utilization, over the edges the segments touch,
+    of [base] plus [scale] times the unit flows of [(src, via)] and
+    [(via, dst)] — or of [(src, dst)] alone when [via < 0].  Each edge's
+    value is the float {!add_unit} would leave there, segment one first;
+    [base] (length [m]) is only read.  The peak is never below [0.],
+    like {!mlu_of_loads}.  With [scale >= 0] the untouched edges
+    can only be lower, so the max of this and the MLU of [base] is the
+    MLU of the spliced loads, bit for bit.  Allocates nothing once the
+    unit rows are cached; lookups count as {!add_unit}'s do.
+    @raise Invalid_argument if [scale] is NaN or negative.
+    @raise Unroutable if a segment is unroutable, before reading [base]. *)
+
 (** {1 Commodities and evaluation} *)
 
 val set_commodities : t -> (int * int * float) array -> unit

@@ -1,12 +1,15 @@
 (* Allocation-discipline smoke: proves the engine's documented
    zero-allocation contracts with [Gc.minor_words] bracketing on real
-   topologies, larger and longer than the tier-1 unit variants.  Two
+   topologies, larger and longer than the tier-1 unit variants.  Three
    invariants:
 
    - the probe loop (set_weight / evaluate_into / undo) allocates no
      minor words per iteration once warm;
    - a whole-topology failure sweep (disable_edge / reachable /
-     evaluate_into / undo) allocates no minor words per sweep once warm.
+     evaluate_into / undo) allocates no minor words per sweep once warm;
+   - a GreedyWPO candidate sweep for one demand (segment_peak over the
+     direct route and every waypoint) allocates no minor words once the
+     unit rows are cached.
 
    Run with `dune build @alloc-smoke' (part of the `@smoke' umbrella).
    Exits 0 in bytecode without measuring: outside native code every
@@ -95,6 +98,36 @@ let check_failure_sweep name g =
       name words;
     exit 1)
 
+let check_candidate_sweep name g =
+  let w = Weights.inverse_capacity g in
+  let n = Digraph.node_count g in
+  let demands = demands_of g ~count:40 ~seed:0x5e9 in
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev demands;
+  let base = Engine.Evaluator.loads ev in
+  let src, dst, size = demands.(0) in
+  let vias =
+    Array.of_list
+      (-1 :: List.filter (fun v -> v <> src && v <> dst) (List.init n Fun.id))
+  in
+  let out = [| 0. |] and best = [| infinity |] in
+  let sweep () =
+    best.(0) <- infinity;
+    for j = 0 to Array.length vias - 1 do
+      Engine.Evaluator.segment_peak ev ~src ~via:vias.(j) ~dst ~scale:size ~base
+        ~out;
+      if out.(0) < best.(0) then best.(0) <- out.(0)
+    done
+  in
+  sweep ();
+  let words = minor_delta sweep in
+  Printf.printf "%-12s wpo scan     %4d cands  %8.0f minor words/sweep\n" name
+    (Array.length vias) words;
+  if words <> 0. then (
+    Printf.eprintf "FAIL: %s warm candidate sweep allocated %.0f minor words\n"
+      name words;
+    exit 1)
+
 let () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ ->
@@ -106,4 +139,7 @@ let () =
           check_probe_loop name g;
           check_failure_sweep name g)
         [ "Abilene"; "Germany50" ];
+      List.iter
+        (fun name -> check_candidate_sweep name (Topology.Datasets.load name))
+        [ "Germany50"; "GtsCe" ];
       print_endline "alloc smoke OK"

@@ -661,6 +661,116 @@ let test_unroutable_leaves_scratch_clean () =
   check_loads "after the raise" (oracle_loads g w routable)
     (Engine.Evaluator.loads ev)
 
+(* --------------------------------------------------------------- *)
+(* Segment peak: scoring a waypoint candidate from its own rows       *)
+(* --------------------------------------------------------------- *)
+
+(* For every (src, via, dst) triple, and the direct route, the max of
+   [segment_peak] and the base MLU must equal, bit for bit, the MLU of
+   the base with both segments spliced in by [add_unit].  Weights 1-3
+   make ECMP ties (and so segments sharing an edge) common; node 0's
+   out-links are disabled, so some segments are unroutable; the base
+   mixes zeros, light loads (so the segments usually set the MLU) and
+   tiny negative residues. *)
+let test_segment_peak_exact () =
+  let shared = ref 0 and unroutable = ref 0 in
+  for seed = 1 to 12 do
+    let g, _, _, st = instance seed in
+    let n = Digraph.node_count g and m = Digraph.edge_count g in
+    let w =
+      Array.init m (fun e ->
+          if Digraph.src g e = 0 then infinity
+          else float_of_int (1 + Random.State.int st 3))
+    in
+    let ev = Engine.Evaluator.create g w in
+    let base =
+      Array.init m (fun _ ->
+          match Random.State.int st 4 with
+          | 0 -> 0.
+          | 1 -> -1e-17
+          | _ -> Random.State.float st 2.)
+    in
+    let mlu = Engine.Evaluator.mlu_of_loads g in
+    let residual = mlu base and buf = Array.make m 0. and out = [| 0. |] in
+    let scale = 5. +. Random.State.float st 20. in
+    for src = 0 to n - 1 do
+      for dst = 0 to n - 1 do
+        for via = -1 to n - 1 do
+          let segs = if via < 0 then [ (src, dst) ] else [ (src, via); (via, dst) ] in
+          Array.blit base 0 buf 0 m;
+          match
+            List.iter
+              (fun (a, b) -> Engine.Evaluator.add_unit ev ~src:a ~dst:b ~scale ~into:buf)
+              segs
+          with
+          | exception Engine.Evaluator.Unroutable _ ->
+            incr unroutable;
+            Alcotest.(check bool) "unroutable either way" true
+              (match Engine.Evaluator.segment_peak ev ~src ~via ~dst ~scale ~base ~out with
+               | exception Engine.Evaluator.Unroutable _ -> true
+               | () -> false)
+          | () ->
+            Engine.Evaluator.segment_peak ev ~src ~via ~dst ~scale ~base ~out;
+            let score = Float.max out.(0) residual in
+            if Int64.bits_of_float score <> Int64.bits_of_float (mlu buf) then
+              Alcotest.failf "seed %d (%d, %d, %d): %h <> %h" seed src via dst
+                score (mlu buf);
+            if via >= 0 then begin
+              let r1 = Engine.Evaluator.unit_load ev ~src ~dst:via
+              and r2 = Engine.Evaluator.unit_load ev ~src:via ~dst in
+              let open Engine.Evaluator in
+              if Array.exists (fun e -> Array.mem e r2.edges) r1.edges then
+                incr shared
+            end
+        done
+      done
+    done
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d shared-edge triples" !shared) true
+    (!shared > 0);
+  Alcotest.(check bool) (Printf.sprintf "%d unroutable triples" !unroutable)
+    true (!unroutable > 0)
+
+(* The primitive looks its two rows up exactly as two [add_unit] calls
+   do, so the cache counters cannot tell them apart. *)
+let test_segment_peak_counters () =
+  let g, w, _, _ = instance 3 in
+  let n = Digraph.node_count g and m = Digraph.edge_count g in
+  let base = Array.make m 1. and out = [| 0. |] in
+  let a = Engine.Evaluator.create g w and b = Engine.Evaluator.create g w in
+  for src = 0 to n - 1 do
+    for via = 0 to n - 1 do
+      let dst = (src + via) mod n in
+      Engine.Evaluator.add_unit a ~src ~dst:via ~scale:2. ~into:base;
+      Engine.Evaluator.add_unit a ~src:via ~dst ~scale:2. ~into:base;
+      Engine.Evaluator.segment_peak b ~src ~via ~dst ~scale:2. ~base ~out
+    done
+  done;
+  let sa = Engine.Evaluator.stats a and sb = Engine.Evaluator.stats b in
+  Alcotest.(check int) "unit hits" sa.Engine.Stats.unit_hits sb.Engine.Stats.unit_hits;
+  Alcotest.(check int) "unit misses" sa.Engine.Stats.unit_misses
+    sb.Engine.Stats.unit_misses
+
+let test_segment_peak_rejects () =
+  let g = diamond () in
+  let ev = Engine.Evaluator.create g (Weights.unit g) in
+  let base = Array.make 4 0. and out = [| 42. |] in
+  List.iter
+    (fun scale ->
+      Alcotest.check_raises (Printf.sprintf "scale %g" scale)
+        (Invalid_argument "Evaluator.segment_peak: scale must be >= 0")
+        (fun () ->
+          Engine.Evaluator.segment_peak ev ~src:0 ~via:1 ~dst:3 ~scale ~base ~out))
+    [ Float.nan; -1.; Float.neg_infinity ];
+  (* 3 has no out-links: the raise comes before [base] is read (an
+     empty base would fail the bounds check) and leaves [out] alone *)
+  Alcotest.check_raises "unroutable second segment"
+    (Engine.Evaluator.Unroutable (3, 2))
+    (fun () ->
+      Engine.Evaluator.segment_peak ev ~src:0 ~via:3 ~dst:2 ~scale:1. ~base:[||]
+        ~out);
+  Alcotest.(check (float 0.)) "out untouched" 42. out.(0)
+
 let () =
   Alcotest.run "engine"
     [
@@ -696,6 +806,15 @@ let () =
             test_zero_size_loads_nothing;
           Alcotest.test_case "unroutable leaves scratch clean" `Quick
             test_unroutable_leaves_scratch_clean;
+        ] );
+      ( "segment peak",
+        [
+          Alcotest.test_case "= dense splice, bit for bit" `Quick
+            test_segment_peak_exact;
+          Alcotest.test_case "counts lookups like add_unit" `Quick
+            test_segment_peak_counters;
+          Alcotest.test_case "rejects bad scale and unroutable" `Quick
+            test_segment_peak_rejects;
         ] );
       ( "incremental spf",
         [

@@ -706,6 +706,126 @@ let test_greedy_passes_never_worse () =
     true
     (p2.Greedy_wpo.mlu <= p1.Greedy_wpo.mlu +. 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* GreedyWPO against the dense oracle                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A random instance for the dense-oracle differential: a bidirectional
+   ring of [n] nodes plus random chords (integer weights 1-3, so ECMP
+   ties are common), node 2 with every out-link disabled (vias through
+   it are unroutable), a duplicated demand, and a gadget demand
+   a -> {b1..b5} -> c whose size [s] makes [s *. (1. /. 5.)] exceed
+   [s /. 5.] (1/5 rounds up; 1/3 rounds down): the load sweep writes
+   [s /. 5.] on each a -> b link and removing the demand through its unit row leaves a slightly negative
+   residual there.  The gadget hangs off the ring by weight-30 links,
+   so no other demand's shortest path crosses it. *)
+let oracle_instance seed =
+  let st = Random.State.make [| 0x3a7e; seed |] in
+  let n = 6 + Random.State.int st 7 in
+  let links = ref [] in
+  let link ?cap ?w a b =
+    let cap = match cap with Some c -> c | None -> float_of_int (5 + Random.State.int st 20) in
+    let w = match w with Some w -> w | None -> float_of_int (1 + Random.State.int st 3) in
+    links := (b, a, cap, w) :: (a, b, cap, w) :: !links
+  in
+  for v = 0 to n - 1 do
+    link v ((v + 1) mod n)
+  done;
+  for _ = 1 to n / 2 do
+    let a = Random.State.int st n and b = Random.State.int st n in
+    if a <> b then link a b
+  done;
+  let ga = n and gc = n + 6 in
+  for k = 1 to 5 do
+    link ~cap:10. ~w:1. ga (n + k);
+    link ~cap:10. ~w:1. (n + k) gc
+  done;
+  link ~cap:10. ~w:30. ga 0;
+  link ~cap:10. ~w:30. gc 1;
+  let links = List.rev !links in
+  let g = Digraph.of_edges ~n:(n + 7) (List.map (fun (a, b, c, _) -> (a, b, c)) links) in
+  let w =
+    Array.of_list
+      (List.map (fun (a, _, _, w) -> if a = 2 then infinity else w) links)
+  in
+  let rec pick () =
+    let s = Random.State.int st n and d = Random.State.int st n in
+    if s = d || s = 2 then pick () else (s, d)
+  in
+  let ds =
+    List.init (n + Random.State.int st n) (fun _ ->
+        let s, d = pick () in
+        Network.demand s d (0.5 +. Random.State.float st 3.5))
+  in
+  let rec split s = if s *. (1. /. 5.) > s /. 5. then s else split (s +. 0.01) in
+  let gadget = Network.demand ga gc (split 20.) in
+  (g, w, Array.of_list ((gadget :: ds) @ [ List.hd ds ]))
+
+let bits = Int64.bits_of_float
+
+let test_wpo_dense_oracle () =
+  let dropped = ref 0 in
+  List.iter
+    (fun jobs ->
+      Par.Pool.with_pool ~jobs (fun pool ->
+          for seed = 1 to 50 do
+            let g, w, demands = oracle_instance seed in
+            let tag what = Printf.sprintf "seed %d jobs %d: %s" seed jobs what in
+            (* the negative-residual precondition holds *)
+            let ev = Engine.Evaluator.create g w in
+            Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+            let res = Array.copy (Engine.Evaluator.loads ev) in
+            let gd = demands.(0) in
+            Engine.Evaluator.add_unit ev ~src:gd.Network.src ~dst:gd.Network.dst
+              ~scale:(-.gd.Network.size) ~into:res;
+            Alcotest.(check bool) (tag "negative residual") true
+              (Array.exists (fun x -> x < 0.) res);
+            List.iter
+              (fun passes ->
+                let metrics = Obs.Metrics.create () in
+                let r =
+                  Greedy_wpo.optimize_ctx (Obs.Ctx.make ~metrics ~pool ()) ~passes
+                    g w demands
+                in
+                let o = Wpo_oracle.optimize ~passes g w demands in
+                let tag what = tag (Printf.sprintf "passes %d %s" passes what) in
+                Alcotest.(check (array (option int))) (tag "waypoints")
+                  o.Wpo_oracle.waypoints r.Greedy_wpo.waypoints;
+                Alcotest.(check int64) (tag "mlu") (bits o.Wpo_oracle.mlu)
+                  (bits r.Greedy_wpo.mlu);
+                Alcotest.(check int) (tag "scanned") o.Wpo_oracle.scanned
+                  (Obs.Metrics.counter metrics "wpo.scanned");
+                if passes = 1 then begin
+                  (* some vias through node 2 were skipped as unroutable *)
+                  let n = Digraph.node_count g in
+                  Alcotest.(check bool) (tag "unroutable vias skipped") true
+                    (o.Wpo_oracle.scanned < Array.length demands * (n - 2));
+                  if Array.exists Option.is_some o.Wpo_oracle.waypoints then
+                    incr dropped
+                end)
+              [ 1; 2 ];
+            let metrics = Obs.Metrics.create () in
+            let r =
+              Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ~metrics ~pool ())
+                ~rounds:2 g w demands
+            in
+            let o = Wpo_oracle.optimize_multi ~rounds:2 g w demands in
+            Alcotest.(check (array (list int))) (tag "multi setting")
+              o.Wpo_oracle.setting r.Greedy_wpo.setting;
+            Alcotest.(check (list int64)) (tag "multi round mlu")
+              (List.map bits o.Wpo_oracle.round_mlu)
+              (List.map bits r.Greedy_wpo.round_mlu);
+            Alcotest.(check int64) (tag "multi mlu") (bits o.Wpo_oracle.multi_mlu)
+              (bits r.Greedy_wpo.mlu);
+            Alcotest.(check int) (tag "multi scanned") o.Wpo_oracle.multi_scanned
+              (Obs.Metrics.counter metrics "wpo.scanned")
+          done))
+    [ 1; 2 ];
+  (* pass 2 offered the drop candidate on most seeds *)
+  Alcotest.(check bool)
+    (Printf.sprintf "drop candidate offered (%d of 100 runs)" !dropped)
+    true (!dropped >= 50)
+
 let test_iterated_joint () =
   let inst = Instances.Gap_instances.instance1 ~m:4 in
   let net = inst.Instances.Gap_instances.network in
@@ -987,6 +1107,7 @@ let () =
           Alcotest.test_case "two waypoints help (I3)" `Quick test_multi_two_waypoints_help_instance3;
           Alcotest.test_case "improvement passes" `Quick test_greedy_passes_never_worse;
           Alcotest.test_case "iterated joint" `Quick test_iterated_joint;
+          Alcotest.test_case "greedy = dense oracle" `Quick test_wpo_dense_oracle;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
