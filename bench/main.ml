@@ -1004,9 +1004,10 @@ let engine =
 
 (* Scaling of lib/par: the GreedyWPO candidate scan and the HeurOSPF
    probe fan-out, both on cached per-worker clones under the
-   work-stealing scheduler, at pool sizes 1/2/4/8.  Every run is
+   shared-counter scheduler, at pool sizes 1/2/4/8.  Every run is
    compared bit for bit with the jobs = 1 run.  Each record carries the
-   scheduler's own counters and the clone-cache amortization ratio. *)
+   scheduler's own counters ([steals] = tasks run by a slot other than
+   the caller) and the clone-cache amortization ratio. *)
 let parallel_sweep name =
   let g = Topology.Datasets.load name in
   let demands = fig4_demands g in
@@ -1139,7 +1140,7 @@ let efficiency_gate =
     { g with check = (fun rs -> (fst (g.check rs), Skipped why)) }
 
 let parallel =
-  { title = "Parallel search runtime: work-stealing scheduler (lib/par)";
+  { title = "Parallel search runtime: shared-counter scheduler (lib/par)";
     bench = "parallel"; version = 2; fields = [];
     run = (fun ctx ->
         List.concat_map

@@ -126,13 +126,6 @@ let wpo g weights demands =
   | Some (a, v) -> (a, v)
   | None -> assert false (* ub = infinity always yields an assignment *)
 
-let lwo_ctx (ctx : Obs.Ctx.t) ?weight_domain ?max_settings ?allow_truncate g
-    demands =
-  Obs.Ctx.span ctx "exact:lwo" (fun () ->
-      let r, meta = lwo ?weight_domain ?max_settings ?allow_truncate g demands in
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:meta.visited "exact.settings";
-      (r, meta))
-
 let joint ?(weight_domain = [ 1; 2; 3 ]) ?(max_settings = 2_000_000)
     ?allow_truncate g demands =
   let m = Digraph.edge_count g in
@@ -153,12 +146,3 @@ let joint ?(weight_domain = [ 1; 2; 3 ]) ?(max_settings = 2_000_000)
   | _ ->
     (* No weight setting beat infinity: impossible for routable demands. *)
     failwith "Exact.joint: no feasible assignment (unroutable demands?)"
-
-let joint_ctx (ctx : Obs.Ctx.t) ?weight_domain ?max_settings ?allow_truncate g
-    demands =
-  Obs.Ctx.span ctx "exact:joint" (fun () ->
-      let r, meta =
-        joint ?weight_domain ?max_settings ?allow_truncate g demands
-      in
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:meta.visited "exact.settings";
-      (r, meta))

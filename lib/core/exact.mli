@@ -56,27 +56,3 @@ val joint :
     as in {!lwo}.
     @raise Too_large when the weight space exceeds the cap and
     [allow_truncate] is off. *)
-
-(** {2 Context-taking entry points}
-
-    Same computations under an {!Obs.Ctx.t}: each records one root span
-    (["exact:lwo"], ["exact:joint"]) and counts visited settings in the
-    [exact.settings] metric. *)
-
-val lwo_ctx :
-  Obs.Ctx.t ->
-  ?weight_domain:int list ->
-  ?max_settings:int ->
-  ?allow_truncate:bool ->
-  Netgraph.Digraph.t ->
-  Network.demand array ->
-  (int array * float) * enum_meta
-
-val joint_ctx :
-  Obs.Ctx.t ->
-  ?weight_domain:int list ->
-  ?max_settings:int ->
-  ?allow_truncate:bool ->
-  Netgraph.Digraph.t ->
-  Network.demand array ->
-  (int array * int option array * float) * enum_meta

@@ -94,13 +94,6 @@ let solve ?(prune = true) g ~source ~target =
 
 let approximation_ratio r = r.max_flow_value /. r.es_flow_value
 
-let solve_ctx (ctx : Obs.Ctx.t) ?prune g ~source ~target =
-  Obs.Ctx.span ctx "lwo:apx" (fun () ->
-      let r = solve ?prune g ~source ~target in
-      Obs.Metrics.gauge ctx.Obs.Ctx.metrics "lwo.apx_ratio"
-        (approximation_ratio r);
-      r)
-
 let uniform_optimal_weights g ~source ~target =
   (* Unit-capacity max flow is integral (augmenting paths carry 1), so
      its positive edges form |P| link-disjoint paths (Menger). *)

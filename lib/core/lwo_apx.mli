@@ -51,11 +51,6 @@ type result = {
 val solve : ?prune:bool -> Netgraph.Digraph.t -> source:int -> target:int -> result
 (** Full Algorithm 1. *)
 
-val solve_ctx :
-  Obs.Ctx.t -> ?prune:bool -> Netgraph.Digraph.t -> source:int -> target:int -> result
-(** {!solve} under a run context: records one ["lwo:apx"] span and a
-    [lwo.apx_ratio] gauge (the achieved {!approximation_ratio}). *)
-
 val approximation_ratio : result -> float
 (** |f*| / ec(s) >= 1; Theorem 5.4 bounds it by n * ceil(ln n). *)
 

@@ -329,17 +329,13 @@ let dijkstra_update_prepared scratch g ~weights ~dist ~edge =
   else if w < old_weight then update_decrease scratch g weights dist edge
   else update_increase scratch g weights dist edge
 
-let dijkstra_update_to_into scratch g ~weights ~target:_ ~dist ~edge
-    ~old_weight =
-  scratch.Scratch.farg.(0) <- old_weight;
-  dijkstra_update_prepared scratch g ~weights ~dist ~edge
-
-let dijkstra_update_to g ~weights ~target ~dist ~edge ~old_weight =
+let dijkstra_update_to g ~weights ~target:_ ~dist ~edge ~old_weight =
   (* Hot path: called once per dirty destination per weight change, so
      only the changed entry is validated (a full [check_weights] scan
      here measurably slows incremental evaluation on small graphs). *)
-  dijkstra_update_to_into (domain_scratch ()) g ~weights ~target ~dist ~edge
-    ~old_weight
+  let scratch = domain_scratch () in
+  scratch.Scratch.farg.(0) <- old_weight;
+  dijkstra_update_prepared scratch g ~weights ~dist ~edge
 
 let dijkstra_with_parents ?stop_at g ~weights ~source =
   check_weights g weights;

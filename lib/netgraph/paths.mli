@@ -21,9 +21,6 @@ module Scratch : sig
       a non-inlined function.  Borrowed; length 1. *)
 end
 
-val domain_scratch : unit -> Scratch.t
-(** The calling domain's arena (the one the legacy entry points use). *)
-
 val dijkstra : Digraph.t -> weights:float array -> source:int -> float array
 (** Distance from [source] to every node along directed edges; unreachable
     nodes get [infinity].
@@ -58,17 +55,12 @@ val dijkstra_update_to :
     whose stored distance was recomputed — [0] means the update provably
     left every distance unchanged. *)
 
-val dijkstra_update_to_into :
-  Scratch.t -> Digraph.t -> weights:float array -> target:int ->
-  dist:float array -> edge:int -> old_weight:float -> int
-(** {!dijkstra_update_to} with a caller-owned arena. *)
-
 val dijkstra_update_prepared :
   Scratch.t -> Digraph.t -> weights:float array -> dist:float array ->
   edge:int -> int
-(** Boxing-free form of {!dijkstra_update_to_into}: reads the old weight
-    from [Scratch.farg scratch] (slot 0), which the caller must have
-    stored beforehand.  This is the entry the engine's zero-allocation
+(** Boxing-free form of {!dijkstra_update_to} with a caller-owned
+    arena: reads the old weight from [Scratch.farg scratch] (slot 0),
+    which the caller must have stored beforehand.  This is the entry the engine's zero-allocation
     probe loop uses — a labelled [old_weight:float] argument would box
     the float at the call boundary. *)
 

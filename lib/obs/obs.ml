@@ -422,7 +422,6 @@ module Metrics = struct
     let s = Par.Pool.metrics p in
     let add name v = if v <> 0 then incr t ~by:v ("sched." ^ name) in
     add "steals" s.Par.Pool.steals;
-    add "steal_races" s.Par.Pool.steal_races;
     add "parks" s.Par.Pool.parks;
     add "regions" s.Par.Pool.regions;
     add "tasks" s.Par.Pool.tasks;

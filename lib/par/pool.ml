@@ -1,106 +1,28 @@
-(* Work-stealing task scheduler.
+(* Shared-counter task scheduler.
 
-   One Chase–Lev deque of task indices per worker slot (slot 0 is the
-   submitting caller).  A fan-out publishes a region descriptor, seeds
-   the caller's deque with every task index, and bumps the submission
-   epoch; workers claim indices by popping their own deque or stealing
-   from another slot's top, both lock-free.  The pool
+   A fan-out publishes a region descriptor and bumps the submission
+   epoch; every slot (slot 0 is the submitting caller) claims the next
+   task index with one [fetch_and_add] on the region's [r_next] and
+   runs it if it is below [r_total].  Claims are lock-free; the pool
    mutex/condvars exist only to park idle workers between regions and
    to wake the caller at region completion.
 
-   Claim-first protocol: a worker first claims a task index from a
-   deque and only then reads [t.region].  This is safe because the
-   region is published (an Atomic store) before any of its indices are
-   pushed, and a region cannot complete — so the next one cannot be
-   published — while a claimed index has not executed.  The atomic
-   claim therefore happens-after the publication of the region it
-   belongs to, and the subsequent region read cannot observe an older
-   region.
+   A worker reads [t.region] and then claims on the region it read.  A
+   stale region (one that already completed) can only answer "nothing
+   to claim": it completes only after every index below [r_total] was
+   claimed, and [r_next] never decreases.
 
-   Determinism: steal order decides *which slot* runs a task and when,
+   Determinism: claim order decides *which slot* runs a task and when,
    never what the task computes (results are keyed by task index and
    merged in index order by the callers).  Nothing in the scheduler
    feeds scheduling order back into results. *)
-
-(* Chase–Lev deque specialized to task indices (nonnegative ints), so
-   claims never allocate.  The buffer is circular with power-of-two
-   length and is itself held in an Atomic: the owner replaces it when
-   growing, and a thief re-reads it after reading [top]/[bottom] so a
-   stale (smaller) buffer read loses the CAS on [top] instead of
-   stealing a relocated element. *)
-module Deque = struct
-  type t = {
-    top : int Atomic.t;      (* next index thieves steal *)
-    bottom : int Atomic.t;   (* next slot the owner pushes *)
-    buf : int array Atomic.t;
-  }
-
-  let empty = -1   (* claim sentinels; task indices are >= 0 *)
-  let retry = -2
-
-  let create () =
-    { top = Atomic.make 0;
-      bottom = Atomic.make 0;
-      buf = Atomic.make (Array.make 64 empty) }
-
-  let grow q top bottom =
-    let a = Atomic.get q.buf in
-    let n = Array.length a in
-    let b = Array.make (2 * n) empty in
-    for i = top to bottom - 1 do
-      b.(i land (2 * n - 1)) <- a.(i land (n - 1))
-    done;
-    Atomic.set q.buf b;
-    b
-
-  (* Owner only. *)
-  let push q v =
-    let b = Atomic.get q.bottom in
-    let t = Atomic.get q.top in
-    let a = Atomic.get q.buf in
-    let a = if b - t >= Array.length a then grow q t b else a in
-    a.(b land (Array.length a - 1)) <- v;
-    Atomic.set q.bottom (b + 1)
-
-  (* Owner only. *)
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      (* already empty: restore the canonical empty state *)
-      Atomic.set q.bottom t;
-      empty
-    end
-    else begin
-      let a = Atomic.get q.buf in
-      let v = a.(b land (Array.length a - 1)) in
-      if b > t then v
-      else begin
-        (* last element: race the thieves for it *)
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then v else empty
-      end
-    end
-
-  (* Any domain. *)
-  let steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if b - t <= 0 then empty
-    else begin
-      let a = Atomic.get q.buf in
-      let v = a.(t land (Array.length a - 1)) in
-      if Atomic.compare_and_set q.top t (t + 1) then v else retry
-    end
-end
 
 (* One fan-out.  [r_run] never raises (exceptions are recorded
    out-of-band by the wrapper in [map]). *)
 type region = {
   r_total : int;
   r_run : int -> int -> unit;          (* worker slot -> task index *)
+  r_next : int Atomic.t;               (* next unclaimed task index *)
   r_done : int Atomic.t;
 }
 
@@ -110,7 +32,6 @@ type t = {
   mutex : Mutex.t;                     (* park/unpark only *)
   work : Condition.t;                  (* workers wait here between regions *)
   finished : Condition.t;              (* the caller waits here for completion *)
-  deques : Deque.t array;              (* one per slot; slot 0 = caller *)
   region : region option Atomic.t;
   epoch : int Atomic.t;                (* bumped per submission; parking guard *)
   busy : int Atomic.t;                 (* 0 = idle, 1 = a region is in flight *)
@@ -119,7 +40,6 @@ type t = {
   waiting : int Atomic.t;              (* 1 while the caller may be parked *)
   (* metrics *)
   m_steals : int Atomic.t;
-  m_steal_races : int Atomic.t;
   m_parks : int Atomic.t;
   m_regions : int Atomic.t;
   m_tasks : int Atomic.t;
@@ -139,35 +59,6 @@ let parallelism t =
   if t.n_jobs = 1 then 1
   else if Atomic.get t.busy = 1 || Atomic.get t.stopping then 1
   else t.n_jobs
-
-(* Claim a task index for [worker]: own deque first, then a rotating
-   steal sweep over the other slots.  Returns [Deque.empty] when
-   nothing was runnable at the time of the sweep. *)
-let try_get t worker =
-  let i = Deque.pop t.deques.(worker) in
-  if i >= 0 then i
-  else begin
-    let n = Array.length t.deques in
-    let found = ref Deque.empty in
-    let k = ref 1 in
-    while !found < 0 && !k < n do
-      let q = t.deques.((worker + !k) mod n) in
-      let rec attempt () =
-        match Deque.steal q with
-        | v when v = Deque.retry ->
-          Atomic.incr t.m_steal_races;
-          attempt ()
-        | v -> v
-      in
-      (match attempt () with
-       | v when v >= 0 ->
-         Atomic.incr t.m_steals;
-         found := v
-       | _ -> ());
-      incr k
-    done;
-    !found
-  end
 
 (* Run a claimed task, timing it into this slot's busy cell, then
    retire it.  The completion counter's RMW chain gives the caller a
@@ -191,34 +82,40 @@ let exec t r worker task =
     end
   end
 
+(* Claim the next task index of [r] for [worker] and run it; false when
+   every index is already claimed. *)
+let claim t r worker =
+  let i = Atomic.fetch_and_add r.r_next 1 in
+  if i >= r.r_total then false
+  else begin
+    if worker > 0 then Atomic.incr t.m_steals;
+    exec t r worker i;
+    true
+  end
+
 let spin_budget = 64
 
 let worker_loop t worker =
+  let claim_current () =
+    match Atomic.get t.region with
+    | Some r -> claim t r worker
+    | None -> false
+  in
   while not (Atomic.get t.stopping) do
     let e = Atomic.get t.epoch in
-    let i = try_get t worker in
-    if i >= 0 then
-      (match Atomic.get t.region with
-       | Some r -> exec t r worker i
-       | None ->
-         (* impossible per the claim-first protocol (see header) *)
-         assert false)
-    else begin
+    if not (claim_current ()) then begin
       (* Nothing runnable: spin briefly (tasks retire in microseconds),
          then park until the next submission bumps the epoch. *)
       let spins = ref 0 in
-      let got = ref Deque.empty in
-      while !got < 0 && !spins < spin_budget
+      let got = ref false in
+      while not !got && !spins < spin_budget
             && Atomic.get t.epoch = e && not (Atomic.get t.stopping) do
         Domain.cpu_relax ();
         incr spins;
-        got := try_get t worker
+        got := claim_current ()
       done;
-      if !got >= 0 then
-        (match Atomic.get t.region with
-         | Some r -> exec t r worker !got
-         | None -> assert false)
-      else if Atomic.get t.epoch = e && not (Atomic.get t.stopping) then begin
+      if not !got && Atomic.get t.epoch = e
+         && not (Atomic.get t.stopping) then begin
         Mutex.lock t.mutex;
         (* Submissions bump the epoch before taking the mutex, so this
            re-check under the lock cannot miss one. *)
@@ -238,12 +135,12 @@ let worker_loop t worker =
 
 (* On a single-core host, waking a worker can never speed a region up:
    the woken domain only timeslices against the caller, and every
-   unpark/steal/park cycle is pure overhead — so by default such hosts
+   unpark/claim/park cycle is pure overhead — so by default such hosts
    keep workers parked and let the caller drive every region alone
    (results are identical either way; the decomposition never depends
    on who runs a task).  [eager_wake] forces real cross-domain
    scheduling regardless, which the race tests use to keep exercising
-   the deque protocol even on one core. *)
+   the claim and park handshakes even on one core. *)
 let create ?eager_wake ~jobs () =
   if jobs < 1 then invalid_arg "Par.Pool.create: jobs must be >= 1";
   let wake =
@@ -257,7 +154,6 @@ let create ?eager_wake ~jobs () =
     mutex = Mutex.create ();
     work = Condition.create ();
     finished = Condition.create ();
-    deques = Array.init jobs (fun _ -> Deque.create ());
     region = Atomic.make None;
     epoch = Atomic.make 0;
     busy = Atomic.make 0;
@@ -265,7 +161,6 @@ let create ?eager_wake ~jobs () =
     parked = Atomic.make 0;
     waiting = Atomic.make 0;
     m_steals = Atomic.make 0;
-    m_steal_races = Atomic.make 0;
     m_parks = Atomic.make 0;
     m_regions = Atomic.make 0;
     m_tasks = Atomic.make 0;
@@ -301,40 +196,30 @@ let with_pool ?eager_wake ~jobs f =
 
 let sequential = create ~jobs:1 ()
 
-(* The caller drives its own region as slot 0: claim-and-run until the
-   completion counter says every task retired, parking on [finished]
-   only when nothing is runnable here and the region is not done. *)
+(* The caller drives its own region as slot 0: claim-and-run until
+   every index is claimed, then wait for the tasks still running on
+   other slots — spinning briefly, then parking on [finished]. *)
 let caller_drive t r =
   let total = r.r_total in
-  let running = ref true in
-  while !running do
-    let i = try_get t 0 in
-    if i >= 0 then exec t r 0 i
-    else if Atomic.get r.r_done >= total then running := false
-    else begin
-      let spins = ref 0 in
-      let got = ref Deque.empty in
-      while !got < 0 && !spins < spin_budget && Atomic.get r.r_done < total do
-        Domain.cpu_relax ();
-        incr spins;
-        got := try_get t 0
-      done;
-      if !got >= 0 then exec t r 0 !got
-      else if Atomic.get r.r_done < total then begin
-        (* SC handshake with the completion path in [exec]: publish
-           [waiting] before re-checking [r_done] under the mutex; the
-           finisher stores [r_done] before reading [waiting], so one of
-           the two always sees the other. *)
-        Atomic.set t.waiting 1;
-        Mutex.lock t.mutex;
-        while Atomic.get r.r_done < total do
-          Condition.wait t.finished t.mutex
-        done;
-        Mutex.unlock t.mutex;
-        Atomic.set t.waiting 0
-      end
-    end
-  done
+  while claim t r 0 do () done;
+  let spins = ref 0 in
+  while Atomic.get r.r_done < total && !spins < spin_budget do
+    Domain.cpu_relax ();
+    incr spins
+  done;
+  if Atomic.get r.r_done < total then begin
+    (* SC handshake with the completion path in [exec]: publish
+       [waiting] before re-checking [r_done] under the mutex; the
+       finisher stores [r_done] before reading [waiting], so one of
+       the two always sees the other. *)
+    Atomic.set t.waiting 1;
+    Mutex.lock t.mutex;
+    while Atomic.get r.r_done < total do
+      Condition.wait t.finished t.mutex
+    done;
+    Mutex.unlock t.mutex;
+    Atomic.set t.waiting 0
+  end
 
 (* Shared submission path for a region of [tasks >= 1] tasks.  [run]
    must not raise. *)
@@ -349,12 +234,9 @@ let execute t ~tasks run =
     for i = 0 to tasks - 1 do run 0 i done
   else begin
     let wall0 = Engine.Mono.now () in
-    let r = { r_total = tasks; r_run = run; r_done = Atomic.make 0 } in
-    (* Publish the region before any of its indices become claimable
-       (the claim-first protocol depends on this order), then seed the
-       caller's deque highest-index-first so slot 0 pops ascending. *)
+    let r = { r_total = tasks; r_run = run;
+              r_next = Atomic.make 0; r_done = Atomic.make 0 } in
     Atomic.set t.region (Some r);
-    for i = tasks - 1 downto 0 do Deque.push t.deques.(0) i done;
     Atomic.incr t.m_regions;
     ignore (Atomic.fetch_and_add t.m_tasks tasks);
     if tasks > Atomic.get t.m_max_region then
@@ -419,7 +301,6 @@ let chunks ~chunk n =
 
 type metrics = {
   steals : int;
-  steal_races : int;
   parks : int;
   park_seconds : float;
   regions : int;
@@ -431,7 +312,6 @@ type metrics = {
 
 let metrics t = {
   steals = Atomic.get t.m_steals;
-  steal_races = Atomic.get t.m_steal_races;
   parks = Atomic.get t.m_parks;
   park_seconds = Array.fold_left ( +. ) 0. t.park_time;
   regions = Atomic.get t.m_regions;

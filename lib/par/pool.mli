@@ -1,30 +1,30 @@
-(** A work-stealing task scheduler for deterministic search fan-out.
+(** A shared-counter task scheduler for deterministic search fan-out.
 
     The pool owns [jobs - 1] worker domains (stdlib {!Domain}; the
     caller of {!map} participates as worker 0, so [jobs = 1] spawns
-    nothing and runs everything inline).  Each worker slot owns a
-    Chase–Lev deque of task indices: the submitting caller seeds its
-    own deque, idle workers steal from the top, and owners pop from the
-    bottom — the claim fast path is lock-free, the pool mutex is used
-    only to park idle workers and to wake the caller at region
-    completion.
+    nothing and runs everything inline).  Each fan-out is a region with
+    one atomic next-index counter: every worker slot, the caller
+    included, claims the next task index with a single
+    [fetch_and_add].  Claims are lock-free; the pool mutex is used only
+    to park idle workers and to wake the caller at region completion.
 
     Determinism: task indices are claimed dynamically, so which worker
     runs which task — and in what order — is scheduling-dependent.
     Results come back keyed by task index and reductions happen in a
     fixed order, which is the foundation of the [--jobs N] ≡ [--jobs 1]
     bit-identity the search code guarantees: a task's {e result} must
-    depend only on its task index, never on the worker slot or on steal
+    depend only on its task index, never on the worker slot or on claim
     order.
 
     Memory model: tasks must not share mutable state across worker
     slots.  The intended pattern is one cloned evaluator (and scratch
     buffer) per worker slot, immutable shared inputs, and results
-    published only through the returned array.  All scheduler handoffs
-    (publication of the task region, claiming an index, the caller
-    reading results after completion) go through OCaml [Atomic]
-    operations, which establish the happens-before edges between a
-    worker's last write and any later reader.
+    published only through the returned array.  The scheduler's
+    handoffs (publishing the region, claiming an index on its counter,
+    retiring a task on its completion counter) are OCaml [Atomic]
+    operations; the caller reads results only after the completion
+    counter reaches the task count, which orders every task's writes
+    before that read.
 
     Nesting: a [map] issued from inside a running task executes inline
     on the calling worker and presents worker index 0 to its tasks.
@@ -43,10 +43,10 @@ val create : ?eager_wake:bool -> jobs:int -> unit -> t
     core: on a single-core host a woken worker only timeslices against
     the caller, so the pool keeps workers parked and the caller drives
     every region alone — same results (the task decomposition never
-    depends on who runs a task), none of the unpark/steal/park
+    depends on who runs a task), none of the unpark/claim/park
     overhead.  Pass [~eager_wake:true] to force
     real cross-domain scheduling anyway — the race tests do, so the
-    deque protocol is exercised even on one core.
+    claim and park handshakes are exercised even on one core.
     @raise Invalid_argument if [jobs < 1]. *)
 
 val jobs : t -> int
@@ -79,8 +79,9 @@ val map : t -> tasks:int -> (worker:int -> int -> 'a) -> 'a array
     only on the task index, and use [worker] only to pick scratch
     resources.  If any task raises, every task still runs to completion
     and the exception of the lowest-index failing task is re-raised in
-    the caller.  Results land in a single pre-sized array; the only
-    per-region allocations are that array and the region descriptor. *)
+    the caller.  Each call allocates a result array, the typed copy of
+    it that is returned and a few small per-region values; the
+    scheduler allocates nothing per task. *)
 
 val chunks : chunk:int -> int -> (int * int) array
 (** [chunks ~chunk n] splits [0 .. n-1] into [(start, len)] blocks of
@@ -94,8 +95,7 @@ val chunks : chunk:int -> int -> (int * int) array
     meant for observability, not control flow.  Every field is
     scheduling-dependent, so none belongs in a deterministic result. *)
 type metrics = {
-  steals : int;          (** tasks claimed from another slot's deque *)
-  steal_races : int;     (** CAS retries lost while stealing *)
+  steals : int;          (** tasks run by a slot other than the caller *)
   parks : int;           (** times a worker went to sleep on the condvar *)
   park_seconds : float;  (** total wall time workers spent parked *)
   regions : int;         (** fan-outs submitted to the scheduler *)

@@ -530,10 +530,10 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
   (* One task per spec: its static probe on the worker's own clone
      (commodity streaming, failure injection, reachability, static MLU),
      then the re-optimization policies, which build their own evaluators
-     from the spec's forked context.  Workers claim runs of neighbouring
-     specs (the caller from the front, thieves from the back), so
-     same-shift specs mostly find their demand matrix already
-     attached. *)
+     from the spec's forked context.  Specs are claimed in index order,
+     so within a run of same-shift specs (a non-cross list's failure
+     cases all share [No_shift]) a worker mostly finds its demand
+     matrix already attached. *)
   let out =
     Par.Pool.map pool ~tasks:(Array.length specs) (fun ~worker i ->
       let spec = specs.(i) in

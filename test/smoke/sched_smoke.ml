@@ -1,9 +1,9 @@
-(* Scheduler smoke: a skewed-cost byte-identity race for the
-   work-stealing runtime.  Every region mixes one task two orders of
-   magnitude more expensive than the rest, so at jobs > 1 the cheap
-   tasks are stolen off the submitting worker's deque while it grinds
-   the big one — the configuration most likely to expose a deque bug
-   as a wrong (schedule-dependent) result.  Repeats the race many
+(* Scheduler smoke: a skewed-cost byte-identity race for the pool's
+   shared-counter claims.  Every region mixes one task two orders of
+   magnitude more expensive than the rest, so at jobs > 1 the other
+   slots claim the cheap tasks while the submitting caller grinds the
+   big one — the configuration most likely to expose a claim bug as a
+   wrong (schedule-dependent) result.  Repeats the race many
    times and fails loudly on the first byte mismatch.
    Run with `dune build @sched-smoke'. *)
 

@@ -98,9 +98,9 @@ let burn n =
   !s
 
 (* 100x-skewed task costs: one task in each run dwarfs the rest, so at
-   jobs > 1 the cheap tasks are stolen while the caller is pinned on the
-   expensive one — the stress case for the deque protocol.  Results must
-   stay bit-identical to the sequential run. *)
+   jobs > 1 the other slots claim the cheap tasks while the caller is
+   pinned on the expensive one — the stress case for the claim
+   protocol.  Results must stay bit-identical to the sequential run. *)
 let test_skewed_costs () =
   let tasks = 40 in
   let cost i = if i mod 13 = 0 then 200_000 else 2_000 in
@@ -166,12 +166,23 @@ let test_nested_map_determinism () =
         true (run jobs = expect))
     jobs_grid
 
+(* [steals] counts exactly the tasks run by a slot other than the
+   caller; the tasks return their worker slot and the caller asserts. *)
+let steals_match_off_caller_runs label m0 m1 workers =
+  let off_caller =
+    Array.fold_left (fun n w -> if w > 0 then n + 1 else n) 0 workers
+  in
+  Alcotest.(check int) label off_caller
+    (m1.Par.Pool.steals - m0.Par.Pool.steals)
+
 let test_scheduler_metrics () =
   Par.Pool.with_pool ~eager_wake:true ~jobs:3 (fun pool ->
       let m0 = Par.Pool.metrics pool in
-      ignore
-        (Par.Pool.map pool ~tasks:12 (fun ~worker:_ i ->
-             burn (1000 * (1 + (i mod 4)))));
+      let workers =
+        Par.Pool.map pool ~tasks:12 (fun ~worker i ->
+            ignore (Sys.opaque_identity (burn (1000 * (1 + (i mod 4)))));
+            worker)
+      in
       let m1 = Par.Pool.metrics pool in
       Alcotest.(check int)
         "one region recorded" (m0.Par.Pool.regions + 1) m1.Par.Pool.regions;
@@ -179,10 +190,48 @@ let test_scheduler_metrics () =
         "12 tasks recorded" (m0.Par.Pool.tasks + 12) m1.Par.Pool.tasks;
       Alcotest.(check bool)
         "max region width" true (m1.Par.Pool.max_region >= 12);
+      steals_match_off_caller_runs "steals = tasks run off the caller" m0 m1
+        workers;
       Alcotest.(check bool)
-        "counters non-negative" true
-        (m1.Par.Pool.steals >= 0 && m1.Par.Pool.parks >= 0
-        && m1.Par.Pool.park_seconds >= 0.))
+        "parks and park seconds never decrease" true
+        (m1.Par.Pool.parks >= m0.Par.Pool.parks
+        && m1.Par.Pool.park_seconds >= m0.Par.Pool.park_seconds))
+
+(* Two 1,000-task regions back to back: every index of both runs
+   exactly once — a claim that ran a task of the already finished first
+   region would show up as a second run in its counters — and [steals]
+   counts exactly the tasks a slot other than the caller ran. *)
+let test_large_regions () =
+  let tasks = 1000 in
+  List.iter
+    (fun jobs ->
+      Par.Pool.with_pool ~eager_wake:true ~jobs (fun pool ->
+          let region () =
+            let runs = Array.init tasks (fun _ -> Atomic.make 0) in
+            let m0 = Par.Pool.metrics pool in
+            let workers =
+              Par.Pool.map pool ~tasks (fun ~worker i ->
+                  Atomic.incr runs.(i);
+                  ignore (Sys.opaque_identity (burn 200));
+                  worker)
+            in
+            steals_match_off_caller_runs
+              (Printf.sprintf "steals = tasks run off the caller jobs=%d" jobs)
+              m0 (Par.Pool.metrics pool) workers;
+            runs
+          in
+          let first = region () in
+          let second = region () in
+          List.iter
+            (fun runs ->
+              Array.iteri
+                (fun i c ->
+                  if Atomic.get c <> 1 then
+                    Alcotest.failf "jobs=%d: task %d ran %d times" jobs i
+                      (Atomic.get c))
+                runs)
+            [ first; second ]))
+    [ 2; 3; 8 ]
 
 (* The pool times its own scheduled regions: busy task seconds and
    region wall seconds grow with a scheduled map, while the inline
@@ -203,7 +252,7 @@ let test_pool_accounting () =
   ignore (Par.Pool.map seq ~tasks:n (fun ~worker:_ i -> burn (20_000 + i)));
   let m = Par.Pool.metrics seq in
   Alcotest.(check bool) "sequential pool metrics stay zero" true
-    (m.Par.Pool.steals = 0 && m.Par.Pool.steal_races = 0
+    (m.Par.Pool.steals = 0
     && m.Par.Pool.parks = 0 && m.Par.Pool.park_seconds = 0.
     && m.Par.Pool.regions = 0 && m.Par.Pool.tasks = 0
     && m.Par.Pool.max_region = 0 && m.Par.Pool.busy_seconds = 0.
@@ -453,6 +502,8 @@ let () =
             test_nested_map_determinism;
           Alcotest.test_case "scheduler metrics" `Quick
             test_scheduler_metrics;
+          Alcotest.test_case "large regions run every task once" `Quick
+            test_large_regions;
           Alcotest.test_case "pool accounts its own regions" `Quick
             test_pool_accounting;
           Alcotest.test_case "run summary parallel efficiency" `Quick
