@@ -1808,39 +1808,34 @@ let solver_frontier ctx name =
     [ A.float "invcap_mlu" inv; A.float "lp_bound" lp;
       A.bool "lp_exact" lp_exact ]
   in
-  List.filter_map
-    (fun (alg, _doc) ->
+  List.map
+    (fun s ->
+      let alg = s.Solver.name in
       if (alg = "grad" || alg = "grad+wpo") && not lp_exact then
-        Some (head alg true @ bound @ [ A.int "lp_vars" vars ])
+        head alg true @ bound @ [ A.int "lp_vars" vars ]
       else
-        Option.map
-          (fun builder ->
-            let solve pool =
-              Solver.solve (builder config) (Obs.Ctx.make ~pool ()) g demands
-            in
-            let r, wall =
-              Obs.Ctx.phase ctx alg (fun () ->
-                  timed (fun () -> solve ctx.Obs.Ctx.pool))
-            in
-            let gap_closed =
-              if inv -. lp > 1e-9 then (inv -. r.Solver.mlu) /. (inv -. lp)
-              else nan
-            in
-            let jobs_identical =
-              if name = "Abilene" && (alg = "grad" || alg = "omw") then
-                [ A.bool "_jobs_identical"
-                    (solve Par.Pool.sequential
-                    = Par.Pool.with_pool ~jobs:4 solve) ]
-              else []
-            in
-            head alg false
-            @ [ A.float "mlu" r.Solver.mlu ]
-            @ bound
-            @ [ A.float "gap_closed" gap_closed; A.float "wall_seconds" wall;
-                A.int "evaluations" r.Solver.evals ]
-            @ jobs_identical)
-          (Solver.find alg))
-    (Solver.names ())
+        let solve pool = s.Solver.solve config (Obs.Ctx.make ~pool ()) g demands in
+        let r, wall =
+          Obs.Ctx.phase ctx alg (fun () ->
+              timed (fun () -> solve ctx.Obs.Ctx.pool))
+        in
+        let gap_closed =
+          if inv -. lp > 1e-9 then (inv -. r.Solver.mlu) /. (inv -. lp)
+          else nan
+        in
+        let jobs_identical =
+          if name = "Abilene" && (alg = "grad" || alg = "omw") then
+            [ A.bool "_jobs_identical"
+                (solve Par.Pool.sequential = Par.Pool.with_pool ~jobs:4 solve) ]
+          else []
+        in
+        head alg false
+        @ [ A.float "mlu" r.Solver.mlu ]
+        @ bound
+        @ [ A.float "gap_closed" gap_closed; A.float "wall_seconds" wall;
+            A.int "evaluations" r.Solver.evals ]
+        @ jobs_identical)
+    Solver.all
 
 (* OMW must close a strictly larger share of the invcap -> LP gap than
    single-weight HeurOSPF on at least one topology. *)

@@ -221,9 +221,9 @@ let mlu_cmd =
     Term.(const run $ topo_arg $ file_arg $ seed_arg $ demands_arg $ flows_arg
           $ weights_arg)
 
-(* The optimizer table: each entry packs a fully configured
-   first-class Solver.S module from its own flags, plus a printer in the
-   command's historical output format.  The shared driver below loads,
+(* The optimizer table: each entry pairs a Solver.t's solve, applied
+   to the config from its own flags, with a printer in the command's
+   historical output format.  The shared driver below loads,
    generates demands and solves under one run context, with each phase
    recorded for --trace/--summary. *)
 
@@ -260,7 +260,7 @@ let print_joint _g _demands (r : Solver.result) =
     | Some s -> Segments.count_waypoints s
     | None -> 0)
 
-let run_solver (solver, print) topo file seed kind flows jobs stats trace
+let run_solver (solve, print) topo file seed kind flows jobs stats trace
     summary =
   with_ctx ~jobs ~stats ~trace ~summary (fun ctx ->
       let g, file_demands =
@@ -271,7 +271,7 @@ let run_solver (solver, print) topo file seed kind flows jobs stats trace
             make_demands ~file_demands g ~seed ~kind ~flows)
       in
       let r =
-        Obs.Ctx.phase ctx "solve" (fun () -> Solver.solve solver ctx g demands)
+        Obs.Ctx.phase ctx "solve" (fun () -> solve ctx g demands)
       in
       print g demands r)
 
@@ -303,10 +303,10 @@ let passes_arg =
                and may reassign or drop its waypoint.")
 
 (* The shared solver configuration, one term for every algorithm
-   command: each registered builder applies only the fields its
-   algorithm uses. *)
+   command: each solver reads only the fields its algorithm uses. *)
 let config_term =
   Term.(const (fun seed evals restarts passes full_pipeline prune wsetting ->
+            at_least_one "evals" evals;
             at_least_one "restarts" restarts;
             at_least_one "passes" passes;
             {
@@ -326,7 +326,7 @@ let config_term =
    with their historical printers. *)
 let solver_of_alg alg config =
   match Solver.find alg with
-  | Some builder -> builder config
+  | Some s -> s.Solver.solve config
   | None ->
     Printf.eprintf "unknown algorithm %S; try `te-tool list-algs'\n" alg;
     exit 2
@@ -382,8 +382,8 @@ let solver_cmds =
 let list_algs_cmd =
   let run () =
     List.iter
-      (fun (name, doc) -> Printf.printf "%-10s %s\n" name doc)
-      (Solver.names ())
+      (fun s -> Printf.printf "%-10s %s\n" s.Solver.name s.Solver.doc)
+      Solver.all
   in
   Cmd.v
     (Cmd.info "list-algs" ~doc:"List the registered solver algorithms")
@@ -471,6 +471,7 @@ let nanonet_cmd =
 (* failures *)
 let failures_cmd =
   let run topo file seed kind flows evals =
+    at_least_one "evals" evals;
     let g, file_demands = load_topology topo file in
     let demands = make_demands ~file_demands g ~seed ~kind ~flows in
     let ls_params = { Local_search.default_params with max_evals = evals; seed } in
@@ -508,6 +509,7 @@ let failures_cmd =
 let robust_cmd =
   let run topo file seed kind flows evals jobs stats trace summary policies_s
       dual scales_s jitter hotspots diurnal cross reopt_evals out =
+    at_least_one "evals" evals;
     let policies =
       try Scenario.policies_of_string policies_s
       with Invalid_argument m ->
@@ -820,6 +822,7 @@ let serve_cmd =
   let run topo file seed kind flows evals jobs stats trace summary deploy
       deadline_ms churn_budget reopt_evals resolve_evals no_lp lp_every
       no_prune no_timings input output =
+    at_least_one "evals" evals;
     with_ctx ~jobs ~stats ~trace ~summary (fun ctx ->
         let g, file_demands =
           Obs.Ctx.phase ctx "load" (fun () -> load_topology topo file)

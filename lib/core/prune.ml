@@ -84,8 +84,6 @@ let prepare (octx : Obs.Ctx.t) spec ev demands =
 
 let pool t = Array.copy t.pool
 
-let no_op t = t.no_op
-
 let candidates t ~src ~dst =
   match Hashtbl.find_opt t.memo (src, dst) with
   | Some c -> c

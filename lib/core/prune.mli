@@ -58,12 +58,6 @@ val prepare :
 val pool : t -> int array
 (** The global middlepoint pool, best score first (a copy). *)
 
-val no_op : t -> bool
-(** [true] when the spec guarantees byte-identical results
-    ([k >= n]): {!candidates} then
-    returns the full ascending list and only the exact scan skip
-    remains active. *)
-
 val candidates : t -> src:int -> dst:int -> int array
 (** The pruned waypoint candidates for segment [(src, dst)], best score
     first, endpoints excluded, capped at [spec.k] (memoized per pair; do

@@ -10,171 +10,6 @@ type result = {
   stages : (string * float) list;
 }
 
-module type S = sig
-  val name : string
-
-  val solve :
-    Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array -> result
-end
-
-type t = (module S)
-
-let name (module M : S) = M.name
-let solve (module M : S) ctx g demands = M.solve ctx g demands
-
-let no_extras =
-  fun solver ~mlu ~initial_mlu ~evals ~weights ~waypoints ~stages ->
-  {
-    solver;
-    mlu;
-    initial_mlu;
-    evals;
-    weights;
-    weights2 = None;
-    splits = None;
-    waypoints;
-    stages;
-  }
-
-let heur_ospf ?(restarts = 1) ?(params = Local_search.default_params) () : t =
-  (module struct
-    let name = "lwo"
-
-    let solve ctx g demands =
-      let initial_mlu = Ecmp.mlu_of g (Weights.inverse_capacity g) demands in
-      let r = Local_search.optimize_ctx ctx ~restarts ~params g demands in
-      no_extras name ~mlu:r.Local_search.mlu ~initial_mlu
-        ~evals:r.Local_search.evals
-        ~weights:(Some r.Local_search.weights)
-        ~waypoints:None
-        ~stages:[ ("HeurOSPF", r.Local_search.mlu) ]
-  end)
-
-let greedy_wpo ?order ?passes ?prune ?(weights = Weights.inverse_capacity) () :
-    t =
-  (module struct
-    let name = "wpo"
-
-    let solve ctx g demands =
-      let w = weights g in
-      let r = Greedy_wpo.optimize_ctx ctx ?order ?passes ?prune g w demands in
-      no_extras name ~mlu:r.Greedy_wpo.mlu
-        ~initial_mlu:r.Greedy_wpo.initial_mlu ~evals:0 ~weights:None
-        ~waypoints:(Some (Segments.of_single r.Greedy_wpo.waypoints))
-        ~stages:[ ("GreedyWPO", r.Greedy_wpo.mlu) ]
-  end)
-
-let joint_heur ?restarts ?ls_params ?full_pipeline ?prune () : t =
-  (module struct
-    let name = "joint"
-
-    let solve ctx g demands =
-      let r =
-        Joint.optimize_ctx ctx ?restarts ?ls_params ?full_pipeline ?prune g
-          demands
-      in
-      no_extras name ~mlu:r.Joint.mlu ~initial_mlu:nan ~evals:0
-        ~weights:(Some r.Joint.int_weights)
-        ~waypoints:(Some r.Joint.waypoints)
-        ~stages:r.Joint.stage_mlu
-  end)
-
-let gradient ?params () : t =
-  (module struct
-    let name = "grad"
-
-    let solve ctx g demands =
-      let r = Grad_wo.optimize_ctx ctx ?params g demands in
-      no_extras name ~mlu:r.Grad_wo.mlu ~initial_mlu:r.Grad_wo.initial_mlu
-        ~evals:r.Grad_wo.evals
-        ~weights:(Some r.Grad_wo.weights)
-        ~waypoints:None
-        ~stages:
-          [ ("LP-bound", r.Grad_wo.lp_bound); ("GradWO", r.Grad_wo.mlu) ]
-  end)
-
-let omw ?(restarts = 1) ?(ls_params = Local_search.default_params) ?params () :
-    t =
-  (module struct
-    let name = "omw"
-
-    let solve ctx g demands =
-      let initial_mlu = Ecmp.mlu_of g (Weights.inverse_capacity g) demands in
-      let ls =
-        Local_search.optimize_ctx ctx ~restarts ~params:ls_params g demands
-      in
-      let r = Omw.optimize_ctx ctx ?params g ls.Local_search.weights demands in
-      {
-        solver = name;
-        mlu = r.Omw.mlu;
-        initial_mlu;
-        evals = ls.Local_search.evals + r.Omw.evals;
-        weights = Some r.Omw.weights;
-        weights2 = Some r.Omw.weights2;
-        splits = Some r.Omw.splits;
-        waypoints = None;
-        stages = [ ("HeurOSPF", ls.Local_search.mlu); ("OMW", r.Omw.mlu) ];
-      }
-  end)
-
-let gradient_wpo ?params ?order ?passes ?prune () : t =
-  (module struct
-    let name = "grad+wpo"
-
-    let solve ctx g demands =
-      let rg = Grad_wo.optimize_ctx ctx ?params g demands in
-      let rw =
-        Greedy_wpo.optimize_ctx ctx ?order ?passes ?prune g
-          (Weights.of_ints rg.Grad_wo.weights)
-          demands
-      in
-      no_extras name ~mlu:rw.Greedy_wpo.mlu ~initial_mlu:rg.Grad_wo.initial_mlu
-        ~evals:rg.Grad_wo.evals
-        ~weights:(Some rg.Grad_wo.weights)
-        ~waypoints:(Some (Segments.of_single rw.Greedy_wpo.waypoints))
-        ~stages:
-          [ ("LP-bound", rg.Grad_wo.lp_bound); ("GradWO", rg.Grad_wo.mlu);
-            ("GreedyWPO", rw.Greedy_wpo.mlu) ]
-  end)
-
-let omw_wpo ?(restarts = 1) ?(ls_params = Local_search.default_params) ?params
-    ?order ?passes ?prune () : t =
-  (module struct
-    let name = "omw+wpo"
-
-    let solve ctx g demands =
-      let initial_mlu = Ecmp.mlu_of g (Weights.inverse_capacity g) demands in
-      let ls =
-        Local_search.optimize_ctx ctx ~restarts ~params:ls_params g demands
-      in
-      let w1 = Weights.of_ints ls.Local_search.weights in
-      let rw = Greedy_wpo.optimize_ctx ctx ?order ?passes ?prune g w1 demands in
-      let setting = Segments.of_single rw.Greedy_wpo.waypoints in
-      (* The one-more-weight descent runs on the segment-expanded list,
-         so each segment's traffic may split across the two systems. *)
-      let expanded = Segments.expand demands setting in
-      let r =
-        Omw.optimize_ctx ctx ?params g ls.Local_search.weights expanded
-      in
-      {
-        solver = name;
-        mlu = r.Omw.mlu;
-        initial_mlu;
-        evals = ls.Local_search.evals + r.Omw.evals;
-        weights = Some r.Omw.weights;
-        weights2 = Some r.Omw.weights2;
-        splits = Some r.Omw.splits;
-        waypoints = Some setting;
-        stages =
-          [ ("HeurOSPF", ls.Local_search.mlu);
-            ("GreedyWPO", rw.Greedy_wpo.mlu); ("OMW", r.Omw.mlu) ];
-      }
-  end)
-
-(* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-(* ------------------------------------------------------------------ *)
-
 type config = {
   seed : int;
   evals : int;
@@ -196,47 +31,140 @@ let default_config =
     weights = Weights.inverse_capacity;
   }
 
-type builder = config -> t
+type t = {
+  name : string;
+  doc : string;
+  solve :
+    config -> Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array -> result;
+}
 
-(* Registration order is presentation order, so the table reads
-   base solvers first, then the composed variants. *)
-let table : (string * (string * builder)) list ref = ref []
-
-let register ?(doc = "") name builder =
-  table := List.filter (fun (n, _) -> not (String.equal n name)) !table;
-  table := !table @ [ (name, (doc, builder)) ]
-
-let find name =
-  match List.assoc_opt name !table with
-  | Some (_, builder) -> Some builder
-  | None -> None
-
-let names () = List.map (fun (n, (doc, _)) -> (n, doc)) !table
+let single solver ~mlu ~initial_mlu ~evals ?weights ?waypoints stages =
+  {
+    solver;
+    mlu;
+    initial_mlu;
+    evals;
+    weights;
+    weights2 = None;
+    splits = None;
+    waypoints;
+    stages;
+  }
 
 let ls_params_of c =
   { Local_search.default_params with Local_search.max_evals = c.evals;
     seed = c.seed }
 
-let () =
-  register "lwo" ~doc:"link-weight optimization (HeurOSPF local search)"
-    (fun c -> heur_ospf ~restarts:c.restarts ~params:(ls_params_of c) ());
-  register "wpo" ~doc:"waypoint optimization (Algorithm 3, GreedyWPO)"
-    (fun c ->
-      greedy_wpo ~passes:c.passes ?prune:c.prune ~weights:c.weights ());
-  register "joint" ~doc:"joint weight + waypoint pipeline (Algorithm 2)"
-    (fun c ->
-      joint_heur ~restarts:c.restarts ~ls_params:(ls_params_of c)
-        ~full_pipeline:c.full_pipeline ?prune:c.prune ());
-  register "grad"
-    ~doc:"gradient weight descent against LP necessary capacities"
-    (fun _ -> gradient ());
-  register "omw" ~doc:"one-more-weight: HeurOSPF + a second weight system"
-    (fun c -> omw ~restarts:c.restarts ~ls_params:(ls_params_of c) ());
-  register "grad+wpo" ~doc:"greedy waypoints under gradient-descended weights"
-    (fun c ->
-      gradient_wpo ~passes:c.passes ?prune:c.prune ());
-  register "omw+wpo"
-    ~doc:"greedy waypoints, then one-more-weight on the segments"
-    (fun c ->
-      omw_wpo ~restarts:c.restarts ~ls_params:(ls_params_of c)
-        ~passes:c.passes ?prune:c.prune ())
+let heur_ospf ctx c g demands =
+  let initial_mlu = Ecmp.mlu_of g (Weights.inverse_capacity g) demands in
+  ( initial_mlu,
+    Local_search.optimize_ctx ctx ~restarts:c.restarts
+      ~params:(ls_params_of c) g demands )
+
+let greedy ctx c g w demands =
+  let r = Greedy_wpo.optimize_ctx ctx ~passes:c.passes ?prune:c.prune g w demands in
+  (r, Segments.of_single r.Greedy_wpo.waypoints)
+
+(* HeurOSPF, optionally greedy waypoints under its weights, then the
+   one-more-weight descent.  With waypoints the descent runs on the
+   segment-expanded list, so each segment's traffic may split across
+   the two systems. *)
+let omw ~wpo name c ctx g demands =
+  let initial_mlu, ls = heur_ospf ctx c g demands in
+  let w1 = ls.Local_search.weights in
+  let waypoints, wpo_stage, demands =
+    if not wpo then (None, [], demands)
+    else
+      let rw, setting = greedy ctx c g (Weights.of_ints w1) demands in
+      ( Some setting,
+        [ ("GreedyWPO", rw.Greedy_wpo.mlu) ],
+        Segments.expand demands setting )
+  in
+  let r = Omw.optimize_ctx ctx g w1 demands in
+  {
+    (single name ~mlu:r.Omw.mlu ~initial_mlu
+       ~evals:(ls.Local_search.evals + r.Omw.evals) ~weights:r.Omw.weights
+       ?waypoints
+       ((("HeurOSPF", ls.Local_search.mlu) :: wpo_stage)
+       @ [ ("OMW", r.Omw.mlu) ]))
+    with
+    weights2 = Some r.Omw.weights2;
+    splits = Some r.Omw.splits;
+  }
+
+(* Presentation order: the base solvers first, then the composed
+   variants. *)
+let all =
+  [
+    {
+      name = "lwo";
+      doc = "link-weight optimization (HeurOSPF local search)";
+      solve =
+        (fun c ctx g demands ->
+          let initial_mlu, r = heur_ospf ctx c g demands in
+          single "lwo" ~mlu:r.Local_search.mlu ~initial_mlu
+            ~evals:r.Local_search.evals ~weights:r.Local_search.weights
+            [ ("HeurOSPF", r.Local_search.mlu) ]);
+    };
+    {
+      name = "wpo";
+      doc = "waypoint optimization (Algorithm 3, GreedyWPO)";
+      solve =
+        (fun c ctx g demands ->
+          let r, setting = greedy ctx c g (c.weights g) demands in
+          single "wpo" ~mlu:r.Greedy_wpo.mlu
+            ~initial_mlu:r.Greedy_wpo.initial_mlu ~evals:0 ~waypoints:setting
+            [ ("GreedyWPO", r.Greedy_wpo.mlu) ]);
+    };
+    {
+      name = "joint";
+      doc = "joint weight + waypoint pipeline (Algorithm 2)";
+      solve =
+        (fun c ctx g demands ->
+          let r =
+            Joint.optimize_ctx ctx ~restarts:c.restarts
+              ~ls_params:(ls_params_of c) ~full_pipeline:c.full_pipeline
+              ?prune:c.prune g demands
+          in
+          single "joint" ~mlu:r.Joint.mlu ~initial_mlu:nan ~evals:0
+            ~weights:r.Joint.int_weights ~waypoints:r.Joint.waypoints
+            r.Joint.stage_mlu);
+    };
+    {
+      name = "grad";
+      doc = "gradient weight descent against LP necessary capacities";
+      solve =
+        (fun _ ctx g demands ->
+          let r = Grad_wo.optimize_ctx ctx g demands in
+          single "grad" ~mlu:r.Grad_wo.mlu ~initial_mlu:r.Grad_wo.initial_mlu
+            ~evals:r.Grad_wo.evals ~weights:r.Grad_wo.weights
+            [ ("LP-bound", r.Grad_wo.lp_bound); ("GradWO", r.Grad_wo.mlu) ]);
+    };
+    {
+      name = "omw";
+      doc = "one-more-weight: HeurOSPF + a second weight system";
+      solve = omw ~wpo:false "omw";
+    };
+    {
+      name = "grad+wpo";
+      doc = "greedy waypoints under gradient-descended weights";
+      solve =
+        (fun c ctx g demands ->
+          let rg = Grad_wo.optimize_ctx ctx g demands in
+          let rw, setting =
+            greedy ctx c g (Weights.of_ints rg.Grad_wo.weights) demands
+          in
+          single "grad+wpo" ~mlu:rw.Greedy_wpo.mlu
+            ~initial_mlu:rg.Grad_wo.initial_mlu ~evals:rg.Grad_wo.evals
+            ~weights:rg.Grad_wo.weights ~waypoints:setting
+            [ ("LP-bound", rg.Grad_wo.lp_bound); ("GradWO", rg.Grad_wo.mlu);
+              ("GreedyWPO", rw.Greedy_wpo.mlu) ]);
+    };
+    {
+      name = "omw+wpo";
+      doc = "greedy waypoints, then one-more-weight on the segments";
+      solve = omw ~wpo:true "omw+wpo";
+    };
+  ]
+
+let find name = List.find_opt (fun s -> String.equal s.name name) all

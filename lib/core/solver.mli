@@ -1,23 +1,15 @@
 (** A common face for the TE solvers, for table-driven dispatch.
 
     Every optimizer in this library ultimately maps (graph, demands) to
-    a weight setting and/or a waypoint setting with an MLU.  [S] fixes
-    that shape behind the {!Obs.Ctx.t} run-context API so front ends
-    (te-tool, benches, sweeps) can hold solvers in one table of
-    first-class modules and drive them uniformly — one place to build
-    the context, time the phases, export the trace.
-
-    Solver-specific knobs (budgets, restarts, orders) are captured when
-    the module is packed, not at solve time: a packed solver is a fully
-    configured algorithm.
-
-    The {{!registry}registry} maps solver names to builders over one
-    shared {!config}, so front ends resolve ["--alg NAME"] through a
-    single table ({!register} / {!find} / {!names}) instead of
-    per-algorithm match arms. *)
+    a weight setting and/or a waypoint setting with an MLU.  A solver
+    {!t} fixes that shape behind the {!Obs.Ctx.t} run-context API, and
+    {!all} lists every solver in one immutable table, so front ends
+    (te-tool, benches, sweeps) resolve ["--alg NAME"] through {!find}
+    instead of per-algorithm match arms — one place to build the
+    context, time the phases, export the trace. *)
 
 type result = {
-  solver : string;  (** the packed solver's [name] *)
+  solver : string;  (** the solver's [name] *)
   mlu : float;  (** MLU of the returned setting *)
   initial_mlu : float;
       (** MLU of the solver's starting point (inverse-capacity weights
@@ -37,87 +29,6 @@ type result = {
       (** per-stage MLU trail, ending at the returned setting *)
 }
 
-module type S = sig
-  val name : string
-
-  val solve :
-    Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array -> result
-end
-
-type t = (module S)
-
-val name : t -> string
-val solve : t -> Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array -> result
-
-val heur_ospf : ?restarts:int -> ?params:Local_search.params -> unit -> t
-(** {!Local_search.optimize_ctx} packed as ["lwo"].  [initial_mlu] is
-    the inverse-capacity MLU (the front ends' historical baseline). *)
-
-val greedy_wpo :
-  ?order:Greedy_wpo.order ->
-  ?passes:int ->
-  ?prune:Prune.spec ->
-  ?weights:(Netgraph.Digraph.t -> Weights.t) ->
-  unit ->
-  t
-(** {!Greedy_wpo.optimize_ctx} packed as ["wpo"]; [weights] (default
-    {!Weights.inverse_capacity}) fixes the weight setting the waypoints
-    are chosen under, and [prune] (default off) enables the {!Prune}
-    candidate preprocessing. *)
-
-val joint_heur :
-  ?restarts:int ->
-  ?ls_params:Local_search.params ->
-  ?full_pipeline:bool ->
-  ?prune:Prune.spec ->
-  unit ->
-  t
-(** {!Joint.optimize_ctx} packed as ["joint"]; [stages] is the
-    pipeline's stage trail and [prune] forwards to the greedy waypoint
-    stage. *)
-
-val gradient : ?params:Grad_wo.params -> unit -> t
-(** {!Grad_wo.optimize_ctx} packed as ["grad"]: gradient descent on
-    real-valued weights against the LP necessary capacities, rounded
-    back to the integer grid.  [stages] leads with the LP lower bound
-    the descent tracks (["LP-bound"]), then the returned setting. *)
-
-val omw :
-  ?restarts:int ->
-  ?ls_params:Local_search.params ->
-  ?params:Omw.params ->
-  unit ->
-  t
-(** {!Omw.optimize_ctx} packed as ["omw"]: HeurOSPF provides the first
-    weight system, then the one-more-weight descent splits traffic
-    between it and an optimized second system.  Never worse than the
-    HeurOSPF stage by construction. *)
-
-val gradient_wpo :
-  ?params:Grad_wo.params ->
-  ?order:Greedy_wpo.order ->
-  ?passes:int ->
-  ?prune:Prune.spec ->
-  unit ->
-  t
-(** ["grad+wpo"]: greedy waypoints chosen under the gradient-optimized
-    weight setting. *)
-
-val omw_wpo :
-  ?restarts:int ->
-  ?ls_params:Local_search.params ->
-  ?params:Omw.params ->
-  ?order:Greedy_wpo.order ->
-  ?passes:int ->
-  ?prune:Prune.spec ->
-  unit ->
-  t
-(** ["omw+wpo"]: HeurOSPF weights, greedy waypoints under them, then
-    the one-more-weight descent on the segment-expanded demand list, so
-    each segment's traffic may split across the two weight systems. *)
-
-(** {1:registry Registry} *)
-
 type config = {
   seed : int;  (** forwarded to the stochastic stages (default 1) *)
   evals : int;  (** local-search evaluation budget (default 1500) *)
@@ -131,19 +42,39 @@ type config = {
       (** base weight setting for pure waypoint optimization
           (default {!Weights.inverse_capacity}) *)
 }
-(** The knobs every front end already exposes, in one record: a
-    {!builder} turns it into a fully configured solver, applying only
-    the fields that algorithm uses. *)
+(** The knobs every front end already exposes, in one record: each
+    solver reads only the fields its algorithm uses. *)
 
 val default_config : config
 
-type builder = config -> t
+type t = {
+  name : string;
+  doc : string;  (** one line for [te-tool list-algs] *)
+  solve :
+    config -> Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array -> result;
+}
 
-val register : ?doc:string -> string -> builder -> unit
-(** Adds (or replaces) a named builder.  The built-in solvers are
-    registered when this module is linked. *)
+val all : t list
+(** Every solver, in presentation order:
+    - ["lwo"]: {!Local_search.optimize_ctx} (HeurOSPF); [initial_mlu]
+      is the inverse-capacity MLU (the front ends' historical baseline).
+    - ["wpo"]: {!Greedy_wpo.optimize_ctx} (Algorithm 3) under
+      [config.weights].
+    - ["joint"]: {!Joint.optimize_ctx} (Algorithm 2); [stages] is the
+      pipeline's stage trail.
+    - ["grad"]: {!Grad_wo.optimize_ctx}, gradient descent on real
+      weights against the LP necessary capacities, rounded back to the
+      integer grid; [stages] leads with the LP lower bound
+      (["LP-bound"]) the descent tracks.
+    - ["omw"]: HeurOSPF provides the first weight system, then
+      {!Omw.optimize_ctx} splits traffic between it and an optimized
+      second system — never worse than the HeurOSPF stage.
+    - ["grad+wpo"]: greedy waypoints under the gradient weights.
+    - ["omw+wpo"]: HeurOSPF weights, greedy waypoints under them, then
+      the one-more-weight descent on the segment-expanded demand list,
+      so each segment's traffic may split across the two systems.
 
-val find : string -> builder option
+    The waypoint stages take [passes] and [prune]; the local-search
+    stages take [evals], [seed] and [restarts]. *)
 
-val names : unit -> (string * string) list
-(** [(name, doc)] pairs in registration order. *)
+val find : string -> t option

@@ -218,7 +218,7 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
   in
   let result, effort =
     Obs.Ctx.span octx "milp:branch-and-bound" (fun () ->
-        Milp.solve_ext ~max_nodes ~initial ?warm
+        Milp.solve ~max_nodes ~initial ?warm
           ~probe:(Obs.Tracer.lp_probe octx.Obs.Ctx.tracer) problem
           ~integer_vars)
   in

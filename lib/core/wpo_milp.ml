@@ -181,7 +181,7 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
   in
   let result, effort =
     Obs.Ctx.span octx "milp:branch-and-bound" (fun () ->
-        Milp.solve_ext ~max_nodes ~initial ?warm
+        Milp.solve ~max_nodes ~initial ?warm
           ~probe:(Obs.Tracer.lp_probe octx.Obs.Ctx.tracer) p ~integer_vars)
   in
   (let nodes =

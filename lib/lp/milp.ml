@@ -31,7 +31,7 @@ type node = {
 
 let frac x = x -. Float.round x
 
-let solve_ext ?(max_nodes = 200_000) ?(int_tol = 1e-6) ?initial ?(warm = true)
+let solve ?(max_nodes = 200_000) ?(int_tol = 1e-6) ?initial ?(warm = true)
     ?(probe = Simplex.null_probe) (lp : Simplex.problem) ~integer_vars =
   let sp = Simplex.Sparse.of_problem lp in
   let maximizing = lp.Simplex.sense = Simplex.Maximize in
@@ -209,6 +209,3 @@ let solve_ext ?(max_nodes = 200_000) ?(int_tol = 1e-6) ?initial ?(warm = true)
           }
   in
   (result, effort)
-
-let solve ?max_nodes ?int_tol ?initial ?warm ?probe lp ~integer_vars =
-  fst (solve_ext ?max_nodes ?int_tol ?initial ?warm ?probe lp ~integer_vars)

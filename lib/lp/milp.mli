@@ -38,7 +38,7 @@ val solve :
   ?probe:Simplex.probe ->
   Simplex.problem ->
   integer_vars:int list ->
-  result
+  result * effort
 (** Best-first branch and bound on the listed variables.  [max_nodes]
     defaults to [200_000]; [int_tol] (default [1e-6]) is the integrality
     tolerance.  [initial] warm-starts the incumbent with a feasible
@@ -48,15 +48,6 @@ val solve :
     disabling it never changes the result, only the pivot counts.
     [probe] (default {!Simplex.null_probe}) receives a ["milp:node"]
     span per explored node, with the node's ["lp:solve"] /
-    ["lp:factor"] spans nested inside. *)
+    ["lp:factor"] spans nested inside.  The {!effort} counters come
+    back alongside the result. *)
 
-val solve_ext :
-  ?max_nodes:int ->
-  ?int_tol:float ->
-  ?initial:float array ->
-  ?warm:bool ->
-  ?probe:Simplex.probe ->
-  Simplex.problem ->
-  integer_vars:int list ->
-  result * effort
-(** Like {!solve}, additionally reporting LP effort counters. *)

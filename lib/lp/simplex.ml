@@ -334,12 +334,6 @@ module Sparse = struct
       invalid_arg "Simplex.Sparse.set_obj: variable index out of range";
     b.b_obj.(j) <- c
 
-  let set_bounds b j ~lower ~upper =
-    if j < 0 || j >= b.b_ncols then
-      invalid_arg "Simplex.Sparse.set_bounds: variable index out of range";
-    b.b_lower.(j) <- lower;
-    b.b_upper.(j) <- upper
-
   (* Sort by column and accumulate duplicates so CSC columns come out
      ordered and deterministic. *)
   let normalize_entries ncols coeffs =

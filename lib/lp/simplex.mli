@@ -124,8 +124,6 @@ module Sparse : sig
 
   val set_obj : builder -> int -> float -> unit
 
-  val set_bounds : builder -> int -> lower:float -> upper:float -> unit
-
   val add_row : builder -> (int * float) list -> relation -> float -> unit
   (** Duplicate variable entries are accumulated; zero coefficients are
       dropped.  @raise Invalid_argument on out-of-range indices. *)

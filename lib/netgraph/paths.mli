@@ -29,18 +29,13 @@ val dijkstra : Digraph.t -> weights:float array -> source:int -> float array
 val dijkstra_to : Digraph.t -> weights:float array -> target:int -> float array
 (** Distance from every node {e to} [target] (runs on the reversed graph). *)
 
-val dijkstra_into :
-  Scratch.t -> Digraph.t -> weights:float array -> source:int ->
-  dist:float array -> unit
-(** [dijkstra] into a caller-owned [dist] array (length [n], fully
-    overwritten).  Allocation-free once [scratch] is warm.  Does not
-    validate [weights]; callers owning the weight vector are expected to
-    maintain positivity themselves. *)
-
 val dijkstra_to_into :
   Scratch.t -> Digraph.t -> weights:float array -> target:int ->
   dist:float array -> unit
-(** {!dijkstra_into} on the reversed graph (distance-to-[target]). *)
+(** {!dijkstra_to} into a caller-owned [dist] array (length [n], fully
+    overwritten).  Allocation-free once [scratch] is warm.  Does not
+    validate [weights]; callers owning the weight vector are expected to
+    maintain positivity themselves. *)
 
 val dijkstra_update_to :
   Digraph.t -> weights:float array -> target:int -> dist:float array ->

@@ -1,3 +1,4 @@
+(* SplitMix64 finalizer: a strong 64-bit mixing function. *)
 let mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in

@@ -3,9 +3,6 @@
     (net.ipv6.fib_multipath_hash_policy=1 in the paper's Nanonet
     setup). *)
 
-val mix64 : int64 -> int64
-(** SplitMix64 finalizer: a strong 64-bit mixing function. *)
-
 val next_hop_index : flow:int -> node:int -> salt:int -> choices:int -> int
 (** Deterministic choice in [0, choices): which of a node's equal-cost
     next hops this flow takes.  Different salts model different hash

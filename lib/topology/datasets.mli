@@ -39,6 +39,3 @@ val load : ?data_dir:string -> string -> Netgraph.Digraph.t
 
 val abilene : unit -> Netgraph.Digraph.t
 (** The embedded Abilene backbone (12 nodes, 15 links). *)
-
-val abilene_native : string
-(** The embedded SNDLib-native source text for Abilene. *)

@@ -6,9 +6,6 @@
     backbone plus random chords — with capacities drawn from SNDLib-like
     module classes.  The same name always yields the same graph. *)
 
-val capacity_classes : (float * float) array
-(** (capacity in Mbit/s, selection weight) pairs. *)
-
 val synthetic :
   ?seed:int -> name:string -> nodes:int -> links:int -> unit ->
   Netgraph.Digraph.t

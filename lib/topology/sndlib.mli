@@ -3,7 +3,7 @@
     SNDLib links are undirected; each becomes two directed edges of the
     same capacity.  A link's capacity is its pre-installed module
     capacity when positive, otherwise the largest module capacity
-    offered, otherwise [default_capacity]. *)
+    offered, otherwise 1000. *)
 
 type t = {
   graph : Netgraph.Digraph.t;
@@ -11,8 +11,6 @@ type t = {
       (** (source name, target name, value) when the file carries a
           demand matrix *)
 }
-
-val default_capacity : float
 
 val of_xml : string -> t
 (** Parses the SNDLib XML format.

@@ -20,33 +20,28 @@ let () =
   let demands =
     Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:2 g
   in
-  let names = Solver.names () in
   Printf.printf "solvers smoke: Abilene, %d demands, %d registered solvers\n%!"
-    (Array.length demands) (List.length names);
-  check "at least seven registered solvers" (List.length names >= 7);
+    (Array.length demands) (List.length Solver.all);
+  check "at least seven registered solvers" (List.length Solver.all >= 7);
   let config = { Solver.default_config with Solver.evals = 400 } in
   (* Every registered solver runs and reports a finite MLU. *)
   let results =
     List.map
-      (fun (name, _doc) ->
-        match Solver.find name with
-        | None ->
-            check (name ^ " resolvable") false;
-            (name, None)
-        | Some builder ->
-            let r = Solver.solve (builder config) (Obs.Ctx.default ()) g demands in
-            Printf.printf "  %-10s MLU %.4f  (%d evals)\n%!" name r.Solver.mlu
-              r.Solver.evals;
-            check (name ^ ": finite MLU") (Float.is_finite r.Solver.mlu);
-            check
-              (name ^ ": stages end at the returned MLU")
-              (match List.rev r.Solver.stages with
-              | (_, last) :: _ -> last = r.Solver.mlu
-              | [] -> false);
-            (name, Some r))
-      names
+      (fun s ->
+        let name = s.Solver.name in
+        let r = s.Solver.solve config (Obs.Ctx.default ()) g demands in
+        Printf.printf "  %-10s MLU %.4f  (%d evals)\n%!" name r.Solver.mlu
+          r.Solver.evals;
+        check (name ^ ": finite MLU") (Float.is_finite r.Solver.mlu);
+        check
+          (name ^ ": stages end at the returned MLU")
+          (match List.rev r.Solver.stages with
+          | (_, last) :: _ -> last = r.Solver.mlu
+          | [] -> false);
+        (name, r))
+      Solver.all
   in
-  let get n = Option.join (List.assoc_opt n results) in
+  let get n = List.assoc_opt n results in
   (* Backend-specific promises. *)
   (match get "grad" with
   | Some r ->
@@ -72,8 +67,7 @@ let () =
   let run_omw pool =
     match Solver.find "omw" with
     | None -> None
-    | Some builder ->
-        Some (Solver.solve (builder config) (Obs.Ctx.make ~pool ()) g demands)
+    | Some s -> Some (s.Solver.solve config (Obs.Ctx.make ~pool ()) g demands)
   in
   let r1 = run_omw Par.Pool.sequential in
   let r4 = Par.Pool.with_pool ~jobs:4 run_omw in

@@ -138,7 +138,7 @@ let test_milp_knapsack () =
           constr [ (0, 1.) ] Le 1.; constr [ (1, 1.) ] Le 1.;
           constr [ (2, 1.) ] Le 1.; constr [ (3, 1.) ] Le 1. ] }
   in
-  let s = get_milp (Milp.solve p ~integer_vars:[ 0; 1; 2; 3 ]) in
+  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0; 1; 2; 3 ])) in
   checkf "objective" 21. s.Milp.value;
   checkf "a" 0. s.Milp.point.(0);
   checkf "b" 1. s.Milp.point.(1)
@@ -149,7 +149,7 @@ let test_milp_integer_rounding () =
     { nvars = 1; sense = Maximize; objective = [ (0, 1.) ];
       constrs = [ constr [ (0, 2.) ] Le 7. ] }
   in
-  let s = get_milp (Milp.solve p ~integer_vars:[ 0 ]) in
+  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0 ])) in
   checkf "x" 3. s.Milp.value
 
 let test_milp_min () =
@@ -159,7 +159,7 @@ let test_milp_min () =
     { nvars = 2; sense = Minimize; objective = [ (0, 3.); (1, 4.) ];
       constrs = [ constr [ (0, 1.); (1, 2.) ] Ge 5. ] }
   in
-  let s = get_milp (Milp.solve p ~integer_vars:[ 0; 1 ]) in
+  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0; 1 ])) in
   checkf "objective" 11. s.Milp.value
 
 let test_milp_infeasible () =
@@ -169,7 +169,7 @@ let test_milp_infeasible () =
   in
   (* 0.5 <= x <= 0.5 has no integer point... except x=0.5; integrality
      makes it infeasible. *)
-  (match Milp.solve p ~integer_vars:[ 0 ] with
+  (match fst (Milp.solve p ~integer_vars:[ 0 ]) with
   | Milp.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible")
 
@@ -179,7 +179,7 @@ let test_milp_mixed () =
     { nvars = 2; sense = Maximize; objective = [ (0, 1.); (1, 1.) ];
       constrs = [ constr [ (0, 1.) ] Le 2.5; constr [ (1, 1.) ] Le 0.5 ] }
   in
-  let s = get_milp (Milp.solve p ~integer_vars:[ 0 ]) in
+  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0 ])) in
   checkf "objective" 2.5 s.Milp.value;
   checkf "x integral" 2. s.Milp.point.(0)
 
@@ -195,7 +195,7 @@ let test_milp_assignment () =
           constr [ (var 0 0, 1.); (var 1 0, 1.) ] Eq 1.;
           constr [ (var 0 1, 1.); (var 1 1, 1.) ] Eq 1. ] }
   in
-  let s = get_milp (Milp.solve p ~integer_vars:[ 0; 1; 2; 3 ]) in
+  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0; 1; 2; 3 ])) in
   checkf "objective" 2. s.Milp.value
 
 (* ------------------------------------------------------------------ *)
@@ -241,12 +241,12 @@ let test_milp_warm_start () =
           constr [ (1, 1.) ] Le 3. ] }
   in
   let initial = [| 1.; 1. |] in
-  (match Milp.solve ~max_nodes:1 ~initial p ~integer_vars:[ 0; 1 ] with
+  (match fst (Milp.solve ~max_nodes:1 ~initial p ~integer_vars:[ 0; 1 ]) with
   | Milp.Solution s ->
     Alcotest.(check bool) "at least the warm start" true (s.Milp.value >= 5. -. 1e-9)
   | _ -> Alcotest.fail "expected a solution");
   (* An infeasible warm start is ignored, not trusted. *)
-  (match Milp.solve ~initial:[| 10.; 10. |] p ~integer_vars:[ 0; 1 ] with
+  (match fst (Milp.solve ~initial:[| 10.; 10. |] p ~integer_vars:[ 0; 1 ]) with
   | Milp.Solution s -> checkf "true optimum" 11. s.Milp.value
   | _ -> Alcotest.fail "expected a solution")
 
@@ -278,7 +278,7 @@ let prop_milp_matches_enumeration =
           then best := max !best ((c0 *. xf) +. (c1 *. yf))
         done
       done;
-      match Milp.solve p ~integer_vars:[ 0; 1 ] with
+      match fst (Milp.solve p ~integer_vars:[ 0; 1 ]) with
       | Milp.Solution s -> abs_float (s.Milp.value -. !best) <= 1e-6
       | _ -> false)
 
@@ -292,7 +292,7 @@ let prop_lp_bound_dominates_milp =
             constr (List.init n (fun j -> (j, 1.))) Le budget
             :: List.mapi (fun j u -> constr [ (j, 1.) ] Le u) us }
       in
-      match (solve p, Milp.solve p ~integer_vars:(List.init n Fun.id)) with
+      match (solve p, fst (Milp.solve p ~integer_vars:(List.init n Fun.id))) with
       | Optimal { value = lp; _ }, Milp.Solution s ->
         lp >= s.Milp.value -. 1e-6
         && Array.for_all

@@ -272,8 +272,8 @@ let test_milp_warm_equals_cold () =
           :: List.init n (fun j -> constr [ (j, 1.) ] Le 3.) }
     in
     let integer_vars = List.init n Fun.id in
-    let r_warm, e_warm = Milp.solve_ext ~warm:true p ~integer_vars in
-    let r_cold, e_cold = Milp.solve_ext ~warm:false p ~integer_vars in
+    let r_warm, e_warm = Milp.solve ~warm:true p ~integer_vars in
+    let r_cold, e_cold = Milp.solve ~warm:false p ~integer_vars in
     match (r_warm, r_cold) with
     | Milp.Solution w, Milp.Solution c ->
       if abs_float (w.Milp.value -. c.Milp.value) > 1e-6 then

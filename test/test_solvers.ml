@@ -180,12 +180,18 @@ let test_omw_jobs_identity () =
 (* ------------------------------------------------------------------ *)
 
 let test_registry_names () =
-  let names = List.map fst (Solver.names ()) in
+  let names = List.map (fun s -> s.Solver.name) Solver.all in
+  (* Exact equality with a duplicate-free list also rules out
+     duplicate entries. *)
+  Alcotest.(check (list string))
+    "presentation order"
+    [ "lwo"; "wpo"; "joint"; "grad"; "omw"; "grad+wpo"; "omw+wpo" ]
+    names;
   List.iter
     (fun n ->
-      Alcotest.(check bool) (n ^ " registered") true (List.mem n names))
-    [ "lwo"; "wpo"; "joint"; "grad"; "omw"; "grad+wpo"; "omw+wpo" ];
-  Alcotest.(check bool) "at least seven solvers" true (List.length names >= 7);
+      Alcotest.(check (option string)) (n ^ " resolves") (Some n)
+        (Option.map (fun s -> s.Solver.name) (Solver.find n)))
+    names;
   Alcotest.(check bool) "unknown name absent" true
     (Solver.find "no-such-solver" = None)
 
@@ -193,21 +199,20 @@ let test_registry_runs_new_backends () =
   let g, demands = instance 3 in
   let config = { Solver.default_config with evals = 200 } in
   List.iter
-    (fun name ->
-      match Solver.find name with
-      | None -> Alcotest.fail (name ^ " not registered")
-      | Some builder ->
-          let (module S : Solver.S) = builder config in
-          let r = S.solve (Obs.Ctx.default ()) g demands in
-          Alcotest.(check bool)
-            (name ^ ": finite MLU")
-            true
-            (Float.is_finite r.Solver.mlu);
-          Alcotest.(check bool)
-            (name ^ ": stages recorded")
-            true
-            (r.Solver.stages <> []))
-    [ "grad"; "omw"; "grad+wpo"; "omw+wpo" ]
+    (fun s ->
+      let name = s.Solver.name in
+      let r = s.Solver.solve config (Obs.Ctx.default ()) g demands in
+      Alcotest.(check string) (name ^ ": result names its solver") name
+        r.Solver.solver;
+      Alcotest.(check bool)
+        (name ^ ": finite MLU")
+        true
+        (Float.is_finite r.Solver.mlu);
+      Alcotest.(check bool)
+        (name ^ ": stages recorded")
+        true
+        (r.Solver.stages <> []))
+    Solver.all
 
 let () =
   Alcotest.run "solvers"
