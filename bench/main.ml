@@ -1567,6 +1567,7 @@ let prune_quality pool name =
       let r, scanned, st, wall =
         pruned_wpo ~prune:(Prune.spec k) pool g w demands
       in
+      let ratio a = float_of_int a /. float_of_int (max 1 scanned) in
       [ A.str "topology" name; A.str "mode" "centrality"; A.int "k" k;
         A.float "mlu" r.Greedy_wpo.mlu;
         A.float "unpruned_mlu" base.Greedy_wpo.mlu;
@@ -1574,17 +1575,26 @@ let prune_quality pool name =
           (100. *. (r.Greedy_wpo.mlu -. base.Greedy_wpo.mlu)
           /. base.Greedy_wpo.mlu);
         A.int "scanned" scanned; A.int "unpruned_scanned" base_scanned;
+        (* Against the full scan, every candidate of every visit (what
+           the pruned run's counters add up to); the unpruned run also
+           skips the visits the exact residual bound rules out, so its
+           count gives the pool's own share. *)
         A.float "scan_reduction"
-          (float_of_int base_scanned /. float_of_int (max 1 scanned));
+          (ratio (st.Engine.Stats.candidates_pruned
+                 + st.Engine.Stats.candidates_kept));
+        A.float "pool_scan_reduction" (ratio base_scanned);
         A.int "candidates_pruned" st.Engine.Stats.candidates_pruned;
         A.int "candidates_kept" st.Engine.Stats.candidates_kept;
         A.float "wall_seconds" wall;
         A.float "unpruned_wall_seconds" base_wall ])
     ks
 
-(* The unpruned scan cost is measured on a demand prefix and
-   extrapolated linearly (each demand scans n-2 candidates regardless
-   of how many demands follow). *)
+(* The unpruned run's cost is measured on a demand prefix and
+   extrapolated linearly.  A visit scores its n-2 candidates only when
+   removing its demand lowers the MLU (the exact residual bound), so
+   [unpruned_extrapolated_seconds] is the prefix's per-demand cost, at
+   the prefix's share of scanned visits, times the demand count — not
+   the cost of scanning every demand in full. *)
 let prune_scale pool =
   let name = "Kdl" in
   let g, real = load_ladder name in

@@ -166,23 +166,28 @@ let candidates ~with_drop ~src ~dst ~cur ws =
     ws;
   out
 
-(* Pruned candidate-list construction, shared by both greedies: the
-   exact residual-MLU bound first (an empty scan is provably identical
-   to scanning and rejecting every candidate), then the preprocessing
-   pass's per-pair list, turned into the scan's list by [vias].  [full]
-   is the size the unpruned list would have had; the difference feeds
-   the effectiveness counters.  All of this runs on the orchestrating
-   domain, so pruned runs keep the bit-identical-across-jobs
-   guarantee. *)
-let pruned_cands ctx p ~residual ~u_min ~src ~dst ~full ~vias =
-  let cands =
-    if Prune.scan_skippable ~residual_mlu:residual ~u_min then [||]
-    else vias (Prune.candidates p ~src ~dst)
-  in
-  Engine.Stats.record_pruning ctx.main_stats
-    ~pruned:(max 0 (full - Array.length cands))
-    ~kept:(Array.length cands);
-  cands
+(* The scan's candidate list for one demand visit, shared by both
+   greedies.  The exact scan skip comes first: [residual] (the MLU with
+   the demand's flow removed) lower-bounds every candidate's MLU, since
+   a candidate only adds load, so once it fails the strict improvement
+   test against [u_min] the list is empty — provably the same outcome
+   as scoring and rejecting every candidate (DESIGN.md, "The exact scan
+   skip").  Otherwise the list is [vias] of every node, or of the
+   pruner's per-pair list; a pruned visit feeds the effectiveness
+   counters against [full], the size of the unpruned list, and a
+   skipped one counts that whole list as pruned.  All of this runs on
+   the orchestrating domain, so every run keeps the bit-identical-
+   across-jobs guarantee. *)
+let visit_cands ctx pruner ~nodes ~residual ~u_min ~src ~dst ~full ~vias =
+  let skip = residual >= u_min -. 1e-12 in
+  match pruner with
+  | None -> if skip then [||] else vias nodes
+  | Some p ->
+    let cands = if skip then [||] else vias (Prune.candidates p ~src ~dst) in
+    Engine.Stats.record_pruning ctx.main_stats
+      ~pruned:(max 0 (full - Array.length cands))
+      ~kept:(Array.length cands);
+    cands
 
 (* ------------------------------------------------------------------ *)
 (* Multi-round greedy (one more waypoint per round)                    *)
@@ -227,11 +232,8 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
           let residual = Engine.Evaluator.mlu_of_loads g loads in
           let vias = candidates ~with_drop:false ~src:anchor ~dst ~cur:drop in
           let cands =
-            match pruner with
-            | None -> vias nodes
-            | Some p ->
-              pruned_cands ctx p ~residual ~u_min:!u_min ~src:anchor ~dst
-                ~full:(n - 2) ~vias
+            visit_cands ctx pruner ~nodes ~residual ~u_min:!u_min ~src:anchor
+              ~dst ~full:(n - 2) ~vias
           in
           match
             scan_candidates ctx ~loads ~residual ~src:anchor ~dst ~size cands
@@ -307,16 +309,12 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
         (* On improvement passes, also consider dropping the waypoint. *)
         let with_drop = pass > 1 && cur <> drop in
         let vias = candidates ~with_drop ~src ~dst ~cur in
+        let full =
+          n - 2 - (if cur <> drop then 1 else 0) + (if with_drop then 1 else 0)
+        in
         let cands =
-          match pruner with
-          | None -> vias nodes
-          | Some p ->
-            let full =
-              n - 2
-              - (if cur <> drop then 1 else 0)
-              + (if with_drop then 1 else 0)
-            in
-            pruned_cands ctx p ~residual ~u_min:!u_min ~src ~dst ~full ~vias
+          visit_cands ctx pruner ~nodes ~residual ~u_min:!u_min ~src ~dst ~full
+            ~vias
         in
         (match scan_candidates ctx ~loads ~residual ~src ~dst ~size cands with
         | Some (u, j) when u < !u_min -. 1e-12 ->

@@ -40,14 +40,19 @@ val optimize_ctx :
     per-chunk argmins reduce in chunk-index order — the result is
     bit-identical for every pool size (asserted by the test suite).
 
+    Every visit first applies the exact residual-MLU bound: with the
+    demand's own flow removed, the MLU lower-bounds every candidate, so
+    when it already fails the strict improvement test the visit scores
+    no candidate, with no effect on the result.  The ["wpo.scanned"]
+    metric counts the candidates scored.
+
     [prune] (default off: all results byte-identical to previous
     releases) runs the {!Prune} preprocessing pass once up front and
-    scans only each demand's pruned candidate list; scans that the
-    exact residual-MLU bound proves fruitless are skipped entirely.
-    The effectiveness lands in the [candidates_pruned] /
-    [candidates_kept] stats counters, and candidate lists are built on
-    the orchestrating domain, so pruned runs stay bit-identical across
-    pool sizes too.
+    scans only each demand's pruned candidate list.  The effectiveness
+    lands in the [candidates_pruned] / [candidates_kept] stats counters
+    (a skipped visit counts its whole list as pruned), and candidate
+    lists are built on the orchestrating domain, so pruned runs stay
+    bit-identical across pool sizes too.
     @raise Engine.Evaluator.Unroutable if a demand itself is unroutable (candidate
     waypoints that would make a segment unroutable are skipped). *)
 

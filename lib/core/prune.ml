@@ -122,5 +122,3 @@ let candidates t ~src ~dst =
     in
     Hashtbl.add t.memo (src, dst) c;
     c
-
-let scan_skippable ~residual_mlu ~u_min = residual_mlu >= u_min -. 1e-12

@@ -17,12 +17,7 @@
        reduced further — waypoints the pair cannot use are dropped
        (cannot reach [dst]; on {e every} shortest src-dst path already,
        where routing via the waypoint provably reproduces the direct
-       ECMP split), and the surviving list is capped at [k];}
-    {- an {b exact scan skip}: with the commodity's own flow removed,
-       the residual MLU is a lower bound on every candidate's
-       utilization, so when it already fails the greedy's strict
-       improvement test the whole scan is skipped with zero effect on
-       the result.}}
+       ECMP split), and the surviving list is capped at [k].}}
 
     Pruning is off by default everywhere ([?prune = None]); every
     solver's output without it is byte-identical to previous releases.
@@ -63,10 +58,3 @@ val candidates : t -> src:int -> dst:int -> int array
     first, endpoints excluded, capped at [spec.k] (memoized per pair; do
     not mutate).  Multi-round greedies pass the current segment anchor
     as [src]. *)
-
-val scan_skippable : residual_mlu:float -> u_min:float -> bool
-(** The exact residual bound: [residual_mlu] must be the MLU of the
-    loads with the commodity under scan already removed.  When it is
-    [>= u_min -. 1e-12], no candidate (each only adds load) can pass the
-    greedy's strict improvement test, so skipping the scan cannot change
-    the result. *)

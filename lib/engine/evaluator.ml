@@ -596,25 +596,37 @@ let dag_fill t fd =
   sort_order fd.forder !k dist
 
 (* Repairs [nfd] (fresh; fdist already updated by the incremental
-   Dijkstra) from [old] (the pre-change DAG for the same destination)
-   after the weight of [edge] changed.  Rows whose inputs are unchanged
-   are taken from [old] wholesale (one blit); only the rows of
+   Dijkstra on [t.pscratch]) from [old] (the pre-change DAG for the same
+   destination) after the weight of [edge] changed.  Rows whose inputs
+   are unchanged are copied from [old] wholesale (plain loops: on
+   [int array]s they store without the write barrier [Array.blit] pays
+   per element once the target is in the major heap); only the rows of
    distance-changed nodes, of their in-neighbours, and of the changed
-   edge's source are recomputed.  forder is repaired by merging the
-   surviving old order (unchanged keys, so still sorted) with the
-   re-sorted changed nodes; the key is a total order, so the merge
-   reproduces the full sort's permutation bit for bit. *)
+   edge's source are recomputed.  The changed nodes are found among
+   those the incremental Dijkstra visited, not by a scan of all n; their
+   order does not matter, as rows are independent and the changed nodes
+   are re-sorted below.  forder is repaired by merging the surviving old
+   order (unchanged keys, so still sorted) with the re-sorted changed
+   nodes; the key is a total order, so the merge reproduces the full
+   sort's permutation bit for bit. *)
 let dag_repair t nfd old edge =
-  let n = t.n in
   let odist = old.fdist and ndist = nfd.fdist in
-  Array.blit old.sp_col 0 nfd.sp_col 0 t.m;
-  Array.blit old.sp_cnt 0 nfd.sp_cnt 0 n;
+  let ocol = old.sp_col and ncol = nfd.sp_col in
+  for i = 0 to t.m - 1 do
+    ncol.(i) <- ocol.(i)
+  done;
+  let ocnt = old.sp_cnt and ncnt = nfd.sp_cnt in
+  for v = 0 to t.n - 1 do
+    ncnt.(v) <- ocnt.(v)
+  done;
   (* distance-changed nodes (infinity = infinity compares equal) *)
   t.scratch_gen <- t.scratch_gen + 1;
   let gen = t.scratch_gen in
   let stamp = t.ord_stamp and ch = t.ord_scratch in
+  let vis = Paths.Scratch.visited t.pscratch in
   let nch = ref 0 in
-  for v = 0 to n - 1 do
+  for k = 0 to Paths.Scratch.visited_count t.pscratch - 1 do
+    let v = vis.(k) in
     if odist.(v) <> ndist.(v) then begin
       stamp.(v) <- gen;
       ch.(!nch) <- v;

@@ -82,12 +82,14 @@ module Scratch = struct
     mutable mark : int array; (* stamped membership: mark.(v) = stamp *)
     mutable stamp : int;
     mutable stack : int array; (* DFS work stack *)
+    mutable visited : int array; (* nodes the last repair may have changed *)
+    mutable nvisited : int;
     farg : float array; (* 1-slot float argument channel (see Heap.karg) *)
   }
 
   let create () =
     { heap = Heap.create 64; mark = [||]; stamp = 0; stack = [||];
-      farg = Array.make 1 0. }
+      visited = [||]; nvisited = 0; farg = Array.make 1 0. }
 
   (* Grow-only: after the first call at a given size every later call is
      allocation-free. *)
@@ -95,10 +97,23 @@ module Scratch = struct
     if Array.length s.mark < n then begin
       s.mark <- Array.make n 0;
       s.stamp <- 0;
-      s.stack <- Array.make n 0
+      s.stack <- Array.make n 0;
+      s.visited <- Array.make n 0
     end
 
   let farg s = s.farg
+
+  let visited s = s.visited
+
+  let visited_count s = s.nvisited
+
+  (* Records [v] unless it is already marked with the current stamp. *)
+  let visit s v =
+    if s.mark.(v) <> s.stamp then begin
+      s.mark.(v) <- s.stamp;
+      s.visited.(s.nvisited) <- v;
+      s.nvisited <- s.nvisited + 1
+    end
 end
 
 (* Per-domain scratch for the legacy (arena-less) entry points: they
@@ -194,11 +209,14 @@ let update_decrease scratch g weights dist edge =
   let nd = weights.(edge) +. dist.(v) in
   if dist.(v) = infinity || nd >= dist.(u) then 0
   else begin
+    Scratch.ensure scratch (Digraph.node_count g);
+    scratch.Scratch.stamp <- scratch.Scratch.stamp + 1;
     let h = scratch.Scratch.heap in
     Heap.clear h;
     let in_row = Digraph.in_offsets g and in_col = Digraph.in_index g in
     let esrc = Digraph.srcs g in
     dist.(u) <- nd;
+    Scratch.visit scratch u;
     h.Heap.karg.(0) <- nd;
     Heap.push_karg h u;
     let changed = ref 1 in
@@ -213,6 +231,7 @@ let update_decrease scratch g weights dist edge =
           if cand < dist.(p) then begin
             incr changed;
             dist.(p) <- cand;
+            Scratch.visit scratch p;
             h.Heap.karg.(0) <- cand;
             Heap.push_karg h p
           end
@@ -248,7 +267,7 @@ let update_increase scratch g weights dist edge =
     scratch.Scratch.stamp <- scratch.Scratch.stamp + 1;
     let stamp = scratch.Scratch.stamp in
     let mark = scratch.Scratch.mark and stack = scratch.Scratch.stack in
-    mark.(u) <- stamp;
+    Scratch.visit scratch u;
     stack.(0) <- u;
     let sp = ref 1 in
     while !sp > 0 do
@@ -263,7 +282,7 @@ let update_increase scratch g weights dist edge =
           && abs_float ((weights.(e) +. dist.(x)) -. dist.(p))
              <= tight_eps *. (1. +. abs_float dist.(p))
         then begin
-          mark.(p) <- stamp;
+          Scratch.visit scratch p;
           stack.(!sp) <- p;
           incr sp
         end
@@ -325,6 +344,7 @@ let dijkstra_update_prepared scratch g ~weights ~dist ~edge =
   let old_weight = scratch.Scratch.farg.(0) in
   let w = weights.(edge) in
   if not (w > 0.) then invalid_arg "Paths: weights must be positive";
+  scratch.Scratch.nvisited <- 0;
   if w = old_weight then 0
   else if w < old_weight then update_decrease scratch g weights dist edge
   else update_increase scratch g weights dist edge

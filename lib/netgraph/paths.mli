@@ -19,6 +19,16 @@ module Scratch : sig
   (** One-slot float argument channel for {!dijkstra_update_prepared}:
       storing into a float array never boxes, unlike passing a float to
       a non-inlined function.  Borrowed; length 1. *)
+
+  val visited : t -> int array
+  (** The nodes the last {!dijkstra_update_prepared} call on this arena
+      visited — a superset of the nodes whose distance it changed —
+      each once, in no particular order.  Only the first
+      {!visited_count} entries are meaningful.  Borrowed; valid until
+      the arena's next search. *)
+
+  val visited_count : t -> int
+  (** [0] when the last update returned [0]. *)
 end
 
 val dijkstra : Digraph.t -> weights:float array -> source:int -> float array

@@ -763,8 +763,22 @@ let oracle_instance seed =
 
 let bits = Int64.bits_of_float
 
+(* The greedy's exact scan skip, checked against the dense oracle: the
+   greedy scores exactly the candidates of the visits the oracle's own
+   residual does not rule out, and on every visit it rules out the
+   oracle's argmin fails the strict improvement test. *)
+let check_skip tag (cnt : Wpo_oracle.counts) metrics =
+  Alcotest.(check int) (tag "scanned") cnt.Wpo_oracle.scanned
+    (Obs.Metrics.counter metrics "wpo.scanned");
+  Alcotest.(check int) (tag "skipped visits improve") 0
+    cnt.Wpo_oracle.skipped_improving
+
 let test_wpo_dense_oracle () =
-  let dropped = ref 0 in
+  let dropped = ref 0 and skipped = ref 0 and scanned = ref 0 in
+  let visits (cnt : Wpo_oracle.counts) =
+    skipped := !skipped + cnt.Wpo_oracle.skipped_visits;
+    scanned := !scanned + cnt.Wpo_oracle.scanned_visits
+  in
   List.iter
     (fun jobs ->
       Par.Pool.with_pool ~jobs (fun pool ->
@@ -793,13 +807,14 @@ let test_wpo_dense_oracle () =
                   o.Wpo_oracle.waypoints r.Greedy_wpo.waypoints;
                 Alcotest.(check int64) (tag "mlu") (bits o.Wpo_oracle.mlu)
                   (bits r.Greedy_wpo.mlu);
-                Alcotest.(check int) (tag "scanned") o.Wpo_oracle.scanned
-                  (Obs.Metrics.counter metrics "wpo.scanned");
+                check_skip tag o.Wpo_oracle.counts metrics;
+                visits o.Wpo_oracle.counts;
                 if passes = 1 then begin
                   (* some vias through node 2 were skipped as unroutable *)
                   let n = Digraph.node_count g in
                   Alcotest.(check bool) (tag "unroutable vias skipped") true
-                    (o.Wpo_oracle.scanned < Array.length demands * (n - 2));
+                    (o.Wpo_oracle.counts.Wpo_oracle.scored
+                    < Array.length demands * (n - 2));
                   if Array.exists Option.is_some o.Wpo_oracle.waypoints then
                     incr dropped
                 end)
@@ -817,14 +832,19 @@ let test_wpo_dense_oracle () =
               (List.map bits r.Greedy_wpo.round_mlu);
             Alcotest.(check int64) (tag "multi mlu") (bits o.Wpo_oracle.multi_mlu)
               (bits r.Greedy_wpo.mlu);
-            Alcotest.(check int) (tag "multi scanned") o.Wpo_oracle.multi_scanned
-              (Obs.Metrics.counter metrics "wpo.scanned")
+            check_skip (fun what -> tag ("multi " ^ what))
+              o.Wpo_oracle.multi_counts metrics;
+            visits o.Wpo_oracle.multi_counts
           done))
-    [ 1; 2 ];
+    [ 1; 4 ];
   (* pass 2 offered the drop candidate on most seeds *)
   Alcotest.(check bool)
     (Printf.sprintf "drop candidate offered (%d of 100 runs)" !dropped)
-    true (!dropped >= 50)
+    true (!dropped >= 50);
+  (* the seeds exercise both sides of the scan skip *)
+  Alcotest.(check bool)
+    (Printf.sprintf "skipped and scanned visits (%d, %d)" !skipped !scanned)
+    true (!skipped > 0 && !scanned > 0)
 
 let test_iterated_joint () =
   let inst = Instances.Gap_instances.instance1 ~m:4 in

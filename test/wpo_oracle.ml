@@ -5,25 +5,40 @@
    [Evaluator.add_unit] and scans all m edges for the MLU, one candidate
    after another on one domain, then keeps the first of the minima.  It
    shares no code with [Greedy_wpo]'s scan (no chunks, no pool, no
-   residual MLU, no [segment_peak]), only the unit rows, so a bit-equal
-   result checks that scoring a candidate from its own rows is exact.
-   The instances have tens of nodes; O(m) per candidate is fine. *)
+   residual bound, no [segment_peak]), only the unit rows, so a
+   bit-equal result checks that scoring a candidate from its own rows is
+   exact.  It scores every candidate of every visit, even where the
+   greedy's exact scan skip applies: it computes its own dense residual
+   MLU per visit, counts in [scanned] only the candidates of visits the
+   skip leaves (residual below [u_min -. 1e-12]), and on every skipped
+   visit records whether its own argmin would have passed the strict
+   improvement test — [skipped_improving] must stay 0.  The instances
+   have tens of nodes; O(m) per candidate is fine. *)
 
 open Netgraph
 open Te
 module Ev = Engine.Evaluator
 
+(* Visit and candidate counts, shared by both greedies. *)
+type counts = {
+  mutable scored : int; (* every routable candidate of every visit *)
+  mutable scanned : int; (* those of visits the scan skip leaves *)
+  mutable scanned_visits : int;
+  mutable skipped_visits : int;
+  mutable skipped_improving : int; (* skipped visits whose argmin improves *)
+}
+
 type single = {
   waypoints : int option array;
   mlu : float;
-  scanned : int;
+  counts : counts;
 }
 
 type multi = {
   setting : int list array;
   multi_mlu : float;
   round_mlu : float list;
-  multi_scanned : int;
+  multi_counts : counts;
 }
 
 let mlu g loads =
@@ -50,24 +65,44 @@ let setup g w demands =
 let add ev loads segs scale =
   List.iter (fun (a, b) -> Ev.add_unit ev ~src:a ~dst:b ~scale ~into:loads) segs
 
+let counts () =
+  { scored = 0; scanned = 0; scanned_visits = 0; skipped_visits = 0;
+    skipped_improving = 0 }
+
 (* The first candidate of minimal MLU over [cands], each a segment list
-   loaded with [size] on top of [loads]; unroutable candidates are
-   skipped and the rest counted in [scanned]. *)
-let best ev g ~loads ~size ~scanned cands =
+   loaded with [size] on top of [loads] (the demand removed); unroutable
+   candidates are skipped and the rest counted.  On a visit whose dense
+   residual MLU already fails the strict test against [u_min], the
+   argmin is still computed and returned, and whether it improves is
+   recorded in [skipped_improving]. *)
+let best ev g ~loads ~size ~u_min cnt cands =
+  let skip = mlu g loads >= u_min -. 1e-12 in
   let buf = Array.make (Array.length loads) 0. in
-  let best = ref None in
+  let best = ref None and nev = ref 0 in
   List.iter
     (fun (c, segs) ->
       Array.blit loads 0 buf 0 (Array.length loads);
       match add ev buf segs size with
       | exception Ev.Unroutable _ -> ()
       | () -> (
-        incr scanned;
+        incr nev;
         let u = mlu g buf in
         match !best with
         | Some (bu, _) when bu <= u -> ()
         | _ -> best := Some (u, c)))
     cands;
+  cnt.scored <- cnt.scored + !nev;
+  if skip then begin
+    cnt.skipped_visits <- cnt.skipped_visits + 1;
+    (match !best with
+    | Some (u, _) when u < u_min -. 1e-12 ->
+      cnt.skipped_improving <- cnt.skipped_improving + 1
+    | _ -> ())
+  end
+  else begin
+    cnt.scanned_visits <- cnt.scanned_visits + 1;
+    cnt.scanned <- cnt.scanned + !nev
+  end;
   !best
 
 let others n a b = List.filter (fun x -> x <> a && x <> b) (List.init n Fun.id)
@@ -80,7 +115,7 @@ let optimize ~passes g w demands =
     | None -> [ (demands.(i).Network.src, demands.(i).Network.dst) ]
     | Some x -> [ (demands.(i).Network.src, x); (x, demands.(i).Network.dst) ]
   in
-  let u_min = ref (mlu g loads) and scanned = ref 0 in
+  let u_min = ref (mlu g loads) and cnt = counts () in
   for pass = 1 to passes do
     Array.iter
       (fun i ->
@@ -93,7 +128,7 @@ let optimize ~passes g w demands =
         in
         let cands = if pass > 1 && wps.(i) <> None then None :: ways else ways in
         (match
-           best ev g ~loads ~size ~scanned
+           best ev g ~loads ~size ~u_min:!u_min cnt
              (List.map (fun c -> (c, segs i c)) cands)
          with
         | Some (u, c) when u < !u_min -. 1e-12 -> wps.(i) <- c
@@ -102,13 +137,13 @@ let optimize ~passes g w demands =
         u_min := mlu g loads)
       (desc demands)
   done;
-  { waypoints = wps; mlu = mlu g loads; scanned = !scanned }
+  { waypoints = wps; mlu = mlu g loads; counts = cnt }
 
 let optimize_multi ~rounds g w demands =
   let n = Digraph.node_count g in
   let ev, loads = setup g w demands in
   let setting = Array.make (Array.length demands) [] in
-  let u_min = ref (mlu g loads) and scanned = ref 0 and round_mlu = ref [] in
+  let u_min = ref (mlu g loads) and cnt = counts () and round_mlu = ref [] in
   for _ = 1 to rounds do
     Array.iter
       (fun i ->
@@ -117,7 +152,7 @@ let optimize_multi ~rounds g w demands =
         if a <> dst then begin
           add ev loads [ (a, dst) ] (-.size);
           match
-            best ev g ~loads ~size ~scanned
+            best ev g ~loads ~size ~u_min:!u_min cnt
               (List.map (fun x -> (x, [ (a, x); (x, dst) ])) (others n a dst))
           with
           | Some (u, x) when u < !u_min -. 1e-12 ->
@@ -130,4 +165,4 @@ let optimize_multi ~rounds g w demands =
     round_mlu := mlu g loads :: !round_mlu
   done;
   { setting; multi_mlu = mlu g loads; round_mlu = List.rev !round_mlu;
-    multi_scanned = !scanned }
+    multi_counts = cnt }
