@@ -18,11 +18,11 @@ let reachable_pairs ?(exclude_stubs = false) g =
   done;
   Array.of_list !pairs
 
-let select_pairs ?(exclude_stubs = true) ~seed ~frac g =
+let select_pairs ~seed ~frac g =
   if not (frac > 0. && frac <= 1.) then
     invalid_arg "Demand_gen.select_pairs: frac must be in (0, 1]";
   let st = Random.State.make [| seed; 0xd6 |] in
-  let pairs = reachable_pairs ~exclude_stubs g in
+  let pairs = reachable_pairs ~exclude_stubs:true g in
   let pairs = if Array.length pairs = 0 then reachable_pairs g else pairs in
   (* Fisher–Yates, then take a prefix. *)
   for i = Array.length pairs - 1 downto 1 do
@@ -35,21 +35,15 @@ let select_pairs ?(exclude_stubs = true) ~seed ~frac g =
   Array.sub pairs 0 k
 
 let scale_to_opt ?epsilon g demands =
-  let comms =
-    Array.map
-      (fun (d : Network.demand) ->
-        { Mcf.src = d.Network.src; dst = d.Network.dst; demand = d.Network.size })
-      demands
-  in
-  let opt = Mcf.opt_mlu ?epsilon g comms in
+  let opt = Mcf.opt_mlu ?epsilon g demands in
   let scaled =
     Array.map (fun d -> { d with Network.size = d.Network.size /. opt }) demands
   in
   (scaled, opt)
 
-let mcf_synthetic ?epsilon ?(frac = 0.2) ?flows_per_pair ?exclude_stubs ~seed g =
+let mcf_synthetic ?epsilon ?(frac = 0.2) ?flows_per_pair ~seed g =
   let st = Random.State.make [| seed; 0xac |] in
-  let pairs = select_pairs ?exclude_stubs ~seed ~frac g in
+  let pairs = select_pairs ~seed ~frac g in
   let base =
     Array.map
       (fun (s, t) ->
@@ -64,13 +58,13 @@ let mcf_synthetic ?epsilon ?(frac = 0.2) ?flows_per_pair ?exclude_stubs ~seed g 
   in
   Network.split_demands ~parts scaled
 
-let gravity ?epsilon ?(alpha = 1.2) ?(flows_per_pair = 1) ~seed g =
+let gravity ?epsilon ?(flows_per_pair = 1) ~seed g =
   let st = Random.State.make [| seed; 0x9a |] in
   let n = Digraph.node_count g in
-  (* Pareto(alpha) node masses give the heavy skew of real matrices. *)
+  (* Pareto(1.2) node masses give the heavy skew of real matrices. *)
   let mass =
     Array.init n (fun _ ->
-        (1. -. Random.State.float st 0.999) ** (-1. /. alpha))
+        (1. -. Random.State.float st 0.999) ** (-1. /. 1.2))
   in
   let pairs = reachable_pairs g in
   let base =

@@ -11,13 +11,11 @@
     also MCF-rescaled. *)
 
 val select_pairs :
-  ?exclude_stubs:bool ->
   seed:int -> frac:float -> Netgraph.Digraph.t -> (int * int) array
 (** Random [frac] of the mutually-reachable ordered node pairs (at least
-    one pair).  [exclude_stubs] (default true) drops pairs touching
-    degree-1 nodes, whose pendant links would otherwise pin every
-    algorithm's normalized MLU to 1 (falls back to all pairs if nothing
-    remains). *)
+    one pair), leaving out pairs touching degree-1 nodes, whose pendant
+    links would otherwise pin every algorithm's normalized MLU to 1
+    (falls back to all pairs if nothing remains). *)
 
 val scale_to_opt :
   ?epsilon:float -> Netgraph.Digraph.t -> Network.demand array ->
@@ -29,7 +27,6 @@ val mcf_synthetic :
   ?epsilon:float ->
   ?frac:float ->
   ?flows_per_pair:int ->
-  ?exclude_stubs:bool ->
   seed:int ->
   Netgraph.Digraph.t ->
   Network.demand array
@@ -38,12 +35,10 @@ val mcf_synthetic :
 
 val gravity :
   ?epsilon:float ->
-  ?alpha:float ->
   ?flows_per_pair:int ->
   seed:int ->
   Netgraph.Digraph.t ->
   Network.demand array
 (** The Figure 6 stand-in: all mutually-reachable pairs active, sizes
-    proportional to the product of Pareto([alpha], default 1.2) node
-    masses, MCF-rescaled, split into [flows_per_pair] (default 1)
-    sub-flows. *)
+    proportional to the product of Pareto(1.2) node masses,
+    MCF-rescaled, split into [flows_per_pair] (default 1) sub-flows. *)

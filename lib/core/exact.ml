@@ -46,7 +46,7 @@ let iter_weight_settings ?(allow_truncate = false) ~domain ~m ~cap f =
 let lwo ?(weight_domain = [ 1; 2; 3 ]) ?(max_settings = 2_000_000)
     ?allow_truncate g demands =
   let m = Digraph.edge_count g in
-  let demands = Network.aggregate demands in
+  let demands = Demand.aggregate demands in
   let best_w = ref None and best = ref infinity in
   let meta =
     iter_weight_settings ?allow_truncate ~domain:weight_domain ~m

@@ -24,23 +24,17 @@ type result = {
   trail : (int * float) list;
 }
 
-let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init ?basis g
-    demands =
+let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) g demands =
   if params.wmax < 2 then invalid_arg "Grad_wo.optimize: wmax < 2";
   if params.rounds < 0 then invalid_arg "Grad_wo.optimize: rounds < 0";
   if params.checkpoint_every < 1 then
     invalid_arg "Grad_wo.optimize: checkpoint_every < 1";
   let tracer = ctx.Obs.Ctx.tracer in
   let m = Digraph.edge_count g in
-  let demands = Network.aggregate demands in
-  let comms =
-    Array.map
-      (fun d -> Mcf.commodity d.Network.src d.Network.dst d.Network.size)
-      demands
-  in
+  let demands = Demand.aggregate demands in
   (* The descent target: the per-edge flows of the min-MLU optimum. *)
   let lp =
-    Obs.Ctx.span ctx "grad:lp" (fun () -> Mcf.opt_mlu_lp_warm_ext ?basis g comms)
+    Obs.Ctx.span ctx "grad:lp" (fun () -> Mcf.opt_mlu_lp_warm_ext g demands)
   in
   Engine.Stats.record_lp ctx.Obs.Ctx.stats ~solves:1 ~pivots:lp.Mcf.pivots
     ~warm:0;
@@ -50,14 +44,7 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init ?basis g
   (* PEFT scales the step by the largest necessary capacity, so one step
      moves weights by at most [params.step]. *)
   let step = if nc_max > 0. then params.step /. nc_max else 0. in
-  let w =
-    match init with
-    | Some w0 ->
-      if Array.length w0 <> m then
-        invalid_arg "Grad_wo.optimize: init length mismatch";
-      Array.copy w0
-    | None -> Weights.inverse_capacity g
-  in
+  let w = Weights.inverse_capacity g in
   (* [ev_real] tracks the ECMP flows of the live real-valued vector;
      [ev_int] evaluates the rounded checkpoints.  Both share the
      context's stats, so SPF and evaluation effort is accounted once. *)
@@ -65,14 +52,14 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init ?basis g
     Engine.Evaluator.create ~stats:ctx.Obs.Ctx.stats ~probe:(Obs.Ctx.probe ctx)
       g w
   in
-  Engine.Evaluator.set_commodities ev_real (Network.to_commodities demands);
+  Engine.Evaluator.set_commodities ev_real demands;
   let rounded = Weights.round_to_range ~wmax:params.wmax w in
   let ev_int =
     Engine.Evaluator.create ~stats:ctx.Obs.Ctx.stats
       (Engine.Evaluator.graph ev_real)
       (Weights.of_ints rounded)
   in
-  Engine.Evaluator.set_commodities ev_int (Network.to_commodities demands);
+  Engine.Evaluator.set_commodities ev_int demands;
   let evals = ref 0 in
   let eval_rounded ints =
     incr evals;

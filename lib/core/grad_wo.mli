@@ -49,15 +49,11 @@ type result = {
 val optimize_ctx :
   Obs.Ctx.t ->
   ?params:params ->
-  ?init:Weights.t ->
-  ?basis:Linprog.Simplex.Sparse.basis ->
   Netgraph.Digraph.t ->
   Network.demand array ->
   result
-(** [init] (default {!Weights.inverse_capacity}) seeds the real weight
-    vector.  [basis] warm-starts the necessary-capacity LP from a
-    previous solve of the same topology (e.g. an earlier backend run or
-    a serving loop's incumbent basis); the solve lands in the context's
+(** The descent starts from {!Weights.inverse_capacity}.  The
+    necessary-capacity LP is solved cold and lands in the context's
     stats via [Engine.Stats.record_lp].  The context's tracer
     records one ["grad:descent"] span with per-checkpoint
     ["grad:checkpoint"] events; the deadline is honored at checkpoint

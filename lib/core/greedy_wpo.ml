@@ -203,7 +203,7 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
       ~probe:(Obs.Ctx.probe octx) g weights
   in
-  Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+  Engine.Evaluator.set_commodities ev demands;
   let add src dst scale into =
     Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
   in
@@ -270,7 +270,7 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
       ~probe:(Obs.Ctx.probe octx) g weights
   in
-  Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+  Engine.Evaluator.set_commodities ev demands;
   let add src dst scale into =
     Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
   in

@@ -6,19 +6,9 @@ type result = {
   stage_mlu : (string * float) list;
 }
 
-(* MLU of (weights, waypoints) on the original demands, evaluated
-   through the shared engine (each waypointed demand contributes one
-   commodity per segment). *)
-let setting_mlu ?stats g w demands setting =
-  Engine.Evaluator.mlu_of ?stats g w
-    (Network.to_commodities (Segments.expand demands setting))
-
-let setting_mlu_ctx (ctx : Obs.Ctx.t) g w demands setting =
-  setting_mlu ~stats:ctx.Obs.Ctx.stats g w demands setting
-
 let optimize_iterated_ctx (ctx : Obs.Ctx.t) ?restarts
-    ?(ls_params = Local_search.default_params) ?(iterations = 3)
-    ?(waypoint_rounds = 1) ?prune g demands =
+    ?(ls_params = Local_search.default_params) ?(iterations = 3) ?prune g
+    demands =
   if iterations < 1 then invalid_arg "Joint.optimize_iterated: iterations >= 1";
   let best = ref None in
   let consider stage int_w setting mlu stages =
@@ -47,7 +37,10 @@ let optimize_iterated_ctx (ctx : Obs.Ctx.t) ?restarts
     in
     int_w := Some ls.Local_search.weights;
     let w = Weights.of_ints ls.Local_search.weights in
-    let mlu_w = setting_mlu_ctx ctx g w demands !setting in
+    let mlu_w =
+      Engine.Evaluator.mlu_of ~stats:ctx.Obs.Ctx.stats g w
+        (Segments.expand demands !setting)
+    in
     stages :=
       consider
         (Printf.sprintf "weights#%d" it)
@@ -59,8 +52,7 @@ let optimize_iterated_ctx (ctx : Obs.Ctx.t) ?restarts
         ~attrs:[ Obs.Attr.int "iteration" it ]
         "joint:waypoints"
         (fun () ->
-          Greedy_wpo.optimize_multi_ctx ctx ?prune ~rounds:waypoint_rounds g w
-            demands)
+          Greedy_wpo.optimize_multi_ctx ctx ?prune ~rounds:1 g w demands)
     in
     setting := wpo.Greedy_wpo.setting;
     stages :=
@@ -107,7 +99,10 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?restarts
     let w2 = Weights.of_ints ls2.Local_search.weights in
     (* Evaluate the original demands + waypoints under the new weights:
        re-running the greedy under w2 also re-validates the waypoints. *)
-    let mlu2 = setting_mlu_ctx ctx g w2 demands setting in
+    let mlu2 =
+      Engine.Evaluator.mlu_of ~stats:ctx.Obs.Ctx.stats g w2
+        (Segments.expand demands setting)
+    in
     let stages = stages @ [ ("HeurOSPF2", mlu2) ] in
     if mlu2 < stage2 -. 1e-12 then
       { weights = w2; int_weights = ls2.Local_search.weights;

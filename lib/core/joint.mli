@@ -44,16 +44,14 @@ val optimize_iterated_ctx :
   ?restarts:int ->
   ?ls_params:Local_search.params ->
   ?iterations:int ->
-  ?waypoint_rounds:int ->
   ?prune:Prune.spec ->
   Netgraph.Digraph.t ->
   Network.demand array ->
   result
 (** The paper's open question (§8): alternate weight optimization and
-    (multi-round) greedy waypoint optimization for [iterations] rounds
-    (default 3), each weight search warm-started on the split demand
-    list induced by the current waypoints, keeping the best setting
-    seen.  [waypoint_rounds] (default 1) allows up to that many
-    waypoints per demand per iteration.  Each iteration records one
+    greedy waypoint optimization (one waypoint per demand per
+    iteration) for [iterations] rounds (default 3), each weight search
+    warm-started on the split demand list induced by the current
+    waypoints, keeping the best setting seen.  Each iteration records one
     ["joint:weights"] and one ["joint:waypoints"] span tagged with an
     ["iteration"] attribute. *)

@@ -19,7 +19,7 @@ let phi_cost = Engine.Evaluator.phi_cost
 
 let evaluate g demands int_weights =
   let ev = Engine.Evaluator.create g (Weights.of_ints int_weights) in
-  Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+  Engine.Evaluator.set_commodities ev demands;
   Engine.Evaluator.evaluate ev
 
 (* One seeded walk.  [demands] is already aggregated.
@@ -59,7 +59,7 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
     Engine.Evaluator.create ~stats:ctx.Obs.Ctx.stats
       ~probe:(Obs.Ctx.probe ctx) g (Weights.of_ints init)
   in
-  Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+  Engine.Evaluator.set_commodities ev demands;
   let evals = ref 0 in
   (* Fortz–Thorup keep a hash table of already-evaluated settings; memo
      hits do not consume the evaluation budget. *)
@@ -342,7 +342,7 @@ let params_of_ctx (ctx : Obs.Ctx.t) = function
 let optimize_ctx (ctx : Obs.Ctx.t) ?(restarts = 1) ?params ?init g demands =
   if restarts < 1 then invalid_arg "Local_search.optimize: restarts >= 1";
   let params = params_of_ctx ctx params in
-  let demands = Network.aggregate demands in
+  let demands = Demand.aggregate demands in
   if restarts = 1 then run_single ctx ~params ?init g demands
   else begin
     let pool = ctx.Obs.Ctx.pool in

@@ -1,13 +1,10 @@
 open Netgraph
 
-type demand = { src : int; dst : int; size : float }
+type demand = Demand.t = { src : int; dst : int; size : float }
 
 type t = { graph : Digraph.t; demands : demand array }
 
-let demand src dst size =
-  if src = dst then invalid_arg "Network.demand: src = dst";
-  if not (size > 0.) then invalid_arg "Network.demand: size must be positive";
-  { src; dst; size }
+let demand = Demand.make
 
 let make graph demands =
   let n = Digraph.node_count graph in
@@ -20,21 +17,6 @@ let make graph demands =
 
 let total_demand t = Array.fold_left (fun acc d -> acc +. d.size) 0. t.demands
 
-let aggregate demands =
-  let tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun d ->
-      let key = (d.src, d.dst) in
-      let cur = try Hashtbl.find tbl key with Not_found -> 0. in
-      Hashtbl.replace tbl key (cur +. d.size))
-    demands;
-  let out =
-    Hashtbl.fold (fun (src, dst) size acc -> { src; dst; size } :: acc) tbl []
-  in
-  (* Deterministic order for reproducibility. *)
-  let out = List.sort (fun a b -> compare (a.src, a.dst) (b.src, b.dst)) out in
-  Array.of_list out
-
 let targets t =
   List.sort_uniq compare (Array.to_list (Array.map (fun d -> d.dst) t.demands))
 
@@ -42,9 +24,6 @@ let sources_for t target =
   Array.to_list t.demands
   |> List.filter_map (fun d -> if d.dst = target then Some d.src else None)
   |> List.sort_uniq compare
-
-let to_commodities demands =
-  Array.map (fun d -> (d.src, d.dst, d.size)) demands
 
 let split_demands ~parts demands =
   if parts < 1 then invalid_arg "Network.split_demands: parts < 1";

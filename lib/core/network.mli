@@ -2,7 +2,7 @@
     paper).  Nodes and edges are those of the underlying
     {!Netgraph.Digraph}. *)
 
-type demand = {
+type demand = Netgraph.Demand.t = {
   src : int;
   dst : int;
   size : float;  (** required bandwidth, > 0 *)
@@ -14,7 +14,8 @@ type t = {
 }
 
 val demand : int -> int -> float -> demand
-(** @raise Invalid_argument on non-positive size or equal endpoints. *)
+(** {!Netgraph.Demand.make}.
+    @raise Invalid_argument on non-positive size or equal endpoints. *)
 
 val make : Netgraph.Digraph.t -> demand array -> t
 (** @raise Invalid_argument on an endpoint outside the graph. *)
@@ -22,20 +23,11 @@ val make : Netgraph.Digraph.t -> demand array -> t
 val total_demand : t -> float
 (** [D], the sum of all demand sizes. *)
 
-val aggregate : demand array -> demand array
-(** Merges demands sharing (src, dst) into one demand of the summed size.
-    MLU under any weight setting is invariant under this. *)
-
 val targets : t -> int list
 (** Distinct destinations appearing in the demand list (sorted). *)
 
 val sources_for : t -> int -> int list
 (** Distinct sources of demands towards the given target. *)
-
-val to_commodities : demand array -> (int * int * float) array
-(** The [(src, dst, size)] triples the evaluation engine consumes
-    ({!Engine.Evaluator.set_commodities}).  Waypointed demands should be
-    expanded with {!Segments.expand} first. *)
 
 val split_demands : parts:int -> demand array -> demand array
 (** Splits every demand into [parts] equal sub-demands (the paper's

@@ -24,21 +24,14 @@ type result = {
   bumps : int;
 }
 
-let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init2 g w1
-    demands =
+let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) g w1 demands =
   if params.wmax < 2 then invalid_arg "Omw.optimize: wmax < 2";
   if params.levels < 1 then invalid_arg "Omw.optimize: levels < 1";
   let m = Digraph.edge_count g in
   if Array.length w1 <> m then invalid_arg "Omw.optimize: weights length mismatch";
-  let demands = Network.aggregate demands in
+  let demands = Demand.aggregate demands in
   let nd = Array.length demands in
-  let w2 =
-    match init2 with
-    | Some w ->
-      if Array.length w <> m then invalid_arg "Omw.optimize: init2 length mismatch";
-      Array.copy w
-    | None -> Array.make m 1
-  in
+  let w2 = Array.make m 1 in
   let tracer = ctx.Obs.Ctx.tracer in
   let stats = ctx.Obs.Ctx.stats in
   let ev1 =
@@ -60,10 +53,8 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init2 g w1
     for i = nd - 1 downto 0 do
       let d = demands.(i) in
       let a = alpha.(i) in
-      if a > 0. then
-        c1 := (d.Network.src, d.Network.dst, a *. d.Network.size) :: !c1;
-      if a < 1. then
-        c2 := (d.Network.src, d.Network.dst, (1. -. a) *. d.Network.size) :: !c2
+      if a > 0. then c1 := { d with size = a *. d.size } :: !c1;
+      if a < 1. then c2 := { d with size = (1. -. a) *. d.size } :: !c2
     done;
     Engine.Evaluator.set_commodities ev1 (Array.of_list !c1);
     match !c2 with
@@ -238,7 +229,7 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) ?init2 g w1
     else
       ( initial_mlu,
         Array.make nd 1.,
-        (match init2 with Some w -> Array.copy w | None -> Array.make m 1) )
+        Array.make m 1 )
   in
   Obs.Tracer.attr tracer tok (Obs.Attr.float "mlu" mlu);
   Obs.Tracer.attr tracer tok (Obs.Attr.int "sweeps" !sweeps_run);

@@ -58,7 +58,6 @@ type result = {
 val optimize_ctx :
   Obs.Ctx.t ->
   ?params:params ->
-  ?init2:int array ->
   Netgraph.Digraph.t ->
   int array ->
   Network.demand array ->
@@ -67,8 +66,8 @@ val optimize_ctx :
     weight system on top of the fixed first setting [w1] (typically a
     {!Local_search} solution; OMW never moves it, so the result is
     never worse than [w1] alone — if the descent cannot beat the
-    all-on-system-1 start it returns that start).  [init2] seeds the
-    second system (default: unit weights, the hop-count SPF).  The
+    all-on-system-1 start it returns that start).  The second system
+    starts at unit weights, the hop-count SPF.  The
     context's tracer records one ["omw:descent"] span with
     ["omw:sweep"] and ["omw:bump"] events inside; the deadline is
     honored at sweep granularity.  Demands are aggregated first; the

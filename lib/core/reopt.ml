@@ -25,8 +25,8 @@ type result = {
 }
 
 let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
-    ?max_weight_changes ?(frozen_edges = []) ?ev ?prune
-    ?(repick_waypoints = true) ~deployed_weights ~deployed_waypoints g demands =
+    ?max_weight_changes ?(frozen_edges = []) ?ev ?prune ~deployed_weights
+    ~deployed_waypoints g demands =
   let stats = ctx.Obs.Ctx.stats in
   let m = Digraph.edge_count g in
   if Array.length deployed_weights <> m then
@@ -66,7 +66,7 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   Hashtbl.iter (fun e () -> Engine.Evaluator.disable_edge ev ~edge:e) frozen;
   Engine.Evaluator.commit ev;
   Engine.Evaluator.set_commodities ev
-    (Network.to_commodities (Segments.expand demands deployed_waypoints));
+    (Segments.expand demands deployed_waypoints);
   let current = Array.copy deployed_weights in
   (* Probe results land in one reused metrics cell — the budgeted probe
      loop below allocates nothing per candidate. *)
@@ -147,27 +147,20 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
     else incr evals
   done);
   (* Waypoint step: re-pick greedily under the new weights (not
-     budgeted; segment-stack changes are local to ingresses).  Skipped
-     when the caller pins the deployed waypoints ([repick_waypoints] is
-     false — e.g. a latency-bound serving loop on a pure weight tick). *)
-  let greedy_candidate =
-    if not repick_waypoints then []
-    else begin
-      let best_w_float = Weights.of_ints !best_w in
-      Hashtbl.iter (fun e () -> best_w_float.(e) <- infinity) frozen;
-      let wpo =
-        Obs.Ctx.span ctx "reopt:waypoints" (fun () ->
-            Greedy_wpo.optimize_ctx ctx ?prune g best_w_float demands)
-      in
-      [ (!best_w, Segments.of_single wpo.Greedy_wpo.waypoints,
-         wpo.Greedy_wpo.mlu) ]
-    end
+     budgeted; segment-stack changes are local to ingresses). *)
+  let best_w_float = Weights.of_ints !best_w in
+  Hashtbl.iter (fun e () -> best_w_float.(e) <- infinity) frozen;
+  let wpo =
+    Obs.Ctx.span ctx "reopt:waypoints" (fun () ->
+        Greedy_wpo.optimize_ctx ctx ?prune g best_w_float demands)
   in
   (* Candidates, cheapest-churn first so ties keep the network stable. *)
   let candidates =
-    (Array.copy deployed_weights, deployed_waypoints, deployed_mlu)
-    :: (!best_w, deployed_waypoints, !best_mlu)
-    :: greedy_candidate
+    [ (Array.copy deployed_weights, deployed_waypoints, deployed_mlu);
+      (!best_w, deployed_waypoints, !best_mlu);
+      ( !best_w,
+        Segments.of_single wpo.Greedy_wpo.waypoints,
+        wpo.Greedy_wpo.mlu ) ]
   in
   let weights, waypoints, mlu =
     List.fold_left

@@ -39,7 +39,6 @@ val reoptimize_ctx :
   ?frozen_edges:int list ->
   ?ev:Engine.Evaluator.t ->
   ?prune:Prune.spec ->
-  ?repick_waypoints:bool ->
   deployed_weights:int array ->
   deployed_waypoints:Segments.setting ->
   Netgraph.Digraph.t ->
@@ -62,9 +61,7 @@ val reoptimize_ctx :
     search's last probe state, not necessarily the returned candidate;
     callers must re-sync it to whatever they deploy.  [prune] forwards
     a candidate-pruning spec to the greedy waypoint re-pick (see
-    {!Prune}); [repick_waypoints] (default [true]) set to [false] skips
-    the waypoint step entirely and keeps the deployed waypoints — the
-    cheap mode for latency-bound weight-only ticks.
+    {!Prune}).
 
     [frozen_edges] (default none) marks failed links: they are pinned at
     infinite weight for every evaluation — equivalent to removal, see

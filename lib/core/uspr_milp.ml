@@ -19,7 +19,7 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
     ?warm g demands =
   Obs.Ctx.span octx "milp:lwo" @@ fun () ->
   let n = Digraph.node_count g and m = Digraph.edge_count g in
-  let demands = Network.aggregate demands in
+  let demands = Demand.aggregate demands in
   let k = Array.length demands in
   let wmax = match wmax with Some w -> w | None -> 4. *. float_of_int n in
   if wmax < 1. then invalid_arg "Uspr_milp.lwo: wmax >= 1 required";

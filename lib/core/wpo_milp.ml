@@ -28,7 +28,7 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
           Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
             ~probe:(Obs.Ctx.probe octx) g weights
         in
-        Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+        Engine.Evaluator.set_commodities ev demands;
         Prune.prepare octx spec ev demands)
       prune
   in

@@ -943,7 +943,7 @@ let set_commodities t commodities =
   let n = t.n in
   let buckets = Array.make n [] in
   Array.iter
-    (fun (src, dst, size) ->
+    (fun { Demand.src; dst; size } ->
       if src < 0 || src >= n || dst < 0 || dst >= n then
         invalid_arg "Evaluator.set_commodities: endpoint outside the graph";
       if not (size >= 0. && size < infinity) then

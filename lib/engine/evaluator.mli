@@ -129,8 +129,8 @@ val segment_peak :
 
 (** {1 Commodities and evaluation} *)
 
-val set_commodities : t -> (int * int * float) array -> unit
-(** Attaches the [(src, dst, size)] flows whose aggregate link loads
+val set_commodities : t -> Netgraph.Demand.t array -> unit
+(** Attaches the demands whose aggregate link loads
     {!loads} / {!mlu} / {!phi} report.  Waypointed demands are expressed
     by listing each segment as its own commodity.  A size of 0 is
     legal and loads nothing.  Resets the load caches but keeps all
@@ -279,5 +279,5 @@ val mlu_of_loads : Netgraph.Digraph.t -> float array -> float
 
 val mlu_of :
   ?stats:Stats.t -> Netgraph.Digraph.t -> float array ->
-  (int * int * float) array -> float
+  Netgraph.Demand.t array -> float
 (** One-shot: fresh evaluator, attach commodities, read the MLU. *)

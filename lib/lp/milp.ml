@@ -31,7 +31,10 @@ type node = {
 
 let frac x = x -. Float.round x
 
-let solve ?(max_nodes = 200_000) ?(int_tol = 1e-6) ?initial ?(warm = true)
+(* Integrality tolerance: a value within it of an integer counts as one. *)
+let int_tol = 1e-6
+
+let solve ?(max_nodes = 200_000) ?initial ?(warm = true)
     ?(probe = Simplex.null_probe) (lp : Simplex.problem) ~integer_vars =
   let sp = Simplex.Sparse.of_problem lp in
   let maximizing = lp.Simplex.sense = Simplex.Maximize in

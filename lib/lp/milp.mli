@@ -32,7 +32,6 @@ type effort = {
 
 val solve :
   ?max_nodes:int ->
-  ?int_tol:float ->
   ?initial:float array ->
   ?warm:bool ->
   ?probe:Simplex.probe ->
@@ -40,10 +39,10 @@ val solve :
   integer_vars:int list ->
   result * effort
 (** Best-first branch and bound on the listed variables.  [max_nodes]
-    defaults to [200_000]; [int_tol] (default [1e-6]) is the integrality
-    tolerance.  [initial] warm-starts the incumbent with a feasible
-    integer point (silently ignored if it is not one), so the result is
-    never worse than it even under the node limit.  [warm] (default
+    defaults to [200_000]; the integrality tolerance is [1e-6].
+    [initial] warm-starts the incumbent with a feasible integer point
+    (silently ignored if it is not one), so the result is never worse
+    than it even under the node limit.  [warm] (default
     [true]) controls parent-basis warm starting of child relaxations;
     disabling it never changes the result, only the pivot counts.
     [probe] (default {!Simplex.null_probe}) receives a ["milp:node"]

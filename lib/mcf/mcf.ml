@@ -1,41 +1,13 @@
 open Netgraph
 module Simplex = Linprog.Simplex
 
-type commodity = { src : int; dst : int; demand : float }
-
-let commodity src dst demand =
-  if src = dst then invalid_arg "Mcf.commodity: src = dst";
-  if not (demand > 0.) then invalid_arg "Mcf.commodity: demand must be positive";
-  { src; dst; demand }
-
-(* Explicit integer comparator: no polymorphic [compare] and no
-   [Hashtbl] keying on tuples, so commodity order (and therefore LP
-   column order and degenerate-optimum selection) is reproducible. *)
-let compare_pair a b =
-  let c = Int.compare a.src b.src in
-  if c <> 0 then c else Int.compare a.dst b.dst
-
-let aggregate comms =
-  let sorted = Array.copy comms in
-  Array.stable_sort compare_pair sorted;
-  (* Stable sort keeps equal keys in occurrence order, so per-pair
-     demands are summed in the same order they appear in the input. *)
-  let out = ref [] in
-  Array.iter
-    (fun c ->
-      match !out with
-      | hd :: tl when hd.src = c.src && hd.dst = c.dst ->
-        out := { hd with demand = hd.demand +. c.demand } :: tl
-      | _ -> out := c :: !out)
-    sorted;
-  Array.of_list (List.rev !out)
-
 let check_routable g comms =
   Array.iter
     (fun c ->
-      if not (Paths.reachable g ~source:c.src).(c.dst) then
+      if not (Paths.reachable g ~source:c.Demand.src).(c.dst) then
         failwith
-          (Printf.sprintf "Mcf: demand %d->%d is not routable" c.src c.dst))
+          (Printf.sprintf "Mcf: demand %d->%d is not routable" c.Demand.src
+             c.dst))
     comms
 
 (* ------------------------------------------------------------------ *)
@@ -48,7 +20,8 @@ let check_routable g comms =
 let build_mlu_lp g comms =
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let targets =
-    List.sort_uniq Int.compare (Array.to_list (Array.map (fun c -> c.dst) comms))
+    List.sort_uniq Int.compare
+      (Array.to_list (Array.map (fun c -> c.Demand.dst) comms))
   in
   let tindex = Hashtbl.create 16 in
   List.iteri (fun i t -> Hashtbl.replace tindex t i) targets;
@@ -57,8 +30,8 @@ let build_mlu_lp g comms =
   let supply = Array.make_matrix nt n 0. in
   Array.iter
     (fun c ->
-      let ti = Hashtbl.find tindex c.dst in
-      supply.(ti).(c.src) <- supply.(ti).(c.src) +. c.demand)
+      let ti = Hashtbl.find tindex c.Demand.dst in
+      supply.(ti).(c.src) <- supply.(ti).(c.src) +. c.size)
     comms;
   let b = Simplex.Sparse.builder ~minimize:true (1 + (nt * m)) in
   Simplex.Sparse.set_obj b 0 1.;
@@ -102,7 +75,7 @@ let edge_flows_of_solution g comms solution =
   let nt =
     List.length
       (List.sort_uniq Int.compare
-         (Array.to_list (Array.map (fun c -> c.dst) comms)))
+         (Array.to_list (Array.map (fun c -> c.Demand.dst) comms)))
   in
   let flows = Array.make m 0. in
   for ti = 0 to nt - 1 do
@@ -113,7 +86,7 @@ let edge_flows_of_solution g comms solution =
   flows
 
 let opt_mlu_lp_warm_ext ?basis g comms =
-  let comms = aggregate comms in
+  let comms = Demand.aggregate comms in
   check_routable g comms;
   let p = build_mlu_lp g comms in
   match Simplex.Sparse.solve ?basis p with
@@ -151,8 +124,8 @@ let gk_run g comms ~epsilon ~phi ~max_phases =
   let by_source = Hashtbl.create 16 in
   Array.iter
     (fun c ->
-      let cur = try Hashtbl.find by_source c.src with Not_found -> [] in
-      Hashtbl.replace by_source c.src ((c.dst, c.demand *. phi) :: cur))
+      let cur = try Hashtbl.find by_source c.Demand.src with Not_found -> [] in
+      Hashtbl.replace by_source c.src ((c.dst, c.size *. phi) :: cur))
     comms;
   let sources = Hashtbl.fold (fun s _ acc -> s :: acc) by_source [] in
   let sources = List.sort Int.compare sources in
@@ -198,7 +171,7 @@ let gk_run g comms ~epsilon ~phi ~max_phases =
 
 let max_concurrent_flow ?(epsilon = 0.1) g comms =
   if Array.length comms = 0 then invalid_arg "Mcf.max_concurrent_flow: no commodities";
-  let comms = aggregate comms in
+  let comms = Demand.aggregate comms in
   check_routable g comms;
   (* Initial scale estimate from trivial cut bounds: lambda is at most
      min_k min(out-cap(src), in-cap(dst)) / d_k. *)
@@ -213,7 +186,8 @@ let max_concurrent_flow ?(epsilon = 0.1) g comms =
   in
   let ub =
     Array.fold_left
-      (fun acc c -> min acc (min (cap_out c.src) (cap_in c.dst) /. c.demand))
+      (fun acc c ->
+        min acc (min (cap_out c.Demand.src) (cap_in c.dst) /. c.size))
       infinity comms
   in
   (* Doubling search from above with a coarse epsilon: find phi with
@@ -244,21 +218,23 @@ let max_concurrent_flow ?(epsilon = 0.1) g comms =
   est *. phi0
 
 let opt_mlu ?(epsilon = 0.1) ?(lp_var_limit = 3000) g comms =
-  let comms = aggregate comms in
+  let comms = Demand.aggregate comms in
   check_routable g comms;
   match comms with
   | [| c |] ->
     (* Single source-target pair: OPT = D / maxflow (§2.1). *)
-    let f = Maxflow.max_flow g ~source:c.src ~target:c.dst in
-    c.demand /. f.Maxflow.value
+    let f = Maxflow.max_flow g ~source:c.Demand.src ~target:c.dst in
+    c.size /. f.Maxflow.value
   | _ ->
     let all_same =
       let c0 = comms.(0) in
-      Array.for_all (fun c -> c.src = c0.src && c.dst = c0.dst) comms
+      Array.for_all
+        (fun c -> c.Demand.src = c0.Demand.src && c.dst = c0.dst)
+        comms
     in
     if all_same then begin
       let c0 = comms.(0) in
-      let d = Array.fold_left (fun acc c -> acc +. c.demand) 0. comms in
+      let d = Array.fold_left (fun acc c -> acc +. c.Demand.size) 0. comms in
       let f = Maxflow.max_flow g ~source:c0.src ~target:c0.dst in
       d /. f.Maxflow.value
     end
@@ -266,7 +242,7 @@ let opt_mlu ?(epsilon = 0.1) ?(lp_var_limit = 3000) g comms =
       let m = Digraph.edge_count g in
       let targets =
         List.sort_uniq Int.compare
-          (Array.to_list (Array.map (fun c -> c.dst) comms))
+          (Array.to_list (Array.map (fun c -> c.Demand.dst) comms))
       in
       let nvars = 1 + (List.length targets * m) in
       if nvars <= lp_var_limit then opt_mlu_lp g comms

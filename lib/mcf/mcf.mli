@@ -7,17 +7,7 @@
     Small instances are solved exactly by LP (destination-aggregated);
     large ones by the Fleischer variant of the Garg–Könemann FPTAS. *)
 
-type commodity = { src : int; dst : int; demand : float }
-
-val commodity : int -> int -> float -> commodity
-
-val aggregate : commodity array -> commodity array
-(** Merge commodities sharing (src, dst).  Output is sorted by
-    [(src, dst)] under explicit integer comparison and per-pair demands
-    are summed in input occurrence order, so the result (and the LP
-    column order derived from it) is deterministic. *)
-
-val build_mlu_lp : Netgraph.Digraph.t -> commodity array -> Linprog.Simplex.Sparse.t
+val build_mlu_lp : Netgraph.Digraph.t -> Netgraph.Demand.t array -> Linprog.Simplex.Sparse.t
 (** The min-MLU LP {!opt_mlu_lp} solves: variable 0 is the MLU, then one flow variable per (destination,
     edge) over the sorted distinct destinations; one conservation row
     per (destination, node other than it), then one capacity row per
@@ -25,7 +15,7 @@ val build_mlu_lp : Netgraph.Digraph.t -> commodity array -> Linprog.Simplex.Spar
     set, so a basis from one matrix warm-starts any matrix with the
     same destinations. *)
 
-val opt_mlu_lp : Netgraph.Digraph.t -> commodity array -> float
+val opt_mlu_lp : Netgraph.Digraph.t -> Netgraph.Demand.t array -> float
 (** Exact minimum MLU via the LP
     [min U  s.t. flow conservation, sum_k f_k(e) <= U c(e)],
     solved by the sparse revised simplex on a directly-built bounded
@@ -36,7 +26,7 @@ val opt_mlu_lp : Netgraph.Digraph.t -> commodity array -> float
 val opt_mlu_lp_warm :
   ?basis:Linprog.Simplex.Sparse.basis ->
   Netgraph.Digraph.t ->
-  commodity array ->
+  Netgraph.Demand.t array ->
   float * Linprog.Simplex.Sparse.basis
 (** Like {!opt_mlu_lp}, additionally returning the optimal simplex basis
     and accepting one from a previous solve of the same topology (and
@@ -61,7 +51,7 @@ type warm_solve = {
 val opt_mlu_lp_warm_ext :
   ?basis:Linprog.Simplex.Sparse.basis ->
   Netgraph.Digraph.t ->
-  commodity array ->
+  Netgraph.Demand.t array ->
   warm_solve
 (** {!opt_mlu_lp_warm} with the solve effort exposed: [pivots] is the
     simplex iteration count (callers tracking engine statistics record
@@ -70,14 +60,14 @@ val opt_mlu_lp_warm_ext :
     basis reuse across a demand-delta stream actually cuts pivots. *)
 
 val max_concurrent_flow :
-  ?epsilon:float -> Netgraph.Digraph.t -> commodity array -> float
+  ?epsilon:float -> Netgraph.Digraph.t -> Netgraph.Demand.t array -> float
 (** FPTAS for the maximum concurrent flow factor [lambda]; the result is
     within [(1 - O(epsilon))] of optimal (never above it beyond
     numerical noise).  [epsilon] defaults to [0.1]. *)
 
 val opt_mlu :
   ?epsilon:float -> ?lp_var_limit:int -> Netgraph.Digraph.t ->
-  commodity array -> float
+  Netgraph.Demand.t array -> float
 (** Minimum MLU.  Dispatches: single source-target pair -> max flow
     (exact); small LP (fewer than [lp_var_limit] variables, default
     3000) -> simplex (exact); otherwise [1 / max_concurrent_flow]. *)

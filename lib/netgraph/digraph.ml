@@ -191,11 +191,3 @@ let is_connected_from g s =
   in
   go ();
   !count = g.n
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph: %d nodes, %d edges@," g.n g.m;
-  for e = 0 to g.m - 1 do
-    Format.fprintf ppf "  %s -> %s (cap %g)@,"
-      g.names.(g.esrc.(e)) g.names.(g.edst.(e)) g.ecap.(e)
-  done;
-  Format.fprintf ppf "@]"

@@ -131,5 +131,3 @@ val min_capacity : t -> float
 
 val is_connected_from : t -> int -> bool
 (** Are all nodes reachable from the given node along directed edges? *)
-
-val pp : Format.formatter -> t -> unit

@@ -690,7 +690,7 @@ module Export = struct
       m.Par.Pool.busy_seconds
       /. (m.Par.Pool.wall_seconds *. float_of_int (Par.Pool.jobs pool))
 
-  let run_summary ?wall ?(extra = []) (ctx : Ctx.t) =
+  let run_summary ?wall (ctx : Ctx.t) =
     let phases = Tracer.phase_totals ctx.Ctx.tracer in
     let phase_sum = List.fold_left (fun a (_, d) -> a +. d) 0. phases in
     let wall = match wall with Some w -> w | None -> phase_sum in
@@ -705,7 +705,6 @@ module Export = struct
           ("parallel_efficiency", Json.float (parallel_efficiency ctx.Ctx.pool));
           ("spans", string_of_int (Tracer.span_count ctx.Ctx.tracer));
           ("spans_dropped", string_of_int (Tracer.dropped ctx.Ctx.tracer));
-          ("metrics", Metrics.to_json (run_metrics ctx)) ]
-      @ extra)
+          ("metrics", Metrics.to_json (run_metrics ctx)) ])
     ^ "\n"
 end

@@ -170,14 +170,6 @@ module Metrics : sig
       [engine.*] counter and every hot-phase timer as an [engine.time.*]
       gauge. *)
 
-  val absorb_pool : t -> Par.Pool.t -> unit
-  (** Imports the pool's scheduler counters (steals, parks, regions,
-      tasks) as [sched.*] counters and its park, busy and wall seconds
-      as [sched.*] gauges.  They are cumulative since pool creation and
-      inherently scheduling-dependent, so this is only called on
-      summary export — never into a context's live metrics, whose JSON
-      stays jobs-invariant. *)
-
   val merge : into:t -> t -> unit
 
   val counter : t -> string -> int
@@ -197,12 +189,6 @@ module Metrics : sig
   }
 
   val histograms : t -> (string * hist) list
-
-  val hist_quantile : hist -> float -> float
-  (** Estimated [q]-quantile of a histogram: linear interpolation inside
-      the decade bucket holding the rank, clamped to the exact
-      [[min, max]] envelope (so it is exact for [n <= 1] and never
-      infinite).  [nan] when the histogram is empty. *)
 
   val pp : Format.formatter -> t -> unit
   (** One line per counter, gauge and histogram (count and estimated
@@ -310,15 +296,16 @@ module Export : sig
 
   val run_metrics : Ctx.t -> Metrics.t
   (** The run's one metrics view: the context's metrics plus
-      {!Metrics.absorb_stats} and {!Metrics.absorb_pool}.  A fresh
-      value; the context is not modified. *)
+      {!Metrics.absorb_stats} and the pool's scheduler counters and
+      seconds as [sched.*] entries (cumulative since pool creation and
+      scheduling-dependent, so they never enter a context's live,
+      jobs-invariant metrics).  A fresh value; the context is not
+      modified. *)
 
-  val run_summary :
-    ?wall:float -> ?extra:(string * string) list -> Ctx.t -> string
+  val run_summary : ?wall:float -> Ctx.t -> string
   (** The [run-summary/1] digest of a finished run: provenance, jobs,
       wall seconds ([wall] defaults to the sum of root-span times),
       per-phase seconds with their coverage of the wall time, the
       pool's parallel efficiency (busy over wall times jobs, [null] when
-      no region was scheduled), span/drop counts and {!run_metrics}.
-      [extra] appends pre-rendered JSON fields. *)
+      no region was scheduled), span/drop counts and {!run_metrics}. *)
 end

@@ -259,7 +259,7 @@ let replay_events r demands =
     invalid_arg "Scenario.replay_events: negative flash-crowd parameter";
   if not (r.flash_factor > 0.) then
     invalid_arg "Scenario.replay_events: flash factor must be positive";
-  let base = Network.aggregate demands in
+  let base = Demand.aggregate demands in
   (* Each flash crowd is a seeded hotspot burst over a contiguous step
      window; the window start and the pair pick both derive from the
      replay seed, so the trace is a pure function of the spec. *)
@@ -393,14 +393,6 @@ type outcome = {
   policies : policy_outcome list;
 }
 
-let commodities_for demands segs =
-  let out = ref [] in
-  Array.iteri
-    (fun i (d : Network.demand) ->
-      List.iter (fun (a, b) -> out := (a, b, d.Network.size) :: !out) segs.(i))
-    demands;
-  Array.of_list (List.rev !out)
-
 (* One policy reaction to one scenario.  Runs on fresh evaluators (the
    optimizers build their own), so the outcome is a pure function of the
    spec — independent of which worker runs it and of anything cached in
@@ -502,7 +494,8 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats g
       (Weights.of_ints deployed.weights)
   in
-  Engine.Evaluator.set_commodities master (commodities_for demands segs);
+  Engine.Evaluator.set_commodities master
+    (Segments.expand demands deployed.waypoints);
   (* Worker clones come from the context's persistent cache (slot 0 is
      the master itself), still materialized on the caller's domain
      before the fan-out; each worker then owns evaluator [worker]
@@ -547,7 +540,8 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
          undo trail is empty. *)
       if cur_shift.(worker) <> spec.shift then begin
         let demands' = apply_shift spec.shift demands in
-        Engine.Evaluator.set_commodities ev (commodities_for demands' segs);
+        Engine.Evaluator.set_commodities ev
+          (Segments.expand demands' deployed.waypoints);
         cur_shift.(worker) <- spec.shift;
         cur_demands.(worker) <- demands'
       end;

@@ -71,24 +71,21 @@ let sync_weights t =
   Engine.Evaluator.set_weights t.ev wf;
   Engine.Evaluator.commit t.ev
 
-let compare_pair (a, b) (c, d) =
-  let c0 = Int.compare a c in
-  if c0 <> 0 then c0 else Int.compare b d
-
 (* Rebuild the routable demand view from the matrix table: demands
    sorted by (src, dst); pairs with no route at all are counted out;
    incumbent waypoints whose segments a failure broke are reset to
    direct routing (a forced waypoint change, returned as [resets]). *)
 let rebuild t =
-  let pairs = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [] in
-  let pairs = List.sort (fun (a, _) (b, _) -> compare_pair a b) pairs in
+  let pairs =
+    Hashtbl.fold (fun (src, dst) size acc -> { Demand.src; dst; size } :: acc)
+      t.tbl []
+  in
   let demands = ref [] and setting = ref [] in
   let disconnected = ref 0 and resets = ref 0 in
   List.iter
-    (fun ((src, dst), size) ->
+    (fun ({ Demand.src; dst; _ } as d) ->
       if not (Engine.Evaluator.reachable t.ev ~src ~dst) then incr disconnected
       else begin
-        let d = { Network.src; dst; size } in
         let w = Option.value (Hashtbl.find_opt t.wps (src, dst)) ~default:[] in
         let w =
           if
@@ -107,7 +104,7 @@ let rebuild t =
         demands := d :: !demands;
         setting := w :: !setting
       end)
-    pairs;
+    (List.sort Demand.compare_pair pairs);
   t.cur_demands <- Array.of_list (List.rev !demands);
   t.cur_setting <- Array.of_list (List.rev !setting);
   t.disconnected <- !disconnected;
@@ -115,7 +112,7 @@ let rebuild t =
 
 let sync_commodities t =
   Engine.Evaluator.set_commodities t.ev
-    (Network.to_commodities (Segments.expand t.cur_demands t.cur_setting));
+    (Segments.expand t.cur_demands t.cur_setting);
   if Array.length t.cur_demands = 0 then t.mlu <- 0.
   else begin
     Engine.Evaluator.evaluate_into t.ev t.cell;
@@ -145,13 +142,8 @@ let lp_bound t =
       List.sort_uniq Int.compare
         (Array.to_list (Array.map (fun d -> d.Network.dst) t.cur_demands))
     in
-    let comms =
-      Array.map
-        (fun d -> Mcf.commodity d.Network.src d.Network.dst d.Network.size)
-        t.cur_demands
-    in
     let basis = if key = t.basis_key then t.basis else None in
-    match Mcf.opt_mlu_lp_warm_ext ?basis t.g comms with
+    match Mcf.opt_mlu_lp_warm_ext ?basis t.g t.cur_demands with
     | r ->
       Engine.Stats.record_lp t.ctx.Obs.Ctx.stats ~solves:1 ~pivots:r.Mcf.pivots
         ~warm:(Bool.to_int r.Mcf.warm);

@@ -94,12 +94,12 @@ let segments ~src ~dst wps =
   in
   pairs ((src :: wps) @ [ dst ])
 
-(* Aggregate edge loads of [(src, dst, size)] demands, each routed
-   through its waypoint list when [waypoints] is given. *)
+(* Aggregate edge loads of [demands], each routed through its waypoint
+   list when [waypoints] is given. *)
 let loads ?waypoints o demands =
   let acc = Array.make (Array.length o.edges) 0. in
   Array.iteri
-    (fun i (src, dst, size) ->
+    (fun i { Demand.src; dst; size } ->
       let wps = match waypoints with Some w -> w.(i) | None -> [] in
       List.iter
         (fun (a, b) -> add_pair o ~src:a ~dst:b ~size acc)

@@ -29,7 +29,7 @@ let minor_delta f =
 let rec routable_from ev demands i =
   i >= Array.length demands
   ||
-  let s, d, _ = demands.(i) in
+  let { Demand.src = s; dst = d; _ } = demands.(i) in
   Engine.Evaluator.reachable ev ~src:s ~dst:d
   && routable_from ev demands (i + 1)
 
@@ -39,7 +39,7 @@ let demands_of g ~count ~seed =
   Array.init count (fun _ ->
       let s = Random.State.int st n in
       let d = (s + 1 + Random.State.int st (n - 1)) mod n in
-      (s, d, float_of_int (1 + Random.State.int st 6)))
+      { Demand.src = s; dst = d; size = float_of_int (1 + Random.State.int st 6) })
 
 let check_probe_loop name g =
   let w = Weights.inverse_capacity g in
@@ -105,7 +105,7 @@ let check_candidate_sweep name g =
   let ev = Engine.Evaluator.create g w in
   Engine.Evaluator.set_commodities ev demands;
   let base = Engine.Evaluator.loads ev in
-  let src, dst, size = demands.(0) in
+  let { Demand.src; dst; size } = demands.(0) in
   let vias =
     Array.of_list
       (-1 :: List.filter (fun v -> v <> src && v <> dst) (List.init n Fun.id))

@@ -15,7 +15,7 @@ let per_pair_loads g w demands =
   let ev = Engine.Evaluator.create g w in
   let acc = Array.make (Digraph.edge_count g) 0. in
   Array.iter
-    (fun (src, dst, size) ->
+    (fun { Demand.src; dst; size } ->
       Engine.Evaluator.add_unit ev ~src ~dst ~scale:size ~into:acc)
     demands;
   acc
@@ -34,7 +34,7 @@ let run_seed seed =
     Array.init 8 (fun _ ->
         let s = Random.State.int st nodes in
         let t = (s + 1 + Random.State.int st (nodes - 1)) mod nodes in
-        (s, t, float_of_int (1 + Random.State.int st 5)))
+        { Demand.src = s; dst = t; size = float_of_int (1 + Random.State.int st 5) })
   in
   let stats = Engine.Stats.create () in
   let ev = Engine.Evaluator.create ~stats g w in

@@ -69,15 +69,12 @@ let () =
      demand matrix. *)
   let g = Topology.Datasets.abilene () in
   let demands = Te.Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:1 ~flows_per_pair:2 g in
-  let comms =
+  let v1, basis = Mcf.opt_mlu_lp_warm g demands in
+  let scaled =
     Array.map
-      (fun (d : Te.Network.demand) ->
-        { Mcf.src = d.Te.Network.src; dst = d.Te.Network.dst;
-          demand = d.Te.Network.size })
+      (fun (d : Netgraph.Demand.t) -> { d with size = d.size *. 1.25 })
       demands
   in
-  let v1, basis = Mcf.opt_mlu_lp_warm g comms in
-  let scaled = Array.map (fun c -> { c with Mcf.demand = c.Mcf.demand *. 1.25 }) comms in
   let v2, _ = Mcf.opt_mlu_lp_warm ~basis g scaled in
   let v2_cold = Mcf.opt_mlu_lp g scaled in
   if abs_float (v2 -. v2_cold) > 1e-9 *. (1. +. abs_float v2_cold) then
@@ -93,9 +90,9 @@ let () =
   let pairs = Te.Demand_gen.select_pairs ~seed:1 ~frac:0.2 g in
   let st = Random.State.make [| 1; 0x7e5d |] in
   let comms =
-    Mcf.aggregate
+    Netgraph.Demand.aggregate
       (Array.map
-         (fun (s, t) -> Mcf.commodity s t (0.5 +. Random.State.float st 1.))
+         (fun (s, t) -> Netgraph.Demand.make s t (0.5 +. Random.State.float st 1.))
          pairs)
   in
   let p = Mcf.build_mlu_lp g comms in

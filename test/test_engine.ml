@@ -28,9 +28,12 @@ let instance seed =
     Array.init ndem (fun _ ->
         let s = Random.State.int st nodes in
         let t = (s + 1 + Random.State.int st (nodes - 1)) mod nodes in
-        (s, t, float_of_int (1 + Random.State.int st 5)))
+        { Demand.src = s; dst = t; size = float_of_int (1 + Random.State.int st 5) })
   in
   (g, w, demands, st)
+
+(* Demand records from [(src, dst, size)] literals; sizes may be 0. *)
+let dms = Array.map (fun (src, dst, size) -> { Demand.src; dst; size })
 
 let oracle_loads ?waypoints g w demands =
   Ecmp_oracle.loads ?waypoints (Ecmp_oracle.make g w) demands
@@ -379,8 +382,8 @@ let minor_delta f =
 let rec routable_from ev demands i =
   i >= Array.length demands
   ||
-  let s, d, _ = demands.(i) in
-  Engine.Evaluator.reachable ev ~src:s ~dst:d
+  let { Demand.src; dst; _ } = demands.(i) in
+  Engine.Evaluator.reachable ev ~src ~dst
   && routable_from ev demands (i + 1)
 
 (* The documented zero-allocation probe loop: after warmup (pools and
@@ -435,7 +438,7 @@ let test_link_flap_round_trip () =
     Array.init 20 (fun _ ->
         let s = Random.State.int st n in
         let d = (s + 1 + Random.State.int st (n - 1)) mod n in
-        (s, d, float_of_int (1 + Random.State.int st 4)))
+        { Demand.src = s; dst = d; size = float_of_int (1 + Random.State.int st 4) })
   in
   Engine.Evaluator.set_commodities ev demands;
   let mlu0, phi0 = Engine.Evaluator.evaluate ev in
@@ -502,7 +505,7 @@ let test_failure_sweep_alloc_free () =
         Array.init 40 (fun _ ->
             let s = Random.State.int st n in
             let d = (s + 1 + Random.State.int st (n - 1)) mod n in
-            (s, d, float_of_int (1 + Random.State.int st 4)))
+            { Demand.src = s; dst = d; size = float_of_int (1 + Random.State.int st 4) })
       in
       Engine.Evaluator.set_commodities ev demands;
       let mx = { Engine.Evaluator.mlu = 0.; phi = 0. } in
@@ -561,11 +564,11 @@ let test_oracle_ties_and_duplicates () =
   let g = Digraph.of_edges ~n:9 (List.rev !links) in
   let w = Weights.unit g in
   let commodities =
-    [| (0, 8, 3.); (2, 6, 1.); (0, 8, 2.); (8, 0, 4.); (1, 7, 1.); (0, 8, 0.5) |]
+    dms [| (0, 8, 3.); (2, 6, 1.); (0, 8, 2.); (8, 0, 4.); (1, 7, 1.); (0, 8, 0.5) |]
   in
   let live = engine_loads g w commodities in
   check_loads "grid ties" (oracle_loads g w commodities) live;
-  let merged = [| (0, 8, 5.5); (2, 6, 1.); (8, 0, 4.); (1, 7, 1.) |] in
+  let merged = dms [| (0, 8, 5.5); (2, 6, 1.); (8, 0, 4.); (1, 7, 1.) |] in
   check_loads "duplicates = merged" (oracle_loads g w merged) live;
   (* random integer-weight instances (ties are common with weights 1..10)
      plus duplicated commodities *)
@@ -587,7 +590,7 @@ let test_oracle_waypoints () =
     let n = Digraph.node_count g in
     let wps =
       Array.map
-        (fun (s, t, _) ->
+        (fun { Demand.src = s; dst = t; _ } ->
           match Random.State.int st 5 with
           | 0 -> []
           | 1 -> [ s ]
@@ -599,16 +602,11 @@ let test_oracle_waypoints () =
         demands
     in
     let expected = oracle_loads ~waypoints:wps g w demands in
-    let net = Array.map (fun (s, t, size) -> Network.demand s t size) demands in
-    let segs =
-      Array.map
-        (fun (d : Network.demand) -> (d.src, d.dst, d.size))
-        (Segments.expand net wps)
-    in
+    let segs = Segments.expand demands wps in
     let msg = Printf.sprintf "seed %d waypoints" seed in
     check_loads (msg ^ " (sweep)") expected (engine_loads g w segs);
     check_loads (msg ^ " (unit rows)") expected
-      (Ecmp.loads ~waypoints:wps (Engine.Evaluator.create g w) net)
+      (Ecmp.loads ~waypoints:wps (Engine.Evaluator.create g w) demands)
   done
 
 (* --------------------------------------------------------------- *)
@@ -622,22 +620,22 @@ let diamond () =
 let rejects_size size () =
   let g = diamond () in
   let ev = Engine.Evaluator.create g (Weights.unit g) in
-  Engine.Evaluator.set_commodities ev [| (0, 3, 2.) |];
+  Engine.Evaluator.set_commodities ev (dms [| (0, 3, 2.) |]);
   let before = Array.copy (Engine.Evaluator.loads ev) in
   Alcotest.check_raises "rejected"
     (Invalid_argument "Evaluator.set_commodities: size must be finite and >= 0")
-    (fun () -> Engine.Evaluator.set_commodities ev [| (1, 3, 1.); (0, 3, size) |]);
+    (fun () -> Engine.Evaluator.set_commodities ev (dms [| (1, 3, 1.); (0, 3, size) |]));
   Alcotest.(check bool) "loads unchanged" true
     (Engine.Evaluator.loads ev = before)
 
 let test_zero_size_loads_nothing () =
   let g = diamond () in
   let w = Weights.unit g in
-  let zero = engine_loads g w [| (0, 3, 0.) |] in
+  let zero = engine_loads g w (dms [| (0, 3, 0.) |]) in
   Alcotest.(check bool) "all zero" true (Array.for_all (fun x -> x = 0.) zero);
   check_loads "zero beside a real commodity"
-    (oracle_loads g w [| (1, 3, 2.) |])
-    (engine_loads g w [| (0, 3, 0.); (1, 3, 2.) |])
+    (oracle_loads g w (dms [| (1, 3, 2.) |]))
+    (engine_loads g w (dms [| (0, 3, 0.); (1, 3, 2.) |]))
 
 (* Destination 3 has routable sources 0 and 1 followed by sources 4 and
    5, which cannot reach it.  [loads] names the first unroutable source
@@ -652,11 +650,11 @@ let test_unroutable_leaves_scratch_clean () =
   let w = Weights.unit g in
   let ev = Engine.Evaluator.create g w in
   Engine.Evaluator.set_commodities ev
-    [| (0, 3, 2.); (1, 3, 1.); (4, 3, 1.); (5, 3, 1.) |];
+    (dms [| (0, 3, 2.); (1, 3, 1.); (4, 3, 1.); (5, 3, 1.) |]);
   Alcotest.check_raises "first unroutable pair"
     (Engine.Evaluator.Unroutable (4, 3))
     (fun () -> ignore (Engine.Evaluator.loads ev));
-  let routable = [| (0, 3, 2.); (1, 3, 1.) |] in
+  let routable = dms [| (0, 3, 2.); (1, 3, 1.) |] in
   Engine.Evaluator.set_commodities ev routable;
   check_loads "after the raise" (oracle_loads g w routable)
     (Engine.Evaluator.loads ev)

@@ -205,14 +205,8 @@ let test_gap_growth () =
 let test_opt_values () =
   let inst = Gap_instances.instance1 ~m:6 in
   let net = inst.Gap_instances.network in
-  let comms =
-    Array.map
-      (fun (d : Network.demand) ->
-        { Mcf.src = d.Network.src; dst = d.Network.dst; demand = d.Network.size })
-      net.Network.demands
-  in
   checkf6 "OPT(instance1) = 1" 1.
-    (Mcf.opt_mlu net.Network.graph comms)
+    (Mcf.opt_mlu net.Network.graph net.Network.demands)
 
 (* Harmonic helper sanity. *)
 let test_harmonic () =

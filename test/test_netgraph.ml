@@ -408,6 +408,66 @@ let prop_decompose_conserves =
       let total = List.fold_left (fun acc (a, _) -> acc +. a) 0. paths in
       abs_float (total -. f.Maxflow.value) <= 1e-6 *. (1. +. f.Maxflow.value))
 
+(* ------------------------------------------------------------------ *)
+(* Demand                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_demand_make_validation () =
+  Alcotest.check_raises "self demand" (Invalid_argument "Demand.make: src = dst")
+    (fun () -> ignore (Demand.make 1 1 1.));
+  List.iter
+    (fun size ->
+      Alcotest.check_raises (Printf.sprintf "size %g" size)
+        (Invalid_argument "Demand.make: size must be positive") (fun () ->
+          ignore (Demand.make 0 1 size)))
+    [ 0.; -1.; nan ];
+  let d = Demand.make 2 0 1.5 in
+  Alcotest.(check (triple int int (float 0.))) "fields" (2, 0, 1.5)
+    (d.Demand.src, d.Demand.dst, d.Demand.size)
+
+(* The merge [Demand.aggregate] replaced, kept as an independent oracle:
+   a [Hashtbl] sums each pair's sizes in occurrence order starting from
+   0., then the pairs are sorted under polymorphic [compare]. *)
+let hashtbl_aggregate demands =
+  let tbl = Hashtbl.create 64 in
+  Array.iter
+    (fun { Demand.src; dst; size } ->
+      let cur = try Hashtbl.find tbl (src, dst) with Not_found -> 0. in
+      Hashtbl.replace tbl (src, dst) (cur +. size))
+    demands;
+  Hashtbl.fold
+    (fun (src, dst) size acc -> { Demand.src; dst; size } :: acc)
+    tbl []
+  |> List.sort (fun a b -> compare (a.Demand.src, a.Demand.dst) (b.src, b.dst))
+  |> Array.of_list
+
+(* Over seeded lists drawn from a few nodes (so pairs repeat), the
+   stable-sort merge yields the oracle's pairs in the oracle's order
+   with bit-identical per-pair sums. *)
+let test_demand_aggregate_oracle () =
+  let merged = ref 0 in
+  for seed = 1 to 200 do
+    let st = Random.State.make [| 0xa99; seed |] in
+    let n = 2 + Random.State.int st 5 in
+    let demands =
+      Array.init (1 + Random.State.int st 40) (fun _ ->
+          let s = Random.State.int st n in
+          let t = (s + 1 + Random.State.int st (n - 1)) mod n in
+          Demand.make s t (1e-3 +. Random.State.float st 10.))
+    in
+    let got = Demand.aggregate demands and want = hashtbl_aggregate demands in
+    merged := !merged + Array.length demands - Array.length want;
+    Alcotest.(check int) "pair count" (Array.length want) (Array.length got);
+    Array.iteri
+      (fun i (w : Demand.t) ->
+        let g = got.(i) in
+        Alcotest.(check (pair int int)) "pair order" (w.src, w.dst) (g.src, g.dst);
+        Alcotest.(check int64) "sum bits" (Int64.bits_of_float w.size)
+          (Int64.bits_of_float g.size))
+      want
+  done;
+  Alcotest.(check bool) "lists repeat pairs" true (!merged > 0)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "netgraph"
@@ -452,6 +512,12 @@ let () =
           Alcotest.test_case "remove cycles" `Quick test_remove_cycles;
           Alcotest.test_case "acyclic maxflow" `Quick test_acyclic_maxflow_value;
           Alcotest.test_case "decompose" `Quick test_decompose;
+        ] );
+      ( "demand",
+        [
+          Alcotest.test_case "make validation" `Quick test_demand_make_validation;
+          Alcotest.test_case "aggregate matches hashtbl oracle" `Quick
+            test_demand_aggregate_oracle;
         ] );
       ( "properties",
         qc

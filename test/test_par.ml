@@ -293,7 +293,7 @@ let instance seed =
     Array.init 8 (fun _ ->
         let s = Random.State.int st nodes in
         let t = (s + 1 + Random.State.int st (nodes - 1)) mod nodes in
-        (s, t, float_of_int (1 + Random.State.int st 5)))
+        { Demand.src = s; dst = t; size = float_of_int (1 + Random.State.int st 5) })
   in
   (g, w, demands, st)
 

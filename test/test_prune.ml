@@ -137,7 +137,7 @@ let test_filters_keep_pick () =
       (* A fresh evaluator in the same state the solver pruned from:
          weights fixed, every demand on its direct route. *)
       let ev = Engine.Evaluator.create g w in
-      Engine.Evaluator.set_commodities ev (Network.to_commodities demands);
+      Engine.Evaluator.set_commodities ev demands;
       ignore (Engine.Evaluator.loads ev);
       let p =
         Prune.prepare (Obs.Ctx.make ()) (Prune.spec Prune.default_k) ev

@@ -27,12 +27,6 @@ let instance seed =
   in
   (g, demands)
 
-let lp_bound g demands =
-  Mcf.opt_mlu_lp g
-    (Array.map
-       (fun (s, d, sz) -> Mcf.commodity s d sz)
-       (Network.to_commodities demands))
-
 let grad_params =
   { Grad_wo.default_params with rounds = 60; checkpoint_every = 5 }
 
@@ -107,7 +101,7 @@ let test_omw_fuzz () =
     let g, demands = instance seed in
     let w1 = invcap_ints g in
     let r = Omw.optimize_ctx (Obs.Ctx.default ()) g w1 demands in
-    let lp = lp_bound g demands in
+    let lp = Mcf.opt_mlu_lp g demands in
     Alcotest.(check bool)
       (ctx "mlu never below the LP bound")
       true
@@ -146,7 +140,7 @@ let test_omw_disabled_is_single_weight () =
     in
     let reference =
       Engine.Evaluator.mlu_of g (Weights.of_ints w1)
-        (Network.to_commodities r.Omw.demands)
+        r.Omw.demands
     in
     Alcotest.(check bool)
       (ctx "byte-identical to the single-weight SPF")

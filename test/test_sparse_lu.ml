@@ -155,11 +155,11 @@ let abilene_lp ndst =
         List.filter_map
           (fun s ->
             if s = t then None
-            else Some (Mcf.commodity s t (1. +. float_of_int ((s * 7) + t mod 5))))
+            else Some (Netgraph.Demand.make s t (1. +. float_of_int ((s * 7) + t mod 5))))
           (List.init n Fun.id))
       (List.init ndst (fun i -> (i * 5) mod n))
   in
-  let comms = Mcf.aggregate (Array.of_list comms) in
+  let comms = Netgraph.Demand.aggregate (Array.of_list comms) in
   let p = Mcf.build_mlu_lp g comms in
   match Simplex.Sparse.solve p with
   | Simplex.Sparse.Optimal { basis; _ } -> (p, basis.Simplex.Sparse.head)

@@ -59,7 +59,7 @@ let desc demands =
 
 let setup g w demands =
   let ev = Ev.create g w in
-  Ev.set_commodities ev (Network.to_commodities demands);
+  Ev.set_commodities ev demands;
   (ev, Array.copy (Ev.loads ev))
 
 let add ev loads segs scale =
