@@ -1237,11 +1237,12 @@ let robust =
 (* ------------------------------------------------------------------ *)
 
 module Simplex = Linprog.Simplex
+module Oracle = Lp_oracle
 
 (* The min-MLU LP in dense row form, stated independently of
-   {!Mcf.build_mlu_lp} (same formulation), so Simplex.Dense and
-   Simplex.Sparse race on identical problems and the Mcf entry point is
-   checked against an LP it did not build. *)
+   {!Mcf.build_mlu_lp} (same formulation), so the oracle's dense tableau
+   and Simplex.Sparse race on identical problems and the Mcf entry point
+   is checked against an LP it did not build. *)
 let dense_mlu_problem g comms =
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let comms = Demand.aggregate comms in
@@ -1267,7 +1268,7 @@ let dense_mlu_problem g comms =
           let row = ref [] in
           Array.iter (fun e -> row := (fvar ti e, 1.) :: !row) (Digraph.out_edges g v);
           Array.iter (fun e -> row := (fvar ti e, -1.) :: !row) (Digraph.in_edges g v);
-          constrs := Simplex.constr !row Simplex.Eq supply.(ti).(v) :: !constrs
+          constrs := Oracle.constr !row Oracle.Eq supply.(ti).(v) :: !constrs
         end
       done)
     targets;
@@ -1276,9 +1277,9 @@ let dense_mlu_problem g comms =
     for ti = 0 to nt - 1 do
       row := (fvar ti e, 1.) :: !row
     done;
-    constrs := Simplex.constr !row Simplex.Le 0. :: !constrs
+    constrs := Oracle.constr !row Oracle.Le 0. :: !constrs
   done;
-  { Simplex.nvars = 1 + (nt * m); sense = Simplex.Minimize;
+  { Oracle.nvars = 1 + (nt * m); sense = Oracle.Minimize;
     objective = [ (0, 1.) ]; constrs = !constrs }
 
 let lp_reps () = if !full then 5 else 3
@@ -1289,16 +1290,16 @@ let agree a b = abs_float (a -. b) <= 1e-6 *. (1. +. abs_float b)
 let lp_race (name, g, comms) =
   let reps = lp_reps () in
   let p = dense_mlu_problem g comms in
-  let sp = Simplex.Sparse.of_problem p in
-  let dres, t_dense = time_best reps (fun () -> Simplex.Dense.solve p) in
+  let sp = Oracle.of_problem p in
+  let dres, t_dense = time_best reps (fun () -> Oracle.Dense.solve p) in
   let sres, t_sparse = time_best reps (fun () -> Simplex.Sparse.solve sp) in
-  let dval = match dres with Simplex.Optimal { value; _ } -> value | _ -> nan in
+  let dval = match dres with Oracle.Optimal { value; _ } -> value | _ -> nan in
   let sval, iters =
     match sres with
     | Simplex.Sparse.Optimal { value; iters; _ } -> (value, iters)
     | _ -> (nan, 0)
   in
-  let mcf_val, t_mcf = time_best reps (fun () -> Mcf.opt_mlu_lp g comms) in
+  let mcf, t_mcf = time_best reps (fun () -> Mcf.opt_mlu_lp g comms) in
   [ A.str "instance" name; A.str "kind" "lp-race";
     A.int "rows" sp.Simplex.Sparse.nrows; A.int "cols" sp.Simplex.Sparse.ncols;
     A.float "dense_wall_seconds" t_dense;
@@ -1306,7 +1307,7 @@ let lp_race (name, g, comms) =
     A.float "speedup" (t_dense /. t_sparse); A.int "sparse_pivots" iters;
     A.float "pivots_per_sec" (float_of_int iters /. t_sparse);
     A.float "mcf_entry_wall_seconds" t_mcf; A.float "objective" sval;
-    A.bool "objectives_agree" (agree dval sval && agree mcf_val sval) ]
+    A.bool "objectives_agree" (agree dval sval && agree mcf.Mcf.value sval) ]
 
 (* The raced LPs: Abilene under seeded demands, two gap instances, and a
    medium instance from opt_mlu's LP-dispatch band (nvars below the
@@ -1405,7 +1406,9 @@ let basis_reuse abilene =
   in
   let cold, t_cold =
     time_best reps (fun () ->
-        List.map (fun s -> Mcf.opt_mlu_lp abilene (scaled s)) scales)
+        List.map
+          (fun s -> (Mcf.opt_mlu_lp abilene (scaled s)).Mcf.value)
+          scales)
   in
   let warm, t_warm =
     time_best reps (fun () ->
@@ -1413,8 +1416,8 @@ let basis_reuse abilene =
           (snd
              (List.fold_left
                 (fun (basis, acc) s ->
-                  let v, b = Mcf.opt_mlu_lp_warm ?basis abilene (scaled s) in
-                  (Some b, v :: acc))
+                  let r = Mcf.opt_mlu_lp ?basis abilene (scaled s) in
+                  (Some r.Mcf.basis, r.Mcf.value :: acc))
                 (None, []) scales)))
   in
   [ A.str "instance" "Abilene"; A.str "kind" "mcf-basis-reuse";

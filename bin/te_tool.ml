@@ -893,7 +893,8 @@ let serve_cmd =
     Arg.(value & opt float 1000. & info [ "deadline-ms" ] ~docv:"MS"
            ~doc:"Per-update latency budget.  A search overrunning it stops \
                  early with the best setting so far; 0 degrades every \
-                 update to the incumbent; negative disables the deadline.")
+                 update to the incumbent; a negative value, glued to the \
+                 flag as in --deadline-ms=-1, disables the deadline.")
   in
   let churn_arg =
     Arg.(value & opt int 0 & info [ "churn-budget" ] ~docv:"K"

@@ -34,7 +34,7 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) g demands =
   let demands = Demand.aggregate demands in
   (* The descent target: the per-edge flows of the min-MLU optimum. *)
   let lp =
-    Obs.Ctx.span ctx "grad:lp" (fun () -> Mcf.opt_mlu_lp_warm_ext g demands)
+    Obs.Ctx.span ctx "grad:lp" (fun () -> Mcf.opt_mlu_lp g demands)
   in
   Engine.Stats.record_lp ctx.Obs.Ctx.stats ~solves:1 ~pivots:lp.Mcf.pivots
     ~warm:0;

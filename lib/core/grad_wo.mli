@@ -1,7 +1,7 @@
 (** Gradient link-weight optimization against LP necessary capacities,
     in the style of PEFT's gradient-descent weight fitting.
 
-    The min-MLU LP ({!Mcf.opt_mlu_lp_warm_ext}) yields, besides the
+    The min-MLU LP ({!Mcf.opt_mlu_lp}) yields, besides the
     optimal MLU, the per-edge flow the optimum places on every link —
     the link's {e necessary capacity}.  The search then descends on
     real-valued weights: links carrying less ECMP flow than their

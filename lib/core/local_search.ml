@@ -13,10 +13,6 @@ let default_params =
 
 type result = { weights : int array; mlu : float; phi : float; evals : int }
 
-(* The Fortz–Thorup piecewise-linear congestion cost is owned by the
-   evaluation engine; this re-export keeps the historical API. *)
-let phi_cost = Engine.Evaluator.phi_cost
-
 let evaluate g demands int_weights =
   let ev = Engine.Evaluator.create g (Weights.of_ints int_weights) in
   Engine.Evaluator.set_commodities ev demands;

@@ -25,12 +25,6 @@ type result = {
   evals : int;  (** evaluations actually performed *)
 }
 
-val phi_cost : Netgraph.Digraph.t -> float array -> float
-(** The Fortz–Thorup cost: [sum_e c_e * phi_hat(load_e / c_e)] with
-    slopes 1, 3, 10, 70, 500, 5000 at breakpoints 1/3, 2/3, 9/10, 1,
-    11/10 (re-export of {!Engine.Evaluator.phi_cost}, the single shared
-    definition). *)
-
 val evaluate :
   Netgraph.Digraph.t -> Network.demand array -> int array -> float * float
 (** [(mlu, phi)] of a weight vector. *)

@@ -17,14 +17,6 @@ let make graph demands =
 
 let total_demand t = Array.fold_left (fun acc d -> acc +. d.size) 0. t.demands
 
-let targets t =
-  List.sort_uniq compare (Array.to_list (Array.map (fun d -> d.dst) t.demands))
-
-let sources_for t target =
-  Array.to_list t.demands
-  |> List.filter_map (fun d -> if d.dst = target then Some d.src else None)
-  |> List.sort_uniq compare
-
 let split_demands ~parts demands =
   if parts < 1 then invalid_arg "Network.split_demands: parts < 1";
   Array.concat

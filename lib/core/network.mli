@@ -23,12 +23,6 @@ val make : Netgraph.Digraph.t -> demand array -> t
 val total_demand : t -> float
 (** [D], the sum of all demand sizes. *)
 
-val targets : t -> int list
-(** Distinct destinations appearing in the demand list (sorted). *)
-
-val sources_for : t -> int -> int list
-(** Distinct sources of demands towards the given target. *)
-
 val split_demands : parts:int -> demand array -> demand array
 (** Splits every demand into [parts] equal sub-demands (the paper's
     MCF-synthetic generation splits per-pair demands into |E|/4 flows). *)

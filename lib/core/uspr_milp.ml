@@ -55,8 +55,12 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
   let xoff = yoff + (nt * m) in
   let xvar di e = xoff + (di * m) + e in
   let nvars = xoff + (k * m) in
-  let constrs = ref [] in
-  let add row rel rhs = constrs := Simplex.constr row rel rhs :: !constrs in
+  (* Rows are collected newest-first and fed to the builder in that
+     order: the row order fixes the simplex's pivot sequence, and with
+     it the branch-and-bound tree the node and pivot counts were pinned
+     on. *)
+  let rows = ref [] in
+  let add row rel rhs = rows := (row, rel, rhs) :: !rows in
   (* Weight bounds. *)
   for e = 0 to m - 1 do
     add [ (wvar e, 1.) ] Simplex.Ge 1.;
@@ -128,8 +132,12 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
     add row Simplex.Le 0.
   done;
   let problem =
-    { Simplex.nvars; sense = Simplex.Minimize; objective = [ (uvar, 1.) ];
-      constrs = !constrs }
+    let b = Simplex.Sparse.builder ~minimize:true nvars in
+    Simplex.Sparse.set_obj b uvar 1.;
+    List.iter
+      (fun (row, rel, rhs) -> Simplex.Sparse.add_row b row rel rhs)
+      !rows;
+    Simplex.Sparse.finish b
   in
   let integer_vars =
     List.concat_map

@@ -122,22 +122,23 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
           done)
         opts)
     options;
-  let constrs = ref [] in
-  for e = 0 to m - 1 do
-    if edge_rows.(e) <> [] then
-      constrs :=
-        Simplex.constr ((uvar, -.Digraph.cap g e) :: edge_rows.(e)) Simplex.Le 0.
-        :: !constrs
-  done;
-  for i = 0 to k - 1 do
+  (* Rows go in last-first, convexity rows before edge rows: the row
+     order fixes the simplex's pivot sequence, and with it the
+     branch-and-bound tree the node and pivot counts were pinned on. *)
+  let b = Simplex.Sparse.builder ~minimize:true nvars in
+  Simplex.Sparse.set_obj b uvar 1.;
+  for i = k - 1 downto 0 do
     let row = List.init (Array.length options.(i)) (fun oi -> (offsets.(i) + oi, 1.)) in
-    constrs := Simplex.constr row Simplex.Eq 1. :: !constrs
+    Simplex.Sparse.add_row b row Simplex.Eq 1.
+  done;
+  for e = m - 1 downto 0 do
+    if edge_rows.(e) <> [] then
+      Simplex.Sparse.add_row b
+        ((uvar, -.Digraph.cap g e) :: edge_rows.(e))
+        Simplex.Le 0.
   done;
   (* z <= 1 comes from the convexity rows; no explicit bound needed. *)
-  let p =
-    { Simplex.nvars; sense = Simplex.Minimize; objective = [ (uvar, 1.) ];
-      constrs = !constrs }
-  in
+  let p = Simplex.Sparse.finish b in
   let integer_vars = List.init nz Fun.id in
   let direct_mlu = Ecmp.mlu g (Ecmp.loads ev demands) in
   (* Warm start from GreedyWPO (Algorithm 3): the branch and bound then

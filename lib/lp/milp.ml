@@ -35,12 +35,15 @@ let frac x = x -. Float.round x
 let int_tol = 1e-6
 
 let solve ?(max_nodes = 200_000) ?initial ?(warm = true)
-    ?(probe = Simplex.null_probe) (lp : Simplex.problem) ~integer_vars =
-  let sp = Simplex.Sparse.of_problem lp in
-  let maximizing = lp.Simplex.sense = Simplex.Maximize in
+    ?(probe = Simplex.null_probe) (sp : Simplex.Sparse.t) ~integer_vars =
+  let maximizing = not sp.Simplex.Sparse.minimize in
   let better a b = if maximizing then a > b +. 1e-9 else a < b -. 1e-9 in
   let objective_of x =
-    List.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) 0. lp.Simplex.objective
+    let v = ref 0. in
+    Array.iteri
+      (fun j c -> if c <> 0. then v := !v +. (c *. x.(j)))
+      sp.Simplex.Sparse.obj;
+    !v
   in
   let find_fractional x =
     (* Most-fractional branching. *)
@@ -60,7 +63,7 @@ let solve ?(max_nodes = 200_000) ?initial ?(warm = true)
      initial incumbent (ignored when infeasible or fractional). *)
   (match initial with
   | Some x
-    when Simplex.check_feasible lp x
+    when Simplex.Sparse.feasible sp x
          && List.for_all (fun j -> abs_float (frac x.(j)) <= int_tol) integer_vars
     -> incumbent := Some (objective_of x, Array.copy x)
   | _ -> ());

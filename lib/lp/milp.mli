@@ -4,9 +4,9 @@
     paper's artifact at small scale (exact WPO MILP, toy joint instances,
     validation tests).
 
-    Nodes branch on variable {e bounds} over one shared sparse problem
-    (built once with {!Simplex.Sparse.of_problem}); every child re-solves
-    warm from its parent's optimal basis unless [~warm:false]. *)
+    Nodes branch on variable {e bounds} over the caller's sparse
+    problem, shared by the whole tree; every child re-solves warm from
+    its parent's optimal basis unless [~warm:false]. *)
 
 type status = Optimal | Feasible  (** node-limit hit with an incumbent *)
 
@@ -35,13 +35,15 @@ val solve :
   ?initial:float array ->
   ?warm:bool ->
   ?probe:Simplex.probe ->
-  Simplex.problem ->
+  Simplex.Sparse.t ->
   integer_vars:int list ->
   result * effort
-(** Best-first branch and bound on the listed variables.  [max_nodes]
+(** Best-first branch and bound on the listed variables, optimizing the
+    problem's own objective in its own sense.  [max_nodes]
     defaults to [200_000]; the integrality tolerance is [1e-6].
     [initial] warm-starts the incumbent with a feasible integer point
-    (silently ignored if it is not one), so the result is never worse
+    (checked by {!Simplex.Sparse.feasible}; silently ignored if it is
+    not one), so the result is never worse
     than it even under the node limit.  [warm] (default
     [true]) controls parent-basis warm starting of child relaxations;
     disabling it never changes the result, only the pivot counts.

@@ -85,7 +85,7 @@ let edge_flows_of_solution g comms solution =
   done;
   flows
 
-let opt_mlu_lp_warm_ext ?basis g comms =
+let opt_mlu_lp ?basis g comms =
   let comms = Demand.aggregate comms in
   check_routable g comms;
   let p = build_mlu_lp g comms in
@@ -98,12 +98,6 @@ let opt_mlu_lp_warm_ext ?basis g comms =
   | Simplex.Sparse.Unbounded -> failwith "Mcf.opt_mlu_lp: unbounded (internal error)"
   | Simplex.Sparse.CycleLimit _ ->
     failwith "Mcf.opt_mlu_lp: simplex iteration limit exceeded"
-
-let opt_mlu_lp_warm ?basis g comms =
-  let r = opt_mlu_lp_warm_ext ?basis g comms in
-  (r.value, r.basis)
-
-let opt_mlu_lp g comms = fst (opt_mlu_lp_warm g comms)
 
 (* ------------------------------------------------------------------ *)
 (* Fleischer / Garg–Könemann FPTAS                                      *)
@@ -221,30 +215,17 @@ let opt_mlu ?(epsilon = 0.1) ?(lp_var_limit = 3000) g comms =
   let comms = Demand.aggregate comms in
   check_routable g comms;
   match comms with
+  | [||] -> 0.
   | [| c |] ->
     (* Single source-target pair: OPT = D / maxflow (§2.1). *)
     let f = Maxflow.max_flow g ~source:c.Demand.src ~target:c.dst in
     c.size /. f.Maxflow.value
   | _ ->
-    let all_same =
-      let c0 = comms.(0) in
-      Array.for_all
-        (fun c -> c.Demand.src = c0.Demand.src && c.dst = c0.dst)
-        comms
+    let m = Digraph.edge_count g in
+    let targets =
+      List.sort_uniq Int.compare
+        (Array.to_list (Array.map (fun c -> c.Demand.dst) comms))
     in
-    if all_same then begin
-      let c0 = comms.(0) in
-      let d = Array.fold_left (fun acc c -> acc +. c.Demand.size) 0. comms in
-      let f = Maxflow.max_flow g ~source:c0.src ~target:c0.dst in
-      d /. f.Maxflow.value
-    end
-    else begin
-      let m = Digraph.edge_count g in
-      let targets =
-        List.sort_uniq Int.compare
-          (Array.to_list (Array.map (fun c -> c.Demand.dst) comms))
-      in
-      let nvars = 1 + (List.length targets * m) in
-      if nvars <= lp_var_limit then opt_mlu_lp g comms
-      else 1. /. max_concurrent_flow ~epsilon g comms
-    end
+    let nvars = 1 + (List.length targets * m) in
+    if nvars <= lp_var_limit then (opt_mlu_lp g comms).value
+    else 1. /. max_concurrent_flow ~epsilon g comms

@@ -4,7 +4,8 @@
    `dune build @lp-smoke'. *)
 
 open Linprog
-open Simplex
+open Lp_oracle
+module Sparse = Simplex.Sparse
 
 let failures = ref 0
 
@@ -57,11 +58,11 @@ let () =
   for seed = 1 to 60 do
     let st = Random.State.make [| 0x5e; seed |] in
     let p = gen_problem st in
-    match (Dense.solve ~max_iters:200_000 p, solve p) with
-    | Optimal { value = dv; _ }, Optimal { value = sv; _ } ->
+    match (Dense.solve ~max_iters:200_000 p, Sparse.solve (of_problem p)) with
+    | Optimal { value = dv; _ }, Sparse.Optimal { value = sv; _ } ->
       if abs_float (dv -. sv) <= 1e-6 *. (1. +. abs_float dv) then incr agreed
       else fail "seed %d: dense %.9g <> sparse %.9g" seed dv sv
-    | Infeasible, Infeasible | Unbounded, Unbounded -> incr agreed
+    | Infeasible, Sparse.Infeasible | Unbounded, Sparse.Unbounded -> incr agreed
     | _ -> fail "seed %d: solvers classify differently" seed
   done;
   Printf.printf "random LPs: %d/60 agree with the dense oracle\n" !agreed;
@@ -69,14 +70,15 @@ let () =
      demand matrix. *)
   let g = Topology.Datasets.abilene () in
   let demands = Te.Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:1 ~flows_per_pair:2 g in
-  let v1, basis = Mcf.opt_mlu_lp_warm g demands in
+  let base = Mcf.opt_mlu_lp g demands in
+  let v1 = base.Mcf.value in
   let scaled =
     Array.map
       (fun (d : Netgraph.Demand.t) -> { d with size = d.size *. 1.25 })
       demands
   in
-  let v2, _ = Mcf.opt_mlu_lp_warm ~basis g scaled in
-  let v2_cold = Mcf.opt_mlu_lp g scaled in
+  let v2 = (Mcf.opt_mlu_lp ~basis:base.Mcf.basis g scaled).Mcf.value in
+  let v2_cold = (Mcf.opt_mlu_lp g scaled).Mcf.value in
   if abs_float (v2 -. v2_cold) > 1e-9 *. (1. +. abs_float v2_cold) then
     fail "warm MCF re-solve %.12g <> cold %.12g" v2 v2_cold;
   if abs_float (v2 -. (1.25 *. v1)) > 1e-6 *. (1. +. abs_float v2) then

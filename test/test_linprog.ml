@@ -1,12 +1,18 @@
 (* Tests for the simplex LP solver and the branch-and-bound MILP solver. *)
 
 open Linprog
-open Simplex
+open Lp_oracle
+module Sparse = Simplex.Sparse
+
+(* Problems are stated in the oracle's row form and solved by the
+   sparse simplex. *)
+let solve p = Sparse.solve (of_problem p)
 
 let get_opt = function
-  | Optimal { value; solution } -> (value, solution)
-  | Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Unbounded -> Alcotest.fail "unexpected unbounded"
+  | Sparse.Optimal { value; solution; _ } -> (value, solution)
+  | Sparse.Infeasible -> Alcotest.fail "unexpected infeasible"
+  | Sparse.Unbounded -> Alcotest.fail "unexpected unbounded"
+  | Sparse.CycleLimit _ -> Alcotest.fail "unexpected cycle limit"
 
 let checkf = Alcotest.(check (float 1e-6))
 
@@ -50,7 +56,7 @@ let test_infeasible () =
       constrs = [ constr [ (0, 1.) ] Le 1.; constr [ (0, 1.) ] Ge 2. ] }
   in
   (match solve p with
-  | Infeasible -> ()
+  | Sparse.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible")
 
 let test_unbounded () =
@@ -59,7 +65,7 @@ let test_unbounded () =
       constrs = [ constr [ (1, 1.) ] Le 1. ] }
   in
   (match solve p with
-  | Unbounded -> ()
+  | Sparse.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded")
 
 let test_negative_rhs () =
@@ -94,12 +100,13 @@ let test_duplicate_coeffs () =
   checkf "x = 2" 2. v
 
 let test_bad_index () =
-  let p =
-    { nvars = 1; sense = Maximize; objective = [ (1, 1.) ]; constrs = [] }
-  in
-  Alcotest.check_raises "oob"
-    (Invalid_argument "Simplex.solve: objective index out of range")
-    (fun () -> ignore (solve p))
+  let b = Sparse.builder ~minimize:false 1 in
+  Alcotest.check_raises "objective oob"
+    (Invalid_argument "Simplex.Sparse.set_obj: variable index out of range")
+    (fun () -> Sparse.set_obj b 1 1.);
+  Alcotest.check_raises "row oob"
+    (Invalid_argument "Simplex.Sparse.add_row: variable index out of range")
+    (fun () -> Sparse.add_row b [ (0, 1.); (1, 1.) ] Le 1.)
 
 let test_min_mlu_toy () =
   (* Two parallel links (caps 1 and 3), demand 2; route to minimize MLU.
@@ -138,7 +145,9 @@ let test_milp_knapsack () =
           constr [ (0, 1.) ] Le 1.; constr [ (1, 1.) ] Le 1.;
           constr [ (2, 1.) ] Le 1.; constr [ (3, 1.) ] Le 1. ] }
   in
-  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0; 1; 2; 3 ])) in
+  let s =
+    get_milp (fst (Milp.solve (of_problem p) ~integer_vars:[ 0; 1; 2; 3 ]))
+  in
   checkf "objective" 21. s.Milp.value;
   checkf "a" 0. s.Milp.point.(0);
   checkf "b" 1. s.Milp.point.(1)
@@ -149,7 +158,7 @@ let test_milp_integer_rounding () =
     { nvars = 1; sense = Maximize; objective = [ (0, 1.) ];
       constrs = [ constr [ (0, 2.) ] Le 7. ] }
   in
-  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0 ])) in
+  let s = get_milp (fst (Milp.solve (of_problem p) ~integer_vars:[ 0 ])) in
   checkf "x" 3. s.Milp.value
 
 let test_milp_min () =
@@ -159,7 +168,7 @@ let test_milp_min () =
     { nvars = 2; sense = Minimize; objective = [ (0, 3.); (1, 4.) ];
       constrs = [ constr [ (0, 1.); (1, 2.) ] Ge 5. ] }
   in
-  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0; 1 ])) in
+  let s = get_milp (fst (Milp.solve (of_problem p) ~integer_vars:[ 0; 1 ])) in
   checkf "objective" 11. s.Milp.value
 
 let test_milp_infeasible () =
@@ -169,7 +178,7 @@ let test_milp_infeasible () =
   in
   (* 0.5 <= x <= 0.5 has no integer point... except x=0.5; integrality
      makes it infeasible. *)
-  (match fst (Milp.solve p ~integer_vars:[ 0 ]) with
+  (match fst (Milp.solve (of_problem p) ~integer_vars:[ 0 ]) with
   | Milp.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible")
 
@@ -179,7 +188,7 @@ let test_milp_mixed () =
     { nvars = 2; sense = Maximize; objective = [ (0, 1.); (1, 1.) ];
       constrs = [ constr [ (0, 1.) ] Le 2.5; constr [ (1, 1.) ] Le 0.5 ] }
   in
-  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0 ])) in
+  let s = get_milp (fst (Milp.solve (of_problem p) ~integer_vars:[ 0 ])) in
   checkf "objective" 2.5 s.Milp.value;
   checkf "x integral" 2. s.Milp.point.(0)
 
@@ -195,7 +204,9 @@ let test_milp_assignment () =
           constr [ (var 0 0, 1.); (var 1 0, 1.) ] Eq 1.;
           constr [ (var 0 1, 1.); (var 1 1, 1.) ] Eq 1. ] }
   in
-  let s = get_milp (fst (Milp.solve p ~integer_vars:[ 0; 1; 2; 3 ])) in
+  let s =
+    get_milp (fst (Milp.solve (of_problem p) ~integer_vars:[ 0; 1; 2; 3 ]))
+  in
   checkf "objective" 2. s.Milp.value
 
 (* ------------------------------------------------------------------ *)
@@ -224,7 +235,7 @@ let prop_lp_solution_feasible =
             :: List.mapi (fun j u -> constr [ (j, 1.) ] Le u) us }
       in
       match solve p with
-      | Optimal { value; solution } ->
+      | Sparse.Optimal { value; solution; _ } ->
         check_feasible p solution
         && value
            >= List.fold_left2 (fun acc c x -> acc +. (c *. x)) 0. cs
@@ -241,12 +252,18 @@ let test_milp_warm_start () =
           constr [ (1, 1.) ] Le 3. ] }
   in
   let initial = [| 1.; 1. |] in
-  (match fst (Milp.solve ~max_nodes:1 ~initial p ~integer_vars:[ 0; 1 ]) with
+  (match
+     fst (Milp.solve ~max_nodes:1 ~initial (of_problem p) ~integer_vars:[ 0; 1 ])
+   with
   | Milp.Solution s ->
     Alcotest.(check bool) "at least the warm start" true (s.Milp.value >= 5. -. 1e-9)
   | _ -> Alcotest.fail "expected a solution");
   (* An infeasible warm start is ignored, not trusted. *)
-  (match fst (Milp.solve ~initial:[| 10.; 10. |] p ~integer_vars:[ 0; 1 ]) with
+  (match
+     fst
+       (Milp.solve ~initial:[| 10.; 10. |] (of_problem p)
+          ~integer_vars:[ 0; 1 ])
+   with
   | Milp.Solution s -> checkf "true optimum" 11. s.Milp.value
   | _ -> Alcotest.fail "expected a solution")
 
@@ -278,7 +295,7 @@ let prop_milp_matches_enumeration =
           then best := max !best ((c0 *. xf) +. (c1 *. yf))
         done
       done;
-      match fst (Milp.solve p ~integer_vars:[ 0; 1 ]) with
+      match fst (Milp.solve (of_problem p) ~integer_vars:[ 0; 1 ]) with
       | Milp.Solution s -> abs_float (s.Milp.value -. !best) <= 1e-6
       | _ -> false)
 
@@ -292,8 +309,11 @@ let prop_lp_bound_dominates_milp =
             constr (List.init n (fun j -> (j, 1.))) Le budget
             :: List.mapi (fun j u -> constr [ (j, 1.) ] Le u) us }
       in
-      match (solve p, fst (Milp.solve p ~integer_vars:(List.init n Fun.id))) with
-      | Optimal { value = lp; _ }, Milp.Solution s ->
+      let milp =
+        fst (Milp.solve (of_problem p) ~integer_vars:(List.init n Fun.id))
+      in
+      match (solve p, milp) with
+      | Sparse.Optimal { value = lp; _ }, Milp.Solution s ->
         lp >= s.Milp.value -. 1e-6
         && Array.for_all
              (fun x -> abs_float (x -. Float.round x) <= 1e-5)

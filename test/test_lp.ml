@@ -1,15 +1,22 @@
 (* Randomized cross-validation of the sparse revised simplex against
-   the dense tableau oracle (Simplex.Dense), plus warm-start and MILP
+   the dense tableau oracle (Lp_oracle.Dense), plus warm-start and MILP
    warm/cold equivalence.  Every instance is generated from a fixed
    seed, so failures reproduce exactly. *)
 
 open Linprog
-open Simplex
+open Lp_oracle
+module Sparse = Simplex.Sparse
 
 let show_result = function
   | Optimal { value; _ } -> Printf.sprintf "optimal %.9g" value
   | Infeasible -> "infeasible"
   | Unbounded -> "unbounded"
+
+let show_outcome = function
+  | Sparse.Optimal { value; _ } -> Printf.sprintf "optimal %.9g" value
+  | Sparse.Infeasible -> "infeasible"
+  | Sparse.Unbounded -> "unbounded"
+  | Sparse.CycleLimit _ -> "cycle limit"
 
 (* Random general LPs: mixed senses and relations, negative rhs,
    duplicate coefficients, empty-ish rows, half-integer data (so ties
@@ -59,10 +66,10 @@ let gen_problem st =
    (when optimal) matching objective values and feasible points. *)
 let agree name p =
   let dense = Dense.solve ~max_iters:200_000 p in
-  let sparse = solve p in
+  let sparse = Sparse.solve (of_problem p) in
   match (dense, sparse) with
-  | Optimal { value = dv; solution = dx }, Optimal { value = sv; solution = sx }
-    ->
+  | ( Optimal { value = dv; solution = dx },
+      Sparse.Optimal { value = sv; solution = sx; _ } ) ->
     if abs_float (dv -. sv) > 1e-6 *. (1. +. abs_float dv) then
       Alcotest.failf "%s: dense %.9g <> sparse %.9g" name dv sv;
     if not (check_feasible p dx) then
@@ -70,11 +77,11 @@ let agree name p =
     if not (check_feasible p sx) then
       Alcotest.failf "%s: sparse point infeasible" name;
     `Optimal
-  | Infeasible, Infeasible -> `Infeasible
-  | Unbounded, Unbounded -> `Unbounded
+  | Infeasible, Sparse.Infeasible -> `Infeasible
+  | Unbounded, Sparse.Unbounded -> `Unbounded
   | _ ->
     Alcotest.failf "%s: dense %s <> sparse %s" name (show_result dense)
-      (show_result sparse)
+      (show_outcome sparse)
 
 let fuzz_seeds = List.init 200 (fun i -> i + 1)
 
@@ -94,6 +101,40 @@ let test_fuzz_vs_dense () =
   Alcotest.(check bool) "saw infeasible" true (!inf > 10);
   Alcotest.(check bool) "saw unbounded" true (!unb > 10)
 
+(* [Sparse.feasible] on the folded problem must judge every point as the
+   oracle's row-form [check_feasible] does: at both solvers' optima, and
+   at random half-integer points, which often sit exactly on a row or a
+   folded bound. *)
+let test_feasible_vs_oracle () =
+  let feas = ref 0 and infeas = ref 0 in
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| 0x1b; seed |] in
+      let p = gen_problem st in
+      let sp = of_problem p in
+      let same label x =
+        let s = Sparse.feasible sp x and o = check_feasible p x in
+        if s <> o then
+          Alcotest.failf "seed %d %s: Sparse.feasible %b, oracle %b" seed label
+            s o;
+        incr (if s then feas else infeas)
+      in
+      (match Dense.solve ~max_iters:200_000 p with
+      | Optimal { solution; _ } -> same "dense optimum" solution
+      | Infeasible | Unbounded -> ());
+      (match Sparse.solve sp with
+      | Sparse.Optimal { solution; _ } -> same "sparse optimum" solution
+      | _ -> ());
+      let pts = Random.State.make [| 0xfe; seed |] in
+      for _ = 1 to 20 do
+        same "point"
+          (Array.init p.nvars (fun _ ->
+               float_of_int (Random.State.int pts 11 - 1) /. 2.))
+      done)
+    fuzz_seeds;
+  Alcotest.(check bool) "saw feasible points" true (!feas > 100);
+  Alcotest.(check bool) "saw infeasible points" true (!infeas > 100)
+
 (* Re-solving from the returned optimal basis must reproduce the value
    in no more iterations than the cold solve (normally zero). *)
 let test_warm_start_equals_cold () =
@@ -102,7 +143,7 @@ let test_warm_start_equals_cold () =
     (fun seed ->
       let st = Random.State.make [| 0x1b; seed |] in
       let p = gen_problem st in
-      let sp = Sparse.of_problem p in
+      let sp = of_problem p in
       match Sparse.solve sp with
       | Sparse.Optimal { value; basis; iters; _ } ->
         incr tested;
@@ -132,7 +173,7 @@ let test_bounds_overrides_vs_dense () =
     (fun seed ->
       let st = Random.State.make [| 0xb0; seed |] in
       let p = gen_problem st in
-      let sp = Sparse.of_problem p in
+      let sp = of_problem p in
       match Sparse.solve sp with
       | Sparse.Optimal { basis; _ } ->
         incr tested;
@@ -192,19 +233,28 @@ let test_degenerate_beale () =
   ignore (agree "beale" p)
 
 let test_fixed_variable_folding () =
-  (* A singleton Eq row becomes a fixed bound inside of_problem; the
-     solution must carry the fixed value. *)
-  let p =
-    { nvars = 2; sense = Maximize; objective = [ (0, 1.); (1, 1.) ];
-      constrs =
-        [ constr [ (0, 1.) ] Eq 2.; constr [ (0, 1.); (1, 1.) ] Le 5. ] }
-  in
-  (match solve p with
-  | Optimal { value; solution } ->
+  (* [add_row] turns a singleton Eq row into a fixed bound, not a row;
+     the solution must carry the fixed value. *)
+  let b = Sparse.builder ~minimize:false 2 in
+  Sparse.set_obj b 0 1.;
+  Sparse.set_obj b 1 1.;
+  Sparse.add_row b [ (0, 1.) ] Eq 2.;
+  Sparse.add_row b [ (0, 1.); (1, 1.) ] Le 5.;
+  let sp = Sparse.finish b in
+  Alcotest.(check int) "singleton row not counted" 1 sp.Sparse.nrows;
+  Alcotest.(check (pair (float 0.) (float 0.)))
+    "bounds" (2., 2.)
+    (sp.Sparse.lower.(0), sp.Sparse.upper.(0));
+  (match Sparse.solve sp with
+  | Sparse.Optimal { value; solution; _ } ->
     Alcotest.(check (float 1e-9)) "value" 5. value;
     Alcotest.(check (float 1e-9)) "fixed var" 2. solution.(0)
-  | o -> Alcotest.failf "expected optimal, got %s" (show_result o));
-  ignore (agree "fixed-var" p)
+  | o -> Alcotest.failf "expected optimal, got %s" (show_outcome o));
+  ignore
+    (agree "fixed-var"
+       { nvars = 2; sense = Maximize; objective = [ (0, 1.); (1, 1.) ];
+         constrs =
+           [ constr [ (0, 1.) ] Eq 2.; constr [ (0, 1.); (1, 1.) ] Le 5. ] })
 
 let test_conflicting_singletons_infeasible () =
   let p =
@@ -228,26 +278,24 @@ let test_cycle_limit_typed () =
     { nvars = 2; sense = Maximize; objective = [ (0, 1.); (1, 1.) ];
       constrs = [ constr [ (0, 1.); (1, 2.) ] Le 4. ] }
   in
-  let sp = Sparse.of_problem p in
-  (match Sparse.solve ~max_iters:0 sp with
+  let sp = of_problem p in
+  match Sparse.solve ~max_iters:0 sp with
   | Sparse.CycleLimit { iters } -> Alcotest.(check int) "iters" 0 iters
-  | _ -> Alcotest.fail "expected CycleLimit");
-  (* The legacy wrapper keeps the historical Failure contract. *)
-  Alcotest.check_raises "legacy failure"
-    (Failure "Simplex: iteration limit exceeded") (fun () ->
-      ignore (solve ~max_iters:0 p))
+  | _ -> Alcotest.fail "expected CycleLimit"
 
 let test_default_iter_limit_scales () =
-  let small = Sparse.of_problem { nvars = 1; sense = Maximize;
-                                  objective = [ (0, 1.) ];
-                                  constrs = [ constr [ (0, 1.); (0, 0.) ] Le 1. ] }
+  let small =
+    of_problem
+      { nvars = 1; sense = Maximize; objective = [ (0, 1.) ];
+        constrs = [ constr [ (0, 1.); (0, 0.) ] Le 1. ] }
   in
   let big_rows =
     List.init 100 (fun i ->
         constr [ (i mod 5, 1.); ((i + 1) mod 5, 1.) ] Le (float_of_int (i + 1)))
   in
-  let big = Sparse.of_problem { nvars = 5; sense = Maximize;
-                                objective = [ (0, 1.) ]; constrs = big_rows }
+  let big =
+    of_problem
+      { nvars = 5; sense = Maximize; objective = [ (0, 1.) ]; constrs = big_rows }
   in
   Alcotest.(check bool) "limit grows with size" true
     (Sparse.default_iter_limit big > Sparse.default_iter_limit small)
@@ -272,8 +320,9 @@ let test_milp_warm_equals_cold () =
           :: List.init n (fun j -> constr [ (j, 1.) ] Le 3.) }
     in
     let integer_vars = List.init n Fun.id in
-    let r_warm, e_warm = Milp.solve ~warm:true p ~integer_vars in
-    let r_cold, e_cold = Milp.solve ~warm:false p ~integer_vars in
+    let sp = of_problem p in
+    let r_warm, e_warm = Milp.solve ~warm:true sp ~integer_vars in
+    let r_cold, e_cold = Milp.solve ~warm:false sp ~integer_vars in
     match (r_warm, r_cold) with
     | Milp.Solution w, Milp.Solution c ->
       if abs_float (w.Milp.value -. c.Milp.value) > 1e-6 then
@@ -300,6 +349,8 @@ let () =
             test_warm_start_equals_cold;
           Alcotest.test_case "bound overrides = explicit rows" `Quick
             test_bounds_overrides_vs_dense;
+          Alcotest.test_case "Sparse.feasible = oracle check_feasible" `Quick
+            test_feasible_vs_oracle;
         ] );
       ( "corners",
         [

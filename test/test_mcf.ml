@@ -58,19 +58,26 @@ let test_aggregate_order_independent () =
 let test_lp_parallel () =
   (* Demand 2 over caps {1,3}: optimum spreads proportionally, U = 1/2. *)
   let g = parallel_links () in
-  let u = Mcf.opt_mlu_lp g [| Demand.make 0 1 2. |] in
+  let u = (Mcf.opt_mlu_lp g [| Demand.make 0 1 2. |]).Mcf.value in
   checkf6 "U" 0.5 u
+
+(* No demands: OPT is 0 through the dispatcher and through the LP. *)
+let test_no_demands () =
+  let g = parallel_links () in
+  Alcotest.(check (float 0.)) "opt_mlu" 0. (Mcf.opt_mlu g [||]);
+  Alcotest.(check (float 0.)) "opt_mlu_lp" 0. (Mcf.opt_mlu_lp g [||]).Mcf.value
 
 let test_lp_two_commodities () =
   (* Shared bottleneck: 0->1 cap 2, 1->2 cap 2, demands 0->2 of 1 and
      1->2 of 1 -> U on (1,2) is 1. *)
   let g = Digraph.of_edges ~n:3 [ (0, 1, 2.); (1, 2, 2.) ] in
-  let u = Mcf.opt_mlu_lp g [| Demand.make 0 2 1.; Demand.make 1 2 1. |] in
+  let comms = [| Demand.make 0 2 1.; Demand.make 1 2 1. |] in
+  let u = (Mcf.opt_mlu_lp g comms).Mcf.value in
   checkf6 "U" 1. u
 
 let test_lp_uses_both_paths () =
   let g = Digraph.of_edges ~n:4 [ (0, 1, 1.); (1, 3, 1.); (0, 2, 1.); (2, 3, 1.) ] in
-  let u = Mcf.opt_mlu_lp g [| Demand.make 0 3 2. |] in
+  let u = (Mcf.opt_mlu_lp g [| Demand.make 0 3 2. |]).Mcf.value in
   checkf6 "split perfectly" 1. u
 
 let test_single_pair_uses_maxflow () =
@@ -93,7 +100,7 @@ let test_gk_close_to_lp () =
         (2, 4, 2.) ]
   in
   let comms = [| Demand.make 0 2 2.; Demand.make 1 4 1.; Demand.make 0 4 1. |] in
-  let exact = Mcf.opt_mlu_lp g comms in
+  let exact = (Mcf.opt_mlu_lp g comms).Mcf.value in
   let lambda = Mcf.max_concurrent_flow ~epsilon:0.05 g comms in
   let approx = 1. /. lambda in
   Alcotest.(check bool) "lambda lower-bounds 1/OPT" true (approx >= exact -. 1e-6);
@@ -118,7 +125,7 @@ let test_dispatch_consistency () =
         (1, 4, 1.); (3, 2, 1.) ]
   in
   let comms = [| Demand.make 0 5 2.; Demand.make 1 5 1. |] in
-  let lp = Mcf.opt_mlu_lp g comms in
+  let lp = (Mcf.opt_mlu_lp g comms).Mcf.value in
   let gk = 1. /. Mcf.max_concurrent_flow ~epsilon:0.05 g comms in
   Alcotest.(check bool)
     (Printf.sprintf "agree within 15%% (lp %g gk %g)" lp gk)
@@ -141,7 +148,7 @@ let test_gk_multi_source () =
   let comms =
     [| Demand.make 0 3 2.; Demand.make 1 3 1.; Demand.make 2 3 1. |]
   in
-  let exact = Mcf.opt_mlu_lp g comms in
+  let exact = (Mcf.opt_mlu_lp g comms).Mcf.value in
   let gk = 1. /. Mcf.max_concurrent_flow ~epsilon:0.05 g comms in
   Alcotest.(check bool)
     (Printf.sprintf "within 15%% (lp %g gk %g)" exact gk)
@@ -157,7 +164,7 @@ let test_transportation_lp () =
       [ (0, 1, 100.); (0, 2, 100.); (1, 3, 1.); (1, 4, 1.); (2, 3, 1.);
         (2, 4, 1.); (3, 5, 100.); (4, 5, 100.) ]
   in
-  let u = Mcf.opt_mlu_lp g [| Demand.make 0 5 4. |] in
+  let u = (Mcf.opt_mlu_lp g [| Demand.make 0 5 4. |]).Mcf.value in
   checkf6 "four units over four unit links" 1. u
 
 (* Property: LP OPT is never larger than the MLU of any concrete routing
@@ -184,7 +191,7 @@ let prop_opt_lower_bounds_ecmp =
             let t = (s + 1 + Random.State.int st (n - 1)) mod n in
             Demand.make s t (0.5 +. Random.State.float st 1.))
       in
-      let opt = Mcf.opt_mlu_lp g comms in
+      let opt = (Mcf.opt_mlu_lp g comms).Mcf.value in
       let ecmp = Te.Ecmp.mlu_of g (Te.Weights.unit g) comms in
       opt <= ecmp +. 1e-6)
 
@@ -214,8 +221,8 @@ let test_warm_basis_drift () =
   let basis = ref None in
   for step = 1 to 20 do
     let comms = drift step in
-    let cold = Mcf.opt_mlu_lp_warm_ext g comms in
-    let warm = Mcf.opt_mlu_lp_warm_ext ?basis:!basis g comms in
+    let cold = Mcf.opt_mlu_lp g comms in
+    let warm = Mcf.opt_mlu_lp ?basis:!basis g comms in
     Alcotest.(check (float 1e-6))
       (Printf.sprintf "step %d: warm objective = cold" step)
       cold.Mcf.value warm.Mcf.value;
@@ -239,13 +246,13 @@ let test_warm_solve_stats () =
   let g = parallel_links () in
   let comms = [| Demand.make 0 1 2. |] in
   let stats = Engine.Stats.create () in
-  let r = Mcf.opt_mlu_lp_warm_ext g comms in
+  let r = Mcf.opt_mlu_lp g comms in
   let record (r : Mcf.warm_solve) =
     Engine.Stats.record_lp stats ~solves:1 ~pivots:r.Mcf.pivots
       ~warm:(Bool.to_int r.Mcf.warm)
   in
   record r;
-  let r2 = Mcf.opt_mlu_lp_warm_ext ~basis:r.Mcf.basis g comms in
+  let r2 = Mcf.opt_mlu_lp ~basis:r.Mcf.basis g comms in
   record r2;
   checkf6 "same objective" r.Mcf.value r2.Mcf.value;
   Alcotest.(check int) "two solves" 2 stats.Engine.Stats.lp_solves;
@@ -263,6 +270,7 @@ let () =
           Alcotest.test_case "aggregate order-independent" `Quick
             test_aggregate_order_independent;
           Alcotest.test_case "parallel links" `Quick test_lp_parallel;
+          Alcotest.test_case "no demands" `Quick test_no_demands;
           Alcotest.test_case "two commodities" `Quick test_lp_two_commodities;
           Alcotest.test_case "uses both paths" `Quick test_lp_uses_both_paths;
           Alcotest.test_case "single pair via maxflow" `Quick test_single_pair_uses_maxflow;

@@ -363,7 +363,7 @@ let test_daemon_lp_warm_by_destination () =
     (int_field "demands" r);
   Alcotest.(check int) "pair removal solves warm" 1 stats.Engine.Stats.lp_warm_solves;
   let _, demands, _ = Serve.Daemon.state d in
-  let cold = Mcf.opt_mlu_lp g demands in
+  let cold = (Mcf.opt_mlu_lp g demands).Mcf.value in
   let warm = float_field "lp_bound" r in
   Alcotest.(check bool)
     (Printf.sprintf "warm %.17g = cold %.17g" warm cold)

@@ -101,7 +101,7 @@ let test_omw_fuzz () =
     let g, demands = instance seed in
     let w1 = invcap_ints g in
     let r = Omw.optimize_ctx (Obs.Ctx.default ()) g w1 demands in
-    let lp = Mcf.opt_mlu_lp g demands in
+    let lp = (Mcf.opt_mlu_lp g demands).Mcf.value in
     Alcotest.(check bool)
       (ctx "mlu never below the LP bound")
       true
