@@ -13,6 +13,35 @@ let default_params =
 
 type result = { weights : int array; mlu : float; phi : float; evals : int }
 
+(* Memo keys: whole integer weight vectors.  The polymorphic
+   [Hashtbl.hash] reads only the first 10 elements, so settings that
+   differ only further on share a bucket and a lookup degrades to a
+   list scan.  This hash mixes every element (an FNV-1a-style
+   xor-multiply per element, then a fold of the high bits into the low
+   ones the table indexes by); equality is the structural one, so hits
+   and misses are unchanged. *)
+module Setting_tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : int array) (b : int array) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
+
+  let hash (a : int array) =
+    let h = ref (Array.length a) in
+    for i = 0 to Array.length a - 1 do
+      h := (!h lxor a.(i)) * 0x100000001b3
+    done;
+    let h = !h in
+    (h lxor (h lsr 29)) land max_int
+end)
+
 let evaluate g demands int_weights =
   let ev = Engine.Evaluator.create g (Weights.of_ints int_weights) in
   Engine.Evaluator.set_commodities ev demands;
@@ -59,11 +88,12 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
   let evals = ref 0 in
   (* Fortz–Thorup keep a hash table of already-evaluated settings; memo
      hits do not consume the evaluation budget. *)
-  let memo : (int array, float * float * float array) Hashtbl.t =
-    Hashtbl.create 1024
+  let memo : (float * float * float array) Setting_tbl.t =
+    Setting_tbl.create 1024
   in
   let memoize w r =
-    if Hashtbl.length memo < 200_000 then Hashtbl.replace memo (Array.copy w) r
+    if Setting_tbl.length memo < 200_000 then
+      Setting_tbl.replace memo (Array.copy w) r
   in
   (* Evaluates the engine's current weight vector, which the caller has
      already synced to [w] (the memo key).  Results land in a reused
@@ -80,7 +110,7 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
   let objective (mlu, phi) = if params.use_phi then phi else mlu in
   let current = init in
   let cur_mlu, cur_phi, cur_loads =
-    match Hashtbl.find_opt memo current with
+    match Setting_tbl.find_opt memo current with
     | Some r -> r
     | None -> eval_engine current
   in
@@ -191,7 +221,7 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
           if !sim >= params.max_evals then None
           else begin
             current.(e) <- wv;
-            match Hashtbl.find_opt memo current with
+            match Setting_tbl.find_opt memo current with
             | Some r -> Some (wv, `Memo r)
             | None ->
               incr sim;
@@ -246,7 +276,8 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
           | `Probe key ->
             let r = probe_results.(!next_probe) in
             incr next_probe;
-            if Hashtbl.length memo < 200_000 then Hashtbl.replace memo key r;
+            if Setting_tbl.length memo < 200_000 then
+              Setting_tbl.replace memo key r;
             r
         in
         ignore (r : float * float * float array);
@@ -296,7 +327,7 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
       Engine.Evaluator.commit ev;
       publish_weights ();
       let mlu, phi, loads =
-        match Hashtbl.find_opt memo current with
+        match Setting_tbl.find_opt memo current with
         | Some r -> r
         | None -> eval_engine current
       in

@@ -4,6 +4,7 @@
 
 #include <caml/mlvalues.h>
 #include <caml/alloc.h>
+#include <string.h>
 #include <time.h>
 
 /* Native entry: unboxed double return, so timing a hot phase does not
@@ -20,4 +21,16 @@ double te_monotonic_seconds_unboxed(value unit)
 CAMLprim value te_monotonic_seconds(value unit)
 {
   return caml_copy_double(te_monotonic_seconds_unboxed(unit));
+}
+
+/* Copies [len] elements between int arrays with one memmove.  Ints are
+   immediates: no write barrier is needed, so the copy may bypass
+   caml_modify even into the major heap.  Allocates nothing (the OCaml
+   side declares it [@@noalloc]); the caller checks the bounds. */
+value te_blit_ints(value src, value src_pos, value dst, value dst_pos,
+                   value len)
+{
+  memmove(Op_val(dst) + Long_val(dst_pos), Op_val(src) + Long_val(src_pos),
+          Long_val(len) * sizeof(value));
+  return Val_unit;
 }

@@ -141,8 +141,11 @@ val set_commodities : t -> Netgraph.Demand.t array -> unit
 val loads : t -> float array
 (** Aggregate per-edge load of the attached commodities under the
     current weights.  The returned array is the evaluator's internal
-    buffer — copy it before mutating.  Agrees with the size-scaled sum
-    of {!add_unit} rows to rounding, not bit for bit.
+    buffer — copy it before mutating.  Bit for bit the sum, over
+    destinations in ascending order, of dense per-destination ECMP
+    sweeps (test_engine checks this against {!dag} views); agrees with
+    the size-scaled sum of {!add_unit} rows to rounding, not bit for
+    bit.
     @raise Unroutable for the first unroutable source, in arrival
     order, of the lowest destination that has one. *)
 

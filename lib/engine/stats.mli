@@ -69,10 +69,11 @@ type t = {
     straight into [hot]:
     {[ let ht = Stats.hot_times s in
        ht.(Stats.hot_units) <- ht.(Stats.hot_units) +. dt ]}
-    (a float-array store never boxes).  [loads] counts only the re-sum
-    of the cached per-destination vectors, not the [units] sweeps that
-    refill them; a [units] sweep still includes any [spf_full] build it
-    triggers. *)
+    (a float-array store never boxes).  The four phases never overlap:
+    [loads] counts only the re-sum of the cached per-destination
+    contributions, not the [units] sweeps that refill them, and a
+    [units] sweep or unit-row build excludes any [spf_full] build it
+    triggers, so the timers add up to the engine's time. *)
 
 val hot_spf_full : int
 val hot_spf_incr : int

@@ -85,11 +85,11 @@ let edge_flows_of_solution g comms solution =
   done;
   flows
 
-let opt_mlu_lp ?basis g comms =
+let opt_mlu_lp ?basis ?probe g comms =
   let comms = Demand.aggregate comms in
   check_routable g comms;
   let p = build_mlu_lp g comms in
-  match Simplex.Sparse.solve ?basis p with
+  match Simplex.Sparse.solve ?basis ?probe p with
   | Simplex.Sparse.Optimal { value; basis = b; iters; solution } ->
     { value; basis = b; pivots = iters; warm = basis <> None;
       edge_flows = edge_flows_of_solution g comms solution }

@@ -33,6 +33,7 @@ type warm_solve = {
 
 val opt_mlu_lp :
   ?basis:Linprog.Simplex.Sparse.basis ->
+  ?probe:Linprog.Simplex.probe ->
   Netgraph.Digraph.t ->
   Netgraph.Demand.t array ->
   warm_solve
@@ -45,7 +46,9 @@ val opt_mlu_lp :
     consecutive nearly-identical LPs — demand-scaling sweeps, serving
     loops — re-solve in a handful of pivots; a stale basis never changes
     the result, only [pivots] (callers tracking engine statistics record
-    it via [Engine.Stats.record_lp]).
+    it via [Engine.Stats.record_lp]).  [probe] (default
+    {!Linprog.Simplex.null_probe}) receives the solve's ["lp:solve"]
+    and ["lp:factor"] spans.
     @raise Failure if some demand is not routable. *)
 
 val max_concurrent_flow :

@@ -143,7 +143,8 @@ let lp_bound t =
         (Array.to_list (Array.map (fun d -> d.Network.dst) t.cur_demands))
     in
     let basis = if key = t.basis_key then t.basis else None in
-    match Mcf.opt_mlu_lp ?basis t.g t.cur_demands with
+    let probe = Obs.Tracer.lp_probe t.ctx.Obs.Ctx.tracer in
+    match Mcf.opt_mlu_lp ?basis ~probe t.g t.cur_demands with
     | r ->
       Engine.Stats.record_lp t.ctx.Obs.Ctx.stats ~solves:1 ~pivots:r.Mcf.pivots
         ~warm:(Bool.to_int r.Mcf.warm);

@@ -149,9 +149,9 @@ let fixture =
      (g, demands, weights))
 
 let make_daemon ?(cfg_f = fun c -> c) ?(pool = Par.Pool.sequential)
-    ?(stats = Engine.Stats.create ()) () =
+    ?(stats = Engine.Stats.create ()) ?tracer () =
   let g, demands, weights = Lazy.force fixture in
-  let ctx = Obs.Ctx.make ~stats ~pool () in
+  let ctx = Obs.Ctx.make ~stats ~pool ?tracer () in
   let cfg =
     cfg_f
       {
@@ -370,6 +370,28 @@ let test_daemon_lp_warm_by_destination () =
     true
     (abs_float (warm -. cold) <= 1e-9 *. abs_float cold)
 
+let test_daemon_lp_spans () =
+  (* A traced update with an LP readout shows the simplex's own spans,
+     so the readout's cost is attributed like every other layer. *)
+  let tracer = Obs.Tracer.create () in
+  let d = make_daemon ~tracer () in
+  let _, demands, _ = Serve.Daemon.state d in
+  let dm = demands.(0) in
+  let r =
+    must_respond d
+      (Printf.sprintf
+         "{\"ev\":\"delta\",\"changes\":[{\"src\":%d,\"dst\":%d,\"size\":%.17g}]}"
+         dm.Network.src dm.Network.dst (1.2 *. dm.Network.size))
+  in
+  Alcotest.(check bool) "update carries an LP readout" true
+    (float_field "lp_bound" r > 0.);
+  let names = List.map (fun sp -> sp.Obs.Span.name) (Obs.Tracer.spans tracer) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " span recorded") true (List.mem name names))
+    [ "lp:solve"; "lp:factor" ];
+  Alcotest.(check int) "well nested" 0 (Obs.Tracer.misnested tracer)
+
 let test_daemon_quit () =
   let d = make_daemon () in
   let r = must_respond d "{\"ev\":\"quit\"}" in
@@ -424,6 +446,7 @@ let () =
             test_daemon_set_matrix_and_delta_remove;
           Alcotest.test_case "LP warm across pair removal" `Quick
             test_daemon_lp_warm_by_destination;
+          Alcotest.test_case "LP readout spans" `Quick test_daemon_lp_spans;
           Alcotest.test_case "quit" `Quick test_daemon_quit;
         ] );
       ( "replay",
