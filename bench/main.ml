@@ -45,23 +45,9 @@ let fmax xs = List.fold_left max neg_infinity xs
 let ls_params ~seed ~evals =
   { Local_search.default_params with max_evals = evals; seed }
 
-(* GradWO needs the exact min-MLU LP (its gradient descends on the
-   per-edge optimal flows).  The ladder and the solver frontier run it
-   only up to this many LP variables and skip it, saying so, above.
-   The gate is not about cost: ungated, one GradWO run on any fig4
-   topology takes under 6 s, LP included (EXPERIMENTS.md); raising it
-   changes the fig4 table and BENCH_solvers.  1 + |targets| * |E|
-   mirrors the LP layout in lib/mcf. *)
-let grad_lp_limit = 3000
-
-let lp_var_count g demands =
-  let targets = Hashtbl.create 16 in
-  Array.iter (fun d -> Hashtbl.replace targets d.Demand.dst ()) demands;
-  1 + (Hashtbl.length targets * Digraph.edge_count g)
-
 (* The four heuristics of Figure 4, in the paper's order, plus the two
    diversity backends: OMW splitting on top of the HeurOSPF weights,
-   and GradWO where its LP fits under [grad_lp_limit]. *)
+   and GradWO descending on the exact min-MLU LP's edge flows. *)
 let ladder g demands ~seed ~evals =
   let inv_w = Weights.inverse_capacity g in
   let inv = Ecmp.mlu_of g inv_w demands in
@@ -75,11 +61,8 @@ let ladder g demands ~seed ~evals =
   in
   [ ("InverseCapacity", inv); ("HeurOSPF", ls.Local_search.mlu);
     ("GreedyWaypoints", greedy.Greedy_wpo.mlu); ("JointHeur", joint.Joint.mlu);
-    ("OMW", omw.Omw.mlu) ]
-  @
-  if lp_var_count g demands <= grad_lp_limit then
-    [ ("GradWO", (Grad_wo.optimize_ctx (Obs.Ctx.default ()) g demands).Grad_wo.mlu) ]
-  else []
+    ("OMW", omw.Omw.mlu);
+    ("GradWO", (Grad_wo.optimize_ctx (Obs.Ctx.default ()) g demands).Grad_wo.mlu) ]
 
 let alg_names =
   [ "InverseCapacity"; "HeurOSPF"; "GreedyWaypoints"; "JointHeur"; "OMW";
@@ -311,36 +294,16 @@ let run_ladder_table ~title ~names ~gen_demands ~seeds ~evals =
         let demands = gen_demands g seed in
         ladder g demands ~seed ~evals)
   in
-  let sums = Hashtbl.create 8 in
-  List.iter (fun a -> Hashtbl.replace sums a []) alg_names;
+  let print_row label rs =
+    row "%-14s" label;
+    List.iter (fun a -> row " %15.3f" (mean (List.map (List.assoc a) rs))) alg_names;
+    row "\n%!"
+  in
   List.iteri
     (fun ni name ->
-      let per_alg = Hashtbl.create 8 in
-      List.iter (fun a -> Hashtbl.replace per_alg a []) alg_names;
-      for s = 0 to seeds - 1 do
-        List.iter
-          (fun (a, v) ->
-            Hashtbl.replace per_alg a (v :: Hashtbl.find per_alg a);
-            Hashtbl.replace sums a (v :: Hashtbl.find sums a))
-          results.((ni * seeds) + s)
-      done;
-      row "%-14s" name;
-      List.iter
-        (fun a ->
-          match Hashtbl.find per_alg a with
-          | [] -> row " %15s" "-"  (* GradWO skipped: LP too large *)
-          | xs -> row " %15.3f" (mean xs))
-        alg_names;
-      row "\n%!")
+      print_row name (List.init seeds (fun s -> results.((ni * seeds) + s))))
     names;
-  row "%-14s" "AVERAGE";
-  List.iter
-    (fun a ->
-      match Hashtbl.find sums a with
-      | [] -> row " %15s" "-"
-      | xs -> row " %15.3f" (mean xs))
-    alg_names;
-  row "\n"
+  print_row "AVERAGE" (Array.to_list results)
 
 let exp_fig4 () =
   let seeds = if !full then 10 else 2 in
@@ -350,8 +313,7 @@ let exp_fig4 () =
       if !full then max 1 (Digraph.edge_count g / 4)
       else max 2 (Digraph.edge_count g / 16)
     in
-    let epsilon = if !full then 0.08 else 0.15 in
-    Demand_gen.mcf_synthetic ~epsilon ~seed ~flows_per_pair:flows g
+    Demand_gen.mcf_synthetic ~seed ~flows_per_pair:flows g
   in
   run_ladder_table
     ~title:
@@ -364,7 +326,7 @@ let exp_fig4 () =
 let exp_fig6 () =
   let seeds = if !full then 10 else 3 in
   let evals = if !full then 3000 else 500 in
-  let gen g seed = Demand_gen.gravity ~epsilon:0.15 ~seed g in
+  let gen g seed = Demand_gen.gravity ~seed g in
   run_ladder_table
     ~title:
       (Printf.sprintf
@@ -391,7 +353,7 @@ let exp_fig5 () =
   in
   for seed = 1 to seeds do
     let demands =
-      Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed ~flows_per_pair:flows g
+      Demand_gen.mcf_synthetic ~seed ~flows_per_pair:flows g
     in
     push "UnitWeights" (Ecmp.mlu_of g (Weights.unit g) demands);
     let inv_w = Weights.inverse_capacity g in
@@ -526,7 +488,7 @@ let exp_ablation () =
   section "Ablations (design choices, see DESIGN.md)";
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let evals = if !full then 2000 else 500 in
   (* 1. HeurOSPF objective: Phi vs MLU. *)
@@ -578,7 +540,7 @@ let exp_ablation () =
   row "GreedyWPO improvement passes (Germany50, inverse-capacity weights):\n";
   let g50 = Topology.Datasets.load "Germany50" in
   let d50 =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:3 ~flows_per_pair:4 g50
+    Demand_gen.mcf_synthetic ~seed:3 ~flows_per_pair:4 g50
   in
   List.iter
     (fun passes ->
@@ -788,7 +750,7 @@ let time_best reps f =
 
 (* The quick-scale Figure 4 demand set most experiments measure on. *)
 let fig4_demands g =
-  Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1
+  Demand_gen.mcf_synthetic ~seed:1
     ~flows_per_pair:(max 2 (Digraph.edge_count g / 16))
     g
 
@@ -934,7 +896,7 @@ let size_scaling name =
 let heurospf_engine () =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let evals = if !full then 3000 else 600 in
   let s = Engine.Stats.create () in
@@ -1310,8 +1272,7 @@ let lp_race (name, g, comms) =
     A.bool "objectives_agree" (agree dval sval && agree mcf.Mcf.value sval) ]
 
 (* The raced LPs: Abilene under seeded demands, two gap instances, and a
-   medium instance from opt_mlu's LP-dispatch band (nvars below the
-   3000-variable limit): Germany50 with the demand matrix capped to the
+   medium instance: Germany50 with the demand matrix capped to the
    first few distinct destinations.  At that size the dense tableau's
    O(rows * cols) pivot cost stops being affordable. *)
 let germany50_lp () =
@@ -1321,7 +1282,7 @@ let germany50_lp () =
 let lp_instances abilene =
   let seeded seed =
     ( Printf.sprintf "Abilene(seed=%d)" seed, abilene,
-      Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed ~flows_per_pair:2 abilene )
+      Demand_gen.mcf_synthetic ~seed ~flows_per_pair:2 abilene )
   in
   let gap (name, inst) =
     let net = inst.Instances.Gap_instances.network in
@@ -1337,7 +1298,7 @@ let lp_instances abilene =
            true)
   in
   let d50 =
-    Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:1 ~flows_per_pair:4 g50
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:4 g50
   in
   List.map seeded (if !full then [ 1; 2; 3 ] else [ 1; 2 ])
   @ List.map gap
@@ -1382,7 +1343,7 @@ let milp_instances abilene =
   in
   let demands =
     Demand.aggregate
-      (Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed:1 ~flows_per_pair:2 abilene)
+      (Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 abilene)
   in
   let max_nodes = if !full then 5_000 else 1_500 in
   let inv_w = Weights.inverse_capacity abilene in
@@ -1398,7 +1359,7 @@ let milp_instances abilene =
 let basis_reuse abilene =
   let reps = lp_reps () in
   let comms =
-    Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:1 ~flows_per_pair:2 abilene
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 abilene
   in
   let scales = [ 0.7; 0.85; 1.0; 1.15; 1.3 ] in
   let scaled s =
@@ -1470,7 +1431,7 @@ let lp =
 let obs_overhead ctx =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let evals = if !full then 4000 else 1000 in
   let reps = if !full then 15 else 11 in
@@ -1770,13 +1731,11 @@ let serve =
 
 (* Every registered backend on Abilene + the Figure 4 suite: per
    (topology, solver) record the MLU, the wall time, and the fraction
-   of the inverse-capacity -> LP-optimum gap the solver closes — the
-   quality-vs-time frontier the registry opens up.  The LP bound is
-   exact simplex where the LP fits under [grad_lp_limit] and the FPTAS
-   fallback otherwise ({!Mcf.opt_mlu}'s own dispatch); GradWO runs only
-   under the exact bound and skipped runs are emitted as records, not
-   silently dropped.  On Abilene, grad and omw are also re-run on a
-   sequential and a 4-domain pool, which must agree bit for bit. *)
+   of the inverse-capacity -> OPT gap the solver closes — the
+   quality-vs-time frontier the registry opens up.  OPT is 1: the
+   demands are scaled by the exact LP optimum ({!Demand_gen}), so no
+   second solve is needed.  On Abilene, grad and omw are also re-run on
+   a sequential and a 4-domain pool, which must agree bit for bit. *)
 let solver_frontier ctx name =
   let config =
     { Solver.default_config with
@@ -1785,55 +1744,35 @@ let solver_frontier ctx name =
   let g = Topology.Datasets.load name in
   let demands =
     if !full then
-      Demand_gen.mcf_synthetic ~epsilon:0.08 ~seed:1
+      Demand_gen.mcf_synthetic ~seed:1
         ~flows_per_pair:(max 1 (Digraph.edge_count g / 4))
         g
     else fig4_demands g
   in
-  let vars = lp_var_count g demands in
-  let lp_exact = vars <= grad_lp_limit in
-  let lp =
-    Obs.Ctx.phase ctx "lp-bound" (fun () ->
-        Mcf.opt_mlu ~lp_var_limit:grad_lp_limit g demands)
-  in
   let inv = Ecmp.mlu_of g (Weights.inverse_capacity g) demands in
-  let head alg skipped =
-    [ A.str "topology" name; A.str "solver" alg; A.bool "skipped" skipped ]
-  in
-  let bound =
-    [ A.float "invcap_mlu" inv; A.float "lp_bound" lp;
-      A.bool "lp_exact" lp_exact ]
-  in
   List.map
     (fun s ->
       let alg = s.Solver.name in
-      if (alg = "grad" || alg = "grad+wpo") && not lp_exact then
-        head alg true @ bound @ [ A.int "lp_vars" vars ]
-      else
-        let solve pool = s.Solver.solve config (Obs.Ctx.make ~pool ()) g demands in
-        let r, wall =
-          Obs.Ctx.phase ctx alg (fun () ->
-              timed (fun () -> solve ctx.Obs.Ctx.pool))
-        in
-        let gap_closed =
-          if inv -. lp > 1e-9 then (inv -. r.Solver.mlu) /. (inv -. lp)
-          else nan
-        in
-        let jobs_identical =
-          if name = "Abilene" && (alg = "grad" || alg = "omw") then
-            [ A.bool "_jobs_identical"
-                (solve Par.Pool.sequential = Par.Pool.with_pool ~jobs:4 solve) ]
-          else []
-        in
-        head alg false
-        @ [ A.float "mlu" r.Solver.mlu ]
-        @ bound
-        @ [ A.float "gap_closed" gap_closed; A.float "wall_seconds" wall;
-            A.int "evaluations" r.Solver.evals ]
-        @ jobs_identical)
+      let solve pool = s.Solver.solve config (Obs.Ctx.make ~pool ()) g demands in
+      let r, wall =
+        Obs.Ctx.phase ctx alg (fun () -> timed (fun () -> solve ctx.Obs.Ctx.pool))
+      in
+      let gap_closed =
+        if inv -. 1. > 1e-9 then (inv -. r.Solver.mlu) /. (inv -. 1.) else nan
+      in
+      let jobs_identical =
+        if name = "Abilene" && (alg = "grad" || alg = "omw") then
+          [ A.bool "_jobs_identical"
+              (solve Par.Pool.sequential = Par.Pool.with_pool ~jobs:4 solve) ]
+        else []
+      in
+      [ A.str "topology" name; A.str "solver" alg; A.float "mlu" r.Solver.mlu;
+        A.float "invcap_mlu" inv; A.float "gap_closed" gap_closed;
+        A.float "wall_seconds" wall; A.int "evaluations" r.Solver.evals ]
+      @ jobs_identical)
     Solver.all
 
-(* OMW must close a strictly larger share of the invcap -> LP gap than
+(* OMW must close a strictly larger share of the invcap -> OPT gap than
    single-weight HeurOSPF on at least one topology. *)
 let omw_gate =
   { gate = "omw_beats_heurospf_on"; fatal = true; threshold = A.Int 1;
@@ -1854,23 +1793,26 @@ let omw_gate =
 let solvers =
   { title =
       "Solver frontier: registered backends on Abilene + the Figure 4 suite";
-    bench = "solvers"; version = 1; fields = [];
+    bench = "solvers"; version = 2; fields = [];
     run = (fun ctx ->
         List.concat_map (solver_frontier ctx)
           ("Abilene" :: Topology.Datasets.fig4_names));
     tables =
       [ ( "Solved:",
-          [ "topology"; "solver"; "mlu"; "lp_bound"; "lp_exact"; "gap_closed";
-            "wall_seconds"; "evaluations" ] );
-        ( "Skipped (exact LP over the variable gate):",
-          [ "topology"; "solver"; "lp_vars" ] ) ];
+          [ "topology"; "solver"; "mlu"; "gap_closed"; "wall_seconds";
+            "evaluations" ] ) ];
     gates =
       [ omw_gate;
+        (* OPT is a proven lower bound, so no solver closes more than
+           the whole gap; [nan] (baseline already optimal) is skipped. *)
+        at_most "gap_closed_at_most_1" (1. +. 1e-9) (fun rs ->
+            fmax
+              (List.filter (Fun.negate Float.is_nan)
+                 (List.map (num "gap_closed") rs)));
+        (* GradWO's MLU over OPT = 1. *)
         at_most "grad_within_10pct_of_lp" 1.1 (fun rs ->
-            let r =
-              matching [ A.str "topology" "Abilene"; A.str "solver" "grad" ] rs
-            in
-            first "mlu" r /. first "lp_bound" r);
+            first "mlu"
+              (matching [ A.str "topology" "Abilene"; A.str "solver" "grad" ] rs));
         all_true "grad_omw_jobs_identical" "_jobs_identical" ] }
 
 (* ------------------------------------------------------------------ *)

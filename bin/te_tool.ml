@@ -63,9 +63,9 @@ let make_demands ?(file_demands = []) g ~seed ~kind ~flows =
         ds
       |> Array.of_list
     in
-    fst (Demand_gen.scale_to_opt ~epsilon:0.1 g demands)
-  | "mcf", _ -> Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed ~flows_per_pair:flows g
-  | "gravity", _ -> Demand_gen.gravity ~epsilon:0.15 ~seed ~flows_per_pair:flows g
+    Demand_gen.scale_to_opt g demands
+  | "mcf", _ -> Demand_gen.mcf_synthetic ~seed ~flows_per_pair:flows g
+  | "gravity", _ -> Demand_gen.gravity ~seed ~flows_per_pair:flows g
   | other, _ ->
     Printf.eprintf "unknown demand kind %S (mcf|gravity|file)\n" other;
     exit 2

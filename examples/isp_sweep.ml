@@ -21,7 +21,7 @@ let () =
   Printf.printf "What-if sweep on %s (%d nodes, %d links)\n\n" name
     (Netgraph.Digraph.node_count g)
     (Netgraph.Digraph.edge_count g / 2);
-  let base = Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:7 ~flows_per_pair:4 g in
+  let base = Demand_gen.mcf_synthetic ~seed:7 ~flows_per_pair:4 g in
   Printf.printf "%8s %16s %12s %12s %14s\n" "traffic" "InverseCapacity"
     "HeurOSPF" "JointHeur" "joint headroom";
   List.iter

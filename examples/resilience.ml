@@ -8,7 +8,7 @@ open Te
 
 let () =
   let g = Topology.Datasets.abilene () in
-  let demands = Demand_gen.mcf_synthetic ~epsilon:0.05 ~seed:11 ~flows_per_pair:2 g in
+  let demands = Demand_gen.mcf_synthetic ~seed:11 ~flows_per_pair:2 g in
   let ls_params = { Local_search.default_params with max_evals = 800; seed = 11 } in
   let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
   Printf.printf "Abilene, optimized joint setting: MLU %.3f\n\n" joint.Joint.mlu;

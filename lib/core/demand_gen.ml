@@ -34,14 +34,11 @@ let select_pairs ~seed ~frac g =
   let k = max 1 (int_of_float (frac *. float_of_int (Array.length pairs))) in
   Array.sub pairs 0 k
 
-let scale_to_opt ?epsilon g demands =
-  let opt = Mcf.opt_mlu ?epsilon g demands in
-  let scaled =
-    Array.map (fun d -> { d with Network.size = d.Network.size /. opt }) demands
-  in
-  (scaled, opt)
+let scale_to_opt g demands =
+  let opt = Mcf.opt_mlu g demands in
+  Array.map (fun d -> { d with Network.size = d.Network.size /. opt }) demands
 
-let mcf_synthetic ?epsilon ?(frac = 0.2) ?flows_per_pair ~seed g =
+let mcf_synthetic ?(frac = 0.2) ?flows_per_pair ~seed g =
   let st = Random.State.make [| seed; 0xac |] in
   let pairs = select_pairs ~seed ~frac g in
   let base =
@@ -50,7 +47,7 @@ let mcf_synthetic ?epsilon ?(frac = 0.2) ?flows_per_pair ~seed g =
         { Network.src = s; dst = t; size = 0.5 +. Random.State.float st 1. })
       pairs
   in
-  let scaled, _ = scale_to_opt ?epsilon g base in
+  let scaled = scale_to_opt g base in
   let parts =
     match flows_per_pair with
     | Some p -> p
@@ -58,7 +55,7 @@ let mcf_synthetic ?epsilon ?(frac = 0.2) ?flows_per_pair ~seed g =
   in
   Network.split_demands ~parts scaled
 
-let gravity ?epsilon ?(flows_per_pair = 1) ~seed g =
+let gravity ?(flows_per_pair = 1) ~seed g =
   let st = Random.State.make [| seed; 0x9a |] in
   let n = Digraph.node_count g in
   (* Pareto(1.2) node masses give the heavy skew of real matrices. *)
@@ -72,5 +69,4 @@ let gravity ?epsilon ?(flows_per_pair = 1) ~seed g =
       (fun (s, t) -> { Network.src = s; dst = t; size = mass.(s) *. mass.(t) })
       pairs
   in
-  let scaled, _ = scale_to_opt ?epsilon g base in
-  Network.split_demands ~parts:flows_per_pair scaled
+  Network.split_demands ~parts:flows_per_pair (scale_to_opt g base)

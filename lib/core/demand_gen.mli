@@ -17,14 +17,11 @@ val select_pairs :
     links would otherwise pin every algorithm's normalized MLU to 1
     (falls back to all pairs if nothing remains). *)
 
-val scale_to_opt :
-  ?epsilon:float -> Netgraph.Digraph.t -> Network.demand array ->
-  Network.demand array * float
-(** Rescales all sizes by the same factor so OPT-MLU = 1; also returns
-    the pre-scaling OPT-MLU. *)
+val scale_to_opt : Netgraph.Digraph.t -> Network.demand array -> Network.demand array
+(** Rescales all sizes by the same factor so OPT-MLU = 1 (exact
+    {!Mcf.opt_mlu}). *)
 
 val mcf_synthetic :
-  ?epsilon:float ->
   ?frac:float ->
   ?flows_per_pair:int ->
   seed:int ->
@@ -34,7 +31,6 @@ val mcf_synthetic :
     defaults to [max 1 (|E| / 4)]. *)
 
 val gravity :
-  ?epsilon:float ->
   ?flows_per_pair:int ->
   seed:int ->
   Netgraph.Digraph.t ->

@@ -48,6 +48,17 @@ module Attr : sig
   val bool : string -> bool -> t
 end
 
+(** The JSON scalar printers behind every writer here and the serving
+    protocol's. *)
+module Json : sig
+  val str : string -> string
+  (** The quoted string literal, with quotes, backslashes and control
+      characters escaped. *)
+
+  val float : float -> string
+  (** [%.17g]; [nan] as [null], infinities as [1e999]/[-1e999]. *)
+end
+
 (** The exported view of one closed (or still-open) span. *)
 module Span : sig
   type t = {
@@ -271,7 +282,7 @@ module Export : sig
   val host_cores : unit -> int
 
   val json_str : string -> string
-  (** JSON string literal with escaping. *)
+  (** {!Json.str}. *)
 
   val envelope :
     schema:string -> phases:(string * float) list -> ?fields:Attr.t list ->

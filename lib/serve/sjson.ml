@@ -254,44 +254,21 @@ let to_list = function Arr l -> Some l | _ -> None
 (* Printer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | ch when Char.code ch < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
-      | ch -> Buffer.add_char buf ch)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(* Obs.Export's float rendering ([%.17g], [nan] as [null], infinities as
-   [±1e999]), with integral values printed without a fraction:
-   determinism over prettiness. *)
+(* Obs.Json's float rendering, with integral values printed without a
+   fraction: determinism over prettiness. *)
 let render_float f =
-  if Float.is_nan f then "null"
-  else if f = infinity then "1e999"
-  else if f = neg_infinity then "-1e999"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Obs.Json.float f
 
 let rec render = function
   | Null -> "null"
   | Bool true -> "true"
   | Bool false -> "false"
   | Num f -> render_float f
-  | Str s -> escape s
+  | Str s -> Obs.Json.str s
   | Arr items -> "[" ^ String.concat "," (List.map render items) ^ "]"
   | Obj fields ->
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> escape k ^ ":" ^ render v) fields)
+        (List.map (fun (k, v) -> Obs.Json.str k ^ ":" ^ render v) fields)
     ^ "}"

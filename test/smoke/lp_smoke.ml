@@ -69,7 +69,7 @@ let () =
   (* 2. A real min-MLU LP (Abilene), and warm-basis reuse on a scaled
      demand matrix. *)
   let g = Topology.Datasets.abilene () in
-  let demands = Te.Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:1 ~flows_per_pair:2 g in
+  let demands = Te.Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g in
   let base = Mcf.opt_mlu_lp g demands in
   let v1 = base.Mcf.value in
   let scaled =

@@ -22,7 +22,7 @@ let contains ~sub s =
 let () =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let params = { Local_search.default_params with max_evals = 300; seed = 7 } in
   Printf.printf "obs smoke: Abilene, %d demands\n%!" (Array.length demands);

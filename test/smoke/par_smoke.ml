@@ -17,7 +17,7 @@ let check name ok =
 let () =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let at_jobs f =
     let seq = f Par.Pool.sequential in

@@ -34,7 +34,7 @@ let () =
      acceptance bar is defined against this suite. *)
   let flows = max 2 (Netgraph.Digraph.edge_count g / 16) in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:flows g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:flows g
   in
   let w = Weights.inverse_capacity g in
   Printf.printf "prune smoke: Germany50, %d demands\n%!" (Array.length demands);

@@ -19,7 +19,7 @@ let check name ok =
 let () =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let ls_params = { Local_search.default_params with max_evals = 200; seed = 1 } in
   let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in

@@ -56,7 +56,7 @@ let () =
   let g = Topology.Datasets.abilene () in
   let flows = max 2 (Netgraph.Digraph.edge_count g / 16) in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:flows g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:flows g
   in
   let weights =
     Weights.round_to_range ~wmax:16 (Weights.inverse_capacity g)

@@ -18,7 +18,7 @@ let check name ok =
 let () =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   Printf.printf "solvers smoke: Abilene, %d demands, %d registered solvers\n%!"
     (Array.length demands) (List.length Solver.all);

@@ -462,7 +462,7 @@ let test_local_search_deterministic () =
 let test_local_search_incremental_stats () =
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed:1 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let stats = Engine.Stats.create () in
   let params = { Local_search.default_params with max_evals = 500; seed = 7 } in

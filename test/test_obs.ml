@@ -11,7 +11,7 @@ let fixture =
   lazy
     (let g = Topology.Datasets.abilene () in
      let demands =
-       Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:3 ~flows_per_pair:2 g
+       Demand_gen.mcf_synthetic ~seed:3 ~flows_per_pair:2 g
      in
      (g, demands))
 

@@ -48,7 +48,7 @@ let test_noop_greedy () =
     (fun name ->
       let g = Topology.Datasets.load name in
       let n = Digraph.node_count g in
-      let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:1 g in
+      let demands = Demand_gen.gravity ~seed:1 g in
       let w = Weights.inverse_capacity g in
       let base = wpo g w demands in
       let pruned = wpo ~prune:(Prune.spec n) g w demands in
@@ -65,7 +65,7 @@ let test_noop_greedy () =
 let test_noop_joint () =
   let g = Topology.Datasets.abilene () in
   let n = Digraph.node_count g in
-  let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:2 g in
+  let demands = Demand_gen.gravity ~seed:2 g in
   let ls_params =
     { Local_search.default_params with max_evals = 150; seed = 7 }
   in
@@ -88,7 +88,7 @@ let test_noop_joint () =
 
 let test_jobs_determinism () =
   let g = Topology.Datasets.load "Germany50" in
-  let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:3 g in
+  let demands = Demand_gen.gravity ~seed:3 g in
   let w = Weights.inverse_capacity g in
   let prune = Prune.spec 8 in
   let seq = wpo ~prune g w demands in
@@ -131,7 +131,7 @@ let test_filters_keep_pick () =
   List.iter
     (fun name ->
       let g = Topology.Datasets.load name in
-      let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:1 g in
+      let demands = Demand_gen.gravity ~seed:1 g in
       let w = Weights.inverse_capacity g in
       let base = wpo g w demands in
       (* A fresh evaluator in the same state the solver pruned from:
@@ -164,7 +164,7 @@ let test_filters_keep_pick () =
 
 let test_counters () =
   let g = Topology.Datasets.load "Germany50" in
-  let demands = Demand_gen.gravity ~epsilon:0.15 ~seed:4 g in
+  let demands = Demand_gen.gravity ~seed:4 g in
   let w = Weights.inverse_capacity g in
   let stats = Engine.Stats.create () in
   ignore

@@ -11,7 +11,7 @@ let fixture =
   lazy
     (let g = Topology.Datasets.abilene () in
      let demands =
-       Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:3 ~flows_per_pair:2 g
+       Demand_gen.mcf_synthetic ~seed:3 ~flows_per_pair:2 g
      in
      let ls_params =
        { Local_search.default_params with max_evals = 200; seed = 5 }
@@ -476,7 +476,7 @@ let test_single_failures_matches_rebuild () =
      with and without waypoints. *)
   let g = Topology.Datasets.abilene () in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:7 ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed:7 ~flows_per_pair:2 g
   in
   (* Weights.random draws integers in [1, 8], so the conversion is exact. *)
   let w = Array.map int_of_float (Weights.random ~seed:11 ~wmax:8 g) in

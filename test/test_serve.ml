@@ -94,7 +94,7 @@ let test_event_parse () =
      ev_ok
        (Printf.sprintf
           "{\"ev\":\"delta\",\"changes\":[{\"src\":%s,\"dst\":%s,\"size\":1}]}"
-          (Serve.Sjson.escape n0) (Serve.Sjson.escape n3))
+          (Obs.Json.str n0) (Obs.Json.str n3))
    with
   | Serve.Event.Delta [ { Serve.Event.src = 0; dst = 3; _ } ] -> ()
   | _ -> Alcotest.fail "named delta shape");
@@ -143,7 +143,7 @@ let fixture =
   lazy
     (let g = Lazy.force abilene in
      let demands =
-       Demand_gen.mcf_synthetic ~epsilon:0.15 ~seed:3 ~flows_per_pair:2 g
+       Demand_gen.mcf_synthetic ~seed:3 ~flows_per_pair:2 g
      in
      let weights = Weights.round_to_range ~wmax:16 (Weights.inverse_capacity g) in
      (g, demands, weights))

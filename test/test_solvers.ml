@@ -11,7 +11,9 @@
      single-weight SPF evaluation of system 1;
    - both backends return byte-identical results whatever worker pool
      the context carries (the CLI's [--jobs] bit-identity contract);
-   - the registry exposes every packaged solver under its CLI name. *)
+   - the registry exposes every packaged solver under its CLI name;
+   - no registered solver reports an MLU below OPT, which is 1 because
+     [Demand_gen] scales by the exact LP optimum. *)
 
 open Te
 
@@ -23,7 +25,7 @@ let instance seed =
       ~nodes ~links ()
   in
   let demands =
-    Demand_gen.mcf_synthetic ~epsilon:0.1 ~seed ~flows_per_pair:2 g
+    Demand_gen.mcf_synthetic ~seed ~flows_per_pair:2 g
   in
   (g, demands)
 
@@ -208,6 +210,21 @@ let test_registry_runs_new_backends () =
         (r.Solver.stages <> []))
     Solver.all
 
+let test_registry_lower_bound () =
+  let config = { Solver.default_config with evals = 50 } in
+  for seed = 1 to 20 do
+    let g, demands = instance seed in
+    List.iter
+      (fun s ->
+        let r = s.Solver.solve config (Obs.Ctx.default ()) g demands in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: %s MLU %.17g >= OPT = 1" seed s.Solver.name
+             r.Solver.mlu)
+          true
+          (r.Solver.mlu >= 1. -. 1e-9))
+      Solver.all
+  done
+
 let () =
   Alcotest.run "solvers"
     [
@@ -228,5 +245,7 @@ let () =
           Alcotest.test_case "names" `Quick test_registry_names;
           Alcotest.test_case "new backends run" `Quick
             test_registry_runs_new_backends;
+          Alcotest.test_case "20-seed MLU >= OPT" `Quick
+            test_registry_lower_bound;
         ] );
     ]
