@@ -154,13 +154,11 @@ type t = {
   sweep_edges : int array;
   sweep_shares : float array;
   (* DAG-repair scratch: generation-stamped membership marks plus the
-     changed-node / rebuilt-row / surviving-order staging arrays (all
-     length n) *)
+     changed-node / rebuilt-row staging arrays (all length n) *)
   ord_stamp : int array;
   row_stamp : int array;
   ord_scratch : int array;
   row_scratch : int array;
-  ord_surv : int array;
   mutable scratch_gen : int;
   pscratch : Paths.Scratch.t;
   emetrics : metrics;
@@ -248,7 +246,6 @@ let create ?(stats = Stats.create ()) ?(probe = Probe.null) graph weights =
     row_stamp = Array.make n 0;
     ord_scratch = Array.make n 0;
     row_scratch = Array.make n 0;
-    ord_surv = Array.make n 0;
     scratch_gen = 0;
     pscratch = Paths.Scratch.create ();
     emetrics = { mlu = 0.; phi = 0. };
@@ -339,7 +336,6 @@ let copy ?stats t =
     row_stamp = Array.make n 0;
     ord_scratch = Array.make n 0;
     row_scratch = Array.make n 0;
-    ord_surv = Array.make n 0;
     scratch_gen = 0;
     pscratch = Paths.Scratch.create ();
     emetrics = { mlu = 0.; phi = 0. };
@@ -650,13 +646,12 @@ let dag_fill t fd =
    destination) after the weight of [edge] changed.  Rows whose inputs
    are unchanged are copied from [old] wholesale, as two block moves
    ([copy_ints]); only the rows of distance-changed nodes, of their
-   in-neighbours, and of the changed edge's source are recomputed.  The changed nodes are found among
-   those the incremental Dijkstra visited, not by a scan of all n; their
-   order does not matter, as rows are independent and the changed nodes
-   are re-sorted below.  forder is repaired by merging the surviving old
-   order (unchanged keys, so still sorted) with the re-sorted changed
-   nodes; the key is a total order, so the merge reproduces the full
-   sort's permutation bit for bit. *)
+   in-neighbours, and of the changed edge's source are recomputed.  The
+   changed nodes are found among those the incremental Dijkstra visited,
+   not by a scan of all n.  forder is repaired by splicing the changed
+   nodes, taken in the Dijkstra's settle order, into the surviving old
+   order; the key is a total order, so this reproduces the full sort's
+   permutation bit for bit. *)
 let dag_repair t nfd old edge =
   let odist = old.fdist and ndist = nfd.fdist in
   copy_ints old.sp_col nfd.sp_col t.m;
@@ -703,43 +698,39 @@ let dag_repair t nfd old edge =
   for k = 0 to !nrows - 1 do
     fill_row t nfd rows.(k)
   done;
-  (* surviving old order, then the still-finite changed nodes sorted *)
-  let surv = t.ord_surv in
-  let ns = ref 0 in
-  let ofo = old.forder in
-  for k = 0 to old.forder_len - 1 do
-    let v = ofo.(k) in
-    if stamp.(v) <> gen then begin
-      surv.(!ns) <- v;
-      incr ns
-    end
-  done;
+  (* The still-finite changed nodes, distance descending, id ascending:
+     the repair settled them in nondecreasing distance, so its record
+     read backwards needs sorting only within equal-distance runs. *)
+  let settled = Paths.Scratch.settled t.pscratch in
   let nf = ref 0 in
-  for k = 0 to !nch - 1 do
-    let v = ch.(k) in
-    if ndist.(v) < infinity then begin
-      ch.(!nf) <- v;
+  for k = Paths.Scratch.settled_count t.pscratch - 1 downto 0 do
+    let v = settled.(k) in
+    if stamp.(v) = gen then begin
+      let j = ref !nf in
+      while !j > 0 && order_after ndist ch.(!j - 1) v do
+        ch.(!j) <- ch.(!j - 1);
+        decr j
+      done;
+      ch.(!j) <- v;
       incr nf
     end
   done;
-  sort_order ch !nf ndist;
-  let out = nfd.forder in
-  let i = ref 0 and j = ref 0 and k = ref 0 in
-  while !i < !ns && !j < !nf do
-    if order_after ndist surv.(!i) ch.(!j) then begin
-      out.(!k) <- ch.(!j);
-      incr j
+  (* One pass over the old order: survivors keep their keys, so stay
+     sorted; each changed node goes in before the first survivor that
+     follows it. *)
+  let out = nfd.forder and ofo = old.forder in
+  let j = ref 0 and k = ref 0 in
+  for i = 0 to old.forder_len - 1 do
+    let v = ofo.(i) in
+    if stamp.(v) <> gen then begin
+      while !j < !nf && order_after ndist v ch.(!j) do
+        out.(!k) <- ch.(!j);
+        incr j;
+        incr k
+      done;
+      out.(!k) <- v;
+      incr k
     end
-    else begin
-      out.(!k) <- surv.(!i);
-      incr i
-    end;
-    incr k
-  done;
-  while !i < !ns do
-    out.(!k) <- surv.(!i);
-    incr i;
-    incr k
   done;
   while !j < !nf do
     out.(!k) <- ch.(!j);

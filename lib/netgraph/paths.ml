@@ -81,7 +81,8 @@ module Scratch = struct
     heap : Heap.t;
     mutable mark : int array; (* stamped membership: mark.(v) = stamp *)
     mutable stamp : int;
-    mutable stack : int array; (* DFS work stack *)
+    mutable stack : int array; (* DFS work stack, then the settle record *)
+    mutable nsettled : int;
     mutable visited : int array; (* nodes the last repair may have changed *)
     mutable nvisited : int;
     farg : float array; (* 1-slot float argument channel (see Heap.karg) *)
@@ -89,7 +90,7 @@ module Scratch = struct
 
   let create () =
     { heap = Heap.create 64; mark = [||]; stamp = 0; stack = [||];
-      visited = [||]; nvisited = 0; farg = Array.make 1 0. }
+      nsettled = 0; visited = [||]; nvisited = 0; farg = Array.make 1 0. }
 
   (* Grow-only: after the first call at a given size every later call is
      allocation-free. *)
@@ -106,6 +107,15 @@ module Scratch = struct
   let visited s = s.visited
 
   let visited_count s = s.nvisited
+
+  let settled s = s.stack
+
+  let settled_count s = s.nsettled
+
+  (* Records [v] at its one valid pop, so in nondecreasing distance. *)
+  let settle s v =
+    s.stack.(s.nsettled) <- v;
+    s.nsettled <- s.nsettled + 1
 
   (* Records [v] unless it is already marked with the current stamp. *)
   let visit s v =
@@ -223,7 +233,8 @@ let update_decrease scratch g weights dist edge =
     while not (Heap.is_empty h) do
       let d = h.Heap.keys.(0) and x = h.Heap.vals.(0) in
       Heap.drop h;
-      if d <= dist.(x) then
+      if d <= dist.(x) then begin
+        Scratch.settle scratch x;
         for i = in_row.(x) to in_row.(x + 1) - 1 do
           let e = in_col.(i) in
           let p = esrc.(e) in
@@ -236,6 +247,7 @@ let update_decrease scratch g weights dist edge =
             Heap.push_karg h p
           end
         done
+      end
     done;
     !changed
   end
@@ -256,8 +268,7 @@ let update_increase scratch g weights dist edge =
          <= tight_eps *. (1. +. abs_float du))
   then 0
   else begin
-    let n = Digraph.node_count g in
-    Scratch.ensure scratch n;
+    Scratch.ensure scratch (Digraph.node_count g);
     let in_row = Digraph.in_offsets g and in_col = Digraph.in_index g in
     let out_row = Digraph.out_offsets g and out_col = Digraph.out_index g in
     let esrc = Digraph.srcs g and edst = Digraph.dsts g in
@@ -292,31 +303,31 @@ let update_increase scratch g weights dist edge =
        (current weights, including the new value on [edge]). *)
     let h = scratch.Scratch.heap in
     Heap.clear h;
-    let count = ref 0 in
-    for x = 0 to n - 1 do
-      if mark.(x) = stamp then begin
-        incr count;
-        let best = ref infinity in
-        for i = out_row.(x) to out_row.(x + 1) - 1 do
-          let e = out_col.(i) in
-          let y = edst.(e) in
-          if mark.(y) <> stamp then begin
-            let cand = weights.(e) +. dist.(y) in
-            if cand < !best then best := cand
-          end
-        done;
-        dist.(x) <- !best;
-        if !best < infinity then begin
-          h.Heap.karg.(0) <- !best;
-          Heap.push_karg h x
+    let visited = scratch.Scratch.visited in
+    for k = 0 to scratch.Scratch.nvisited - 1 do
+      let x = visited.(k) in
+      let best = ref infinity in
+      for i = out_row.(x) to out_row.(x + 1) - 1 do
+        let e = out_col.(i) in
+        let y = edst.(e) in
+        if mark.(y) <> stamp then begin
+          let cand = weights.(e) +. dist.(y) in
+          if cand < !best then best := cand
         end
+      done;
+      dist.(x) <- !best;
+      if !best < infinity then begin
+        h.Heap.karg.(0) <- !best;
+        Heap.push_karg h x
       end
     done;
-    (* Dijkstra restricted to the affected region. *)
+    (* Dijkstra restricted to the affected region; the DFS stack is
+       free again, so the settle record reuses it. *)
     while not (Heap.is_empty h) do
       let d = h.Heap.keys.(0) and x = h.Heap.vals.(0) in
       Heap.drop h;
-      if d <= dist.(x) then
+      if d <= dist.(x) then begin
+        Scratch.settle scratch x;
         for i = in_row.(x) to in_row.(x + 1) - 1 do
           let e = in_col.(i) in
           let p = esrc.(e) in
@@ -329,8 +340,9 @@ let update_increase scratch g weights dist edge =
             end
           end
         done
+      end
     done;
-    !count
+    scratch.Scratch.nvisited
   end
 
 (* Allocation-free repair core: the old weight travels through the
@@ -345,6 +357,7 @@ let dijkstra_update_prepared scratch g ~weights ~dist ~edge =
   let w = weights.(edge) in
   if not (w > 0.) then invalid_arg "Paths: weights must be positive";
   scratch.Scratch.nvisited <- 0;
+  scratch.Scratch.nsettled <- 0;
   if w = old_weight then 0
   else if w < old_weight then update_decrease scratch g weights dist edge
   else update_increase scratch g weights dist edge

@@ -138,7 +138,7 @@ let () =
           let g = Topology.Datasets.load name in
           check_probe_loop name g;
           check_failure_sweep name g)
-        [ "Abilene"; "Germany50" ];
+        [ "Abilene"; "Germany50"; "GtsCe" ];
       List.iter
         (fun name -> check_candidate_sweep name (Topology.Datasets.load name))
         [ "Germany50"; "GtsCe" ];

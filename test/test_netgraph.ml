@@ -399,6 +399,46 @@ let prop_shortest_path_is_shortest =
         abs_float (Paths.path_cost ~weights:w p -. d.(n - 1))
         <= 1e-9 *. (1. +. d.(n - 1)))
 
+(* The settle record of an incremental repair on a fresh arena, over
+   random walks of weight changes in [1, 4] (with an occasional
+   infinite weight, as a failed link): nondecreasing in the repaired
+   distance, each node at most once, and holding every node whose
+   distance changed and is still finite. *)
+let prop_update_settled =
+  QCheck.Test.make ~name:"update settle record sorted and complete" ~count:200
+    (QCheck.pair arb_graph QCheck.small_nat) (fun ((n, es), seed) ->
+      let g = Digraph.of_edges ~n es in
+      let m = Digraph.edge_count g in
+      let st = Random.State.make [| 0x5e7; seed |] in
+      let weight () =
+        if Random.State.int st 5 = 0 then infinity
+        else float_of_int (1 + Random.State.int st 4)
+      in
+      let w = Array.init m (fun _ -> float_of_int (1 + Random.State.int st 4)) in
+      let dist = Paths.dijkstra_to g ~weights:w ~target:(Random.State.int st n) in
+      let scratch = Paths.Scratch.create () in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        let edge = Random.State.int st m in
+        let old = Array.copy dist in
+        (Paths.Scratch.farg scratch).(0) <- w.(edge);
+        w.(edge) <- weight ();
+        ignore (Paths.dijkstra_update_prepared scratch g ~weights:w ~dist ~edge);
+        let settled = Paths.Scratch.settled scratch in
+        let seen = Array.make n false in
+        for i = 0 to Paths.Scratch.settled_count scratch - 1 do
+          let v = settled.(i) in
+          if seen.(v) || (i > 0 && dist.(settled.(i - 1)) > dist.(v)) then
+            ok := false;
+          seen.(v) <- true
+        done;
+        for v = 0 to n - 1 do
+          if dist.(v) <> old.(v) && dist.(v) < infinity && not seen.(v) then
+            ok := false
+        done
+      done;
+      !ok)
+
 let prop_decompose_conserves =
   QCheck.Test.make ~name:"flow decomposition sums to flow value" ~count:60 arb_graph
     (fun (n, es) ->
@@ -528,5 +568,6 @@ let () =
             prop_dijkstra_matches_bellman_ford;
             prop_shortest_path_is_shortest;
             prop_decompose_conserves;
+            prop_update_settled;
           ] );
     ]
