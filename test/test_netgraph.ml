@@ -439,6 +439,36 @@ let prop_update_settled =
       done;
       !ok)
 
+(* A weight decrease reports the number of distinct nodes whose
+   distance changed, not the relaxations that got there: a node whose
+   distance improves twice counts once. *)
+let prop_update_decrease_count =
+  QCheck.Test.make ~name:"update decrease counts changed nodes" ~count:200
+    (QCheck.pair arb_graph QCheck.small_nat) (fun ((n, es), seed) ->
+      let g = Digraph.of_edges ~n es in
+      let m = Digraph.edge_count g in
+      let st = Random.State.make [| 0xdec; seed |] in
+      let w = Array.init m (fun _ -> float_of_int (1 + Random.State.int st 8)) in
+      let dist = Paths.dijkstra_to g ~weights:w ~target:(Random.State.int st n) in
+      let scratch = Paths.Scratch.create () in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        let edge = Random.State.int st m in
+        let old = Array.copy dist in
+        let oldw = w.(edge) in
+        (Paths.Scratch.farg scratch).(0) <- oldw;
+        w.(edge) <- float_of_int (1 + Random.State.int st 8);
+        let touched =
+          Paths.dijkstra_update_prepared scratch g ~weights:w ~dist ~edge
+        in
+        let changed = ref 0 in
+        for v = 0 to n - 1 do
+          if dist.(v) <> old.(v) then incr changed
+        done;
+        if w.(edge) < oldw && touched <> !changed then ok := false
+      done;
+      !ok)
+
 let prop_decompose_conserves =
   QCheck.Test.make ~name:"flow decomposition sums to flow value" ~count:60 arb_graph
     (fun (n, es) ->
@@ -569,5 +599,6 @@ let () =
             prop_shortest_path_is_shortest;
             prop_decompose_conserves;
             prop_update_settled;
+            prop_update_decrease_count;
           ] );
     ]
