@@ -71,12 +71,9 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
   (* Probe results land in one reused metrics cell — the budgeted probe
      loop below allocates nothing per candidate. *)
   let cell = { Engine.Evaluator.mlu = 0.; phi = 0. } in
-  let eval_mlu () =
-    Engine.Evaluator.evaluate_into ev cell;
-    cell.Engine.Evaluator.mlu
-  in
   let caps = Digraph.caps g in
-  let cur_mlu = ref (eval_mlu ()) in
+  Engine.Evaluator.evaluate_into ev cell;
+  let cur_mlu = ref cell.Engine.Evaluator.mlu in
   let deployed_mlu = !cur_mlu in
   let changed = Hashtbl.create 8 in
   let changes () = Hashtbl.length changed in
@@ -117,14 +114,20 @@ let reoptimize_ctx (ctx : Obs.Ctx.t) ?(ls_params = Local_search.default_params)
              [ old + 1; old + 2; wmax; old - 1; 1; deployed_weights.(e);
                1 + Random.State.int st wmax ])
       in
+      (* A candidate wins only below the best so far and the acceptance
+         bar; a probe that provably cannot stops early, so the first
+         minimum and the accepted move are those of full probes. *)
       let best_cand = ref None in
       List.iter
         (fun wv ->
           if !evals < ls_params.Local_search.max_evals then begin
             incr evals;
-            Engine.Evaluator.set_weight ev ~edge:e (float_of_int wv);
-            let mlu = eval_mlu () in
-            Engine.Evaluator.undo ev;
+            let bar = !cur_mlu -. 1e-12 in
+            let above =
+              match !best_cand with Some (bm, _) when bm < bar -> bm | _ -> bar
+            in
+            Engine.Evaluator.probe_mlu ev ~edge:e (float_of_int wv) ~above cell;
+            let mlu = cell.Engine.Evaluator.mlu in
             match !best_cand with
             | Some (bm, _) when bm <= mlu -> ()
             | _ -> best_cand := Some (mlu, wv)

@@ -239,7 +239,7 @@ let create ?(stats = Stats.create ()) ?(probe = Probe.null) graph weights =
     epoch = 0;
     node_flow = Array.make n 0.;
     edge_flow = Array.make m 0.;
-    touched = Array.make m 0;
+    touched = Array.make (max n m) 0;
     sweep_edges = Array.make m 0;
     sweep_shares = Array.make m 0.;
     ord_stamp = Array.make n 0;
@@ -329,7 +329,7 @@ let copy ?stats t =
     epoch = t.epoch;
     node_flow = Array.make n 0.;
     edge_flow = Array.make m 0.;
-    touched = Array.make m 0;
+    touched = Array.make (max n m) 0;
     sweep_edges = Array.make m 0;
     sweep_shares = Array.make m 0.;
     ord_stamp = Array.make n 0;
@@ -521,47 +521,26 @@ let push_unknown t dest =
 (* Monomorphic in-place sorts (no closures, no polymorphic compare)    *)
 (* ------------------------------------------------------------------ *)
 
-(* Heapsort over node ids keyed by (distance descending, id ascending).
-   The key is a total order, so any correct sort yields the exact
-   permutation the previous Array.sort-based code produced.  The
-   annotation pins the comparisons to floats: left polymorphic they
-   compile to [caml_lessthan] over a generic array, whose element reads
-   box one float each — the single allocation that kept the warm probe
-   loop off zero minor words. *)
+(* The forder key, (distance descending, id ascending), as "a goes
+   after b".  The annotation pins the comparisons to floats: left
+   polymorphic they compile to [caml_lessthan] over a generic array,
+   whose element reads box one float each. *)
 let order_after (dist : float array) a b =
   let da = dist.(a) and db = dist.(b) in
   if da < db then true else if da > db then false else a > b
 
-let sift_order a dist root len =
-  let r = ref root in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !r) + 1 in
-    if l >= len then continue := false
-    else begin
-      let c =
-        if l + 1 < len && order_after dist a.(l + 1) a.(l) then l + 1 else l
-      in
-      if order_after dist a.(c) a.(!r) then begin
-        let tmp = a.(c) in
-        a.(c) <- a.(!r);
-        a.(!r) <- tmp;
-        r := c
-      end
-      else continue := false
-    end
-  done
-
-let sort_order a len dist =
-  for i = (len / 2) - 1 downto 0 do
-    sift_order a dist i len
+(* Inserts [v] into the ordered prefix [a.(0 .. len - 1)] and returns
+   the new length.  Fed a settle record backwards (nonincreasing
+   distance), it moves entries only within [v]'s equal-distance run;
+   the key is a total order, so the result is the sorted permutation. *)
+let insert_order (dist : float array) a len v =
+  let j = ref len in
+  while !j > 0 && order_after dist a.(!j - 1) v do
+    a.(!j) <- a.(!j - 1);
+    decr j
   done;
-  for e = len - 1 downto 1 do
-    let tmp = a.(0) in
-    a.(0) <- a.(e);
-    a.(e) <- tmp;
-    sift_order a dist 0 e
-  done
+  a.(!j) <- v;
+  len + 1
 
 (* Ascending heapsort of an int prefix. *)
 let sift_int a root len =
@@ -625,21 +604,18 @@ let fill_row t fd v =
     fd.sp_cnt.(v) <- !p - base
   end
 
-(* Fills sp_cnt/sp_col/forder from fd.fdist (the from-scratch path). *)
+(* Fills sp_cnt/sp_col/forder from fd.fdist (the from-scratch path),
+   the order from the full Dijkstra's settle record. *)
 let dag_fill t fd =
-  let dist = fd.fdist in
   for v = 0 to t.n - 1 do
     fill_row t fd v
   done;
+  let settled = Paths.Scratch.settled t.pscratch in
   let k = ref 0 in
-  for v = 0 to t.n - 1 do
-    if dist.(v) < infinity then begin
-      fd.forder.(!k) <- v;
-      incr k
-    end
+  for i = Paths.Scratch.settled_count t.pscratch - 1 downto 0 do
+    k := insert_order fd.fdist fd.forder !k settled.(i)
   done;
-  fd.forder_len <- !k;
-  sort_order fd.forder !k dist
+  fd.forder_len <- !k
 
 (* Repairs [nfd] (fresh; fdist already updated by the incremental
    Dijkstra on [t.pscratch]) from [old] (the pre-change DAG for the same
@@ -705,15 +681,7 @@ let dag_repair t nfd old edge =
   let nf = ref 0 in
   for k = Paths.Scratch.settled_count t.pscratch - 1 downto 0 do
     let v = settled.(k) in
-    if stamp.(v) = gen then begin
-      let j = ref !nf in
-      while !j > 0 && order_after ndist ch.(!j - 1) v do
-        ch.(!j) <- ch.(!j - 1);
-        decr j
-      done;
-      ch.(!j) <- v;
-      incr nf
-    end
+    if stamp.(v) = gen then nf := insert_order ndist ch !nf v
   done;
   (* One pass over the old order: survivors keep their keys, so stay
      sorted; each changed node goes in before the first survivor that
@@ -1078,36 +1046,37 @@ let dest_contribution t dest =
     dl
   end
 
+(* Re-sums the cached contributions (building missing ones) into [buf]
+   in a fixed, ascending destination order, which keeps the aggregate
+   deterministic and drift-free across long update/undo sequences.
+   Scatter-adding only the written entries gives the bits a dense
+   re-sum would: the accumulator starts at +0.0, every share is
+   >= +0.0, so the skipped entries would each have added +0.0, which is
+   exact.  Times only the re-sum: the sweeps and DAG builds time
+   themselves. *)
+let resum t buf =
+  let ht = Stats.hot_times t.stats in
+  let units0 = ht.(Stats.hot_units) and full0 = ht.(Stats.hot_spf_full) in
+  let t0 = Mono.now () in
+  Array.fill buf 0 t.m 0.;
+  let act = t.active_dests in
+  for i = 0 to Array.length act - 1 do
+    let dl = dest_contribution t act.(i) in
+    let fe = dl.fe and fs = dl.fs in
+    for j = 0 to dl.flen - 1 do
+      let e = fe.(j) in
+      buf.(e) <- buf.(e) +. fs.(j)
+    done
+  done;
+  let nested =
+    ht.(Stats.hot_units) -. units0 +. (ht.(Stats.hot_spf_full) -. full0)
+  in
+  ht.(Stats.hot_loads) <- ht.(Stats.hot_loads) +. (Mono.now () -. t0 -. nested)
+
 let loads t =
   if not t.loads_valid then begin
-    let ht = Stats.hot_times t.stats in
-    let units0 = ht.(Stats.hot_units) and full0 = ht.(Stats.hot_spf_full) in
-    let t0 = Mono.now () in
-    (* Re-summing the cached contributions in a fixed (ascending
-       destination) order keeps the aggregate deterministic and
-       drift-free across long update/undo sequences.  Scatter-adding
-       only the written entries gives the bits a dense re-sum would:
-       the accumulator starts at +0.0, every share is >= +0.0, so the
-       skipped entries would each have added +0.0, which is exact. *)
-    let buf = t.loads_buf in
-    Array.fill buf 0 t.m 0.;
-    let act = t.active_dests in
-    for i = 0 to Array.length act - 1 do
-      let dl = dest_contribution t act.(i) in
-      let fe = dl.fe and fs = dl.fs in
-      for j = 0 to dl.flen - 1 do
-        let e = fe.(j) in
-        buf.(e) <- buf.(e) +. fs.(j)
-      done
-    done;
-    t.loads_valid <- true;
-    (* Only the re-sum: the sweeps and DAG builds above timed
-       themselves. *)
-    let nested =
-      ht.(Stats.hot_units) -. units0 +. (ht.(Stats.hot_spf_full) -. full0)
-    in
-    ht.(Stats.hot_loads) <-
-      ht.(Stats.hot_loads) +. (Mono.now () -. t0 -. nested)
+    resum t t.loads_buf;
+    t.loads_valid <- true
   end;
   t.loads_buf
 
@@ -1213,77 +1182,70 @@ let evaluate t =
 (* Weight updates                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Applies a single weight change, repairing the dirty destinations
-   into fresh (pool-allocated) objects so the captured pre-change state
-   stays intact on the trail.
+(* Can the newest trail entry's change of edge (u, v) alter the DAG [fd]?
+   Only if the edge was on it (old weight tight) or lands on it (new
+   weight tight or shorter).  [dv] never depends on the edge (a path
+   v -> dest through it would be a cycle).  An unreachable u (disabled
+   edge) goes dirty exactly when the new weight is finite: the link-up
+   half of a flap.  Weights are read from arrays: no float boxes. *)
+let dest_dirty t fd edge =
+  let old_w = t.tr_oldw.(t.tr_len - 1) and new_w = t.weights.(edge) in
+  let du = fd.fdist.(t.g_src.(edge)) and dv = fd.fdist.(t.g_dst.(edge)) in
+  dv < infinity
+  &&
+  if du = infinity then new_w < infinity
+  else
+    let tol = dirty_eps *. (1. +. abs_float du) in
+    old_w +. dv <= du +. tol || new_w +. dv <= du +. tol
 
-   The invalidation rule: with dist = distance-to-dest under the OLD
-   weights, changing edge (u, v) from [old_w] to [new_w] can alter the
-   DAG towards dest only if the edge was on it (old weight tight) or
-   lands on it (new weight tight or shorter).  If either endpoint
-   cannot reach dest the edge is on no path to it, under any weights. *)
+(* Repairs [dest]'s DAG [fd] after the newest trail entry's change into
+   a fresh pool DAG, so the trail's snapshot stays intact, and drops the
+   unit-flow row and load contribution (rebuilt lazily). *)
+let repair_dest t edge dest fd =
+  let st = t.stats in
+  let entry = t.tr_len - 1 in
+  st.Stats.incr_spf <- st.Stats.incr_spf + 1;
+  push_saved t dest fd t.urows.(dest) t.dest_loads.(dest);
+  t.tr_nsaved.(entry) <- t.tr_nsaved.(entry) + 1;
+  let t0 = Mono.now () in
+  let nfd = dag_alloc t in
+  Array.blit fd.fdist 0 nfd.fdist 0 t.n;
+  (Paths.Scratch.farg t.pscratch).(0) <- t.tr_oldw.(entry);
+  let touched =
+    Paths.dijkstra_update_prepared t.pscratch t.graph ~weights:t.weights
+      ~dist:nfd.fdist ~edge
+  in
+  st.Stats.spf_nodes_touched <- st.Stats.spf_nodes_touched + touched;
+  dag_repair t nfd fd edge;
+  let ht = Stats.hot_times st in
+  ht.(Stats.hot_spf_incr) <- ht.(Stats.hot_spf_incr) +. (Mono.now () -. t0);
+  t.dags.(dest) <- nfd;
+  t.urows.(dest) <- no_urow;
+  if Array.length t.bd_src.(dest) > 0 then begin
+    t.dest_loads.(dest) <- no_fvec;
+    t.loads_valid <- false
+  end
+
+(* Applies a single weight change, repairing every dirty destination. *)
 let apply_weight t edge new_w =
-  let old_w = t.weights.(edge) in
   let st = t.stats in
   st.Stats.weight_updates <- st.Stats.weight_updates + 1;
   let p = t.probe in
   let tok = if p.Probe.enabled then p.Probe.start "ev:repair" else -1 in
-  let u = t.g_src.(edge) and v = t.g_dst.(edge) in
   push_trail t edge;
   let entry = t.tr_len - 1 in
   t.weights.(edge) <- new_w;
-  let ht = Stats.hot_times st in
   for dest = 0 to t.n - 1 do
     let fd = t.dags.(dest) in
     if fd == no_dag then begin
       push_unknown t dest;
       t.tr_nunknown.(entry) <- t.tr_nunknown.(entry) + 1
     end
-    else begin
-      (* dest_dirty, inlined (a non-inlined call would box old_w/new_w
-         on every destination).  [dv] never depends on edge (u, v) — a
-         shortest path v -> dest revisiting v would be a cycle — so the
-         edge matters only when v reaches dest.  An unreachable u
-         ([du = infinity], i.e. the edge was disabled) goes dirty
-         exactly when the new weight is finite: re-enabling may create
-         the first path u -> dest, the link-up half of a flap. *)
-      let du = fd.fdist.(u) and dv = fd.fdist.(v) in
-      let dirty =
-        dv < infinity
-        &&
-        if du = infinity then new_w < infinity
-        else
-          let tol = dirty_eps *. (1. +. abs_float du) in
-          old_w +. dv <= du +. tol || new_w +. dv <= du +. tol
-      in
-      if dirty then begin
-        st.Stats.dirty_dests <- st.Stats.dirty_dests + 1;
-        st.Stats.incr_spf <- st.Stats.incr_spf + 1;
-        push_saved t dest fd t.urows.(dest) t.dest_loads.(dest);
-        t.tr_nsaved.(entry) <- t.tr_nsaved.(entry) + 1;
-        let t0 = Mono.now () in
-        let nfd = dag_alloc t in
-        Array.blit fd.fdist 0 nfd.fdist 0 t.n;
-        (Paths.Scratch.farg t.pscratch).(0) <- old_w;
-        let touched =
-          Paths.dijkstra_update_prepared t.pscratch t.graph
-            ~weights:t.weights ~dist:nfd.fdist ~edge
-        in
-        st.Stats.spf_nodes_touched <- st.Stats.spf_nodes_touched + touched;
-        dag_repair t nfd fd edge;
-        ht.(Stats.hot_spf_incr) <-
-          ht.(Stats.hot_spf_incr) +. (Mono.now () -. t0);
-        t.dags.(dest) <- nfd;
-        (* the unit-flow row is rebuilt lazily, on the next segment
-           lookup towards [dest] *)
-        t.urows.(dest) <- no_urow;
-        if Array.length t.bd_src.(dest) > 0 then begin
-          t.dest_loads.(dest) <- no_fvec;
-          t.loads_valid <- false
-        end
-      end
-      else st.Stats.clean_dests <- st.Stats.clean_dests + 1
+    else if dest_dirty t fd edge then begin
+      st.Stats.dirty_dests <- st.Stats.dirty_dests + 1;
+      repair_dest t edge dest fd
     end
+    else st.Stats.clean_dests <- st.Stats.clean_dests + 1
   done;
   if tok >= 0 then p.Probe.finish tok
 
@@ -1443,6 +1405,92 @@ let undo t =
     end;
     if tok >= 0 then p.Probe.finish tok
   end
+
+(* ------------------------------------------------------------------ *)
+(* Bounded probes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let cut_eps = 1e-9
+
+(* Shares are >= 0, so committed loads minus the dirty destinations' old
+   shares plus the repaired ones' new shares bound the probe's loads
+   from below, within a few ulps of [bound + 2 * committed] ([cut_eps]
+   of slack).  Bound and dirty list use unit-row scratch arrays. *)
+let probe_run t edge w above r =
+  let st = t.stats and committed = t.loads_buf in
+  push_trail t edge;
+  t.weights.(edge) <- w;
+  st.Stats.weight_updates <- st.Stats.weight_updates + 1;
+  let bound = t.edge_flow and dirty = t.touched in
+  let nall = ref 0 and nd = ref 0 in
+  Array.blit committed 0 bound 0 t.m;
+  for dest = 0 to t.n - 1 do
+    let fd = t.dags.(dest) in
+    if fd == no_dag then ()
+    else if not (dest_dirty t fd edge) then
+      st.Stats.clean_dests <- st.Stats.clean_dests + 1
+    else begin
+      incr nall;
+      if Array.length t.bd_src.(dest) > 0 then begin
+        dirty.(!nd) <- dest;
+        incr nd;
+        let dl = t.dest_loads.(dest) in
+        for j = 0 to dl.flen - 1 do
+          bound.(dl.fe.(j)) <- bound.(dl.fe.(j)) -. dl.fs.(j)
+        done
+      end
+    end
+  done;
+  let k = ref 0 and cut = ref false in
+  while (not !cut) && !k < !nd do
+    let dest = dirty.(!k) in
+    repair_dest t edge dest t.dags.(dest);
+    let dl = dest_contribution t dest in
+    for j = 0 to dl.flen - 1 do
+      let e = dl.fe.(j) in
+      let b = bound.(e) +. dl.fs.(j) in
+      bound.(e) <- b;
+      if b -. (cut_eps *. (b +. committed.(e) +. committed.(e)))
+         > above *. t.g_cap.(e)
+      then cut := true
+    done;
+    incr k
+  done;
+  st.Stats.dirty_dests <- st.Stats.dirty_dests + !nall;
+  st.Stats.dests_skipped <- st.Stats.dests_skipped + !nall - !k;
+  if !cut then begin
+    st.Stats.probes_cut <- st.Stats.probes_cut + 1;
+    r.mlu <- infinity
+  end
+  else begin
+    resum t bound;
+    let best = ref 0. in
+    for e = 0 to t.m - 1 do
+      let u = bound.(e) /. t.g_cap.(e) in
+      if u > !best then best := u
+    done;
+    r.mlu <- !best
+  end
+
+(* The committed loads are never written during a probe, so they are
+   valid again once [undo] restores the committed state. *)
+let probe_restore t tok =
+  Array.fill t.edge_flow 0 t.m 0.;
+  if tok >= 0 then t.probe.Probe.finish tok;
+  undo t;
+  t.loads_valid <- true
+
+let probe_mlu t ~edge w ~above r =
+  if t.tr_len <> 0 || not (w > 0.) then
+    invalid_arg "Evaluator.probe_mlu: pending trail or non-positive weight";
+  t.stats.Stats.evaluations <- t.stats.Stats.evaluations + 1;
+  r.phi <- nan;
+  ignore (loads t);
+  let p = t.probe in
+  let tok = if p.Probe.enabled then p.Probe.start "ev:repair" else -1 in
+  match probe_run t edge w above r with
+  | () -> probe_restore t tok
+  | exception ex -> probe_restore t tok; raise ex
 
 (* ------------------------------------------------------------------ *)
 (* Delta sync and the persistent clone cache                           *)

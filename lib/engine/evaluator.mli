@@ -217,6 +217,17 @@ val undo : t -> unit
 (** Reverts every weight change since the last commit, repairing the
     evaluator state through the same incremental machinery. *)
 
+val probe_mlu : t -> edge:int -> float -> above:float -> metrics -> unit
+(** [probe_mlu t ~edge w ~above r], from a committed state, writes to
+    [r.mlu] the MLU with [edge] at weight [w] — bit-identical to
+    {!set_weight} + {!evaluate_into} + {!undo} whenever it is below
+    [above] — or, once a partial load sum proves it at least [above],
+    [infinity]; [r.phi] is [nan].  Dirty destinations without traffic,
+    and those left at a cut, are never repaired.  Always undone, also on
+    a raise; allocation-free once warm.
+    @raise Invalid_argument on a pending trail or a non-positive [w].
+    @raise Unroutable as {!evaluate_into} would. *)
+
 val trail_length : t -> int
 (** Number of uncommitted weight changes. *)
 

@@ -10,6 +10,8 @@ type t = {
   mutable weight_updates : int;
   mutable dirty_dests : int;
   mutable clean_dests : int;
+  mutable probes_cut : int;
+  mutable dests_skipped : int;
   mutable commits : int;
   mutable undos : int;
   mutable edges_disabled : int;
@@ -45,6 +47,8 @@ let create () =
     weight_updates = 0;
     dirty_dests = 0;
     clean_dests = 0;
+    probes_cut = 0;
+    dests_skipped = 0;
     commits = 0;
     undos = 0;
     edges_disabled = 0;
@@ -72,6 +76,8 @@ let reset s =
   s.weight_updates <- 0;
   s.dirty_dests <- 0;
   s.clean_dests <- 0;
+  s.probes_cut <- 0;
+  s.dests_skipped <- 0;
   s.commits <- 0;
   s.undos <- 0;
   s.edges_disabled <- 0;
@@ -107,6 +113,8 @@ let merge ~into s =
   into.weight_updates <- into.weight_updates + s.weight_updates;
   into.dirty_dests <- into.dirty_dests + s.dirty_dests;
   into.clean_dests <- into.clean_dests + s.clean_dests;
+  into.probes_cut <- into.probes_cut + s.probes_cut;
+  into.dests_skipped <- into.dests_skipped + s.dests_skipped;
   into.commits <- into.commits + s.commits;
   into.undos <- into.undos + s.undos;
   into.edges_disabled <- into.edges_disabled + s.edges_disabled;
@@ -132,7 +140,8 @@ let counters s =
     ("dag_hits", s.dag_hits); ("dag_misses", s.dag_misses);
     ("unit_hits", s.unit_hits); ("unit_misses", s.unit_misses);
     ("weight_updates", s.weight_updates); ("dirty_dests", s.dirty_dests);
-    ("clean_dests", s.clean_dests); ("commits", s.commits);
+    ("clean_dests", s.clean_dests); ("probes_cut", s.probes_cut);
+    ("dests_skipped", s.dests_skipped); ("commits", s.commits);
     ("undos", s.undos); ("edges_disabled", s.edges_disabled);
     ("candidates_pruned", s.candidates_pruned);
     ("candidates_kept", s.candidates_kept);

@@ -32,6 +32,10 @@ type t = {
       (** destinations invalidated by weight updates *)
   mutable clean_dests : int;
       (** built destinations proven untouched by a weight update *)
+  mutable probes_cut : int;
+      (** {!Evaluator.probe_mlu} calls a partial load sum stopped *)
+  mutable dests_skipped : int;
+      (** dirty destinations a probe left unrepaired *)
   mutable commits : int;
   mutable undos : int;
   mutable edges_disabled : int;

@@ -31,10 +31,11 @@ module Scratch : sig
   (** [0] when the last update returned [0]. *)
 
   val settled : t -> int array
-  (** The nodes the last {!dijkstra_update_prepared} call on this arena
-      settled, each once, in nondecreasing repaired distance (ties in
-      no particular order): every node whose distance it changed and
-      that is still reachable, plus (on a weight increase) the
+  (** The nodes the last search on this arena settled, each once, in
+      nondecreasing distance (ties in no particular order): after a
+      full Dijkstra every reachable node; after
+      {!dijkstra_update_prepared} every node whose distance it changed
+      and that is still reachable, plus (on a weight increase) the
       recomputed nodes that kept their distance.  Only the first
       {!settled_count} entries are meaningful.  Borrowed; valid until
       the arena's next search. *)

@@ -4,7 +4,8 @@
    invariants:
 
    - the probe loop (set_weight / evaluate_into / undo) allocates no
-     minor words per iteration once warm;
+     minor words per iteration once warm, and neither does the bounded
+     probe ([probe_mlu]), cut or exact;
    - a whole-topology failure sweep (disable_edge / reachable /
      evaluate_into / undo) allocates no minor words per sweep once warm;
    - a GreedyWPO candidate sweep for one demand (segment_peak over the
@@ -70,6 +71,41 @@ let check_probe_loop name g =
   if words <> 0. then (
     Printf.eprintf "FAIL: %s warm probe pass allocated %.0f minor words\n" name
       words;
+    exit 1)
+
+(* Bounded probes against half the committed MLU (most get cut) and
+   against infinity (each runs to its exact MLU); the threshold sits boxed
+   in the move tuple, like the weight. *)
+let check_probe_mlu_loop name g =
+  let w = Weights.inverse_capacity g in
+  let m = Digraph.edge_count g in
+  let demands = demands_of g ~count:60 ~seed:0x41c in
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev demands;
+  let mx = { Engine.Evaluator.mlu = 0.; phi = 0. } in
+  Engine.Evaluator.evaluate_into ev mx;
+  let base = mx.Engine.Evaluator.mlu in
+  let moves =
+    Array.init m (fun e ->
+        (e, (w.(e) *. 1.5) +. 1., if e mod 2 = 0 then base *. 0.5 else infinity))
+  in
+  let pass () =
+    for i = 0 to m - 1 do
+      let e, pw, above = moves.(i) in
+      Engine.Evaluator.probe_mlu ev ~edge:e pw ~above mx
+    done
+  in
+  for _ = 1 to 3 do
+    pass ()
+  done;
+  let st = Engine.Evaluator.stats ev in
+  let cut0 = st.Engine.Stats.probes_cut in
+  let words = minor_delta pass in
+  Printf.printf "%-12s probe_mlu    %4d edges  %8.0f minor words/pass (%d cut)\n"
+    name m words (st.Engine.Stats.probes_cut - cut0);
+  if words <> 0. then (
+    Printf.eprintf "FAIL: %s warm probe_mlu pass allocated %.0f minor words\n"
+      name words;
     exit 1)
 
 let check_failure_sweep name g =
@@ -140,6 +176,9 @@ let () =
           check_failure_sweep name g)
         [ "Abilene"; "Germany50"; "GtsCe" ];
       List.iter
-        (fun name -> check_candidate_sweep name (Topology.Datasets.load name))
+        (fun name ->
+          let g = Topology.Datasets.load name in
+          check_probe_mlu_loop name g;
+          check_candidate_sweep name g)
         [ "Germany50"; "GtsCe" ];
       print_endline "alloc smoke OK"

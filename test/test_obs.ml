@@ -178,7 +178,8 @@ let test_metrics_absorb_stats () =
       Engine.Stats.evaluations = 1; full_spf = 1; incr_spf = 1;
       spf_nodes_touched = 1; dag_hits = 1; dag_misses = 1; unit_hits = 1;
       unit_misses = 1; weight_updates = 1;
-      dirty_dests = 1; clean_dests = 1; commits = 1; undos = 1;
+      dirty_dests = 1; clean_dests = 1; probes_cut = 1; dests_skipped = 1;
+      commits = 1; undos = 1;
       edges_disabled = 1; candidates_pruned = 1; candidates_kept = 1;
       clone_syncs = 1; clone_copies = 1; lp_solves = 1;
       lp_pivots = 1; lp_warm_solves = 1 }

@@ -584,6 +584,97 @@ let test_reopt_frozen_edges () =
   Alcotest.(check bool) "never worse than deployed" true
     (r.Reopt.mlu <= deployed_mlu +. 1e-9)
 
+(* Reopt's bounded probes against the full-probe oracle: over seeded
+   deployments (weights in [1, 16], a quarter of the demands through a
+   waypoint) on three topologies, with and without a frozen link and at
+   three weight budgets, the weights, waypoints, MLU bits and churn must
+   all be equal. *)
+let test_reopt_oracle () =
+  let bits = Int64.bits_of_float in
+  let cuts = ref 0 and moved = ref 0 in
+  List.iter
+    (fun name ->
+      let g = Topology.Datasets.load name in
+      let n = Digraph.node_count g and m = Digraph.edge_count g in
+      for seed = 1 to 30 do
+        let st = Random.State.make [| 0x4e0; seed |] in
+        let deployed = Array.init m (fun _ -> 1 + Random.State.int st 16) in
+        let demands =
+          Array.init n (fun _ ->
+              let s = Random.State.int st n in
+              let d = (s + 1 + Random.State.int st (n - 1)) mod n in
+              Network.demand s d (0.5 +. Random.State.float st 1.))
+        in
+        let wps =
+          Array.map
+            (fun { Network.src; dst; _ } ->
+              let v = Random.State.int st n in
+              if Random.State.int st 4 = 0 && v <> src && v <> dst then [ v ]
+              else [])
+            demands
+        in
+        (* a link whose loss keeps every segment routable *)
+        let segs = Segments.expand demands wps in
+        let ev = Engine.Evaluator.create g (Weights.of_ints deployed) in
+        let rec pick () =
+          let e = Random.State.int st m in
+          Engine.Evaluator.disable_edge ev ~edge:e;
+          let ok =
+            Array.for_all
+              (fun { Network.src; dst; _ } ->
+                Engine.Evaluator.reachable ev ~src ~dst)
+              segs
+          in
+          Engine.Evaluator.undo ev;
+          if ok then e else pick ()
+        in
+        let frozen = pick () in
+        List.iter
+          (fun frozen_edges ->
+            List.iter
+              (fun max_weight_changes ->
+                let ls_params =
+                  { Local_search.default_params with max_evals = 120; seed }
+                in
+                let ctx = Obs.Ctx.default () in
+                let r =
+                  Reopt.reoptimize_ctx ctx ~ls_params ?max_weight_changes
+                    ~frozen_edges ~deployed_weights:deployed
+                    ~deployed_waypoints:wps g demands
+                in
+                let o =
+                  Reopt_oracle.reoptimize ~ls_params ?max_weight_changes
+                    ~frozen_edges ~deployed_weights:deployed
+                    ~deployed_waypoints:wps g demands
+                in
+                let tag what =
+                  Printf.sprintf "%s seed %d frozen %d budget %s: %s" name seed
+                    (List.length frozen_edges)
+                    (match max_weight_changes with
+                     | Some b -> string_of_int b
+                     | None -> "default")
+                    what
+                in
+                Alcotest.(check (array int)) (tag "weights") o.Reopt.weights
+                  r.Reopt.weights;
+                Alcotest.(check (array (list int))) (tag "waypoints")
+                  o.Reopt.waypoints r.Reopt.waypoints;
+                Alcotest.(check int64) (tag "mlu") (bits o.Reopt.mlu)
+                  (bits r.Reopt.mlu);
+                Alcotest.(check (pair int int)) (tag "churn")
+                  (o.Reopt.churn.Reopt.weight_changes,
+                   o.Reopt.churn.Reopt.waypoint_changes)
+                  (r.Reopt.churn.Reopt.weight_changes,
+                   r.Reopt.churn.Reopt.waypoint_changes);
+                cuts := !cuts + ctx.Obs.Ctx.stats.Engine.Stats.probes_cut;
+                if r.Reopt.churn.Reopt.weight_changes > 0 then incr moved)
+              [ Some 1; Some 3; None ])
+          [ []; [ frozen ] ]
+      done)
+    [ "Abilene"; "Cost266"; "Germany50" ];
+  Alcotest.(check bool) "probes were cut" true (!cuts > 0);
+  Alcotest.(check bool) "weights were moved" true (!moved > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Demand generation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1108,6 +1199,7 @@ let () =
           Alcotest.test_case "never worse" `Quick test_reopt_never_worse;
           Alcotest.test_case "zero budget" `Quick test_reopt_zero_budget_keeps_weights;
           Alcotest.test_case "frozen edges" `Quick test_reopt_frozen_edges;
+          Alcotest.test_case "= full-probe oracle" `Quick test_reopt_oracle;
         ] );
       ( "uspr-milp",
         [
