@@ -818,7 +818,7 @@ let probe_race name =
           (fun acc (e, wv) ->
             let old = w.(e) in
             w.(e) <- wv;
-            let u = Engine.Evaluator.mlu_of g w comms in
+            let u = Ecmp.mlu_of g w comms in
             w.(e) <- old;
             acc +. u)
           0. seq)

@@ -10,14 +10,24 @@ open Te
 
 let show_utilizations g loads =
   Array.iteri
-    (fun e u ->
+    (fun e l ->
+      let u = l /. Netgraph.Digraph.cap g e in
       if u > 1e-9 then
         Printf.printf "    %-6s -> %-6s  util %5.2f%s\n"
           (Netgraph.Digraph.node_name g (Netgraph.Digraph.src g e))
           (Netgraph.Digraph.node_name g (Netgraph.Digraph.dst g e))
           u
           (if u > 1. +. 1e-9 then "  <-- congested" else ""))
-    (Ecmp.utilizations g loads)
+    loads
+
+(* Per-link loads of the demands, each routed through its waypoints. *)
+let loads_of ?waypoints g w demands =
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev
+    (match waypoints with
+    | None -> demands
+    | Some wps -> Segments.expand demands wps);
+  Engine.Evaluator.loads ev
 
 let () =
   let m = if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 6 in
@@ -31,11 +41,9 @@ let () =
 
   (* Strategy 1: the optimal link weights alone (Lemma 3.6). *)
   let lwo_w = Option.get inst.Instances.Gap_instances.lwo_weights in
-  let loads =
-    Ecmp.loads (Engine.Evaluator.create g lwo_w) net.Network.demands
-  in
+  let loads = loads_of g lwo_w net.Network.demands in
   Printf.printf "1. Optimal LWO alone: MLU = %.2f (paper: m/2 = %.1f)\n"
-    (Ecmp.mlu g loads)
+    (Engine.Evaluator.mlu_of_loads g loads)
     (float_of_int m /. 2.);
   show_utilizations g loads;
 
@@ -53,13 +61,11 @@ let () =
   (* Strategy 3: the joint setting of Lemma 3.5 - one waypoint per
      demand plus matching weights. *)
   let loads =
-    Ecmp.loads
-      ~waypoints:inst.Instances.Gap_instances.joint_waypoints
-      (Engine.Evaluator.create g inst.Instances.Gap_instances.joint_weights)
-      net.Network.demands
+    loads_of ~waypoints:inst.Instances.Gap_instances.joint_waypoints g
+      inst.Instances.Gap_instances.joint_weights net.Network.demands
   in
   Printf.printf "\n3. Joint weights + waypoints (Lemma 3.5): MLU = %.2f\n"
-    (Ecmp.mlu g loads);
+    (Engine.Evaluator.mlu_of_loads g loads);
   show_utilizations g loads;
   Printf.printf
     "\nGap of separate optimizations over Joint: %.1fx - it grows linearly \

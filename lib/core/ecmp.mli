@@ -2,28 +2,20 @@
 
     Given a weight setting, traffic from [s] to [t] follows the
     shortest-path DAG towards [t] and splits evenly at every node over
-    all outgoing DAG links.  The DAGs and unit flows themselves live in
-    {!Engine.Evaluator}; this module lifts them to whole demand lists
-    with waypoints, plus a few one-shot measurements.  Unroutable
-    demands raise {!Engine.Evaluator.Unroutable}. *)
-
-val loads :
-  ?waypoints:int list array -> Engine.Evaluator.t -> Network.demand array ->
-  float array
-(** Per-edge load of the whole demand list under the evaluator's current
-    weights; [waypoints.(i)] is the ordered waypoint list of demand [i]
-    (visited before the final destination, §2.1).  Degenerate hops are
-    skipped as in {!Segments.segment_endpoints}.  Returns a fresh array. *)
-
-val mlu : Netgraph.Digraph.t -> float array -> float
-(** max over links of load / capacity. *)
-
-val utilizations : Netgraph.Digraph.t -> float array -> float array
+    all outgoing DAG links.  The DAGs, unit flows and loads live in
+    {!Engine.Evaluator}; this module adds the one-shot measurements of
+    a setting.  Unroutable demands raise {!Engine.Evaluator.Unroutable}. *)
 
 val mlu_of :
-  ?waypoints:int list array -> Netgraph.Digraph.t -> Weights.t ->
-  Network.demand array -> float
-(** One-shot [mlu (loads ...)] on a fresh evaluator. *)
+  ?stats:Engine.Stats.t -> ?waypoints:int list array -> Netgraph.Digraph.t ->
+  Weights.t -> Network.demand array -> float
+(** The MLU of a (weights, waypoints) setting: a fresh evaluator with
+    [Segments.expand demands waypoints] attached as its commodities
+    ([waypoints.(i)] is demand [i]'s ordered waypoint list, §2.1).
+    Every bench table and te-tool command re-evaluates a setting
+    through it.  Counts one evaluation in [stats].
+    @raise Invalid_argument if [waypoints] and [demands] differ in
+    length. *)
 
 val max_es_flow_value : Netgraph.Digraph.t -> Weights.t -> src:int -> dst:int -> float
 (** Size of the largest even-split ECMP flow from [src] to [dst] that

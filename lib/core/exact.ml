@@ -76,7 +76,7 @@ let wpo_bb g weights demands ~ub =
       loads.(e) <- loads.(e) +. (sign *. scale *. s.Engine.Evaluator.flows.(i))
     done
   in
-  let partial_mlu () = Ecmp.mlu g loads in
+  let partial_mlu () = Engine.Evaluator.mlu_of_loads g loads in
   let segments d w =
     let s = d.Network.src and t = d.Network.dst in
     match w with

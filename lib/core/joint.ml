@@ -38,8 +38,7 @@ let optimize_iterated_ctx (ctx : Obs.Ctx.t) ?restarts
     int_w := Some ls.Local_search.weights;
     let w = Weights.of_ints ls.Local_search.weights in
     let mlu_w =
-      Engine.Evaluator.mlu_of ~stats:ctx.Obs.Ctx.stats g w
-        (Segments.expand demands !setting)
+      Ecmp.mlu_of ~stats:ctx.Obs.Ctx.stats ~waypoints:!setting g w demands
     in
     stages :=
       consider
@@ -100,8 +99,7 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?restarts
     (* Evaluate the original demands + waypoints under the new weights:
        re-running the greedy under w2 also re-validates the waypoints. *)
     let mlu2 =
-      Engine.Evaluator.mlu_of ~stats:ctx.Obs.Ctx.stats g w2
-        (Segments.expand demands setting)
+      Ecmp.mlu_of ~stats:ctx.Obs.Ctx.stats ~waypoints:setting g w2 demands
     in
     let stages = stages @ [ ("HeurOSPF2", mlu2) ] in
     if mlu2 < stage2 -. 1e-12 then

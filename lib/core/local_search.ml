@@ -42,11 +42,6 @@ module Setting_tbl = Hashtbl.Make (struct
     (h lxor (h lsr 29)) land max_int
 end)
 
-let evaluate g demands int_weights =
-  let ev = Engine.Evaluator.create g (Weights.of_ints int_weights) in
-  Engine.Evaluator.set_commodities ev demands;
-  Engine.Evaluator.evaluate ev
-
 (* One seeded walk.  [demands] is already aggregated.
 
    The neighborhood probes fan out over the context's pool: candidate

@@ -25,10 +25,6 @@ type result = {
   evals : int;  (** evaluations actually performed *)
 }
 
-val evaluate :
-  Netgraph.Digraph.t -> Network.demand array -> int array -> float * float
-(** [(mlu, phi)] of a weight vector. *)
-
 val optimize_ctx :
   Obs.Ctx.t ->
   ?restarts:int ->

@@ -46,7 +46,7 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) g w1 demands =
      evaluator exactly like a single-weight run, and the totals add up
      edge-wise.  With every split at 1 the second commodity list is
      empty and the value is the plain system-1 engine MLU — bit-equal
-     to {!Engine.Evaluator.mlu_of} on [w1], which is the degenerate-mode
+     to {!Ecmp.mlu_of} on [w1], which is the degenerate-mode
      equivalence the tests pin down. *)
   let canonical () =
     let c1 = ref [] and c2 = ref [] in

@@ -32,7 +32,7 @@ type params = {
   second : bool;
       (** [false] disables the second system entirely: every split is
           pinned to [1.] and the result is byte-identical to evaluating
-          the first weight setting alone (the {!Engine.Evaluator.mlu_of}
+          the first weight setting alone (the {!Ecmp.mlu_of}
           one-shot) — the degenerate-mode equivalence the test suite
           asserts (default [true]) *)
 }

@@ -221,7 +221,7 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
         in
         walk d.Network.src)
       demands;
-    x0.(uvar) <- Ecmp.mlu g loads;
+    x0.(uvar) <- Engine.Evaluator.mlu_of_loads g loads;
     x0
   in
   let result, effort =

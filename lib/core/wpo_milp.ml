@@ -140,7 +140,10 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
   (* z <= 1 comes from the convexity rows; no explicit bound needed. *)
   let p = Simplex.Sparse.finish b in
   let integer_vars = List.init nz Fun.id in
-  let direct_mlu = Ecmp.mlu g (Ecmp.loads ev demands) in
+  let direct_mlu =
+    Engine.Evaluator.set_commodities ev demands;
+    Engine.Evaluator.mlu ev
+  in
   (* Warm start from GreedyWPO (Algorithm 3): the branch and bound then
      acts as an exact verifier/improver and can never return a worse
      setting even when the node limit stops it early. *)
@@ -177,7 +180,7 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
               s.Engine.Evaluator.edges)
           segs)
       options;
-    x.(uvar) <- Ecmp.mlu g loads;
+    x.(uvar) <- Engine.Evaluator.mlu_of_loads g loads;
     x
   in
   let result, effort =
@@ -216,5 +219,5 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
   | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent ->
     (* The direct routing is always feasible, so only a node-limit
        without incumbent can land here; fall back to it. *)
-    let mlu = Ecmp.mlu g (Ecmp.loads ev demands) in
-    { waypoints = Array.make k []; mlu; exact = false; nodes_explored = max_nodes }
+    { waypoints = Array.make k []; mlu = direct_mlu; exact = false;
+      nodes_explored = max_nodes }

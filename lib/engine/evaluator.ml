@@ -1081,9 +1081,10 @@ let loads t =
   t.loads_buf
 
 let mlu_of_loads g loads =
+  let cap = Digraph.caps g in
   let best = ref 0. in
   for e = 0 to Digraph.edge_count g - 1 do
-    let u = loads.(e) /. Digraph.cap g e in
+    let u = loads.(e) /. cap.(e) in
     if u > !best then best := u
   done;
   !best
@@ -1616,13 +1617,3 @@ module Clones = struct
       else fresh ()
     | _ -> fresh ()
 end
-
-(* ------------------------------------------------------------------ *)
-(* One-shot helpers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let mlu_of ?stats g w commodities =
-  let t = create ?stats g w in
-  set_commodities t commodities;
-  t.stats.Stats.evaluations <- t.stats.Stats.evaluations + 1;
-  mlu t

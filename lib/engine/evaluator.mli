@@ -12,7 +12,7 @@
     {!set_weight} only the destinations whose distance-to-target arrays
     can actually change (decided from the changed edge's endpoint
     distances) are repaired, through the restricted Dijkstra of
-    {!Netgraph.Paths.dijkstra_update_to} and drop their unit flows and
+    {!Netgraph.Paths.dijkstra_update_prepared} and drop their unit flows and
     load contribution, rebuilt on next use; every other destination
     keeps its DAG, its memoized unit flows and its cached load
     contribution.
@@ -290,8 +290,5 @@ val phi_cost : Netgraph.Digraph.t -> float array -> float
     arbitrary load vector; the single definition the optimizers share. *)
 
 val mlu_of_loads : Netgraph.Digraph.t -> float array -> float
-
-val mlu_of :
-  ?stats:Stats.t -> Netgraph.Digraph.t -> float array ->
-  Netgraph.Demand.t array -> float
-(** One-shot: fresh evaluator, attach commodities, read the MLU. *)
+(** Max over links of [loads.(e) / cap e], never below [0.]; the one
+    max-utilization of a load vector.  Allocates only its boxed result. *)

@@ -132,7 +132,6 @@ let in_index g = g.in_col
 let out_edges g v = Array.sub g.out_col g.out_row.(v) (g.out_row.(v + 1) - g.out_row.(v))
 let in_edges g v = Array.sub g.in_col g.in_row.(v) (g.in_row.(v + 1) - g.in_row.(v))
 let out_degree g v = g.out_row.(v + 1) - g.out_row.(v)
-let in_degree g v = g.in_row.(v + 1) - g.in_row.(v)
 
 let iter_out g v f =
   for i = g.out_row.(v) to g.out_row.(v + 1) - 1 do
@@ -168,7 +167,6 @@ let reverse g =
     in_row = g.out_row; in_col = g.out_col }
 
 let max_capacity g = Array.fold_left max neg_infinity g.ecap
-let min_capacity g = Array.fold_left min infinity g.ecap
 
 let is_connected_from g s =
   let seen = Array.make g.n false in

@@ -78,8 +78,6 @@ val in_edges : t -> int -> int array
 
 val out_degree : t -> int -> int
 
-val in_degree : t -> int -> int
-
 val iter_out : t -> int -> (int -> unit) -> unit
 (** [iter_out g v f] applies [f] to each edge id leaving [v], in
     ascending edge-id order, without allocating. *)
@@ -126,8 +124,6 @@ val reverse : t -> t
 (** Graph with every edge flipped; edge ids are preserved. *)
 
 val max_capacity : t -> float
-
-val min_capacity : t -> float
 
 val is_connected_from : t -> int -> bool
 (** Are all nodes reachable from the given node along directed edges? *)

@@ -126,9 +126,8 @@ module Scratch = struct
     end
 end
 
-(* Per-domain scratch for the legacy (arena-less) entry points: they
-   keep their historical signatures but stop thrashing the minor heap
-   with per-call heap/bucket allocations.  Domain-local, so parallel
+(* Per-domain scratch for [dijkstra_to], the one arena-less entry
+   point: it allocates only its result.  Domain-local, so parallel
    sweeps on worker domains never share one. *)
 let dls_scratch = Domain.DLS.new_key (fun () -> Scratch.create ())
 
@@ -143,7 +142,8 @@ let check_weights g weights =
 
 (* Core settle loop over one CSR direction: [row]/[col] index the edges
    incident to a settled node, [ep.(e)] is the node an edge leads to in
-   the traversal direction (edst for forward, esrc for reversed). *)
+   the traversal direction (esrc, as every search runs towards a
+   target on the reversed graph). *)
 let settle_loop scratch row col ep weights dist =
   let h = scratch.Scratch.heap in
   scratch.Scratch.nsettled <- 0;
@@ -165,20 +165,6 @@ let settle_loop scratch row col ep weights dist =
     end
   done
 
-let dijkstra_into scratch g ~weights ~source ~dist =
-  let n = Digraph.node_count g in
-  if Array.length dist <> n then
-    invalid_arg "Paths.dijkstra_into: dist length mismatch";
-  Scratch.ensure scratch n;
-  let h = scratch.Scratch.heap in
-  Heap.clear h;
-  Array.fill dist 0 n infinity;
-  dist.(source) <- 0.;
-  h.Heap.karg.(0) <- 0.;
-  Heap.push_karg h source;
-  settle_loop scratch (Digraph.out_offsets g) (Digraph.out_index g)
-    (Digraph.dsts g) weights dist
-
 let dijkstra_to_into scratch g ~weights ~target ~dist =
   let n = Digraph.node_count g in
   if Array.length dist <> n then
@@ -192,12 +178,6 @@ let dijkstra_to_into scratch g ~weights ~target ~dist =
   Heap.push_karg h target;
   settle_loop scratch (Digraph.in_offsets g) (Digraph.in_index g)
     (Digraph.srcs g) weights dist
-
-let dijkstra g ~weights ~source =
-  check_weights g weights;
-  let dist = Array.make (Digraph.node_count g) infinity in
-  dijkstra_into (domain_scratch ()) g ~weights ~source ~dist;
-  dist
 
 let dijkstra_to g ~weights ~target =
   check_weights g weights;
@@ -355,7 +335,7 @@ let dijkstra_update_prepared scratch g ~weights ~dist ~edge =
   if Array.length weights <> Digraph.edge_count g then
     invalid_arg "Paths: weight vector length mismatch";
   if Array.length dist <> Digraph.node_count g then
-    invalid_arg "Paths.dijkstra_update: dist length mismatch";
+    invalid_arg "Paths.dijkstra_update_prepared: dist length mismatch";
   let old_weight = scratch.Scratch.farg.(0) in
   let w = weights.(edge) in
   if not (w > 0.) then invalid_arg "Paths: weights must be positive";
@@ -364,67 +344,6 @@ let dijkstra_update_prepared scratch g ~weights ~dist ~edge =
   if w = old_weight then 0
   else if w < old_weight then update_decrease scratch g weights dist edge
   else update_increase scratch g weights dist edge
-
-let dijkstra_update_to g ~weights ~target:_ ~dist ~edge ~old_weight =
-  (* Hot path: called once per dirty destination per weight change, so
-     only the changed entry is validated (a full [check_weights] scan
-     here measurably slows incremental evaluation on small graphs). *)
-  let scratch = domain_scratch () in
-  scratch.Scratch.farg.(0) <- old_weight;
-  dijkstra_update_prepared scratch g ~weights ~dist ~edge
-
-let dijkstra_with_parents ?stop_at g ~weights ~source =
-  check_weights g weights;
-  let n = Digraph.node_count g in
-  let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
-  let scratch = domain_scratch () in
-  let h = scratch.Scratch.heap in
-  Heap.clear h;
-  let out_row = Digraph.out_offsets g and out_col = Digraph.out_index g in
-  let edst = Digraph.dsts g in
-  dist.(source) <- 0.;
-  h.Heap.karg.(0) <- 0.;
-  Heap.push_karg h source;
-  let stopped = ref false in
-  while not (!stopped || Heap.is_empty h) do
-    let d = h.Heap.keys.(0) and v = h.Heap.vals.(0) in
-    Heap.drop h;
-    if d <= dist.(v) then begin
-      if stop_at = Some v then stopped := true
-      else
-        for i = out_row.(v) to out_row.(v + 1) - 1 do
-          let e = out_col.(i) in
-          let w = edst.(e) in
-          let nd = d +. weights.(e) in
-          if nd < dist.(w) then begin
-            dist.(w) <- nd;
-            parent.(w) <- e;
-            h.Heap.karg.(0) <- nd;
-            Heap.push_karg h w
-          end
-        done
-    end
-  done;
-  (dist, parent)
-
-let shortest_path g ~weights ~source ~target =
-  (* Parent-tracking Dijkstra: exact, robust to arbitrarily small
-     weights (a tolerance-based walk is not). *)
-  let dist, parent = dijkstra_with_parents ~stop_at:target g ~weights ~source in
-  if dist.(target) = infinity then None
-  else begin
-    let rec collect v acc =
-      if v = source then acc
-      else
-        let e = parent.(v) in
-        collect (Digraph.src g e) (e :: acc)
-    in
-    Some (collect target [])
-  end
-
-let path_cost ~weights path =
-  List.fold_left (fun acc e -> acc +. weights.(e)) 0. path
 
 let topo_order g ~keep =
   let n = Digraph.node_count g in
@@ -457,11 +376,6 @@ let topo_order g ~keep =
   if !tail <> n then failwith "Paths.topo_order: subgraph has a cycle";
   order
 
-let is_acyclic g ~keep =
-  match topo_order g ~keep with
-  | _ -> true
-  | exception Failure _ -> false
-
 let reachable g ~source =
   let n = Digraph.node_count g in
   let seen = Array.make n false in
@@ -481,26 +395,3 @@ let reachable g ~source =
   seen.(source) <- true;
   go [ source ];
   seen
-
-let all_simple_paths ?(max_paths = 10_000) g ~source ~target =
-  let n = Digraph.node_count g in
-  let on_path = Array.make n false in
-  let found = ref [] in
-  let count = ref 0 in
-  let rec dfs v acc =
-    if !count < max_paths then begin
-      if v = target then begin
-        found := List.rev acc :: !found;
-        incr count
-      end
-      else begin
-        on_path.(v) <- true;
-        Digraph.iter_out g v (fun e ->
-            let w = Digraph.dst g e in
-            if not on_path.(w) then dfs w (e :: acc));
-        on_path.(v) <- false
-      end
-    end
-  in
-  dfs source [];
-  List.rev !found

@@ -18,15 +18,11 @@ type config = {
   seed : int;
   fail_pairs : bool;
   include_baseline : bool;
-  single_failures : bool;
   dual_failures : int;
   srlgs : int list list;
   scales : float list;
   jitters : int;
-  jitter_sigma : float;
   hotspots : int;
-  hotspot_pairs : int;
-  hotspot_factor : float;
   diurnal : int;
   cross : bool;
 }
@@ -36,15 +32,11 @@ let default_config =
     seed = 1;
     fail_pairs = true;
     include_baseline = true;
-    single_failures = true;
     dual_failures = 0;
     srlgs = [];
     scales = [];
     jitters = 0;
-    jitter_sigma = 0.25;
     hotspots = 0;
-    hotspot_pairs = 3;
-    hotspot_factor = 3.;
     diurnal = 0;
     cross = false;
   }
@@ -54,12 +46,6 @@ let validate cfg =
     (fun s ->
       if not (s > 0.) then invalid_arg "Scenario.generate: scale must be > 0")
     cfg.scales;
-  if cfg.jitter_sigma < 0. then
-    invalid_arg "Scenario.generate: negative jitter sigma";
-  if not (cfg.hotspot_factor > 0.) then
-    invalid_arg "Scenario.generate: hotspot factor must be > 0";
-  if cfg.hotspots > 0 && cfg.hotspot_pairs < 1 then
-    invalid_arg "Scenario.generate: hotspot_pairs must be >= 1";
   if cfg.dual_failures < 0 || cfg.jitters < 0 || cfg.hotspots < 0
      || cfg.diurnal < 0
   then invalid_arg "Scenario.generate: negative scenario count"
@@ -137,23 +123,14 @@ let generate cfg g =
          if e < 0 || e >= m then
            invalid_arg "Scenario.generate: SRLG edge outside the graph"))
     cfg.srlgs;
-  let singles =
-    if cfg.single_failures then
-      failure_groups ~fail_pairs:cfg.fail_pairs g
-    else []
-  in
+  let singles = failure_groups ~fail_pairs:cfg.fail_pairs g in
   let fail_cases = singles @ cfg.srlgs @ sample_duals cfg singles in
   let shifts =
     List.map (fun f -> Uniform f) cfg.scales
     @ List.init cfg.jitters (fun j ->
-          Jitter { seed = (cfg.seed * 8191) + j; sigma = cfg.jitter_sigma })
+          Jitter { seed = (cfg.seed * 8191) + j; sigma = 0.25 })
     @ List.init cfg.hotspots (fun j ->
-          Hotspot
-            {
-              seed = (cfg.seed * 524287) + j;
-              pairs = cfg.hotspot_pairs;
-              factor = cfg.hotspot_factor;
-            })
+          Hotspot { seed = (cfg.seed * 524287) + j; pairs = 3; factor = 3. })
     @ List.init cfg.diurnal (fun j ->
           Diurnal { level = float_of_int j /. float_of_int cfg.diurnal })
   in
@@ -622,7 +599,10 @@ let rebuild_outcome ~deployed g demands spec =
           (Segments.segment_endpoints d deployed.waypoints.(i))
       with Engine.Evaluator.Unroutable _ -> incr disconnected)
     (apply_shift spec.shift demands);
-  ((if !disconnected > 0 then nan else Ecmp.mlu g' loads), !disconnected)
+  let mlu =
+    if !disconnected > 0 then nan else Engine.Evaluator.mlu_of_loads g' loads
+  in
+  (mlu, !disconnected)
 
 let static_sweep_rebuild ~deployed g demands specs =
   Array.map (rebuild_outcome ~deployed g demands) specs

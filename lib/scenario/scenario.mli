@@ -51,15 +51,11 @@ type config = {
   seed : int;  (** master seed; dual sampling and per-shift seeds derive from it *)
   fail_pairs : bool;  (** fail a link together with its reverse twin *)
   include_baseline : bool;  (** include the (no failure, nominal) scenario *)
-  single_failures : bool;  (** include every single-link failure case *)
   dual_failures : int;  (** sampled distinct pairs of single-failure cases *)
   srlgs : int list list;  (** shared-risk link groups failing together *)
   scales : float list;  (** uniform demand scale factors (> 0) *)
-  jitters : int;  (** lognormal jitter draws *)
-  jitter_sigma : float;
-  hotspots : int;  (** hot-spot burst draws *)
-  hotspot_pairs : int;
-  hotspot_factor : float;
+  jitters : int;  (** lognormal jitter draws, sigma 0.25 *)
+  hotspots : int;  (** hot-spot burst draws: 3 pairs at 3x their size *)
   diurnal : int;  (** diurnal levels, evenly spaced over the day *)
   cross : bool;
       (** if set, take the full failure x shift product; otherwise each
@@ -69,16 +65,15 @@ type config = {
 
 val default_config : config
 (** Seed 1; paired single failures plus the baseline; no duals, SRLGs or
-    demand shifts; [jitter_sigma = 0.25], [hotspot_pairs = 3],
-    [hotspot_factor = 3.], no cross product. *)
+    demand shifts; no cross product. *)
 
 val generate : config -> Netgraph.Digraph.t -> spec array
 (** The deterministic scenario grid for this configuration, ids
-    [0 .. n-1].  Baseline first, then failure cases (singles in edge-id
-    order, then SRLGs, then sampled duals), then demand shifts; with
-    [cross] the product is emitted failure-major.
-    @raise Invalid_argument on a non-positive scale or factor, a
-    negative count, or an SRLG edge outside the graph. *)
+    [0 .. n-1].  Baseline first, then failure cases (every single-link
+    failure in edge-id order, then SRLGs, then sampled duals), then
+    demand shifts; with [cross] the product is emitted failure-major.
+    @raise Invalid_argument on a non-positive scale, a negative count,
+    or an SRLG edge outside the graph. *)
 
 val apply_shift : shift -> Te.Network.demand array -> Te.Network.demand array
 (** The shifted demand matrix.  [No_shift] returns the input array

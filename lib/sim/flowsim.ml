@@ -39,8 +39,6 @@ let route ?(salt = 0) g weights streams =
     streams;
   loads
 
-let mlu ?salt g weights streams = Te.Ecmp.mlu g (route ?salt g weights streams)
-
 let streams_of_demands ~streams_per_demand demands setting =
   if streams_per_demand < 1 then
     invalid_arg "Flowsim.streams_of_demands: streams_per_demand >= 1";

@@ -20,9 +20,6 @@ val route :
 (** Per-edge load after hash-routing every stream.
     @raise Engine.Evaluator.Unroutable when a segment has no path. *)
 
-val mlu :
-  ?salt:int -> Netgraph.Digraph.t -> Te.Weights.t -> stream array -> float
-
 val streams_of_demands :
   streams_per_demand:int -> Te.Network.demand array -> Te.Segments.setting ->
   stream array

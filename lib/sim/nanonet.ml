@@ -41,14 +41,15 @@ let run ?(m = 4) ?(trials = 10) ?(streams_per_demand = 32) ?(noise = 0.014) () =
       Flowsim.streams_of_demands ~streams_per_demand demands no_waypoints
     in
     let weights_mlu =
-      Te.Ecmp.mlu g (noisy (Flowsim.route ~salt g lwo_weights weights_streams))
+      Engine.Evaluator.mlu_of_loads g
+        (noisy (Flowsim.route ~salt g lwo_weights weights_streams))
     in
     let joint_streams =
       Flowsim.streams_of_demands ~streams_per_demand demands
         inst.Instances.Gap_instances.joint_waypoints
     in
     let joint_mlu =
-      Te.Ecmp.mlu g
+      Engine.Evaluator.mlu_of_loads g
         (noisy
            (Flowsim.route ~salt g inst.Instances.Gap_instances.joint_weights
               joint_streams))

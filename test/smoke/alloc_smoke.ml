@@ -1,6 +1,6 @@
 (* Allocation-discipline smoke: proves the engine's documented
    zero-allocation contracts with [Gc.minor_words] bracketing on real
-   topologies, larger and longer than the tier-1 unit variants.  Three
+   topologies, larger and longer than the tier-1 unit variants.  Four
    invariants:
 
    - the probe loop (set_weight / evaluate_into / undo) allocates no
@@ -10,7 +10,9 @@
      evaluate_into / undo) allocates no minor words per sweep once warm;
    - a GreedyWPO candidate sweep for one demand (segment_peak over the
      direct route and every waypoint) allocates no minor words once the
-     unit rows are cached.
+     unit rows are cached;
+   - [mlu_of_loads] allocates at most its boxed result per call, never
+     a word per edge.
 
    Run with `dune build @alloc-smoke' (part of the `@smoke' umbrella).
    Exits 0 in bytecode without measuring: outside native code every
@@ -164,6 +166,25 @@ let check_candidate_sweep name g =
       name words;
     exit 1)
 
+let check_mlu_of_loads name g =
+  let ev = Engine.Evaluator.create g (Weights.inverse_capacity g) in
+  Engine.Evaluator.set_commodities ev (demands_of g ~count:40 ~seed:0x3b1);
+  let loads = Engine.Evaluator.loads ev in
+  let calls = 100 and out = [| 0. |] in
+  let loop () =
+    for _ = 1 to calls do
+      out.(0) <- Engine.Evaluator.mlu_of_loads g loads
+    done
+  in
+  loop ();
+  let per_call = minor_delta loop /. float_of_int calls in
+  Printf.printf "%-12s mlu_of_loads %4d edges  %8.1f minor words/call\n" name
+    (Digraph.edge_count g) per_call;
+  if per_call > 2. then (
+    Printf.eprintf "FAIL: %s mlu_of_loads allocated %.1f minor words per call\n"
+      name per_call;
+    exit 1)
+
 let () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ ->
@@ -179,6 +200,7 @@ let () =
         (fun name ->
           let g = Topology.Datasets.load name in
           check_probe_mlu_loop name g;
-          check_candidate_sweep name g)
+          check_candidate_sweep name g;
+          check_mlu_of_loads name g)
         [ "Germany50"; "GtsCe" ];
       print_endline "alloc smoke OK"

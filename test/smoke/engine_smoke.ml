@@ -2,7 +2,7 @@
    long committed/probed perturbation sequence on synthetic topologies
    and cross-checks its loads after every move against a fresh
    evaluator's per-pair path: the size-scaled sum of each commodity's
-   unit-flow row, the arithmetic of [Ecmp.loads].  The two are different
+   unit-flow row, folded here with [add_unit].  The two are different
    computations (one sweep per destination vs. one propagation per
    source), and GreedyWPO mixes them on every move, so they must agree
    within 1e-9.  Run with `dune build @engine-smoke'. *)

@@ -103,7 +103,9 @@ let test_hashed_vs_ideal_ecmp () =
     Flowsim.streams_of_demands ~streams_per_demand:512 demands [| [] |]
   in
   let loads = Flowsim.route ~salt:3 g w streams in
-  let ideal = Ecmp.loads (Engine.Evaluator.create g w) demands in
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev demands;
+  let ideal = Engine.Evaluator.loads ev in
   Alcotest.(check (float 0.3)) "close to even" ideal.(0) loads.(0)
 
 (* ------------------------------------------------------------------ *)

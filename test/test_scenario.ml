@@ -105,9 +105,6 @@ let test_generate_validation () =
   in
   check_invalid "negative scale"
     { Scenario.default_config with Scenario.scales = [ -1. ] };
-  check_invalid "zero hotspot factor"
-    { Scenario.default_config with Scenario.hotspots = 1;
-      Scenario.hotspot_factor = 0. };
   check_invalid "negative count"
     { Scenario.default_config with Scenario.jitters = -1 };
   check_invalid "srlg out of range"

@@ -140,10 +140,7 @@ let test_omw_disabled_is_single_weight () =
         ~params:{ Omw.default_params with second = false }
         g w1 demands
     in
-    let reference =
-      Engine.Evaluator.mlu_of g (Weights.of_ints w1)
-        r.Omw.demands
-    in
+    let reference = Ecmp.mlu_of g (Weights.of_ints w1) r.Omw.demands in
     Alcotest.(check bool)
       (ctx "byte-identical to the single-weight SPF")
       true

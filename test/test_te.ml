@@ -66,17 +66,25 @@ let test_round_to_range () =
 (* ECMP                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Per-edge loads of [demands] under [w], each routed through its
+   waypoints. *)
+let ecmp_loads ?waypoints g w demands =
+  let ev = Engine.Evaluator.create g w in
+  Engine.Evaluator.set_commodities ev
+    (match waypoints with
+    | None -> demands
+    | Some wps -> Segments.expand demands wps);
+  Engine.Evaluator.loads ev
+
 let test_even_split () =
   let g = diamond () in
-  let ev = Engine.Evaluator.create g (Weights.unit g) in
-  let loads = Ecmp.loads ev [| Network.demand 0 3 4. |] in
+  let loads = ecmp_loads g (Weights.unit g) [| Network.demand 0 3 4. |] in
   checkf "upper path" 2. loads.(0);
   checkf "lower path" 2. loads.(2)
 
 let test_single_path () =
   let g = diamond () in
-  let ev = Engine.Evaluator.create g [| 1.; 1.; 5.; 5. |] in
-  let loads = Ecmp.loads ev [| Network.demand 0 3 4. |] in
+  let loads = ecmp_loads g [| 1.; 1.; 5.; 5. |] [| Network.demand 0 3 4. |] in
   checkf "upper path carries all" 4. loads.(0);
   checkf "lower path empty" 0. loads.(2)
 
@@ -123,26 +131,24 @@ let test_unroutable () =
 
 let test_waypoint_routing () =
   let g = diamond () in
-  let ev = Engine.Evaluator.create g (Weights.unit g) in
   (* Waypoint 1 forces the upper path even though ECMP would split. *)
   let loads =
-    Ecmp.loads ~waypoints:[| [ 1 ] |] ev [| Network.demand 0 3 4. |]
+    ecmp_loads ~waypoints:[| [ 1 ] |] g (Weights.unit g)
+      [| Network.demand 0 3 4. |]
   in
   checkf "upper full" 4. loads.(0);
   checkf "lower empty" 0. loads.(2)
 
 let test_degenerate_waypoints () =
   let g = diamond () in
-  let ev = Engine.Evaluator.create g (Weights.unit g) in
-  let direct = Ecmp.loads ev [| Network.demand 0 3 4. |] in
-  let wps = [| [ 0; 0; 3 ] |] in
-  let same = Ecmp.loads ~waypoints:wps ev [| Network.demand 0 3 4. |] in
+  let w = Weights.unit g and demands = [| Network.demand 0 3 4. |] in
+  let direct = Array.copy (ecmp_loads g w demands) in
+  let same = ecmp_loads ~waypoints:[| [ 0; 0; 3 ] |] g w demands in
   Array.iteri (fun e l -> checkf (Printf.sprintf "edge %d" e) l same.(e)) direct
 
 let test_mlu () =
   let g = Digraph.of_edges ~n:2 [ (0, 1, 4.) ] in
-  checkf "mlu" 0.5 (Ecmp.mlu g [| 2. |]);
-  checkf "utilization" 0.5 (Ecmp.utilizations g [| 2. |]).(0)
+  checkf "mlu" 0.5 (Engine.Evaluator.mlu_of_loads g [| 2. |])
 
 let test_max_es_flow () =
   let g = diamond () in
@@ -305,9 +311,12 @@ let test_local_search_improves () =
   let g = net.Network.graph in
   let params = { Local_search.default_params with max_evals = 400; seed = 7 } in
   let r = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params g net.Network.demands in
-  let init_mlu, _ =
-    Local_search.evaluate g net.Network.demands
-      (Weights.round_to_range ~wmax:params.Local_search.wmax (Weights.inverse_capacity g))
+  let init_mlu =
+    Ecmp.mlu_of g
+      (Weights.of_ints
+         (Weights.round_to_range ~wmax:params.Local_search.wmax
+            (Weights.inverse_capacity g)))
+      net.Network.demands
   in
   Alcotest.(check bool) "no worse than init" true (r.Local_search.mlu <= init_mlu +. 1e-9);
   (* Optimal LWO on instance 1 is m/2 = 2.5 (Lemma 3.6). *)
@@ -998,9 +1007,18 @@ let prop_waypoints_equal_expansion =
     arb_te_instance (fun spec ->
       let g, demands, wps = build_te spec in
       let w = Weights.unit g in
-      let ev1 = Engine.Evaluator.create g w and ev2 = Engine.Evaluator.create g w in
-      let a = Ecmp.loads ~waypoints:wps ev1 demands in
-      let b = Ecmp.loads ev2 (Segments.expand demands wps) in
+      let a = ecmp_loads ~waypoints:wps g w demands in
+      (* the per-pair unit rows of every segment, summed demand by demand *)
+      let ev = Engine.Evaluator.create g w in
+      let b = Array.make (Digraph.edge_count g) 0. in
+      Array.iteri
+        (fun i (d : Network.demand) ->
+          List.iter
+            (fun (src, dst) ->
+              Engine.Evaluator.add_unit ev ~src ~dst ~scale:d.Network.size
+                ~into:b)
+            (Segments.segment_endpoints d wps.(i)))
+        demands;
       Array.for_all2 (fun x y -> abs_float (x -. y) <= 1e-9 *. (1. +. x)) a b)
 
 let prop_unit_load_conserves =
