@@ -241,24 +241,25 @@ let print_lwo _g _demands (r : Solver.result) =
     print_newline ()
   | None -> ()
 
+let waypoints_in (r : Solver.result) =
+  Option.fold ~none:0 ~some:Segments.count_waypoints r.Solver.waypoints
+
 let print_wpo wsetting _g demands (r : Solver.result) =
-  let used =
-    match r.Solver.waypoints with
-    | Some s -> Segments.count_waypoints s
-    | None -> 0
-  in
   Printf.printf
     "GreedyWPO under %s weights: MLU %.4f -> %.4f (%d/%d demands got a waypoint)\n"
-    wsetting r.Solver.initial_mlu r.Solver.mlu used (Array.length demands)
+    wsetting r.Solver.initial_mlu r.Solver.mlu (waypoints_in r)
+    (Array.length demands)
 
-let print_joint _g _demands (r : Solver.result) =
+(* The stage trail and the final MLU, left open for a suffix. *)
+let print_stages (r : Solver.result) =
   List.iter
     (fun (stage, mlu) -> Printf.printf "%-12s MLU %.4f\n" stage mlu)
     r.Solver.stages;
-  Printf.printf "final        MLU %.4f (%d waypoints in use)\n" r.Solver.mlu
-    (match r.Solver.waypoints with
-    | Some s -> Segments.count_waypoints s
-    | None -> 0)
+  Printf.printf "final        MLU %.4f" r.Solver.mlu
+
+let print_joint _g _demands r =
+  print_stages r;
+  Printf.printf " (%d waypoints in use)\n" (waypoints_in r)
 
 let run_solver (solve, print) topo file seed kind flows jobs stats trace
     summary =
@@ -326,22 +327,18 @@ let config_term =
    with their historical printers. *)
 let solver_of_alg alg config =
   match Solver.find alg with
-  | Some s -> s.Solver.solve config
+  | Some s -> Solver.solve s config
   | None ->
     Printf.eprintf "unknown algorithm %S; try `te-tool list-algs'\n" alg;
     exit 2
 
 let print_generic _g _demands (r : Solver.result) =
-  List.iter
-    (fun (stage, mlu) -> Printf.printf "%-12s MLU %.4f\n" stage mlu)
-    r.Solver.stages;
-  Printf.printf "final        MLU %.4f" r.Solver.mlu;
+  print_stages r;
   if Float.is_finite r.Solver.initial_mlu then
     Printf.printf " (start %.4f)" r.Solver.initial_mlu;
   if r.Solver.evals > 0 then Printf.printf "; %d evaluations" r.Solver.evals;
-  (match r.Solver.waypoints with
-  | Some s -> Printf.printf "; %d waypoints" (Segments.count_waypoints s)
-  | None -> ());
+  if r.Solver.waypoints <> None then
+    Printf.printf "; %d waypoints" (waypoints_in r);
   (match r.Solver.splits with
   | Some a ->
     let split =
@@ -356,28 +353,22 @@ let alg_arg_of_solve =
   Arg.(value & opt string "joint" & info [ "alg" ] ~docv:"NAME"
          ~doc:"Registered solver to run (see `te-tool list-algs').")
 
-let lwo_conf =
-  Term.(const (fun cfg -> (solver_of_alg "lwo" cfg, print_lwo)) $ config_term)
-
-let wpo_conf =
-  Term.(const (fun cfg wsetting ->
-            (solver_of_alg "wpo" cfg, print_wpo wsetting))
-        $ config_term $ weights_arg)
-
-let joint_conf =
-  Term.(const (fun cfg -> (solver_of_alg "joint" cfg, print_joint))
-        $ config_term)
-
-let solve_conf =
-  Term.(const (fun alg cfg -> (solver_of_alg alg cfg, print_generic))
-        $ alg_arg_of_solve $ config_term)
-
 let solver_cmds =
+  let alias alg print =
+    Term.(const (fun cfg -> (solver_of_alg alg cfg, print)) $ config_term)
+  in
   List.map solver_cmd
-    [ ("lwo", "Link-weight optimization (HeurOSPF local search)", lwo_conf);
-      ("wpo", "Waypoint optimization (Algorithm 3, GreedyWPO)", wpo_conf);
-      ("joint", "Joint optimization (Algorithm 2, JOINT-Heur)", joint_conf);
-      ("solve", "Run any registered solver (--alg NAME)", solve_conf) ]
+    [ ("lwo", "Link-weight optimization (HeurOSPF local search)",
+       alias "lwo" print_lwo);
+      ("wpo", "Waypoint optimization (Algorithm 3, GreedyWPO)",
+       Term.(const (fun cfg wsetting ->
+                 (solver_of_alg "wpo" cfg, print_wpo wsetting))
+             $ config_term $ weights_arg));
+      ("joint", "Joint optimization (Algorithm 2, JOINT-Heur)",
+       alias "joint" print_joint);
+      ("solve", "Run any registered solver (--alg NAME)",
+       Term.(const (fun alg cfg -> (solver_of_alg alg cfg, print_generic))
+             $ alg_arg_of_solve $ config_term)) ]
 
 let list_algs_cmd =
   let run () =

@@ -64,6 +64,27 @@ let optimize_iterated_ctx (ctx : Obs.Ctx.t) ?restarts
     { weights; int_weights; waypoints; mlu; stage_mlu = List.rev !stages }
   | None -> assert false (* iterations >= 1 always records a candidate *)
 
+(* Steps 3–4: split the demands at their waypoints and re-optimize the
+   weights for the split list, warm-started from [r]'s weights; keeps
+   the new weights if the original demands + waypoints route better
+   under them. *)
+let split_reopt (ctx : Obs.Ctx.t) ?restarts ~ls_params g demands r =
+  let ls =
+    Obs.Ctx.span ctx "joint:split-reopt" (fun () ->
+        Local_search.optimize_ctx ctx ?restarts ~params:ls_params
+          ~init:r.int_weights g (Segments.expand demands r.waypoints))
+  in
+  let weights = Weights.of_ints ls.Local_search.weights in
+  let mlu =
+    Ecmp.mlu_of ~stats:ctx.Obs.Ctx.stats ~waypoints:r.waypoints g weights
+      demands
+  in
+  let stage_mlu = r.stage_mlu @ [ ("HeurOSPF2", mlu) ] in
+  ( ls.Local_search.evals,
+    if mlu < r.mlu -. 1e-12 then
+      { r with weights; int_weights = ls.Local_search.weights; mlu; stage_mlu }
+    else { r with stage_mlu } )
+
 let optimize_ctx (ctx : Obs.Ctx.t) ?restarts
     ?(ls_params = Local_search.default_params) ?(full_pipeline = false) ?prune g
     demands =
@@ -78,34 +99,12 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?restarts
     Obs.Ctx.span ctx "joint:waypoints" (fun () ->
         Greedy_wpo.optimize_ctx ctx ?prune g w1 demands)
   in
-  let setting = Segments.of_single wpo.Greedy_wpo.waypoints in
-  let stage2 = wpo.Greedy_wpo.mlu in
-  let stages =
-    [ ("HeurOSPF", ls.Local_search.mlu); ("GreedyWPO", stage2) ]
+  let r =
+    { weights = w1; int_weights = ls.Local_search.weights;
+      waypoints = Segments.of_single wpo.Greedy_wpo.waypoints;
+      mlu = wpo.Greedy_wpo.mlu;
+      stage_mlu = [ ("HeurOSPF", ls.Local_search.mlu);
+                    ("GreedyWPO", wpo.Greedy_wpo.mlu) ] }
   in
-  if not full_pipeline then
-    { weights = w1; int_weights = ls.Local_search.weights; waypoints = setting;
-      mlu = stage2; stage_mlu = stages }
-  else begin
-    (* Steps 3–4: split demands at their waypoints and re-optimize the
-       weights for the split list. *)
-    let split = Segments.expand demands setting in
-    let ls2 =
-      Obs.Ctx.span ctx "joint:split-reopt" (fun () ->
-          Local_search.optimize_ctx ctx ?restarts ~params:ls_params
-            ~init:ls.Local_search.weights g split)
-    in
-    let w2 = Weights.of_ints ls2.Local_search.weights in
-    (* Evaluate the original demands + waypoints under the new weights:
-       re-running the greedy under w2 also re-validates the waypoints. *)
-    let mlu2 =
-      Ecmp.mlu_of ~stats:ctx.Obs.Ctx.stats ~waypoints:setting g w2 demands
-    in
-    let stages = stages @ [ ("HeurOSPF2", mlu2) ] in
-    if mlu2 < stage2 -. 1e-12 then
-      { weights = w2; int_weights = ls2.Local_search.weights;
-        waypoints = setting; mlu = mlu2; stage_mlu = stages }
-    else
-      { weights = w1; int_weights = ls.Local_search.weights;
-        waypoints = setting; mlu = stage2; stage_mlu = stages }
-  end
+  if full_pipeline then snd (split_reopt ctx ?restarts ~ls_params g demands r)
+  else r

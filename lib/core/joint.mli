@@ -39,6 +39,14 @@ val optimize_ctx :
     the greedy waypoint stage as in {!Greedy_wpo.optimize_ctx}; the
     weight search is unaffected. *)
 
+val split_reopt :
+  Obs.Ctx.t -> ?restarts:int -> ls_params:Local_search.params ->
+  Netgraph.Digraph.t -> Network.demand array -> result -> int * result
+(** Steps 3–4 on a steps 1–2 result, as in {!optimize_ctx} with
+    [full_pipeline] (and {!Solver}'s ["joint"]): trail entry
+    ["HeurOSPF2"], the new weights only if they route better, and the
+    re-run search's evaluation count. *)
+
 val optimize_iterated_ctx :
   Obs.Ctx.t ->
   ?restarts:int ->

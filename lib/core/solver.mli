@@ -47,34 +47,48 @@ type config = {
 
 val default_config : config
 
-type t = {
-  name : string;
-  doc : string;  (** one line for [te-tool list-algs] *)
-  solve :
-    config -> Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array -> result;
-}
+type stage
+(** One step of a solver: it advances the stages' result so far. *)
+
+type t = { name : string; doc : string; stages : stage list }
+(** [doc] is one line for [te-tool list-algs]; [stages] run in order. *)
 
 val all : t list
-(** Every solver, in presentation order:
-    - ["lwo"]: {!Local_search.optimize_ctx} (HeurOSPF); [initial_mlu]
+(** Every solver, in presentation order; a composed entry extends its
+    base entry's chain, so the two share that prefix:
+    - ["lwo"]: HeurOSPF ({!Local_search.optimize_ctx}); [initial_mlu]
       is the inverse-capacity MLU (the front ends' historical baseline).
-    - ["wpo"]: {!Greedy_wpo.optimize_ctx} (Algorithm 3) under
+    - ["wpo"]: GreedyWPO ({!Greedy_wpo.optimize_ctx}, Algorithm 3) under
       [config.weights].
-    - ["joint"]: {!Joint.optimize_ctx} (Algorithm 2); [stages] is the
-      pipeline's stage trail.
+    - ["joint"]: ["lwo"] + GreedyWPO under its weights (Algorithm 2),
+      + {!Joint.split_reopt} under [full_pipeline].
     - ["grad"]: {!Grad_wo.optimize_ctx}, gradient descent on real
       weights against the LP necessary capacities, rounded back to the
       integer grid; [stages] leads with the LP lower bound
       (["LP-bound"]) the descent tracks.
-    - ["omw"]: HeurOSPF provides the first weight system, then
-      {!Omw.optimize_ctx} splits traffic between it and an optimized
-      second system — never worse than the HeurOSPF stage.
-    - ["grad+wpo"]: greedy waypoints under the gradient weights.
-    - ["omw+wpo"]: HeurOSPF weights, greedy waypoints under them, then
-      the one-more-weight descent on the segment-expanded demand list,
-      so each segment's traffic may split across the two systems.
+    - ["omw"]: ["lwo"] + {!Omw.optimize_ctx}, which splits traffic
+      between the HeurOSPF weights and an optimized second system —
+      never worse than the HeurOSPF stage.
+    - ["grad+wpo"]: ["grad"] + GreedyWPO under the gradient weights.
+    - ["omw+wpo"]: ["lwo"] + GreedyWPO + OMW on the segment-expanded
+      demand list, so each segment's traffic may split across the two
+      systems.
 
-    The waypoint stages take [passes] and [prune]; the local-search
-    stages take [evals], [seed] and [restarts]. *)
+    GreedyWPO reads [passes] and [prune]; the local-search stages read
+    [evals], [seed] and [restarts].  A result reports its chain's first
+    starting MLU and the sum of its stages' evaluations. *)
+
+val solve_many :
+  config -> Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array ->
+  t list -> (result * float) list
+(** The entries' results, in order, with every shared chain prefix run
+    once; each equals the entry solved alone and comes with its
+    standalone cost, the sum of its stages' wall seconds.  Each stage
+    run is a span named after the first entry that needs it. *)
+
+val solve :
+  t -> config -> Obs.Ctx.t -> Netgraph.Digraph.t -> Network.demand array ->
+  result
+(** [solve s] is {!solve_many} on [[s]]. *)
 
 val find : string -> t option

@@ -1,7 +1,8 @@
 (* Solver-registry smoke: every registered backend end to end on
-   Abilene through the one table front ends use — finite MLUs, the
-   invariants each backend promises (gradient tracks its LP bound, OMW
-   never loses to its HeurOSPF stage), and registry dispatch itself.
+   Abilene in one shared-prefix run — finite MLUs, the invariants each
+   backend promises (gradient tracks its LP bound, OMW never loses to
+   its HeurOSPF stage), agreement with each entry solved alone, and
+   registry dispatch itself.
    Run with `dune build @solvers-smoke'. *)
 
 open Te
@@ -24,12 +25,12 @@ let () =
     (Array.length demands) (List.length Solver.all);
   check "at least seven registered solvers" (List.length Solver.all >= 7);
   let config = { Solver.default_config with Solver.evals = 400 } in
-  (* Every registered solver runs and reports a finite MLU. *)
+  (* Every registered solver runs, in one shared-prefix run, reports a
+     finite MLU and matches its standalone solve. *)
   let results =
-    List.map
-      (fun s ->
+    List.map2
+      (fun s (r, _) ->
         let name = s.Solver.name in
-        let r = s.Solver.solve config (Obs.Ctx.default ()) g demands in
         Printf.printf "  %-10s MLU %.4f  (%d evals)\n%!" name r.Solver.mlu
           r.Solver.evals;
         check (name ^ ": finite MLU") (Float.is_finite r.Solver.mlu);
@@ -38,8 +39,16 @@ let () =
           (match List.rev r.Solver.stages with
           | (_, last) :: _ -> last = r.Solver.mlu
           | [] -> false);
+        check
+          (name ^ ": shared run = find + solve")
+          (match Solver.find name with
+          | Some e ->
+            compare r (Solver.solve e config (Obs.Ctx.default ()) g demands)
+            = 0
+          | None -> false);
         (name, r))
       Solver.all
+      (Solver.solve_many config (Obs.Ctx.default ()) g demands Solver.all)
   in
   let get n = List.assoc_opt n results in
   (* Backend-specific promises. *)
@@ -67,7 +76,7 @@ let () =
   let run_omw pool =
     match Solver.find "omw" with
     | None -> None
-    | Some s -> Some (s.Solver.solve config (Obs.Ctx.make ~pool ()) g demands)
+    | Some s -> Some (Solver.solve s config (Obs.Ctx.make ~pool ()) g demands)
   in
   let r1 = run_omw Par.Pool.sequential in
   let r4 = Par.Pool.with_pool ~jobs:4 run_omw in

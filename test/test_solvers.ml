@@ -13,7 +13,9 @@
      the context carries (the CLI's [--jobs] bit-identity contract);
    - the registry exposes every packaged solver under its CLI name;
    - no registered solver reports an MLU below OPT, which is 1 because
-     [Demand_gen] scales by the exact LP optimum. *)
+     [Demand_gen] scales by the exact LP optimum;
+   - a shared-prefix run of every entry returns each entry's standalone
+     result and runs each shared stage once. *)
 
 open Te
 
@@ -194,7 +196,7 @@ let test_registry_runs_new_backends () =
   List.iter
     (fun s ->
       let name = s.Solver.name in
-      let r = s.Solver.solve config (Obs.Ctx.default ()) g demands in
+      let r = Solver.solve s config (Obs.Ctx.default ()) g demands in
       Alcotest.(check string) (name ^ ": result names its solver") name
         r.Solver.solver;
       Alcotest.(check bool)
@@ -213,7 +215,7 @@ let test_registry_lower_bound () =
     let g, demands = instance seed in
     List.iter
       (fun s ->
-        let r = s.Solver.solve config (Obs.Ctx.default ()) g demands in
+        let r = Solver.solve s config (Obs.Ctx.default ()) g demands in
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: %s MLU %.17g >= OPT = 1" seed s.Solver.name
              r.Solver.mlu)
@@ -221,6 +223,60 @@ let test_registry_lower_bound () =
           (r.Solver.mlu >= 1. -. 1e-9))
       Solver.all
   done
+
+let test_shared_equals_alone () =
+  let config = { Solver.default_config with evals = 50 } in
+  for seed = 1 to 20 do
+    let g, demands = instance seed in
+    let shared =
+      Solver.solve_many config (Obs.Ctx.default ()) g demands Solver.all
+    in
+    List.iter2
+      (fun s (r, _) ->
+        let alone = Solver.solve s config (Obs.Ctx.default ()) g demands in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: %s shared = alone" seed s.Solver.name)
+          true
+          (compare r alone = 0))
+      Solver.all shared
+  done
+
+let test_shared_runs_prefix_once () =
+  let g, demands = instance 3 in
+  let config = { Solver.default_config with evals = 100 } in
+  let count name run =
+    let tracer = Obs.Tracer.create () in
+    ignore (run (Obs.Ctx.make ~tracer ()));
+    List.length
+      (List.filter
+         (fun (s : Obs.Span.t) -> s.Obs.Span.name = name)
+         (Obs.Tracer.spans tracer))
+  in
+  let all ctx = Solver.solve_many config ctx g demands Solver.all in
+  let lwo ctx =
+    Solver.solve (Option.get (Solver.find "lwo")) config ctx g demands
+  in
+  Alcotest.(check int) "one grad:descent" 1 (count "grad:descent" all);
+  Alcotest.(check int) "ls:walk as in one lwo solve"
+    (count "ls:walk" lwo) (count "ls:walk" all)
+
+let test_joint_passes () =
+  let g, demands = instance 4 in
+  let config = { Solver.default_config with evals = 100; passes = 2 } in
+  let solve n =
+    Solver.solve (Option.get (Solver.find n)) config (Obs.Ctx.default ()) g
+      demands
+  in
+  let lwo = solve "lwo" and joint = solve "joint" in
+  let w = Weights.of_ints (Option.get lwo.Solver.weights) in
+  let r =
+    Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~passes:2 g w demands
+  in
+  Alcotest.(check (float 0.)) "joint = 2-pass GreedyWPO" r.Greedy_wpo.mlu
+    joint.Solver.mlu;
+  Alcotest.(check bool) "same waypoints" true
+    (joint.Solver.waypoints
+    = Some (Segments.of_single r.Greedy_wpo.waypoints))
 
 let () =
   Alcotest.run "solvers"
@@ -244,5 +300,10 @@ let () =
             test_registry_runs_new_backends;
           Alcotest.test_case "20-seed MLU >= OPT" `Quick
             test_registry_lower_bound;
+          Alcotest.test_case "shared run = alone" `Quick
+            test_shared_equals_alone;
+          Alcotest.test_case "shared prefix runs once" `Quick
+            test_shared_runs_prefix_once;
+          Alcotest.test_case "joint reads passes" `Quick test_joint_passes;
         ] );
     ]
