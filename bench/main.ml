@@ -1349,8 +1349,7 @@ let milp_instances abilene =
           .Wpo_milp.mlu ) ]
 
 (* Basis reuse across nearly-identical LPs: the Abilene min-MLU LP under
-   scaled demand matrices, cold each time vs chaining the previous
-   optimum's basis. *)
+   scaled demand matrices, cold each time vs one warm session. *)
 let basis_reuse abilene =
   let reps = lp_reps () in
   let comms =
@@ -1368,18 +1367,97 @@ let basis_reuse abilene =
   in
   let warm, t_warm =
     time_best reps (fun () ->
-        List.rev
-          (snd
-             (List.fold_left
-                (fun (basis, acc) s ->
-                  let r = Mcf.opt_mlu_lp ?basis abilene (scaled s) in
-                  (Some r.Mcf.basis, r.Mcf.value :: acc))
-                (None, []) scales)))
+        let session = Mcf.session abilene in
+        List.map (fun s -> (Mcf.solve session (scaled s)).Mcf.value) scales)
   in
   [ A.str "instance" "Abilene"; A.str "kind" "mcf-basis-reuse";
     A.int "solves" (List.length scales); A.float "cold_wall_seconds" t_cold;
     A.float "warm_wall_seconds" t_warm; A.float "speedup" (t_cold /. t_warm);
     A.bool "values_agree" (List.for_all2 (fun c w -> agree w c) cold warm) ]
+
+(* The serving loop's LP readouts on Germany50: the demand matrices of
+   the serve bench's replay, each solved three ways — cold, as a fresh
+   LP warm-started from the previous optimal basis by the primal simplex
+   (the readout before warm sessions), and through one [Mcf.session]. *)
+let serve_readouts () =
+  let g = Topology.Datasets.load "Germany50" in
+  let demands = fig4_demands g in
+  let steps = if !full then 200 else 40 in
+  let tbl = Hashtbl.create 256 in
+  Array.iter
+    (fun d -> Hashtbl.replace tbl (d.Demand.src, d.Demand.dst) d.Demand.size)
+    (Demand.aggregate demands);
+  let matrix () =
+    Demand.aggregate
+      (Array.of_list
+         (Hashtbl.fold
+            (fun (src, dst) size acc -> { Demand.src; dst; size } :: acc)
+            tbl []))
+  in
+  let matrices =
+    List.filter_map
+      (fun line ->
+        match Serve.Event.parse g line with
+        | Ok (Serve.Event.Delta changes) ->
+          List.iter
+            (fun c ->
+              let pair = (c.Serve.Event.src, c.Serve.Event.dst) in
+              if c.Serve.Event.size > 0. then Hashtbl.replace tbl pair c.size
+              else Hashtbl.remove tbl pair)
+            changes;
+          Some (matrix ())
+        | _ -> None)
+      (Scenario.replay_events
+         { Scenario.default_replay with replay_seed = 1; steps }
+         demands)
+  in
+  let run solve =
+    let t0 = Engine.Mono.now () in
+    let rs = List.map solve matrices in
+    (List.map fst rs, List.fold_left (fun a (_, p) -> a + p) 0 rs,
+     Engine.Mono.now () -. t0)
+  in
+  let cold, cold_piv, t_cold =
+    run (fun d ->
+        let r = Mcf.opt_mlu_lp g d in
+        (r.Mcf.value, r.Mcf.pivots))
+  in
+  let kept = ref None in
+  let primal, primal_piv, t_primal =
+    run (fun d ->
+        let key =
+          List.sort_uniq Int.compare
+            (Array.to_list (Array.map (fun c -> c.Demand.dst) d))
+        in
+        let basis =
+          match !kept with Some (k, b) when k = key -> Some b | _ -> None
+        in
+        match Simplex.Sparse.solve ?basis (Mcf.build_mlu_lp g d) with
+        | Simplex.Sparse.Optimal { value; basis; iters; _ } ->
+          kept := Some (key, basis);
+          (value, iters)
+        | _ -> (nan, 0))
+  in
+  let session = Mcf.session g in
+  let warm, warm_piv, t_warm =
+    run (fun d ->
+        let r = Mcf.solve session d in
+        (r.Mcf.value, r.Mcf.pivots))
+  in
+  let n = List.length matrices in
+  let per x = x /. float_of_int (max 1 n) in
+  let close a b = abs_float (a -. b) <= 1e-9 *. abs_float b in
+  [ A.str "instance" "Germany50"; A.str "kind" "serve-readouts";
+    A.int "readouts" n;
+    A.float "cold_pivots_per_readout" (per (float_of_int cold_piv));
+    A.float "primal_pivots_per_readout" (per (float_of_int primal_piv));
+    A.float "session_pivots_per_readout" (per (float_of_int warm_piv));
+    A.float "pivot_reduction" (float_of_int primal_piv /. float_of_int (max 1 warm_piv));
+    A.float "cold_seconds_per_readout" (per t_cold);
+    A.float "primal_seconds_per_readout" (per t_primal);
+    A.float "session_seconds_per_readout" (per t_warm);
+    A.bool "values_agree"
+      (List.for_all2 close primal cold && List.for_all2 close warm cold) ]
 
 let lp =
   { title = "LP layer: sparse revised simplex vs dense tableau oracle";
@@ -1391,7 +1469,8 @@ let lp =
         in
         phase "lp-race" lp_race (lp_instances abilene)
         @ phase "milp-warm-start" milp_case (milp_instances abilene)
-        @ phase "mcf-basis-reuse" basis_reuse [ abilene ]);
+        @ phase "mcf-basis-reuse" basis_reuse [ abilene ]
+        @ phase "mcf-serve-readouts" serve_readouts [ () ]);
     tables =
       [ ( "Dense tableau vs sparse revised simplex (min-MLU LP):",
           [ "instance"; "rows"; "cols"; "dense_wall_seconds";
@@ -1402,12 +1481,19 @@ let lp =
             "pivot_ratio" ] );
         ( "MCF warm-basis reuse across scaled demand matrices:",
           [ "instance"; "solves"; "cold_wall_seconds"; "warm_wall_seconds";
-            "speedup"; "values_agree" ] ) ];
+            "speedup"; "values_agree" ] );
+        ( "Serve-stream LP readouts (per readout: cold, primal warm, session):",
+          [ "instance"; "readouts"; "cold_pivots_per_readout";
+            "primal_pivots_per_readout"; "session_pivots_per_readout";
+            "cold_seconds_per_readout"; "primal_seconds_per_readout";
+            "session_seconds_per_readout"; "values_agree" ] ) ];
     gates =
       [ all_true "lp_objectives_agree" "objectives_agree";
         all_true "milp_warm_equals_cold" "_warm_cold_agree";
         all_true "mcf_warm_equals_cold" "values_agree";
         all_true "milp_warm_fewer_pivots" "warm_fewer_pivots";
+        at_least ~fatal:false "germany50_session_pivots_3x" 3. (fun rs ->
+            first "pivot_reduction" (matching [ A.str "kind" "serve-readouts" ] rs));
         at_least ~fatal:false "germany50_sparse_speedup_5x" 5. (fun rs ->
             first "speedup"
               (matching [ A.str "instance" (fst (germany50_lp ())) ] rs)) ] }

@@ -66,18 +66,18 @@ let () =
     | _ -> fail "seed %d: solvers classify differently" seed
   done;
   Printf.printf "random LPs: %d/60 agree with the dense oracle\n" !agreed;
-  (* 2. A real min-MLU LP (Abilene), and warm-basis reuse on a scaled
+  (* 2. A real min-MLU LP (Abilene), and a warm session re-solve on a scaled
      demand matrix. *)
   let g = Topology.Datasets.abilene () in
   let demands = Te.Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g in
-  let base = Mcf.opt_mlu_lp g demands in
-  let v1 = base.Mcf.value in
+  let session = Mcf.session g in
+  let v1 = (Mcf.solve session demands).Mcf.value in
   let scaled =
     Array.map
       (fun (d : Netgraph.Demand.t) -> { d with size = d.size *. 1.25 })
       demands
   in
-  let v2 = (Mcf.opt_mlu_lp ~basis:base.Mcf.basis g scaled).Mcf.value in
+  let v2 = (Mcf.solve session scaled).Mcf.value in
   let v2_cold = (Mcf.opt_mlu_lp g scaled).Mcf.value in
   if abs_float (v2 -. v2_cold) > 1e-9 *. (1. +. abs_float v2_cold) then
     fail "warm MCF re-solve %.12g <> cold %.12g" v2 v2_cold;
