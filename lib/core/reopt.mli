@@ -50,7 +50,17 @@ val reoptimize_ctx :
     the deployed setting as-is.  The budgeted weight search is recorded
     as a ["reopt:weights"] span and the greedy waypoint re-pick as
     ["reopt:waypoints"]; a context deadline stops the weight search
-    early (the waypoint step always runs).  The context's pool
+    early (the waypoint step always runs).
+
+    The weight search probes each candidate with
+    {!Engine.Evaluator.probe_mlu} and memoizes the result per (edge,
+    weight) until the next accepted move, so a pick that repeats a pair
+    reads the stored MLU instead of probing again.  A reuse still
+    spends one evaluation of [ls_params.max_evals], so the search takes
+    the same draws and returns the same bits as one that re-probes.
+    The span carries three int attributes: [evals] (budget units used:
+    probes, reuses, and picks the churn budget rejects), [probes]
+    ([probe_mlu] calls) and [reused] (memo hits).  The context's pool
     parallelizes the waypoint scan as in {!Greedy_wpo.optimize_ctx}.
 
     [ev] supplies a warm evaluator built on the same graph (physical

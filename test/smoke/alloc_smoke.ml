@@ -12,7 +12,11 @@
      direct route and every waypoint) allocates no minor words once the
      unit rows are cached;
    - [mlu_of_loads] allocates at most its boxed result per call, never
-     a word per edge.
+     a word per edge;
+   - a warm [Reopt.reoptimize_ctx] (400 evaluations, the serving
+     daemon's budget) stays under a ceiling of minor words per budget
+     unit: its probe memo and candidate buffer allocate nothing per
+     probe or hit.
 
    Run with `dune build @alloc-smoke' (part of the `@smoke' umbrella).
    Exits 0 in bytecode without measuring: outside native code every
@@ -185,6 +189,38 @@ let check_mlu_of_loads name g =
       name per_call;
     exit 1)
 
+(* The whole call is bracketed, waypoint re-pick included, on a warm
+   evaluator as the serving daemon passes one: about 155 words per unit,
+   of which the greedy waypoint re-pick is some 100 and the engine's
+   probe repairs some 30.  Probing every repeated (edge, weight) pair
+   instead of reading the memo reads about 176; a memo of boxed keys or
+   values adds words on every probe and hit. *)
+let reopt_words_per_unit_max = 165.
+
+let check_reopt name g =
+  let m = Digraph.edge_count g in
+  let st = Random.State.make [| 0x7e0 |] in
+  let deployed = Array.init m (fun _ -> 1 + Random.State.int st 16) in
+  let demands = demands_of g ~count:60 ~seed:0x7e1 in
+  let ev = Engine.Evaluator.create g (Weights.of_ints deployed) in
+  let ls_params = { Local_search.default_params with max_evals = 400 } in
+  let run () =
+    ignore
+      (Reopt.reoptimize_ctx (Obs.Ctx.default ()) ~ls_params ~ev
+         ~deployed_weights:deployed ~deployed_waypoints:(Segments.none demands)
+         g demands)
+  in
+  run ();
+  let per_unit =
+    minor_delta run /. float_of_int ls_params.Local_search.max_evals
+  in
+  Printf.printf "%-12s reopt        %4d evals  %8.1f minor words/unit\n" name
+    ls_params.Local_search.max_evals per_unit;
+  if per_unit > reopt_words_per_unit_max then (
+    Printf.eprintf "FAIL: %s warm reopt allocated %.1f minor words per unit\n"
+      name per_unit;
+    exit 1)
+
 let () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ ->
@@ -203,4 +239,5 @@ let () =
           check_candidate_sweep name g;
           check_mlu_of_loads name g)
         [ "Germany50"; "GtsCe" ];
+      check_reopt "Germany50" (Topology.Datasets.load "Germany50");
       print_endline "alloc smoke OK"
