@@ -821,7 +821,8 @@ let probe_race name =
   let stats = Engine.Stats.create () in
   let ev = Engine.Evaluator.create ~stats g base in
   Engine.Evaluator.set_commodities ev comms;
-  ignore (Engine.Evaluator.evaluate ev);
+  let r = { Engine.Evaluator.mlu = 0.; phi = 0. } in
+  Engine.Evaluator.evaluate_into ev r;
   (* warm start = the state any search holds between moves *)
   Engine.Stats.reset stats;
   let engine_sum, t_engine =
@@ -829,7 +830,8 @@ let probe_race name =
         Array.fold_left
           (fun acc (e, wv) ->
             Engine.Evaluator.set_weight ev ~edge:e wv;
-            let u = fst (Engine.Evaluator.evaluate ev) in
+            Engine.Evaluator.evaluate_into ev r;
+            let u = r.Engine.Evaluator.mlu in
             Engine.Evaluator.undo ev;
             acc +. u)
           0. seq)
@@ -948,12 +950,13 @@ let engine =
 (* Parallel search runtime                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Scaling of lib/par: the GreedyWPO candidate scan and the HeurOSPF
-   probe fan-out, both on cached per-worker clones under the
-   shared-counter scheduler, at pool sizes 1/2/4/8.  Every run is
-   compared bit for bit with the jobs = 1 run.  Each record carries the
-   scheduler's own counters ([steals] = tasks run by a slot other than
-   the caller) and the clone-cache amortization ratio. *)
+(* Scaling of lib/par: the HeurOSPF probe fan-out on cached per-worker
+   clones under the shared-counter scheduler, at pool sizes 1/2/4/8.
+   GreedyWPO, which leaves the pool idle, runs beside it only for the
+   bit-identity check.  Every run is compared bit for bit with the
+   jobs = 1 run.  Each record carries the scheduler's own counters
+   ([steals] = tasks run by a slot other than the caller) and the
+   clone-cache amortization ratio. *)
 let parallel_sweep name =
   let g = Topology.Datasets.load name in
   let demands = fig4_demands g in
@@ -961,12 +964,9 @@ let parallel_sweep name =
   let evals = if !full then 2000 else 400 in
   let measure pool =
     let m0 = Par.Pool.metrics pool in
-    let ws = Engine.Stats.create () and ls = Engine.Stats.create () in
-    let wm = Obs.Metrics.create () in
-    let wpo, wpo_wall =
-      timed (fun () ->
-          Greedy_wpo.optimize_ctx (Obs.Ctx.make ~stats:ws ~metrics:wm ~pool ())
-            g inv_w demands)
+    let ls = Engine.Stats.create () in
+    let wpo =
+      Greedy_wpo.optimize_ctx (Obs.Ctx.make ~pool ()) g inv_w demands
     in
     let heur, ls_wall =
       timed (fun () ->
@@ -975,14 +975,14 @@ let parallel_sweep name =
     in
     ( (wpo.Greedy_wpo.waypoints, wpo.Greedy_wpo.mlu, heur.Local_search.weights,
        heur.Local_search.mlu, heur.Local_search.evals),
-      (ws, wm, wpo_wall, ls, ls_wall, m0, Par.Pool.metrics pool) )
+      (ls, ls_wall, m0, Par.Pool.metrics pool) )
   in
   let runs =
     List.map (fun jobs -> (jobs, Par.Pool.with_pool ~jobs measure)) [ 1; 2; 4; 8 ]
   in
-  let ref_result, (_, _, base_wpo, _, base_ls, _, _) = snd (List.hd runs) in
+  let ref_result, (_, base_ls, _, _) = snd (List.hd runs) in
   List.map
-    (fun (jobs, (result, (ws, wm, wpo_wall, ls, ls_wall, m0, m1))) ->
+    (fun (jobs, (result, (ls, ls_wall, m0, m1))) ->
       let open Engine.Stats in
       let tasks = m1.Par.Pool.tasks - m0.Par.Pool.tasks in
       let wall = m1.Par.Pool.wall_seconds -. m0.Par.Pool.wall_seconds in
@@ -993,14 +993,9 @@ let parallel_sweep name =
       let efficiency =
         if wall <= 0. then nan else busy /. (wall *. float_of_int jobs)
       in
-      let scanned = Obs.Metrics.counter wm "wpo.scanned" in
-      let syncs = ws.clone_syncs + ls.clone_syncs in
-      let copies = ws.clone_copies + ls.clone_copies in
+      let syncs = ls.clone_syncs and copies = ls.clone_copies in
       [ A.str "topology" name; A.int "jobs" jobs;
         A.bool "identical_to_jobs1" (result = ref_result);
-        A.int "scan_candidates" scanned; A.float "scan_wall_seconds" wpo_wall;
-        A.float "scan_evals_per_sec" (float_of_int scanned /. wpo_wall);
-        A.float "scan_speedup" (base_wpo /. wpo_wall);
         A.int "probe_evaluations" ls.evaluations;
         A.float "probe_wall_seconds" ls_wall;
         A.float "probe_evals_per_sec" (float_of_int ls.evaluations /. ls_wall);
@@ -1028,16 +1023,16 @@ let sync_vs_copy () =
   let m = Digraph.edge_count g in
   let src = Engine.Evaluator.create g (Weights.inverse_capacity g) in
   Engine.Evaluator.set_commodities src (fig4_demands g);
-  ignore (Engine.Evaluator.evaluate src);
+  ignore (Engine.Evaluator.mlu src);
   let clone = Engine.Evaluator.copy src in
-  ignore (Engine.Evaluator.evaluate clone);
+  ignore (Engine.Evaluator.mlu clone);
   let reps = if !full then 400 else 100 in
   let st = Random.State.make [| 0xc10e |] in
   let move () =
     Engine.Evaluator.set_weight src ~edge:(Random.State.int st m)
       (float_of_int (1 + Random.State.int st 20));
     Engine.Evaluator.commit src;
-    ignore (Engine.Evaluator.evaluate src)
+    ignore (Engine.Evaluator.mlu src)
   in
   (* Mean microseconds of [op] over [reps] rounds, [before] untimed. *)
   let per_op before op =
@@ -1046,14 +1041,14 @@ let sync_vs_copy () =
       before ();
       let c, dt = timed op in
       total := !total +. dt;
-      ignore (Engine.Evaluator.evaluate c)
+      ignore (Engine.Evaluator.mlu c)
     done;
     !total /. float_of_int reps *. 1e6
   in
   let sync () = Engine.Evaluator.sync_from ~src clone; clone in
   let copy () = Engine.Evaluator.copy src in
   ignore (sync ());
-  ignore (Engine.Evaluator.evaluate clone);
+  ignore (Engine.Evaluator.mlu clone);
   let steady_sync = per_op ignore sync in
   let steady_copy = per_op ignore copy in
   let delta_sync = per_op move sync in
@@ -1086,16 +1081,15 @@ let efficiency_gate =
 
 let parallel =
   { title = "Parallel search runtime: shared-counter scheduler (lib/par)";
-    bench = "parallel"; version = 2; fields = [];
+    bench = "parallel"; version = 3; fields = [];
     run = (fun ctx ->
         List.concat_map
           (fun name -> Obs.Ctx.phase ctx name (fun () -> parallel_sweep name))
           [ "Abilene"; "Germany50" ]
         @ Obs.Ctx.phase ctx "sync_vs_copy" sync_vs_copy);
     tables =
-      [ ( "GreedyWPO scan and HeurOSPF probes per pool size:",
-          [ "topology"; "jobs"; "scan_evals_per_sec"; "scan_speedup";
-            "probe_evals_per_sec"; "probe_speedup";
+      [ ( "HeurOSPF probes per pool size:",
+          [ "topology"; "jobs"; "probe_evals_per_sec"; "probe_speedup";
             "sched_overhead_us_per_task"; "steals"; "clone_amortization";
             "identical_to_jobs1" ] );
         ( "sync_from vs copy (Germany50, warm clone):",
@@ -1697,11 +1691,10 @@ let prune =
    process boundary), returning the daemon, the response lines and the
    wall time spent inside the event loop. *)
 let run_replay ?(timings = true) ?(deadline_ms = 10_000.) ?(lp_every = 1)
-    ?(lp = true) ~pool ~deployed g demands lines =
+    ~pool ~deployed g demands lines =
   let weights, waypoints = deployed in
   let cfg =
-    { Serve.Daemon.default_config with
-      deadline_ms; timings; lp_bound = lp; lp_every; seed = 1 }
+    { Serve.Daemon.default_config with deadline_ms; timings; lp_every; seed = 1 }
   in
   let d =
     Serve.Daemon.create (Obs.Ctx.make ~pool ()) cfg ~deployed_weights:weights
@@ -1752,7 +1745,7 @@ let serve_replay pool (name, steps, lp_every) =
      the experiment. *)
   let det_run pool =
     let _, rs, _ =
-      run_replay ~timings:false ~deadline_ms:(-1.) ~lp:false ~pool ~deployed g
+      run_replay ~timings:false ~deadline_ms:(-1.) ~lp_every:0 ~pool ~deployed g
         demands lines
     in
     rs

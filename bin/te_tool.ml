@@ -34,16 +34,17 @@ let load_topology name file =
 
 let load_graph name file = fst (load_topology name file)
 
-(* A count option below 1 is a usage error: exit 2 with a message, not
-   an uncaught [Invalid_argument] from deep inside a solver. *)
-let at_least_one flag v =
-  if v < 1 then begin
-    Printf.eprintf "--%s must be >= 1\n" flag;
+(* A count option below its minimum is a usage error: exit 2 with a
+   message, not an uncaught [Invalid_argument] from deep inside a
+   solver. *)
+let at_least min flag v =
+  if v < min then begin
+    Printf.eprintf "--%s must be >= %d\n" flag min;
     exit 2
   end
 
 let make_demands ?(file_demands = []) g ~seed ~kind ~flows =
-  at_least_one "flows" flows;
+  at_least 1 "flows" flows;
   match (kind, file_demands) with
   | "file", [] ->
     Printf.eprintf "--demands file requires an SNDLib file with a DEMANDS section\n";
@@ -127,7 +128,7 @@ let restarts_arg =
 (* Runs [f] inside a pool of [jobs] worker domains.  jobs = 1 uses the
    shared sequential pool, so no domain is ever spawned. *)
 let with_pool jobs f =
-  at_least_one "jobs" jobs;
+  at_least 1 "jobs" jobs;
   if jobs = 1 then f Par.Pool.sequential else Par.Pool.with_pool ~jobs f
 
 let trace_arg =
@@ -307,9 +308,9 @@ let passes_arg =
    command: each solver reads only the fields its algorithm uses. *)
 let config_term =
   Term.(const (fun seed evals restarts passes full_pipeline prune wsetting ->
-            at_least_one "evals" evals;
-            at_least_one "restarts" restarts;
-            at_least_one "passes" passes;
+            at_least 1 "evals" evals;
+            at_least 1 "restarts" restarts;
+            at_least 1 "passes" passes;
             {
               Solver.seed;
               evals;
@@ -462,7 +463,7 @@ let nanonet_cmd =
 (* failures *)
 let failures_cmd =
   let run topo file seed kind flows evals =
-    at_least_one "evals" evals;
+    at_least 1 "evals" evals;
     let g, file_demands = load_topology topo file in
     let demands = make_demands ~file_demands g ~seed ~kind ~flows in
     let ls_params = { Local_search.default_params with max_evals = evals; seed } in
@@ -500,7 +501,7 @@ let failures_cmd =
 let robust_cmd =
   let run topo file seed kind flows evals jobs stats trace summary policies_s
       dual scales_s jitter hotspots diurnal cross reopt_evals out =
-    at_least_one "evals" evals;
+    at_least 1 "evals" evals;
     let policies =
       try Scenario.policies_of_string policies_s
       with Invalid_argument m ->
@@ -811,9 +812,10 @@ let replay_cmd =
 (* serve *)
 let serve_cmd =
   let run topo file seed kind flows evals jobs stats trace summary deploy
-      deadline_ms churn_budget reopt_evals resolve_evals no_lp lp_every
-      no_prune no_timings input output =
-    at_least_one "evals" evals;
+      deadline_ms churn_budget reopt_evals resolve_evals lp_every no_prune
+      no_timings input output =
+    at_least 1 "evals" evals;
+    at_least 0 "lp-every" lp_every;
     with_ctx ~jobs ~stats ~trace ~summary (fun ctx ->
         let g, file_demands =
           Obs.Ctx.phase ctx "load" (fun () -> load_topology topo file)
@@ -843,7 +845,6 @@ let serve_cmd =
             churn_budget;
             reopt_evals;
             resolve_evals;
-            lp_bound = not no_lp;
             lp_every;
             prune = not no_prune;
             timings = not no_timings;
@@ -899,16 +900,13 @@ let serve_cmd =
     Arg.(value & opt int 4000 & info [ "resolve-evals" ]
            ~doc:"Evaluation budget for resolve events.")
   in
-  let no_lp_arg =
-    Arg.(value & flag & info [ "no-lp" ]
-           ~doc:"Skip the per-update warm-basis LP lower bound (no \
-                 optimality-gap readout in responses).")
-  in
   let lp_every_arg =
     Arg.(value & opt int 1 & info [ "lp-every" ] ~docv:"K"
-           ~doc:"Solve the LP bound only on every K-th update (resolve \
-                 always solves); thins the cadence on topologies where \
-                 even a warm solve dwarfs the re-optimization.")
+           ~doc:"Solve the warm-basis LP lower bound only on every K-th \
+                 update (resolve always solves); thins the cadence on \
+                 topologies where even a warm solve dwarfs the \
+                 re-optimization.  0 never solves it, resolve included: \
+                 no optimality-gap readout in responses.")
   in
   let no_prune_arg =
     Arg.(value & flag & info [ "no-prune" ]
@@ -938,7 +936,7 @@ let serve_cmd =
     Term.(const run $ topo_arg $ file_arg $ seed_arg $ demands_arg $ flows_arg
           $ evals_arg $ jobs_arg $ stats_arg $ trace_arg $ summary_arg
           $ deploy_arg $ deadline_arg $ churn_arg $ reopt_evals_arg
-          $ resolve_evals_arg $ no_lp_arg $ lp_every_arg $ no_prune_arg
+          $ resolve_evals_arg $ lp_every_arg $ no_prune_arg
           $ no_timings_arg $ input_arg $ output_arg)
 
 (* export *)

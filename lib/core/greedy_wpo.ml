@@ -42,110 +42,77 @@ let order_indices order demands =
    against the loads, and the candidate's MLU is the larger of that
    peak and the demand's residual MLU (computed once per demand).  This
    is the dense splice-and-scan bit for bit, because a candidate only
-   adds non-negative load (DESIGN.md, "Scoring a candidate"). *)
+   adds non-negative load (DESIGN.md, "Scoring a candidate").
 
-(* ------------------------------------------------------------------ *)
-(* Parallel candidate scan                                             *)
-(* ------------------------------------------------------------------ *)
+   Everything runs on the calling domain and the context's pool is
+   never used: a scan costs microseconds, and spreading it over a pool
+   measured slower than one domain (EXPERIMENTS.md, "Sequential
+   GreedyWPO scan").  So the result, the trace and [wpo.scanned] are
+   the same for every pool size. *)
 
 (* A candidate is a waypoint id; [drop] stands for the direct route. *)
 let drop = -1
 
-(* Candidates are scanned in fixed-size chunks, so the work
-   decomposition is independent of the worker count, and each one is
-   scored from read-only inputs alone, so the argmin is the same for
-   every pool size ([--jobs N] ≡ [--jobs 1]).  A candidate costs a walk
-   of a few dozen row entries; 32 keeps a Germany50 scan (48
-   candidates) in two tasks, where smaller chunks lose more to task
-   overhead at [jobs >= 2] than they gain. *)
-let scan_chunk = 32
-
-type scan_ctx = {
-  pool : Par.Pool.t;
-  evs : Engine.Evaluator.t array; (* slot 0 is the main evaluator *)
-  peaks : float array array; (* per-worker [segment_peak] result cell *)
-  main_stats : Engine.Stats.t;
+(* The state both greedies share: the evaluator whose cached unit rows
+   score every candidate, the running loads, the optional pruner, the
+   visit order, the unpruned candidate grid and [segment_peak]'s result
+   cell. *)
+type run = {
+  ev : Engine.Evaluator.t;
+  loads : float array;
+  pruner : Prune.t option;
+  indices : int array;
+  nodes : int array;
+  peak : float array;
   tracer : Obs.Tracer.t;
   metrics : Obs.Metrics.t;
 }
 
-(* Clones come from the context's persistent cache, on the calling
-   domain, after the caches are warm — neither [Evaluator.copy] nor
-   [Evaluator.sync_from] may race with another domain using the source
-   evaluator.  Slots already populated by an earlier fan-out (a previous
-   greedy run, or the local search sharing the same context) are
-   delta-synced instead of recopied. *)
-let make_ctx (octx : Obs.Ctx.t) ev =
-  let pool = octx.Obs.Ctx.pool in
-  let par = Par.Pool.parallelism pool in
-  let evs =
-    Array.init par (fun w ->
-        if w = 0 then ev
-        else Engine.Evaluator.Clones.get octx.Obs.Ctx.clones ~worker:w ~src:ev)
+let setup (octx : Obs.Ctx.t) ~order ~prune g weights demands =
+  let ev =
+    Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
+      ~probe:(Obs.Ctx.probe octx) g weights
   in
-  { pool; evs; peaks = Array.init par (fun _ -> [| 0. |]);
-    main_stats = Engine.Evaluator.stats ev; tracer = octx.Obs.Ctx.tracer;
-    metrics = octx.Obs.Ctx.metrics }
+  Engine.Evaluator.set_commodities ev demands;
+  let loads = Array.copy (Engine.Evaluator.loads ev) in
+  let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
+  { ev; loads; pruner; indices = order_indices order demands;
+    nodes = Array.init (Digraph.node_count g) Fun.id; peak = [| 0. |];
+    tracer = octx.Obs.Ctx.tracer; metrics = octx.Obs.Ctx.metrics }
 
-(* Clones persist in the cache across fan-outs, so their counters are
-   folded into the run total and reset — leaving them live would
-   double-count on the next merge. *)
-let merge_clone_stats ctx =
-  for w = 1 to Array.length ctx.evs - 1 do
-    let cs = Engine.Evaluator.stats ctx.evs.(w) in
-    Engine.Stats.merge ~into:ctx.main_stats cs;
-    Engine.Stats.reset cs
-  done
+let add r src dst scale =
+  Engine.Evaluator.add_unit r.ev ~src ~dst ~scale ~into:r.loads
 
 (* Returns the strict (MLU, candidate index) argmin — the first
    candidate among those of minimal MLU — or [None] if no candidate is
    routable.  Candidate [vias.(j)] routes [size] from [src] over that
-   waypoint (or directly, for [drop]) to [dst] on top of [loads], whose
-   MLU is [residual]; candidates raising [Unroutable] are skipped. *)
-let scan_candidates ctx ~loads ~residual ~src ~dst ~size vias =
+   waypoint (or directly, for [drop]) to [dst] on top of [r.loads],
+   whose MLU is [residual]; candidates raising [Unroutable] are
+   skipped. *)
+let scan_candidates r ~residual ~src ~dst ~size vias =
   let ncand = Array.length vias in
   if ncand = 0 then None
   else begin
-    (* The scan span is recorded by the orchestrating domain, so the
-       trace is jobs-independent. *)
-    let scan_tok = Obs.Tracer.start ctx.tracer "wpo:scan" in
-    Obs.Tracer.attr ctx.tracer scan_tok (Obs.Attr.int "candidates" ncand);
-    let ch = Par.Pool.chunks ~chunk:scan_chunk ncand in
-    let per_chunk =
-      Par.Pool.map ctx.pool ~tasks:(Array.length ch) (fun ~worker ci ->
-          let start, len = ch.(ci) in
-          let ev = ctx.evs.(worker) and out = ctx.peaks.(worker) in
-          let best_u = ref infinity and best_j = ref (-1) and nev = ref 0 in
-          for j = start to start + len - 1 do
-            match
-              Engine.Evaluator.segment_peak ev ~src ~via:vias.(j) ~dst
-                ~scale:size ~base:loads ~out
-            with
-            | exception Engine.Evaluator.Unroutable _ -> ()
-            | () ->
-              incr nev;
-              let u = if out.(0) > residual then out.(0) else residual in
-              if !best_j < 0 || u < !best_u then begin
-                best_u := u;
-                best_j := j
-              end
-          done;
-          (!best_u, !best_j, !nev))
-    in
-    let scanned = ref 0 and best_u = ref infinity and best_j = ref (-1) in
-    (* Chunks reduce in index order and ties keep the earlier chunk, so
-       the winner is the global first-of-the-minima regardless of which
-       worker scored which chunk. *)
-    Array.iter
-      (fun (u, j, nev) ->
-        scanned := !scanned + nev;
-        if j >= 0 && (!best_j < 0 || u < !best_u) then begin
+    let scan_tok = Obs.Tracer.start r.tracer "wpo:scan" in
+    Obs.Tracer.attr r.tracer scan_tok (Obs.Attr.int "candidates" ncand);
+    let out = r.peak in
+    let best_u = ref infinity and best_j = ref (-1) and scanned = ref 0 in
+    for j = 0 to ncand - 1 do
+      match
+        Engine.Evaluator.segment_peak r.ev ~src ~via:vias.(j) ~dst ~scale:size
+          ~base:r.loads ~out
+      with
+      | exception Engine.Evaluator.Unroutable _ -> ()
+      | () ->
+        incr scanned;
+        let u = if out.(0) > residual then out.(0) else residual in
+        if !best_j < 0 || u < !best_u then begin
           best_u := u;
           best_j := j
-        end)
-      per_chunk;
-    if !scanned > 0 then Obs.Metrics.incr ctx.metrics ~by:!scanned "wpo.scanned";
-    Obs.Tracer.finish ctx.tracer scan_tok;
+        end
+    done;
+    if !scanned > 0 then Obs.Metrics.incr r.metrics ~by:!scanned "wpo.scanned";
+    Obs.Tracer.finish r.tracer scan_tok;
     if !best_j < 0 then None else Some (!best_u, !best_j)
   end
 
@@ -175,16 +142,14 @@ let candidates ~with_drop ~src ~dst ~cur ws =
    skip").  Otherwise the list is [vias] of every node, or of the
    pruner's per-pair list; a pruned visit feeds the effectiveness
    counters against [full], the size of the unpruned list, and a
-   skipped one counts that whole list as pruned.  All of this runs on
-   the orchestrating domain, so every run keeps the bit-identical-
-   across-jobs guarantee. *)
-let visit_cands ctx pruner ~nodes ~residual ~u_min ~src ~dst ~full ~vias =
+   skipped one counts that whole list as pruned. *)
+let visit_cands stats pruner ~nodes ~residual ~u_min ~src ~dst ~full ~vias =
   let skip = residual >= u_min -. 1e-12 in
   match pruner with
   | None -> if skip then [||] else vias nodes
   | Some p ->
     let cands = if skip then [||] else vias (Prune.candidates p ~src ~dst) in
-    Engine.Stats.record_pruning ctx.main_stats
+    Engine.Stats.record_pruning stats
       ~pruned:(max 0 (full - Array.length cands))
       ~kept:(Array.length cands);
     cands
@@ -197,26 +162,14 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
     weights demands =
   if rounds < 1 then invalid_arg "Greedy_wpo.optimize_multi: rounds >= 1";
   let n = Digraph.node_count g in
-  let nodes = Array.init n Fun.id in
-  let tracer = octx.Obs.Ctx.tracer in
-  let ev =
-    Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
-      ~probe:(Obs.Ctx.probe octx) g weights
-  in
-  Engine.Evaluator.set_commodities ev demands;
-  let add src dst scale into =
-    Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
-  in
-  let loads = Array.copy (Engine.Evaluator.loads ev) in
-  let ctx = make_ctx octx ev in
-  let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
+  let r = setup octx ~order ~prune g weights demands in
+  let stats = Engine.Evaluator.stats r.ev in
   let setting = Array.make (Array.length demands) [] in
-  let indices = order_indices order demands in
-  let u_min = ref (Engine.Evaluator.mlu_of_loads g loads) in
+  let u_min = ref (Engine.Evaluator.mlu_of_loads g r.loads) in
   let round_mlu = ref [] in
   for round = 1 to rounds do
-    let round_tok = Obs.Tracer.start tracer "wpo:round" in
-    Obs.Tracer.attr tracer round_tok (Obs.Attr.int "round" round);
+    let round_tok = Obs.Tracer.start r.tracer "wpo:round" in
+    Obs.Tracer.attr r.tracer round_tok (Obs.Attr.int "round" round);
     Array.iter
       (fun i ->
         let d = demands.(i) in
@@ -228,32 +181,29 @@ let optimize_multi_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?prune ~rounds g
         in
         if anchor <> d.Network.dst then begin
           let dst = d.Network.dst in
-          add anchor dst (-.size) loads;
-          let residual = Engine.Evaluator.mlu_of_loads g loads in
+          add r anchor dst (-.size);
+          let residual = Engine.Evaluator.mlu_of_loads g r.loads in
           let vias = candidates ~with_drop:false ~src:anchor ~dst ~cur:drop in
           let cands =
-            visit_cands ctx pruner ~nodes ~residual ~u_min:!u_min ~src:anchor
-              ~dst ~full:(n - 2) ~vias
+            visit_cands stats r.pruner ~nodes:r.nodes ~residual ~u_min:!u_min
+              ~src:anchor ~dst ~full:(n - 2) ~vias
           in
-          match
-            scan_candidates ctx ~loads ~residual ~src:anchor ~dst ~size cands
-          with
+          match scan_candidates r ~residual ~src:anchor ~dst ~size cands with
           | Some (u, j) when u < !u_min -. 1e-12 ->
             let w = cands.(j) in
             setting.(i) <- setting.(i) @ [ w ];
             u_min := u;
-            add anchor w size loads;
-            add w dst size loads
-          | _ -> add anchor dst size loads
+            add r anchor w size;
+            add r w dst size
+          | _ -> add r anchor dst size
         end)
-      indices;
-    let u = Engine.Evaluator.mlu_of_loads g loads in
+      r.indices;
+    let u = Engine.Evaluator.mlu_of_loads g r.loads in
     round_mlu := u :: !round_mlu;
-    Obs.Tracer.attr tracer round_tok (Obs.Attr.float "mlu" u);
-    Obs.Tracer.finish tracer round_tok
+    Obs.Tracer.attr r.tracer round_tok (Obs.Attr.float "mlu" u);
+    Obs.Tracer.finish r.tracer round_tok
   done;
-  merge_clone_stats ctx;
-  { setting; mlu = Engine.Evaluator.mlu_of_loads g loads;
+  { setting; mlu = Engine.Evaluator.mlu_of_loads g r.loads;
     round_mlu = List.rev !round_mlu }
 
 (* ------------------------------------------------------------------ *)
@@ -264,46 +214,34 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
     weights demands =
   if passes < 1 then invalid_arg "Greedy_wpo.optimize: passes >= 1";
   let n = Digraph.node_count g in
-  let nodes = Array.init n Fun.id in
-  let tracer = octx.Obs.Ctx.tracer in
-  let ev =
-    Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats
-      ~probe:(Obs.Ctx.probe octx) g weights
-  in
-  Engine.Evaluator.set_commodities ev demands;
-  let add src dst scale into =
-    Engine.Evaluator.add_unit ev ~src ~dst ~scale ~into
-  in
-  let loads = Array.copy (Engine.Evaluator.loads ev) in
-  let ctx = make_ctx octx ev in
-  let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
-  let initial_mlu = Engine.Evaluator.mlu_of_loads g loads in
+  let r = setup octx ~order ~prune g weights demands in
+  let stats = Engine.Evaluator.stats r.ev in
+  let initial_mlu = Engine.Evaluator.mlu_of_loads g r.loads in
   let waypoints = Array.make (Array.length demands) None in
-  let indices = order_indices order demands in
   let u_min = ref initial_mlu in
   (* Accumulates [scale] times the segments demand [i] currently loads
      onto the network. *)
   let add_segments i scale =
     let d = demands.(i) in
     match waypoints.(i) with
-    | None -> add d.Network.src d.Network.dst scale loads
+    | None -> add r d.Network.src d.Network.dst scale
     | Some w ->
-      add d.Network.src w scale loads;
-      add w d.Network.dst scale loads
+      add r d.Network.src w scale;
+      add r w d.Network.dst scale
   in
   (* Pass 1 is Algorithm 3 verbatim; later passes revisit each demand,
      allowing reassignment or removal of its waypoint (the sequential
      greedy is order-fragile and an improvement pass recovers most of
      the loss). *)
   for pass = 1 to passes do
-    let pass_tok = Obs.Tracer.start tracer "wpo:pass" in
-    Obs.Tracer.attr tracer pass_tok (Obs.Attr.int "pass" pass);
+    let pass_tok = Obs.Tracer.start r.tracer "wpo:pass" in
+    Obs.Tracer.attr r.tracer pass_tok (Obs.Attr.int "pass" pass);
     Array.iter
       (fun i ->
         let d = demands.(i) in
         let size = d.Network.size in
         add_segments i (-.size);
-        let residual = Engine.Evaluator.mlu_of_loads g loads in
+        let residual = Engine.Evaluator.mlu_of_loads g r.loads in
         let src = d.Network.src and dst = d.Network.dst in
         let cur = Option.value waypoints.(i) ~default:drop in
         (* On improvement passes, also consider dropping the waypoint. *)
@@ -313,19 +251,17 @@ let optimize_ctx (octx : Obs.Ctx.t) ?(order = Desc) ?(passes = 1) ?prune g
           n - 2 - (if cur <> drop then 1 else 0) + (if with_drop then 1 else 0)
         in
         let cands =
-          visit_cands ctx pruner ~nodes ~residual ~u_min:!u_min ~src ~dst ~full
-            ~vias
+          visit_cands stats r.pruner ~nodes:r.nodes ~residual ~u_min:!u_min
+            ~src ~dst ~full ~vias
         in
-        (match scan_candidates ctx ~loads ~residual ~src ~dst ~size cands with
+        (match scan_candidates r ~residual ~src ~dst ~size cands with
         | Some (u, j) when u < !u_min -. 1e-12 ->
           waypoints.(i) <- (if cands.(j) = drop then None else Some cands.(j))
         | _ -> ());
         add_segments i size;
-        u_min := Engine.Evaluator.mlu_of_loads g loads)
-      indices;
-    Obs.Tracer.attr tracer pass_tok (Obs.Attr.float "mlu" !u_min);
-    Obs.Tracer.finish tracer pass_tok
+        u_min := Engine.Evaluator.mlu_of_loads g r.loads)
+      r.indices;
+    Obs.Tracer.attr r.tracer pass_tok (Obs.Attr.float "mlu" !u_min);
+    Obs.Tracer.finish r.tracer pass_tok
   done;
-  merge_clone_stats ctx;
-  let final_mlu = Engine.Evaluator.mlu_of_loads g loads in
-  { waypoints; mlu = final_mlu; initial_mlu }
+  { waypoints; mlu = Engine.Evaluator.mlu_of_loads g r.loads; initial_mlu }

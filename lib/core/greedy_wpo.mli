@@ -25,20 +25,18 @@ val optimize_ctx :
   result
 (** The context-taking entry point.  The context's tracer records one
     ["wpo:pass"] span per pass with a ["wpo:scan"] span per candidate
-    scan nested inside (all recorded by the orchestrating domain, so
-    the trace is identical for every pool size).
+    scan nested inside.
     [passes = 1] (default) is Algorithm 3 verbatim; additional passes
     revisit every demand and may reassign or drop its waypoint, which
     repairs most of the sequential greedy's order-dependence.  All unit
     flows come from one shared {!Engine.Evaluator}, whose cache counters
     land in [stats].
 
-    [pool] parallelizes the per-demand candidate scan: the waypoint grid
-    is partitioned into fixed-size chunks, each worker scores its chunk
-    on a private {!Engine.Evaluator.copy} clone against the shared
-    read-only loads ({!Engine.Evaluator.segment_peak}), and the
-    per-chunk argmins reduce in chunk-index order — the result is
-    bit-identical for every pool size (asserted by the test suite).
+    The greedy runs on the calling domain and leaves the context's pool
+    idle: each candidate is scored against the running loads by
+    {!Engine.Evaluator.segment_peak}, and the winner is the first
+    candidate of minimal MLU.  The result, the trace and the metrics
+    are therefore the same for every pool size.
 
     Every visit first applies the exact residual-MLU bound: with the
     demand's own flow removed, the MLU lower-bounds every candidate, so
@@ -50,9 +48,7 @@ val optimize_ctx :
     releases) runs the {!Prune} preprocessing pass once up front and
     scans only each demand's pruned candidate list.  The effectiveness
     lands in the [candidates_pruned] / [candidates_kept] stats counters
-    (a skipped visit counts its whole list as pruned), and candidate
-    lists are built on the orchestrating domain, so pruned runs stay
-    bit-identical across pool sizes too.
+    (a skipped visit counts its whole list as pruned).
     @raise Engine.Evaluator.Unroutable if a demand itself is unroutable (candidate
     waypoints that would make a segment unroutable are skipped). *)
 
@@ -75,6 +71,6 @@ val optimize_multi_ctx :
     the greedy [rounds] times; round [k] may append one more waypoint to
     each demand's list (so W <= rounds), greedily re-splitting the last
     segment.  [rounds = 1] coincides with {!optimize_ctx}.  The tracer
-    records one ["wpo:round"] span per round.  The context's pool and
-    [prune] behave as in {!optimize_ctx}; later rounds look up pruned
-    candidates for the current segment anchor. *)
+    records one ["wpo:round"] span per round.  [prune] behaves as in
+    {!optimize_ctx}, and the pool stays idle as there; later rounds look
+    up pruned candidates for the current segment anchor. *)

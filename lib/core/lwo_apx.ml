@@ -58,6 +58,10 @@ let effective_capacities ?(prune = true) g ~usable ~source ~target =
   done;
   { node; edge; kept }
 
+(* Lemma 4.1: a weight setting under which the shortest-path DAG towards
+   [target] is exactly the kept subgraph (potentials d(t) = 0,
+   d(v) = 1 + max child potential; kept edge weight d(u) - d(v); all
+   other edges get a weight larger than any path). *)
 let weights_for_dag g ~keep ~target =
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let order = Paths.topo_order g ~keep in

@@ -29,13 +29,6 @@ val effective_capacities :
     an ablation baseline).
     @raise Failure if the usable subgraph has a cycle. *)
 
-val weights_for_dag :
-  Netgraph.Digraph.t -> keep:(int -> bool) -> target:int -> Weights.t
-(** Lemma 4.1: a weight setting under which the shortest-path DAG
-    towards [target] is exactly the kept subgraph (potentials
-    d(t) = 0, d(v) = 1 + max child potential; kept edge weight
-    d(u) - d(v); all other edges get a weight larger than any path). *)
-
 type result = {
   weights : Weights.t;
   es_flow_value : float;

@@ -25,8 +25,3 @@ let split_demands ~parts demands =
           (fun d ->
             Array.make parts { d with size = d.size /. float_of_int parts })
           demands))
-
-let is_routable t =
-  Array.for_all
-    (fun d -> (Paths.reachable t.graph ~source:d.src).(d.dst))
-    t.demands

@@ -26,7 +26,3 @@ val total_demand : t -> float
 val split_demands : parts:int -> demand array -> demand array
 (** Splits every demand into [parts] equal sub-demands (the paper's
     MCF-synthetic generation splits per-pair demands into |E|/4 flows). *)
-
-val is_routable : t -> bool
-(** Every demand's destination reachable from its source? *)
-

@@ -161,7 +161,6 @@ type t = {
   row_scratch : int array;
   mutable scratch_gen : int;
   pscratch : Paths.Scratch.t;
-  emetrics : metrics;
 }
 
 let rel_eps = 1e-9
@@ -248,7 +247,6 @@ let create ?(stats = Stats.create ()) ?(probe = Probe.null) graph weights =
     row_scratch = Array.make n 0;
     scratch_gen = 0;
     pscratch = Paths.Scratch.create ();
-    emetrics = { mlu = 0.; phi = 0. };
   }
 
 let urow_copy ur =
@@ -338,7 +336,6 @@ let copy ?stats t =
     row_scratch = Array.make n 0;
     scratch_gen = 0;
     pscratch = Paths.Scratch.create ();
-    emetrics = { mlu = 0.; phi = 0. };
   }
 
 let graph t = t.graph
@@ -346,8 +343,6 @@ let graph t = t.graph
 let weights t = t.weights
 
 let stats t = t.stats
-
-let trail_length t = t.tr_len
 
 (* ------------------------------------------------------------------ *)
 (* Pools                                                               *)
@@ -1175,10 +1170,6 @@ let evaluate_into t r =
   r.phi <- !total;
   if tok >= 0 then p.Probe.finish tok
 
-let evaluate t =
-  evaluate_into t t.emetrics;
-  (t.emetrics.mlu, t.emetrics.phi)
-
 (* ------------------------------------------------------------------ *)
 (* Weight updates                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1261,20 +1252,6 @@ let set_weight t ~edge new_w =
 let disable_edge t ~edge =
   t.stats.Stats.edges_disabled <- t.stats.Stats.edges_disabled + 1;
   set_weight t ~edge infinity
-
-let edge_disabled t ~edge = t.weights.(edge) = infinity
-
-(* Link repair is just the opposite weight change: restoring a finite
-   weight re-inserts the edge into every relevant DAG through the same
-   dirty-destination repair, so a disable/enable round trip needs no
-   rebuild and leaves no residue (asserted byte-identical by
-   test_engine). *)
-let enable_edge t ~edge w =
-  if not (edge_disabled t ~edge) then
-    invalid_arg "Evaluator.enable_edge: edge is not disabled";
-  if not (w > 0.) || w = infinity then
-    invalid_arg "Evaluator.enable_edge: weight must be positive and finite";
-  set_weight t ~edge w
 
 let reachable t ~src ~dst = src = dst || (fdag_for t dst).fdist.(src) < infinity
 

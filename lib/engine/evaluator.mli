@@ -17,7 +17,7 @@
     keeps its DAG, its memoized unit flows and its cached load
     contribution.
     A trail of uncommitted weight changes supports the local-search move
-    protocol: probe with [set_weight], read {!evaluate}, then either
+    protocol: probe with [set_weight], read {!evaluate_into}, then either
     {!commit} the move or {!undo} it (which repairs the state back the
     same incremental way).
 
@@ -48,7 +48,7 @@ val create :
   ?stats:Stats.t -> ?probe:Probe.t -> Netgraph.Digraph.t -> float array -> t
 (** Caches are lazy: nothing is computed until first use.  The weight
     vector is copied.  [probe] (default {!Probe.null}) receives spans
-    for the engine's hot paths: ["ev:eval"] around {!evaluate},
+    for the engine's hot paths: ["ev:eval"] around {!evaluate_into},
     ["ev:spf_full"] around a from-scratch Dijkstra, ["ev:repair"]
     around the dirty-destination repair of one weight change, and
     ["ev:undo"] around {!undo}.  @raise Invalid_argument on a length
@@ -157,14 +157,10 @@ val phi : t -> float
     loads (slopes 1, 3, 10, 70, 500, 5000 at breakpoints 1/3, 2/3,
     9/10, 1, 11/10). *)
 
-val evaluate : t -> float * float
-(** [(mlu, phi)] of the current weights; counts one evaluation in the
-    stats (the granularity the local searches budget by).  Allocates
-    the result tuple; probe loops that must stay allocation-free use
-    {!evaluate_into}. *)
-
 val evaluate_into : t -> metrics -> unit
-(** {!evaluate} into a caller-owned {!metrics} cell.  Together with
+(** Writes the [mlu] and [phi] of the current weights into a
+    caller-owned {!metrics} cell and counts one evaluation in the stats
+    (the granularity the local searches budget by).  Together with
     {!set_weight} and {!undo} this forms the engine's zero-allocation
     probe loop: after warmup (pools and scratch at steady state) one
     probe iteration allocates no minor words at all — the invariant the
@@ -185,17 +181,6 @@ val disable_edge : t -> edge:int -> unit
     removed-edge semantics, but paid for with the same dirty-destination
     invalidation as any weight change instead of a graph rebuild.  The
     change lands on the undo trail; {!undo} restores the link. *)
-
-val edge_disabled : t -> edge:int -> bool
-
-val enable_edge : t -> edge:int -> float -> unit
-(** Brings a {!disable_edge}d link back at the given (finite, positive)
-    weight — the link-up half of a flap.  Like any weight change it
-    rides the undo trail and repairs incrementally; a committed
-    disable followed by a committed enable at the original weight
-    round-trips to byte-identical evaluator results with no full
-    rebuild.  @raise Invalid_argument if the edge is not currently
-    disabled or the weight is not positive and finite. *)
 
 val reachable : t -> src:int -> dst:int -> bool
 (** Is [dst] reachable from [src] under the current weights (disabled
@@ -227,9 +212,6 @@ val probe_mlu : t -> edge:int -> float -> above:float -> metrics -> unit
     a raise; allocation-free once warm.
     @raise Invalid_argument on a pending trail or a non-positive [w].
     @raise Unroutable as {!evaluate_into} would. *)
-
-val trail_length : t -> int
-(** Number of uncommitted weight changes. *)
 
 (** {1 Delta sync and the persistent clone cache} *)
 
@@ -284,10 +266,6 @@ module Clones : sig
 end
 
 (** {1 Static helpers} *)
-
-val phi_cost : Netgraph.Digraph.t -> float array -> float
-(** Fortz–Thorup cost [sum_e cap_e * phi_hat (load_e / cap_e)] of an
-    arbitrary load vector; the single definition the optimizers share. *)
 
 val mlu_of_loads : Netgraph.Digraph.t -> float array -> float
 (** Max over links of [loads.(e) / cap e], never below [0.]; the one

@@ -23,15 +23,6 @@ type t = {
 val instance1 : m:int -> t
 (** Figure 1: the Ω(n) gap instance (Lemmas 3.5–3.7).  [m >= 2]. *)
 
-val instance1_invcap : m:int -> t
-(** The transformed instance I'_1 used by Lemma 3.7 for the
-    inverse-of-capacity weight setting: the first two horizontal hops of
-    instance 1 are replaced by [m] parallel two-hop unit-capacity paths
-    (s, u_j, z_j, v3), so that under inverse-capacity weights every
-    shortest path from s leaves through (s,t) or funnels into (v3,t),
-    forcing WPO >= m/2 while the joint optimum stays constant.
-    [m >= 3]. *)
-
 val instance2 : m:int -> t
 (** Figure 2a: harmonic parallel paths; max ES-flow 1 (Lemma 3.10).
     [m >= 1]. *)

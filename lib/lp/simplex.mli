@@ -97,9 +97,6 @@ module Sparse : sig
   (** Does the point lie within every variable's bounds and satisfy
       every row, each to within 1e-6? *)
 
-  val default_iter_limit : t -> int
-  (** The size-proportional default for [?max_iters]. *)
-
   val solve :
     ?max_iters:int ->
     ?bounds:(int * float * float) list ->
@@ -113,5 +110,6 @@ module Sparse : sig
       whole branch-and-bound tree.  [basis] warm-starts from a previous
       {!Optimal} basis of the same-shaped problem.  [probe] (default
       {!null_probe}) receives an ["lp:solve"] span per call and an
-      ["lp:factor"] span per basis (re)factorization. *)
+      ["lp:factor"] span per basis (re)factorization.  [max_iters]
+      defaults to [20_000 + 50 * (columns + rows)]. *)
 end

@@ -167,25 +167,3 @@ let reverse g =
     in_row = g.out_row; in_col = g.out_col }
 
 let max_capacity g = Array.fold_left max neg_infinity g.ecap
-
-let is_connected_from g s =
-  let seen = Array.make g.n false in
-  let stack = ref [ s ] in
-  seen.(s) <- true;
-  let count = ref 1 in
-  let rec go () =
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-      stack := rest;
-      iter_out g v (fun e ->
-          let w = g.edst.(e) in
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            incr count;
-            stack := w :: !stack
-          end);
-      go ()
-  in
-  go ();
-  !count = g.n

@@ -125,5 +125,3 @@ val reverse : t -> t
 
 val max_capacity : t -> float
 
-val is_connected_from : t -> int -> bool
-(** Are all nodes reachable from the given node along directed edges? *)

@@ -196,26 +196,3 @@ let decompose g ~source ~target fl =
   in
   peel ();
   List.rev !result
-
-let min_cut g ~source ~target =
-  let value, r = dinic g source target in
-  let n = Digraph.node_count g in
-  (* Source side = nodes still reachable in the residual graph. *)
-  let side = Array.make n false in
-  let rec go stack =
-    match stack with
-    | [] -> ()
-    | v :: rest ->
-      let stack = ref rest in
-      Array.iter
-        (fun a ->
-          if r.rcap.(a) > eps && not side.(r.rto.(a)) then begin
-            side.(r.rto.(a)) <- true;
-            stack := r.rto.(a) :: !stack
-          end)
-        r.radj.(v);
-      go !stack
-  in
-  side.(source) <- true;
-  go [ source ];
-  (value, side)

@@ -1,4 +1,4 @@
-(** Maximum flow (Dinic), acyclic flows, flow decomposition and min cuts. *)
+(** Maximum flow (Dinic), acyclic flows and flow decomposition. *)
 
 type flow = {
   value : float;  (** total flow from source to target *)
@@ -8,17 +8,11 @@ type flow = {
 val max_flow : Digraph.t -> source:int -> target:int -> flow
 (** Dinic's algorithm on the graph's capacities. *)
 
-val remove_cycles : Digraph.t -> flow -> flow
-(** Cancels flow cycles (§2 "Acyclic Maximum Flow" of the paper): the
-    result has the same value and its positive-flow subgraph is a DAG. *)
-
 val acyclic_max_flow : Digraph.t -> source:int -> target:int -> flow
-(** [remove_cycles] applied to [max_flow]. *)
+(** [max_flow] with its flow cycles cancelled (§2 "Acyclic Maximum Flow"
+    of the paper): the same value, and the positive-flow subgraph is a
+    DAG. *)
 
 val decompose : Digraph.t -> source:int -> target:int -> flow -> (float * int list) list
 (** Path decomposition of an acyclic flow: [(amount, edge-id path)] list
     whose amounts sum to the flow value.  At most [m] paths. *)
-
-val min_cut : Digraph.t -> source:int -> target:int -> float * bool array
-(** Min-cut value and the source-side node set (from the max-flow residual
-    graph). *)

@@ -25,13 +25,12 @@
 
     Worker attribution inside a pool is scheduling-dependent, so worker
     domains never write into a shared span buffer.  Instead the
-    orchestrating domain {!Tracer.child}s one detached buffer per
-    {e task} (restart, scenario, chunk — a deterministic key), hands it
-    to whichever worker runs the task, and {!Tracer.graft}s the buffers
-    back in key order at the join.  The exported trace is therefore a
-    pure function of the task decomposition, not of the schedule:
-    byte-identical across [--jobs] once timestamps are stripped
-    ([~times:false]). *)
+    orchestrating domain {!Ctx.fork}s one detached context per {e task}
+    (restart, scenario — a deterministic key), hands it to whichever
+    worker runs the task, and {!Ctx.join}s the buffers back in key order
+    at the join.  The exported trace is therefore a pure function of the
+    task decomposition, not of the schedule: byte-identical across
+    [--jobs] once timestamps are stripped ([~times:false]). *)
 
 (** Typed key/value pairs: span attributes, and the fields of a bench
     record ({!Export.envelope}). *)
@@ -98,14 +97,11 @@ module Tracer : sig
   val finish : t -> int -> unit
   (** Closes the span for a {!start} token, stamping its duration.
       Tokens [-1] are ignored.  Finishing out of LIFO order force-pops
-      the spans opened since (counted in {!misnested}). *)
+      the spans opened since (counted in the [trace/1] header's
+      [misnested] field). *)
 
   val attr : t -> int -> Attr.t -> unit
   (** Attaches an attribute to the span for a token (ignored on [-1]). *)
-
-  val with_span : t -> ?attrs:Attr.t list -> string -> (unit -> 'a) -> 'a
-  (** [with_span t name f] brackets [f] in a span; the span is closed
-      (and re-raises) even if [f] raises. *)
 
   val instant : t -> ?attrs:Attr.t list -> string -> unit
   (** A zero-duration event span. *)
@@ -114,14 +110,6 @@ module Tracer : sig
   (** A detached buffer with the parent's [cap] and [engine_detail],
       for one unit of fanned-out work.  {!child} of {!noop} is
       {!noop}. *)
-
-  val graft : t -> key:int -> t -> unit
-  (** [graft parent ~key c] attaches child buffer [c] under the
-      innermost span currently open in [parent].  At export, children
-      of the same attachment point appear sorted by [key] — call it
-      with deterministic keys (task index, restart number) and the
-      merged trace is schedule-independent.  Grafting [noop] (or onto
-      [noop]) is a no-op. *)
 
   val probe : t -> Engine.Probe.t
   (** A probe for {!Engine.Evaluator.create} feeding this buffer.
@@ -139,10 +127,6 @@ module Tracer : sig
 
   val dropped : t -> int
   (** Spans discarded because a buffer was at capacity (incl. children). *)
-
-  val misnested : t -> int
-  (** Out-of-order {!finish} repairs (incl. children); 0 on a
-      well-formed trace. *)
 
   val spans : t -> Span.t list
   (** The merged forest, flattened deterministically: this buffer's
@@ -168,18 +152,10 @@ module Metrics : sig
 
   val incr : t -> ?by:int -> string -> unit
 
-  val gauge : t -> string -> float -> unit
-  (** Last-write-wins value ({!merge} keeps the merged-in value). *)
-
   val observe : t -> string -> float -> unit
   (** Adds an observation to the named histogram (decade buckets from
       1e-6, tuned for durations in seconds; min/max/sum/count are exact
       for any scale). *)
-
-  val absorb_stats : t -> Engine.Stats.t -> unit
-  (** Imports every nonzero {!Engine.Stats.counters} entry as an
-      [engine.*] counter and every hot-phase timer as an [engine.time.*]
-      gauge. *)
 
   val merge : into:t -> t -> unit
 
@@ -187,29 +163,11 @@ module Metrics : sig
   (** The named counter's value; [0] if it never moved. *)
 
   val counters : t -> (string * int) list
-  (** Sorted by name; likewise {!gauges} / {!histograms}. *)
-
-  val gauges : t -> (string * float) list
-
-  type hist = {
-    n : int;
-    sum : float;
-    min : float;  (** [infinity] when [n = 0] *)
-    max : float;  (** [neg_infinity] when [n = 0] *)
-    buckets : (float * int) list;  (** (upper bound, count), last is +inf *)
-  }
-
-  val histograms : t -> (string * hist) list
+  (** Sorted by name. *)
 
   val pp : Format.formatter -> t -> unit
   (** One line per counter, gauge and histogram (count and estimated
       p50 / p99), sorted by name under a [metrics:] header. *)
-
-  val to_json : t -> string
-  (** One-line JSON object [{"counters":{...},"gauges":{...},
-      "histograms":{...}}] with keys sorted; each histogram carries
-      estimated [p50] / [p99] quantiles next to the exact
-      n/sum/min/max/counts. *)
 end
 
 (** The solver run context. *)
@@ -253,7 +211,9 @@ module Ctx : sig
   (** Has the deadline passed?  [false] when none is set. *)
 
   val span : t -> ?attrs:Attr.t list -> string -> (unit -> 'a) -> 'a
-  (** {!Tracer.with_span} on the context's tracer. *)
+  (** [span ctx name f] brackets [f] in a span on the context's tracer;
+      the span is closed (and the exception re-raised) even if [f]
+      raises. *)
 
   val phase : t -> string -> (unit -> 'a) -> 'a
   (** A root-level phase span; {!Tracer.phase_totals} reads the
@@ -269,8 +229,11 @@ module Ctx : sig
       {!join}. *)
 
   val join : key:int -> into:t -> t -> unit
-  (** Merges a forked context back: stats and metrics merge, the span
-      buffer grafts under [key].  Call in deterministic key order. *)
+  (** Merges a forked context back: stats and metrics merge, and the
+      span buffer attaches under the innermost span open in [into].  At
+      export, buffers joined at the same point appear sorted by [key],
+      so with deterministic keys (task index, restart number) the
+      merged trace is schedule-independent. *)
 end
 
 (** Versioned JSON artifact writers (shared by te-tool and bench). *)
@@ -296,22 +259,22 @@ module Export : sig
     path:string -> schema:string -> phases:(string * float) list ->
     ?fields:Attr.t list -> Attr.t list list -> unit
 
-  val trace_lines : ?times:bool -> Tracer.t -> string list
-  (** The [trace/1] JSONL stream: a header object (schema + provenance
-      + span/drop counts), then one object per span of
+  val write_trace : ?times:bool -> path:string -> Tracer.t -> unit
+  (** Writes the [trace/1] JSONL stream: a header object (schema,
+      provenance, span/drop counts and [misnested], the out-of-order
+      {!Tracer.finish} repairs), then one object per span of
       {!Tracer.spans}.  [~times:false] omits [t0]/[dur] — used by the
       determinism tests to compare traces byte-for-byte across
       [--jobs]. *)
 
-  val write_trace : ?times:bool -> path:string -> Tracer.t -> unit
-
   val run_metrics : Ctx.t -> Metrics.t
-  (** The run's one metrics view: the context's metrics plus
-      {!Metrics.absorb_stats} and the pool's scheduler counters and
-      seconds as [sched.*] entries (cumulative since pool creation and
-      scheduling-dependent, so they never enter a context's live,
-      jobs-invariant metrics).  A fresh value; the context is not
-      modified. *)
+  (** The run's one metrics view: the context's metrics plus every
+      nonzero {!Engine.Stats.counters} entry as an [engine.*] counter,
+      every hot-phase timer as an [engine.time.*] gauge, and the pool's
+      scheduler counters and seconds as [sched.*] entries (cumulative
+      since pool creation and scheduling-dependent, so they never enter
+      a context's live, jobs-invariant metrics).  A fresh value; the
+      context is not modified. *)
 
   val run_summary : ?wall:float -> Ctx.t -> string
   (** The [run-summary/1] digest of a finished run: provenance, jobs,

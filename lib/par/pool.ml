@@ -291,14 +291,6 @@ let map (type a) t ~tasks (f : worker:int -> int -> a) : a array =
       Array.init tasks (fun i -> (Obj.obj (Array.unsafe_get results i) : a))
   end
 
-let chunks ~chunk n =
-  if chunk < 1 then invalid_arg "Par.Pool.chunks: chunk must be >= 1";
-  if n < 0 then invalid_arg "Par.Pool.chunks: negative size";
-  let k = (n + chunk - 1) / chunk in
-  Array.init k (fun i ->
-      let start = i * chunk in
-      (start, min chunk (n - start)))
-
 type metrics = {
   steals : int;
   parks : int;

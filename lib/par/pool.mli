@@ -83,14 +83,6 @@ val map : t -> tasks:int -> (worker:int -> int -> 'a) -> 'a array
     it that is returned and a few small per-region values; the
     scheduler allocates nothing per task. *)
 
-val chunks : chunk:int -> int -> (int * int) array
-(** [chunks ~chunk n] splits [0 .. n-1] into [(start, len)] blocks of
-    [chunk] items (the last one possibly shorter).  The decomposition
-    depends only on [chunk] and [n] — never on the pool size — so
-    per-chunk work (and any float accumulation inside a chunk) is
-    identical for every [--jobs] value.
-    @raise Invalid_argument if [chunk < 1] or [n < 0]. *)
-
 (** Scheduler counters, cumulative since pool creation.  Cheap to read;
     meant for observability, not control flow.  Every field is
     scheduling-dependent, so none belongs in a deterministic result. *)

@@ -157,6 +157,9 @@ let gaussian st =
   let u2 = Random.State.float st 1. in
   sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
 
+(* The shifted demand matrix.  [No_shift] returns the input array
+   itself; every other shift builds a fresh array and touches only the
+   sizes.  Pure: same shift, same demands, same result. *)
 let apply_shift shift demands =
   match shift with
   | No_shift -> demands
@@ -304,6 +307,7 @@ let shift_label = function
     Printf.sprintf "hotspot#%d %dx%.1f" seed pairs factor
   | Diurnal { level } -> Printf.sprintf "diurnal t=%.2f" level
 
+(* Human-readable label, e.g. ["fail:A>B+B>A jitter#0 s=0.25"]. *)
 let spec_label g s =
   let fail =
     match s.failed with

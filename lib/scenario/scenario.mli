@@ -75,15 +75,6 @@ val generate : config -> Netgraph.Digraph.t -> spec array
     @raise Invalid_argument on a non-positive scale, a negative count,
     or an SRLG edge outside the graph. *)
 
-val apply_shift : shift -> Te.Network.demand array -> Te.Network.demand array
-(** The shifted demand matrix.  [No_shift] returns the input array
-    itself (physical equality lets the sweep skip re-attaching
-    commodities); every other shift builds a fresh array and touches
-    only the sizes.  Pure: same shift, same demands, same result. *)
-
-val spec_label : Netgraph.Digraph.t -> spec -> string
-(** Human-readable label, e.g. ["fail:A>B+B>A jitter#0 s=0.25"]. *)
-
 (** {1 Serving replays} *)
 
 type replay = {

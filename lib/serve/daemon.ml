@@ -6,7 +6,6 @@ type config = {
   churn_budget : int;
   reopt_evals : int;
   resolve_evals : int;
-  lp_bound : bool;
   lp_every : int;
   prune : bool;
   timings : bool;
@@ -19,7 +18,6 @@ let default_config =
     churn_budget = 0;
     reopt_evals = 400;
     resolve_evals = 4000;
-    lp_bound = true;
     lp_every = 1;
     prune = true;
     timings = true;
@@ -133,11 +131,7 @@ let sync_commodities t =
    links are down: the LP is built on the full graph, so its bound
    would not be a bound for the degraded topology. *)
 let lp_bound t =
-  if
-    (not t.cfg.lp_bound)
-    || Hashtbl.length t.down > 0
-    || Array.length t.cur_demands = 0
-  then None
+  if Hashtbl.length t.down > 0 || Array.length t.cur_demands = 0 then None
   else begin
     let tracer = t.ctx.Obs.Ctx.tracer in
     let tok = Obs.Tracer.start tracer "serve:lp" in
@@ -168,6 +162,7 @@ let create ctx cfg ~deployed_weights ~deployed_waypoints g demands =
     invalid_arg "Daemon.create: weight vector length mismatch";
   if Array.length deployed_waypoints <> Array.length demands then
     invalid_arg "Daemon.create: waypoint setting length mismatch";
+  if cfg.lp_every < 0 then invalid_arg "Daemon.create: lp_every must be >= 0";
   let tbl = Hashtbl.create 64 and wps = Hashtbl.create 64 in
   Array.iteri
     (fun i d ->
@@ -392,11 +387,13 @@ let update t seq ev =
          governs time-to-deployable-setting, the bound is advisory.
          [lp_every] thins the cadence on topologies where even a warm
          solve dwarfs the re-optimization itself; [resolve] always
-         pays for a fresh bound. *)
+         pays for a fresh bound unless the bound is off ([lp_every = 0]). *)
       let lp_due =
+        t.cfg.lp_every > 0
+        &&
         match ev with
         | Event.Resolve -> true
-        | _ -> (t.updates - 1) mod max 1 t.cfg.lp_every = 0
+        | _ -> (t.updates - 1) mod t.cfg.lp_every = 0
       in
       let lp = if lp_due then lp_bound t else None in
       let gap =

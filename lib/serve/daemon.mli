@@ -39,14 +39,12 @@ type config = {
           update; [<= 0] uses the {!Te.Reopt} default of [|E| / 10] *)
   reopt_evals : int;  (** local-search evaluation budget per update *)
   resolve_evals : int;  (** evaluation budget for [resolve] events *)
-  lp_bound : bool;
-      (** compute the warm-basis LP lower bound per update (skipped
-          while any link is down: the basis is only valid for the full
-          topology) *)
   lp_every : int;
-      (** LP cadence: solve on the first and every k-th state-changing
-          update ([<= 1] = every update); [resolve] always solves;
-          updates in between report a null bound.  [report] never
+      (** cadence of the warm-basis LP lower bound: solve on the first
+          and every k-th state-changing update, and on every [resolve];
+          updates in between report a null bound.  [0] never solves,
+          [resolve] included.  The bound is skipped while any link is
+          down (the LP is built on the full topology).  [report] never
           solves — it shows the last computed bound. *)
   prune : bool;  (** candidate pruning for the waypoint re-pick *)
   timings : bool;
@@ -73,7 +71,9 @@ val create :
     is [demands] (waypoints parallel to it), the evaluator is built
     warm on the deployed weights.  No LP solve happens here — the first
     update pays the one cold solve whose basis every later update
-    re-uses. *)
+    re-uses.
+    @raise Invalid_argument on a length mismatch or a negative
+    [lp_every]. *)
 
 val handle_line : t -> string -> string option
 (** Processes one request line; returns the response line (no trailing

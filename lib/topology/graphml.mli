@@ -4,11 +4,7 @@
     the GraphML id); every undirected edge becomes two directed edges.
     Edge capacity comes from [LinkSpeedRaw] (bits/s, converted to
     Mbit/s), falling back to [LinkSpeed] x [LinkSpeedUnits], falling
-    back to {!default_capacity_mbps}. *)
-
-val default_capacity_mbps : float
-
-val of_string : string -> Netgraph.Digraph.t
-(** @raise Xmlparse.Parse_error or [Failure] on malformed content. *)
+    back to 1000 Mbit/s. *)
 
 val load_file : string -> Netgraph.Digraph.t
+(** @raise Xmlparse.Parse_error or [Failure] on malformed content. *)

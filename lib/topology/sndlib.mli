@@ -12,13 +12,10 @@ type t = {
           demand matrix *)
 }
 
-val of_xml : string -> t
-(** Parses the SNDLib XML format.
-    @raise Xmlparse.Parse_error or [Failure] on malformed content. *)
-
 val of_native : string -> t
 (** Parses the SNDLib native (plain text, parenthesized) format. *)
 
 val load_file : string -> t
 (** Reads a file and dispatches on its first non-blank character
-    ('<' -> XML, otherwise native). *)
+    ('<' -> XML, otherwise native).
+    @raise Xmlparse.Parse_error or [Failure] on malformed XML. *)

@@ -46,7 +46,7 @@ let run_seed seed =
     let e = Random.State.int st m in
     let wv = float_of_int (1 + Random.State.int st 14) in
     Engine.Evaluator.set_weight ev ~edge:e wv;
-    ignore (Engine.Evaluator.evaluate ev);
+    ignore (Engine.Evaluator.mlu ev);
     if Random.State.bool st then begin
       Engine.Evaluator.commit ev;
       current.(e) <- wv

@@ -9,6 +9,12 @@ open Te
 
 let checkf = Alcotest.(check (float 1e-9))
 
+(* [(mlu, phi)] of the evaluator's current weights. *)
+let evaluate ev =
+  let r = { Engine.Evaluator.mlu = 0.; phi = 0. } in
+  Engine.Evaluator.evaluate_into ev r;
+  (r.Engine.Evaluator.mlu, r.Engine.Evaluator.phi)
+
 (* Deterministic random instances: a strongly connected synthetic
    topology, integer weights (so distances are exact floats and the
    incremental and from-scratch DAGs must agree bit for bit), and a few
@@ -52,7 +58,7 @@ let check_matches_scratch ~msg g ev expected_w demands =
   check_loads msg scratch incr;
   checkf (msg ^ ": mlu")
     (Engine.Evaluator.mlu_of_loads g scratch)
-    (fst (Engine.Evaluator.evaluate ev))
+    (fst (evaluate ev))
 
 (* The tentpole property: after any sequence of committed updates,
    probed-and-undone updates and bulk rewrites, the evaluator reports
@@ -79,7 +85,7 @@ let test_equivalence_under_perturbations () =
         let e = Random.State.int st m in
         let wv = float_of_int (1 + Random.State.int st 12) in
         Engine.Evaluator.set_weight ev ~edge:e wv;
-        ignore (Engine.Evaluator.evaluate ev);
+        ignore (evaluate ev);
         Engine.Evaluator.undo ev
       | 2 ->
         (* small bulk diff, kept *)
@@ -97,7 +103,7 @@ let test_equivalence_under_perturbations () =
           Array.init m (fun _ -> float_of_int (1 + Random.State.int st 12))
         in
         Engine.Evaluator.set_weights ev w;
-        ignore (Engine.Evaluator.evaluate ev);
+        ignore (evaluate ev);
         Engine.Evaluator.undo ev);
       if step mod 5 = 0 then check_matches_scratch ~msg g ev current demands
     done;
@@ -224,8 +230,8 @@ let test_loads_bit_identical () =
         | 3 -> Engine.Evaluator.commit ev
         | 4 ->
           let e = Random.State.int st m in
-          if Engine.Evaluator.edge_disabled ev ~edge:e then
-            Engine.Evaluator.enable_edge ev ~edge:e (weight ())
+          if (Engine.Evaluator.weights ev).(e) = infinity then
+            Engine.Evaluator.set_weight ev ~edge:e (weight ())
           else Engine.Evaluator.disable_edge ev ~edge:e
         | 5 ->
           comms := random_commodities ();
@@ -320,6 +326,7 @@ let test_probe_mlu_differential () =
           let exact = mx.Engine.Evaluator.mlu in
           Engine.Evaluator.undo ev;
           let loads0 = Array.map bits (Engine.Evaluator.loads ev) in
+          let w0 = Array.copy (Engine.Evaluator.weights ev) in
           let dags0 = dags () in
           List.iter
             (fun above ->
@@ -335,8 +342,8 @@ let test_probe_mlu_differential () =
               else
                 Alcotest.(check bool) (msg ^ ": at or above") true
                   (got >= above);
-              Alcotest.(check int) (msg ^ ": trail") 0
-                (Engine.Evaluator.trail_length ev);
+              Alcotest.(check bool) (msg ^ ": weights") true
+                (Engine.Evaluator.weights ev = w0);
               Alcotest.(check bool) (msg ^ ": loads bits") true
                 (Array.map bits (Engine.Evaluator.loads ev) = loads0);
               Alcotest.(check bool) (msg ^ ": dags") true (dags () = dags0))
@@ -429,8 +436,8 @@ let test_dag_canonical_order () =
         | 3 -> Engine.Evaluator.commit ev
         | 4 ->
           let e = Random.State.int st m in
-          if Engine.Evaluator.edge_disabled ev ~edge:e then
-            Engine.Evaluator.enable_edge ev ~edge:e (weight ())
+          if (Engine.Evaluator.weights ev).(e) = infinity then
+            Engine.Evaluator.set_weight ev ~edge:e (weight ())
           else Engine.Evaluator.disable_edge ev ~edge:e
         | 5 ->
           if Random.State.bool st then cl := Engine.Evaluator.copy ev
@@ -457,7 +464,7 @@ let test_dag_canonical_order () =
 (* --------------------------------------------------------------- *)
 
 let eval_obs ev =
-  match Engine.Evaluator.evaluate ev with
+  match evaluate ev with
   | v -> Ok v
   | exception Engine.Evaluator.Unroutable (s, t) -> Error (s, t)
 
@@ -497,7 +504,7 @@ let test_sync_from_equiv_copy () =
           Engine.Evaluator.set_commodities ev (Array.sub demands 0 k)
         | 3 ->
           let e = Random.State.int st m in
-          if not (Engine.Evaluator.edge_disabled ev ~edge:e) then begin
+          if (Engine.Evaluator.weights ev).(e) < infinity then begin
             Engine.Evaluator.disable_edge ev ~edge:e;
             Engine.Evaluator.commit ev
           end
@@ -594,10 +601,8 @@ let test_undo_restores_exact_state () =
   Engine.Evaluator.set_weight ev ~edge:0 97.;
   Engine.Evaluator.set_weight ev ~edge:0 3.;
   Engine.Evaluator.set_weight ev ~edge:5 11.;
-  ignore (Engine.Evaluator.evaluate ev);
-  Alcotest.(check int) "trail length" 3 (Engine.Evaluator.trail_length ev);
+  ignore (evaluate ev);
   Engine.Evaluator.undo ev;
-  Alcotest.(check int) "trail cleared" 0 (Engine.Evaluator.trail_length ev);
   Alcotest.(check bool) "weights restored" true
     (Engine.Evaluator.weights ev = w0);
   Alcotest.(check bool) "loads bit-equal" true
@@ -606,7 +611,7 @@ let test_undo_restores_exact_state () =
   let ev2 = Engine.Evaluator.create g w0 in
   Engine.Evaluator.set_commodities ev2 demands;
   Engine.Evaluator.set_weight ev2 ~edge:2 42.;
-  ignore (Engine.Evaluator.evaluate ev2);
+  ignore (evaluate ev2);
   Engine.Evaluator.undo ev2;
   Alcotest.(check bool) "unknown dests rebuilt" true
     (Engine.Evaluator.loads ev2 = before)
@@ -618,7 +623,7 @@ let test_undo_after_commodity_swap () =
   let half = Array.sub demands 0 (max 1 (Array.length demands / 2)) in
   let ev = Engine.Evaluator.create g w0 in
   Engine.Evaluator.set_commodities ev demands;
-  ignore (Engine.Evaluator.evaluate ev);
+  ignore (evaluate ev);
   Engine.Evaluator.set_weight ev ~edge:1 55.;
   Engine.Evaluator.set_commodities ev half;
   Engine.Evaluator.undo ev;
@@ -768,7 +773,7 @@ let test_probe_loop_zero_alloc () =
         (mx.Engine.Evaluator.mlu > 0. && mx.Engine.Evaluator.mlu < infinity)
 
 (* Link-flap round trip: a committed disable_edge must be durably
-   revertible — enable_edge + commit restores bit-identical state
+   revertible — restoring the weight + commit gives bit-identical state
    (loads, metrics, reachability) with no rebuild.  This guards the
    dirty-destination predicate in apply_weight: a destination whose
    forward distance to some node went infinite while the link was down
@@ -787,7 +792,7 @@ let test_link_flap_round_trip () =
         { Demand.src = s; dst = d; size = float_of_int (1 + Random.State.int st 4) })
   in
   Engine.Evaluator.set_commodities ev demands;
-  let mlu0, phi0 = Engine.Evaluator.evaluate ev in
+  let mlu0, phi0 = evaluate ev in
   let loads0 = Array.copy (Engine.Evaluator.loads ev) in
   let reach () =
     Array.init n (fun s ->
@@ -803,13 +808,11 @@ let test_link_flap_round_trip () =
       Engine.Evaluator.disable_edge ev ~edge:e;
       Engine.Evaluator.commit ev;
       Alcotest.(check bool) "disabled after commit" true
-        (Engine.Evaluator.edge_disabled ev ~edge:e);
+        ((Engine.Evaluator.weights ev).(e) = infinity);
       ignore (reach ());
-      Engine.Evaluator.enable_edge ev ~edge:e orig;
+      Engine.Evaluator.set_weight ev ~edge:e orig;
       Engine.Evaluator.commit ev;
-      Alcotest.(check bool) "enabled after commit" false
-        (Engine.Evaluator.edge_disabled ev ~edge:e);
-      let mlu1, phi1 = Engine.Evaluator.evaluate ev in
+      let mlu1, phi1 = evaluate ev in
       Alcotest.(check bool)
         (Printf.sprintf "edge %d: metrics bit-identical" e)
         true
@@ -822,16 +825,7 @@ let test_link_flap_round_trip () =
         (Printf.sprintf "edge %d: reachability restored" e)
         true
         (reach () = reach0))
-    [ 0; m / 2; m - 1 ];
-  Alcotest.check_raises "enable on live edge rejected"
-    (Invalid_argument "Evaluator.enable_edge: edge is not disabled")
-    (fun () -> Engine.Evaluator.enable_edge ev ~edge:0 1.);
-  Engine.Evaluator.disable_edge ev ~edge:0;
-  Alcotest.check_raises "enable with infinite weight rejected"
-    (Invalid_argument
-       "Evaluator.enable_edge: weight must be positive and finite")
-    (fun () -> Engine.Evaluator.enable_edge ev ~edge:0 infinity);
-  Engine.Evaluator.undo ev
+    [ 0; m / 2; m - 1 ]
 
 (* Failure sweep on Germany50: disable every link in turn, check
    reachability, evaluate the survivors and restore.  After one warm

@@ -1,6 +1,7 @@
 (* Verifies the paper's §3 lemmas numerically on the constructed
    TE instances. *)
 
+open Netgraph
 open Te
 open Instances
 
@@ -62,12 +63,69 @@ let test_instance1_wpo_uniform () =
     true
     (wpo >= (float_of_int m /. 3.) -. 1e-9)
 
+(* The transformed instance I'_1 of Lemma 3.7 for the inverse-capacity
+   weight setting: the first two horizontal hops of instance 1 become
+   [m >= 3] parallel two-hop unit-capacity paths (s, u_j, z_j, v3), so
+   under inverse-capacity weights every shortest path from s leaves
+   through (s,t) or funnels into (v3,t), forcing WPO >= m/2 while the
+   joint optimum stays constant. *)
+let instance1_invcap ~m =
+  let fm = float_of_int m in
+  let b = Digraph.Builder.create () in
+  let s = Digraph.Builder.add_named_node b "s" in
+  let t = Digraph.Builder.add_named_node b "t" in
+  (* v_3 .. v_m. *)
+  let v =
+    Array.init (m - 2) (fun i ->
+        Digraph.Builder.add_named_node b (Printf.sprintf "v%d" (i + 3)))
+  in
+  ignore (Digraph.Builder.add_biedge b s t ~cap:1.);
+  Array.iter (fun vi -> ignore (Digraph.Builder.add_biedge b vi t ~cap:1.)) v;
+  for i = 0 to m - 4 do
+    ignore (Digraph.Builder.add_edge b ~src:v.(i) ~dst:v.(i + 1) ~cap:fm)
+  done;
+  let u = Array.init m (fun j -> Digraph.Builder.add_named_node b (Printf.sprintf "u%d" (j + 1))) in
+  let z = Array.init m (fun j -> Digraph.Builder.add_named_node b (Printf.sprintf "z%d" (j + 1))) in
+  for j = 0 to m - 1 do
+    ignore (Digraph.Builder.add_edge b ~src:s ~dst:u.(j) ~cap:1.);
+    ignore (Digraph.Builder.add_edge b ~src:u.(j) ~dst:z.(j) ~cap:1.);
+    ignore (Digraph.Builder.add_edge b ~src:z.(j) ~dst:v.(0) ~cap:1.)
+  done;
+  let g = Digraph.Builder.build b in
+  let demands = Array.init m (fun _ -> Network.demand s t 1.) in
+  (* Joint setting: make every vertical exit expensive so the exits are
+     chosen by waypoints [u_j; v_i]; m demands over m-1 unit exits give
+     MLU 2. *)
+  let big = 10. *. fm in
+  let jw =
+    Array.init (Digraph.edge_count g) (fun e ->
+        let a = Digraph.src g e and b' = Digraph.dst g e in
+        if a = t || b' = t then big else 1.)
+  in
+  let jwp =
+    Array.init m (fun i ->
+        if i = 0 then []
+        else
+          let exit = v.(min (i - 1) (m - 3)) in
+          [ u.(i - 1); exit ])
+  in
+  { Gap_instances.name = Printf.sprintf "TE-Instance-1'(m=%d)" m;
+    network = Network.make g demands;
+    source = s;
+    target = t;
+    joint_weights = jw;
+    joint_waypoints = jwp;
+    lwo_weights = None;
+    predicted_joint_mlu = 2.;
+    predicted_lwo_mlu = None;
+  }
+
 (* Lemma 3.7, inverse-capacity weights: on the transformed instance I'_1
    the exits (s,t)/(v3,t)... bottleneck single-waypoint WPO at >= m/2,
    while the joint setting achieves MLU 2. *)
 let test_instance1_wpo_invcap () =
   let m = 3 in
-  let inst = Gap_instances.instance1_invcap ~m in
+  let inst = instance1_invcap ~m in
   let net = inst.Gap_instances.network in
   let g = net.Network.graph in
   checkf6 "joint setting achieves 2" 2.

@@ -342,23 +342,6 @@ let test_cycle_limit_typed () =
   | Sparse.CycleLimit { iters } -> Alcotest.(check int) "iters" 0 iters
   | _ -> Alcotest.fail "expected CycleLimit"
 
-let test_default_iter_limit_scales () =
-  let small =
-    of_problem
-      { nvars = 1; sense = Maximize; objective = [ (0, 1.) ];
-        constrs = [ constr [ (0, 1.); (0, 0.) ] Le 1. ] }
-  in
-  let big_rows =
-    List.init 100 (fun i ->
-        constr [ (i mod 5, 1.); ((i + 1) mod 5, 1.) ] Le (float_of_int (i + 1)))
-  in
-  let big =
-    of_problem
-      { nvars = 5; sense = Maximize; objective = [ (0, 1.) ]; constrs = big_rows }
-  in
-  Alcotest.(check bool) "limit grows with size" true
-    (Sparse.default_iter_limit big > Sparse.default_iter_limit small)
-
 (* ------------------------------------------------------------------ *)
 (* MILP: warm and cold branch-and-bound agree                          *)
 (* ------------------------------------------------------------------ *)
@@ -423,8 +406,6 @@ let () =
           Alcotest.test_case "equalities before unbounded" `Quick
             test_unbounded_with_equalities;
           Alcotest.test_case "typed cycle limit" `Quick test_cycle_limit_typed;
-          Alcotest.test_case "adaptive iteration limit" `Quick
-            test_default_iter_limit_scales;
         ] );
       ( "milp",
         [

@@ -40,15 +40,40 @@ let check_well_formed spans =
       end)
     arr
 
+(* A span on [t] through the context API. *)
+let with_span t ?attrs name f = Obs.Ctx.span (Obs.Ctx.make ~tracer:t ()) ?attrs name f
+
+(* The [trace/1] stream [Obs.Export.write_trace] writes for [t]. *)
+let trace_lines ?times t =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Export.write_trace ?times ~path t;
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
+(* [path] inside a JSON line. *)
+let json_at line path =
+  match Serve.Sjson.parse line with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+    List.fold_left (fun j k -> Option.bind j (Serve.Sjson.member k)) (Some j) path
+
+(* The [misnested] count in the trace header. *)
+let misnested t =
+  match Option.bind (json_at (List.hd (trace_lines t)) [ "misnested" ]) Serve.Sjson.to_int with
+  | Some k -> k
+  | None -> Alcotest.fail "trace header lacks misnested"
+
 let test_tracer_nesting () =
   let t = Obs.Tracer.create () in
-  Obs.Tracer.with_span t "a" (fun () ->
-      Obs.Tracer.with_span t "b" (fun () -> ());
-      Obs.Tracer.with_span t ~attrs:[ Obs.Attr.int "k" 7 ] "c" (fun () -> ()));
+  with_span t "a" (fun () ->
+      with_span t "b" (fun () -> ());
+      with_span t ~attrs:[ Obs.Attr.int "k" 7 ] "c" (fun () -> ()));
   Obs.Tracer.instant t "d";
   let spans = Obs.Tracer.spans t in
   Alcotest.(check int) "span count" 4 (List.length spans);
-  Alcotest.(check int) "no misnesting" 0 (Obs.Tracer.misnested t);
+  Alcotest.(check int) "no misnesting" 0 (misnested t);
   check_well_formed spans;
   let names = List.map (fun (s : Obs.Span.t) -> s.Obs.Span.name) spans in
   Alcotest.(check (list string)) "recording order" [ "a"; "b"; "c"; "d" ] names;
@@ -64,12 +89,12 @@ let test_tracer_nesting () =
 
 let test_tracer_exception_closes () =
   let t = Obs.Tracer.create () in
-  (try Obs.Tracer.with_span t "boom" (fun () -> failwith "x") with
+  (try with_span t "boom" (fun () -> failwith "x") with
   | Failure _ -> ());
   match Obs.Tracer.spans t with
   | [ s ] ->
     Alcotest.(check bool) "closed on raise" true (s.Obs.Span.dur >= 0.);
-    Alcotest.(check int) "well formed" 0 (Obs.Tracer.misnested t)
+    Alcotest.(check int) "well formed" 0 (misnested t)
   | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
 let test_tracer_misnest_repair () =
@@ -78,13 +103,13 @@ let test_tracer_misnest_repair () =
   let _b = Obs.Tracer.start t "b" in
   Obs.Tracer.finish t a;
   (* force-pops b *)
-  Alcotest.(check int) "repair counted" 1 (Obs.Tracer.misnested t);
+  Alcotest.(check int) "repair counted" 1 (misnested t);
   check_well_formed (Obs.Tracer.spans t)
 
 let test_tracer_bounded () =
   let t = Obs.Tracer.create ~cap:4 () in
   for i = 1 to 10 do
-    Obs.Tracer.with_span t (Printf.sprintf "s%d" i) (fun () -> ())
+    with_span t (Printf.sprintf "s%d" i) (fun () -> ())
   done;
   Alcotest.(check int) "cap retained" 4 (Obs.Tracer.span_count t);
   Alcotest.(check int) "drops counted" 6 (Obs.Tracer.dropped t);
@@ -95,7 +120,7 @@ let test_tracer_noop () =
   Alcotest.(check bool) "disabled" false (Obs.Tracer.enabled t);
   Alcotest.(check int) "start is -1" (-1) (Obs.Tracer.start t "x");
   let ran = ref false in
-  Obs.Tracer.with_span t "y" (fun () -> ran := true);
+  with_span t "y" (fun () -> ran := true);
   Alcotest.(check bool) "body runs" true !ran;
   Alcotest.(check int) "records nothing" 0 (Obs.Tracer.span_count t);
   Alcotest.(check bool) "probe is null" false (Obs.Tracer.probe t).Engine.Probe.enabled;
@@ -105,16 +130,17 @@ let test_tracer_noop () =
 let test_graft_key_order () =
   let run keys =
     let t = Obs.Tracer.create () in
-    Obs.Tracer.with_span t "root" (fun () ->
+    let ctx = Obs.Ctx.make ~tracer:t () in
+    Obs.Ctx.span ctx "root" (fun () ->
         let kids =
           List.map
             (fun k ->
-              let c = Obs.Tracer.child t in
-              Obs.Tracer.with_span c (Printf.sprintf "task%d" k) (fun () -> ());
+              let c = Obs.Ctx.fork ctx in
+              Obs.Ctx.span c (Printf.sprintf "task%d" k) (fun () -> ());
               (k, c))
             keys
         in
-        List.iter (fun (k, c) -> Obs.Tracer.graft t ~key:k c) kids);
+        List.iter (fun (k, c) -> Obs.Ctx.join ~key:k ~into:ctx c) kids);
     List.map (fun (s : Obs.Span.t) -> s.Obs.Span.name) (Obs.Tracer.spans t)
   in
   (* Same keys, two completion orders: identical merged traces. *)
@@ -127,51 +153,55 @@ let test_graft_key_order () =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let pp_metrics m = Format.asprintf "%a" Obs.Metrics.pp m
+
+(* [path] inside the run summary's [metrics] object for a context. *)
+let summary_metric ctx path =
+  json_at (Obs.Export.run_summary ctx) ("metrics" :: path)
+
 let test_metrics_merge () =
   let a = Obs.Metrics.create () and b = Obs.Metrics.create () in
   Obs.Metrics.incr a "x";
   Obs.Metrics.incr a ~by:4 "y";
   Obs.Metrics.incr b ~by:2 "x";
-  Obs.Metrics.gauge a "g" 1.5;
-  Obs.Metrics.gauge b "g" 2.5;
   Obs.Metrics.observe a "h" 0.1;
   Obs.Metrics.observe b "h" 10.;
   Obs.Metrics.merge ~into:a b;
   Alcotest.(check (list (pair string int)))
     "counters add" [ ("x", 3); ("y", 4) ] (Obs.Metrics.counters a);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "merged-in gauge wins" [ ("g", 2.5) ] (Obs.Metrics.gauges a);
-  (match Obs.Metrics.histograms a with
-  | [ ("h", h) ] ->
-    Alcotest.(check int) "hist n" 2 h.Obs.Metrics.n;
-    Alcotest.(check (float 1e-9)) "hist sum" 10.1 h.Obs.Metrics.sum;
-    Alcotest.(check (float 1e-9)) "hist min" 0.1 h.Obs.Metrics.min;
-    Alcotest.(check (float 1e-9)) "hist max" 10. h.Obs.Metrics.max
-  | _ -> Alcotest.fail "expected one histogram");
-  (* to_json is deterministic: rebuild the same metrics, same string. *)
+  let hist k =
+    Option.bind
+      (summary_metric (Obs.Ctx.make ~metrics:a ()) [ "histograms"; "h"; k ])
+      Serve.Sjson.to_float
+  in
+  Alcotest.(check (option (float 1e-9))) "hist n" (Some 2.) (hist "n");
+  Alcotest.(check (option (float 1e-9))) "hist sum" (Some 10.1) (hist "sum");
+  Alcotest.(check (option (float 1e-9))) "hist min" (Some 0.1) (hist "min");
+  Alcotest.(check (option (float 1e-9))) "hist max" (Some 10.) (hist "max");
+  (* The printout is deterministic: rebuild the same metrics, same text. *)
   let rebuild () =
     let m = Obs.Metrics.create () in
     Obs.Metrics.incr m ~by:3 "x";
     Obs.Metrics.incr m ~by:4 "y";
-    Obs.Metrics.gauge m "g" 2.5;
     Obs.Metrics.observe m "h" 0.1;
     Obs.Metrics.observe m "h" 10.;
-    Obs.Metrics.to_json m
+    pp_metrics m
   in
-  Alcotest.(check string) "json deterministic" (rebuild ()) (rebuild ());
-  Alcotest.(check string) "merge equals rebuild" (rebuild ())
-    (Obs.Metrics.to_json a)
+  Alcotest.(check string) "printout deterministic" (rebuild ()) (rebuild ());
+  Alcotest.(check string) "merge equals rebuild" (rebuild ()) (pp_metrics a)
 
 let test_metrics_absorb_stats () =
   let s = Engine.Stats.create () in
   s.Engine.Stats.evaluations <- 2;
   (Engine.Stats.hot_times s).(Engine.Stats.hot_units) <- 0.25;
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.absorb_stats m s;
+  let ctx = Obs.Ctx.make ~stats:s () in
   Alcotest.(check int) "counter preserved" 2
-    (List.assoc "engine.evaluations" (Obs.Metrics.counters m));
-  Alcotest.(check (float 1e-9)) "timer becomes gauge" 0.25
-    (List.assoc "engine.time.units" (Obs.Metrics.gauges m));
+    (List.assoc "engine.evaluations"
+       (Obs.Metrics.counters (Obs.Export.run_metrics ctx)));
+  Alcotest.(check (option (float 1e-9))) "timer becomes gauge" (Some 0.25)
+    (Option.bind
+       (summary_metric ctx [ "gauges"; "engine.time.units" ])
+       Serve.Sjson.to_float);
   (* Every Stats counter lands as engine.*. *)
   let s =
     { (Engine.Stats.create ()) with
@@ -186,9 +216,9 @@ let test_metrics_absorb_stats () =
   in
   Alcotest.(check bool) "fixture sets every counter" true
     (List.for_all (fun (_, v) -> v = 1) (Engine.Stats.counters s));
-  let m = Obs.Metrics.create () in
-  Obs.Metrics.absorb_stats m s;
-  let absorbed = Obs.Metrics.counters m in
+  let absorbed =
+    Obs.Metrics.counters (Obs.Export.run_metrics (Obs.Ctx.make ~stats:s ()))
+  in
   List.iter
     (fun (name, _) ->
       Alcotest.(check (option int)) ("engine." ^ name) (Some 1)
@@ -291,8 +321,8 @@ let trace_of ~jobs run =
     let ctx = Obs.Ctx.make ~tracer ~pool () in
     let r = run ctx in
     ( r,
-      Obs.Export.trace_lines ~times:false tracer,
-      Obs.Metrics.to_json ctx.Obs.Ctx.metrics )
+      trace_lines ~times:false tracer,
+      pp_metrics ctx.Obs.Ctx.metrics )
   in
   if jobs = 1 then go Par.Pool.sequential else Par.Pool.with_pool ~jobs go
 
@@ -343,7 +373,7 @@ let test_export_trace_lines () =
   ignore
     (Obs.Ctx.phase ctx "solve" (fun () ->
          Local_search.optimize_ctx ctx ~params:ls_params g demands));
-  match Obs.Export.trace_lines tracer with
+  match trace_lines tracer with
   | [] -> Alcotest.fail "empty trace"
   | header :: spans ->
     Alcotest.(check bool) "header schema" true

@@ -9,6 +9,12 @@ open Te
 
 let jobs_grid = [ 1; 2; 3; 8 ]
 
+(* [(mlu, phi)] of the evaluator's current weights. *)
+let evaluate ev =
+  let r = { Engine.Evaluator.mlu = 0.; phi = 0. } in
+  Engine.Evaluator.evaluate_into ev r;
+  (r.Engine.Evaluator.mlu, r.Engine.Evaluator.phi)
+
 (* ------------------------------------------------------------------ *)
 (* Pool primitives                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -258,23 +264,6 @@ let test_pool_accounting () =
     && m.Par.Pool.max_region = 0 && m.Par.Pool.busy_seconds = 0.
     && m.Par.Pool.wall_seconds = 0.)
 
-let test_chunks () =
-  Alcotest.(check bool)
-    "10 by 4" true
-    (Par.Pool.chunks ~chunk:4 10 = [| (0, 4); (4, 4); (8, 2) |]);
-  Alcotest.(check bool) "empty" true (Par.Pool.chunks ~chunk:4 0 = [||]);
-  List.iter
-    (fun n ->
-      let cs = Par.Pool.chunks ~chunk:3 n in
-      let covered = Array.fold_left (fun acc (_, len) -> acc + len) 0 cs in
-      Alcotest.(check int) (Printf.sprintf "coverage n=%d" n) n covered;
-      Array.iteri
-        (fun i (start, len) ->
-          Alcotest.(check int) "contiguous" (i * 3) start;
-          Alcotest.(check bool) "len bounds" true (len >= 1 && len <= 3))
-        cs)
-    [ 1; 2; 3; 7; 12 ]
-
 (* ------------------------------------------------------------------ *)
 (* Evaluator clones                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -306,7 +295,7 @@ let drive ev st m steps =
     let e = Random.State.int st m in
     let wv = float_of_int (1 + Random.State.int st 14) in
     Engine.Evaluator.set_weight ev ~edge:e wv;
-    let r = Engine.Evaluator.evaluate ev in
+    let r = evaluate ev in
     trace := r :: !trace;
     if Random.State.bool st then Engine.Evaluator.undo ev
     else Engine.Evaluator.commit ev
@@ -322,7 +311,7 @@ let test_copy_isolation () =
     let make () =
       let e = Engine.Evaluator.create g w in
       Engine.Evaluator.set_commodities e demands;
-      ignore (Engine.Evaluator.evaluate e);
+      ignore (evaluate e);
       e
     in
     let ev = make () and control = make () in
@@ -411,6 +400,38 @@ let test_wpo_bit_identical () =
          let r = Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ~pool ()) ~rounds:2 g w demands in
          (r.Greedy_wpo.setting, r.Greedy_wpo.mlu)))
 
+(* GreedyWPO scans on the calling domain: on a two-domain pool it
+   schedules no task and clones no evaluator, and every result equals
+   the jobs = 1 one bit for bit. *)
+let test_wpo_pool_idle () =
+  let g, demands = te_instance () in
+  let w = Weights.inverse_capacity g in
+  let runs pool =
+    let ctx = Obs.Ctx.make ~pool () in
+    let single prune =
+      let r = Greedy_wpo.optimize_ctx ctx ~passes:2 ?prune g w demands in
+      (r.Greedy_wpo.waypoints, r.Greedy_wpo.mlu)
+    in
+    let plain = single None and pruned = single (Some (Prune.spec 4)) in
+    let multi =
+      let r = Greedy_wpo.optimize_multi_ctx ctx ~rounds:2 g w demands in
+      (r.Greedy_wpo.setting, r.Greedy_wpo.mlu)
+    in
+    (ctx, plain, pruned, multi)
+  in
+  let _, plain1, pruned1, multi1 = runs Par.Pool.sequential in
+  Par.Pool.with_pool ~eager_wake:true ~jobs:2 (fun pool ->
+      let tasks0 = (Par.Pool.metrics pool).Par.Pool.tasks in
+      let ctx, plain2, pruned2, multi2 = runs pool in
+      Alcotest.(check int) "no pool task" tasks0
+        (Par.Pool.metrics pool).Par.Pool.tasks;
+      let st = ctx.Obs.Ctx.stats in
+      Alcotest.(check int) "no clone copy" 0 st.Engine.Stats.clone_copies;
+      Alcotest.(check int) "no clone sync" 0 st.Engine.Stats.clone_syncs;
+      Alcotest.(check bool) "passes 2 = jobs 1" true (plain2 = plain1);
+      Alcotest.(check bool) "pruned = jobs 1" true (pruned2 = pruned1);
+      Alcotest.(check bool) "multi = jobs 1" true (multi2 = multi1))
+
 let test_joint_bit_identical () =
   let g, demands = te_instance () in
   let ls_params = { Local_search.default_params with max_evals = 150; seed = 2 } in
@@ -493,7 +514,6 @@ let () =
             test_exception_propagation;
           Alcotest.test_case "nested maps run inline" `Quick
             test_nested_map_inline;
-          Alcotest.test_case "chunks cover the range" `Quick test_chunks;
           Alcotest.test_case "skewed costs stay bit-identical" `Quick
             test_skewed_costs;
           Alcotest.test_case "stolen-task exception propagation" `Quick
@@ -517,6 +537,8 @@ let () =
             test_lwo_bit_identical;
           Alcotest.test_case "wpo bit-identical across jobs" `Quick
             test_wpo_bit_identical;
+          Alcotest.test_case "wpo leaves the pool idle" `Quick
+            test_wpo_pool_idle;
           Alcotest.test_case "joint bit-identical across jobs" `Quick
             test_joint_bit_identical;
           Alcotest.test_case "restarts never worse" `Quick

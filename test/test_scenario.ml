@@ -115,40 +115,38 @@ let test_generate_validation () =
 (* Demand shifts                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Demand shifts, observed through the rebuild oracle's static MLU on
+   the intact topology: each shift is pure, leaves the input matrix
+   untouched and keeps it routable, and a uniform factor scales the MLU
+   by exactly that factor. *)
 let test_apply_shift () =
-  let _, demands, _ = Lazy.force fixture in
-  Alcotest.(check bool) "No_shift is physically the input" true
-    (Scenario.apply_shift Scenario.No_shift demands == demands);
+  let g, demands, deployed = Lazy.force fixture in
+  let before = Array.copy demands in
   let shifts =
     [
+      Scenario.No_shift;
+      Scenario.Uniform 2.;
       Scenario.Uniform 1.3;
       Scenario.Jitter { seed = 4; sigma = 0.25 };
       Scenario.Hotspot { seed = 4; pairs = 3; factor = 3. };
       Scenario.Diurnal { level = 0.3 };
     ]
   in
-  List.iter
-    (fun sh ->
-      let a = Scenario.apply_shift sh demands in
-      let b = Scenario.apply_shift sh demands in
-      Alcotest.(check bool) "pure (same shift, same result)" true (a = b);
-      Alcotest.(check bool) "input untouched" true
-        (Array.for_all2
-           (fun (d : Network.demand) (d' : Network.demand) ->
-             d.Network.src = d'.Network.src && d.Network.dst = d'.Network.dst)
-           demands a);
-      Array.iter
-        (fun (d : Network.demand) ->
-          Alcotest.(check bool) "sizes stay positive" true (d.Network.size > 0.))
-        a)
-    shifts;
-  let scaled = Scenario.apply_shift (Scenario.Uniform 2.) demands in
-  Array.iteri
-    (fun i (d : Network.demand) ->
-      Alcotest.(check (float 1e-12)) "uniform doubles sizes"
-        (2. *. demands.(i).Network.size)
-        d.Network.size)
-    scaled
+  let specs =
+    Array.of_list
+      (List.mapi (fun id shift -> { Scenario.id; failed = []; shift }) shifts)
+  in
+  let run () = Scenario.static_sweep_rebuild ~deployed g demands specs in
+  let r = run () in
+  Alcotest.(check bool) "pure (same shift, same result)" true (r = run ());
+  Alcotest.(check bool) "input untouched" true (demands = before);
+  Array.iter
+    (fun (mlu, disconnected) ->
+      Alcotest.(check int) "routable" 0 disconnected;
+      Alcotest.(check bool) "positive MLU" true (Float.is_finite mlu && mlu > 0.))
+    r;
+  Alcotest.(check (float 1e-12)) "uniform doubles the MLU"
+    (2. *. fst r.(0)) (fst r.(1))
 
 let test_policies_of_string () =
   Alcotest.(check bool) "parses the acceptance list" true
@@ -360,8 +358,19 @@ let test_report_json_escapes () =
       (List.length r.Scenario.worst_cases) (List.length cases);
     List.iter2
       (fun (sp, _, _) c ->
-        Alcotest.(check (option string)) "label round-trips"
-          (Some (Scenario.spec_label g sp)) (str "label" c))
+        let hop e =
+          Printf.sprintf "%s>%s"
+            (Digraph.node_name g (Digraph.src g e))
+            (Digraph.node_name g (Digraph.dst g e))
+        in
+        let prefix =
+          match sp.Scenario.failed with
+          | [] -> "ok"
+          | es -> "fail:" ^ String.concat "+" (List.map hop es)
+        in
+        Alcotest.(check bool) ("label starts with " ^ prefix) true
+          (String.starts_with ~prefix
+             (Option.value ~default:"" (str "label" c))))
       r.Scenario.worst_cases cases
 
 (* ------------------------------------------------------------------ *)

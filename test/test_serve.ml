@@ -370,6 +370,39 @@ let test_daemon_lp_warm_by_destination () =
     true
     (abs_float (warm -. cold) <= 1e-9 *. abs_float cold)
 
+(* [lp_every = 0] turns the bound off: no update and no resolve solves
+   an LP, and every response carries a null bound. *)
+let test_daemon_lp_off () =
+  let stats = Engine.Stats.create () in
+  let d = make_daemon ~stats ~cfg_f:(fun c -> { c with lp_every = 0 }) () in
+  let _, demands, _ = Serve.Daemon.state d in
+  let dm = demands.(0) in
+  List.iter
+    (fun line ->
+      let r = must_respond d line in
+      Alcotest.(check string) "ok" "ok" (str_field "status" r);
+      Alcotest.(check bool) ("null bound: " ^ line) true
+        (field "lp_bound" r = Serve.Sjson.Null))
+    [
+      Printf.sprintf
+        "{\"ev\":\"delta\",\"changes\":[{\"src\":%d,\"dst\":%d,\"size\":%.17g}]}"
+        dm.Network.src dm.Network.dst (1.5 *. dm.Network.size);
+      "{\"ev\":\"resolve\"}";
+      "{\"ev\":\"report\"}";
+    ];
+  Alcotest.(check int) "no LP solved" 0 stats.Engine.Stats.lp_solves
+
+(* The [misnested] count in the [trace/1] header written for [t]. *)
+let misnested t =
+  let path = Filename.temp_file "trace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.Export.write_trace ~path t;
+  match In_channel.with_open_text path In_channel.input_line with
+  | None -> None
+  | Some header ->
+    Option.bind (Result.to_option (Serve.Sjson.parse header)) (fun j ->
+        Option.bind (Serve.Sjson.member "misnested" j) Serve.Sjson.to_int)
+
 let test_daemon_lp_spans () =
   (* A traced update with an LP readout shows the simplex's own spans
      under one serve:lp span, so the readout's cost is attributed like
@@ -422,7 +455,7 @@ let test_daemon_lp_spans () =
     Alcotest.(check (pair string bool)) "first readout" ("cold", true) (p1, r1);
     Alcotest.(check (pair string bool)) "second readout" ("primal", false) (p2, r2)
   | _ -> assert false);
-  Alcotest.(check int) "well nested" 0 (Obs.Tracer.misnested tracer)
+  Alcotest.(check (option int)) "well nested" (Some 0) (misnested tracer)
 
 let test_daemon_quit () =
   let d = make_daemon () in
@@ -479,6 +512,7 @@ let () =
           Alcotest.test_case "LP warm across pair removal" `Quick
             test_daemon_lp_warm_by_destination;
           Alcotest.test_case "LP readout spans" `Quick test_daemon_lp_spans;
+          Alcotest.test_case "LP off at lp_every 0" `Quick test_daemon_lp_off;
           Alcotest.test_case "quit" `Quick test_daemon_quit;
         ] );
       ( "replay",

@@ -164,13 +164,6 @@ let test_random_weights () =
   let w2 = Weights.random ~seed:4 ~wmax:7 g in
   Alcotest.(check bool) "deterministic" true (w = w2)
 
-let test_is_routable () =
-  let g = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
-  Alcotest.(check bool) "routable" true
-    (Network.is_routable (Network.make g [| Network.demand 0 1 1. |]));
-  Alcotest.(check bool) "unroutable" false
-    (Network.is_routable (Network.make g [| Network.demand 0 2 1. |]))
-
 let test_dag_accessor () =
   let g = diamond () in
   let ev = Engine.Evaluator.create g (Weights.unit g) in
@@ -258,11 +251,14 @@ let test_lwo_apx_instance2 () =
      < 1e-6)
 
 let test_weights_for_dag_property () =
-  (* Keep only the upper path 0 -> 1 -> 3 of the diamond: the induced
-     ECMP flow from 0 must use exactly those edges (Lemma 4.1). *)
-  let g = diamond () in
-  let keep e = e = 0 || e = 1 in
-  let w = Lwo_apx.weights_for_dag g ~keep ~target:3 in
+  (* Lemma 4.1 through the Theorem 4.2 construction: the kept subgraph
+     (the unit-capacity max flow's links) must be exactly the ECMP DAG.
+     One unit fits through link 1 -> 3, so the flow takes the shortest
+     path 0 -> 1 -> 3 and the detour 0 -> 2 -> 1 stays off the DAG. *)
+  let g =
+    Digraph.of_edges ~n:4 [ (0, 1, 10.); (1, 3, 10.); (0, 2, 10.); (2, 1, 10.) ]
+  in
+  let w = Lwo_apx.uniform_optimal_weights g ~source:0 ~target:3 in
   let ev = Engine.Evaluator.create g w in
   let u = Engine.Evaluator.unit_load ev ~src:0 ~dst:3 in
   Alcotest.(check (array int)) "uses kept edges" [| 0; 1 |] u.Engine.Evaluator.edges;
@@ -292,18 +288,22 @@ let test_widest_path_weights () =
 (* Local search (HeurOSPF)                                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_phi_monotone () =
+(* Phi of one unit-capacity link carrying [load]. *)
+let phi_of_load load =
   let g = Digraph.of_edges ~n:2 [ (0, 1, 1.) ] in
-  let low = Engine.Evaluator.phi_cost g [| 0.2 |] in
-  let mid = Engine.Evaluator.phi_cost g [| 0.8 |] in
-  let high = Engine.Evaluator.phi_cost g [| 1.2 |] in
+  let ev = Engine.Evaluator.create g [| 1. |] in
+  Engine.Evaluator.set_commodities ev [| Network.demand 0 1 load |];
+  Engine.Evaluator.phi ev
+
+let test_phi_monotone () =
+  let low = phi_of_load 0.2 and mid = phi_of_load 0.8 in
+  let high = phi_of_load 1.2 in
   Alcotest.(check bool) "increasing" true (low < mid && mid < high)
 
 let test_phi_slope_values () =
-  let g = Digraph.of_edges ~n:2 [ (0, 1, 1.) ] in
-  checkf6 "linear below 1/3" 0.25 (Engine.Evaluator.phi_cost g [| 0.25 |]);
+  checkf6 "linear below 1/3" 0.25 (phi_of_load 0.25);
   (* phi(2/3) = 1/3 + 3*(1/3) = 4/3 *)
-  checkf6 "at 2/3" (4. /. 3.) (Engine.Evaluator.phi_cost g [| 2. /. 3. |])
+  checkf6 "at 2/3" (4. /. 3.) (phi_of_load (2. /. 3.))
 
 let test_local_search_improves () =
   let inst = Instances.Gap_instances.instance1 ~m:5 in
@@ -1198,7 +1198,6 @@ let () =
           Alcotest.test_case "aggregate" `Quick test_aggregate;
           Alcotest.test_case "split" `Quick test_split;
           Alcotest.test_case "totals and targets" `Quick test_total_and_targets;
-          Alcotest.test_case "is routable" `Quick test_is_routable;
         ] );
       ( "weights",
         [

@@ -6,6 +6,9 @@ open Topology
 
 let checkf = Alcotest.(check (float 1e-9))
 
+(* Every node reachable from node 0 along directed edges. *)
+let connected g = Array.for_all Fun.id (Paths.reachable g ~source:0)
+
 (* ------------------------------------------------------------------ *)
 (* Xmlparse                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -85,8 +88,16 @@ let sndlib_xml_sample =
  </demands>
 </network>|}
 
+(* [load contents] on a temporary file holding [contents]. *)
+let load_string load contents =
+  let path = Filename.temp_file "topo" ".txt" in
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> load path)
+
 let test_sndlib_xml () =
-  let t = Sndlib.of_xml sndlib_xml_sample in
+  let t = load_string Sndlib.load_file sndlib_xml_sample in
   let g = t.Sndlib.graph in
   Alcotest.(check int) "nodes" 3 (Digraph.node_count g);
   Alcotest.(check int) "edges (bidirected)" 4 (Digraph.edge_count g);
@@ -165,7 +176,7 @@ let graphml_sample =
 </graphml>|}
 
 let test_graphml () =
-  let g = Graphml.of_string graphml_sample in
+  let g = load_string Graphml.load_file graphml_sample in
   Alcotest.(check int) "nodes" 3 (Digraph.node_count g);
   Alcotest.(check int) "edges" 4 (Digraph.edge_count g);
   let v = Digraph.node_of_name g "Vienna" and gr = Digraph.node_of_name g "Graz" in
@@ -174,7 +185,7 @@ let test_graphml () =
   | None -> Alcotest.fail "Vienna->Graz missing");
   let l = Digraph.node_of_name g "Linz" in
   (match Digraph.find_edge g ~src:gr ~dst:l with
-  | Some e -> checkf "default capacity" Graphml.default_capacity_mbps (Digraph.cap g e)
+  | Some e -> checkf "default capacity" 1000. (Digraph.cap g e)
   | None -> Alcotest.fail "Graz->Linz missing")
 
 let test_graphml_duplicate_labels () =
@@ -185,7 +196,7 @@ let test_graphml_duplicate_labels () =
       <edge source="n0" target="n1"/>
     </graph></graphml>|}
   in
-  let g = Graphml.of_string src in
+  let g = load_string Graphml.load_file src in
   Alcotest.(check int) "two distinct nodes" 2 (Digraph.node_count g);
   Alcotest.(check int) "edge present" 2 (Digraph.edge_count g)
 
@@ -207,9 +218,9 @@ let test_gen_deterministic () =
 
 let test_gen_connected () =
   let g = Gen.synthetic ~name:"C" ~nodes:30 ~links:45 () in
-  Alcotest.(check bool) "strongly connected" true (Digraph.is_connected_from g 0);
+  Alcotest.(check bool) "strongly connected" true (connected g);
   Alcotest.(check bool) "reverse connected" true
-    (Digraph.is_connected_from (Digraph.reverse g) 0)
+    (connected (Digraph.reverse g))
 
 let test_gen_guards () =
   Alcotest.check_raises "links >= nodes"
@@ -220,7 +231,7 @@ let test_abilene () =
   let g = Datasets.abilene () in
   Alcotest.(check int) "12 nodes" 12 (Digraph.node_count g);
   Alcotest.(check int) "30 directed edges" 30 (Digraph.edge_count g);
-  Alcotest.(check bool) "connected" true (Digraph.is_connected_from g 0);
+  Alcotest.(check bool) "connected" true (connected g);
   let m5 = Digraph.node_of_name g "ATLAM5" and atl = Digraph.node_of_name g "ATLAng" in
   (match Digraph.find_edge g ~src:m5 ~dst:atl with
   | Some e -> checkf "OC-48 access" 2480. (Digraph.cap g e)
@@ -246,7 +257,7 @@ let test_registry () =
         (2 * info.Datasets.links)
         (Digraph.edge_count g);
       Alcotest.(check bool) (info.Datasets.name ^ " connected") true
-        (Digraph.is_connected_from g 0))
+        (connected g))
     Datasets.all
 
 let test_registry_unknown () =
