@@ -601,8 +601,6 @@ let matching fields (rs : record list) =
 (* [key] of the first record; nan if there is none. *)
 let first key = function r :: _ -> num key r | [] -> nan
 
-type status = Passed | Failed | Skipped of string
-
 (* A declared check over an experiment's records.  Its result lands in
    the BENCH file as one gate record; a failed [fatal] gate fails the
    run, an advisory one is only reported. *)
@@ -610,10 +608,8 @@ type gate = {
   gate : string;
   fatal : bool;
   threshold : A.value;
-  check : record list -> A.value * status;  (* measured, status *)
+  check : record list -> A.value * bool;  (* measured, passed *)
 }
-
-let verdict ok = if ok then Passed else Failed
 
 (* [measure records] must compare [ok] against [threshold]; a missing
    measurement (nan) fails either way. *)
@@ -621,7 +617,7 @@ let bound ok ?(fatal = true) gate threshold measure =
   { gate; fatal; threshold = A.Float threshold;
     check = (fun rs ->
         let m = measure rs in
-        (A.Float m, verdict (ok m threshold))) }
+        (A.Float m, ok m threshold)) }
 
 let at_least ?fatal = bound ( >= ) ?fatal
 
@@ -634,15 +630,12 @@ let all_true ?(fatal = true) gate key =
     check = (fun rs ->
         let vs = List.filter_map (List.assoc_opt key) rs in
         let ok = vs <> [] && List.for_all (( = ) (A.Bool true)) vs in
-        (A.Bool ok, verdict ok)) }
+        (A.Bool ok, ok)) }
 
-let status_name = function
-  | Passed -> "passed"
-  | Failed -> "failed"
-  | Skipped why -> Printf.sprintf "skipped (%s)" why
+let status_name passed = if passed then "passed" else "failed"
 
-let gate_record g (measured, status) : record =
-  [ A.str "gate" g.gate; A.str "status" (status_name status);
+let gate_record g (measured, passed) : record =
+  [ A.str "gate" g.gate; A.str "status" (status_name passed);
     A.bool "fatal" g.fatal; ("threshold", g.threshold);
     ("measured", measured) ]
 
@@ -718,12 +711,12 @@ let run_bench e () =
     ~fields:e.fields written;
   row "\nwrote %s (%d records)\n" file (List.length written);
   List.iter
-    (fun (g, (measured, status)) ->
+    (fun (g, (measured, passed)) ->
       row "gate %-32s %-18s measured %s, threshold %s%s\n" g.gate
-        (status_name status)
+        (status_name passed)
         (show measured) (show g.threshold)
         (if g.fatal then "" else " (advisory)");
-      if g.fatal && status = Failed then incr fatal_failures)
+      if g.fatal && not passed then incr fatal_failures)
     results;
   row "%!"
 
@@ -950,64 +943,33 @@ let engine =
 (* Parallel search runtime                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Scaling of lib/par: the HeurOSPF probe fan-out on cached per-worker
-   clones under the shared-counter scheduler, at pool sizes 1/2/4/8.
-   GreedyWPO, which leaves the pool idle, runs beside it only for the
-   bit-identity check.  Every run is compared bit for bit with the
-   jobs = 1 run.  Each record carries the scheduler's own counters
-   ([steals] = tasks run by a slot other than the caller) and the
-   clone-cache amortization ratio. *)
+(* Scheduling never leaks into results: GreedyWPO (which leaves the
+   pool idle) and a two-restart HeurOSPF (whose walks run as pool
+   tasks) at pool sizes 1/2/4/8, each compared bit for bit with the
+   jobs = 1 run. *)
 let parallel_sweep name =
   let g = Topology.Datasets.load name in
   let demands = fig4_demands g in
   let inv_w = Weights.inverse_capacity g in
   let evals = if !full then 2000 else 400 in
   let measure pool =
-    let m0 = Par.Pool.metrics pool in
-    let ls = Engine.Stats.create () in
-    let wpo =
-      Greedy_wpo.optimize_ctx (Obs.Ctx.make ~pool ()) g inv_w demands
+    let ctx = Obs.Ctx.make ~pool () in
+    let wpo = Greedy_wpo.optimize_ctx ctx g inv_w demands in
+    let heur =
+      Local_search.optimize_ctx ctx ~restarts:2
+        ~params:(ls_params ~seed:3 ~evals) g demands
     in
-    let heur, ls_wall =
-      timed (fun () ->
-          Local_search.optimize_ctx (Obs.Ctx.make ~stats:ls ~pool ())
-            ~params:(ls_params ~seed:3 ~evals) g demands)
-    in
-    ( (wpo.Greedy_wpo.waypoints, wpo.Greedy_wpo.mlu, heur.Local_search.weights,
-       heur.Local_search.mlu, heur.Local_search.evals),
-      (ls, ls_wall, m0, Par.Pool.metrics pool) )
+    (wpo.Greedy_wpo.waypoints, wpo.Greedy_wpo.mlu, heur.Local_search.weights,
+     heur.Local_search.mlu, heur.Local_search.evals)
   in
   let runs =
     List.map (fun jobs -> (jobs, Par.Pool.with_pool ~jobs measure)) [ 1; 2; 4; 8 ]
   in
-  let ref_result, (_, base_ls, _, _) = snd (List.hd runs) in
+  let ref_result = snd (List.hd runs) in
   List.map
-    (fun (jobs, (result, (ls, ls_wall, m0, m1))) ->
-      let open Engine.Stats in
-      let tasks = m1.Par.Pool.tasks - m0.Par.Pool.tasks in
-      let wall = m1.Par.Pool.wall_seconds -. m0.Par.Pool.wall_seconds in
-      let busy = m1.Par.Pool.busy_seconds -. m0.Par.Pool.busy_seconds in
-      let overhead_us =
-        if tasks = 0 then 0. else (wall -. busy) /. float_of_int tasks *. 1e6
-      in
-      let efficiency =
-        if wall <= 0. then nan else busy /. (wall *. float_of_int jobs)
-      in
-      let syncs = ls.clone_syncs and copies = ls.clone_copies in
+    (fun (jobs, result) ->
       [ A.str "topology" name; A.int "jobs" jobs;
-        A.bool "identical_to_jobs1" (result = ref_result);
-        A.int "probe_evaluations" ls.evaluations;
-        A.float "probe_wall_seconds" ls_wall;
-        A.float "probe_evals_per_sec" (float_of_int ls.evaluations /. ls_wall);
-        A.float "probe_speedup" (base_ls /. ls_wall);
-        A.float "sched_overhead_us_per_task" overhead_us;
-        A.int "steals" (m1.Par.Pool.steals - m0.Par.Pool.steals);
-        A.int "parks" (m1.Par.Pool.parks - m0.Par.Pool.parks);
-        A.int "clone_syncs" syncs; A.int "clone_copies" copies;
-        A.float "clone_amortization"
-          (if syncs + copies = 0 then 0.
-           else float_of_int syncs /. float_of_int (syncs + copies));
-        A.float "efficiency" efficiency ])
+        A.bool "identical_to_jobs1" (result = ref_result) ])
     runs
 
 (* Sync-vs-copy on a warm Germany50 clone, two regimes.  Steady state:
@@ -1062,44 +1024,24 @@ let sync_vs_copy () =
     [ ("steady_state", steady_sync, steady_copy);
       ("one_move_delta", delta_sync, delta_copy) ]
 
-(* Multicore efficiency: >= 0.7 at Germany50 jobs = 4, judged only where
-   4 workers can actually run in parallel.  On smaller hosts the honest
-   answer is "skipped", not a vacuous pass. *)
-let efficiency_gate =
-  let g =
-    at_least "parallel_efficiency" 0.7 (fun rs ->
-        first "efficiency"
-          (matching [ A.str "topology" "Germany50"; A.int "jobs" 4 ] rs))
-  in
-  match Obs.Export.host_cores () with
-  | cores when cores >= 4 -> g
-  | cores ->
-    let why =
-      Printf.sprintf "%d core%s" cores (if cores = 1 then "" else "s")
-    in
-    { g with check = (fun rs -> (fst (g.check rs), Skipped why)) }
-
 let parallel =
   { title = "Parallel search runtime: shared-counter scheduler (lib/par)";
-    bench = "parallel"; version = 3; fields = [];
+    bench = "parallel"; version = 4; fields = [];
     run = (fun ctx ->
         List.concat_map
           (fun name -> Obs.Ctx.phase ctx name (fun () -> parallel_sweep name))
           [ "Abilene"; "Germany50" ]
         @ Obs.Ctx.phase ctx "sync_vs_copy" sync_vs_copy);
     tables =
-      [ ( "HeurOSPF probes per pool size:",
-          [ "topology"; "jobs"; "probe_evals_per_sec"; "probe_speedup";
-            "sched_overhead_us_per_task"; "steals"; "clone_amortization";
-            "identical_to_jobs1" ] );
+      [ ( "GreedyWPO and two-restart HeurOSPF per pool size:",
+          [ "topology"; "jobs"; "identical_to_jobs1" ] );
         ( "sync_from vs copy (Germany50, warm clone):",
           [ "regime"; "reps"; "sync_us"; "copy_us"; "sync_speedup" ] ) ];
     gates =
       [ all_true "jobs_bit_identical" "identical_to_jobs1";
         at_least "sync_vs_copy_3x" 3. (fun rs ->
             first "sync_speedup"
-              (matching [ A.str "regime" "steady_state" ] rs));
-        efficiency_gate ] }
+              (matching [ A.str "regime" "steady_state" ] rs)) ] }
 
 (* ------------------------------------------------------------------ *)
 (* Robustness sweep throughput                                         *)
@@ -1865,7 +1807,7 @@ let omw_gate =
               else None)
             (matching [ A.str "solver" "omw" ] rs)
         in
-        (A.List wins, verdict (wins <> []))) }
+        (A.List wins, wins <> [])) }
 
 let solvers =
   { title =

@@ -115,9 +115,9 @@ let stats_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-         ~doc:"Worker domains for the candidate scans and probe fan-out. \
-               The result is bit-identical for every N; only the wall \
-               time changes.")
+         ~doc:"Worker domains for the --restarts walks and the scenario \
+               sweeps.  The result is bit-identical for every N; only \
+               the wall time changes.")
 
 let restarts_arg =
   Arg.(value & opt int 1 & info [ "restarts" ] ~docv:"N"

@@ -32,10 +32,9 @@ val optimize_ctx :
     evaluations), so one stats/tracer instance accounts for the whole
     pipeline; each stage is wrapped in its own span (["joint:weights"],
     ["joint:waypoints"], and ["joint:split-reopt"] for stages 3–4).
-    The context's pool and [restarts] are forwarded to the stages
-    ({!Local_search.optimize_ctx} probe fan-out and multi-restart,
-    {!Greedy_wpo.optimize_ctx} candidate scan); results stay
-    bit-identical across pool sizes.  [prune] (default off) forwards to
+    The context's pool and [restarts] are forwarded to
+    {!Local_search.optimize_ctx}, whose restarts run as pool tasks;
+    results stay bit-identical across pool sizes.  [prune] (default off) forwards to
     the greedy waypoint stage as in {!Greedy_wpo.optimize_ctx}; the
     weight search is unaffected. *)
 

@@ -42,25 +42,9 @@ module Setting_tbl = Hashtbl.Make (struct
     (h lxor (h lsr 29)) land max_int
 end)
 
-(* One seeded walk.  [demands] is already aggregated.
-
-   The neighborhood probes fan out over the context's pool: candidate
-   weight values for the picked edge are gated by the budget/memo rules
-   sequentially (consuming no randomness), the cache misses are then
-   scored concurrently — each worker on its persistent cached clone
-   (see {!Engine.Evaluator.Clones}) — and the tracker updates replay in
-   candidate order.  Accepted moves are not eagerly mirrored into the
-   clones (that would put [par - 1] incremental repairs on the caller's
-   critical path per accepted move); instead the committed weights are
-   published to a shadow vector and each clone delta-syncs at the start
-   of its next probe task, on its own domain, and only if it actually
-   runs one.  A synced clone holds bitwise the same committed state as
-   the main evaluator, so a probe returns the same floats no matter
-   which worker runs it — the walk is bit-identical for every pool
-   size, including the inline [parallelism = 1] case. *)
+(* One seeded walk.  [demands] is already aggregated. *)
 let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
   if params.wmax < 2 then invalid_arg "Local_search.optimize: wmax < 2";
-  let pool = ctx.Obs.Ctx.pool in
   let tracer = ctx.Obs.Ctx.tracer in
   let m = Digraph.edge_count g in
   let st = Random.State.make [| params.seed; 0x05f |] in
@@ -86,12 +70,8 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
   let memo : (float * float * float array) Setting_tbl.t =
     Setting_tbl.create 1024
   in
-  let memoize w r =
-    if Setting_tbl.length memo < 200_000 then
-      Setting_tbl.replace memo (Array.copy w) r
-  in
   (* Evaluates the engine's current weight vector, which the caller has
-     already synced to [w] (the memo key).  Results land in a reused
+     already moved to [w] (the memo key).  Results land in a reused
      metrics cell; only the memoized tuple and loads copy allocate. *)
   let mcell = { Engine.Evaluator.mlu = 0.; phi = 0. } in
   let eval_engine w =
@@ -99,57 +79,29 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
     Engine.Evaluator.evaluate_into ev mcell;
     let loads = Array.copy (Engine.Evaluator.loads ev) in
     let r = (mcell.Engine.Evaluator.mlu, mcell.Engine.Evaluator.phi, loads) in
-    memoize w r;
+    if Setting_tbl.length memo < 200_000 then
+      Setting_tbl.replace memo (Array.copy w) r;
     r
+  in
+  let lookup w =
+    match Setting_tbl.find_opt memo w with
+    | Some r -> r
+    | None -> eval_engine w
   in
   let objective (mlu, phi) = if params.use_phi then phi else mlu in
   let current = init in
-  let cur_mlu, cur_phi, cur_loads =
-    match Setting_tbl.find_opt memo current with
-    | Some r -> r
-    | None -> eval_engine current
-  in
-  (* Worker clones from the context's persistent cache, synced on this
-     domain once the caches are warm: the first walk pays a full copy
-     per slot, later walks an incremental sync.  [parallelism] is 1
-     when the walk itself runs inside a pool task (multi-restart): the
-     probe map then nests inline on worker 0 (the main evaluator) and
-     no clones exist at all. *)
-  let par = Par.Pool.parallelism pool in
-  let clones = Array.make par ev in
-  for w = 1 to par - 1 do
-    clones.(w) <- Engine.Evaluator.Clones.get ctx.Obs.Ctx.clones ~worker:w ~src:ev
-  done;
-  (* One metrics cell per worker: probe tasks write their (mlu, phi)
-     into their own cell, so a probe never allocates a result tuple. *)
-  let cells =
-    Array.init par (fun _ -> { Engine.Evaluator.mlu = 0.; phi = 0. })
-  in
-  (* Lazy clone sync.  Accepted moves and perturbations publish the new
-     committed weights into [shadow] and bump [version]; a worker whose
-     clone is behind delta-syncs at the start of its next probe task.
-     The sync cost lands on the worker's own domain — and only if that
-     worker actually runs a task — instead of being paid [par - 1]
-     times on the caller's critical path per accepted move.  [shadow]
-     and [version] are plain (non-atomic) state: they are written by
-     the orchestrating domain between fan-outs and read by workers
-     inside one, and the scheduler's region submission/claim atomics
-     order those accesses. *)
-  let shadow =
-    if par > 1 then Array.copy (Engine.Evaluator.weights ev) else [||]
-  in
-  let version = ref 0 in
-  let synced = Array.make par 0 in
-  let publish_weights () =
-    if par > 1 then begin
-      Array.blit (Engine.Evaluator.weights ev) 0 shadow 0 m;
-      incr version
-    end
-  in
+  let cur_mlu, cur_phi, cur_loads = lookup current in
   let cur_obj = ref (objective (cur_mlu, cur_phi)) in
   let cur_loads = ref cur_loads in
   let best_w = ref (Array.copy current) in
   let best_mlu = ref cur_mlu and best_phi = ref cur_phi in
+  let track mlu phi =
+    if mlu < !best_mlu -. 1e-12 then begin
+      best_mlu := mlu;
+      best_phi := phi;
+      best_w := Array.copy current
+    end
+  in
   let stall = ref 0 in
   let caps = Digraph.caps g in
   let pick_edge () =
@@ -206,102 +158,54 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
     incr iterations;
     let e = pick_edge () in
     let old = current.(e) in
-    (* Phase A: replay the sequential budget/memo gating.  A candidate
-       is admitted while simulated evals remain; memo hits are free,
-       misses consume one budget unit and join the probe list. *)
-    let sim = ref !evals in
-    let plan =
-      List.filter_map
-        (fun wv ->
-          if !sim >= params.max_evals then None
-          else begin
-            current.(e) <- wv;
-            match Setting_tbl.find_opt memo current with
-            | Some r -> Some (wv, `Memo r)
-            | None ->
-              incr sim;
-              Some (wv, `Probe (Array.copy current))
-          end)
-        (candidates old)
-    in
-    current.(e) <- old;
-    (* Phase B: score the cache misses, one pool task each, every
-       worker probing on its own clone through the engine's
-       set / evaluate / undo move protocol. *)
-    let probes =
-      Array.of_list
-        (List.filter_map
-           (function wv, `Probe _ -> Some wv | _, `Memo _ -> None)
-           plan)
-    in
-    let round_tok =
-      if Array.length probes > 0 then Obs.Tracer.start tracer "ls:round"
-      else -1
-    in
-    Obs.Tracer.attr tracer round_tok
-      (Obs.Attr.int "probes" (Array.length probes));
-    let probe_results =
-      Par.Pool.map pool ~tasks:(Array.length probes) (fun ~worker i ->
-          let evw = clones.(worker) and c = cells.(worker) in
-          if worker > 0 && synced.(worker) <> !version then begin
-            Engine.Evaluator.sync_weights evw shadow;
-            let cs = Engine.Evaluator.stats evw in
-            cs.Engine.Stats.clone_syncs <- cs.Engine.Stats.clone_syncs + 1;
-            synced.(worker) <- !version
-          end;
-          Engine.Evaluator.set_weight evw ~edge:e (float_of_int probes.(i));
-          Engine.Evaluator.evaluate_into evw c;
-          let loads = Array.copy (Engine.Evaluator.loads evw) in
-          Engine.Evaluator.undo evw;
-          (c.Engine.Evaluator.mlu, c.Engine.Evaluator.phi, loads))
-    in
-    Obs.Tracer.finish tracer round_tok;
-    if Array.length probes > 0 then
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.rounds";
-    evals := !sim;
-    (* Phase C: replay the tracker updates in candidate order, exactly
-       as the sequential loop would have. *)
+    (* Candidates in order while budget remains: a memo hit is free, a
+       miss is probed through the engine's set / evaluate / undo move
+       protocol and costs one budget unit.  The misses of a round share
+       one ["ls:round"] span. *)
+    let probes = ref 0 and round_tok = ref (-1) in
     let best_cand = ref None in
-    let next_probe = ref 0 in
     List.iter
-      (fun (wv, src) ->
-        let ((mlu, phi, loads) as r) =
-          match src with
-          | `Memo r -> r
-          | `Probe key ->
-            let r = probe_results.(!next_probe) in
-            incr next_probe;
-            if Setting_tbl.length memo < 200_000 then
-              Setting_tbl.replace memo key r;
-            r
-        in
-        ignore (r : float * float * float array);
-        current.(e) <- wv;
-        let obj = objective (mlu, phi) in
-        if mlu < !best_mlu -. 1e-12 then begin
-          best_mlu := mlu;
-          best_phi := phi;
-          best_w := Array.copy current
-        end;
-        match !best_cand with
-        | Some (o, _, _, _) when o <= obj -> ()
-        | _ -> best_cand := Some (obj, wv, mlu, loads))
-      plan;
+      (fun wv ->
+        if !evals < params.max_evals then begin
+          current.(e) <- wv;
+          let mlu, phi, loads =
+            match Setting_tbl.find_opt memo current with
+            | Some r -> r
+            | None ->
+              if !probes = 0 then
+                round_tok := Obs.Tracer.start tracer "ls:round";
+              incr probes;
+              Engine.Evaluator.set_weight ev ~edge:e (float_of_int wv);
+              let r = eval_engine current in
+              Engine.Evaluator.undo ev;
+              r
+          in
+          track mlu phi;
+          let obj = objective (mlu, phi) in
+          match !best_cand with
+          | Some (o, _, _) when o <= obj -> ()
+          | _ -> best_cand := Some (obj, wv, loads)
+        end)
+      (candidates old);
     current.(e) <- old;
+    if !probes > 0 then begin
+      Obs.Tracer.attr tracer !round_tok (Obs.Attr.int "probes" !probes);
+      Obs.Tracer.finish tracer !round_tok;
+      Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.rounds"
+    end;
     let accept wv obj loads =
       current.(e) <- wv;
       Engine.Evaluator.set_weight ev ~edge:e (float_of_int wv);
       Engine.Evaluator.commit ev;
-      publish_weights ();
       cur_obj := obj;
       cur_loads := loads
     in
     (match !best_cand with
-    | Some (obj, wv, _mlu, loads) when obj < !cur_obj -. 1e-12 ->
+    | Some (obj, wv, loads) when obj < !cur_obj -. 1e-12 ->
       accept wv obj loads;
       Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.accepted";
       stall := 0
-    | Some (obj, wv, _mlu, loads)
+    | Some (obj, wv, loads)
       when obj <= !cur_obj +. 1e-12 && Random.State.float st 1. < 0.3 ->
       (* Sideways move to escape plateaus. *)
       accept wv obj loads;
@@ -317,32 +221,14 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
       for _ = 1 to kicks do
         current.(Random.State.int st m) <- 1 + Random.State.int st params.wmax
       done;
-      let wf = Weights.of_ints current in
-      Engine.Evaluator.set_weights ev wf;
+      Engine.Evaluator.set_weights ev (Weights.of_ints current);
       Engine.Evaluator.commit ev;
-      publish_weights ();
-      let mlu, phi, loads =
-        match Setting_tbl.find_opt memo current with
-        | Some r -> r
-        | None -> eval_engine current
-      in
-      if mlu < !best_mlu -. 1e-12 then begin
-        best_mlu := mlu;
-        best_phi := phi;
-        best_w := Array.copy current
-      end;
+      let mlu, phi, loads = lookup current in
+      track mlu phi;
       cur_obj := objective (mlu, phi);
       cur_loads := loads;
       stall := 0
     end
-  done;
-  (* Fold the clones' cache/SPF counters into the walk's stats (fixed
-     worker order) and reset them: the clones persist in the context's
-     cache, so unreset counters would double-count on their next use. *)
-  for w = 1 to par - 1 do
-    let cs = Engine.Evaluator.stats clones.(w) in
-    Engine.Stats.merge ~into:(Engine.Evaluator.stats ev) cs;
-    Engine.Stats.reset cs
   done;
   Obs.Tracer.attr tracer walk_tok (Obs.Attr.int "evals" !evals);
   Obs.Tracer.attr tracer walk_tok (Obs.Attr.float "mlu" !best_mlu);

@@ -41,17 +41,16 @@ val optimize_ctx :
     incremental update and undone (or committed) through the engine's
     move protocol.  The context's stats collect the engine's evaluation
     and SPF-rebuild counters; its tracer records one ["ls:walk"] span
-    per walk with ["ls:round"] probe fan-outs and ["ls:perturb"]
-    events nested inside (restart walks graft back in restart order,
-    so traces are schedule-independent).  A context deadline is honored
+    per walk with an ["ls:round"] span per probing round (attr
+    ["probes"]) and ["ls:perturb"] events nested inside (restart walks
+    graft back in restart order, so traces are schedule-independent).  A context deadline is honored
     at round granularity: the walk stops early but still returns its
     best solution.
 
-    The context's pool parallelizes the work on two levels, both
-    deterministically (the result is bit-identical for every pool
-    size): the neighborhood probes of one walk run concurrently on
-    per-worker {!Engine.Evaluator.copy} clones, and with [restarts > 1]
-    whole independent walks (restart [r] reseeded to [seed + 7919 r],
-    so [restarts = 1] is the historical single walk) run as pool tasks,
-    probing inline.  The returned result is the best-MLU restart (ties:
-    lowest restart index), with its own walk's [evals] count. *)
+    A walk probes its neighborhood in order on its own evaluator.  With
+    [restarts > 1] whole independent walks (restart [r] reseeded to
+    [seed + 7919 r], so [restarts = 1] is the historical single walk)
+    run as tasks on the context's pool; a single walk leaves the pool
+    idle.  The result is bit-identical for every pool size: the
+    best-MLU restart (ties: lowest restart index), with its own walk's
+    [evals] count. *)

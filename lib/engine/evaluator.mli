@@ -215,21 +215,17 @@ val probe_mlu : t -> edge:int -> float -> above:float -> metrics -> unit
 
 (** {1 Delta sync and the persistent clone cache} *)
 
-val sync_weights : t -> float array -> unit
-(** [sync_weights t w] moves [t]'s {e committed} state to the weight
-    vector [w]: rolls back any pending trail, applies the diff through
-    the {!set_weights} machinery (few changes repair incrementally, a
-    bulk diff flushes) and commits.  Because every cache is a pure
-    function of (graph, weights, commodities), results after a sync are
-    bit-identical to a fresh evaluator's — only cache warmth differs.
-    @raise Invalid_argument on length mismatch or non-positive entry. *)
-
 val sync_from : src:t -> t -> unit
-(** [sync_from ~src dst] delta-syncs [dst] to [src]'s current state:
-    {!sync_weights} to [src]'s weights (disabled edges — infinite
-    weights — ride the same diff), then a commodity-table diff that
-    shares [src]'s per-destination source/size arrays by pointer and
-    drops only the load caches of destinations whose bucket changed.
+(** [sync_from ~src dst] delta-syncs [dst] to [src]'s current state.
+    It moves [dst]'s {e committed} weights to [src]'s: any pending trail
+    is rolled back, the diff rides the {!set_weights} machinery (few
+    changes repair incrementally, a bulk diff flushes; disabled edges —
+    infinite weights — ride the same diff) and is committed.  Then a
+    commodity-table diff shares [src]'s per-destination source/size
+    arrays by pointer and drops only the load caches of destinations
+    whose bucket changed.  Because every cache is a pure function of
+    (graph, weights, commodities), the sync leaves no trace in results,
+    only in which caches are still warm.
     The commodity pass is skipped entirely when an internal stamp pair
     proves [dst] already mirrors [src]'s current set (the common case
     for a clone reused under unchanged demands).  After the call [dst]

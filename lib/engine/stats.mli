@@ -49,10 +49,10 @@ type t = {
           pass; [kept / (kept + pruned)] is the surviving fraction.
           Both stay 0 when pruning is off *)
   mutable clone_syncs : int;
-      (** cached worker clones refreshed by {!Evaluator.sync_from} /
-          {!Evaluator.sync_weights} — an incremental delta instead of a
-          full copy; recorded on the clone and folded into the run total
-          when its stats are merged *)
+      (** cached worker clones refreshed by {!Evaluator.sync_from} — an
+          incremental delta instead of a full copy; recorded on the
+          clone and folded into the run total when its stats are
+          merged *)
   mutable clone_copies : int;
       (** worker clones built by a full {!Evaluator.copy} (first use of
           a slot, topology change, or a weight diff past the sync

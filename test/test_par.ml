@@ -1,8 +1,10 @@
 (* Tests for lib/par and the domain-parallel search runtime.  The
    contract under test is that scheduling never leaks into results:
-   every pool operation and every pool-driven heuristic must return a
-   bit-identical answer for every --jobs value, and evaluator clones
-   must be perfectly isolated from their original. *)
+   every pool operation and every heuristic must return a bit-identical
+   answer for every --jobs value.  Only restarts run as pool tasks, so a
+   single HeurOSPF walk and GreedyWPO must leave the pool idle.
+   Evaluator clones, which the scenario sweep draws, must be perfectly
+   isolated from their original. *)
 
 open Netgraph
 open Te
@@ -400,37 +402,55 @@ let test_wpo_bit_identical () =
          let r = Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ~pool ()) ~rounds:2 g w demands in
          (r.Greedy_wpo.setting, r.Greedy_wpo.mlu)))
 
-(* GreedyWPO scans on the calling domain: on a two-domain pool it
-   schedules no task and clones no evaluator, and every result equals
-   the jobs = 1 one bit for bit. *)
-let test_wpo_pool_idle () =
-  let g, demands = te_instance () in
-  let w = Weights.inverse_capacity g in
-  let runs pool =
-    let ctx = Obs.Ctx.make ~pool () in
-    let single prune =
-      let r = Greedy_wpo.optimize_ctx ctx ~passes:2 ?prune g w demands in
-      (r.Greedy_wpo.waypoints, r.Greedy_wpo.mlu)
-    in
-    let plain = single None and pruned = single (Some (Prune.spec 4)) in
-    let multi =
-      let r = Greedy_wpo.optimize_multi_ctx ctx ~rounds:2 g w demands in
-      (r.Greedy_wpo.setting, r.Greedy_wpo.mlu)
-    in
-    (ctx, plain, pruned, multi)
-  in
-  let _, plain1, pruned1, multi1 = runs Par.Pool.sequential in
+(* [runs pool] returns the run's context and its results.  On a
+   two-domain pool it must schedule no task and clone no evaluator, and
+   its results must equal the jobs = 1 ones bit for bit. *)
+let check_pool_idle runs =
+  let _, seq = runs Par.Pool.sequential in
   Par.Pool.with_pool ~eager_wake:true ~jobs:2 (fun pool ->
       let tasks0 = (Par.Pool.metrics pool).Par.Pool.tasks in
-      let ctx, plain2, pruned2, multi2 = runs pool in
+      let ctx, par = runs pool in
       Alcotest.(check int) "no pool task" tasks0
         (Par.Pool.metrics pool).Par.Pool.tasks;
       let st = ctx.Obs.Ctx.stats in
       Alcotest.(check int) "no clone copy" 0 st.Engine.Stats.clone_copies;
       Alcotest.(check int) "no clone sync" 0 st.Engine.Stats.clone_syncs;
-      Alcotest.(check bool) "passes 2 = jobs 1" true (plain2 = plain1);
-      Alcotest.(check bool) "pruned = jobs 1" true (pruned2 = pruned1);
-      Alcotest.(check bool) "multi = jobs 1" true (multi2 = multi1))
+      Alcotest.(check bool) "results = jobs 1" true (par = seq))
+
+(* GreedyWPO scans on the calling domain: plain, pruned and multi-round
+   runs leave the pool idle. *)
+let test_wpo_pool_idle () =
+  let g, demands = te_instance () in
+  let w = Weights.inverse_capacity g in
+  check_pool_idle (fun pool ->
+      let ctx = Obs.Ctx.make ~pool () in
+      let single prune =
+        let r = Greedy_wpo.optimize_ctx ctx ~passes:2 ?prune g w demands in
+        (r.Greedy_wpo.waypoints, r.Greedy_wpo.mlu)
+      in
+      let plain = single None and pruned = single (Some (Prune.spec 4)) in
+      let multi =
+        let r = Greedy_wpo.optimize_multi_ctx ctx ~rounds:2 g w demands in
+        (r.Greedy_wpo.setting, r.Greedy_wpo.mlu)
+      in
+      (ctx, (plain, pruned, multi)))
+
+(* HeurOSPF probes on the walk's own evaluator: a single-restart walk,
+   alone and as Joint's weight stage, leaves the pool idle. *)
+let test_lwo_pool_idle () =
+  let g, demands = te_instance () in
+  let params = { Local_search.default_params with max_evals = 250; seed = 9 } in
+  check_pool_idle (fun pool ->
+      let ctx = Obs.Ctx.make ~pool () in
+      let lwo =
+        let r = Local_search.optimize_ctx ctx ~params g demands in
+        (r.Local_search.weights, r.Local_search.mlu, r.Local_search.evals)
+      in
+      let joint =
+        let r = Joint.optimize_ctx ctx ~ls_params:params g demands in
+        (r.Joint.int_weights, r.Joint.waypoints, r.Joint.mlu)
+      in
+      (ctx, (lwo, joint)))
 
 let test_joint_bit_identical () =
   let g, demands = te_instance () in
@@ -453,13 +473,16 @@ let test_restarts_no_worse () =
     (three.Local_search.mlu <= one.Local_search.mlu)
 
 (* run-summary/1 reads its parallel efficiency off the pool: null when
-   nothing was scheduled, busy / (wall * jobs) otherwise. *)
+   nothing was scheduled, busy / (wall * jobs) otherwise.  Two restarts
+   give the pool a region to schedule. *)
 let test_summary_efficiency () =
   let g, demands = te_instance () in
   let params = { Local_search.default_params with max_evals = 120; seed = 3 } in
   let efficiency pool =
     let ctx = Obs.Ctx.make ~pool () in
-    ignore (Local_search.optimize_ctx ctx ~params g demands : Local_search.result);
+    ignore
+      (Local_search.optimize_ctx ctx ~restarts:2 ~params g demands
+        : Local_search.result);
     match Serve.Sjson.parse (Obs.Export.run_summary ~wall:1. ctx) with
     | Error e -> Alcotest.fail e
     | Ok j -> Option.get (Serve.Sjson.member "parallel_efficiency" j)
@@ -539,6 +562,8 @@ let () =
             test_wpo_bit_identical;
           Alcotest.test_case "wpo leaves the pool idle" `Quick
             test_wpo_pool_idle;
+          Alcotest.test_case "lwo leaves the pool idle" `Quick
+            test_lwo_pool_idle;
           Alcotest.test_case "joint bit-identical across jobs" `Quick
             test_joint_bit_identical;
           Alcotest.test_case "restarts never worse" `Quick
