@@ -1132,49 +1132,6 @@ let robust =
 module Simplex = Linprog.Simplex
 module Oracle = Lp_oracle
 
-(* The min-MLU LP in dense row form, stated independently of
-   {!Mcf.build_mlu_lp} (same formulation), so the oracle's dense tableau
-   and Simplex.Sparse race on identical problems and the Mcf entry point
-   is checked against an LP it did not build. *)
-let dense_mlu_problem g comms =
-  let n = Digraph.node_count g and m = Digraph.edge_count g in
-  let comms = Demand.aggregate comms in
-  let targets =
-    List.sort_uniq Int.compare
-      (Array.to_list (Array.map (fun c -> c.Demand.dst) comms))
-  in
-  let tindex = Hashtbl.create 16 in
-  List.iteri (fun i t -> Hashtbl.replace tindex t i) targets;
-  let nt = List.length targets in
-  let fvar ti e = 1 + (ti * m) + e in
-  let supply = Array.make_matrix nt n 0. in
-  Array.iter
-    (fun c ->
-      let ti = Hashtbl.find tindex c.Demand.dst in
-      supply.(ti).(c.src) <- supply.(ti).(c.src) +. c.size)
-    comms;
-  let constrs = ref [] in
-  List.iteri
-    (fun ti t ->
-      for v = 0 to n - 1 do
-        if v <> t then begin
-          let row = ref [] in
-          Array.iter (fun e -> row := (fvar ti e, 1.) :: !row) (Digraph.out_edges g v);
-          Array.iter (fun e -> row := (fvar ti e, -1.) :: !row) (Digraph.in_edges g v);
-          constrs := Oracle.constr !row Oracle.Eq supply.(ti).(v) :: !constrs
-        end
-      done)
-    targets;
-  for e = 0 to m - 1 do
-    let row = ref [ (0, -.Digraph.cap g e) ] in
-    for ti = 0 to nt - 1 do
-      row := (fvar ti e, 1.) :: !row
-    done;
-    constrs := Oracle.constr !row Oracle.Le 0. :: !constrs
-  done;
-  { Oracle.nvars = 1 + (nt * m); sense = Oracle.Minimize;
-    objective = [ (0, 1.) ]; constrs = !constrs }
-
 let lp_reps () = if !full then 5 else 3
 
 let agree a b = abs_float (a -. b) <= 1e-6 *. (1. +. abs_float b)
@@ -1182,7 +1139,7 @@ let agree a b = abs_float (a -. b) <= 1e-6 *. (1. +. abs_float b)
 (* Dense vs sparse simplex (and the Mcf entry point) on one min-MLU LP. *)
 let lp_race (name, g, comms) =
   let reps = lp_reps () in
-  let p = dense_mlu_problem g comms in
+  let p = Oracle.mlu_problem g comms in
   let sp = Oracle.of_problem p in
   let dres, t_dense = time_best reps (fun () -> Oracle.Dense.solve p) in
   let sres, t_sparse = time_best reps (fun () -> Simplex.Sparse.solve sp) in
@@ -1312,9 +1269,12 @@ let basis_reuse abilene =
     A.bool "values_agree" (List.for_all2 (fun c w -> agree w c) cold warm) ]
 
 (* The serving loop's LP readouts on Germany50: the demand matrices of
-   the serve bench's replay, each solved three ways — cold, as a fresh
-   LP warm-started from the previous optimal basis by the primal simplex
-   (the readout before warm sessions), and through one [Mcf.session]. *)
+   the serve bench's replay, each solved four ways — cold from the slack
+   basis (the cold solve before crash starts), cold from
+   [Mcf.crash_basis], as a fresh LP warm-started from the previous
+   optimal basis by the primal simplex (the readout before warm
+   sessions; crash-started where the destination set changes), and
+   through one [Mcf.session]. *)
 let serve_readouts () =
   let g = Topology.Datasets.load "Germany50" in
   let demands = fig4_demands g in
@@ -1353,10 +1313,16 @@ let serve_readouts () =
     (List.map fst rs, List.fold_left (fun a (_, p) -> a + p) 0 rs,
      Engine.Mono.now () -. t0)
   in
-  let cold, cold_piv, t_cold =
-    run (fun d ->
-        let r = Mcf.opt_mlu_lp g d in
-        (r.Mcf.value, r.Mcf.pivots))
+  let lp ?basis d =
+    match Simplex.Sparse.solve ?basis (Mcf.build_mlu_lp g d) with
+    | Simplex.Sparse.Optimal { value; basis; iters; _ } ->
+      (value, iters, Some basis)
+    | _ -> (nan, 0, None)
+  in
+  let first (v, p, _) = (v, p) in
+  let slack, slack_piv, t_slack = run (fun d -> first (lp d)) in
+  let crash, crash_piv, t_crash =
+    run (fun d -> first (lp ~basis:(Mcf.crash_basis g d) d))
   in
   let kept = ref None in
   let primal, primal_piv, t_primal =
@@ -1366,13 +1332,13 @@ let serve_readouts () =
             (Array.to_list (Array.map (fun c -> c.Demand.dst) d))
         in
         let basis =
-          match !kept with Some (k, b) when k = key -> Some b | _ -> None
+          match !kept with
+          | Some (k, b) when k = key -> b
+          | _ -> Mcf.crash_basis g d
         in
-        match Simplex.Sparse.solve ?basis (Mcf.build_mlu_lp g d) with
-        | Simplex.Sparse.Optimal { value; basis; iters; _ } ->
-          kept := Some (key, basis);
-          (value, iters)
-        | _ -> (nan, 0))
+        let value, iters, basis = lp ~basis d in
+        kept := Option.map (fun b -> (key, b)) basis;
+        (value, iters))
   in
   let session = Mcf.session g in
   let warm, warm_piv, t_warm =
@@ -1385,19 +1351,22 @@ let serve_readouts () =
   let close a b = abs_float (a -. b) <= 1e-9 *. abs_float b in
   [ A.str "instance" "Germany50"; A.str "kind" "serve-readouts";
     A.int "readouts" n;
-    A.float "cold_pivots_per_readout" (per (float_of_int cold_piv));
+    A.float "slack_cold_pivots_per_readout" (per (float_of_int slack_piv));
+    A.float "crash_cold_pivots_per_readout" (per (float_of_int crash_piv));
     A.float "primal_pivots_per_readout" (per (float_of_int primal_piv));
     A.float "session_pivots_per_readout" (per (float_of_int warm_piv));
     A.float "pivot_reduction" (float_of_int primal_piv /. float_of_int (max 1 warm_piv));
-    A.float "cold_seconds_per_readout" (per t_cold);
+    A.float "slack_cold_seconds_per_readout" (per t_slack);
+    A.float "crash_cold_seconds_per_readout" (per t_crash);
     A.float "primal_seconds_per_readout" (per t_primal);
     A.float "session_seconds_per_readout" (per t_warm);
     A.bool "values_agree"
-      (List.for_all2 close primal cold && List.for_all2 close warm cold) ]
+      (List.for_all2 close slack crash && List.for_all2 close primal crash
+      && List.for_all2 close warm crash) ]
 
 let lp =
   { title = "LP layer: sparse revised simplex vs dense tableau oracle";
-    bench = "lp"; version = 1; fields = [];
+    bench = "lp"; version = 2; fields = [];
     run = (fun ctx ->
         let abilene = Topology.Datasets.abilene () in
         let phase name f xs =
@@ -1418,10 +1387,12 @@ let lp =
         ( "MCF warm-basis reuse across scaled demand matrices:",
           [ "instance"; "solves"; "cold_wall_seconds"; "warm_wall_seconds";
             "speedup"; "values_agree" ] );
-        ( "Serve-stream LP readouts (per readout: cold, primal warm, session):",
-          [ "instance"; "readouts"; "cold_pivots_per_readout";
-            "primal_pivots_per_readout"; "session_pivots_per_readout";
-            "cold_seconds_per_readout"; "primal_seconds_per_readout";
+        ( "Serve-stream LP readouts (per readout: slack cold, crash cold, \
+           primal warm, session):",
+          [ "instance"; "readouts"; "slack_cold_pivots_per_readout";
+            "crash_cold_pivots_per_readout"; "primal_pivots_per_readout";
+            "session_pivots_per_readout"; "slack_cold_seconds_per_readout";
+            "crash_cold_seconds_per_readout"; "primal_seconds_per_readout";
             "session_seconds_per_readout"; "values_agree" ] ) ];
     gates =
       [ all_true "lp_objectives_agree" "objectives_agree";

@@ -194,6 +194,16 @@ module Sparse = struct
       upper;
     }
 
+  let basis_of_head p head =
+    let stat =
+      Array.init (p.ncols + p.nrows) (fun j ->
+          if p.lower.(j) > neg_infinity then st_lower
+          else if p.upper.(j) < infinity then st_upper
+          else st_free)
+    in
+    Array.iter (fun j -> stat.(j) <- st_basic) head;
+    { head = Array.copy head; stat }
+
   (* ---- solver ---- *)
 
   let ftol = 1e-7 (* primal feasibility tolerance *)

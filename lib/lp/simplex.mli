@@ -93,6 +93,16 @@ module Sparse : sig
 
   val finish : builder -> t
 
+  val basis_of_head : t -> int array -> basis
+  (** [basis_of_head p head]: a starting basis for {!solve} with column
+      [head.(k)] basic in row position [k] (column [j < ncols] is a
+      structural, [ncols + i] row [i]'s logical) and every other column
+      nonbasic at its lower bound, or its upper bound if it has no
+      finite lower one.  A crash start: a caller that knows its LP's
+      structure can hand {!solve} a nonsingular, primal feasible basis
+      and skip phase 1.  A singular [head] costs only the fallback to
+      the slack basis, an infeasible one a phase 1. *)
+
   val feasible : t -> float array -> bool
   (** Does the point lie within every variable's bounds and satisfy
       every row, each to within 1e-6? *)

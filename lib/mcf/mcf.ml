@@ -80,7 +80,8 @@ let fill_supply supply n tindex comms =
    sparse bounded problem (no dense coefficient lists):
    variables 0 = U, then f_{t,e} = 1 + ti*m + e, all in [0, inf).
    Also returns where each conservation row landed, indexed like the
-   supply: a row index, or -1 with the fold listed in [folds]. *)
+   supply: a row index, or -1 with the fold listed in [folds]; and the
+   row index of each edge's capacity row (-1 where it folded). *)
 let build g (targets, tindex) comms =
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let nt = Array.length targets in
@@ -106,17 +107,20 @@ let build g (targets, tindex) comms =
       done)
     targets;
   (* Capacity: sum_t f_{t,e} - U * c_e <= 0. *)
-  for e = 0 to m - 1 do
-    let row = ref [ (0, -.Digraph.cap g e) ] in
-    for ti = 0 to nt - 1 do
-      row := (fvar ti e, 1.) :: !row
-    done;
-    Simplex.Sparse.add_row b !row Simplex.Le 0.
-  done;
-  (Sparse.finish b, supply, rows, Array.of_list (List.rev !folds))
+  let caprows =
+    Array.init m (fun e ->
+        let row = ref [ (0, -.Digraph.cap g e) ] in
+        for ti = 0 to nt - 1 do
+          row := (fvar ti e, 1.) :: !row
+        done;
+        match Sparse.place_row b !row Simplex.Le 0. with
+        | Sparse.Row i -> i
+        | Sparse.Folded _ -> -1)
+  in
+  (Sparse.finish b, supply, rows, Array.of_list (List.rev !folds), caprows)
 
 let build_mlu_lp g comms =
-  let p, _, _, _ = build g (destinations g comms) comms in
+  let p, _, _, _, _ = build g (destinations g comms) comms in
   p
 
 type warm_solve = {
@@ -130,12 +134,14 @@ type warm_solve = {
 (* One LP per destination set, kept with its last optimal basis, plus
    what it takes to rewrite the supplies of a new matrix in place. *)
 type lp = {
+  targets : int array;
   tindex : int array;
   nt : int;
   reach : Bytes.t array;
   supply : float array;  (* (ti * n + v), rewritten per solve *)
   rows : int array;  (* conservation row of each supply entry, or -1 *)
   folds : (int * int * float) array;  (* (supply entry, variable, coef) *)
+  caprows : int array;  (* capacity row of each edge, or -1 *)
   seen : bool array;  (* per destination, for the key check *)
   p : Sparse.t;  (* its rhs and folded bounds are rewritten *)
   mutable basis : Sparse.basis option;
@@ -147,19 +153,79 @@ let session g = { g; lp = None }
 
 let fresh g comms =
   let ((targets, tindex) as dests) = destinations g comms in
-  let p, supply, rows, folds = build g dests comms in
+  let p, supply, rows, folds, caprows = build g dests comms in
   let nt = Array.length targets in
   {
+    targets;
     tindex;
     nt;
     reach = reach_sets g targets;
     supply;
     rows;
     folds;
+    caprows;
     seen = Array.make nt false;
     p;
     basis = None;
   }
+
+(* The crash basis of a freshly built LP ({!crash_basis} in the
+   interface says why it is nonsingular and primal feasible).  Settled
+   order drives both passes: a node's tree arc leads to a node settled
+   before it, and subtree flows are summed in reverse.  A folded row has
+   no row index, so its fixed variable stays nonbasic. *)
+let crash g lp =
+  let n = Digraph.node_count g and m = Digraph.edge_count g in
+  let p = lp.p in
+  let head = Array.init p.Sparse.nrows (fun i -> p.Sparse.ncols + i) in
+  let weights = Array.init m (fun e -> 1. /. Digraph.cap g e) in
+  let scratch = Paths.Scratch.create () in
+  let dist = Array.make n infinity and rank = Array.make n 0 in
+  let flow = Array.make n 0. and load = Array.make m 0. in
+  let parent = Array.make n (-1) in
+  Array.iteri
+    (fun ti t ->
+      Paths.dijkstra_to_into scratch g ~weights ~target:t ~dist;
+      let order = Paths.Scratch.settled scratch in
+      let count = Paths.Scratch.settled_count scratch in
+      for r = 0 to count - 1 do
+        rank.(order.(r)) <- r
+      done;
+      for r = 1 to count - 1 do
+        let v = order.(r) in
+        let best = ref infinity in
+        Digraph.iter_out g v (fun e ->
+            let w = Digraph.dst g e in
+            let d = weights.(e) +. dist.(w) in
+            if dist.(w) < infinity && rank.(w) < r && d < !best then begin
+              best := d;
+              parent.(v) <- e
+            end);
+        flow.(v) <- lp.supply.((ti * n) + v)
+      done;
+      for r = count - 1 downto 1 do
+        let v = order.(r) in
+        let e = parent.(v) in
+        let u = Digraph.dst g e in
+        if u <> t then flow.(u) <- flow.(u) +. flow.(v);
+        load.(e) <- load.(e) +. flow.(v);
+        let i = lp.rows.((ti * n) + v) in
+        if i >= 0 then head.(i) <- 1 + (ti * m) + e
+      done)
+    lp.targets;
+  let top = ref (-1) and peak = ref neg_infinity in
+  Array.iteri
+    (fun e i ->
+      let u = load.(e) /. Digraph.cap g e in
+      if i >= 0 && u > !peak then begin
+        top := e;
+        peak := u
+      end)
+    lp.caprows;
+  if !top >= 0 then head.(lp.caprows.(!top)) <- 0;
+  Sparse.basis_of_head p head
+
+let crash_basis g comms = crash g (fresh g (Demand.aggregate comms))
 
 (* Do the commodities end at exactly the LP's destinations? *)
 let same_destinations lp comms =
@@ -225,7 +291,8 @@ let solve ?probe s comms =
   check_reach lp.reach lp.tindex comms;
   if not rebuilt then rewrite s.g lp comms;
   let warm = lp.basis <> None in
-  match Sparse.solve ?basis:lp.basis ?probe lp.p with
+  let basis = match lp.basis with Some b -> b | None -> crash s.g lp in
+  match Sparse.solve ~basis ?probe lp.p with
   | Sparse.Optimal { value; iters; solution; basis } ->
     lp.basis <- Some basis;
     { value; pivots = iters; warm; rebuilt;

@@ -17,6 +17,29 @@ val build_mlu_lp : Netgraph.Digraph.t -> Netgraph.Demand.t array -> Linprog.Simp
     graph and the destination set, so a basis from one matrix
     warm-starts any matrix with the same destinations. *)
 
+val crash_basis :
+  Netgraph.Digraph.t -> Netgraph.Demand.t array -> Linprog.Simplex.Sparse.basis
+(** The basis a cold {!solve} of the aggregated [comms] starts from, a
+    shortest-path crash basis of their {!build_mlu_lp} problem
+    (Bixby, "Implementing the simplex method: the initial basis", ORSA
+    J. Computing 1992):
+    - per destination, one shortest-path in-tree under inverse-capacity
+      lengths, each tree arc basic in its tail's conservation row;
+    - [U] basic in the capacity row of the edge with the highest
+      utilization under the tree flows;
+    - every other row's logical basic, the rows of nodes that cannot
+      reach the destination included.  A folded one-arc row has no row
+      of its own; its fixed variable stays nonbasic.
+
+    It is nonsingular: in settled order each destination's block is
+    triangular with unit diagonal, and the capacity block's determinant
+    is [-c_e*].  It is primal feasible: tree flows are subtree supplies,
+    so [>= 0], and each capacity slack is [c_e U - load_e >= 0] with
+    [U = load_e* / c_e*].  The simplex therefore starts in phase 2, and
+    [Linprog.Simplex.Sparse.solve ~basis:(crash_basis g comms)
+    (build_mlu_lp g comms)] retraces a cold {!solve} of the same
+    aggregated matrix bit for bit. *)
+
 type warm_solve = {
   value : float;  (** the optimal MLU *)
   pivots : int;  (** simplex iterations this solve took *)
@@ -41,7 +64,8 @@ type session
     bounds.  A matrix with the same destination set rewrites only those
     entries and re-solves by the primal simplex from the kept basis (the
     basis matrix depends on neither, so the basis stays valid); a new
-    destination set rebuilds the LP and solves it cold.  The result is
+    destination set rebuilds the LP and solves it cold, from its
+    {!crash_basis}.  The result is
     bit-identical to building the LP afresh and warm-starting it from
     the same basis.  Its size depends on the graph and the destination
     set, never on the number of solves. *)
@@ -54,7 +78,9 @@ val solve :
 (** Exact minimum MLU via the LP
     [min U  s.t. flow conservation, sum_k f_k(e) <= U c(e)]
     on the (aggregated) demands, warm from the session's last solve when
-    the destination set is unchanged.  Warm starting never changes the
+    the destination set is unchanged, otherwise cold from the
+    {!crash_basis}, which skips phase 1 (Cost266 at 20% of its pairs:
+    2,592 slack-start pivots against 221).  Warm starting never changes the
     optimum beyond floating-point rounding (well inside 1e-9 relative),
     only [pivots].  [probe] (default {!Linprog.Simplex.null_probe})
     receives the solve's ["lp:solve"] and ["lp:factor"] spans.
@@ -66,7 +92,8 @@ val opt_mlu_lp :
   Netgraph.Digraph.t ->
   Netgraph.Demand.t array ->
   warm_solve
-(** A fresh session's first {!solve}: a cold solve.  The LP has
+(** A fresh session's first {!solve}: a cold solve from the
+    {!crash_basis}.  The LP has
     [1 + |targets| * |E|] variables (14,041 on the largest fig4 matrix,
     Ta2). *)
 

@@ -1,8 +1,8 @@
 (* The row-form LP and the dense two-phase tableau simplex: an
    independent, slow-but-simple statement and solution of an LP that
    the tests, the LP smoke driver and the bench LP race check the
-   sparse revised simplex against.  Nothing outside test/ and bench/
-   links it. *)
+   sparse revised simplex against, and the min-MLU LP stated in that
+   row form.  Nothing outside test/ and bench/ links it. *)
 
 type relation = Linprog.Simplex.relation = Le | Ge | Eq
 
@@ -266,3 +266,50 @@ let of_problem p =
   Array.iteri (S.set_obj b) obj;
   List.iter (fun c -> S.add_row b c.coeffs c.rel c.rhs) p.constrs;
   S.finish b
+
+(* The min-MLU LP in row form, stated independently of
+   [Mcf.build_mlu_lp] (same formulation): variable 0 is U, then one
+   flow variable per (destination, edge) over the sorted distinct
+   destinations of the aggregated demands; one conservation row per
+   (destination, node other than it), then one capacity row per edge.
+   The dense tableau and the sparse simplex race on it, and [Mcf]'s
+   answers are checked against an LP it did not build. *)
+let mlu_problem g comms =
+  let open Netgraph in
+  let n = Digraph.node_count g and m = Digraph.edge_count g in
+  let comms = Demand.aggregate comms in
+  let targets =
+    List.sort_uniq Int.compare
+      (Array.to_list (Array.map (fun c -> c.Demand.dst) comms))
+  in
+  let tindex = Hashtbl.create 16 in
+  List.iteri (fun i t -> Hashtbl.replace tindex t i) targets;
+  let nt = List.length targets in
+  let fvar ti e = 1 + (ti * m) + e in
+  let supply = Array.make_matrix nt n 0. in
+  Array.iter
+    (fun c ->
+      let ti = Hashtbl.find tindex c.Demand.dst in
+      supply.(ti).(c.src) <- supply.(ti).(c.src) +. c.size)
+    comms;
+  let constrs = ref [] in
+  List.iteri
+    (fun ti t ->
+      for v = 0 to n - 1 do
+        if v <> t then begin
+          let row = ref [] in
+          Array.iter (fun e -> row := (fvar ti e, 1.) :: !row) (Digraph.out_edges g v);
+          Array.iter (fun e -> row := (fvar ti e, -1.) :: !row) (Digraph.in_edges g v);
+          constrs := constr !row Eq supply.(ti).(v) :: !constrs
+        end
+      done)
+    targets;
+  for e = 0 to m - 1 do
+    let row = ref [ (0, -.Digraph.cap g e) ] in
+    for ti = 0 to nt - 1 do
+      row := (fvar ti e, 1.) :: !row
+    done;
+    constrs := constr !row Le 0. :: !constrs
+  done;
+  { nvars = 1 + (nt * m); sense = Minimize; objective = [ (0, 1.) ];
+    constrs = !constrs }

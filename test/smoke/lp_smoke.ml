@@ -1,7 +1,7 @@
 (* LP-layer smoke: the sparse revised simplex against the dense tableau
    oracle on random LPs and on a real min-MLU instance, warm-start
-   sanity, and a fill gate on the basis factorization.  Run with
-   `dune build @lp-smoke'. *)
+   sanity, a fill gate on the basis factorization, and a pivot gate on
+   the min-MLU crash start.  Run with `dune build @lp-smoke'. *)
 
 open Linprog
 open Lp_oracle
@@ -98,7 +98,8 @@ let () =
          pairs)
   in
   let p = Mcf.build_mlu_lp g comms in
-  (match Sparse.solve p with
+  let slack = Sparse.solve p in
+  (match slack with
   | Sparse.Optimal { basis; _ } ->
     let cols =
       Array.map
@@ -117,6 +118,17 @@ let () =
       if lu > 2 * bnz then fail "LU fill %d exceeds 2 x nnz(B) = %d" lu (2 * bnz)
     | None -> fail "Cost266 optimal basis does not factor")
   | _ -> fail "Cost266 min-MLU LP not optimal");
+  (* 4. The same LP cold from the crash basis: the same optimum in at
+     most half the slack start's pivots.  Counts only, no timing. *)
+  (match (slack, Sparse.solve ~basis:(Mcf.crash_basis g comms) p) with
+  | ( Sparse.Optimal { value = sv; iters = si; _ },
+      Sparse.Optimal { value = cv; iters = ci; _ } ) ->
+    Printf.printf "Cost266 cold pivots: slack start %d, crash start %d\n" si ci;
+    if abs_float (cv -. sv) > 1e-9 *. abs_float sv then
+      fail "crash start %.17g <> slack start %.17g" cv sv;
+    if 2 * ci > si then
+      fail "crash start takes %d pivots, more than half of %d" ci si
+  | _ -> fail "Cost266 min-MLU LP not optimal from both starts");
   if !failures = 0 then print_endline "lp-smoke OK"
   else begin
     Printf.printf "lp-smoke FAILED (%d)\n" !failures;

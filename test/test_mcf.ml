@@ -156,7 +156,10 @@ let prop_opt_lower_bounds_ecmp =
    contract.  Each step perturbs only the demand sizes (same pair set,
    so the session keeps its LP and basis); the warm solve must reach the
    same objective as a cold solve to 1e-6, and — the point of a session
-   at all — spend strictly fewer simplex pivots in total. *)
+   at all — spend strictly fewer simplex pivots in total than the
+   readout it replaced, a slack-basis solve of the rebuilt LP.  (At this
+   much drift crash-started cold solves beat the kept basis on Abilene:
+   212 pivots over the 20 steps against 445.) *)
 let test_warm_basis_drift () =
   let g = Topology.Datasets.abilene () in
   let demands =
@@ -182,16 +185,22 @@ let test_warm_basis_drift () =
     Alcotest.(check (float 1e-6))
       (Printf.sprintf "step %d: warm objective = cold" step)
       cold.Mcf.value warm.Mcf.value;
+    (match Linprog.Simplex.Sparse.solve (Mcf.build_mlu_lp g comms) with
+    | Linprog.Simplex.Sparse.Optimal { value; iters; _ } ->
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "step %d: slack start = cold" step)
+        cold.Mcf.value value;
+      cold_pivots := !cold_pivots + iters
+    | _ -> Alcotest.failf "step %d: slack-start LP not optimal" step);
     Alcotest.(check bool) "cold solve reports cold" false cold.Mcf.warm;
     Alcotest.(check bool)
       (Printf.sprintf "step %d: warm solve reports warm" step)
       (step > 1) warm.Mcf.warm;
-    warm_pivots := !warm_pivots + warm.Mcf.pivots;
-    cold_pivots := !cold_pivots + cold.Mcf.pivots
+    warm_pivots := !warm_pivots + warm.Mcf.pivots
   done;
   Alcotest.(check bool)
-    (Printf.sprintf "warm pivots (%d) strictly below cold (%d)" !warm_pivots
-       !cold_pivots)
+    (Printf.sprintf "warm pivots (%d) strictly below slack start (%d)"
+       !warm_pivots !cold_pivots)
     true
     (!warm_pivots < !cold_pivots)
 
@@ -231,16 +240,11 @@ let test_unroutable_message () =
 
 let rel_close a b = abs_float (a -. b) <= 1e-9 *. Float.max 1. (abs_float b)
 
-(* A session's result against a cold solve of the same matrix: the same
-   optimum to 1e-9 relative, and edge flows that are an optimal routing
-   of the matrix — per-node net outflow equal to the net demand, and
-   peak utilization equal to the optimum (optimal flows need not be
-   unique, so they are checked, not compared). *)
-let check_session_solve label g comms (r : Mcf.warm_solve) =
-  let cold = Mcf.opt_mlu_lp g comms in
-  if not (rel_close r.Mcf.value cold.Mcf.value) then
-    Alcotest.failf "%s: session %.17g <> cold %.17g" label r.Mcf.value
-      cold.Mcf.value;
+(* Edge flows that are an optimal routing of the matrix: per-node net
+   outflow equal to the net demand, and peak utilization equal to the
+   optimum [opt] (optimal flows need not be unique, so they are checked,
+   not compared). *)
+let check_flows label g comms (r : Mcf.warm_solve) opt =
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let net = Array.make n 0. in
   Array.iter
@@ -261,16 +265,30 @@ let check_session_solve label g comms (r : Mcf.warm_solve) =
       if abs_float x > 1e-9 *. Float.max 1. total then
         Alcotest.failf "%s: node %d conserves flow only to %.3g" label v x)
     net;
-  if not (rel_close !peak cold.Mcf.value) then
+  if not (rel_close !peak opt) then
     Alcotest.failf "%s: edge flows peak at %.17g, optimum %.17g" label !peak
-      cold.Mcf.value
+      opt
+
+(* A session's result against a cold solve of the same matrix: the same
+   optimum to 1e-9 relative, and edge flows that route the matrix at
+   that optimum.  Returns the cold solve's pivots. *)
+let check_session_solve label g comms (r : Mcf.warm_solve) =
+  let cold = Mcf.opt_mlu_lp g comms in
+  if not (rel_close r.Mcf.value cold.Mcf.value) then
+    Alcotest.failf "%s: session %.17g <> cold %.17g" label r.Mcf.value
+      cold.Mcf.value;
+  check_flows label g comms r cold.Mcf.value;
+  cold.Mcf.pivots
 
 (* 100 serve-like updates on Cost266 through one session: size drift
    every step, a pair dropped and later re-added under a destination
    other pairs keep, and one new destination, which must rebuild the LP
    once and nowhere else.  Beside the cold check, every solve must be
    bit-identical to building the LP afresh and warm-starting it from
-   the previous optimal basis, the readout a session replaces. *)
+   the previous optimal basis (at the two rebuilds, from
+   [Mcf.crash_basis]), the readout a session replaces; and the warm
+   solves must take fewer pivots than crash-started cold solves of the
+   same matrices. *)
 let test_session_replay_cost266 () =
   let g = Topology.Datasets.load "Cost266" in
   let pairs = Te.Demand_gen.select_pairs ~seed:1 ~frac:0.2 g in
@@ -296,6 +314,7 @@ let test_session_replay_cost266 () =
   in
   let session = Mcf.session g in
   let warm = ref 0 and basis = ref None in
+  let warm_pivots = ref 0 and cold_pivots = ref 0 in
   let m = Digraph.edge_count g in
   for step = 1 to 100 do
     List.iter
@@ -317,10 +336,16 @@ let test_session_replay_cost266 () =
       (Printf.sprintf "step %d: rebuilt" step)
       (step = 1 || step = 70)
       r.Mcf.rebuilt;
-    if r.Mcf.warm then incr warm;
     let label = Printf.sprintf "step %d" step in
-    check_session_solve label g comms r;
-    let basis' = if step = 70 then None else !basis in
+    let cold = check_session_solve label g comms r in
+    if r.Mcf.warm then begin
+      incr warm;
+      warm_pivots := !warm_pivots + r.Mcf.pivots;
+      cold_pivots := !cold_pivots + cold
+    end;
+    let basis' =
+      if r.Mcf.rebuilt then Some (Mcf.crash_basis g comms) else !basis
+    in
     match
       Linprog.Simplex.Sparse.solve ?basis:basis' (Mcf.build_mlu_lp g comms)
     with
@@ -341,7 +366,12 @@ let test_session_replay_cost266 () =
         r.Mcf.edge_flows
     | _ -> Alcotest.failf "%s: rebuilt LP not optimal" label
   done;
-  Alcotest.(check int) "every solve but the two rebuilds warm" 98 !warm
+  Alcotest.(check int) "every solve but the two rebuilds warm" 98 !warm;
+  Alcotest.(check bool)
+    (Printf.sprintf "warm pivots (%d) strictly below crash start (%d)"
+       !warm_pivots !cold_pivots)
+    true
+    (!warm_pivots < !cold_pivots)
 
 (* Node 3 has a single arc, so for each destination its conservation row
    is folded into that arc's flow bounds: the supply of 3->2 lives in a
@@ -363,9 +393,177 @@ let test_session_folded_supply () =
     let comms = [| Demand.make 3 2 x; Demand.make 1 0 (2.5 -. (0.1 *. float_of_int step)) |] in
     let r = Mcf.solve session comms in
     if r.Mcf.warm then incr warm;
-    check_session_solve (Printf.sprintf "step %d" step) g comms r
+    ignore (check_session_solve (Printf.sprintf "step %d" step) g comms r : int)
   done;
   Alcotest.(check int) "every later solve warm" 19 !warm
+
+(* Random small min-MLU instances for the crash start: a core of 3-6
+   nodes joined by two-way, one-way and parallel links, sometimes a
+   stub source (its one out-link folds its rows) and a dead end (one
+   in-link: folded rows, and a node that reaches nothing), and demands
+   with zero sizes, duplicate pairs, or a single destination. *)
+let crash_instance st =
+  let core = 3 + Random.State.int st 4 in
+  let cap () = [| 0.5; 1.; 2.; 3. |].(Random.State.int st 4) in
+  let edges = ref [] in
+  let link u v =
+    match Random.State.int st 6 with
+    | 0 | 1 -> edges := (u, v, cap ()) :: (v, u, cap ()) :: !edges
+    | 2 -> edges := (u, v, cap ()) :: !edges
+    | 3 -> edges := (v, u, cap ()) :: !edges
+    | 4 -> edges := (u, v, cap ()) :: (u, v, cap ()) :: (v, u, cap ()) :: !edges
+    | _ -> ()
+  in
+  for u = 0 to core - 1 do
+    link u ((u + 1) mod core);
+    for v = u + 2 to core - 1 do
+      if Random.State.int st 3 = 0 then link u v
+    done
+  done;
+  let n = ref core in
+  let stub attach =
+    if Random.State.bool st then begin
+      edges := attach !n (Random.State.int st core) :: !edges;
+      incr n
+    end
+  in
+  stub (fun s v -> (s, v, cap ()));
+  stub (fun d u -> (u, d, cap ()));
+  let g = Digraph.of_edges ~n:!n (List.rev !edges) in
+  let reach = Array.init !n (fun s -> Paths.reachable g ~source:s) in
+  let single = Random.State.int st 4 = 0 in
+  let dest = Random.State.int st !n in
+  let comms = ref [] in
+  for _ = 1 to 1 + Random.State.int st 6 do
+    let s = Random.State.int st !n in
+    let t = if single then dest else Random.State.int st !n in
+    if s <> t && reach.(s).(t) then begin
+      let size =
+        if Random.State.int st 5 = 0 then 0.
+        else 0.5 +. float_of_int (Random.State.int st 4)
+      in
+      let c = { Demand.src = s; dst = t; size } in
+      comms := c :: !comms;
+      if Random.State.int st 4 = 0 then comms := c :: !comms
+    end
+  done;
+  (g, Array.of_list !comms)
+
+(* The crash basis of [build_mlu_lp g comms] factors, and its basic
+   solution lies within every bound: the two claims behind skipping
+   phase 1.  Nonbasic columns rest at their (finite) lower bounds. *)
+let check_crash_basis label g comms =
+  let module Sp = Linprog.Simplex.Sparse in
+  let p = Mcf.build_mlu_lp g comms in
+  let basis = Mcf.crash_basis g comms in
+  let nrows = p.Sp.nrows and ncols = p.Sp.ncols in
+  let cols =
+    Array.map
+      (fun j ->
+        if j >= ncols then ([| j - ncols |], [| 1. |])
+        else
+          let a = p.Sp.colp.(j) and b = p.Sp.colp.(j + 1) in
+          (Array.sub p.Sp.rowi a (b - a), Array.sub p.Sp.vals a (b - a)))
+      basis.Sp.head
+  in
+  match Linprog.Sparse_lu.factor ~n:nrows cols with
+  | None -> Alcotest.failf "%s: crash basis is singular" label
+  | Some f ->
+    let basic = Array.make (ncols + nrows) false in
+    Array.iter (fun j -> basic.(j) <- true) basis.Sp.head;
+    let v = Array.copy p.Sp.rhs in
+    for j = 0 to ncols - 1 do
+      if not basic.(j) then
+        for i = p.Sp.colp.(j) to p.Sp.colp.(j + 1) - 1 do
+          v.(p.Sp.rowi.(i)) <- v.(p.Sp.rowi.(i)) -. (p.Sp.vals.(i) *. p.Sp.lower.(j))
+        done
+    done;
+    let xb = Array.make nrows 0. in
+    Linprog.Sparse_lu.ftran f v xb;
+    Array.iteri
+      (fun k j ->
+        if xb.(k) < p.Sp.lower.(j) -. 1e-9 || xb.(k) > p.Sp.upper.(j) +. 1e-9
+        then
+          Alcotest.failf "%s: basic column %d at %.17g outside [%g, %g]" label
+            j xb.(k) p.Sp.lower.(j) p.Sp.upper.(j))
+      basis.Sp.head
+
+(* Crash-started cold solves against the dense tableau oracle on 300
+   random instances: the crash basis is nonsingular and primal
+   feasible, the optimum equals the oracle's to 1e-9, and the edge flows
+   route the matrix at that optimum. *)
+let test_crash_fuzz () =
+  let folded = ref 0 and stranded = ref 0 and zero = ref 0 and single = ref 0 in
+  for seed = 1 to 300 do
+    let st = Random.State.make [| 0xc7a5; seed |] in
+    let g, comms = crash_instance st in
+    let agg = Demand.aggregate comms in
+    if Array.length agg > 0 then begin
+      let label = Printf.sprintf "seed %d" seed in
+      let n = Digraph.node_count g in
+      let dests =
+        List.sort_uniq Int.compare
+          (Array.to_list (Array.map (fun c -> c.Demand.dst) agg))
+      in
+      let p = Mcf.build_mlu_lp g comms in
+      let rows = (List.length dests * (n - 1)) + Digraph.edge_count g in
+      if p.Linprog.Simplex.Sparse.nrows < rows then incr folded;
+      if
+        List.exists
+          (fun t ->
+            List.exists
+              (fun v -> not (Paths.reachable g ~source:v).(t))
+              (List.init n Fun.id))
+          dests
+      then incr stranded;
+      if Array.exists (fun c -> c.Demand.size = 0.) agg then incr zero;
+      if List.length dests = 1 then incr single;
+      check_crash_basis label g comms;
+      let r = Mcf.opt_mlu_lp g comms in
+      match Lp_oracle.Dense.solve ~max_iters:200_000 (Lp_oracle.mlu_problem g comms) with
+      | Lp_oracle.Optimal { value; _ } ->
+        if not (rel_close r.Mcf.value value) then
+          Alcotest.failf "%s: crash start %.17g <> dense %.17g" label
+            r.Mcf.value value;
+        check_flows label g agg r value
+      | _ -> Alcotest.failf "%s: dense oracle not optimal" label
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "exercised: %d folded, %d stranded nodes, %d zero sizes, %d single \
+        destination"
+       !folded !stranded !zero !single)
+    true
+    (!folded > 20 && !stranded > 20 && !zero > 20 && !single > 20)
+
+(* The crash start's point, on the repository benchmark's pair set
+   (20% of the pairs, seed 1): at most half the slack start's pivots,
+   to the same optimum.  Pivot counts are deterministic. *)
+let test_crash_halves_pivots () =
+  List.iter
+    (fun name ->
+      let g = Topology.Datasets.load name in
+      let st = Random.State.make [| 1; 0x7e5d |] in
+      let comms =
+        Demand.aggregate
+          (Array.map
+             (fun (s, t) -> Demand.make s t (0.5 +. Random.State.float st 1.))
+             (Te.Demand_gen.select_pairs ~seed:1 ~frac:0.2 g))
+      in
+      let crash = Mcf.opt_mlu_lp g comms in
+      match Linprog.Simplex.Sparse.solve (Mcf.build_mlu_lp g comms) with
+      | Linprog.Simplex.Sparse.Optimal { value; iters; _ } ->
+        if not (rel_close crash.Mcf.value value) then
+          Alcotest.failf "%s: crash start %.17g <> slack start %.17g" name
+            crash.Mcf.value value;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: crash start %d pivots <= half of slack start %d"
+             name crash.Mcf.pivots iters)
+          true
+          (2 * crash.Mcf.pivots <= iters)
+      | _ -> Alcotest.failf "%s: slack-start LP not optimal" name)
+    [ "Cost266"; "Germany50" ]
 
 let () =
   Alcotest.run "mcf"
@@ -390,6 +588,10 @@ let () =
             test_session_replay_cost266;
           Alcotest.test_case "session folded supply" `Quick
             test_session_folded_supply;
+          Alcotest.test_case "crash start = dense oracle" `Quick
+            test_crash_fuzz;
+          Alcotest.test_case "crash start halves cold pivots" `Quick
+            test_crash_halves_pivots;
         ] );
       ( "garg-koenemann",
         [
