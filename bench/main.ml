@@ -972,86 +972,28 @@ let parallel_sweep name =
         A.bool "identical_to_jobs1" (result = ref_result) ])
     runs
 
-(* Sync-vs-copy on a warm Germany50 clone, two regimes.  Steady state:
-   the clone is already in sync when the next fan-out arrives (repeated
-   sweeps over an unchanged master, the serving daemon re-entering
-   between updates) — sync_from is a pure O(m) diff scan and must beat
-   a full copy by a wide margin.  Delta: the search committed one
-   weight move since the last fan-out — sync_from pays a real
-   incremental repair while copy free-rides on the source's
-   just-repaired caches, so that regime is recorded but not gated. *)
-let sync_vs_copy () =
-  let g = Topology.Datasets.load "Germany50" in
-  let m = Digraph.edge_count g in
-  let src = Engine.Evaluator.create g (Weights.inverse_capacity g) in
-  Engine.Evaluator.set_commodities src (fig4_demands g);
-  ignore (Engine.Evaluator.mlu src);
-  let clone = Engine.Evaluator.copy src in
-  ignore (Engine.Evaluator.mlu clone);
-  let reps = if !full then 400 else 100 in
-  let st = Random.State.make [| 0xc10e |] in
-  let move () =
-    Engine.Evaluator.set_weight src ~edge:(Random.State.int st m)
-      (float_of_int (1 + Random.State.int st 20));
-    Engine.Evaluator.commit src;
-    ignore (Engine.Evaluator.mlu src)
-  in
-  (* Mean microseconds of [op] over [reps] rounds, [before] untimed. *)
-  let per_op before op =
-    let total = ref 0. in
-    for _ = 1 to reps do
-      before ();
-      let c, dt = timed op in
-      total := !total +. dt;
-      ignore (Engine.Evaluator.mlu c)
-    done;
-    !total /. float_of_int reps *. 1e6
-  in
-  let sync () = Engine.Evaluator.sync_from ~src clone; clone in
-  let copy () = Engine.Evaluator.copy src in
-  ignore (sync ());
-  ignore (Engine.Evaluator.mlu clone);
-  let steady_sync = per_op ignore sync in
-  let steady_copy = per_op ignore copy in
-  let delta_sync = per_op move sync in
-  let delta_copy = per_op move copy in
-  List.map
-    (fun (regime, sync_us, copy_us) ->
-      [ A.str "microbench" "sync_vs_copy"; A.str "topology" "Germany50";
-        A.str "regime" regime; A.int "reps" reps; A.float "sync_us" sync_us;
-        A.float "copy_us" copy_us;
-        A.float "sync_speedup" (copy_us /. sync_us) ])
-    [ ("steady_state", steady_sync, steady_copy);
-      ("one_move_delta", delta_sync, delta_copy) ]
-
 let parallel =
   { title = "Parallel search runtime: shared-counter scheduler (lib/par)";
-    bench = "parallel"; version = 4; fields = [];
+    bench = "parallel"; version = 5; fields = [];
     run = (fun ctx ->
         List.concat_map
           (fun name -> Obs.Ctx.phase ctx name (fun () -> parallel_sweep name))
-          [ "Abilene"; "Germany50" ]
-        @ Obs.Ctx.phase ctx "sync_vs_copy" sync_vs_copy);
+          [ "Abilene"; "Germany50" ]);
     tables =
       [ ( "GreedyWPO and two-restart HeurOSPF per pool size:",
-          [ "topology"; "jobs"; "identical_to_jobs1" ] );
-        ( "sync_from vs copy (Germany50, warm clone):",
-          [ "regime"; "reps"; "sync_us"; "copy_us"; "sync_speedup" ] ) ];
-    gates =
-      [ all_true "jobs_bit_identical" "identical_to_jobs1";
-        at_least "sync_vs_copy_3x" 3. (fun rs ->
-            first "sync_speedup"
-              (matching [ A.str "regime" "steady_state" ] rs)) ] }
+          [ "topology"; "jobs"; "identical_to_jobs1" ] ) ];
+    gates = [ all_true "jobs_bit_identical" "identical_to_jobs1" ] }
 
 (* ------------------------------------------------------------------ *)
 (* Robustness sweep throughput                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* lib/scenario streaming throughput: the engine path (persistent
-   per-worker evaluators, disable_edge probes, dirty-destination
-   repair) against the rebuild oracle (fresh subgraph + ECMP state per
-   scenario), then scenarios/sec at several pool sizes.  Every run is
-   compared with the oracle and with the jobs = 1 run. *)
+(* lib/scenario streaming throughput: the engine path (one warm master
+   per sweep and a copy of it per further worker, disable_edge probes,
+   dirty-destination repair) against the rebuild oracle (fresh subgraph
+   + ECMP state per scenario), then scenarios/sec at several pool
+   sizes.  Every run is compared with the oracle and with the jobs = 1
+   run. *)
 let robust_sweep name =
   let g = Topology.Datasets.load name in
   let demands = fig4_demands g in

@@ -89,16 +89,6 @@ type t = {
   weights : float array;
   stats : Stats.t;
   mutable probe : Probe.t;
-  (* identity stamps for the clone cache: [uid] names this evaluator,
-     [commod_gen] counts commodity installs, and the [sync_src_*] pair
-     records which (uid, commod_gen) of a source this evaluator's
-     commodity tables are known to mirror (-1 = none) — it lets
-     [sync_from] skip the commodity diff entirely on the common
-     unchanged-demands path *)
-  uid : int;
-  mutable commod_gen : int;
-  mutable sync_src_uid : int;
-  mutable sync_src_gen : int;
   (* borrowed graph CSR (never mutated) *)
   g_src : int array;
   g_dst : int array;
@@ -176,8 +166,6 @@ let check_weights g w =
     (fun x -> if not (x > 0.) then invalid_arg "Evaluator: weights must be positive")
     w
 
-let uid_counter = Atomic.make 0
-
 (* The size class of a contribution of [len] entries: the least k with
    2^k >= len. *)
 let vec_class len =
@@ -197,10 +185,6 @@ let create ?(stats = Stats.create ()) ?(probe = Probe.null) graph weights =
     weights = Array.copy weights;
     stats;
     probe;
-    uid = Atomic.fetch_and_add uid_counter 1;
-    commod_gen = 0;
-    sync_src_uid = -1;
-    sync_src_gen = -1;
     g_src = Digraph.srcs graph;
     g_dst = Digraph.dsts graph;
     g_cap = Digraph.caps graph;
@@ -281,15 +265,10 @@ let copy ?stats t =
     m;
     weights = Array.copy t.weights;
     stats = (match stats with Some s -> s | None -> Stats.create ());
-    (* Clones run on worker domains whose scheduling is dynamic; they
+    (* Copies run on worker domains whose scheduling is dynamic; they
        never inherit the tracer probe, or span streams would depend on
        which worker claimed which task. *)
     probe = Probe.null;
-    uid = Atomic.fetch_and_add uid_counter 1;
-    commod_gen = 0;
-    (* the clone's tables mirror the source's current commodity set *)
-    sync_src_uid = t.uid;
-    sync_src_gen = t.commod_gen;
     g_src = t.g_src;
     g_dst = t.g_dst;
     g_cap = t.g_cap;
@@ -974,9 +953,7 @@ let set_commodities t commodities =
   for i = 0 to t.tr_len - 1 do
     t.tr_valid.(i) <- false
   done;
-  t.loads_valid <- false;
-  t.commod_gen <- t.commod_gen + 1;
-  t.sync_src_uid <- -1
+  t.loads_valid <- false
 
 (* Rebuilds one destination's load contribution in one sweep down its
    DAG.  ECMP splitting is linear, so seeding every commodity's size at
@@ -1469,128 +1446,3 @@ let probe_mlu t ~edge w ~above r =
   match probe_run t edge w above r with
   | () -> probe_restore t tok
   | exception ex -> probe_restore t tok; raise ex
-
-(* ------------------------------------------------------------------ *)
-(* Delta sync and the persistent clone cache                           *)
-(* ------------------------------------------------------------------ *)
-
-(* [sync_weights t w] moves [t]'s committed weight state to [w] through
-   the cheapest correct path: pending probe changes are rolled back,
-   the diff rides the usual [set_weights] machinery (few changes repair
-   incrementally, a bulk diff flushes), and the result is committed.
-   Because every cache is a pure function of (graph, weights,
-   commodities), the sync history leaves no trace in evaluation
-   results — only in which caches are still warm. *)
-(* A sync wants to PRESERVE the target's warm caches: unlike a probe
-   bulk-update, per-edge incremental repair beats a flush far past
-   [bulk_threshold], because a flushed clone pays a full SPF per
-   destination on its next evaluations — the dominant cost of the old
-   eager-mirror protocol.  Only past this many diffs (where the repairs
-   would collectively touch most destinations anyway) does the flush
-   win. *)
-let sync_bulk_threshold = 64
-
-let sync_weights t w =
-  if t.tr_len > 0 then undo t;
-  check_weights t.graph w;
-  let ndiff = ref 0 in
-  for e = 0 to t.m - 1 do
-    if t.weights.(e) <> w.(e) then incr ndiff
-  done;
-  if !ndiff > 0 then begin
-    if !ndiff <= sync_bulk_threshold then
-      for e = 0 to t.m - 1 do
-        if t.weights.(e) <> w.(e) then set_weight t ~edge:e w.(e)
-      done
-    else set_weights t w;
-    if t.tr_len > 0 then commit t
-  end
-
-(* Delta-sync a worker's persistent clone to the caller's current
-   state: weight diff plus commodity-table diff.  The commodity pass is
-   skipped entirely when the stamp pair proves [dst] already mirrors
-   [src]'s current set; otherwise the (immutable once installed)
-   per-destination source/size arrays are shared by pointer and only
-   the destinations whose bucket actually changed drop their cached
-   load contribution. *)
-let sync_from ~src dst =
-  if dst == src then invalid_arg "Evaluator.sync_from: cannot sync from self";
-  if dst.graph != src.graph then
-    invalid_arg "Evaluator.sync_from: evaluators share no graph";
-  sync_weights dst src.weights;
-  if not (dst.sync_src_uid = src.uid && dst.sync_src_gen = src.commod_gen)
-  then begin
-    let changed = ref false in
-    for d = 0 to dst.n - 1 do
-      let ss = src.bd_src.(d) in
-      if not (dst.bd_src.(d) == ss
-              || (dst.bd_src.(d) = ss && dst.bd_size.(d) = src.bd_size.(d)))
-      then begin
-        dst.bd_src.(d) <- ss;
-        dst.bd_size.(d) <- src.bd_size.(d);
-        dst.dest_loads.(d) <- no_fvec;
-        changed := true
-      end
-    done;
-    if !changed || dst.active_dests <> src.active_dests then begin
-      dst.active_dests <- Array.copy src.active_dests;
-      dst.loads_valid <- false
-    end
-  end;
-  dst.sync_src_uid <- src.uid;
-  dst.sync_src_gen <- src.commod_gen
-
-(* Persistent per-worker clone cache.  One slot per worker index; a hit
-   whose weight diff is small delta-syncs the cached clone in place, a
-   miss (first use, different graph) or a bulk diff rebuilds the slot
-   with a full [copy] — which shares the source's warm caches by
-   pointer and therefore beats flushing a stale clone cold.  The two
-   outcomes are counted on the clone's own [Stats.t] (clone_syncs /
-   clone_copies) so the usual merge-back rolls them into the run
-   totals. *)
-module Clones = struct
-  type evaluator = t
-
-  type cache = { mutable slots : evaluator option array }
-
-  let create () = { slots = [||] }
-
-  let clear c = c.slots <- [||]
-
-  (* Past this many changed weights an incremental sync would repair
-     most destinations anyway. *)
-  let sync_cutoff = 16
-
-  let get c ~worker ~src =
-    if worker < 1 then invalid_arg "Evaluator.Clones.get: worker must be >= 1";
-    if worker >= Array.length c.slots then begin
-      let grown = Array.make (worker + 1) None in
-      Array.blit c.slots 0 grown 0 (Array.length c.slots);
-      c.slots <- grown
-    end;
-    let fresh () =
-      let cl = copy src in
-      cl.stats.Stats.clone_copies <- cl.stats.Stats.clone_copies + 1;
-      c.slots.(worker) <- Some cl;
-      cl
-    in
-    match c.slots.(worker) with
-    | Some cl when cl != src && cl.graph == src.graph ->
-      let small = ref true in
-      let ndiff = ref 0 in
-      let e = ref 0 in
-      while !small && !e < src.m do
-        if cl.weights.(!e) <> src.weights.(!e) then begin
-          incr ndiff;
-          if !ndiff > sync_cutoff then small := false
-        end;
-        incr e
-      done;
-      if !small then begin
-        sync_from ~src cl;
-        cl.stats.Stats.clone_syncs <- cl.stats.Stats.clone_syncs + 1;
-        cl
-      end
-      else fresh ()
-    | _ -> fresh ()
-end

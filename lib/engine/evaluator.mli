@@ -213,54 +213,6 @@ val probe_mlu : t -> edge:int -> float -> above:float -> metrics -> unit
     @raise Invalid_argument on a pending trail or a non-positive [w].
     @raise Unroutable as {!evaluate_into} would. *)
 
-(** {1 Delta sync and the persistent clone cache} *)
-
-val sync_from : src:t -> t -> unit
-(** [sync_from ~src dst] delta-syncs [dst] to [src]'s current state.
-    It moves [dst]'s {e committed} weights to [src]'s: any pending trail
-    is rolled back, the diff rides the {!set_weights} machinery (few
-    changes repair incrementally, a bulk diff flushes; disabled edges —
-    infinite weights — ride the same diff) and is committed.  Then a
-    commodity-table diff shares [src]'s per-destination source/size
-    arrays by pointer and drops only the load caches of destinations
-    whose bucket changed.  Because every cache is a pure function of
-    (graph, weights, commodities), the sync leaves no trace in results,
-    only in which caches are still warm.
-    The commodity pass is skipped entirely when an internal stamp pair
-    proves [dst] already mirrors [src]'s current set (the common case
-    for a clone reused under unchanged demands).  After the call [dst]
-    evaluates bit-identically to [copy src].  The two evaluators must
-    share their graph (physically); [dst]'s waypoint state is implicit
-    in the commodity list, so waypointed demand sets sync like any
-    other.  @raise Invalid_argument if [dst == src] or the graphs
-    differ. *)
-
-(** Persistent per-worker clone cache: the piece that makes repeated
-    parallel fan-outs cheap.  The first use of a worker slot pays a
-    full {!copy}; later uses delta-{!sync_from} the cached clone to the
-    caller's current state, unless the weight diff exceeds a small
-    cutoff (a bulk sync would flush the clone cold — a fresh copy
-    shares the source's warm caches instead and wins).  Slot outcomes
-    are counted in the clone's own {!Stats.t} ([clone_syncs] /
-    [clone_copies]); callers merge those back (and reset them) after
-    each fan-out, as with any clone stats.  Not domain-safe: get
-    clones from the orchestrating domain, before the fan-out. *)
-module Clones : sig
-  type evaluator := t
-
-  type cache
-
-  val create : unit -> cache
-
-  val clear : cache -> unit
-  (** Drops every cached clone (e.g. when the topology changes). *)
-
-  val get : cache -> worker:int -> src:evaluator -> evaluator
-  (** The warm clone for worker slot [worker] ([>= 1]; slot 0 is the
-      caller's own evaluator), synced to [src]'s current state.
-      @raise Invalid_argument if [worker < 1]. *)
-end
-
 (** {1 Static helpers} *)
 
 val mlu_of_loads : Netgraph.Digraph.t -> float array -> float

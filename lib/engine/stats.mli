@@ -49,15 +49,12 @@ type t = {
           pass; [kept / (kept + pruned)] is the surviving fraction.
           Both stay 0 when pruning is off *)
   mutable clone_syncs : int;
-      (** cached worker clones refreshed by {!Evaluator.sync_from} — an
-          incremental delta instead of a full copy; recorded on the
-          clone and folded into the run total when its stats are
-          merged *)
+      (** always 0: nothing syncs a worker clone any more.  Kept only
+          for the benchmark's [engine.clone_sync_ratio] reading *)
   mutable clone_copies : int;
-      (** worker clones built by a full {!Evaluator.copy} (first use of
-          a slot, topology change, or a weight diff past the sync
-          cutoff); [syncs / (syncs + copies)] is the clone-amortization
-          ratio *)
+      (** worker evaluators built by {!Evaluator.copy}: a scenario sweep
+          takes one copy of its warm master per worker beyond the
+          first *)
   mutable lp_solves : int;  (** LP (relaxation) solves *)
   mutable lp_pivots : int;  (** total simplex iterations *)
   mutable lp_warm_solves : int;

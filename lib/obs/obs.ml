@@ -529,7 +529,6 @@ module Ctx = struct
     tracer : Tracer.t;
     metrics : Metrics.t;
     pool : Par.Pool.t;
-    clones : Engine.Evaluator.Clones.cache;
     seed : int;
     deadline : float option;
   }
@@ -541,7 +540,6 @@ module Ctx = struct
       tracer;
       metrics = (match metrics with Some m -> m | None -> Metrics.create ());
       pool;
-      clones = Engine.Evaluator.Clones.create ();
       seed;
       deadline;
     }
@@ -565,10 +563,6 @@ module Ctx = struct
       stats = Stats.create ();
       metrics = Metrics.create ();
       tracer = Tracer.child t.tracer;
-      (* forked kids run inside the parent's fan-out (parallelism 1),
-         so they never populate a cache — a fresh one avoids any chance
-         of two domains touching the parent's slots *)
-      clones = Engine.Evaluator.Clones.create ();
     }
 
   let join ~key ~into forked =

@@ -179,10 +179,6 @@ module Ctx : sig
     tracer : Tracer.t;
     metrics : Metrics.t;
     pool : Par.Pool.t;
-    clones : Engine.Evaluator.Clones.cache;
-        (** persistent per-worker evaluator clones, reused (delta-synced)
-            across every scenario sweep issued through this context.
-            Touched only by the orchestrating domain. *)
     seed : int;
     deadline : float option;
         (** absolute {!Engine.Mono} time; advisory — solvers that honor
@@ -225,9 +221,8 @@ module Ctx : sig
 
   val fork : t -> t
   (** A context for one unit of fanned-out work: fresh stats and
-      metrics, a {!Tracer.child} buffer and a fresh (empty) clone
-      cache; pool, seed and deadline are shared.  Merge back with
-      {!join}. *)
+      metrics and a {!Tracer.child} buffer; pool, seed and deadline are
+      shared.  Merge back with {!join}. *)
 
   val join : key:int -> into:t -> t -> unit
   (** Merges a forked context back: stats and metrics merge, and the

@@ -475,23 +475,33 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
     Engine.Evaluator.create ~stats:octx.Obs.Ctx.stats g
       (Weights.of_ints deployed.weights)
   in
-  Engine.Evaluator.set_commodities master
-    (Segments.expand demands deployed.waypoints);
-  (* Worker clones come from the context's persistent cache (slot 0 is
-     the master itself), still materialized on the caller's domain
-     before the fan-out; each worker then owns evaluator [worker]
-     exclusively for the whole sweep.  A daemon re-running sweeps on the
-     same topology pays an incremental sync here, not a full copy. *)
+  let nominal = Segments.expand demands deployed.waypoints in
+  Engine.Evaluator.set_commodities master nominal;
+  (* Warm the master on this domain, before the fan-out: every segment
+     destination's DAG, then, when every segment routes, every
+     destination's load contribution.  [reachable] never raises, so an
+     unroutable deployment warms its DAGs and nothing else.  A
+     scenario's disable + undo restores exactly this state, so every
+     scenario starts from it, on whichever worker: the engine's work
+     counters, like the outcomes, depend on the spec list alone. *)
+  let routable =
+    Array.fold_left
+      (List.fold_left (fun ok (a, b) ->
+           Engine.Evaluator.reachable master ~src:a ~dst:b && ok))
+      true segs
+  in
+  let warm_loads ev =
+    if routable then ignore (Engine.Evaluator.loads ev : float array)
+  in
+  warm_loads master;
+  (* Worker 0 probes on the master itself, every other worker on its own
+     copy, taken here because [copy] bumps the source's epoch. *)
   let par = max 1 (Par.Pool.parallelism pool) in
   let evs =
-    Array.init par (fun w ->
-        if w = 0 then master
-        else
-          Engine.Evaluator.Clones.get octx.Obs.Ctx.clones ~worker:w
-            ~src:master)
+    Array.init par (fun w -> if w = 0 then master else Engine.Evaluator.copy master)
   in
-  let cur_shift = Array.make par No_shift in
-  let cur_demands = Array.make par demands in
+  let st = octx.Obs.Ctx.stats in
+  st.Engine.Stats.clone_copies <- st.Engine.Stats.clone_copies + par - 1;
   (* Per-worker metrics cells: the static probe of each scenario writes
      its (mlu, phi) here instead of allocating a result tuple. *)
   let cells =
@@ -501,13 +511,10 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
      grafted back in spec order: the trace and metrics are a pure
      function of the spec list, never of worker scheduling. *)
   let kids = Array.map (fun _ -> Obs.Ctx.fork octx) specs in
-  (* One task per spec: its static probe on the worker's own clone
-     (commodity streaming, failure injection, reachability, static MLU),
-     then the re-optimization policies, which build their own evaluators
-     from the spec's forked context.  Specs are claimed in index order,
-     so within a run of same-shift specs (a non-cross list's failure
-     cases all share [No_shift]) a worker mostly finds its demand
-     matrix already attached. *)
+  (* One task per spec: its static probe on the worker's own evaluator
+     (failure injection, reachability, static MLU), then the
+     re-optimization policies, which build their own evaluators from
+     the spec's forked context. *)
   let out =
     Par.Pool.map pool ~tasks:(Array.length specs) (fun ~worker i ->
       let spec = specs.(i) in
@@ -516,17 +523,14 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
       @@ fun () ->
       Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.cases";
       let ev = evs.(worker) in
-      (* Attach this scenario's demand matrix — skipped when the
-         worker's commodities already encode it.  Must happen while the
+      let demands' = apply_shift spec.shift demands in
+      (* A shifted spec attaches its matrix for the probe and puts the
+         warm nominal state back after it.  Both must happen while the
          undo trail is empty. *)
-      if cur_shift.(worker) <> spec.shift then begin
-        let demands' = apply_shift spec.shift demands in
+      let shifted = spec.shift <> No_shift in
+      if shifted then
         Engine.Evaluator.set_commodities ev
           (Segments.expand demands' deployed.waypoints);
-        cur_shift.(worker) <- spec.shift;
-        cur_demands.(worker) <- demands'
-      end;
-      let demands' = cur_demands.(worker) in
       List.iter (fun e -> Engine.Evaluator.disable_edge ev ~edge:e) spec.failed;
       let static_disconnected = ref 0 and topo_disconnected = ref 0 in
       Array.iteri
@@ -552,6 +556,10 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
         end
       in
       Engine.Evaluator.undo ev;
+      if shifted then begin
+        Engine.Evaluator.set_commodities ev nominal;
+        warm_loads ev
+      end;
       if !static_disconnected > 0 then
         Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.disconnected";
       {
@@ -568,9 +576,7 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
       })
   in
   for w = 1 to par - 1 do
-    let ws = Engine.Evaluator.stats evs.(w) in
-    Engine.Stats.merge ~into:octx.Obs.Ctx.stats ws;
-    Engine.Stats.reset ws
+    Engine.Stats.merge ~into:st (Engine.Evaluator.stats evs.(w))
   done;
   Array.iteri (fun i kid -> Obs.Ctx.join ~key:specs.(i).id ~into:octx kid) kids;
   out

@@ -10,19 +10,25 @@
     phases) or both — evaluate every scenario under one or more reaction
     policies, and distill the results into a robustness report.
 
-    Evaluation streams through the incremental engine: scenarios fan out
-    over a {!Par.Pool}, one task per scenario, each worker probing its
-    own {!Engine.Evaluator.copy} clone.  A failed link is an
-    {!Engine.Evaluator.disable_edge} (infinite weight) probed and undone
-    through the move protocol, so consecutive scenarios on a worker
-    share every shortest-path DAG, unit-flow vector and load cache the
-    failure did not touch — no per-scenario graph rebuild.
+    Evaluation streams through the incremental engine.  Each sweep
+    warms one master evaluator on the calling domain: every segment
+    destination's shortest-path DAG and, when every segment routes,
+    every destination's load contribution.  Scenarios then fan out over
+    a {!Par.Pool}, one task per scenario, worker 0 probing the master
+    and every other worker its own {!Engine.Evaluator.copy} of it.  A
+    failed link is an {!Engine.Evaluator.disable_edge} (infinite
+    weight) probed and undone through the move protocol, so every
+    scenario shares every DAG and load contribution of the warm master
+    that the failure did not touch — no per-scenario graph rebuild.
 
     Determinism: every scenario's outcome is a pure function of its
     {!spec} (all randomness is fixed into the spec at generation time),
     and specs are evaluated independently, so sweep results are
-    bit-identical for every pool size.  Reports contain no
-    timings for the same reason. *)
+    bit-identical for every pool size.  The undo restores the warm
+    state, and a demand shift puts the nominal matrix back after its
+    probe, so every scenario also starts from the same evaluator state:
+    the engine's work counters do not depend on the pool size or the
+    schedule either.  Reports contain no timings. *)
 
 (** {1 Scenario grammar} *)
 

@@ -62,7 +62,7 @@ type t = {
    down links at infinity, commodities = the expanded routable matrix
    under the incumbent waypoints, everything committed. *)
 
-let sync_weights t =
+let install_weights t =
   let wf = Weights.of_ints t.weights in
   Hashtbl.iter (fun e () -> wf.(e) <- infinity) t.down;
   Engine.Evaluator.set_weights t.ev wf;
@@ -315,7 +315,7 @@ let update t seq ev =
   let ctx = { t.ctx with Obs.Ctx.deadline } in
   Obs.Ctx.span ctx "serve:update" (fun () ->
       apply t ev;
-      sync_weights t;
+      install_weights t;
       let resets = rebuild t in
       sync_commodities t;
       let mlu_before = t.mlu in
@@ -371,7 +371,7 @@ let update t seq ev =
         t.cur_setting <- r.Reopt.waypoints;
         (* Re-sync the evaluator to what we just deployed: the search
            left it at its last probe state. *)
-        sync_weights t;
+        install_weights t;
         sync_commodities t
       end
       else if degraded then t.degraded <- t.degraded + 1;

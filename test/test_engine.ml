@@ -196,7 +196,7 @@ let check_loads_bits msg ev commodities =
 (* The sparse load contributions against the dense reference, bit for
    bit, after every step of a random walk over the whole mutation API:
    probes, evaluations, undo, commit, link failure and repair, commodity
-   swaps, and a clone kept current by [copy] or [sync_from]. *)
+   swaps, and a clone refreshed by [copy] and probed on its own. *)
 let test_loads_bit_identical () =
   List.iteri
     (fun ti name ->
@@ -220,7 +220,7 @@ let test_loads_bit_identical () =
       in
       let weight () = float_of_int (1 + Random.State.int st 20) in
       for step = 1 to 120 do
-        let op = Random.State.int st 9 in
+        let op = Random.State.int st 8 in
         (match op with
         | 0 ->
           Engine.Evaluator.set_weight ev ~edge:(Random.State.int st m)
@@ -238,9 +238,6 @@ let test_loads_bit_identical () =
           Engine.Evaluator.set_commodities ev !comms
         | 6 ->
           cl := Engine.Evaluator.copy ev;
-          cl_comms := !comms
-        | 7 ->
-          Engine.Evaluator.sync_from ~src:ev !cl;
           cl_comms := !comms
         | _ ->
           (* a probe on the clone, leaving the source's caches shared *)
@@ -416,8 +413,8 @@ let check_dag_canonical msg ev target =
 (* Every destination's DAG against the canonical reference after each
    step of a random walk with weights in [1, 4], so equal distances —
    the ties the order must break by id — are common: probes, undo,
-   commit, link failure and repair, and a clone kept current by [copy]
-   or [sync_from] and probed on its own. *)
+   commit, link failure and repair, and a clone refreshed by [copy] and
+   probed on its own. *)
 let test_dag_canonical_order () =
   List.iteri
     (fun ti (name, g) ->
@@ -439,9 +436,7 @@ let test_dag_canonical_order () =
           if (Engine.Evaluator.weights ev).(e) = infinity then
             Engine.Evaluator.set_weight ev ~edge:e (weight ())
           else Engine.Evaluator.disable_edge ev ~edge:e
-        | 5 ->
-          if Random.State.bool st then cl := Engine.Evaluator.copy ev
-          else Engine.Evaluator.sync_from ~src:ev !cl
+        | 5 -> cl := Engine.Evaluator.copy ev
         | _ ->
           Engine.Evaluator.set_weight !cl ~edge:(Random.State.int st m)
             (weight ());
@@ -460,7 +455,7 @@ let test_dag_canonical_order () =
     ]
 
 (* --------------------------------------------------------------- *)
-(* sync_from ≡ copy                                                  *)
+(* copy ≡ create                                                     *)
 (* --------------------------------------------------------------- *)
 
 let eval_obs ev =
@@ -468,127 +463,59 @@ let eval_obs ev =
   | v -> Ok v
   | exception Engine.Evaluator.Unroutable (s, t) -> Error (s, t)
 
-(* The delta-sync contract: after [sync_from ~src dst], [dst] is
-   observably bit-identical to [copy src] — same weights, same
-   evaluation results, same routability verdicts — no matter how far
-   the two evaluators diverged first (committed moves, bulk rewrites,
-   commodity swaps, failed links, pending probes on the source). *)
-let test_sync_from_equiv_copy () =
+(* The copy contract: a [copy] taken mid-walk is observably
+   bit-identical to a fresh [create] at the same weights and
+   commodities — same weights, same evaluation results, same
+   routability verdicts — whatever the source went through first
+   (committed moves, bulk rewrites, commodity swaps, failed links, a
+   pending probe, which the copy takes as committed state). *)
+let test_copy_equiv_create () =
   for seed = 1 to 200 do
     let g, w0, demands, st = instance (1 + (seed mod 17)) in
     let m = Digraph.edge_count g in
-    let mk () =
-      let e = Engine.Evaluator.create g w0 in
-      Engine.Evaluator.set_commodities e demands;
-      ignore (eval_obs e);
-      e
-    in
-    let src = mk () and dst = mk () in
-    let mutate ev steps =
-      for _ = 1 to steps do
-        match Random.State.int st 5 with
-        | 0 ->
-          Engine.Evaluator.set_weight ev ~edge:(Random.State.int st m)
-            (float_of_int (1 + Random.State.int st 12));
-          Engine.Evaluator.commit ev
-        | 1 ->
-          (* bulk rewrite past the incremental threshold *)
-          let w =
-            Array.init m (fun _ -> float_of_int (1 + Random.State.int st 12))
-          in
-          Engine.Evaluator.set_weights ev w;
-          Engine.Evaluator.commit ev
-        | 2 ->
-          (* demand subset: exercises the commodity diff on sync *)
-          let k = 1 + Random.State.int st (Array.length demands) in
-          Engine.Evaluator.set_commodities ev (Array.sub demands 0 k)
-        | 3 ->
-          let e = Random.State.int st m in
-          if (Engine.Evaluator.weights ev).(e) < infinity then begin
-            Engine.Evaluator.disable_edge ev ~edge:e;
-            Engine.Evaluator.commit ev
-          end
-        | _ -> ignore (eval_obs ev)
-      done
-    in
-    mutate src (2 + Random.State.int st 6);
-    mutate dst (2 + Random.State.int st 6);
-    (* Sometimes leave a pending probe on the source; the sync must see
-       the probed weight as committed state, exactly as [copy] does. *)
+    let src = Engine.Evaluator.create g w0 in
+    let comms = ref demands in
+    Engine.Evaluator.set_commodities src !comms;
+    ignore (eval_obs src);
+    for _ = 1 to 2 + Random.State.int st 6 do
+      match Random.State.int st 5 with
+      | 0 ->
+        Engine.Evaluator.set_weight src ~edge:(Random.State.int st m)
+          (float_of_int (1 + Random.State.int st 12));
+        Engine.Evaluator.commit src
+      | 1 ->
+        (* bulk rewrite past the incremental threshold *)
+        let w =
+          Array.init m (fun _ -> float_of_int (1 + Random.State.int st 12))
+        in
+        Engine.Evaluator.set_weights src w;
+        Engine.Evaluator.commit src
+      | 2 ->
+        comms :=
+          Array.sub demands 0 (1 + Random.State.int st (Array.length demands));
+        Engine.Evaluator.set_commodities src !comms
+      | 3 ->
+        let e = Random.State.int st m in
+        if (Engine.Evaluator.weights src).(e) < infinity then begin
+          Engine.Evaluator.disable_edge src ~edge:e;
+          Engine.Evaluator.commit src
+        end
+      | _ -> ignore (eval_obs src)
+    done;
     if Random.State.bool st then
       Engine.Evaluator.set_weight src ~edge:(Random.State.int st m) 9.;
-    let reference = Engine.Evaluator.copy src in
-    let check_equal tag =
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d %s: weights" seed tag)
-        true
-        (Engine.Evaluator.weights dst = Engine.Evaluator.weights reference);
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d %s: evaluation" seed tag)
-        true
-        (eval_obs dst = eval_obs reference)
-    in
-    Engine.Evaluator.sync_from ~src dst;
-    check_equal "first sync";
-    (* Unchanged source: the stamp pair skips the commodity pass, and
-       the result must stay identical. *)
-    Engine.Evaluator.sync_from ~src dst;
-    check_equal "stamped re-sync"
+    let cl = Engine.Evaluator.copy src in
+    let fresh = Engine.Evaluator.create g (Engine.Evaluator.weights src) in
+    Engine.Evaluator.set_commodities fresh !comms;
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: weights" seed)
+      true
+      (Engine.Evaluator.weights cl = Engine.Evaluator.weights fresh);
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: evaluation" seed)
+      true
+      (eval_obs cl = eval_obs fresh)
   done
-
-let test_sync_from_rejects () =
-  let g, w0, demands, _ = instance 1 in
-  let ev = Engine.Evaluator.create g w0 in
-  Engine.Evaluator.set_commodities ev demands;
-  (match Engine.Evaluator.sync_from ~src:ev ev with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument on self-sync");
-  let g2, w2, _, _ = instance 2 in
-  let other = Engine.Evaluator.create g2 w2 in
-  match Engine.Evaluator.sync_from ~src:ev other with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "expected Invalid_argument on graph mismatch"
-
-(* The clone cache: slot reuse must delta-sync (counted as such) and
-   still produce an evaluator bit-identical to a fresh copy; a source
-   on a different graph must fall back to a full copy. *)
-let test_clone_cache () =
-  let g, w0, demands, _ = instance 5 in
-  let mk () =
-    let e = Engine.Evaluator.create g w0 in
-    Engine.Evaluator.set_commodities e demands;
-    ignore (eval_obs e);
-    e
-  in
-  let src = mk () in
-  let cache = Engine.Evaluator.Clones.create () in
-  (match Engine.Evaluator.Clones.get cache ~worker:0 ~src with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected Invalid_argument on worker 0");
-  let c1 = Engine.Evaluator.Clones.get cache ~worker:1 ~src in
-  Alcotest.(check int)
-    "first use is a copy" 1
-    (Engine.Evaluator.stats c1).Engine.Stats.clone_copies;
-  (* Small committed diff on the source: reuse must sync, not recopy. *)
-  Engine.Evaluator.set_weight src ~edge:0 7.;
-  Engine.Evaluator.commit src;
-  let c1' = Engine.Evaluator.Clones.get cache ~worker:1 ~src in
-  Alcotest.(check bool) "slot reused" true (c1' == c1);
-  Alcotest.(check bool)
-    "reuse is a sync" true
-    ((Engine.Evaluator.stats c1').Engine.Stats.clone_syncs >= 1);
-  Alcotest.(check bool)
-    "synced clone matches a fresh copy" true
-    (eval_obs c1' = eval_obs (Engine.Evaluator.copy src));
-  (* A different topology cannot be synced: fresh copy, same slot. *)
-  let g2, w2, demands2, _ = instance 6 in
-  let src2 = Engine.Evaluator.create g2 w2 in
-  Engine.Evaluator.set_commodities src2 demands2;
-  let c2 = Engine.Evaluator.Clones.get cache ~worker:1 ~src:src2 in
-  Alcotest.(check bool) "topology change forces a new clone" true (c2 != c1);
-  Engine.Evaluator.Clones.clear cache;
-  let c3 = Engine.Evaluator.Clones.get cache ~worker:1 ~src in
-  Alcotest.(check bool) "clear drops the slots" true (c3 != c1 && c3 != c2)
 
 (* Undo must restore the previous state exactly (bit-equal loads), also
    when one edge changes twice on the same trail and when the very
@@ -1132,10 +1059,8 @@ let () =
           Alcotest.test_case "undo after commodity swap" `Quick
             test_undo_after_commodity_swap;
           Alcotest.test_case "ecmp shim" `Quick test_ecmp_shim;
-          Alcotest.test_case "sync_from = copy (200-seed fuzz)" `Quick
-            test_sync_from_equiv_copy;
-          Alcotest.test_case "sync_from rejects" `Quick test_sync_from_rejects;
-          Alcotest.test_case "clone cache" `Quick test_clone_cache;
+          Alcotest.test_case "copy = create (200-seed fuzz)" `Quick
+            test_copy_equiv_create;
           Alcotest.test_case "link-flap round trip" `Quick
             test_link_flap_round_trip;
           Alcotest.test_case "loads = dense reference, bit for bit" `Quick

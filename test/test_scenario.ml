@@ -214,19 +214,36 @@ let test_sweep_scheduling_independent () =
   let g, demands, deployed = Lazy.force fixture in
   let specs = small_specs g in
   let policies = [ Scenario.Static; Scenario.Repair; Scenario.Reweight 3 ] in
-  let run pool =
-    Scenario.sweep_ctx (Obs.Ctx.make ~pool ()) ~policies ~reopt_evals:60 ~deployed g demands
-      specs
+  let run_ctx pool =
+    let ctx = Obs.Ctx.make ~pool () in
+    let out =
+      Scenario.sweep_ctx ctx ~policies ~reopt_evals:60 ~deployed g demands specs
+    in
+    (out, ctx.Obs.Ctx.stats)
   in
-  let reference = run Par.Pool.sequential in
+  let run pool = fst (run_ctx pool) in
+  (* Every scenario starts from the warm master's state, so the engine's
+     work is a function of the specs, not of who ran which one.
+     [clone_copies] counts the per-worker copies and is left out. *)
+  let work (s : Engine.Stats.t) =
+    [ ("evaluations", s.evaluations); ("full_spf", s.full_spf);
+      ("incr_spf", s.incr_spf); ("spf_nodes_touched", s.spf_nodes_touched);
+      ("dag_hits", s.dag_hits); ("dag_misses", s.dag_misses);
+      ("commits", s.commits); ("undos", s.undos);
+      ("edges_disabled", s.edges_disabled) ]
+  in
+  let reference, ref_stats = run_ctx Par.Pool.sequential in
   (* compare (not (=)) so nan = nan: outcomes carry nan MLUs. *)
   List.iter
     (fun jobs ->
-      let out = Par.Pool.with_pool ~jobs run in
+      let out, stats = Par.Pool.with_pool ~eager_wake:true ~jobs run_ctx in
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical at jobs=%d" jobs)
         true
-        (compare out reference = 0))
+        (compare out reference = 0);
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "engine work at jobs=%d" jobs)
+        (work ref_stats) (work stats))
     [ 2; 4 ];
   (* And so is the serialized report — the artifact the CLI emits. *)
   let json out =
