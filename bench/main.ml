@@ -49,7 +49,7 @@ let ls_params ~seed ~evals =
    their shared HeurOSPF prefix runs once. *)
 let solve_entries names g demands ~seed ~evals =
   let config = { Solver.default_config with Solver.seed; evals } in
-  Solver.solve_many config (Obs.Ctx.default ()) g demands
+  Solver.solve_many config (Obs.Ctx.make ()) g demands
     (List.map (fun n -> Option.get (Solver.find n)) names)
   |> List.map2 (fun n (r, _) -> (n, r)) names
 
@@ -92,7 +92,7 @@ let exp_table1 () =
         if m <= 4 then
           snd (Exact.wpo g (Weights.unit g) net.Network.demands)
         else
-          (Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.unit g) net.Network.demands).Greedy_wpo.mlu
+          (Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.unit g) net.Network.demands).Greedy_wpo.mlu
       in
       row "%-34s %-12s %4d %12.2f %14s\n"
         (Printf.sprintf "I1(m=%d) optimal-LWO weights" m)
@@ -188,7 +188,7 @@ let exp_fig1 () =
           net.Network.demands
       in
       let wpo =
-        (Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.unit g) net.Network.demands).Greedy_wpo.mlu
+        (Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.unit g) net.Network.demands).Greedy_wpo.mlu
       in
       row "%6d %6d %10.3f %12.3f %12.3f %16s\n" m (m + 1) joint lwo wpo
         (Printf.sprintf "%.1f, %.1f" (float_of_int m /. 2.) (float_of_int m /. 3.)))
@@ -364,7 +364,7 @@ let exp_fig5 () =
       List.fold_left
         (fun best s ->
           let r =
-            Local_search.optimize_ctx (Obs.Ctx.default ())
+            Local_search.optimize_ctx (Obs.Ctx.make ())
               ~params:
                 { Local_search.default_params with
                   max_evals = 2 * evals; seed = s; wmax = 24 }
@@ -379,7 +379,7 @@ let exp_fig5 () =
     (* ILP Waypoints: the WPO MILP under the standard (inverse-capacity)
        weight setting, as in the paper's WPO-with-fixed-weights MILP. *)
     let milp =
-      Wpo_milp.solve_ctx (Obs.Ctx.default ())
+      Wpo_milp.solve_ctx (Obs.Ctx.make ())
         ~max_nodes:(if !full then 20_000 else 3_000)
         g (Weights.inverse_capacity g) (Demand.aggregate demands)
     in
@@ -389,7 +389,7 @@ let exp_fig5 () =
     push "JointHeur" (mlu "joint");
     (* ILP-Joint proxy: deep weights + exact WPO MILP on top. *)
     let deep_w =
-      (Local_search.optimize_ctx (Obs.Ctx.default ())
+      (Local_search.optimize_ctx (Obs.Ctx.make ())
          ~params:
            { Local_search.default_params with max_evals = 2 * evals;
              seed = seed + 300; wmax = 24 }
@@ -397,7 +397,7 @@ let exp_fig5 () =
         .Local_search.weights
     in
     let milp2 =
-      Wpo_milp.solve_ctx (Obs.Ctx.default ())
+      Wpo_milp.solve_ctx (Obs.Ctx.make ())
         ~max_nodes:(if !full then 20_000 else 3_000)
         g (Weights.of_ints deep_w) (Demand.aggregate demands)
     in
@@ -430,13 +430,13 @@ let exp_milp () =
       let inst = Instances.Gap_instances.instance1 ~m in
       let net = inst.Instances.Gap_instances.network in
       let g = net.Network.graph in
-      let lwo = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) g net.Network.demands in
+      let lwo = Uspr_milp.lwo_ctx (Obs.Ctx.make ()) g net.Network.demands in
       let wpo =
-        Wpo_milp.solve_ctx (Obs.Ctx.default ()) g (Weights.unit g)
+        Wpo_milp.solve_ctx (Obs.Ctx.make ()) g (Weights.unit g)
           net.Network.demands
       in
       let jm =
-        Uspr_milp.joint_ctx (Obs.Ctx.default ()) ~max_combos:300 g
+        Uspr_milp.joint_ctx (Obs.Ctx.make ()) ~max_combos:300 g
           net.Network.demands
       in
       let (_, _, brute), _ = Exact.joint ~weight_domain:[ 1; 3 ] g net.Network.demands in
@@ -492,7 +492,7 @@ let exp_ablation () =
   List.iter
     (fun (label, use_phi) ->
       let r =
-        Local_search.optimize_ctx (Obs.Ctx.default ())
+        Local_search.optimize_ctx (Obs.Ctx.make ())
           ~params:
             { Local_search.default_params with max_evals = evals; seed = 5; use_phi }
           g demands
@@ -504,7 +504,7 @@ let exp_ablation () =
   let inv_w = Weights.inverse_capacity g in
   List.iter
     (fun (label, order) ->
-      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~order g inv_w demands in
+      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) ~order g inv_w demands in
       row "  %-18s MLU %.3f (from %.3f)\n" label r.Greedy_wpo.mlu
         r.Greedy_wpo.initial_mlu)
     [ ("descending (paper)", Greedy_wpo.Desc); ("ascending", Greedy_wpo.Asc);
@@ -512,7 +512,7 @@ let exp_ablation () =
   (* 3. JOINT-Heur pipeline depth. *)
   row "JOINT-Heur stages (paper: steps 3-4 gains negligible):\n";
   let r =
-    Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params:(ls_params ~seed:5 ~evals)
+    Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params:(ls_params ~seed:5 ~evals)
       ~full_pipeline:true g demands
   in
   row "  %-18s MLU %.3f\n" "steps 1-2" (List.assoc "GreedyWPO" r.Joint.stage_mlu);
@@ -539,7 +539,7 @@ let exp_ablation () =
   in
   List.iter
     (fun passes ->
-      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~passes g50 (Weights.inverse_capacity g50) d50 in
+      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) ~passes g50 (Weights.inverse_capacity g50) d50 in
       row "  %d pass%s            MLU %.3f\n" passes
         (if passes = 1 then " " else "es")
         r.Greedy_wpo.mlu)
@@ -553,7 +553,7 @@ let exp_ablation () =
   List.iter
     (fun rounds ->
       let r =
-        Greedy_wpo.optimize_multi_ctx (Obs.Ctx.default ()) ~rounds n3.Network.graph
+        Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ()) ~rounds n3.Network.graph
           i3.Instances.Gap_instances.joint_weights n3.Network.demands
       in
       row "  W <= %d             MLU %.3f\n" rounds r.Greedy_wpo.mlu)
@@ -563,7 +563,7 @@ let exp_ablation () =
   List.iter
     (fun iterations ->
       let r =
-        Joint.optimize_iterated_ctx (Obs.Ctx.default ())
+        Joint.optimize_iterated_ctx (Obs.Ctx.make ())
           ~ls_params:(ls_params ~seed:5 ~evals:(evals / iterations))
           ~iterations g demands
       in
@@ -999,7 +999,7 @@ let robust_sweep name =
   let demands = fig4_demands g in
   let evals = if !full then 2000 else 300 in
   let joint =
-    Joint.optimize_ctx (Obs.Ctx.default ())
+    Joint.optimize_ctx (Obs.Ctx.make ())
       ~ls_params:(ls_params ~seed:1 ~evals) g demands
   in
   let deployed =
@@ -1351,13 +1351,11 @@ let lp =
 (* Observability overhead                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The zero-cost-when-disabled guard for lib/obs: the same HeurOSPF run
-   on Abilene through the shared default context, through a fresh
-   noop-tracer {!Obs.Ctx.t}, and through a live tracer with
+(* The cost of tracing in lib/obs: the same HeurOSPF run on Abilene
+   through a noop-tracer {!Obs.Ctx.t} and through a live tracer with
    evaluator-level spans ([~engine_detail:true], the most expensive
-   configuration).  All three must return the identical result; the
-   noop context should cost within 2% of the default-context baseline
-   (best-of-[reps] wall clock), which host noise can swamp. *)
+   configuration), best-of-[reps] wall clock.  Both must return the
+   identical result. *)
 let obs_overhead ctx =
   let g = Topology.Datasets.abilene () in
   let demands =
@@ -1367,10 +1365,6 @@ let obs_overhead ctx =
   let reps = if !full then 15 else 11 in
   let params = ls_params ~seed:5 ~evals in
   let search octx () = Local_search.optimize_ctx octx ~params g demands in
-  let base, t_base =
-    Obs.Ctx.phase ctx "default-ctx" (fun () ->
-        time_best reps (fun () -> search (Obs.Ctx.default ()) ()))
-  in
   let noop, t_noop =
     Obs.Ctx.phase ctx "noop-ctx" (fun () ->
         time_best reps (fun () -> search (Obs.Ctx.make ()) ()))
@@ -1388,31 +1382,23 @@ let obs_overhead ctx =
     && a.Local_search.weights = b.Local_search.weights
     && a.Local_search.evals = b.Local_search.evals
   in
-  let disabled_overhead = (t_noop -. t_base) /. t_base in
   [ [ A.str "topology" "Abilene"; A.str "algorithm" "HeurOSPF";
       A.int "evaluations" evals; A.int "reps" reps;
-      A.bool "results_identical" (same base noop && same base traced);
-      A.float "default_ctx_wall_seconds" t_base;
+      A.bool "results_identical" (same noop traced);
       A.float "noop_ctx_wall_seconds" t_noop;
       A.float "traced_wall_seconds" t_traced;
-      A.float "disabled_overhead" disabled_overhead;
-      A.bool "disabled_overhead_ok" (disabled_overhead < 0.02);
-      A.float "traced_overhead" ((t_traced -. t_base) /. t_base);
+      A.float "traced_overhead" ((t_traced -. t_noop) /. t_noop);
       A.int "trace_spans" (Obs.Tracer.span_count !last_tracer) ] ]
 
 let obs =
   { title = "Observability: run-context overhead (lib/obs)";
-    bench = "obs"; version = 1; fields = []; run = obs_overhead;
+    bench = "obs"; version = 2; fields = []; run = obs_overhead;
     tables =
       [ ( "HeurOSPF on Abilene, best of reps:",
-          [ "evaluations"; "reps"; "default_ctx_wall_seconds";
-            "noop_ctx_wall_seconds"; "traced_wall_seconds";
-            "disabled_overhead"; "traced_overhead"; "trace_spans";
+          [ "evaluations"; "reps"; "noop_ctx_wall_seconds";
+            "traced_wall_seconds"; "traced_overhead"; "trace_spans";
             "results_identical" ] ) ];
-    gates =
-      [ all_true "obs_results_identical" "results_identical";
-        at_most ~fatal:false "disabled_overhead_2pct" 0.02
-          (first "disabled_overhead") ] }
+    gates = [ all_true "obs_results_identical" "results_identical" ] }
 
 (* ------------------------------------------------------------------ *)
 (* Candidate pruning                                                   *)
@@ -1565,7 +1551,7 @@ let serve_replay pool (name, steps, lp_every) =
   let demands = fig4_demands g in
   let evals = if !full then 1500 else 300 in
   let joint d =
-    Joint.optimize_ctx (Obs.Ctx.default ())
+    Joint.optimize_ctx (Obs.Ctx.make ())
       ~ls_params:(ls_params ~seed:1 ~evals) g d
   in
   let j = joint demands in

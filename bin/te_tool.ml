@@ -111,7 +111,9 @@ let stats_arg =
                after the run: the engine counters and timers \
                (evaluations, full vs. incremental SPF rebuilds, cache \
                hits, parallel wall and busy time) and the solver \
-               metrics, under the names run-summary/1 exports.")
+               metrics, under the names run-summary/2 exports.  serve \
+               reports its event counts and update latencies on its \
+               stderr summary line instead.")
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -138,7 +140,7 @@ let trace_arg =
 
 let summary_arg =
   Arg.(value & flag & info [ "summary" ]
-         ~doc:"Print a run-summary/1 JSON digest after the run: per-phase \
+         ~doc:"Print a run-summary/2 JSON digest after the run: per-phase \
                wall time, engine counters, solver metrics, parallel \
                efficiency.")
 
@@ -408,7 +410,7 @@ let gap_cmd =
       Printf.printf "  -> gap %.2f\n" (lwo /. joint)
     | None -> ());
     let wpo =
-      Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.unit g)
+      Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.unit g)
         net.Network.demands
     in
     Printf.printf "WPO greedy (unit weights)   MLU %.4f  -> gap %.2f\n"
@@ -467,7 +469,7 @@ let failures_cmd =
     let g, file_demands = load_topology topo file in
     let demands = make_demands ~file_demands g ~seed ~kind ~flows in
     let ls_params = { Local_search.default_params with max_evals = evals; seed } in
-    let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+    let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
     Printf.printf "no-failure MLU %.4f; sweeping single link-pair failures:\n"
       joint.Joint.mlu;
     let deployed =
@@ -490,7 +492,7 @@ let failures_cmd =
           (if o.Scenario.static_disconnected > 0 then
              Printf.sprintf "disconnects %d demands" o.Scenario.static_disconnected
            else Printf.sprintf "MLU %.4f" o.Scenario.static_mlu))
-      (Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands specs)
+      (Scenario.sweep_ctx (Obs.Ctx.make ()) ~deployed g demands specs)
   in
   Cmd.v
     (Cmd.info "failures" ~doc:"Single-link-failure sweep of an optimized setting")

@@ -49,7 +49,7 @@ let () =
 
   (* Strategy 2: optimal waypoints under unit weights (Lemma 3.7). *)
   let wpo =
-    Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.unit g)
+    Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.unit g)
       net.Network.demands
   in
   Printf.printf

@@ -35,8 +35,8 @@ let () =
       let ls_params =
         { Local_search.default_params with max_evals = 600; seed = 7 }
       in
-      let ls = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params:ls_params g demands in
-      let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+      let ls = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params:ls_params g demands in
+      let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
       (* Headroom: how much more traffic fits before the joint setting
          congests (MLU 1). *)
       let headroom = (1. /. joint.Joint.mlu -. 1.) *. 100. in

@@ -26,19 +26,19 @@ let () =
 
   (* 4. Link-weight optimization (HeurOSPF local search, [11]). *)
   let ls =
-    Local_search.optimize_ctx (Obs.Ctx.default ())
+    Local_search.optimize_ctx (Obs.Ctx.make ())
       ~params:{ Local_search.default_params with max_evals = 1000; seed = 42 }
       g demands
   in
   Printf.printf "HeurOSPF weights:         MLU %.3f\n" ls.Local_search.mlu;
 
   (* 5. Waypoint optimization on top of fixed weights (Algorithm 3). *)
-  let wpo = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g invcap demands in
+  let wpo = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g invcap demands in
   Printf.printf "GreedyWPO (invcap):       MLU %.3f\n" wpo.Greedy_wpo.mlu;
 
   (* 6. The joint optimization (Algorithm 2). *)
   let joint =
-    Joint.optimize_ctx (Obs.Ctx.default ())
+    Joint.optimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 1000; seed = 42 }
       g demands
   in

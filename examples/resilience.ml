@@ -10,7 +10,7 @@ let () =
   let g = Topology.Datasets.abilene () in
   let demands = Demand_gen.mcf_synthetic ~seed:11 ~flows_per_pair:2 g in
   let ls_params = { Local_search.default_params with max_evals = 800; seed = 11 } in
-  let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+  let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
   Printf.printf "Abilene, optimized joint setting: MLU %.3f\n\n" joint.Joint.mlu;
 
   (* 1. Single-link failure sweep with the setting frozen. *)
@@ -25,7 +25,7 @@ let () =
       { Scenario.default_config with Scenario.include_baseline = false }
       g
   in
-  let outcomes = Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands specs in
+  let outcomes = Scenario.sweep_ctx (Obs.Ctx.make ()) ~deployed g demands specs in
   let disconnecting =
     Array.fold_left
       (fun acc o -> if o.Scenario.static_disconnected > 0 then acc + 1 else acc)
@@ -62,7 +62,7 @@ let () =
     Ecmp.mlu_of ~waypoints:joint.Joint.waypoints g joint.Joint.weights shifted
   in
   Printf.printf "After the shift, the deployed setting degrades to MLU %.3f.\n" stale;
-  let fresh = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g shifted in
+  let fresh = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g shifted in
   let fresh_churn =
     Reopt.churn_between ~deployed_weights:joint.Joint.int_weights
       ~deployed_waypoints:joint.Joint.waypoints fresh.Joint.int_weights
@@ -74,7 +74,7 @@ let () =
     fresh.Joint.mlu fresh_churn.Reopt.weight_changes
     fresh_churn.Reopt.waypoint_changes;
   let budgeted =
-    Reopt.reoptimize_ctx (Obs.Ctx.default ()) ~ls_params ~max_weight_changes:3
+    Reopt.reoptimize_ctx (Obs.Ctx.make ()) ~ls_params ~max_weight_changes:3
       ~deployed_weights:joint.Joint.int_weights
       ~deployed_waypoints:joint.Joint.waypoints g shifted
   in

@@ -64,30 +64,45 @@ let create () =
 
 let hot_times s = s.hot
 
+(* One row per counter: its export name, a reader and a writer.
+   [reset], [merge] and [counters] iterate over this table, so a counter
+   listed here is reset, merged and exported without a second mention. *)
+let table : (string * (t -> int) * (t -> int -> unit)) array =
+  [|
+    ("evaluations", (fun s -> s.evaluations), fun s v -> s.evaluations <- v);
+    ("full_spf", (fun s -> s.full_spf), fun s v -> s.full_spf <- v);
+    ("incr_spf", (fun s -> s.incr_spf), fun s v -> s.incr_spf <- v);
+    ( "spf_nodes_touched", (fun s -> s.spf_nodes_touched),
+      fun s v -> s.spf_nodes_touched <- v );
+    ("dag_hits", (fun s -> s.dag_hits), fun s v -> s.dag_hits <- v);
+    ("dag_misses", (fun s -> s.dag_misses), fun s v -> s.dag_misses <- v);
+    ("unit_hits", (fun s -> s.unit_hits), fun s v -> s.unit_hits <- v);
+    ("unit_misses", (fun s -> s.unit_misses), fun s v -> s.unit_misses <- v);
+    ( "weight_updates", (fun s -> s.weight_updates),
+      fun s v -> s.weight_updates <- v );
+    ("dirty_dests", (fun s -> s.dirty_dests), fun s v -> s.dirty_dests <- v);
+    ("clean_dests", (fun s -> s.clean_dests), fun s v -> s.clean_dests <- v);
+    ("probes_cut", (fun s -> s.probes_cut), fun s v -> s.probes_cut <- v);
+    ( "dests_skipped", (fun s -> s.dests_skipped),
+      fun s v -> s.dests_skipped <- v );
+    ("commits", (fun s -> s.commits), fun s v -> s.commits <- v);
+    ("undos", (fun s -> s.undos), fun s v -> s.undos <- v);
+    ( "edges_disabled", (fun s -> s.edges_disabled),
+      fun s v -> s.edges_disabled <- v );
+    ( "candidates_pruned", (fun s -> s.candidates_pruned),
+      fun s v -> s.candidates_pruned <- v );
+    ( "candidates_kept", (fun s -> s.candidates_kept),
+      fun s v -> s.candidates_kept <- v );
+    ("clone_syncs", (fun s -> s.clone_syncs), fun s v -> s.clone_syncs <- v);
+    ("clone_copies", (fun s -> s.clone_copies), fun s v -> s.clone_copies <- v);
+    ("lp_solves", (fun s -> s.lp_solves), fun s v -> s.lp_solves <- v);
+    ("lp_pivots", (fun s -> s.lp_pivots), fun s v -> s.lp_pivots <- v);
+    ( "lp_warm_solves", (fun s -> s.lp_warm_solves),
+      fun s v -> s.lp_warm_solves <- v );
+  |]
+
 let reset s =
-  s.evaluations <- 0;
-  s.full_spf <- 0;
-  s.incr_spf <- 0;
-  s.spf_nodes_touched <- 0;
-  s.dag_hits <- 0;
-  s.dag_misses <- 0;
-  s.unit_hits <- 0;
-  s.unit_misses <- 0;
-  s.weight_updates <- 0;
-  s.dirty_dests <- 0;
-  s.clean_dests <- 0;
-  s.probes_cut <- 0;
-  s.dests_skipped <- 0;
-  s.commits <- 0;
-  s.undos <- 0;
-  s.edges_disabled <- 0;
-  s.candidates_pruned <- 0;
-  s.candidates_kept <- 0;
-  s.clone_syncs <- 0;
-  s.clone_copies <- 0;
-  s.lp_solves <- 0;
-  s.lp_pivots <- 0;
-  s.lp_warm_solves <- 0;
+  Array.iter (fun (_, _, set) -> set s 0) table;
   Array.fill s.hot 0 (Array.length s.hot) 0.
 
 let record_lp s ~solves ~pivots ~warm =
@@ -102,29 +117,7 @@ let record_pruning s ~pruned ~kept =
   s.candidates_kept <- s.candidates_kept + kept
 
 let merge ~into s =
-  into.evaluations <- into.evaluations + s.evaluations;
-  into.full_spf <- into.full_spf + s.full_spf;
-  into.incr_spf <- into.incr_spf + s.incr_spf;
-  into.spf_nodes_touched <- into.spf_nodes_touched + s.spf_nodes_touched;
-  into.dag_hits <- into.dag_hits + s.dag_hits;
-  into.dag_misses <- into.dag_misses + s.dag_misses;
-  into.unit_hits <- into.unit_hits + s.unit_hits;
-  into.unit_misses <- into.unit_misses + s.unit_misses;
-  into.weight_updates <- into.weight_updates + s.weight_updates;
-  into.dirty_dests <- into.dirty_dests + s.dirty_dests;
-  into.clean_dests <- into.clean_dests + s.clean_dests;
-  into.probes_cut <- into.probes_cut + s.probes_cut;
-  into.dests_skipped <- into.dests_skipped + s.dests_skipped;
-  into.commits <- into.commits + s.commits;
-  into.undos <- into.undos + s.undos;
-  into.edges_disabled <- into.edges_disabled + s.edges_disabled;
-  into.candidates_pruned <- into.candidates_pruned + s.candidates_pruned;
-  into.candidates_kept <- into.candidates_kept + s.candidates_kept;
-  into.clone_syncs <- into.clone_syncs + s.clone_syncs;
-  into.clone_copies <- into.clone_copies + s.clone_copies;
-  into.lp_solves <- into.lp_solves + s.lp_solves;
-  into.lp_pivots <- into.lp_pivots + s.lp_pivots;
-  into.lp_warm_solves <- into.lp_warm_solves + s.lp_warm_solves;
+  Array.iter (fun (_, get, set) -> set into (get into + get s)) table;
   for i = 0 to Array.length s.hot - 1 do
     into.hot.(i) <- into.hot.(i) +. s.hot.(i)
   done
@@ -135,16 +128,4 @@ let timers s =
     (Array.to_list (Array.mapi (fun i name -> (name, s.hot.(i))) hot_phases))
 
 let counters s =
-  [ ("evaluations", s.evaluations); ("full_spf", s.full_spf);
-    ("incr_spf", s.incr_spf); ("spf_nodes_touched", s.spf_nodes_touched);
-    ("dag_hits", s.dag_hits); ("dag_misses", s.dag_misses);
-    ("unit_hits", s.unit_hits); ("unit_misses", s.unit_misses);
-    ("weight_updates", s.weight_updates); ("dirty_dests", s.dirty_dests);
-    ("clean_dests", s.clean_dests); ("probes_cut", s.probes_cut);
-    ("dests_skipped", s.dests_skipped); ("commits", s.commits);
-    ("undos", s.undos); ("edges_disabled", s.edges_disabled);
-    ("candidates_pruned", s.candidates_pruned);
-    ("candidates_kept", s.candidates_kept);
-    ("clone_syncs", s.clone_syncs); ("clone_copies", s.clone_copies);
-    ("lp_solves", s.lp_solves); ("lp_pivots", s.lp_pivots);
-    ("lp_warm_solves", s.lp_warm_solves) ]
+  Array.to_list (Array.map (fun (name, get, _) -> (name, get s)) table)

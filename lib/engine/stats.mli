@@ -52,9 +52,10 @@ type t = {
       (** always 0: nothing syncs a worker clone any more.  Kept only
           for the benchmark's [engine.clone_sync_ratio] reading *)
   mutable clone_copies : int;
-      (** worker evaluators built by {!Evaluator.copy}: a scenario sweep
-          takes one copy of its warm master per worker beyond the
-          first *)
+      (** always 0: a scenario sweep's per-worker copies are not
+          counted, so a run's counters do not depend on its pool size.
+          Kept only for the benchmark's [engine.clone_sync_ratio]
+          reading, like [clone_syncs] *)
   mutable lp_solves : int;  (** LP (relaxation) solves *)
   mutable lp_pivots : int;  (** total simplex iterations *)
   mutable lp_warm_solves : int;

@@ -330,26 +330,12 @@ module Tracer = struct
 end
 
 module Metrics = struct
-  (* Decade buckets sized for durations in seconds; min/max/sum stay
-     exact for observations at any scale. *)
-  let bounds = [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 0.1; 1.; 10.; 100. |]
-
-  type hrec = {
-    mutable h_n : int;
-    mutable h_sum : float;
-    mutable h_min : float;
-    mutable h_max : float;
-    h_counts : int array;  (* length bounds + 1; last = overflow *)
-  }
-
   type t = {
     c : (string, int ref) Hashtbl.t;
     g : (string, float ref) Hashtbl.t;
-    h : (string, hrec) Hashtbl.t;
   }
 
-  let create () =
-    { c = Hashtbl.create 16; g = Hashtbl.create 8; h = Hashtbl.create 8 }
+  let create () = { c = Hashtbl.create 16; g = Hashtbl.create 8 }
 
   let incr t ?(by = 1) name =
     match Hashtbl.find_opt t.c name with
@@ -361,49 +347,7 @@ module Metrics = struct
     | Some r -> r := v
     | None -> Hashtbl.add t.g name (ref v)
 
-  let hrec_create () =
-    { h_n = 0; h_sum = 0.; h_min = infinity; h_max = neg_infinity;
-      h_counts = Array.make (Array.length bounds + 1) 0 }
-
-  let observe t name v =
-    let h =
-      match Hashtbl.find_opt t.h name with
-      | Some h -> h
-      | None ->
-        let h = hrec_create () in
-        Hashtbl.add t.h name h;
-        h
-    in
-    h.h_n <- h.h_n + 1;
-    h.h_sum <- h.h_sum +. v;
-    if v < h.h_min then h.h_min <- v;
-    if v > h.h_max then h.h_max <- v;
-    let i = ref 0 in
-    while !i < Array.length bounds && v > bounds.(!i) do
-      Stdlib.incr i
-    done;
-    h.h_counts.(!i) <- h.h_counts.(!i) + 1
-
-  let merge ~into src =
-    Hashtbl.iter (fun name r -> incr into ~by:!r name) src.c;
-    Hashtbl.iter
-      (fun name h ->
-        let dst =
-          match Hashtbl.find_opt into.h name with
-          | Some d -> d
-          | None ->
-            let d = hrec_create () in
-            Hashtbl.add into.h name d;
-            d
-        in
-        dst.h_n <- dst.h_n + h.h_n;
-        dst.h_sum <- dst.h_sum +. h.h_sum;
-        if h.h_min < dst.h_min then dst.h_min <- h.h_min;
-        if h.h_max > dst.h_max then dst.h_max <- h.h_max;
-        Array.iteri
-          (fun i c -> dst.h_counts.(i) <- dst.h_counts.(i) + c)
-          h.h_counts)
-      src.h
+  let merge ~into src = Hashtbl.iter (fun name r -> incr into ~by:!r name) src.c
 
   let absorb_stats t (s : Stats.t) =
     let add name v = if v <> 0 then incr t ~by:v ("engine." ^ name) in
@@ -441,86 +385,20 @@ module Metrics = struct
     Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.g []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-  type hist = {
-    n : int;
-    sum : float;
-    min : float;
-    max : float;
-    buckets : (float * int) list;
-  }
-
-  let histograms t =
-    Hashtbl.fold
-      (fun name h acc ->
-        let buckets =
-          List.init
-            (Array.length h.h_counts)
-            (fun i ->
-              let ub =
-                if i < Array.length bounds then bounds.(i) else infinity
-              in
-              (ub, h.h_counts.(i)))
-        in
-        (name, { n = h.h_n; sum = h.h_sum; min = h.h_min; max = h.h_max;
-                 buckets })
-        :: acc)
-      t.h []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  (* Quantile estimate off the decade buckets: find the bucket holding
-     the rank and interpolate linearly inside it, clamped to the exact
-     [min, max] envelope so single-observation histograms (and the tail
-     +inf bucket) stay finite. *)
-  let hist_quantile (h : hist) q =
-    if h.n = 0 then nan
-    else if q <= 0. then h.min
-    else if q >= 1. then h.max
-    else begin
-      let rank = q *. float_of_int h.n in
-      let rec go lower cum = function
-        | [] -> h.max
-        | (ub, c) :: rest ->
-          let cum' = cum +. float_of_int c in
-          if c > 0 && cum' >= rank then begin
-            let lo = Float.max lower h.min in
-            let hi = Float.min (if ub = infinity then h.max else ub) h.max in
-            let hi = Float.max hi lo in
-            lo +. ((rank -. cum) /. float_of_int c *. (hi -. lo))
-          end
-          else go ub cum' rest
-      in
-      go 0. 0. h.buckets
-    end
-
   let pp ppf t =
     Format.fprintf ppf "@[<v>metrics:";
     let line fmt (k, v) = Format.fprintf ppf fmt k v in
     List.iter (line "@,  %-28s %d") (counters t);
     List.iter (line "@,  %-28s %.6f") (gauges t);
-    List.iter
-      (fun (k, h) ->
-        Format.fprintf ppf "@,  %-28s n=%d p50=%g p99=%g max=%g" k h.n
-          (hist_quantile h 0.5) (hist_quantile h 0.99) h.max)
-      (histograms t);
     Format.fprintf ppf "@]"
 
   let to_json t =
-    let hist h =
-      Json.obj
-        [ ("n", string_of_int h.n); ("sum", Json.float h.sum);
-          ("min", Json.float h.min); ("max", Json.float h.max);
-          ("p50", Json.float (hist_quantile h 0.5));
-          ("p99", Json.float (hist_quantile h 0.99));
-          ( "counts",
-            Json.list (List.map (fun (_, c) -> string_of_int c) h.buckets) ) ]
-    in
     let section render items =
       Json.obj (List.map (fun (k, v) -> (k, render v)) items)
     in
     Json.obj
       [ ("counters", section string_of_int (counters t));
-        ("gauges", section Json.float (gauges t));
-        ("histograms", section hist (histograms t)) ]
+        ("gauges", section Json.float (gauges t)) ]
 end
 
 module Ctx = struct
@@ -543,8 +421,6 @@ module Ctx = struct
       seed;
       deadline;
     }
-
-  let default () = make ()
 
   let jobs t = Par.Pool.jobs t.pool
 
@@ -687,7 +563,7 @@ module Export = struct
     let wall = match wall with Some w -> w | None -> phase_sum in
     let coverage = if wall > 0. then phase_sum /. wall else nan in
     Json.obj
-      ((("schema", json_str "run-summary/1") :: provenance ())
+      ((("schema", json_str "run-summary/2") :: provenance ())
       @ [ ("jobs", string_of_int (Ctx.jobs ctx));
           ("wall_seconds", Json.float wall);
           ("phases", phases_json phases);

@@ -9,16 +9,19 @@
       recorded into a bounded per-domain buffer.  Disabled tracing is
       the {!Tracer.noop} value: every instrumented site reduces to a
       tag test, no closure is allocated on the fast path.
-    - {!Metrics}: counters / gauges / histograms with a deterministic
-      merge.  Every quantity has one home: the evaluator's hot-loop
-      counters and timers stay in the typed [Engine.Stats] record, and
-      everything else is a named metric; {!Export.run_metrics} absorbs
-      the former as [engine.*] for export and printing.
+    - {!Metrics}: named counters with a deterministic merge, plus the
+      gauges written on export.  Every quantity has one home: the
+      evaluator's hot-loop counters and timers stay in the typed
+      [Engine.Stats] record (its counter table names them), a serving
+      daemon's event counts and exact update latencies stay in its own
+      record, and everything else is a named counter;
+      {!Export.run_metrics} absorbs the [Engine.Stats] table as
+      [engine.*] for export and printing.
     - {!Ctx}: the run context every solver entry point takes — stats,
       tracer, metrics, worker pool, RNG seed and an optional deadline —
       replacing the [?stats ?jobs ?seed] optional-argument sprawl.
     - {!Export}: the shared JSON writers ([trace/1] span streams,
-      [run-summary/1] digests, and the versioned envelope every
+      [run-summary/2] digests, and the versioned envelope every
       [BENCH_*.json] is stamped with).
 
     {2 Determinism under [Par.Pool] fan-out}
@@ -144,7 +147,9 @@ module Tracer : sig
       breakdown of a run. *)
 end
 
-(** Counters, gauges and histograms with a deterministic merge. *)
+(** Named counters with a deterministic merge.  Gauges (seconds) are
+    written only by {!Export.run_metrics}, from the [Engine.Stats]
+    timers and the pool's scheduler times. *)
 module Metrics : sig
   type t
 
@@ -152,14 +157,9 @@ module Metrics : sig
 
   val incr : t -> ?by:int -> string -> unit
 
-  val observe : t -> string -> float -> unit
-  (** Adds an observation to the named histogram (decade buckets from
-      1e-6, tuned for durations in seconds; min/max/sum/count are exact
-      for any scale). *)
-
   val merge : into:t -> t -> unit
-  (** Adds the counters and histograms into [into].  Gauges are written
-      only on export, after every merge, so no merged input holds one. *)
+  (** Adds the counters into [into].  Gauges are written only on
+      export, after every merge, so no merged input holds one. *)
 
   val counter : t -> string -> int
   (** The named counter's value; [0] if it never moved. *)
@@ -168,8 +168,8 @@ module Metrics : sig
   (** Sorted by name. *)
 
   val pp : Format.formatter -> t -> unit
-  (** One line per counter, gauge and histogram (count and estimated
-      p50 / p99), sorted by name under a [metrics:] header. *)
+  (** One line per counter, then one per gauge, each sorted by name,
+      under a [metrics:] header. *)
 end
 
 (** The solver run context. *)
@@ -198,8 +198,6 @@ module Ctx : sig
   (** Defaults: fresh stats and metrics, {!Tracer.noop},
       {!Par.Pool.sequential}, seed [0], no deadline — equivalent to the
       legacy entry points called with no optional arguments. *)
-
-  val default : unit -> t
 
   val jobs : t -> int
   (** Worker count of the context's pool. *)
@@ -271,7 +269,7 @@ module Export : sig
       context is not modified. *)
 
   val run_summary : ?wall:float -> Ctx.t -> string
-  (** The [run-summary/1] digest of a finished run: provenance, jobs,
+  (** The [run-summary/2] digest of a finished run: provenance, jobs,
       wall seconds ([wall] defaults to the sum of root-span times),
       per-phase seconds with their coverage of the wall time, the
       pool's parallel efficiency (busy over wall times jobs, [null] when

@@ -500,8 +500,6 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
   let evs =
     Array.init par (fun w -> if w = 0 then master else Engine.Evaluator.copy master)
   in
-  let st = octx.Obs.Ctx.stats in
-  st.Engine.Stats.clone_copies <- st.Engine.Stats.clone_copies + par - 1;
   (* Per-worker metrics cells: the static probe of each scenario writes
      its (mlu, phi) here instead of allocating a result tuple. *)
   let cells =
@@ -576,7 +574,8 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
       })
   in
   for w = 1 to par - 1 do
-    Engine.Stats.merge ~into:st (Engine.Evaluator.stats evs.(w))
+    Engine.Stats.merge ~into:octx.Obs.Ctx.stats
+      (Engine.Evaluator.stats evs.(w))
   done;
   Array.iteri (fun i kid -> Obs.Ctx.join ~key:specs.(i).id ~into:octx kid) kids;
   out

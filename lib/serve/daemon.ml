@@ -233,8 +233,7 @@ let record_latency t dt =
     t.lat <- bigger
   end;
   t.lat.(t.lat_n) <- dt;
-  t.lat_n <- t.lat_n + 1;
-  Obs.Metrics.observe t.ctx.Obs.Ctx.metrics "serve.update_seconds" dt
+  t.lat_n <- t.lat_n + 1
 
 let quantile lat q =
   let n = Array.length lat in
@@ -380,7 +379,6 @@ let update t seq ev =
       t.updates <- t.updates + 1;
       t.weight_churn_total <- t.weight_churn_total + !weight_churn;
       t.waypoint_churn_total <- t.waypoint_churn_total + !waypoint_churn;
-      Obs.Metrics.incr t.ctx.Obs.Ctx.metrics "serve.updates";
       let dt = Engine.Mono.now () -. t0 in
       record_latency t dt;
       (* The LP gap readout runs off the update clock: the deadline
@@ -466,11 +464,9 @@ let handle_line t line =
     else begin
       let seq = t.seq in
       t.seq <- seq + 1;
-      Obs.Metrics.incr t.ctx.Obs.Ctx.metrics "serve.events";
       match Event.parse t.g line with
       | Result.Error msg ->
         t.errors <- t.errors + 1;
-        Obs.Metrics.incr t.ctx.Obs.Ctx.metrics "serve.errors";
         Some
           (respond seq
              [ ("status", Sjson.Str "error"); ("error", Sjson.Str msg) ])
@@ -490,7 +486,6 @@ let handle_line t line =
         | resp -> Some resp
         | exception Reject msg ->
           t.errors <- t.errors + 1;
-          Obs.Metrics.incr t.ctx.Obs.Ctx.metrics "serve.errors";
           Some
             (respond seq
                [ ("status", Sjson.Str "error"); ("error", Sjson.Str msg) ]))

@@ -100,7 +100,7 @@ let reoptimize ?(ls_params = Local_search.default_params) ?max_weight_changes
   done;
   let best_w_float = Weights.of_ints !best_w in
   Hashtbl.iter (fun e () -> best_w_float.(e) <- infinity) frozen;
-  let wpo = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g best_w_float demands in
+  let wpo = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g best_w_float demands in
   let candidates =
     [ (Array.copy deployed_weights, deployed_waypoints, deployed_mlu);
       (!best_w, deployed_waypoints, !best_mlu);

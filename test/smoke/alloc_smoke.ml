@@ -206,7 +206,7 @@ let check_reopt name g =
   let ls_params = { Local_search.default_params with max_evals = 400 } in
   let run () =
     ignore
-      (Reopt.reoptimize_ctx (Obs.Ctx.default ()) ~ls_params ~ev
+      (Reopt.reoptimize_ctx (Obs.Ctx.make ()) ~ls_params ~ev
          ~deployed_weights:deployed ~deployed_waypoints:(Segments.none demands)
          g demands)
   in

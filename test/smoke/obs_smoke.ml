@@ -49,11 +49,9 @@ let () =
     (contains ~sub:"\"misnested\": 0" (List.hd (trace_lines tracer)));
   check "phase totals name the phase"
     (List.map fst (Obs.Tracer.phase_totals tracer) = [ "solve" ]);
-  (* Default and freshly built contexts agree. *)
-  let dflt = Local_search.optimize_ctx (Obs.Ctx.default ()) ~restarts:2 ~params g demands in
+  (* An untraced context agrees with the traced run. *)
   let plain = Local_search.optimize_ctx (Obs.Ctx.make ()) ~restarts:2 ~params g demands in
-  check "default ctx = fresh ctx" (dflt = plain);
-  check "tracing changes nothing" (dflt = r);
+  check "tracing changes nothing" (plain = r);
   (* Exported trace is byte-identical across pool sizes. *)
   let trace jobs =
     let go pool =
@@ -69,12 +67,12 @@ let () =
   check "trace byte-identical jobs 1 vs 4" (trace 1 = trace 4);
   (* Run summary of the traced run. *)
   let summary = Obs.Export.run_summary ctx in
-  check "summary schema" (contains ~sub:"\"schema\": \"run-summary/1\"" summary);
+  check "summary schema" (contains ~sub:"\"schema\": \"run-summary/2\"" summary);
   check "summary phases" (contains ~sub:"\"solve\"" summary);
   check "summary engine counters"
     (contains ~sub:"\"engine.evaluations\"" summary);
   (* Scenario sweep under a forked-children trace. *)
-  let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params:params g demands in
+  let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params:params g demands in
   let deployed =
     { Scenario.weights = joint.Joint.int_weights;
       Scenario.waypoints = joint.Joint.waypoints }

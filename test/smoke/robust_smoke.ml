@@ -22,7 +22,7 @@ let () =
     Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 g
   in
   let ls_params = { Local_search.default_params with max_evals = 200; seed = 1 } in
-  let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+  let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
   let deployed =
     {
       Scenario.weights = joint.Joint.int_weights;

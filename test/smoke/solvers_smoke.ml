@@ -43,12 +43,12 @@ let () =
           (name ^ ": shared run = find + solve")
           (match Solver.find name with
           | Some e ->
-            compare r (Solver.solve e config (Obs.Ctx.default ()) g demands)
+            compare r (Solver.solve e config (Obs.Ctx.make ()) g demands)
             = 0
           | None -> false);
         (name, r))
       Solver.all
-      (Solver.solve_many config (Obs.Ctx.default ()) g demands Solver.all)
+      (Solver.solve_many config (Obs.Ctx.make ()) g demands Solver.all)
   in
   let get n = List.assoc_opt n results in
   (* Backend-specific promises. *)

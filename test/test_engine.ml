@@ -586,8 +586,8 @@ let test_local_search_deterministic () =
       [| (0, 5, 3.); (3, 1, 2.); (6, 2, 4.); (4, 7, 1.) |]
   in
   let params = { Local_search.default_params with max_evals = 300; seed = 11 } in
-  let r1 = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params g demands in
-  let r2 = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params g demands in
+  let r1 = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params g demands in
+  let r2 = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params g demands in
   Alcotest.(check bool) "same weights" true
     (r1.Local_search.weights = r2.Local_search.weights);
   Alcotest.(check (float 0.)) "same mlu" r1.Local_search.mlu r2.Local_search.mlu;

@@ -222,7 +222,7 @@ let test_instance4_wpo_gap () =
   (* Exact WPO is too big here (m^2 demands); the greedy upper-bounds it
      from above, and even the exact one cannot reach 1 — we check the
      greedy stays >= 1.5 under unit weights. *)
-  let r = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.unit g) net.Network.demands in
+  let r = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.unit g) net.Network.demands in
   Alcotest.(check bool)
     (Printf.sprintf "WPO(unit) %g stays away from 1" r.Greedy_wpo.mlu)
     true

@@ -164,27 +164,14 @@ let test_metrics_merge () =
   Obs.Metrics.incr a "x";
   Obs.Metrics.incr a ~by:4 "y";
   Obs.Metrics.incr b ~by:2 "x";
-  Obs.Metrics.observe a "h" 0.1;
-  Obs.Metrics.observe b "h" 10.;
   Obs.Metrics.merge ~into:a b;
   Alcotest.(check (list (pair string int)))
     "counters add" [ ("x", 3); ("y", 4) ] (Obs.Metrics.counters a);
-  let hist k =
-    Option.bind
-      (summary_metric (Obs.Ctx.make ~metrics:a ()) [ "histograms"; "h"; k ])
-      Serve.Sjson.to_float
-  in
-  Alcotest.(check (option (float 1e-9))) "hist n" (Some 2.) (hist "n");
-  Alcotest.(check (option (float 1e-9))) "hist sum" (Some 10.1) (hist "sum");
-  Alcotest.(check (option (float 1e-9))) "hist min" (Some 0.1) (hist "min");
-  Alcotest.(check (option (float 1e-9))) "hist max" (Some 10.) (hist "max");
   (* The printout is deterministic: rebuild the same metrics, same text. *)
   let rebuild () =
     let m = Obs.Metrics.create () in
     Obs.Metrics.incr m ~by:3 "x";
     Obs.Metrics.incr m ~by:4 "y";
-    Obs.Metrics.observe m "h" 0.1;
-    Obs.Metrics.observe m "h" 10.;
     pp_metrics m
   in
   Alcotest.(check string) "printout deterministic" (rebuild ()) (rebuild ());
@@ -202,18 +189,20 @@ let test_metrics_absorb_stats () =
     (Option.bind
        (summary_metric ctx [ "gauges"; "engine.time.units" ])
        Serve.Sjson.to_float);
-  (* Every Stats counter lands as engine.*. *)
-  let s =
-    { (Engine.Stats.create ()) with
-      Engine.Stats.evaluations = 1; full_spf = 1; incr_spf = 1;
-      spf_nodes_touched = 1; dag_hits = 1; dag_misses = 1; unit_hits = 1;
-      unit_misses = 1; weight_updates = 1;
-      dirty_dests = 1; clean_dests = 1; probes_cut = 1; dests_skipped = 1;
-      commits = 1; undos = 1;
-      edges_disabled = 1; candidates_pruned = 1; candidates_kept = 1;
-      clone_syncs = 1; clone_copies = 1; lp_solves = 1;
-      lp_pivots = 1; lp_warm_solves = 1 }
-  in
+  (* Every Stats counter lands as engine.*.  A [Stats.t] is its int
+     counters followed by the [hot] array, so the all-ones fixture sets
+     every int field through the representation, naming none, and
+     [merge] carries it through the counter table: a counter added to
+     the record but not to the table fails here. *)
+  let ones = Engine.Stats.create () in
+  let r = Obj.repr ones in
+  Alcotest.(check int) "table covers every field"
+    (Obj.size r - 1) (List.length (Engine.Stats.counters ones));
+  for i = 0 to Obj.size r - 2 do
+    Obj.set_field r i (Obj.repr 1)
+  done;
+  let s = Engine.Stats.create () in
+  Engine.Stats.merge ~into:s ones;
   Alcotest.(check bool) "fixture sets every counter" true
     (List.for_all (fun (_, v) -> v = 1) (Engine.Stats.counters s));
   let absorbed =
@@ -251,41 +240,34 @@ let test_ctx_deadline () =
 (* Ctx equivalence                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The default context, a freshly built one and a fully traced one
-   must all produce the same result: observability never changes what
-   a solver computes. *)
+(* A plain context and a fully traced one must produce the same
+   result: observability never changes what a solver computes. *)
 
 let traced_ctx () =
   Obs.Ctx.make ~tracer:(Obs.Tracer.create ~engine_detail:true ()) ()
 
 let test_ctx_local_search () =
   let g, demands = Lazy.force fixture in
-  let plain = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params:ls_params g demands in
-  let ctx = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params:ls_params g demands in
+  let plain = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params:ls_params g demands in
   let traced = Local_search.optimize_ctx (traced_ctx ()) ~params:ls_params g demands in
-  Alcotest.(check bool) "ctx = default" true (plain = ctx);
   Alcotest.(check bool) "tracing changes nothing" true (plain = traced)
 
 let test_ctx_greedy_wpo () =
   let g, demands = Lazy.force fixture in
   let w = Weights.inverse_capacity g in
-  let plain = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g w demands in
-  let ctx = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g w demands in
+  let plain = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g w demands in
   let traced = Greedy_wpo.optimize_ctx (traced_ctx ()) g w demands in
-  Alcotest.(check bool) "ctx = default" true (plain = ctx);
   Alcotest.(check bool) "tracing changes nothing" true (plain = traced)
 
 let test_ctx_joint () =
   let g, demands = Lazy.force fixture in
-  let plain = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
-  let ctx = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
+  let plain = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
   let traced = Joint.optimize_ctx (traced_ctx ()) ~ls_params g demands in
-  Alcotest.(check bool) "ctx = default" true (plain = ctx);
   Alcotest.(check bool) "tracing changes nothing" true (plain = traced)
 
 let test_ctx_scenario_sweep () =
   let g, demands = Lazy.force fixture in
-  let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+  let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
   let deployed =
     { Scenario.weights = joint.Joint.int_weights;
       Scenario.waypoints = joint.Joint.waypoints }
@@ -293,19 +275,14 @@ let test_ctx_scenario_sweep () =
   let cfg = { Scenario.default_config with Scenario.seed = 7; Scenario.jitters = 2 } in
   let specs = Scenario.generate cfg g in
   let plain =
-    Scenario.sweep_ctx (Obs.Ctx.default ()) ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g
+    Scenario.sweep_ctx (Obs.Ctx.make ()) ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g
       demands specs
-  in
-  let ctx =
-    Scenario.sweep_ctx (Obs.Ctx.make ())
-      ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g demands specs
   in
   let traced =
     Scenario.sweep_ctx (traced_ctx ())
       ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g demands specs
   in
   (* compare treats nan = nan, unlike (=). *)
-  Alcotest.(check bool) "ctx = default" true (compare plain ctx = 0);
   Alcotest.(check bool) "tracing changes nothing" true (compare plain traced = 0)
 
 (* ------------------------------------------------------------------ *)
@@ -346,7 +323,7 @@ let test_trace_jobs_greedy_wpo () =
 
 let test_trace_jobs_scenario () =
   let g, demands = Lazy.force fixture in
-  let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+  let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
   let deployed =
     { Scenario.weights = joint.Joint.int_weights;
       Scenario.waypoints = joint.Joint.waypoints }
@@ -399,18 +376,33 @@ let test_export_run_summary () =
     (fun sub ->
       Alcotest.(check bool) (Printf.sprintf "summary has %s" sub) true
         (contains ~sub s))
-    [ "\"schema\": \"run-summary/1\""; "\"phases\""; "\"solve\"";
+    [ "\"schema\": \"run-summary/2\""; "\"phases\""; "\"solve\"";
       "\"phase_coverage\""; "\"engine.evaluations\"" ]
 
 (* Each quantity is exported under exactly one name: the MILP's node
    count and the sweep's case count live in Metrics, LP solves in
-   Engine.Stats (absorbed as engine.lp_solves). *)
+   Engine.Stats (absorbed as engine.lp_solves), and a daemon's event
+   counts and update latencies in its own record (no serve.* metric).
+   Every engine.* counter is a Stats.counters name, every
+   engine.time.* gauge a hot-phase timer slot. *)
 let test_export_one_home () =
   let g, demands = Lazy.force fixture in
   let ctx = Obs.Ctx.make () in
   ignore
     (Wpo_milp.solve_ctx ctx ~max_nodes:50 g (Weights.inverse_capacity g)
        (Array.sub demands 0 6));
+  let d =
+    Serve.Daemon.create ctx
+      { Serve.Daemon.default_config with
+        deadline_ms = -1.; reopt_evals = 60; timings = false }
+      ~deployed_weights:
+        (Weights.round_to_range ~wmax:16 (Weights.inverse_capacity g))
+      ~deployed_waypoints:(Segments.none demands) g demands
+  in
+  List.iter
+    (fun l -> ignore (Serve.Daemon.handle_line d l : string option))
+    [ "{\"ev\":\"link-down\",\"edge\":0}"; "not json";
+      "{\"ev\":\"link-up\",\"edge\":0}"; "{\"ev\":\"report\"}" ];
   let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
   let deployed =
     { Scenario.weights = joint.Joint.int_weights;
@@ -429,7 +421,53 @@ let test_export_one_home () =
     [ "milp.nodes"; "scn.cases"; "engine.lp_solves" ];
   List.iter
     (fun name -> Alcotest.(check bool) ("no " ^ name) false (has name))
-    [ "engine.milp_nodes"; "engine.scenarios"; "milp.lp_solves" ]
+    [ "engine.milp_nodes"; "engine.scenarios"; "milp.lp_solves" ];
+  let prefixed p name =
+    String.length name > String.length p
+    && String.sub name 0 (String.length p) = p
+  in
+  let after p name =
+    let n = String.length p in
+    String.sub name n (String.length name - n)
+  in
+  let stat_names = List.map fst (Engine.Stats.counters ctx.Obs.Ctx.stats) in
+  let slots =
+    let t = Engine.Stats.create () in
+    let hot = Engine.Stats.hot_times t in
+    Array.fill hot 0 (Array.length hot) 1.;
+    List.map fst (Engine.Stats.timers t)
+  in
+  let counters =
+    List.map fst (Obs.Metrics.counters (Obs.Export.run_metrics ctx))
+  in
+  let gauges =
+    match summary_metric ctx [ "gauges" ] with
+    | Some (Serve.Sjson.Obj kvs) -> List.map fst kvs
+    | _ -> Alcotest.fail "run summary lacks metrics.gauges"
+  in
+  Alcotest.(check bool) "some engine counters" true
+    (List.exists (prefixed "engine.") counters);
+  Alcotest.(check bool) "some engine timers" true
+    (List.exists (prefixed "engine.time.") gauges);
+  List.iter
+    (fun name ->
+      if prefixed "engine." name then
+        Alcotest.(check bool) (name ^ " is a Stats counter") true
+          (List.mem (after "engine." name) stat_names);
+      Alcotest.(check bool) (name ^ " is not serve.*") false
+        (prefixed "serve." name))
+    counters;
+  List.iter
+    (fun name ->
+      if prefixed "engine.time." name then
+        Alcotest.(check bool) (name ^ " is a timer slot") true
+          (List.mem (after "engine.time." name) slots);
+      Alcotest.(check bool) (name ^ " is not serve.*") false
+        (prefixed "serve." name))
+    gauges;
+  Alcotest.(check bool) "the daemon ran" true
+    ((Serve.Daemon.summary d).Serve.Daemon.updates = 2
+     && (Serve.Daemon.summary d).Serve.Daemon.errors = 1)
 
 (* A bench record round-trips through the strict serve parser: keys in
    order, JSON string escaping, nan as null. *)

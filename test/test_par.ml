@@ -466,13 +466,13 @@ let test_joint_bit_identical () =
 let test_restarts_no_worse () =
   let g, demands = te_instance () in
   let params = { Local_search.default_params with max_evals = 200; seed = 4 } in
-  let one = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params g demands in
-  let three = Local_search.optimize_ctx (Obs.Ctx.default ()) ~restarts:3 ~params g demands in
+  let one = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params g demands in
+  let three = Local_search.optimize_ctx (Obs.Ctx.make ()) ~restarts:3 ~params g demands in
   Alcotest.(check bool)
     "restarts=3 <= restarts=1" true
     (three.Local_search.mlu <= one.Local_search.mlu)
 
-(* run-summary/1 reads its parallel efficiency off the pool: null when
+(* run-summary/2 reads its parallel efficiency off the pool: null when
    nothing was scheduled, busy / (wall * jobs) otherwise.  Two restarts
    give the pool a region to schedule. *)
 let test_summary_efficiency () =

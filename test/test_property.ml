@@ -133,7 +133,7 @@ let ls_params = { Local_search.default_params with max_evals = 120; seed = 11 }
 let test_ctx_local_search () =
   for seed = 1 to 3 do
     let g, demands = solver_instance seed in
-    let fresh = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params:ls_params g demands in
+    let fresh = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params:ls_params g demands in
     let arena =
       Local_search.optimize_ctx (Obs.Ctx.make ()) ~params:ls_params g demands
     in
@@ -148,7 +148,7 @@ let test_ctx_greedy_wpo () =
   for seed = 1 to 3 do
     let g, demands = solver_instance seed in
     let w = Weights.unit g in
-    let fresh = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g w demands in
+    let fresh = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g w demands in
     let arena = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g w demands in
     Alcotest.(check bool) "waypoints" true
       (arena.Greedy_wpo.waypoints = fresh.Greedy_wpo.waypoints);
@@ -160,7 +160,7 @@ let test_ctx_greedy_wpo () =
 let test_ctx_joint () =
   for seed = 1 to 2 do
     let g, demands = solver_instance seed in
-    let fresh = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+    let fresh = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
     let arena = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
     Alcotest.(check (array int)) "int weights" arena.Joint.int_weights
       fresh.Joint.int_weights;
@@ -178,7 +178,7 @@ let test_ctx_reopt () =
     let deployed_weights = Array.make m 1 in
     let deployed_waypoints = Segments.none demands in
     let fresh =
-      Reopt.reoptimize_ctx (Obs.Ctx.default ()) ~ls_params ~deployed_weights
+      Reopt.reoptimize_ctx (Obs.Ctx.make ()) ~ls_params ~deployed_weights
         ~deployed_waypoints g demands
     in
     let arena =

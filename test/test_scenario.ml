@@ -16,7 +16,7 @@ let fixture =
      let ls_params =
        { Local_search.default_params with max_evals = 200; seed = 5 }
      in
-     let joint = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params g demands in
+     let joint = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params g demands in
      let deployed =
        {
          Scenario.weights = joint.Joint.int_weights;
@@ -189,7 +189,7 @@ let test_sweep_matches_rebuild_oracle () =
   List.iter
     (fun deployed ->
       let out =
-        Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands specs
+        Scenario.sweep_ctx (Obs.Ctx.make ()) ~deployed g demands specs
       in
       let oracle = Scenario.static_sweep_rebuild ~deployed g demands specs in
       Array.iteri
@@ -222,16 +222,9 @@ let test_sweep_scheduling_independent () =
     (out, ctx.Obs.Ctx.stats)
   in
   let run pool = fst (run_ctx pool) in
-  (* Every scenario starts from the warm master's state, so the engine's
-     work is a function of the specs, not of who ran which one.
-     [clone_copies] counts the per-worker copies and is left out. *)
-  let work (s : Engine.Stats.t) =
-    [ ("evaluations", s.evaluations); ("full_spf", s.full_spf);
-      ("incr_spf", s.incr_spf); ("spf_nodes_touched", s.spf_nodes_touched);
-      ("dag_hits", s.dag_hits); ("dag_misses", s.dag_misses);
-      ("commits", s.commits); ("undos", s.undos);
-      ("edges_disabled", s.edges_disabled) ]
-  in
+  (* Every scenario starts from the warm master's state, so every engine
+     counter is a function of the specs, not of who ran which one. *)
+  let work = Engine.Stats.counters in
   let reference, ref_stats = run_ctx Par.Pool.sequential in
   (* compare (not (=)) so nan = nan: outcomes carry nan MLUs. *)
   List.iter
@@ -258,7 +251,7 @@ let test_sweep_policies () =
   let g, demands, deployed = Lazy.force fixture in
   let specs = small_specs g in
   let out =
-    Scenario.sweep_ctx (Obs.Ctx.default ())
+    Scenario.sweep_ctx (Obs.Ctx.make ())
       ~policies:[ Scenario.Static; Scenario.Repair; Scenario.Reweight 2 ]
       ~reopt_evals:60 ~deployed g demands specs
   in
@@ -305,7 +298,7 @@ let test_summarize () =
   let g, demands, deployed = Lazy.force fixture in
   let specs = small_specs g in
   let out =
-    Scenario.sweep_ctx (Obs.Ctx.default ()) ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g
+    Scenario.sweep_ctx (Obs.Ctx.make ()) ~policies:[ Scenario.Static; Scenario.Repair ] ~deployed g
       demands specs
   in
   let r = Scenario.summarize ~topology:"Abilene" ~nominal_mlu:1.0 out in
@@ -358,7 +351,7 @@ let test_report_json_escapes () =
   let topology = "Schweiz \"CH\" \xc3\xa9t\xc3\xa9" in
   let r =
     Scenario.summarize ~topology ~nominal_mlu:1.
-      (Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands
+      (Scenario.sweep_ctx (Obs.Ctx.make ()) ~deployed g demands
          (Scenario.generate Scenario.default_config g))
   in
   match Serve.Sjson.parse (Scenario.report_to_json g r) with
@@ -409,7 +402,7 @@ let single_failures ?fail_pairs ?waypoints g weights demands =
         (match waypoints with Some w -> w | None -> Segments.none demands);
     }
   in
-  Scenario.sweep_ctx (Obs.Ctx.default ()) ~deployed g demands
+  Scenario.sweep_ctx (Obs.Ctx.make ()) ~deployed g demands
     (Scenario.generate (singles_only ?fail_pairs ()) g)
 
 (* The most severe static outcome: (failed links, mlu, disconnected). *)
@@ -504,7 +497,7 @@ let test_single_failures_matches_rebuild () =
   (* Weights.random draws integers in [1, 8], so the conversion is exact. *)
   let w = Array.map int_of_float (Weights.random ~seed:11 ~wmax:8 g) in
   let wpo =
-    Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.of_ints w) demands
+    Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.of_ints w) demands
   in
   let specs = Scenario.generate (singles_only ()) g in
   List.iter

@@ -43,7 +43,7 @@ let test_grad_fuzz () =
     let ctx msg = Printf.sprintf "seed %d: %s" seed msg in
     let g, demands = instance seed in
     let r =
-      Grad_wo.optimize_ctx (Obs.Ctx.default ()) ~params:grad_params g demands
+      Grad_wo.optimize_ctx (Obs.Ctx.make ()) ~params:grad_params g demands
     in
     Alcotest.(check bool) (ctx "lp bound positive") true (r.Grad_wo.lp_bound > 0.);
     Alcotest.(check bool)
@@ -79,7 +79,7 @@ let test_grad_jobs_identity () =
   for seed = 1 to 5 do
     let g, demands = instance seed in
     let plain =
-      Grad_wo.optimize_ctx (Obs.Ctx.default ()) ~params:grad_params g demands
+      Grad_wo.optimize_ctx (Obs.Ctx.make ()) ~params:grad_params g demands
     in
     Par.Pool.with_pool ~jobs:3 (fun pool ->
         let pooled =
@@ -104,7 +104,7 @@ let test_omw_fuzz () =
     let ctx msg = Printf.sprintf "seed %d: %s" seed msg in
     let g, demands = instance seed in
     let w1 = invcap_ints g in
-    let r = Omw.optimize_ctx (Obs.Ctx.default ()) g w1 demands in
+    let r = Omw.optimize_ctx (Obs.Ctx.make ()) g w1 demands in
     let lp = (Mcf.opt_mlu_lp g demands).Mcf.value in
     Alcotest.(check bool)
       (ctx "mlu never below the LP bound")
@@ -138,7 +138,7 @@ let test_omw_disabled_is_single_weight () =
     let g, demands = instance seed in
     let w1 = invcap_ints g in
     let r =
-      Omw.optimize_ctx (Obs.Ctx.default ())
+      Omw.optimize_ctx (Obs.Ctx.make ())
         ~params:{ Omw.default_params with second = false }
         g w1 demands
     in
@@ -160,7 +160,7 @@ let test_omw_jobs_identity () =
   for seed = 1 to 5 do
     let g, demands = instance seed in
     let w1 = invcap_ints g in
-    let plain = Omw.optimize_ctx (Obs.Ctx.default ()) g w1 demands in
+    let plain = Omw.optimize_ctx (Obs.Ctx.make ()) g w1 demands in
     Par.Pool.with_pool ~jobs:4 (fun pool ->
         let pooled =
           Omw.optimize_ctx (Obs.Ctx.make ~pool ()) g w1 demands
@@ -196,7 +196,7 @@ let test_registry_runs_new_backends () =
   List.iter
     (fun s ->
       let name = s.Solver.name in
-      let r = Solver.solve s config (Obs.Ctx.default ()) g demands in
+      let r = Solver.solve s config (Obs.Ctx.make ()) g demands in
       Alcotest.(check string) (name ^ ": result names its solver") name
         r.Solver.solver;
       Alcotest.(check bool)
@@ -215,7 +215,7 @@ let test_registry_lower_bound () =
     let g, demands = instance seed in
     List.iter
       (fun s ->
-        let r = Solver.solve s config (Obs.Ctx.default ()) g demands in
+        let r = Solver.solve s config (Obs.Ctx.make ()) g demands in
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: %s MLU %.17g >= OPT = 1" seed s.Solver.name
              r.Solver.mlu)
@@ -229,11 +229,11 @@ let test_shared_equals_alone () =
   for seed = 1 to 20 do
     let g, demands = instance seed in
     let shared =
-      Solver.solve_many config (Obs.Ctx.default ()) g demands Solver.all
+      Solver.solve_many config (Obs.Ctx.make ()) g demands Solver.all
     in
     List.iter2
       (fun s (r, _) ->
-        let alone = Solver.solve s config (Obs.Ctx.default ()) g demands in
+        let alone = Solver.solve s config (Obs.Ctx.make ()) g demands in
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: %s shared = alone" seed s.Solver.name)
           true
@@ -264,13 +264,13 @@ let test_joint_passes () =
   let g, demands = instance 4 in
   let config = { Solver.default_config with evals = 100; passes = 2 } in
   let solve n =
-    Solver.solve (Option.get (Solver.find n)) config (Obs.Ctx.default ()) g
+    Solver.solve (Option.get (Solver.find n)) config (Obs.Ctx.make ()) g
       demands
   in
   let lwo = solve "lwo" and joint = solve "joint" in
   let w = Weights.of_ints (Option.get lwo.Solver.weights) in
   let r =
-    Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~passes:2 g w demands
+    Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) ~passes:2 g w demands
   in
   Alcotest.(check (float 0.)) "joint = 2-pass GreedyWPO" r.Greedy_wpo.mlu
     joint.Solver.mlu;

@@ -310,7 +310,7 @@ let test_local_search_improves () =
   let net = inst.Instances.Gap_instances.network in
   let g = net.Network.graph in
   let params = { Local_search.default_params with max_evals = 400; seed = 7 } in
-  let r = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params g net.Network.demands in
+  let r = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params g net.Network.demands in
   let init_mlu =
     Ecmp.mlu_of g
       (Weights.of_ints
@@ -331,8 +331,8 @@ let test_local_search_deterministic () =
   let inst = Instances.Gap_instances.instance1 ~m:4 in
   let net = inst.Instances.Gap_instances.network in
   let params = { Local_search.default_params with max_evals = 150; seed = 3 } in
-  let r1 = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params net.Network.graph net.Network.demands in
-  let r2 = Local_search.optimize_ctx (Obs.Ctx.default ()) ~params net.Network.graph net.Network.demands in
+  let r1 = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params net.Network.graph net.Network.demands in
+  let r2 = Local_search.optimize_ctx (Obs.Ctx.make ()) ~params net.Network.graph net.Network.demands in
   checkf "same mlu for same seed" r1.Local_search.mlu r2.Local_search.mlu
 
 (* ------------------------------------------------------------------ *)
@@ -343,7 +343,7 @@ let test_greedy_wpo_never_worse () =
   let inst = Instances.Gap_instances.instance1 ~m:5 in
   let net = inst.Instances.Gap_instances.network in
   let w = Weights.unit net.Network.graph in
-  let r = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) net.Network.graph w net.Network.demands in
+  let r = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) net.Network.graph w net.Network.demands in
   Alcotest.(check bool) "mlu <= initial" true
     (r.Greedy_wpo.mlu <= r.Greedy_wpo.initial_mlu +. 1e-9)
 
@@ -354,7 +354,7 @@ let test_greedy_wpo_improves_under_joint_weights () =
   let inst = Instances.Gap_instances.instance1 ~m:5 in
   let net = inst.Instances.Gap_instances.network in
   let r =
-    Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) net.Network.graph inst.Instances.Gap_instances.joint_weights
+    Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) net.Network.graph inst.Instances.Gap_instances.joint_weights
       net.Network.demands
   in
   checkf6 "no waypoints: everything on (s,t)" 5. r.Greedy_wpo.initial_mlu;
@@ -379,7 +379,7 @@ let test_greedy_wpo_orders () =
   let w = inst.Instances.Gap_instances.joint_weights in
   List.iter
     (fun order ->
-      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~order net.Network.graph w net.Network.demands in
+      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) ~order net.Network.graph w net.Network.demands in
       Alcotest.(check bool) "improves" true
         (r.Greedy_wpo.mlu <= r.Greedy_wpo.initial_mlu +. 1e-9))
     [ Greedy_wpo.Desc; Greedy_wpo.Asc; Greedy_wpo.Random 5 ]
@@ -392,7 +392,7 @@ let test_joint_heur_stages () =
   let inst = Instances.Gap_instances.instance1 ~m:4 in
   let net = inst.Instances.Gap_instances.network in
   let ls_params = { Local_search.default_params with max_evals = 300; seed = 11 } in
-  let r = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params net.Network.graph net.Network.demands in
+  let r = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params net.Network.graph net.Network.demands in
   Alcotest.(check int) "two stages" 2 (List.length r.Joint.stage_mlu);
   let heur = List.assoc "HeurOSPF" r.Joint.stage_mlu in
   Alcotest.(check bool) "joint <= heurospf" true (r.Joint.mlu <= heur +. 1e-9);
@@ -407,7 +407,7 @@ let test_joint_heur_full_pipeline () =
   let inst = Instances.Gap_instances.instance1 ~m:4 in
   let net = inst.Instances.Gap_instances.network in
   let ls_params = { Local_search.default_params with max_evals = 200; seed = 2 } in
-  let r = Joint.optimize_ctx (Obs.Ctx.default ()) ~ls_params ~full_pipeline:true net.Network.graph net.Network.demands in
+  let r = Joint.optimize_ctx (Obs.Ctx.make ()) ~ls_params ~full_pipeline:true net.Network.graph net.Network.demands in
   Alcotest.(check int) "three stages" 3 (List.length r.Joint.stage_mlu);
   let stage2 = List.assoc "GreedyWPO" r.Joint.stage_mlu in
   Alcotest.(check bool) "never worse than stage 2" true (r.Joint.mlu <= stage2 +. 1e-9)
@@ -457,7 +457,7 @@ let test_wpo_milp_matches_exact () =
   List.iter
     (fun w ->
       let _, exact = Exact.wpo g w net.Network.demands in
-      let milp = Wpo_milp.solve_ctx (Obs.Ctx.default ()) g w net.Network.demands in
+      let milp = Wpo_milp.solve_ctx (Obs.Ctx.make ()) g w net.Network.demands in
       Alcotest.(check bool) "milp exact" true milp.Wpo_milp.exact;
       checkf6 "milp = brute force" exact milp.Wpo_milp.mlu)
     [ Weights.unit g; inst.Instances.Gap_instances.joint_weights ]
@@ -470,8 +470,8 @@ let test_wpo_milp_two_waypoints () =
   let net = inst.Instances.Gap_instances.network in
   let g = net.Network.graph in
   let w = inst.Instances.Gap_instances.joint_weights in
-  let one = Wpo_milp.solve_ctx (Obs.Ctx.default ()) ~max_waypoints:1 g w net.Network.demands in
-  let two = Wpo_milp.solve_ctx (Obs.Ctx.default ()) ~max_waypoints:2 g w net.Network.demands in
+  let one = Wpo_milp.solve_ctx (Obs.Ctx.make ()) ~max_waypoints:1 g w net.Network.demands in
+  let two = Wpo_milp.solve_ctx (Obs.Ctx.make ()) ~max_waypoints:2 g w net.Network.demands in
   Alcotest.(check bool) "W=2 exact" true two.Wpo_milp.exact;
   checkf6 "W=2 reaches 1" 1. two.Wpo_milp.mlu;
   Alcotest.(check bool)
@@ -486,7 +486,7 @@ let test_wpo_milp_respects_candidates () =
   let net = inst.Instances.Gap_instances.network in
   let g = net.Network.graph in
   (* With no usable candidates the MILP must return direct routing. *)
-  let r = Wpo_milp.solve_ctx (Obs.Ctx.default ()) ~candidates:[] g (Weights.unit g) net.Network.demands in
+  let r = Wpo_milp.solve_ctx (Obs.Ctx.make ()) ~candidates:[] g (Weights.unit g) net.Network.demands in
   Alcotest.(check bool) "all none" true
     (Array.for_all (fun w -> w = []) r.Wpo_milp.waypoints);
   let direct = Ecmp.mlu_of g (Weights.unit g) net.Network.demands in
@@ -515,7 +515,7 @@ let test_reopt_never_worse () =
       net.Network.demands
   in
   let r =
-    Reopt.reoptimize_ctx (Obs.Ctx.default ())
+    Reopt.reoptimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 150; seed = 3 }
       ~max_weight_changes:3 ~deployed_weights:deployed
       ~deployed_waypoints:deployed_wps g net.Network.demands
@@ -543,7 +543,7 @@ let test_reopt_zero_budget_keeps_weights () =
   let demands = [| Network.demand 0 3 4. |] in
   let deployed = [| 1; 1; 2; 2 |] in
   let r =
-    Reopt.reoptimize_ctx (Obs.Ctx.default ())
+    Reopt.reoptimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 80; seed = 1 }
       ~max_weight_changes:0 ~deployed_weights:deployed
       ~deployed_waypoints:(Segments.none demands) g demands
@@ -566,7 +566,7 @@ let test_reopt_frozen_edges () =
   let deployed = [| 1; 1; 1; 1; 1; 1; 1; 1 |] in
   let frozen = [ 0; 1 ] in
   let r =
-    Reopt.reoptimize_ctx (Obs.Ctx.default ())
+    Reopt.reoptimize_ctx (Obs.Ctx.make ())
       ~ls_params:{ Local_search.default_params with max_evals = 120; seed = 2 }
       ~max_weight_changes:2 ~frozen_edges:frozen ~deployed_weights:deployed
       ~deployed_waypoints:(Segments.none demands) g demands
@@ -756,7 +756,7 @@ let test_uspr_lwo_diamond () =
   (* One demand of 2 over two capacity-10 two-hop paths; a single path
      gives MLU 0.2 and the MILP must prove it. *)
   let g = diamond () in
-  let r = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) g [| Network.demand 0 3 2. |] in
+  let r = Uspr_milp.lwo_ctx (Obs.Ctx.make ()) g [| Network.demand 0 3 2. |] in
   Alcotest.(check bool) "exact" true r.Uspr_milp.exact;
   checkf6 "mlu" 0.2 r.Uspr_milp.mlu;
   (* The returned weights must induce exactly that routing under ECMP
@@ -769,7 +769,7 @@ let test_uspr_lwo_cannot_split () =
      forces them onto one path, so the optimum is m (vs ECMP's m/2). *)
   let inst = Instances.Gap_instances.instance1 ~m:3 in
   let net = inst.Instances.Gap_instances.network in
-  let r = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) net.Network.graph net.Network.demands in
+  let r = Uspr_milp.lwo_ctx (Obs.Ctx.make ()) net.Network.graph net.Network.demands in
   Alcotest.(check bool) "exact" true r.Uspr_milp.exact;
   checkf6 "single-path optimum is m" 3. r.Uspr_milp.mlu
 
@@ -780,7 +780,7 @@ let test_uspr_joint_recovers_opt () =
      of the same pair. *)
   let inst = Instances.Gap_instances.instance1 ~m:3 in
   let net = inst.Instances.Gap_instances.network in
-  let j = Uspr_milp.joint_ctx (Obs.Ctx.default ()) ~max_combos:200 net.Network.graph net.Network.demands in
+  let j = Uspr_milp.joint_ctx (Obs.Ctx.make ()) ~max_combos:200 net.Network.graph net.Network.demands in
   Alcotest.(check bool) "exact" true j.Uspr_milp.setting.Uspr_milp.exact;
   checkf6 "joint = 1" 1. j.Uspr_milp.setting.Uspr_milp.mlu;
   checkf6 "setting re-evaluates to 1" 1.
@@ -789,7 +789,7 @@ let test_uspr_joint_recovers_opt () =
 
 let test_uspr_weights_in_range () =
   let g = diamond () in
-  let r = Uspr_milp.lwo_ctx (Obs.Ctx.default ()) ~wmax:5. g [| Network.demand 0 3 1. |] in
+  let r = Uspr_milp.lwo_ctx (Obs.Ctx.make ()) ~wmax:5. g [| Network.demand 0 3 1. |] in
   Array.iter
     (fun w ->
       Alcotest.(check bool) "w in [1, wmax]" true (w >= 1. -. 1e-6 && w <= 5. +. 1e-6))
@@ -798,13 +798,13 @@ let test_uspr_weights_in_range () =
 let test_uspr_joint_combo_guard () =
   let inst = Instances.Gap_instances.instance1 ~m:5 in
   let net = inst.Instances.Gap_instances.network in
-  (match Uspr_milp.joint_ctx (Obs.Ctx.default ()) ~max_combos:10 net.Network.graph net.Network.demands with
+  (match Uspr_milp.joint_ctx (Obs.Ctx.make ()) ~max_combos:10 net.Network.graph net.Network.demands with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected combo guard")
 
 let test_uspr_unroutable () =
   let g = Digraph.of_edges ~n:3 [ (0, 1, 1.) ] in
-  (match Uspr_milp.lwo_ctx (Obs.Ctx.default ()) g [| Network.demand 0 2 1. |] with
+  (match Uspr_milp.lwo_ctx (Obs.Ctx.make ()) g [| Network.demand 0 2 1. |] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure")
 
@@ -816,9 +816,9 @@ let test_multi_round_one_matches_single () =
   let inst = Instances.Gap_instances.instance1 ~m:5 in
   let net = inst.Instances.Gap_instances.network in
   let w = inst.Instances.Gap_instances.joint_weights in
-  let single = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) net.Network.graph w net.Network.demands in
+  let single = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) net.Network.graph w net.Network.demands in
   let multi =
-    Greedy_wpo.optimize_multi_ctx (Obs.Ctx.default ()) ~rounds:1 net.Network.graph w net.Network.demands
+    Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ()) ~rounds:1 net.Network.graph w net.Network.demands
   in
   checkf6 "same mlu" single.Greedy_wpo.mlu multi.Greedy_wpo.mlu
 
@@ -827,7 +827,7 @@ let test_multi_rounds_monotone () =
   let net = inst.Instances.Gap_instances.network in
   let w = inst.Instances.Gap_instances.joint_weights in
   let r =
-    Greedy_wpo.optimize_multi_ctx (Obs.Ctx.default ()) ~rounds:3 net.Network.graph w net.Network.demands
+    Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ()) ~rounds:3 net.Network.graph w net.Network.demands
   in
   let rec check_desc = function
     | a :: (b :: _ as rest) ->
@@ -846,8 +846,8 @@ let test_multi_two_waypoints_help_instance3 () =
   let inst = Instances.Gap_instances.instance3 ~m:3 in
   let net = inst.Instances.Gap_instances.network in
   let w = inst.Instances.Gap_instances.joint_weights in
-  let one = Greedy_wpo.optimize_multi_ctx (Obs.Ctx.default ()) ~rounds:1 net.Network.graph w net.Network.demands in
-  let two = Greedy_wpo.optimize_multi_ctx (Obs.Ctx.default ()) ~rounds:2 net.Network.graph w net.Network.demands in
+  let one = Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ()) ~rounds:1 net.Network.graph w net.Network.demands in
+  let two = Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ()) ~rounds:2 net.Network.graph w net.Network.demands in
   Alcotest.(check bool)
     (Printf.sprintf "2 rounds (%g) <= 1 round (%g)" two.Greedy_wpo.mlu one.Greedy_wpo.mlu)
     true
@@ -857,8 +857,8 @@ let test_greedy_passes_never_worse () =
   let g = Topology.Datasets.abilene () in
   let demands = Demand_gen.mcf_synthetic ~seed:3 ~flows_per_pair:2 g in
   let w = Weights.inverse_capacity g in
-  let p1 = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~passes:1 g w demands in
-  let p2 = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) ~passes:2 g w demands in
+  let p1 = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) ~passes:1 g w demands in
+  let p2 = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) ~passes:2 g w demands in
   Alcotest.(check bool)
     (Printf.sprintf "pass 2 (%g) <= pass 1 (%g)" p2.Greedy_wpo.mlu p1.Greedy_wpo.mlu)
     true
@@ -1008,7 +1008,7 @@ let test_iterated_joint () =
   let inst = Instances.Gap_instances.instance1 ~m:4 in
   let net = inst.Instances.Gap_instances.network in
   let ls_params = { Local_search.default_params with max_evals = 200; seed = 9 } in
-  let r = Joint.optimize_iterated_ctx (Obs.Ctx.default ()) ~ls_params ~iterations:2 net.Network.graph net.Network.demands in
+  let r = Joint.optimize_iterated_ctx (Obs.Ctx.make ()) ~ls_params ~iterations:2 net.Network.graph net.Network.demands in
   Alcotest.(check int) "four stages" 4 (List.length r.Joint.stage_mlu);
   let check =
     Ecmp.mlu_of ~waypoints:r.Joint.waypoints net.Network.graph r.Joint.weights
@@ -1137,7 +1137,7 @@ let prop_greedy_never_worse =
   QCheck.Test.make ~name:"GreedyWPO never increases MLU" ~count:80 arb_te_instance
     (fun spec ->
       let g, demands, _ = build_te spec in
-      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.default ()) g (Weights.unit g) demands in
+      let r = Greedy_wpo.optimize_ctx (Obs.Ctx.make ()) g (Weights.unit g) demands in
       r.Greedy_wpo.mlu <= r.Greedy_wpo.initial_mlu +. 1e-9)
 
 let prop_opt_lower_bounds_everything =
