@@ -1143,8 +1143,8 @@ let milp_case (name, solve) =
   let go warm =
     let ctx = Obs.Ctx.make () in
     let mlu, wall = timed (fun () -> solve warm ctx) in
-    let nodes = Obs.Metrics.counter ctx.Obs.Ctx.metrics "milp.nodes" in
-    (ctx.Obs.Ctx.stats, nodes, mlu, wall)
+    let s = ctx.Obs.Ctx.stats in
+    (s, s.Engine.Stats.milp_nodes, mlu, wall)
   in
   let sw, nodes_w, mlu_w, wall_w = go true in
   let sc, nodes_c, mlu_c, wall_c = go false in
@@ -1415,10 +1415,8 @@ let pruned_wpo ?prune pool g w demands =
   let r, wall =
     timed (fun () -> Greedy_wpo.optimize_ctx ctx ?prune g w demands)
   in
-  ( r,
-    Obs.Metrics.counter ctx.Obs.Ctx.metrics "wpo.scanned",
-    ctx.Obs.Ctx.stats,
-    wall )
+  let s = ctx.Obs.Ctx.stats in
+  (r, s.Engine.Stats.wpo_scanned, s, wall)
 
 let prune_quality pool name =
   let g = Topology.Datasets.load name in

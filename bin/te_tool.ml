@@ -107,13 +107,15 @@ let evals_arg =
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"Print the per-phase wall times and the run's metrics \
+         ~doc:"Print the per-phase wall times and the run's counters \
                after the run: the engine counters and timers \
                (evaluations, full vs. incremental SPF rebuilds, cache \
-               hits, parallel wall and busy time) and the solver \
-               metrics, under the names run-summary/2 exports.  serve \
-               reports its event counts and update latencies on its \
-               stderr summary line instead.")
+               hits), the solver counters (local-search rounds, \
+               scored waypoint candidates, branch-and-bound nodes) \
+               and the scheduler's, nonzero ones only, under the names \
+               run-summary/3 exports.  serve reports its event counts \
+               and update latencies on its stderr summary line \
+               instead.")
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -140,14 +142,14 @@ let trace_arg =
 
 let summary_arg =
   Arg.(value & flag & info [ "summary" ]
-         ~doc:"Print a run-summary/2 JSON digest after the run: per-phase \
-               wall time, engine counters, solver metrics, parallel \
+         ~doc:"Print a run-summary/3 JSON digest after the run: per-phase \
+               wall time, the engine and solver counters, parallel \
                efficiency.")
 
 (* One run context per CLI invocation: the worker pool from --jobs, and
    a live tracer exactly when --stats/--trace/--summary needs one
    (otherwise the noop tracer, whose probes cost one load+branch).  [f]
-   solves and prints its result; the phase times and metrics, the trace
+   solves and prints its result; the phase times and counters, the trace
    file and the summary follow in that order. *)
 let with_ctx ~jobs ~stats ~trace ~summary f =
   let tracer =
@@ -165,7 +167,7 @@ let with_ctx ~jobs ~stats ~trace ~summary f =
     List.iter
       (fun (name, dt) -> Printf.printf "phase %-22s %.6f s\n" name dt)
       (Obs.Tracer.phase_totals tracer);
-    Format.printf "%a@." Obs.Metrics.pp (Obs.Export.run_metrics ctx)
+    Format.printf "%a@." Obs.Export.pp_metrics (Obs.Export.run_metrics ctx)
   end;
   (match trace with
   | Some path ->

@@ -118,6 +118,5 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) g demands =
   Obs.Tracer.attr tracer tok (Obs.Attr.int "rounds" !round);
   Obs.Tracer.attr tracer tok (Obs.Attr.float "mlu" !best_mlu);
   Obs.Tracer.finish tracer tok;
-  Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:!round "grad.rounds";
   { weights = !best_w; mlu = !best_mlu; initial_mlu; lp_bound = lp.Mcf.value;
     evals = !evals; rounds_run = !round; trail = List.rev !trail }

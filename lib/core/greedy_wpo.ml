@@ -65,7 +65,7 @@ type run = {
   nodes : int array;
   peak : float array;
   tracer : Obs.Tracer.t;
-  metrics : Obs.Metrics.t;
+  stats : Engine.Stats.t;
 }
 
 let setup (octx : Obs.Ctx.t) ~order ~prune g weights demands =
@@ -78,7 +78,7 @@ let setup (octx : Obs.Ctx.t) ~order ~prune g weights demands =
   let pruner = Option.map (fun s -> Prune.prepare octx s ev demands) prune in
   { ev; loads; pruner; indices = order_indices order demands;
     nodes = Array.init (Digraph.node_count g) Fun.id; peak = [| 0. |];
-    tracer = octx.Obs.Ctx.tracer; metrics = octx.Obs.Ctx.metrics }
+    tracer = octx.Obs.Ctx.tracer; stats = octx.Obs.Ctx.stats }
 
 let add r src dst scale =
   Engine.Evaluator.add_unit r.ev ~src ~dst ~scale ~into:r.loads
@@ -111,7 +111,7 @@ let scan_candidates r ~residual ~src ~dst ~size vias =
           best_j := j
         end
     done;
-    if !scanned > 0 then Obs.Metrics.incr r.metrics ~by:!scanned "wpo.scanned";
+    r.stats.Engine.Stats.wpo_scanned <- r.stats.wpo_scanned + !scanned;
     Obs.Tracer.finish r.tracer scan_tok;
     if !best_j < 0 then None else Some (!best_u, !best_j)
   end

@@ -35,14 +35,14 @@ val optimize_ctx :
     The greedy runs on the calling domain and leaves the context's pool
     idle: each candidate is scored against the running loads by
     {!Engine.Evaluator.segment_peak}, and the winner is the first
-    candidate of minimal MLU.  The result, the trace and the metrics
+    candidate of minimal MLU.  The result, the trace and the stats
     are therefore the same for every pool size.
 
     Every visit first applies the exact residual-MLU bound: with the
     demand's own flow removed, the MLU lower-bounds every candidate, so
     when it already fails the strict improvement test the visit scores
-    no candidate, with no effect on the result.  The ["wpo.scanned"]
-    metric counts the candidates scored.
+    no candidate, with no effect on the result.  The stats' [wpo.scanned]
+    counter counts the candidates scored.
 
     [prune] (default off: all results byte-identical to previous
     releases) runs the {!Prune} preprocessing pass once up front and

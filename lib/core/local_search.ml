@@ -45,7 +45,7 @@ end)
 (* One seeded walk.  [demands] is already aggregated. *)
 let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
   if params.wmax < 2 then invalid_arg "Local_search.optimize: wmax < 2";
-  let tracer = ctx.Obs.Ctx.tracer in
+  let tracer = ctx.Obs.Ctx.tracer and stats = ctx.Obs.Ctx.stats in
   let m = Digraph.edge_count g in
   let st = Random.State.make [| params.seed; 0x05f |] in
   let init =
@@ -60,8 +60,8 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
      as incremental single-weight updates and rolled back via the undo
      trail rather than rebuilding the ECMP state per candidate. *)
   let ev =
-    Engine.Evaluator.create ~stats:ctx.Obs.Ctx.stats
-      ~probe:(Obs.Ctx.probe ctx) g (Weights.of_ints init)
+    Engine.Evaluator.create ~stats ~probe:(Obs.Ctx.probe ctx) g
+      (Weights.of_ints init)
   in
   Engine.Evaluator.set_commodities ev demands;
   let evals = ref 0 in
@@ -191,7 +191,7 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
     if !probes > 0 then begin
       Obs.Tracer.attr tracer !round_tok (Obs.Attr.int "probes" !probes);
       Obs.Tracer.finish tracer !round_tok;
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.rounds"
+      stats.Engine.Stats.ls_rounds <- stats.ls_rounds + 1
     end;
     let accept wv obj loads =
       current.(e) <- wv;
@@ -203,19 +203,19 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
     (match !best_cand with
     | Some (obj, wv, loads) when obj < !cur_obj -. 1e-12 ->
       accept wv obj loads;
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.accepted";
+      stats.ls_accepted <- stats.ls_accepted + 1;
       stall := 0
     | Some (obj, wv, loads)
       when obj <= !cur_obj +. 1e-12 && Random.State.float st 1. < 0.3 ->
       (* Sideways move to escape plateaus. *)
       accept wv obj loads;
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.sideways"
+      stats.ls_sideways <- stats.ls_sideways + 1
     | _ -> incr stall);
     if !stall >= params.stall_limit && !evals < params.max_evals then begin
       (* Perturbation: restart the walk from the best solution with a
          random kick on ~10% of the links. *)
       Obs.Tracer.instant tracer "ls:perturb";
-      Obs.Metrics.incr ctx.Obs.Ctx.metrics "ls.perturbations";
+      stats.ls_perturbations <- stats.ls_perturbations + 1;
       Array.blit !best_w 0 current 0 m;
       let kicks = max 1 (m / 10) in
       for _ = 1 to kicks do
@@ -239,17 +239,9 @@ let run_single (ctx : Obs.Ctx.t) ~params ?init g demands =
    reproduces the single-walk result exactly. *)
 let restart_seed params r = { params with seed = params.seed + (7919 * r) }
 
-let params_of_ctx (ctx : Obs.Ctx.t) = function
-  | Some p -> p
-  | None ->
-    (* Seed 0 means "unset" in a context: keep the historical default. *)
-    if ctx.Obs.Ctx.seed <> 0 then
-      { default_params with seed = ctx.Obs.Ctx.seed }
-    else default_params
-
 let optimize_ctx (ctx : Obs.Ctx.t) ?(restarts = 1) ?params ?init g demands =
   if restarts < 1 then invalid_arg "Local_search.optimize: restarts >= 1";
-  let params = params_of_ctx ctx params in
+  let params = Option.value params ~default:default_params in
   let demands = Demand.aggregate demands in
   if restarts = 1 then run_single ctx ~params ?init g demands
   else begin

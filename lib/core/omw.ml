@@ -234,8 +234,6 @@ let optimize_ctx (ctx : Obs.Ctx.t) ?(params = default_params) g w1 demands =
   Obs.Tracer.attr tracer tok (Obs.Attr.float "mlu" mlu);
   Obs.Tracer.attr tracer tok (Obs.Attr.int "sweeps" !sweeps_run);
   Obs.Tracer.finish tracer tok;
-  Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:!moves "omw.moves";
-  Obs.Metrics.incr ctx.Obs.Ctx.metrics ~by:!bumps "omw.bumps";
   {
     weights = Array.copy w1;
     weights2;

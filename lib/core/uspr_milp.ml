@@ -235,11 +235,11 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
      | Milp.Solution sol -> sol.Milp.nodes_explored
      | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent -> max_nodes
    in
-   Engine.Stats.record_lp octx.Obs.Ctx.stats ~solves:effort.Milp.lp_solves
+   let s = octx.Obs.Ctx.stats in
+   Engine.Stats.record_lp s ~solves:effort.Milp.lp_solves
      ~pivots:effort.Milp.lp_pivots ~warm:effort.Milp.warm_solves;
-   Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:nodes "milp.nodes";
-   Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:effort.Milp.cycle_limits
-     "milp.cycle_limits");
+   s.Engine.Stats.milp_nodes <- s.milp_nodes + nodes;
+   s.milp_cycle_limits <- s.milp_cycle_limits + effort.Milp.cycle_limits);
   match result with
   | Milp.Solution s ->
     let weights = Array.init m (fun e -> s.Milp.point.(wvar e)) in
@@ -282,7 +282,6 @@ let joint_ctx (octx : Obs.Ctx.t) ?wmax ?epsilon ?max_nodes ?candidates
     if i = k then begin
       let split = Segments.expand demands setting in
       let r = lwo_ctx octx ?wmax ?epsilon ?max_nodes g split in
-      Obs.Metrics.incr octx.Obs.Ctx.metrics "milp.joint_assignments";
       match !best with
       | Some (bs, _) when bs.mlu <= r.mlu +. 1e-12 -> ()
       | _ -> best := Some (r, Array.copy setting)

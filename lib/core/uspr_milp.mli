@@ -42,7 +42,7 @@ val lwo_ctx :
     LP effort counters; the tracer records one ["milp:lwo"] root
     span with ["milp:branch-and-bound"] plus the LP layer's
     ["milp:node"]/["lp:solve"]/["lp:factor"] spans nested inside; the
-    metrics count [milp.nodes] and [milp.cycle_limits].
+    stats also count [milp.nodes] and [milp.cycle_limits].
     @raise Failure if some demand is unroutable. *)
 
 type joint_result = {
@@ -65,7 +65,6 @@ val joint_ctx :
     [max_combos], default 512) and solves the USPR weight MILP on each
     induced segment list.  The enumeration is recorded as one
     ["milp:joint"] span (with an ["assignments"] attribute) containing
-    one ["milp:lwo"] span per assignment; the metrics count
-    [milp.joint_assignments].
+    one ["milp:lwo"] span per assignment.
     @raise Invalid_argument when the assignment space exceeds
     [max_combos] — this is an exact reference for tiny instances only. *)

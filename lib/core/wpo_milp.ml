@@ -193,11 +193,11 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
      | Milp.Solution sol -> sol.Milp.nodes_explored
      | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent -> max_nodes
    in
-   Engine.Stats.record_lp octx.Obs.Ctx.stats ~solves:effort.Milp.lp_solves
+   let s = octx.Obs.Ctx.stats in
+   Engine.Stats.record_lp s ~solves:effort.Milp.lp_solves
      ~pivots:effort.Milp.lp_pivots ~warm:effort.Milp.warm_solves;
-   Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:nodes "milp.nodes";
-   Obs.Metrics.incr octx.Obs.Ctx.metrics ~by:effort.Milp.cycle_limits
-     "milp.cycle_limits");
+   s.Engine.Stats.milp_nodes <- s.milp_nodes + nodes;
+   s.milp_cycle_limits <- s.milp_cycle_limits + effort.Milp.cycle_limits);
   match result with
   | Milp.Solution s when s.Milp.value > direct_mlu +. 1e-9 ->
     (* The node limit stopped the search on a poor incumbent; direct

@@ -45,5 +45,5 @@ val solve_ctx :
     root span with ["milp:warm-start"] (the GreedyWPO incumbent) and
     ["milp:branch-and-bound"] nested inside, plus per-node ["milp:node"]
     and per-solve ["lp:solve"]/["lp:factor"] spans from the LP layer;
-    the metrics count [milp.nodes] and [milp.cycle_limits].
+    the stats also count [milp.nodes] and [milp.cycle_limits].
     @raise Engine.Evaluator.Unroutable on an unroutable demand. *)

@@ -258,24 +258,12 @@ let urow_copy ur =
    committed state. *)
 let copy ?stats t =
   t.epoch <- t.epoch + 1;
-  let n = t.n and m = t.m in
+  (* Copies run on worker domains whose scheduling is dynamic; they
+     never inherit the tracer probe ([create]'s default is
+     [Probe.null]), or span streams would depend on which worker claimed
+     which task. *)
   {
-    graph = t.graph;
-    n;
-    m;
-    weights = Array.copy t.weights;
-    stats = (match stats with Some s -> s | None -> Stats.create ());
-    (* Copies run on worker domains whose scheduling is dynamic; they
-       never inherit the tracer probe, or span streams would depend on
-       which worker claimed which task. *)
-    probe = Probe.null;
-    g_src = t.g_src;
-    g_dst = t.g_dst;
-    g_cap = t.g_cap;
-    g_out_row = t.g_out_row;
-    g_out_col = t.g_out_col;
-    g_in_row = t.g_in_row;
-    g_in_col = t.g_in_col;
+    (create ?stats t.graph t.weights) with
     dags = Array.copy t.dags;
     urows = Array.map urow_copy t.urows;
     dest_loads = Array.copy t.dest_loads;
@@ -284,37 +272,7 @@ let copy ?stats t =
     active_dests = Array.copy t.active_dests;
     loads_buf = Array.copy t.loads_buf;
     loads_valid = t.loads_valid;
-    tr_edge = [||];
-    tr_oldw = [||];
-    tr_valid = [||];
-    tr_nsaved = [||];
-    tr_nunknown = [||];
-    tr_len = 0;
-    sv_dest = [||];
-    sv_dag = [||];
-    sv_urow = [||];
-    sv_vec = [||];
-    sv_len = 0;
-    uk_dest = [||];
-    uk_len = 0;
-    pool_dag = [||];
-    pool_dag_len = 0;
-    pool_urow = [||];
-    pool_urow_len = 0;
-    pool_vec = Array.make (vec_class m + 1) [||];
-    pool_vec_len = Array.make (vec_class m + 1) 0;
     epoch = t.epoch;
-    node_flow = Array.make n 0.;
-    edge_flow = Array.make m 0.;
-    touched = Array.make (max n m) 0;
-    sweep_edges = Array.make m 0;
-    sweep_shares = Array.make m 0.;
-    ord_stamp = Array.make n 0;
-    row_stamp = Array.make n 0;
-    ord_scratch = Array.make n 0;
-    row_scratch = Array.make n 0;
-    scratch_gen = 0;
-    pscratch = Paths.Scratch.create ();
   }
 
 let graph t = t.graph

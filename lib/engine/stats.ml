@@ -22,6 +22,13 @@ type t = {
   mutable lp_solves : int;
   mutable lp_pivots : int;
   mutable lp_warm_solves : int;
+  mutable ls_rounds : int;
+  mutable ls_accepted : int;
+  mutable ls_sideways : int;
+  mutable ls_perturbations : int;
+  mutable wpo_scanned : int;
+  mutable milp_nodes : int;
+  mutable milp_cycle_limits : int;
   hot : float array; (* per-phase seconds, indexed by the slots below *)
 }
 
@@ -59,46 +66,70 @@ let create () =
     lp_solves = 0;
     lp_pivots = 0;
     lp_warm_solves = 0;
+    ls_rounds = 0;
+    ls_accepted = 0;
+    ls_sideways = 0;
+    ls_perturbations = 0;
+    wpo_scanned = 0;
+    milp_nodes = 0;
+    milp_cycle_limits = 0;
     hot = Array.make (Array.length hot_phases) 0.;
   }
 
 let hot_times s = s.hot
 
-(* One row per counter: its export name, a reader and a writer.
+(* One row per counter: its exported name, a reader and a writer.
    [reset], [merge] and [counters] iterate over this table, so a counter
    listed here is reset, merged and exported without a second mention. *)
 let table : (string * (t -> int) * (t -> int -> unit)) array =
   [|
-    ("evaluations", (fun s -> s.evaluations), fun s v -> s.evaluations <- v);
-    ("full_spf", (fun s -> s.full_spf), fun s v -> s.full_spf <- v);
-    ("incr_spf", (fun s -> s.incr_spf), fun s v -> s.incr_spf <- v);
-    ( "spf_nodes_touched", (fun s -> s.spf_nodes_touched),
+    ( "engine.evaluations", (fun s -> s.evaluations),
+      fun s v -> s.evaluations <- v );
+    ("engine.full_spf", (fun s -> s.full_spf), fun s v -> s.full_spf <- v);
+    ("engine.incr_spf", (fun s -> s.incr_spf), fun s v -> s.incr_spf <- v);
+    ( "engine.spf_nodes_touched", (fun s -> s.spf_nodes_touched),
       fun s v -> s.spf_nodes_touched <- v );
-    ("dag_hits", (fun s -> s.dag_hits), fun s v -> s.dag_hits <- v);
-    ("dag_misses", (fun s -> s.dag_misses), fun s v -> s.dag_misses <- v);
-    ("unit_hits", (fun s -> s.unit_hits), fun s v -> s.unit_hits <- v);
-    ("unit_misses", (fun s -> s.unit_misses), fun s v -> s.unit_misses <- v);
-    ( "weight_updates", (fun s -> s.weight_updates),
+    ("engine.dag_hits", (fun s -> s.dag_hits), fun s v -> s.dag_hits <- v);
+    ( "engine.dag_misses", (fun s -> s.dag_misses),
+      fun s v -> s.dag_misses <- v );
+    ("engine.unit_hits", (fun s -> s.unit_hits), fun s v -> s.unit_hits <- v);
+    ( "engine.unit_misses", (fun s -> s.unit_misses),
+      fun s v -> s.unit_misses <- v );
+    ( "engine.weight_updates", (fun s -> s.weight_updates),
       fun s v -> s.weight_updates <- v );
-    ("dirty_dests", (fun s -> s.dirty_dests), fun s v -> s.dirty_dests <- v);
-    ("clean_dests", (fun s -> s.clean_dests), fun s v -> s.clean_dests <- v);
-    ("probes_cut", (fun s -> s.probes_cut), fun s v -> s.probes_cut <- v);
-    ( "dests_skipped", (fun s -> s.dests_skipped),
+    ( "engine.dirty_dests", (fun s -> s.dirty_dests),
+      fun s v -> s.dirty_dests <- v );
+    ( "engine.clean_dests", (fun s -> s.clean_dests),
+      fun s v -> s.clean_dests <- v );
+    ( "engine.probes_cut", (fun s -> s.probes_cut),
+      fun s v -> s.probes_cut <- v );
+    ( "engine.dests_skipped", (fun s -> s.dests_skipped),
       fun s v -> s.dests_skipped <- v );
-    ("commits", (fun s -> s.commits), fun s v -> s.commits <- v);
-    ("undos", (fun s -> s.undos), fun s v -> s.undos <- v);
-    ( "edges_disabled", (fun s -> s.edges_disabled),
+    ("engine.commits", (fun s -> s.commits), fun s v -> s.commits <- v);
+    ("engine.undos", (fun s -> s.undos), fun s v -> s.undos <- v);
+    ( "engine.edges_disabled", (fun s -> s.edges_disabled),
       fun s v -> s.edges_disabled <- v );
-    ( "candidates_pruned", (fun s -> s.candidates_pruned),
+    ( "engine.candidates_pruned", (fun s -> s.candidates_pruned),
       fun s v -> s.candidates_pruned <- v );
-    ( "candidates_kept", (fun s -> s.candidates_kept),
+    ( "engine.candidates_kept", (fun s -> s.candidates_kept),
       fun s v -> s.candidates_kept <- v );
-    ("clone_syncs", (fun s -> s.clone_syncs), fun s v -> s.clone_syncs <- v);
-    ("clone_copies", (fun s -> s.clone_copies), fun s v -> s.clone_copies <- v);
-    ("lp_solves", (fun s -> s.lp_solves), fun s v -> s.lp_solves <- v);
-    ("lp_pivots", (fun s -> s.lp_pivots), fun s v -> s.lp_pivots <- v);
-    ( "lp_warm_solves", (fun s -> s.lp_warm_solves),
+    ( "engine.clone_syncs", (fun s -> s.clone_syncs),
+      fun s v -> s.clone_syncs <- v );
+    ( "engine.clone_copies", (fun s -> s.clone_copies),
+      fun s v -> s.clone_copies <- v );
+    ("engine.lp_solves", (fun s -> s.lp_solves), fun s v -> s.lp_solves <- v);
+    ("engine.lp_pivots", (fun s -> s.lp_pivots), fun s v -> s.lp_pivots <- v);
+    ( "engine.lp_warm_solves", (fun s -> s.lp_warm_solves),
       fun s v -> s.lp_warm_solves <- v );
+    ("ls.rounds", (fun s -> s.ls_rounds), fun s v -> s.ls_rounds <- v);
+    ("ls.accepted", (fun s -> s.ls_accepted), fun s v -> s.ls_accepted <- v);
+    ("ls.sideways", (fun s -> s.ls_sideways), fun s v -> s.ls_sideways <- v);
+    ( "ls.perturbations", (fun s -> s.ls_perturbations),
+      fun s v -> s.ls_perturbations <- v );
+    ("wpo.scanned", (fun s -> s.wpo_scanned), fun s v -> s.wpo_scanned <- v);
+    ("milp.nodes", (fun s -> s.milp_nodes), fun s v -> s.milp_nodes <- v);
+    ( "milp.cycle_limits", (fun s -> s.milp_cycle_limits),
+      fun s v -> s.milp_cycle_limits <- v );
   |]
 
 let reset s =

@@ -1,13 +1,15 @@
-(** Instrumentation for the shared evaluation engine.
+(** The run's counters: instrumentation for the shared evaluation
+    engine and the solvers driving it.
 
     A [Stats.t] is a passive record of typed counters and hot-phase
-    timers that an {!Evaluator} (and the heuristics driving it)
-    increments as it works; the evaluator's inner loops update it
-    without allocating.  One instance can be threaded through a whole
-    optimization run to account for every shortest-path rebuild and
-    cache hit it performed; [merge] folds per-stage instances into a run
-    total.  Every other quantity lives in [Obs.Metrics], which absorbs
-    these fields under [engine.*] names for export and printing. *)
+    timers that an {!Evaluator} and the heuristics driving it increment
+    as they work; the evaluator's inner loops update it without
+    allocating.  One instance is threaded through a whole optimization
+    run (it is the run context's only counter record) to account for
+    every shortest-path rebuild, cache hit, local-search round, scored
+    waypoint candidate and branch-and-bound node; [merge] folds
+    per-stage instances into a run total.  {!counters} names each
+    counter under the one name it is exported and printed as. *)
 
 type t = {
   mutable evaluations : int;
@@ -60,6 +62,16 @@ type t = {
   mutable lp_pivots : int;  (** total simplex iterations *)
   mutable lp_warm_solves : int;
       (** LP solves warm-started from a previous basis *)
+  mutable ls_rounds : int;
+      (** local-search rounds that probed at least one weight *)
+  mutable ls_accepted : int;  (** strictly improving moves taken *)
+  mutable ls_sideways : int;  (** equal-objective moves taken *)
+  mutable ls_perturbations : int;  (** random kicks after a stall *)
+  mutable wpo_scanned : int;
+      (** waypoint candidates GreedyWPO scored (routable ones only) *)
+  mutable milp_nodes : int;  (** branch-and-bound nodes explored *)
+  mutable milp_cycle_limits : int;
+      (** branch-and-bound nodes dropped on a simplex cycle limit *)
   hot : float array;
       (** monotonic-clock seconds per hot phase, indexed by
           {!hot_spf_full} and friends; named by {!timers} *)
@@ -106,4 +118,6 @@ val timers : t -> (string * float) list
 (** The nonzero hot-phase seconds by phase name, sorted by name. *)
 
 val counters : t -> (string * int) list
-(** Every integer counter by field name, in declaration order. *)
+(** Every integer counter by its exported name, in declaration order:
+    [engine.*] for the evaluator and LP counters ([engine.evaluations],
+    ...), [ls.*], [wpo.scanned] and [milp.*] for the solvers'. *)

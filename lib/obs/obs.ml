@@ -1,6 +1,7 @@
-(* Structured tracing/metrics.  See obs.mli for the design contract;
-   the load-bearing invariant throughout is determinism: exported span
-   streams and metric dumps must be pure functions of the computation,
+(* Structured tracing and the run context.  See obs.mli for the design
+   contract; the load-bearing invariant throughout is determinism:
+   exported span streams and counter dumps must be pure functions of
+   the computation,
    never of worker scheduling, so fan-out work records into detached
    child buffers grafted back under deterministic keys. *)
 
@@ -308,117 +309,35 @@ module Tracer = struct
     (match t with Noop -> () | Buf b -> emit ~parent_id:(-1) ~depth_shift:0 b);
     List.rev !out
 
-  let totals ?(max_depth = max_int) t =
+  (* Per root-span name, the summed seconds (unfinished spans count
+     zero), sorted by name. *)
+  let phase_totals t =
     let tbl = Hashtbl.create 16 in
     List.iter
       (fun (s : Span.t) ->
-        if s.depth <= max_depth then begin
-          let dur, n =
-            match Hashtbl.find_opt tbl s.name with
-            | Some (d, n) -> (d, n)
-            | None -> (0., 0)
-          in
-          let d = if s.dur < 0. then 0. else s.dur in
-          Hashtbl.replace tbl s.name (dur +. d, n + 1)
+        if s.depth = 0 then begin
+          let d = Option.value (Hashtbl.find_opt tbl s.name) ~default:0. in
+          Hashtbl.replace tbl s.name (d +. Float.max 0. s.dur)
         end)
       (spans t);
-    Hashtbl.fold (fun name (d, n) acc -> (name, d, n) :: acc) tbl []
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-  let phase_totals t =
-    List.map (fun (name, d, _) -> (name, d)) (totals ~max_depth:0 t)
-end
-
-module Metrics = struct
-  type t = {
-    c : (string, int ref) Hashtbl.t;
-    g : (string, float ref) Hashtbl.t;
-  }
-
-  let create () = { c = Hashtbl.create 16; g = Hashtbl.create 8 }
-
-  let incr t ?(by = 1) name =
-    match Hashtbl.find_opt t.c name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t.c name (ref by)
-
-  let gauge t name v =
-    match Hashtbl.find_opt t.g name with
-    | Some r -> r := v
-    | None -> Hashtbl.add t.g name (ref v)
-
-  let merge ~into src = Hashtbl.iter (fun name r -> incr into ~by:!r name) src.c
-
-  let absorb_stats t (s : Stats.t) =
-    let add name v = if v <> 0 then incr t ~by:v ("engine." ^ name) in
-    List.iter (fun (name, v) -> add name v) (Stats.counters s);
-    List.iter
-      (fun (name, secs) -> gauge t ("engine.time." ^ name) secs)
-      (Stats.timers s)
-
-  (* Scheduler internals, cumulative since the pool was created.  Only
-     called on summary export (never into a live [Ctx.metrics]): the
-     counters reflect dynamic scheduling, so folding them into a
-     context's own metrics would break the jobs-invariance of
-     [Metrics.to_json ctx.metrics]. *)
-  let absorb_pool t (p : Par.Pool.t) =
-    let s = Par.Pool.metrics p in
-    let add name v = if v <> 0 then incr t ~by:v ("sched." ^ name) in
-    add "steals" s.Par.Pool.steals;
-    add "parks" s.Par.Pool.parks;
-    add "regions" s.Par.Pool.regions;
-    add "tasks" s.Par.Pool.tasks;
-    add "max_region" s.Par.Pool.max_region;
-    let secs name v = if v > 0. then gauge t ("sched." ^ name) v in
-    secs "park_seconds" s.Par.Pool.park_seconds;
-    secs "busy_seconds" s.Par.Pool.busy_seconds;
-    secs "wall_seconds" s.Par.Pool.wall_seconds
-
-  let counter t name =
-    match Hashtbl.find_opt t.c name with Some r -> !r | None -> 0
-
-  let counters t =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.c []
+    Hashtbl.fold (fun name d acc -> (name, d) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let gauges t =
-    Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t.g []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>metrics:";
-    let line fmt (k, v) = Format.fprintf ppf fmt k v in
-    List.iter (line "@,  %-28s %d") (counters t);
-    List.iter (line "@,  %-28s %.6f") (gauges t);
-    Format.fprintf ppf "@]"
-
-  let to_json t =
-    let section render items =
-      Json.obj (List.map (fun (k, v) -> (k, render v)) items)
-    in
-    Json.obj
-      [ ("counters", section string_of_int (counters t));
-        ("gauges", section Json.float (gauges t)) ]
 end
 
 module Ctx = struct
   type t = {
     stats : Stats.t;
     tracer : Tracer.t;
-    metrics : Metrics.t;
     pool : Par.Pool.t;
-    seed : int;
     deadline : float option;
   }
 
-  let make ?stats ?(tracer = Tracer.noop) ?metrics ?(pool = Par.Pool.sequential)
-      ?(seed = 0) ?deadline () =
+  let make ?stats ?(tracer = Tracer.noop) ?(pool = Par.Pool.sequential)
+      ?deadline () =
     {
       stats = (match stats with Some s -> s | None -> Stats.create ());
       tracer;
-      metrics = (match metrics with Some m -> m | None -> Metrics.create ());
       pool;
-      seed;
       deadline;
     }
 
@@ -434,16 +353,10 @@ module Ctx = struct
   let probe t = Tracer.probe t.tracer
 
   let fork t =
-    {
-      t with
-      stats = Stats.create ();
-      metrics = Metrics.create ();
-      tracer = Tracer.child t.tracer;
-    }
+    { t with stats = Stats.create (); tracer = Tracer.child t.tracer }
 
   let join ~key ~into forked =
     Stats.merge ~into:into.stats forked.stats;
-    Metrics.merge ~into:into.metrics forked.metrics;
     Tracer.graft into.tracer ~key forked.tracer
 end
 
@@ -541,12 +454,49 @@ module Export = struct
       (trace_lines ?times t);
     close_out oc
 
+  type metrics = {
+    counters : (string * int) list;
+    gauges : (string * float) list;
+  }
+
+  (* The pool's scheduler counters and seconds are cumulative since the
+     pool was created and depend on dynamic scheduling, so they are read
+     here on export and never enter the context's own stats. *)
   let run_metrics (ctx : Ctx.t) =
-    let m = Metrics.create () in
-    Metrics.merge ~into:m ctx.Ctx.metrics;
-    Metrics.absorb_stats m ctx.Ctx.stats;
-    Metrics.absorb_pool m ctx.Ctx.pool;
-    m
+    let s = ctx.Ctx.stats and p = Par.Pool.metrics ctx.Ctx.pool in
+    let counters =
+      Stats.counters s
+      @ Par.Pool.
+          [ ("sched.max_region", p.max_region); ("sched.parks", p.parks);
+            ("sched.regions", p.regions); ("sched.steals", p.steals);
+            ("sched.tasks", p.tasks) ]
+    and gauges =
+      List.map (fun (name, dt) -> ("engine.time." ^ name, dt)) (Stats.timers s)
+      @ Par.Pool.
+          [ ("sched.busy_seconds", p.busy_seconds);
+            ("sched.park_seconds", p.park_seconds);
+            ("sched.wall_seconds", p.wall_seconds) ]
+    in
+    let nonzero keep l =
+      List.sort (fun (a, _) (b, _) -> String.compare a b) (List.filter keep l)
+    in
+    { counters = nonzero (fun (_, v) -> v <> 0) counters;
+      gauges = nonzero (fun (_, dt) -> dt > 0.) gauges }
+
+  let pp_metrics ppf m =
+    Format.fprintf ppf "@[<v>metrics:";
+    let line fmt (k, v) = Format.fprintf ppf fmt k v in
+    List.iter (line "@,  %-28s %d") m.counters;
+    List.iter (line "@,  %-28s %.6f") m.gauges;
+    Format.fprintf ppf "@]"
+
+  let metrics_json m =
+    let section render items =
+      Json.obj (List.map (fun (k, v) -> (k, render v)) items)
+    in
+    Json.obj
+      [ ("counters", section string_of_int m.counters);
+        ("gauges", section Json.float m.gauges) ]
 
   (* Busy over wall times jobs across every scheduled region; [nan]
      (exported as null) when the pool never scheduled one. *)
@@ -563,7 +513,7 @@ module Export = struct
     let wall = match wall with Some w -> w | None -> phase_sum in
     let coverage = if wall > 0. then phase_sum /. wall else nan in
     Json.obj
-      ((("schema", json_str "run-summary/2") :: provenance ())
+      ((("schema", json_str "run-summary/3") :: provenance ())
       @ [ ("jobs", string_of_int (Ctx.jobs ctx));
           ("wall_seconds", Json.float wall);
           ("phases", phases_json phases);
@@ -572,6 +522,6 @@ module Export = struct
           ("parallel_efficiency", Json.float (parallel_efficiency ctx.Ctx.pool));
           ("spans", string_of_int (Tracer.span_count ctx.Ctx.tracer));
           ("spans_dropped", string_of_int (Tracer.dropped ctx.Ctx.tracer));
-          ("metrics", Metrics.to_json (run_metrics ctx)) ])
+          ("metrics", metrics_json (run_metrics ctx)) ])
     ^ "\n"
 end

@@ -1,4 +1,4 @@
-(** Structured tracing and metrics for the TE solvers.
+(** Structured tracing and the run context for the TE solvers.
 
     The paper's evaluation is about where time goes — local-search
     probes, greedy waypoint scans, MILP nodes — and the flat
@@ -9,20 +9,18 @@
       recorded into a bounded per-domain buffer.  Disabled tracing is
       the {!Tracer.noop} value: every instrumented site reduces to a
       tag test, no closure is allocated on the fast path.
-    - {!Metrics}: named counters with a deterministic merge, plus the
-      gauges written on export.  Every quantity has one home: the
-      evaluator's hot-loop counters and timers stay in the typed
-      [Engine.Stats] record (its counter table names them), a serving
-      daemon's event counts and exact update latencies stay in its own
-      record, and everything else is a named counter;
-      {!Export.run_metrics} absorbs the [Engine.Stats] table as
-      [engine.*] for export and printing.
-    - {!Ctx}: the run context every solver entry point takes — stats,
-      tracer, metrics, worker pool, RNG seed and an optional deadline —
-      replacing the [?stats ?jobs ?seed] optional-argument sprawl.
+    - {!Ctx}: the run context every solver entry point takes — the
+      run's one counter record ([Engine.Stats]), tracer, worker pool
+      and an optional deadline — replacing the [?stats ?jobs ?seed]
+      optional-argument sprawl.  Every quantity has one home: a run
+      total with no other home is an [Engine.Stats] counter (its table
+      names it), a per-stage count sits in the solver's result record
+      or span attributes, and a serving daemon's event counts and exact
+      update latencies stay in its own record.
     - {!Export}: the shared JSON writers ([trace/1] span streams,
-      [run-summary/2] digests, and the versioned envelope every
-      [BENCH_*.json] is stamped with).
+      [run-summary/3] digests, and the versioned envelope every
+      [BENCH_*.json] is stamped with), and {!Export.run_metrics}, the
+      printed and exported counter view of a run.
 
     {2 Determinism under [Par.Pool] fan-out}
 
@@ -50,8 +48,8 @@ module Attr : sig
   val bool : string -> bool -> t
 end
 
-(** The JSON scalar printers behind every writer here and the serving
-    protocol's. *)
+(** The JSON printers behind every writer here, the serving protocol's
+    and the robustness report's. *)
 module Json : sig
   val str : string -> string
   (** The quoted string literal, with quotes, backslashes and control
@@ -59,6 +57,13 @@ module Json : sig
 
   val float : float -> string
   (** [%.17g]; [nan] as [null], infinities as [1e999]/[-1e999]. *)
+
+  val obj : (string * string) list -> string
+  (** An object of pre-rendered values, fields in list order, separated
+      by [", "], keys by [": "]. *)
+
+  val list : string list -> string
+  (** An array of pre-rendered values, separated by [", "]. *)
 end
 
 (** The exported view of one closed (or still-open) span. *)
@@ -137,39 +142,10 @@ module Tracer : sig
       order, then key) with ids renumbered and depths shifted.  Open
       spans appear with [dur = -1.]. *)
 
-  val totals : ?max_depth:int -> t -> (string * float * int) list
-  (** Per-name [(total_seconds, count)] over the merged spans of depth
-      [<= max_depth] (default: all), sorted by name.  Unfinished spans
-      count with zero duration. *)
-
   val phase_totals : t -> (string * float) list
-  (** {!totals} restricted to root spans — the per-phase wall-time
-      breakdown of a run. *)
-end
-
-(** Named counters with a deterministic merge.  Gauges (seconds) are
-    written only by {!Export.run_metrics}, from the [Engine.Stats]
-    timers and the pool's scheduler times. *)
-module Metrics : sig
-  type t
-
-  val create : unit -> t
-
-  val incr : t -> ?by:int -> string -> unit
-
-  val merge : into:t -> t -> unit
-  (** Adds the counters into [into].  Gauges are written only on
-      export, after every merge, so no merged input holds one. *)
-
-  val counter : t -> string -> int
-  (** The named counter's value; [0] if it never moved. *)
-
-  val counters : t -> (string * int) list
-  (** Sorted by name. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** One line per counter, then one per gauge, each sorted by name,
-      under a [metrics:] header. *)
+  (** Per root-span name, the summed seconds over the merged spans,
+      sorted by name — the per-phase wall-time breakdown of a run.
+      Unfinished spans count with zero duration. *)
 end
 
 (** The solver run context. *)
@@ -177,9 +153,7 @@ module Ctx : sig
   type t = {
     stats : Engine.Stats.t;
     tracer : Tracer.t;
-    metrics : Metrics.t;
     pool : Par.Pool.t;
-    seed : int;
     deadline : float option;
         (** absolute {!Engine.Mono} time; advisory — solvers that honor
             it check {!expired} at a coarse granularity (outer rounds)
@@ -189,15 +163,13 @@ module Ctx : sig
   val make :
     ?stats:Engine.Stats.t ->
     ?tracer:Tracer.t ->
-    ?metrics:Metrics.t ->
     ?pool:Par.Pool.t ->
-    ?seed:int ->
     ?deadline:float ->
     unit ->
     t
-  (** Defaults: fresh stats and metrics, {!Tracer.noop},
-      {!Par.Pool.sequential}, seed [0], no deadline — equivalent to the
-      legacy entry points called with no optional arguments. *)
+  (** Defaults: fresh stats, {!Tracer.noop}, {!Par.Pool.sequential}, no
+      deadline — equivalent to the legacy entry points called with no
+      optional arguments. *)
 
   val jobs : t -> int
   (** Worker count of the context's pool. *)
@@ -218,12 +190,12 @@ module Ctx : sig
   val probe : t -> Engine.Probe.t
 
   val fork : t -> t
-  (** A context for one unit of fanned-out work: fresh stats and
-      metrics and a {!Tracer.child} buffer; pool, seed and deadline are
-      shared.  Merge back with {!join}. *)
+  (** A context for one unit of fanned-out work: fresh stats and a
+      {!Tracer.child} buffer; pool and deadline are shared.  Merge back
+      with {!join}. *)
 
   val join : key:int -> into:t -> t -> unit
-  (** Merges a forked context back: stats and metrics merge, and the
+  (** Merges a forked context back: the stats merge, and the
       span buffer attaches under the innermost span open in [into].  At
       export, buffers joined at the same point appear sorted by [key],
       so with deterministic keys (task index, restart number) the
@@ -259,17 +231,25 @@ module Export : sig
       determinism tests to compare traces byte-for-byte across
       [--jobs]. *)
 
-  val run_metrics : Ctx.t -> Metrics.t
-  (** The run's one metrics view: the context's metrics plus every
-      nonzero {!Engine.Stats.counters} entry as an [engine.*] counter,
-      every hot-phase timer as an [engine.time.*] gauge, and the pool's
-      scheduler counters and seconds as [sched.*] entries (cumulative
-      since pool creation and scheduling-dependent, so they never enter
-      a context's live, jobs-invariant metrics).  A fresh value; the
-      context is not modified. *)
+  type metrics = {
+    counters : (string * int) list;  (** sorted by name *)
+    gauges : (string * float) list;  (** seconds, sorted by name *)
+  }
+
+  val run_metrics : Ctx.t -> metrics
+  (** The run's one counter view: every nonzero
+      {!Engine.Stats.counters} entry under its own name, every nonzero
+      hot-phase timer as an [engine.time.*] gauge, and the pool's
+      nonzero scheduler counters and seconds as [sched.*] entries
+      (cumulative since pool creation and scheduling-dependent, so they
+      never enter a context's jobs-invariant stats). *)
+
+  val pp_metrics : Format.formatter -> metrics -> unit
+  (** One line per counter, then one per gauge, under a [metrics:]
+      header. *)
 
   val run_summary : ?wall:float -> Ctx.t -> string
-  (** The [run-summary/2] digest of a finished run: provenance, jobs,
+  (** The [run-summary/3] digest of a finished run: provenance, jobs,
       wall seconds ([wall] defaults to the sum of root-span times),
       per-phase seconds with their coverage of the wall time, the
       pool's parallel efficiency (busy over wall times jobs, [null] when

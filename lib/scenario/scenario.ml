@@ -506,7 +506,7 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
     Array.init par (fun _ -> { Engine.Evaluator.mlu = 0.; phi = 0. })
   in
   (* One child context per scenario, created up front on this domain and
-     grafted back in spec order: the trace and metrics are a pure
+     grafted back in spec order: the trace and stats are a pure
      function of the spec list, never of worker scheduling. *)
   let kids = Array.map (fun _ -> Obs.Ctx.fork octx) specs in
   (* One task per spec: its static probe on the worker's own evaluator
@@ -519,7 +519,6 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
       let kctx = kids.(i) in
       Obs.Ctx.span kctx ~attrs:[ Obs.Attr.int "spec" spec.id ] "scn:case"
       @@ fun () ->
-      Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.cases";
       let ev = evs.(worker) in
       let demands' = apply_shift spec.shift demands in
       (* A shifted spec attaches its matrix for the probe and puts the
@@ -558,8 +557,6 @@ let sweep_ctx (octx : Obs.Ctx.t) ?(policies = [ Static ])
         Engine.Evaluator.set_commodities ev nominal;
         warm_loads ev
       end;
-      if !static_disconnected > 0 then
-        Obs.Metrics.incr kctx.Obs.Ctx.metrics "scn.disconnected";
       {
         spec;
         static_disconnected = !static_disconnected;
@@ -766,41 +763,35 @@ let summarize ~topology ~nominal_mlu outcomes =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* 17 significant digits round-trip any float, so equal reports always
-   serialize to equal bytes (the bit-identity contract of the sweep). *)
-let jfloat f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-
+(* [Obs.Json.float] prints 17 significant digits, which round-trip any
+   float, so equal reports always serialize to equal bytes (the
+   bit-identity contract of the sweep); every report float is finite
+   or NaN (null). *)
 let report_to_json g r =
-  let b = Buffer.create 2048 in
-  Buffer.add_string b "{\"schema\": \"robustness-report/1\"";
-  Buffer.add_string b (", \"topology\": " ^ Obs.Export.json_str r.topology);
-  Buffer.add_string b (Printf.sprintf ", \"nominal_mlu\": %s" (jfloat r.nominal_mlu));
-  Buffer.add_string b (Printf.sprintf ", \"scenarios\": %d" r.scenario_count);
-  Buffer.add_string b ", \"policies\": [";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"policy\": %s, \"scenarios\": %d, \"disconnected_scenarios\": \
-            %d, \"worst_mlu\": %s, \"worst_scenario\": %d, \"mean_mlu\": %s, \
-            \"p50\": %s, \"p95\": %s, \"p99\": %s, \"cvar95\": %s, \
-            \"mean_weight_changes\": %s, \"mean_waypoint_changes\": %s, \
-            \"delta_worst_vs_static\": %s, \"delta_mean_vs_static\": %s}"
-           (Obs.Export.json_str (policy_name s.policy)) s.scenarios s.disconnected_scenarios
-           (jfloat s.worst_mlu) s.worst_id (jfloat s.mean_mlu) (jfloat s.p50)
-           (jfloat s.p95) (jfloat s.p99) (jfloat s.cvar95)
-           (jfloat s.mean_weight_changes) (jfloat s.mean_waypoint_changes)
-           (jfloat s.delta_worst) (jfloat s.delta_mean)))
-    r.summaries;
-  Buffer.add_string b "], \"worst_cases\": [";
-  List.iteri
-    (fun i (sp, mlu, disc) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"id\": %d, \"label\": %s, \"mlu\": %s, \"disconnected\": %d}"
-           sp.id (Obs.Export.json_str (spec_label g sp)) (jfloat mlu) disc))
-    r.worst_cases;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let module J = Obs.Json in
+  let int = string_of_int in
+  let summary s =
+    J.obj
+      [ ("policy", J.str (policy_name s.policy));
+        ("scenarios", int s.scenarios);
+        ("disconnected_scenarios", int s.disconnected_scenarios);
+        ("worst_mlu", J.float s.worst_mlu); ("worst_scenario", int s.worst_id);
+        ("mean_mlu", J.float s.mean_mlu); ("p50", J.float s.p50);
+        ("p95", J.float s.p95); ("p99", J.float s.p99);
+        ("cvar95", J.float s.cvar95);
+        ("mean_weight_changes", J.float s.mean_weight_changes);
+        ("mean_waypoint_changes", J.float s.mean_waypoint_changes);
+        ("delta_worst_vs_static", J.float s.delta_worst);
+        ("delta_mean_vs_static", J.float s.delta_mean) ]
+  in
+  let worst (sp, mlu, disc) =
+    J.obj
+      [ ("id", int sp.id); ("label", J.str (spec_label g sp));
+        ("mlu", J.float mlu); ("disconnected", int disc) ]
+  in
+  J.obj
+    [ ("schema", J.str "robustness-report/1"); ("topology", J.str r.topology);
+      ("nominal_mlu", J.float r.nominal_mlu);
+      ("scenarios", int r.scenario_count);
+      ("policies", J.list (List.map summary r.summaries));
+      ("worst_cases", J.list (List.map worst r.worst_cases)) ]

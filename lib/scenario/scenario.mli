@@ -175,10 +175,9 @@ val sweep_ctx :
     Each scenario runs under its own forked child context: one
     ["scn:case"] span (with a ["spec"] attribute) containing one
     ["scn:policy:<name>"] span per requested policy (in turn containing
-    the reacting optimizer's own spans), and per-case [scn.cases] /
-    [scn.disconnected] metric ticks.  Children graft back in spec-id
-    order, so the trace and metrics are bit-identical for every pool
-    size too.
+    the reacting optimizer's own spans) and fresh stats.  Children
+    graft back in spec-id order, so the trace and the stats counters
+    are bit-identical for every pool size too.
 
     Policy semantics on disconnection: [Static] reports the deployed
     segments' disconnections; [Repair] re-routes everything the

@@ -20,8 +20,7 @@ let check name ok =
     Printf.printf "  FAIL %s\n%!" name
   end
 
-let scanned (ctx : Obs.Ctx.t) =
-  Obs.Metrics.counter ctx.Obs.Ctx.metrics "wpo.scanned"
+let scanned (ctx : Obs.Ctx.t) = ctx.Obs.Ctx.stats.Engine.Stats.wpo_scanned
 
 let run ?prune ?pool g w demands =
   let ctx = Obs.Ctx.make ?pool () in

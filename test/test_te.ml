@@ -925,9 +925,9 @@ let bits = Int64.bits_of_float
    greedy scores exactly the candidates of the visits the oracle's own
    residual does not rule out, and on every visit it rules out the
    oracle's argmin fails the strict improvement test. *)
-let check_skip tag (cnt : Wpo_oracle.counts) metrics =
+let check_skip tag (cnt : Wpo_oracle.counts) (stats : Engine.Stats.t) =
   Alcotest.(check int) (tag "scanned") cnt.Wpo_oracle.scanned
-    (Obs.Metrics.counter metrics "wpo.scanned");
+    stats.Engine.Stats.wpo_scanned;
   Alcotest.(check int) (tag "skipped visits improve") 0
     cnt.Wpo_oracle.skipped_improving
 
@@ -954,9 +954,9 @@ let test_wpo_dense_oracle () =
               (Array.exists (fun x -> x < 0.) res);
             List.iter
               (fun passes ->
-                let metrics = Obs.Metrics.create () in
+                let stats = Engine.Stats.create () in
                 let r =
-                  Greedy_wpo.optimize_ctx (Obs.Ctx.make ~metrics ~pool ()) ~passes
+                  Greedy_wpo.optimize_ctx (Obs.Ctx.make ~stats ~pool ()) ~passes
                     g w demands
                 in
                 let o = Wpo_oracle.optimize ~passes g w demands in
@@ -965,7 +965,7 @@ let test_wpo_dense_oracle () =
                   o.Wpo_oracle.waypoints r.Greedy_wpo.waypoints;
                 Alcotest.(check int64) (tag "mlu") (bits o.Wpo_oracle.mlu)
                   (bits r.Greedy_wpo.mlu);
-                check_skip tag o.Wpo_oracle.counts metrics;
+                check_skip tag o.Wpo_oracle.counts stats;
                 visits o.Wpo_oracle.counts;
                 if passes = 1 then begin
                   (* some vias through node 2 were skipped as unroutable *)
@@ -977,9 +977,9 @@ let test_wpo_dense_oracle () =
                     incr dropped
                 end)
               [ 1; 2 ];
-            let metrics = Obs.Metrics.create () in
+            let stats = Engine.Stats.create () in
             let r =
-              Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ~metrics ~pool ())
+              Greedy_wpo.optimize_multi_ctx (Obs.Ctx.make ~stats ~pool ())
                 ~rounds:2 g w demands
             in
             let o = Wpo_oracle.optimize_multi ~rounds:2 g w demands in
@@ -991,7 +991,7 @@ let test_wpo_dense_oracle () =
             Alcotest.(check int64) (tag "multi mlu") (bits o.Wpo_oracle.multi_mlu)
               (bits r.Greedy_wpo.mlu);
             check_skip (fun what -> tag ("multi " ^ what))
-              o.Wpo_oracle.multi_counts metrics;
+              o.Wpo_oracle.multi_counts stats;
             visits o.Wpo_oracle.multi_counts
           done))
     [ 1; 4 ];
