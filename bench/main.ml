@@ -1211,12 +1211,12 @@ let basis_reuse abilene =
     A.bool "values_agree" (List.for_all2 (fun c w -> agree w c) cold warm) ]
 
 (* The serving loop's LP readouts on Germany50: the demand matrices of
-   the serve bench's replay, each solved four ways — cold from the slack
-   basis (the cold solve before crash starts), cold from
+   the serve bench's replay, each solved three ways — cold from
    [Mcf.crash_basis], as a fresh LP warm-started from the previous
    optimal basis by the primal simplex (the readout before warm
    sessions; crash-started where the destination set changes), and
-   through one [Mcf.session]. *)
+   through one [Mcf.session].  The slack-basis start is checked against
+   the crash start by [@lp-smoke] and [test_mcf], not here. *)
 let serve_readouts () =
   let g = Topology.Datasets.load "Germany50" in
   let demands = fig4_demands g in
@@ -1255,16 +1255,16 @@ let serve_readouts () =
     (List.map fst rs, List.fold_left (fun a (_, p) -> a + p) 0 rs,
      Engine.Mono.now () -. t0)
   in
-  let lp ?basis d =
-    match Simplex.Sparse.solve ?basis (Mcf.build_mlu_lp g d) with
+  let lp ~basis d =
+    match Simplex.Sparse.solve ~basis (Mcf.build_mlu_lp g d) with
     | Simplex.Sparse.Optimal { value; basis; iters; _ } ->
       (value, iters, Some basis)
     | _ -> (nan, 0, None)
   in
-  let first (v, p, _) = (v, p) in
-  let slack, slack_piv, t_slack = run (fun d -> first (lp d)) in
   let crash, crash_piv, t_crash =
-    run (fun d -> first (lp ~basis:(Mcf.crash_basis g d) d))
+    run (fun d ->
+        let value, iters, _ = lp ~basis:(Mcf.crash_basis g d) d in
+        (value, iters))
   in
   let kept = ref None in
   let primal, primal_piv, t_primal =
@@ -1293,22 +1293,19 @@ let serve_readouts () =
   let close a b = abs_float (a -. b) <= 1e-9 *. abs_float b in
   [ A.str "instance" "Germany50"; A.str "kind" "serve-readouts";
     A.int "readouts" n;
-    A.float "slack_cold_pivots_per_readout" (per (float_of_int slack_piv));
     A.float "crash_cold_pivots_per_readout" (per (float_of_int crash_piv));
     A.float "primal_pivots_per_readout" (per (float_of_int primal_piv));
     A.float "session_pivots_per_readout" (per (float_of_int warm_piv));
     A.float "pivot_reduction" (float_of_int primal_piv /. float_of_int (max 1 warm_piv));
-    A.float "slack_cold_seconds_per_readout" (per t_slack);
     A.float "crash_cold_seconds_per_readout" (per t_crash);
     A.float "primal_seconds_per_readout" (per t_primal);
     A.float "session_seconds_per_readout" (per t_warm);
     A.bool "values_agree"
-      (List.for_all2 close slack crash && List.for_all2 close primal crash
-      && List.for_all2 close warm crash) ]
+      (List.for_all2 close primal crash && List.for_all2 close warm crash) ]
 
 let lp =
   { title = "LP layer: sparse revised simplex vs dense tableau oracle";
-    bench = "lp"; version = 2; fields = [];
+    bench = "lp"; version = 3; fields = [];
     run = (fun ctx ->
         let abilene = Topology.Datasets.abilene () in
         let phase name f xs =
@@ -1329,11 +1326,10 @@ let lp =
         ( "MCF warm-basis reuse across scaled demand matrices:",
           [ "instance"; "solves"; "cold_wall_seconds"; "warm_wall_seconds";
             "speedup"; "values_agree" ] );
-        ( "Serve-stream LP readouts (per readout: slack cold, crash cold, \
-           primal warm, session):",
-          [ "instance"; "readouts"; "slack_cold_pivots_per_readout";
-            "crash_cold_pivots_per_readout"; "primal_pivots_per_readout";
-            "session_pivots_per_readout"; "slack_cold_seconds_per_readout";
+        ( "Serve-stream LP readouts (per readout: crash cold, primal warm, \
+           session):",
+          [ "instance"; "readouts"; "crash_cold_pivots_per_readout";
+            "primal_pivots_per_readout"; "session_pivots_per_readout";
             "crash_cold_seconds_per_readout"; "primal_seconds_per_readout";
             "session_seconds_per_readout"; "values_agree" ] ) ];
     gates =
@@ -1767,20 +1763,20 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
-  if !jobs > 1 then the_pool := Par.Pool.create ~jobs:!jobs ();
   let selected = if args = [] then List.map fst experiments else args in
+  (match List.filter (fun a -> not (List.mem_assoc a experiments)) selected with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment(s) %s; available: %s\n"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
+  if !jobs > 1 then the_pool := Par.Pool.create ~jobs:!jobs ();
   Printf.printf
     "Joint link-weight and segment optimization - reproduction harness%s%s\n"
     (if !full then " (FULL scale)" else " (quick scale; use --full for paper scale)")
     (if !jobs > 1 then Printf.sprintf " [%d worker domains]" !jobs else "");
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
-    selected;
+  List.iter (fun name -> List.assoc name experiments ()) selected;
   if !jobs > 1 then Par.Pool.shutdown !the_pool;
   if !fatal_failures > 0 then begin
     Printf.eprintf "%d fatal gate(s) failed\n" !fatal_failures;

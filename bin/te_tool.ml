@@ -644,9 +644,8 @@ let robust_cmd =
 
 (* exact *)
 let exact_cmd =
-  let run alg topo file seed kind flows wsetting i m max_nodes cold prune
-      stats trace summary =
-    let warm = not cold in
+  let run alg topo file seed kind flows wsetting i m max_nodes prune stats
+      trace summary =
     let prune = prune_spec_of prune in
     with_ctx ~jobs:1 ~stats ~trace ~summary (fun ctx ->
         match alg with
@@ -661,7 +660,7 @@ let exact_cmd =
           let w = weights_of g wsetting in
           let r =
             Obs.Ctx.phase ctx "solve" (fun () ->
-                Wpo_milp.solve_ctx ctx ?max_nodes ~warm ?prune g w demands)
+                Wpo_milp.solve_ctx ctx ?max_nodes ?prune g w demands)
           in
           let used =
             Array.fold_left
@@ -679,7 +678,7 @@ let exact_cmd =
           let net = inst.Instances.Gap_instances.network in
           let r =
             Obs.Ctx.phase ctx "solve" (fun () ->
-                Uspr_milp.lwo_ctx ctx ?max_nodes ~warm net.Network.graph
+                Uspr_milp.lwo_ctx ctx ?max_nodes net.Network.graph
                   net.Network.demands)
           in
           Printf.printf "exact USPR weights (MILP) on %s: MLU %.4f (%s; %d B&B nodes)\n"
@@ -719,11 +718,6 @@ let exact_cmd =
            ~doc:"Branch-and-bound node budget (defaults to the \
                  formulation's own limit).")
   in
-  let cold_arg =
-    Arg.(value & flag & info [ "cold" ]
-           ~doc:"Disable parent-basis warm starts in the branch and bound \
-                 (for comparing LP effort; the result is unchanged).")
-  in
   Cmd.v
     (Cmd.info "exact"
        ~doc:"Exact MILP optimization (branch and bound over warm-started \
@@ -731,7 +725,7 @@ let exact_cmd =
              pivot effort alongside the engine counters.")
     Term.(const run $ alg_arg $ topo_arg $ file_arg $ seed_arg $ demands_arg
           $ flows_arg $ weights_arg $ instance_arg $ exact_m_arg
-          $ max_nodes_arg $ cold_arg $ prune_arg $ stats_arg
+          $ max_nodes_arg $ prune_arg $ stats_arg
           $ trace_arg $ summary_arg)
 
 (* replay *)

@@ -15,8 +15,11 @@ type t = {
      doff + ti*n + v            d_v^t
      yoff + ti*m + e            y_{e,t}   (binary)
      xoff + di*m + e            x_{d,e}   (continuous in [0,1]) *)
-let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
-    ?warm g demands =
+
+(* The unique-path margin: every non-selected edge is longer by it. *)
+let epsilon = 0.1
+
+let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(max_nodes = 20_000) ?warm g demands =
   Obs.Ctx.span octx "milp:lwo" @@ fun () ->
   let n = Digraph.node_count g and m = Digraph.edge_count g in
   let demands = Demand.aggregate demands in
@@ -224,22 +227,10 @@ let lwo_ctx (octx : Obs.Ctx.t) ?wmax ?(epsilon = 0.1) ?(max_nodes = 20_000)
     x0.(uvar) <- Engine.Evaluator.mlu_of_loads g loads;
     x0
   in
-  let result, effort =
-    Obs.Ctx.span octx "milp:branch-and-bound" (fun () ->
-        Milp.solve ~max_nodes ~initial ?warm
-          ~probe:(Obs.Tracer.lp_probe octx.Obs.Ctx.tracer) problem
-          ~integer_vars)
+  let result =
+    Branch_bound.solve_ctx octx ~max_nodes ~initial ?warm problem
+      ~integer_vars
   in
-  (let nodes =
-     match result with
-     | Milp.Solution sol -> sol.Milp.nodes_explored
-     | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent -> max_nodes
-   in
-   let s = octx.Obs.Ctx.stats in
-   Engine.Stats.record_lp s ~solves:effort.Milp.lp_solves
-     ~pivots:effort.Milp.lp_pivots ~warm:effort.Milp.warm_solves;
-   s.Engine.Stats.milp_nodes <- s.milp_nodes + nodes;
-   s.milp_cycle_limits <- s.milp_cycle_limits + effort.Milp.cycle_limits);
   match result with
   | Milp.Solution s ->
     let weights = Array.init m (fun e -> s.Milp.point.(wvar e)) in
@@ -254,19 +245,15 @@ type joint_result = {
   waypoints : Segments.setting;
 }
 
-let joint_ctx (octx : Obs.Ctx.t) ?wmax ?epsilon ?max_nodes ?candidates
-    ?(max_combos = 512) g demands =
+let joint_ctx (octx : Obs.Ctx.t) ?max_nodes ?(max_combos = 512) g demands =
   let n = Digraph.node_count g in
   let k = Array.length demands in
-  let candidates =
-    match candidates with Some c -> c | None -> List.init n Fun.id
-  in
   let options_for (d : Network.demand) =
     []
     :: List.filter_map
          (fun w ->
            if w = d.Network.src || w = d.Network.dst then None else Some [ w ])
-         candidates
+         (List.init n Fun.id)
   in
   let options = Array.map options_for demands in
   let combos =
@@ -281,7 +268,7 @@ let joint_ctx (octx : Obs.Ctx.t) ?wmax ?epsilon ?max_nodes ?candidates
   let rec enumerate i =
     if i = k then begin
       let split = Segments.expand demands setting in
-      let r = lwo_ctx octx ?wmax ?epsilon ?max_nodes g split in
+      let r = lwo_ctx octx ?max_nodes g split in
       match !best with
       | Some (bs, _) when bs.mlu <= r.mlu +. 1e-12 -> ()
       | _ -> best := Some (r, Array.copy setting)

@@ -28,7 +28,6 @@ type t = {
 val lwo_ctx :
   Obs.Ctx.t ->
   ?wmax:float ->
-  ?epsilon:float ->
   ?max_nodes:int ->
   ?warm:bool ->
   Netgraph.Digraph.t ->
@@ -36,13 +35,12 @@ val lwo_ctx :
   t
 (** Optimal USPR link weights ("ILP Weights"), context-taking entry
     point.  Demands are aggregated per pair first.  [wmax] defaults to
-    [4 n]; [epsilon] (the unique-path margin) to [0.1]; [max_nodes] to
-    [20_000].  [warm] (default true) toggles parent-basis warm starts
-    inside the branch and bound.  The context's stats receive the
-    LP effort counters; the tracer records one ["milp:lwo"] root
-    span with ["milp:branch-and-bound"] plus the LP layer's
-    ["milp:node"]/["lp:solve"]/["lp:factor"] spans nested inside; the
-    stats also count [milp.nodes] and [milp.cycle_limits].
+    [4 n]; the unique-path margin [epsilon] is [0.1]; [max_nodes]
+    defaults to [20_000].  [warm] (default true) toggles parent-basis warm starts
+    inside the branch and bound.  The tracer records one ["milp:lwo"]
+    root span with the {!Branch_bound.solve_ctx} spans nested inside;
+    that driver also counts the LP effort and [milp.*] in the
+    context's stats.
     @raise Failure if some demand is unroutable. *)
 
 type joint_result = {
@@ -52,19 +50,17 @@ type joint_result = {
 
 val joint_ctx :
   Obs.Ctx.t ->
-  ?wmax:float ->
-  ?epsilon:float ->
   ?max_nodes:int ->
-  ?candidates:int list ->
   ?max_combos:int ->
   Netgraph.Digraph.t ->
   Network.demand array ->
   joint_result
 (** Joint optimization with up to one waypoint per demand ("ILP Joint"),
-    context-taking entry point: enumerates waypoint assignments (at most
-    [max_combos], default 512) and solves the USPR weight MILP on each
-    induced segment list.  The enumeration is recorded as one
-    ["milp:joint"] span (with an ["assignments"] attribute) containing
-    one ["milp:lwo"] span per assignment.
+    context-taking entry point: enumerates waypoint assignments over
+    every node (at most [max_combos], default 512) and solves the USPR
+    weight MILP, with its default [wmax], on each induced segment list.
+    The enumeration is recorded as one ["milp:joint"] span (with an
+    ["assignments"] attribute) containing one ["milp:lwo"] span per
+    assignment.
     @raise Invalid_argument when the assignment space exceeds
     [max_combos] — this is an exact reference for tiny instances only. *)

@@ -183,21 +183,9 @@ let solve_ctx (octx : Obs.Ctx.t) ?(max_nodes = 50_000) ?candidates
     x.(uvar) <- Engine.Evaluator.mlu_of_loads g loads;
     x
   in
-  let result, effort =
-    Obs.Ctx.span octx "milp:branch-and-bound" (fun () ->
-        Milp.solve ~max_nodes ~initial ?warm
-          ~probe:(Obs.Tracer.lp_probe octx.Obs.Ctx.tracer) p ~integer_vars)
+  let result =
+    Branch_bound.solve_ctx octx ~max_nodes ~initial ?warm p ~integer_vars
   in
-  (let nodes =
-     match result with
-     | Milp.Solution sol -> sol.Milp.nodes_explored
-     | Milp.Infeasible | Milp.Unbounded | Milp.NoIncumbent -> max_nodes
-   in
-   let s = octx.Obs.Ctx.stats in
-   Engine.Stats.record_lp s ~solves:effort.Milp.lp_solves
-     ~pivots:effort.Milp.lp_pivots ~warm:effort.Milp.warm_solves;
-   s.Engine.Stats.milp_nodes <- s.milp_nodes + nodes;
-   s.milp_cycle_limits <- s.milp_cycle_limits + effort.Milp.cycle_limits);
   match result with
   | Milp.Solution s when s.Milp.value > direct_mlu +. 1e-9 ->
     (* The node limit stopped the search on a poor incumbent; direct

@@ -40,10 +40,8 @@ val solve_ctx :
     W >= 2 is for small instances).  [max_nodes] bounds the
     branch-and-bound tree (default 50_000).  [warm] (default true)
     toggles parent-basis warm starts in the branch and bound.  The
-    context's stats receive the LP effort counters
-    ({!Engine.Stats.record_lp}); the tracer records one ["milp:wpo"]
-    root span with ["milp:warm-start"] (the GreedyWPO incumbent) and
-    ["milp:branch-and-bound"] nested inside, plus per-node ["milp:node"]
-    and per-solve ["lp:solve"]/["lp:factor"] spans from the LP layer;
-    the stats also count [milp.nodes] and [milp.cycle_limits].
+    tracer records one ["milp:wpo"] root span with ["milp:warm-start"]
+    (the GreedyWPO incumbent) and the {!Branch_bound.solve_ctx} spans
+    nested inside; that driver also counts the LP effort and
+    [milp.*] in the context's stats.
     @raise Engine.Evaluator.Unroutable on an unroutable demand. *)

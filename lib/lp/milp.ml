@@ -13,8 +13,6 @@ type effort = {
   lp_solves : int;
   lp_pivots : int;
   warm_solves : int;
-  warm_pivots : int;
-  cold_pivots : int;
   cycle_limits : int;
 }
 
@@ -69,7 +67,7 @@ let solve ?(max_nodes = 200_000) ?initial ?(warm = true)
   | _ -> ());
   let nodes_explored = ref 0 in
   let lp_solves = ref 0 and lp_pivots = ref 0 in
-  let warm_solves = ref 0 and warm_pivots = ref 0 and cold_pivots = ref 0 in
+  let warm_solves = ref 0 in
   let cycle_limits = ref 0 in
   let solve_node node =
     let basis = if warm then node.nbasis else None in
@@ -79,11 +77,7 @@ let solve ?(max_nodes = 200_000) ?initial ?(warm = true)
     if ntok >= 0 then probe.Simplex.finish ntok;
     let record iters =
       lp_pivots := !lp_pivots + iters;
-      match basis with
-      | Some _ ->
-        incr warm_solves;
-        warm_pivots := !warm_pivots + iters
-      | None -> cold_pivots := !cold_pivots + iters
+      if Option.is_some basis then incr warm_solves
     in
     (match r with
     | Simplex.Sparse.Optimal { iters; _ } -> record iters
@@ -188,8 +182,6 @@ let solve ?(max_nodes = 200_000) ?initial ?(warm = true)
       lp_solves = !lp_solves;
       lp_pivots = !lp_pivots;
       warm_solves = !warm_solves;
-      warm_pivots = !warm_pivots;
-      cold_pivots = !cold_pivots;
       cycle_limits = !cycle_limits;
     }
   in

@@ -25,8 +25,6 @@ type effort = {
   lp_solves : int;  (** LP relaxations solved across the tree *)
   lp_pivots : int;  (** total simplex iterations *)
   warm_solves : int;  (** relaxations started from a parent basis *)
-  warm_pivots : int;
-  cold_pivots : int;
   cycle_limits : int;  (** nodes dropped on {!Simplex.Sparse.CycleLimit} *)
 }
 

@@ -492,6 +492,38 @@ let test_wpo_milp_respects_candidates () =
   let direct = Ecmp.mlu_of g (Weights.unit g) net.Network.demands in
   checkf6 "direct mlu" direct r.Wpo_milp.mlu
 
+(* The branch-and-bound driver's bookkeeping: each run adds the nodes
+   its result reports to [milp.nodes] and its LP relaxations to the
+   context's [lp_solves], whether the search finished or the node limit
+   stopped it. *)
+let test_milp_driver_bookkeeping () =
+  let check name ~nodes ctx =
+    let s = ctx.Obs.Ctx.stats in
+    Alcotest.(check int) (name ^ ": milp.nodes") nodes s.Engine.Stats.milp_nodes;
+    Alcotest.(check bool) (name ^ ": lp_solves > 0") true (s.Engine.Stats.lp_solves > 0)
+  in
+  let wpo ?max_nodes g demands =
+    let ctx = Obs.Ctx.make () in
+    let r = Wpo_milp.solve_ctx ctx ?max_nodes g (Weights.unit g) demands in
+    check "wpo" ~nodes:r.Wpo_milp.nodes_explored ctx;
+    r
+  in
+  let tiny = (tiny_instance ()).Instances.Gap_instances.network in
+  Alcotest.(check bool) "wpo runs to optimality" true
+    (wpo tiny.Network.graph tiny.Network.demands).Wpo_milp.exact;
+  let abilene = Topology.Datasets.abilene () in
+  let stopped =
+    wpo ~max_nodes:10 abilene
+      (Demand.aggregate
+         (Demand_gen.mcf_synthetic ~seed:1 ~flows_per_pair:2 abilene))
+  in
+  Alcotest.(check bool) "wpo stopped by the node limit" false stopped.Wpo_milp.exact;
+  Alcotest.(check int) "wpo explored the limit" 10 stopped.Wpo_milp.nodes_explored;
+  let net = (Instances.Gap_instances.instance1 ~m:2).Instances.Gap_instances.network in
+  let ctx = Obs.Ctx.make () in
+  let r = Uspr_milp.lwo_ctx ctx net.Network.graph net.Network.demands in
+  check "lwo I1(m=2)" ~nodes:r.Uspr_milp.nodes_explored ctx
+
 (* ------------------------------------------------------------------ *)
 (* Reoptimization                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1263,6 +1295,7 @@ let () =
           Alcotest.test_case "wpo milp = brute force" `Quick test_wpo_milp_matches_exact;
           Alcotest.test_case "wpo milp candidates" `Quick test_wpo_milp_respects_candidates;
           Alcotest.test_case "wpo milp W=2 (Lemma 3.11)" `Quick test_wpo_milp_two_waypoints;
+          Alcotest.test_case "milp driver bookkeeping" `Quick test_milp_driver_bookkeeping;
         ] );
       ( "demand-gen",
         [
